@@ -22,16 +22,15 @@ let a1 () =
   row "%-28s %10s %10s" "model" "Mpps" "speedup";
   let rtc =
     let worker, program, source = nat_env () in
-    measure worker program Rtc_model source
+    measure worker program `Rtc source
   in
   let batch =
     let worker, program, source = nat_env () in
-    ignore (Gunfu.Batch_rtc.run worker program (source ~count:warmup_packets));
-    Gunfu.Batch_rtc.run worker program (source ~count:default_packets)
+    measure worker program (`Batch Gunfu.Batch_rtc.default_batch) source
   in
   let il =
     let worker, program, source = nat_env () in
-    measure worker program (Interleaved 16) source
+    measure worker program (Gunfu.Exec.il 16) source
   in
   let show label r =
     row "%-28s %10.2f %9.2fx" label (Gunfu.Metrics.mpps r)
@@ -47,7 +46,7 @@ let a2 () =
   row "%-28s %10s" "configuration" "Mpps";
   let with_pf =
     let worker, program, source = upf_env () in
-    measure worker program (Interleaved 16) source
+    measure worker program (Gunfu.Exec.il 16) source
   in
   (* Same NF compiled with empty prefetch policies: the scheduler still
      interleaves, but every access demand-misses. *)
@@ -62,7 +61,7 @@ let a2 () =
     Nfs.Upf.populate upf;
     let opts = { Gunfu.Compiler.default_opts with Gunfu.Compiler.prefetching = false } in
     let program = Nfs.Upf.program ~opts upf in
-    measure worker program (Interleaved 16) (fun ~count ->
+    measure worker program (Gunfu.Exec.il 16) (fun ~count ->
         Gunfu.Workload.of_mgw_downlink mgw ~pool ~count)
   in
   row "%-28s %10.2f" "interleave + prefetch" (Gunfu.Metrics.mpps with_pf);
@@ -91,7 +90,7 @@ let a3 () =
       Nfs.Upf.populate upf;
       let program = Nfs.Upf.program upf in
       let r =
-        measure worker program (Interleaved 16) (fun ~count ->
+        measure worker program (Gunfu.Exec.il 16) (fun ~count ->
             Gunfu.Workload.of_mgw_downlink mgw ~pool ~count)
       in
       row "%-8d %10.2f" mshr_count (Gunfu.Metrics.mpps r))
@@ -115,7 +114,7 @@ let a4 () =
       Nfs.Nat.populate nat (Traffic.Flowgen.flows gen);
       let program = Nfs.Nat.program nat in
       let r =
-        measure worker program (Interleaved 16) (fun ~count ->
+        measure worker program (Gunfu.Exec.il 16) (fun ~count ->
             Gunfu.Workload.of_flowgen gen ~pool ~count)
       in
       row "%-12d %10.2f" switch_cycles (Gunfu.Metrics.mpps r))
@@ -131,7 +130,7 @@ let a5 () =
     (fun n ->
       let run packed =
         let worker, program, source = sfc_env ~packed () in
-        measure ~packets:30_000 worker program (Interleaved n) source
+        measure ~packets:30_000 worker program (Gunfu.Exec.il n) source
       in
       let u = run false and p = run true in
       let fills r =
@@ -172,7 +171,7 @@ let a6 () =
         measure worker program model (fun ~count ->
             Gunfu.Workload.of_mgw_downlink mgw ~pool ~count)
       in
-      let rtc = run Rtc_model and il = run (Interleaved 16) in
+      let rtc = run `Rtc and il = run (Gunfu.Exec.il 16) in
       row "%-10s %10.2f %10.2f %9.2fx" label (Gunfu.Metrics.mpps rtc)
         (Gunfu.Metrics.mpps il)
         (Gunfu.Metrics.mpps il /. Gunfu.Metrics.mpps rtc))
@@ -248,16 +247,15 @@ let a8 () =
   in
   let rtc =
     let worker, program, source = nat_env () in
-    measure worker program Rtc_model source
+    measure worker program `Rtc source
   in
   let batch =
     let worker, program, source = nat_env () in
-    ignore (Gunfu.Batch_rtc.run worker program (source ~count:warmup_packets));
-    Gunfu.Batch_rtc.run worker program (source ~count:default_packets)
+    measure worker program (`Batch Gunfu.Batch_rtc.default_batch) source
   in
   let il =
     let worker, program, source = nat_env () in
-    measure worker program (Interleaved 16) source
+    measure worker program (Gunfu.Exec.il 16) source
   in
   show "per-packet RTC" rtc;
   show "RTC + batched prefetch" batch;
@@ -273,9 +271,7 @@ let a9 () =
     (fun n ->
       let run policy =
         let worker, program, source = upf_env () in
-        let go count = Gunfu.Scheduler.run ~policy worker program ~n_tasks:n (source ~count) in
-        ignore (go warmup_packets);
-        go default_packets
+        measure worker program (`Il { Gunfu.Exec.policy; n_tasks = n; distance = 1 }) source
       in
       let rr = run Gunfu.Scheduler.Round_robin in
       let rf = run Gunfu.Scheduler.Ready_first in
@@ -310,10 +306,10 @@ let a10 () =
     row "%-28s %10.2f Mpps  cyc/pkt %8.1f" label (Gunfu.Metrics.mpps r)
       (Gunfu.Metrics.cycles_per_packet r)
   in
-  show "downlink RTC" (upf_env ()) Rtc_model;
-  show "downlink IL-16" (upf_env ()) (Interleaved 16);
-  show "uplink RTC" (build_uplink ()) Rtc_model;
-  show "uplink IL-16" (build_uplink ()) (Interleaved 16);
+  show "downlink RTC" (upf_env ()) `Rtc;
+  show "downlink IL-16" (upf_env ()) (Gunfu.Exec.il 16);
+  show "uplink RTC" (build_uplink ()) `Rtc;
+  show "uplink IL-16" (build_uplink ()) (Gunfu.Exec.il 16);
   row "(uplink is lighter - one cuckoo match + decap, no PDR tree walk - so its";
   row " RTC/interleaved gap is smaller)"
 

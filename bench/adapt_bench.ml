@@ -161,33 +161,21 @@ let scenarios =
 
 (* ----- configurations ----- *)
 
-let statics =
+let statics : Exec.t list =
   [
-    Adaptive.Config.Rtc;
-    Adaptive.Config.Batch { batch = 32 };
-    Adaptive.Config.Il { policy = Scheduler.Round_robin; n_tasks = 4; distance = 1 };
-    Adaptive.Config.Il { policy = Scheduler.Round_robin; n_tasks = 8; distance = 1 };
-    Adaptive.Config.Il { policy = Scheduler.Round_robin; n_tasks = 16; distance = 1 };
-    Adaptive.Config.Il { policy = Scheduler.Ready_first; n_tasks = 8; distance = 1 };
-    Adaptive.Config.Il { policy = Scheduler.Ready_first; n_tasks = 16; distance = 1 };
+    `Rtc;
+    `Batch 32;
+    Exec.il 4;
+    Exec.il 8;
+    Exec.il 16;
+    `Il { Exec.policy = Scheduler.Ready_first; n_tasks = 8; distance = 1 };
+    `Il { Exec.policy = Scheduler.Ready_first; n_tasks = 16; distance = 1 };
   ]
 
-let run_static (plant : Adaptive.Driver.plant) (cfg : Adaptive.Config.t) =
-  let label = Adaptive.Config.label cfg in
-  match cfg with
-  | Adaptive.Config.Rtc ->
-      Rtc.run ~label ~fault:plant.Adaptive.Driver.pl_plane
-        plant.Adaptive.Driver.pl_worker plant.Adaptive.Driver.pl_program
-        plant.Adaptive.Driver.pl_source
-  | Adaptive.Config.Batch { batch } ->
-      Batch_rtc.run ~label ~batch ~fault:plant.Adaptive.Driver.pl_plane
-        plant.Adaptive.Driver.pl_worker plant.Adaptive.Driver.pl_program
-        plant.Adaptive.Driver.pl_source
-  | Adaptive.Config.Il { policy; n_tasks; distance } ->
-      Scheduler.run ~label ~policy ~prefetch_distance:distance
-        ~fault:plant.Adaptive.Driver.pl_plane plant.Adaptive.Driver.pl_worker
-        plant.Adaptive.Driver.pl_program ~n_tasks plant.Adaptive.Driver.pl_source
-  | Adaptive.Config.Scr _ -> assert false
+let run_static (plant : Adaptive.Driver.plant) (e : Exec.t) =
+  Exec.run ~label:(Exec.label e) ~fault:plant.Adaptive.Driver.pl_plane e
+    plant.Adaptive.Driver.pl_worker plant.Adaptive.Driver.pl_program
+    plant.Adaptive.Driver.pl_source
 
 (* Bench-tuned marks: with long (epoch-sized) windows over stable
    scenarios a single matching window is confirmation enough, and the
@@ -217,7 +205,7 @@ let run () =
   Printf.printf "(%d packets/scenario, epoch %d; aggregate = total packets / total cycles)\n\n"
     packets epoch;
   let labels =
-    List.map Adaptive.Config.label statics @ [ "adaptive" ]
+    List.map Exec.label statics @ [ "adaptive" ]
   in
   Printf.printf "%-12s" "scenario";
   List.iter (fun l -> Printf.printf "%12s" l) labels;
@@ -237,7 +225,7 @@ let run () =
           (fun cfg ->
             let plant = build () in
             let r = run_static plant cfg in
-            (Adaptive.Config.label cfg, r.Metrics.packets, r.Metrics.cycles))
+            (Exec.label cfg, r.Metrics.packets, r.Metrics.cycles))
           statics
       in
       let plant = build () in

@@ -25,20 +25,16 @@ let prep program =
    (max is the scheduler at 16 tasks + 64 stashed items). *)
 let arena () = if !specialize then Some (Netcore.Packet.Arena.create ()) else None
 
-type model = Rtc_model | Interleaved of int
+(* The paper-figure legend of an executor ("RTC", "IL-16"): committed
+   baselines store it as the series label. *)
+let legend : Exec.t -> string = function
+  | `Il { Exec.n_tasks; _ } -> Printf.sprintf "IL-%d" n_tasks
+  | e -> String.uppercase_ascii (Exec.label e)
 
-let model_name = function
-  | Rtc_model -> "RTC"
-  | Interleaved n -> Printf.sprintf "IL-%d" n
-
-(* Run [source] under [model] on [worker], measuring only after warmup. *)
-let measure ?(warmup = warmup_packets) ?(packets = default_packets) worker program model
-    (mk_source : count:int -> Workload.source) =
-  let run count =
-    match model with
-    | Rtc_model -> Rtc.run worker program (mk_source ~count)
-    | Interleaved n -> Scheduler.run worker program ~n_tasks:n (mk_source ~count)
-  in
+(* Run [source] under [exec] on [worker], measuring only after warmup. *)
+let measure ?(warmup = warmup_packets) ?(packets = default_packets) worker program
+    (exec : Exec.t) (mk_source : count:int -> Workload.source) =
+  let run count = Exec.run exec worker program (mk_source ~count) in
   ignore (run warmup);
   run packets
 

@@ -16,7 +16,7 @@ let run () =
     (fun n_pdrs ->
       let baseline =
         let worker, program, source = upf_env ~n_pdrs () in
-        measure worker program Rtc_model source
+        measure worker program `Rtc source
       in
       row "%-8d %10s %10.2f %10s" n_pdrs "RTC" (Gunfu.Metrics.mpps baseline) "1.00x";
       (* x = NFTask count; the RTC baseline sits at x = 0. *)
@@ -25,7 +25,7 @@ let run () =
       List.iter
         (fun n ->
           let worker, program, source = upf_env ~n_pdrs () in
-          let r = measure worker program (Interleaved n) source in
+          let r = measure worker program (Gunfu.Exec.il n) source in
           record ~fig:"fig10a" ~title:"UPF downlink throughput vs NFTasks"
             ~series:"IL" ~x:(float_of_int n) r;
           row "%-8d %10s %10.2f %9.2fx" n_pdrs
@@ -44,15 +44,15 @@ let run () =
         let worker, program, source = upf_env ~n_pdrs () in
         let r = measure worker program model source in
         record ~fig:"fig10b" ~title:"UPF cache behaviour and IPC vs rules"
-          ~series:(model_name model) ~x:(float_of_int n_pdrs) r;
-        row "%-8d %-8s %10.2f %10.2f %10.2f %8.2f" n_pdrs (model_name model)
+          ~series:(legend model) ~x:(float_of_int n_pdrs) r;
+        row "%-8d %-8s %10.2f %10.2f %10.2f %8.2f" n_pdrs (legend model)
           (Gunfu.Metrics.l1_misses_per_packet r)
           (Gunfu.Metrics.l2_misses_per_packet r)
           (Gunfu.Metrics.llc_misses_per_packet r)
           (Gunfu.Metrics.ipc r)
       in
-      show Rtc_model;
-      show (Interleaved 16))
+      show `Rtc;
+      show (Gunfu.Exec.il 16))
     rule_counts;
   row "expected shape: RTC misses/pkt grow with rules; interleaved stays flat and";
   row "keeps IPC high (paper Fig 10b-d)"

@@ -11,7 +11,7 @@ let run () =
   row "%-8s %10s %10s %10s %10s %8s" "model" "Mpps" "speedup" "L1 m/pkt" "LLC m/pkt" "IPC";
   let baseline =
     let worker, program, source = nat_env () in
-    measure worker program Rtc_model source
+    measure worker program `Rtc source
   in
   let show label r =
     row "%-8s %10.2f %9.2fx %10.2f %10.2f %8.2f" label (Gunfu.Metrics.mpps r)
@@ -27,7 +27,7 @@ let run () =
   List.iter
     (fun n ->
       let worker, program, source = nat_env () in
-      let r = measure worker program (Interleaved n) source in
+      let r = measure worker program (Gunfu.Exec.il n) source in
       record ~fig:"fig11" ~title:"NAT granular decomposition" ~series:"IL"
         ~x:(float_of_int n) r;
       show (Printf.sprintf "IL-%d" n) r)

@@ -10,9 +10,9 @@ let run () =
     let worker, program, amf, source = amf_env ~packed () in
     (measure ~packets:30_000 worker program model source, amf)
   in
-  let rtc, _ = run_case ~packed:false Rtc_model in
-  let il, _ = run_case ~packed:false (Interleaved 16) in
-  let il_dp, amf_dp = run_case ~packed:true (Interleaved 16) in
+  let rtc, _ = run_case ~packed:false `Rtc in
+  let il, _ = run_case ~packed:false (Gunfu.Exec.il 16) in
+  let il_dp, amf_dp = run_case ~packed:true (Gunfu.Exec.il 16) in
   let line label r =
     row "%-24s %8.3f Mmsg/s %8.2fx  L1m/m=%6.2f L2m/m=%6.2f LLCm/m=%6.2f ipc=%.2f" label
       (Gunfu.Metrics.mpps r)

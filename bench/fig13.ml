@@ -17,10 +17,10 @@ let run () =
   let results =
     List.map
       (fun length ->
-        let rtc = case ~length ~packed:false ~mr:false Rtc_model in
-        let il = case ~length ~packed:false ~mr:false (Interleaved 16) in
-        let dp = case ~length ~packed:true ~mr:false (Interleaved 16) in
-        let mr = case ~length ~packed:true ~mr:true (Interleaved 16) in
+        let rtc = case ~length ~packed:false ~mr:false `Rtc in
+        let il = case ~length ~packed:false ~mr:false (Gunfu.Exec.il 16) in
+        let dp = case ~length ~packed:true ~mr:false (Gunfu.Exec.il 16) in
+        let mr = case ~length ~packed:true ~mr:true (Gunfu.Exec.il 16) in
         List.iter
           (fun (series, r) ->
             record ~fig:"fig13" ~title:"SFC compiler optimisations" ~series

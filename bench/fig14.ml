@@ -39,11 +39,7 @@ let gbps ~cores ~mr ~packed ~size model =
     let program, _, source = build_core ~mr ~packed ~size ~cores w core in
     (program, source)
   in
-  let runs =
-    match model with
-    | Rtc_model -> Gunfu.Platform.run_rtc platform ~setup
-    | Interleaved n -> Gunfu.Platform.run_interleaved platform ~n_tasks:n ~setup
-  in
+  let runs = Gunfu.Platform.run platform ~setup ~execute:(Gunfu.Exec.run model) in
   (* Cores run concurrently: aggregate = per-core mean rate x cores, capped
      at line rate. *)
   let per_core =
@@ -60,7 +56,7 @@ let run () =
       let cells =
         List.map
           (fun size ->
-            let v = gbps ~cores ~mr:true ~packed:true ~size (Interleaved 16) in
+            let v = gbps ~cores ~mr:true ~packed:true ~size (Gunfu.Exec.il 16) in
             record_metrics ~fig:"fig14" ~title:"SFC multicore scalability"
               ~series:(size_name size) ~x:(float_of_int cores)
               [ ("gbps", v) ];
@@ -75,7 +71,7 @@ let run () =
   let ref_cells =
     List.map
       (fun size ->
-        let v = gbps ~cores:16 ~mr:false ~packed:false ~size Rtc_model in
+        let v = gbps ~cores:16 ~mr:false ~packed:false ~size `Rtc in
         record_metrics ~fig:"fig14" ~title:"SFC multicore scalability"
           ~series:(Printf.sprintf "BESS@16-%s" (size_name size))
           ~x:16.0 [ ("gbps", v) ];

@@ -52,11 +52,7 @@ let build_core ~size ~cores worker core =
 let gbps ~cores ~size model =
   let platform = Gunfu.Platform.create ~cores () in
   let setup w core = build_core ~size ~cores w core in
-  let runs =
-    match model with
-    | Rtc_model -> Gunfu.Platform.run_rtc platform ~setup
-    | Interleaved n -> Gunfu.Platform.run_interleaved platform ~n_tasks:n ~setup
-  in
+  let runs = Gunfu.Platform.run platform ~setup ~execute:(Gunfu.Exec.run model) in
   let per_core =
     List.fold_left (fun acc r -> acc +. Gunfu.Metrics.gbps r) 0.0 runs
     /. float_of_int cores
@@ -73,7 +69,7 @@ let run () =
       let cells =
         List.map
           (fun size ->
-            let v = gbps ~cores ~size (Interleaved 16) in
+            let v = gbps ~cores ~size (Gunfu.Exec.il 16) in
             record_metrics ~fig:"fig15" ~title:"UPF multicore scalability"
               ~series:(size_name size) ~x:(float_of_int cores)
               [ ("gbps", v) ];
@@ -87,7 +83,7 @@ let run () =
   let ref_cells =
     List.map
       (fun size ->
-        let v = gbps ~cores:10 ~size Rtc_model in
+        let v = gbps ~cores:10 ~size `Rtc in
         record_metrics ~fig:"fig15" ~title:"UPF multicore scalability"
           ~series:(Printf.sprintf "RTC@10-%s" (size_name size))
           ~x:10.0 [ ("gbps", v) ];

@@ -15,7 +15,7 @@ let run () =
       List.iter
         (fun n_pdrs ->
           let worker, program, source = upf_env ~n_sessions ~n_pdrs () in
-          let r = measure worker program Rtc_model source in
+          let r = measure worker program `Rtc source in
           record ~fig:"fig2" ~title:"UPF concurrency under RTC"
             ~series:(Printf.sprintf "pdrs-%d" n_pdrs)
             ~x:(float_of_int n_sessions) r;

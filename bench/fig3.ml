@@ -12,7 +12,7 @@ let run () =
   List.iter
     (fun msg ->
       let worker, program, amf, source = amf_env ~only_msg:msg () in
-      let r = measure ~packets:20_000 worker program Rtc_model source in
+      let r = measure ~packets:20_000 worker program `Rtc source in
       record_metrics ~fig:"fig3" ~title:"AMF state complexity under RTC"
         ~series:(Traffic.Mgw.amf_msg_name msg)
         ~x:(float_of_int (Gunfu.Workload.amf_msg_code msg))

@@ -35,16 +35,8 @@ let nf_of_string = function
 
 let nf_names = "nat, lb, fw, nm, upf, upf-uplink, amf, sfc2..sfc6"
 
-type model = Rtc_m | Batch_m | Il_m of int
-
-let model_of_string = function
-  | "rtc" -> Ok Rtc_m
-  | "batch" -> Ok Batch_m
-  | s when String.length s > 2 && String.sub s 0 2 = "il" -> (
-      match int_of_string_opt (String.sub s 2 (String.length s - 2)) with
-      | Some n when n > 0 -> Ok (Il_m n)
-      | _ -> Error (`Msg "model ilN needs a positive task count"))
-  | s -> Error (`Msg ("unknown model: " ^ s))
+let model_forms =
+  "rtc, batch (= batch-32), batch-N, ilN (= il-rr-N-d1), il-rr-N-dD, il-rf-N-dD"
 
 (* Build the requested NF on a worker; returns the program and a source
    factory. *)
@@ -111,12 +103,6 @@ let build nf ~flows ~packed ~opts worker =
       Nfs.Sfc.populate sfc (Traffic.Flowgen.flows gen);
       (Nfs.Sfc.program ~opts sfc, flow_src gen)
 
-let execute model worker program source ~packets =
-  match model with
-  | Rtc_m -> Gunfu.Rtc.run worker program (source ~count:packets)
-  | Batch_m -> Gunfu.Batch_rtc.run worker program (source ~count:packets)
-  | Il_m n -> Gunfu.Scheduler.run worker program ~n_tasks:n (source ~count:packets)
-
 (* ----- run command ----- *)
 
 let run_cmd nf model flows packets cores packed match_removal no_prefetch specialize =
@@ -130,32 +116,28 @@ let run_cmd nf model flows packets cores packed match_removal no_prefetch specia
       specialize;
     }
   in
-  if cores = 1 then begin
-    let worker = Gunfu.Worker.create ~id:0 () in
-    let program, source = build nf ~flows ~packed ~opts worker in
-    let r = execute model worker program source ~packets in
-    Fmt.pr "%a@." Gunfu.Metrics.pp_row r;
-    `Ok ()
-  end
-  else begin
-    let platform = Gunfu.Platform.create ~cores () in
-    let setup w _core =
-      let program, source = build nf ~flows:(max 1024 (flows / cores)) ~packed ~opts w in
-      (program, source ~count:(packets / cores))
-    in
-    let runs =
-      match model with
-      | Rtc_m -> Gunfu.Platform.run_rtc platform ~setup
-      | Batch_m ->
-          Gunfu.Platform.run platform ~setup ~execute:(fun w p s -> Gunfu.Batch_rtc.run w p s)
-      | Il_m n -> Gunfu.Platform.run_interleaved platform ~n_tasks:n ~setup
-    in
-    let merged = Gunfu.Metrics.merge_parallel runs in
-    Fmt.pr "%a@." Gunfu.Metrics.pp_row merged;
-    Fmt.pr "aggregate over %d cores, capped at the 100G line rate: %.2f Gbps@." cores
-      (Gunfu.Metrics.gbps_scaled merged ~cores:1);
-    `Ok ()
-  end
+  try
+    if cores = 1 then begin
+      let worker = Gunfu.Worker.create ~id:0 () in
+      let program, source = build nf ~flows ~packed ~opts worker in
+      let r = Gunfu.Exec.run model worker program (source ~count:packets) in
+      Fmt.pr "%a@." Gunfu.Metrics.pp_row r;
+      `Ok ()
+    end
+    else begin
+      let platform = Gunfu.Platform.create ~cores () in
+      let setup w _core =
+        let program, source = build nf ~flows:(max 1024 (flows / cores)) ~packed ~opts w in
+        (program, source ~count:(packets / cores))
+      in
+      let runs = Gunfu.Platform.run platform ~setup ~execute:(Gunfu.Exec.run model) in
+      let merged = Gunfu.Metrics.merge_parallel runs in
+      Fmt.pr "%a@." Gunfu.Metrics.pp_row merged;
+      Fmt.pr "aggregate over %d cores, capped at the 100G line rate: %.2f Gbps@." cores
+        (Gunfu.Metrics.gbps_scaled merged ~cores:1);
+      `Ok ()
+    end
+  with Invalid_argument msg -> `Error (false, msg)
 
 (* ----- inspect command ----- *)
 
@@ -223,18 +205,14 @@ let compose_cmd nf_file specs_dir model flows packets =
     built.Nfs.Catalog.populate (Traffic.Flowgen.flows gen);
     let pool = Netcore.Packet.Pool.create layout ~count:1024 in
     let source = Gunfu.Workload.of_flowgen gen ~pool ~count:packets in
-    let r =
-      match model with
-      | Rtc_m -> Gunfu.Rtc.run worker built.Nfs.Catalog.program source
-      | Batch_m -> Gunfu.Batch_rtc.run worker built.Nfs.Catalog.program source
-      | Il_m n -> Gunfu.Scheduler.run worker built.Nfs.Catalog.program ~n_tasks:n source
-    in
+    let r = Gunfu.Exec.run model worker built.Nfs.Catalog.program source in
     Fmt.pr "%a@." Gunfu.Metrics.pp_row r;
     `Ok ()
   with
   | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
   | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
   | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
+  | Invalid_argument msg -> `Error (false, msg)
   | Sys_error msg -> `Error (false, msg)
 
 (* ----- check command: the differential execution oracle ----- *)
@@ -390,7 +368,7 @@ let chaos_scr programs seed packets profile spec specs_dir rate_ppm cores =
   let rcases = platform_rcases programs seed packets profile spec specs_dir in
   let failed =
     scr_axis ~rcases ~cores_list:[ cores ] ~rate_ppm
-      ~spray:Scaleout.Spray.Round_robin ~engine:Scaleout.Scr.Engine_rtc
+      ~spray:Scaleout.Spray.Round_robin ~engine:`Rtc
   in
   if failed = 0 then begin
     Fmt.pr
@@ -504,11 +482,7 @@ let scr_cmd programs seed packets profile spec specs_dir rate_ppm cores_list
       | None -> Scaleout.Spray.Round_robin
       | Some s -> Scaleout.Spray.Seeded s
     in
-    let engine =
-      match batch with
-      | None -> Scaleout.Scr.Engine_rtc
-      | Some b -> Scaleout.Scr.Engine_batch b
-    in
+    let engine = match batch with None -> `Rtc | Some b -> `Batch b in
     let failed = scr_axis ~rcases ~cores_list ~rate_ppm ~spray ~engine in
     if failed = 0 then begin
       Fmt.pr
@@ -516,7 +490,7 @@ let scr_cmd programs seed packets profile spec specs_dir rate_ppm cores_list
          converged, reference equality@."
         (List.length rcases)
         (String.concat "," (List.map string_of_int cores_list))
-        (Check.Scrcheck.engine_name engine)
+        (Gunfu.Exec.label engine)
         (match spray_seed with
         | None -> "round-robin"
         | Some s -> Printf.sprintf "seeded(%d)" s)
@@ -545,14 +519,10 @@ let adapt_cmd programs seed packets profile spec specs_dir rate_ppm scr epoch
          would detach armed injections)";
     if epoch < 1 then invalid_arg "adapt: --epoch must be positive";
     let initial =
-      match initial with
-      | "default" | "il" -> Adaptive.Config.default
-      | "rtc" -> Adaptive.Config.Rtc
-      | "batch" -> Adaptive.Config.Batch { batch = 32 }
-      | other ->
-          invalid_arg
-            (Printf.sprintf "adapt: unknown initial %s (expected default, rtc \
-                             or batch)" other)
+      match (initial, Gunfu.Exec.of_string initial) with
+      | ("default" | "il"), _ -> Adaptive.Config.default
+      | _, Ok e -> (e :> Adaptive.Config.t)
+      | _, Error msg -> invalid_arg ("adapt: --initial: " ^ msg)
     in
     let rcases = platform_rcases programs seed packets profile spec specs_dir in
     let failed = ref 0 in
@@ -796,14 +766,7 @@ let traced_execute nf spec specs_dir model flows packets packed =
     | None, None -> invalid_arg "pass --nf NAME or --spec NF_FILE"
   in
   let tr = Gunfu.Trace.create () in
-  let r =
-    match model with
-    | Rtc_m -> Gunfu.Rtc.run ~telemetry:tr worker program (source ~count:packets)
-    | Batch_m -> Gunfu.Batch_rtc.run ~telemetry:tr worker program (source ~count:packets)
-    | Il_m n ->
-        Gunfu.Scheduler.run ~telemetry:tr worker program ~n_tasks:n
-          (source ~count:packets)
-  in
+  let r = Gunfu.Exec.run ~telemetry:tr model worker program (source ~count:packets) in
   (tr, r)
 
 let profile_cmd nf spec specs_dir model flows packets packed =
@@ -877,19 +840,25 @@ let bench_cmd json_file =
 
 let list_cmd () =
   Fmt.pr "network functions: %s@." nf_names;
-  Fmt.pr "execution models:  rtc, batch, ilN (e.g. il16)@.";
+  Fmt.pr "execution models:  %s@." model_forms;
   `Ok ()
 
 (* ----- cmdliner wiring ----- *)
 
 let nf_conv = Arg.conv (nf_of_string, fun ppf _ -> Fmt.string ppf "<nf>")
-let model_conv = Arg.conv (model_of_string, fun ppf _ -> Fmt.string ppf "<model>")
+let model_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Gunfu.Exec.of_string s)),
+      fun ppf e -> Fmt.string ppf (Gunfu.Exec.label e) )
 
 let nf_arg =
   Arg.(required & opt (some nf_conv) None & info [ "nf" ] ~docv:"NF" ~doc:("Network function: " ^ nf_names))
 
 let model_arg =
-  Arg.(value & opt model_conv (Il_m 16) & info [ "model" ] ~docv:"MODEL" ~doc:"rtc, batch or ilN")
+  Arg.(
+    value
+    & opt model_conv (Gunfu.Exec.il 16)
+    & info [ "model" ] ~docv:"MODEL" ~doc:("Executor: " ^ model_forms))
 
 let flows_arg =
   Arg.(value & opt int 131072 & info [ "flows" ] ~doc:"Concurrent flows / sessions / UEs")
@@ -1094,7 +1063,8 @@ let adapt_t =
         $ Arg.(
             value & opt string "default"
             & info [ "initial" ] ~docv:"CONFIG"
-                ~doc:"Starting configuration: default (il-rr-8-d1), rtc or batch")))
+                ~doc:("Starting configuration: default (il-rr-8-d1) or an executor: "
+                     ^ model_forms))))
 
 let scr_t =
   Cmd.v

@@ -21,11 +21,7 @@ let run ~model ~packed =
   Nfs.Amf.populate amf;
   let program = Nfs.Amf.program amf in
   let source = Gunfu.Workload.of_amf gen ~pool ~count:messages in
-  let r =
-    match model with
-    | `Rtc -> Gunfu.Rtc.run worker program source
-    | `Il n -> Gunfu.Scheduler.run worker program ~n_tasks:n source
-  in
+  let r = Gunfu.Exec.run model worker program source in
   (r, amf)
 
 let () =
@@ -58,8 +54,8 @@ let () =
 
   Printf.printf "\nthroughput (messages/second):\n";
   let rtc, _ = run ~model:`Rtc ~packed:false in
-  let il, _ = run ~model:(`Il 16) ~packed:false in
-  let il_dp, _ = run ~model:(`Il 16) ~packed:true in
+  let il, _ = run ~model:(Gunfu.Exec.il 16) ~packed:false in
+  let il_dp, _ = run ~model:(Gunfu.Exec.il 16) ~packed:true in
   let p label r =
     Printf.printf "  %-26s %7.3f Mmsg/s  IPC %.2f  LLC misses/msg %.2f\n" label
       (Gunfu.Metrics.mpps r) (Gunfu.Metrics.ipc r)

@@ -37,10 +37,10 @@ let () =
   let cases =
     [
       ("RTC baseline", `Rtc, false, Gunfu.Compiler.default_opts);
-      ("interleaved x16", `Il, false, Gunfu.Compiler.default_opts);
-      ("interleaved + DP", `Il, true, Gunfu.Compiler.default_opts);
+      ("interleaved x16", Gunfu.Exec.il 16, false, Gunfu.Compiler.default_opts);
+      ("interleaved + DP", Gunfu.Exec.il 16, true, Gunfu.Compiler.default_opts);
       ( "interleaved + DP + MR",
-        `Il,
+        Gunfu.Exec.il 16,
         true,
         { Gunfu.Compiler.default_opts with Gunfu.Compiler.match_removal = true } );
     ]
@@ -49,11 +49,7 @@ let () =
   List.iter
     (fun (label, model, packed, opts) ->
       let worker, program, source = build ~packed ~opts in
-      let run =
-        match model with
-        | `Rtc -> Gunfu.Rtc.run ~label worker program source
-        | `Il -> Gunfu.Scheduler.run ~label worker program ~n_tasks:16 source
-      in
+      let run = Gunfu.Exec.run ~label model worker program source in
       let mpps = Gunfu.Metrics.mpps run in
       if !baseline = 0.0 then baseline := mpps;
       Printf.printf "%-24s %6.2f Mpps  IPC %.2f  (%.2fx vs RTC)\n" label mpps

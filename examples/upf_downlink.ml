@@ -62,8 +62,8 @@ let () =
     Gunfu.Director.deploy director ~name:"upf-prod" ~cores:2 ~config ~builder ()
   in
   Printf.printf "\ndeployed 'upf-prod' on %d cores; running...\n\n" 2;
-  let rtc = Gunfu.Director.run deployment Gunfu.Director.Run_to_completion in
-  let il = Gunfu.Director.run deployment (Gunfu.Director.Interleaved 16) in
+  let rtc = Gunfu.Director.run deployment `Rtc in
+  let il = Gunfu.Director.run deployment (Gunfu.Exec.il 16) in
   Printf.printf "  RTC         : %6.2f Mpps  %6.2f Gbps\n" (Gunfu.Metrics.mpps rtc)
     (Gunfu.Metrics.gbps rtc);
   Printf.printf "  interleaved : %6.2f Mpps  %6.2f Gbps  (%.2fx)\n" (Gunfu.Metrics.mpps il)

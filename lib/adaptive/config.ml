@@ -1,33 +1,17 @@
 (* Executor configuration: the knob vector the adaptive controller retunes
    online. One value of this type fully determines how the driver runs the
-   next epoch — executor family, interleave width, task-selection policy,
-   prefetch distance, or the SCR scale-out hand-off. *)
+   next epoch — a single-core executor descriptor, or the SCR scale-out
+   hand-off. *)
 
 open Gunfu
 
-type t =
-  | Rtc
-  | Batch of { batch : int }
-  | Il of { policy : Scheduler.policy; n_tasks : int; distance : int }
-  | Scr of { cores : int }
+type t = [ Exec.t | `Scr of int ]
 
-let default = Il { policy = Scheduler.Round_robin; n_tasks = 8; distance = 1 }
+let default = (Exec.il 8 :> t)
 
 let label = function
-  | Rtc -> "rtc"
-  | Batch { batch } -> Printf.sprintf "batch-%d" batch
-  | Il { policy; n_tasks; distance } ->
-      let p = match policy with Scheduler.Round_robin -> "rr" | Scheduler.Ready_first -> "rf" in
-      Printf.sprintf "il-%s-%d-d%d" p n_tasks distance
-  | Scr { cores } -> Printf.sprintf "scr-%d" cores
+  | #Exec.t as e -> Exec.label e
+  | `Scr cores -> Printf.sprintf "scr-%d" cores
 
-let equal a b =
-  match (a, b) with
-  | Rtc, Rtc -> true
-  | Batch { batch = a }, Batch { batch = b } -> a = b
-  | Il a, Il b -> a.policy = b.policy && a.n_tasks = b.n_tasks && a.distance = b.distance
-  | Scr { cores = a }, Scr { cores = b } -> a = b
-  | (Rtc | Batch _ | Il _ | Scr _), _ -> false
-
-let single_core = function Rtc | Batch _ | Il _ -> true | Scr _ -> false
+let single_core = function #Exec.t -> true | `Scr _ -> false
 let pp ppf t = Fmt.string ppf (label t)

@@ -1,29 +1,23 @@
 (** Executor configuration — the knob vector the adaptive controller
-    retunes online: executor family (rtc / batch / interleaved / SCR),
-    interleave width, task-selection policy, and prefetch distance. *)
+    retunes online: a single-core executor ({!Gunfu.Exec.t}: rtc / batch /
+    interleaved with its width, task-selection policy and prefetch
+    distance) or the SCR scale-out hand-off on that many cores (rtc engine
+    per replica). *)
 
 open Gunfu
 
-type t =
-  | Rtc
-  | Batch of { batch : int }
-  | Il of { policy : Scheduler.policy; n_tasks : int; distance : int }
-      (** the paper's interleaved function-stream executor *)
-  | Scr of { cores : int }
-      (** State-Compute Replication scale-out (rtc engine per core) *)
+type t = [ Exec.t | `Scr of int ]
 
 (** The controller's neutral starting point: interleaved round-robin,
     8 tasks, distance 1. *)
 val default : t
 
-(** Stable short label, e.g. ["il-rr-8-d1"] — used in run labels, decision
-    logs and bench series. *)
+(** Stable short label, e.g. ["il-rr-8-d1"] or ["scr-4"] — used in run
+    labels, decision logs and bench series. *)
 val label : t -> string
 
-val equal : t -> t -> bool
-
 (** Whether the configuration runs on the single core (everything but
-    {!Scr}). *)
+    [`Scr]). *)
 val single_core : t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -23,7 +23,7 @@ open Gunfu
 type scr_surface = {
   ss_cores : int;
   ss_universe : int;
-  ss_engine : Scaleout.Scr.engine;
+  ss_engine : Exec.flow_free;
   ss_spray : Scaleout.Spray.policy;
   ss_spawn : unit -> Scaleout.Scr.replica array;
   ss_collect : Scaleout.Scr.replica array -> unit;
@@ -149,21 +149,6 @@ let run ?(epoch = 2048) ?label ?telemetry ?on_complete ~policy plant =
           true
     end
   in
-  let run_single cfg =
-    let label = Config.label cfg in
-    match cfg with
-    | Config.Rtc ->
-        Rtc.run ~label ~quiesce ~fault:plant.pl_plane ~telemetry:trace
-          ~on_complete:complete_cb plant.pl_worker plant.pl_program src
-    | Config.Batch { batch } ->
-        Batch_rtc.run ~label ~batch ~quiesce ~fault:plant.pl_plane ~telemetry:trace
-          ~on_complete:complete_cb plant.pl_worker plant.pl_program src
-    | Config.Il { policy = sp; n_tasks; distance } ->
-        Scheduler.run ~label ~policy:sp ~prefetch_distance:distance ~quiesce
-          ~fault:plant.pl_plane ~telemetry:trace ~on_complete:complete_cb
-          plant.pl_worker plant.pl_program ~n_tasks src
-    | Config.Scr _ -> assert false
-  in
   let run_scr surface =
     (* Quiescent entry: every pulled item has completed, so the export the
        replicas are seeded from is a consistent snapshot. *)
@@ -222,13 +207,16 @@ let run ?(epoch = 2048) ?label ?telemetry ?on_complete ~policy plant =
   in
   while not !finished do
     match Policy.config policy with
-    | Config.Scr _ -> (
+    | `Scr _ -> (
         match plant.pl_scr with
         | None -> invalid_arg "Driver.run: policy proposed SCR without a surface"
         | Some surface -> run_scr surface)
-    | cfg -> (
+    | #Exec.t as e -> (
         leg_start := ctx.Exec_ctx.clock;
-        let r = run_single cfg in
+        let r =
+          Exec.run ~label:(Exec.label e) ~quiesce ~fault:plant.pl_plane ~telemetry:trace
+            ~on_complete:complete_cb e plant.pl_worker plant.pl_program src
+        in
         base_cycles := !base_cycles + r.Metrics.cycles;
         leg_start := ctx.Exec_ctx.clock;
         if r.Metrics.packets > 0 || !legs = [] then legs := r :: !legs;

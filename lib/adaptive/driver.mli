@@ -21,7 +21,7 @@ open Gunfu
 type scr_surface = {
   ss_cores : int;
   ss_universe : int;  (** flow-hint universe for {!Scaleout.Scr.run} *)
-  ss_engine : Scaleout.Scr.engine;
+  ss_engine : Exec.flow_free;
   ss_spray : Scaleout.Spray.policy;
   ss_spawn : unit -> Scaleout.Scr.replica array;
       (** fresh full replicas seeded with the single-core instance's

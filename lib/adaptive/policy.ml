@@ -16,9 +16,7 @@
 open Gunfu
 
 type move =
-  | To_rtc
-  | To_batch of int
-  | To_il of Scheduler.policy * int * int
+  | To of Exec.t
   | Tasks_up
   | Tasks_down
   | Distance_up
@@ -29,12 +27,7 @@ type move =
   | Revert
 
 let move_label = function
-  | To_rtc -> "to-rtc"
-  | To_batch b -> Printf.sprintf "to-batch-%d" b
-  | To_il (p, n, d) ->
-      Printf.sprintf "to-il-%s-%d-d%d"
-        (match p with Scheduler.Round_robin -> "rr" | Scheduler.Ready_first -> "rf")
-        n d
+  | To e -> "to-" ^ Exec.label e
   | Tasks_up -> "tasks-up"
   | Tasks_down -> "tasks-down"
   | Distance_up -> "distance-up"
@@ -85,7 +78,7 @@ type t = {
   scr : int option;
   mutable cur : Config.t;
   mutable prev : Config.t;  (* config before the last move (revert target) *)
-  mutable last_il : Scheduler.policy * int * int;  (* re-entry point for To_il *)
+  mutable last_il : Exec.il;  (* re-entry point of the interleaved family *)
   streaks : (string, int) Hashtbl.t;
   mutable cooldown_left : int;
   mutable guard : (float * string) option;  (* (pre-move kpps, rule key) *)
@@ -103,9 +96,9 @@ let create ?(params = default_params) ?scr ~initial () =
     prev = initial;
     last_il =
       (match initial with
-      | Config.Il { policy; n_tasks; distance } -> (policy, n_tasks, distance)
-      | Config.Rtc | Config.Batch _ | Config.Scr _ ->
-          (Scheduler.Round_robin, 8, 1));
+      | `Il il -> il
+      | `Rtc | `Batch _ | `Scr _ ->
+          { Exec.policy = Scheduler.Round_robin; n_tasks = 8; distance = 1 });
     streaks = Hashtbl.create 8;
     cooldown_left = 0;
     guard = None;
@@ -116,23 +109,16 @@ let config t = t.cur
 let params t = t.p
 
 let apply t move =
-  (match t.cur with
-  | Config.Il { policy; n_tasks; distance } -> t.last_il <- (policy, n_tasks, distance)
-  | Config.Rtc | Config.Batch _ | Config.Scr _ -> ());
+  (match t.cur with `Il il -> t.last_il <- il | `Rtc | `Batch _ | `Scr _ -> ());
   match (move, t.cur) with
-  | To_rtc, _ -> Config.Rtc
-  | To_batch b, _ -> Config.Batch { batch = b }
-  | To_il (policy, n_tasks, distance), _ -> Config.Il { policy; n_tasks; distance }
-  | Tasks_up, Config.Il c ->
-      Config.Il { c with n_tasks = min t.p.max_tasks (c.n_tasks * 2) }
-  | Tasks_down, Config.Il c ->
-      Config.Il { c with n_tasks = max t.p.min_tasks (c.n_tasks / 2) }
-  | Distance_up, Config.Il c ->
-      Config.Il { c with distance = min t.p.max_distance (c.distance + 1) }
-  | Distance_down, Config.Il c -> Config.Il { c with distance = max 1 (c.distance - 1) }
-  | Switch_policy p, Config.Il c -> Config.Il { c with policy = p }
-  | Scr_handoff, _ ->
-      Config.Scr { cores = (match t.scr with Some c -> c | None -> 4) }
+  | To e, _ -> (e :> Config.t)
+  | Tasks_up, `Il c -> `Il { c with Exec.n_tasks = min t.p.max_tasks (c.Exec.n_tasks * 2) }
+  | Tasks_down, `Il c -> `Il { c with Exec.n_tasks = max t.p.min_tasks (c.Exec.n_tasks / 2) }
+  | Distance_up, `Il c ->
+      `Il { c with Exec.distance = min t.p.max_distance (c.Exec.distance + 1) }
+  | Distance_down, `Il c -> `Il { c with Exec.distance = max 1 (c.Exec.distance - 1) }
+  | Switch_policy p, `Il c -> `Il { c with Exec.policy = p }
+  | Scr_handoff, _ -> `Scr (match t.scr with Some c -> c | None -> 4)
   | (Scr_return | Revert), _ -> t.prev
   | (Tasks_up | Tasks_down | Distance_up | Distance_down | Switch_policy _), c -> c
 
@@ -146,7 +132,7 @@ let matching_rules t (s : Window.signals) =
      round-robin scan; ready-first skips blocked tasks for a 1-cycle scan
      charge instead of a full wasted visit. *)
   (match t.cur with
-  | Config.Il { policy = Scheduler.Round_robin; _ }
+  | `Il { Exec.policy = Scheduler.Round_robin; _ }
     when s.Window.w_stalls > 0 || s.Window.w_mshr_occ >= p.hi_occ ->
       add "stall-rf" (Switch_policy Scheduler.Ready_first)
   | _ -> ());
@@ -160,33 +146,33 @@ let matching_rules t (s : Window.signals) =
       add "scr-handoff" Scr_handoff
   | _ -> ());
   (match t.cur with
-  | Config.Scr _ when s.Window.w_skew <= p.lo_skew -> add "scr-return" Scr_return
+  | `Scr _ when s.Window.w_skew <= p.lo_skew -> add "scr-return" Scr_return
   | _ -> ());
   (* Memory-bound: grow the latency-hiding budget — enter the interleaved
      family, widen it, then raise the prefetch distance. *)
   (if s.Window.w_mem_share >= p.hi_mem then
      match t.cur with
-     | Config.Rtc | Config.Batch _ ->
+     | `Rtc | `Batch _ ->
          (* Re-enter no narrower than the default width: the widths a
             compute-bound narrowing march walked through are not a
             memory-bound starting point. *)
-         let policy, n, d = t.last_il in
-         add "mem-up" (To_il (policy, max n 8, d))
-     | Config.Il { n_tasks; distance; _ } ->
+         let il = t.last_il in
+         add "mem-up" (To (`Il { il with Exec.n_tasks = max il.Exec.n_tasks 8 }))
+     | `Il { Exec.n_tasks; distance; _ } ->
          if n_tasks < p.max_tasks then add "mem-up" Tasks_up
          else if distance < p.max_distance && s.Window.w_deep_share >= p.hi_mem then
            add "mem-up" Distance_up
-     | Config.Scr _ -> ());
+     | `Scr _ -> ());
   (* Compute-bound: the switch overhead of a wide interleave buys nothing
      when state is cache-resident — narrow, then collapse to batched
      run-to-completion, which keeps the locality win while amortizing the
      per-pull overhead plain rtc still pays. *)
   (if s.Window.w_mem_share <= p.lo_mem && s.Window.w_switch_share >= p.hi_switch then
      match t.cur with
-     | Config.Il { n_tasks; _ } ->
+     | `Il { Exec.n_tasks; _ } ->
          if n_tasks > p.min_tasks then add "mem-down" Tasks_down
-         else add "mem-down" (To_batch p.batch)
-     | Config.Rtc | Config.Batch _ | Config.Scr _ -> ());
+         else add "mem-down" (To (`Batch p.batch))
+     | `Rtc | `Batch _ | `Scr _ -> ());
   List.rev !acc
 
 let decide t (s : Window.signals) =
@@ -234,7 +220,7 @@ let decide t (s : Window.signals) =
     | None -> None
     | Some (key, mv) ->
         let next = apply t mv in
-        if Config.equal next t.cur then begin
+        if next = t.cur then begin
           (* Saturated knob: nothing to do, don't burn a cooldown. *)
           Hashtbl.replace t.streaks key 0;
           None

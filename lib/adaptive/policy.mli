@@ -8,9 +8,7 @@
 open Gunfu
 
 type move =
-  | To_rtc
-  | To_batch of int
-  | To_il of Scheduler.policy * int * int  (** policy, n_tasks, distance *)
+  | To of Exec.t  (** switch to that single-core executor *)
   | Tasks_up
   | Tasks_down
   | Distance_up

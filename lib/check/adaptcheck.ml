@@ -126,7 +126,7 @@ let adaptive_pass ?plan ?scr ?params ?(epoch = 256) ~initial ~items
         {
           Adaptive.Driver.ss_cores = cores;
           ss_universe = universe;
-          ss_engine = Scaleout.Scr.Engine_rtc;
+          ss_engine = `Rtc;
           ss_spray = Scaleout.Spray.Round_robin;
           ss_spawn =
             (fun () ->

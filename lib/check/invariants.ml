@@ -446,7 +446,7 @@ let check_adaptive (oc : Adaptive.Driver.outcome) : violation list =
   let holds =
     List.filter_map
       (fun (d : D.decision) ->
-        if d.D.d_move = None && not (Adaptive.Config.equal d.D.d_from d.D.d_to) then
+        if d.D.d_move = None && d.D.d_from <> d.D.d_to then
           Some
             (v "adaptive-chain" "window %d: hold changed the config %s -> %s"
                d.D.d_index
@@ -458,7 +458,7 @@ let check_adaptive (oc : Adaptive.Driver.outcome) : violation list =
   let rec pairwise acc = function
     | (a : D.decision) :: (b :: _ as rest) ->
         let acc =
-          if Adaptive.Config.equal a.D.d_to b.D.d_from then acc
+          if a.D.d_to = b.D.d_from then acc
           else
             v "adaptive-chain" "window %d ended at %s but window %d starts from %s"
               a.D.d_index
@@ -493,7 +493,7 @@ let check_adaptive (oc : Adaptive.Driver.outcome) : violation list =
   in
   let final =
     match List.rev ds with
-    | last :: _ when not (Adaptive.Config.equal last.D.d_to oc.D.o_final) ->
+    | last :: _ when last.D.d_to <> oc.D.o_final ->
         [
           v "adaptive-chain" "last decision leaves %s but the outcome reports final=%s"
             (Adaptive.Config.label last.D.d_to)
@@ -511,7 +511,7 @@ let check_case ?plan (case : Oracle.case) : (string * violation) list =
       let obs =
         Oracle.observe ?plan x (case.Oracle.c_build ~packets:case.Oracle.c_packets)
       in
-      List.map (fun viol -> (x.Oracle.x_name, viol)) (check obs))
+      List.map (fun viol -> (Exec.label x, viol)) (check obs))
     (Oracle.reference :: Oracle.executors)
 
 let pp_violation ppf { v_rule; v_detail } = Fmt.pf ppf "[%s] %s" v_rule v_detail

@@ -66,55 +66,20 @@ type divergence = {
 
 (* ----- executors under comparison ----- *)
 
-type executor = {
-  x_name : string;
-  x_run :
-    ?fault:Fault.t -> ?telemetry:Trace.t -> on_complete:(Nftask.t -> unit) ->
-    Worker.t -> Program.t -> Workload.source -> Metrics.run;
-}
-
-let reference =
-  {
-    x_name = "rtc";
-    x_run =
-      (fun ?fault ?telemetry ~on_complete w p s ->
-        Rtc.run ?fault ?telemetry ~on_complete w p s);
-  }
-
+let reference : Exec.t = `Rtc
 let batch_sizes = [ 1; 8; 32 ]
 let task_counts = [ 1; 2; 4; 8; 16 ]
 
-let executors =
-  List.map
-    (fun b ->
-      {
-        x_name = Printf.sprintf "batch-%d" b;
-        x_run =
-          (fun ?fault ?telemetry ~on_complete w p s ->
-            Batch_rtc.run ~batch:b ?fault ?telemetry ~on_complete w p s);
-      })
-    batch_sizes
+let executors : Exec.t list =
+  List.map (fun b -> `Batch b) batch_sizes
   @ List.concat_map
-      (fun n ->
-        [
-          {
-            x_name = Printf.sprintf "rr-%d" n;
-            x_run =
-              (fun ?fault ?telemetry ~on_complete w p s ->
-                Scheduler.run ~policy:Scheduler.Round_robin ?fault ?telemetry
-                  ~on_complete w p ~n_tasks:n s);
-          };
-          {
-            x_name = Printf.sprintf "rf-%d" n;
-            x_run =
-              (fun ?fault ?telemetry ~on_complete w p s ->
-                Scheduler.run ~policy:Scheduler.Ready_first ?fault ?telemetry
-                  ~on_complete w p ~n_tasks:n s);
-          };
-        ])
+      (fun n_tasks ->
+        List.map
+          (fun policy -> `Il { Exec.policy; n_tasks; distance = 1 })
+          [ Scheduler.Round_robin; Scheduler.Ready_first ])
       task_counts
 
-let executor_names = List.map (fun x -> x.x_name) (reference :: executors)
+let executor_names = List.map Exec.label (reference :: executors)
 
 (* ----- observation ----- *)
 
@@ -125,7 +90,7 @@ let packet_fingerprint (p : Netcore.Packet.t) =
       Fingerprint.feed_int fp p.Netcore.Packet.l3_off;
       Fingerprint.feed_int fp p.Netcore.Packet.l4_off)
 
-let observe ?(specialize = false) ?plan ?telemetry (x : executor) (inst : instance) :
+let observe ?(specialize = false) ?plan ?telemetry (x : Exec.t) (inst : instance) :
     observation =
   (* The specialization axis: attach (or strip) the compiled hot path on
      this instance's program before the run. Stripping matters when a
@@ -133,7 +98,7 @@ let observe ?(specialize = false) ?plan ?telemetry (x : executor) (inst : instan
      baseline must genuinely interpret. *)
   if specialize then Specialize.install inst.program
   else Specialize.remove inst.program;
-  let label = if specialize then x.x_name ^ "+spec" else x.x_name in
+  let label = if specialize then Exec.label x ^ "+spec" else Exec.label x in
   let ctx = Worker.ctx inst.worker in
   (* One fresh plane per run: the plan decides by pull index, so identical
      plans arm identical schedules in every executor. *)
@@ -179,7 +144,7 @@ let observe ?(specialize = false) ?plan ?telemetry (x : executor) (inst : instan
         inputs := (pid, item.Workload.flow_hint) :: !inputs)
       base_source
   in
-  let run = x.x_run ?fault:plane ?telemetry ~on_complete inst.worker inst.program source in
+  let run = Exec.run ?fault:plane ?telemetry ~on_complete x inst.worker inst.program source in
   let mem = ctx.Exec_ctx.mem in
   {
     o_label = label;
@@ -361,7 +326,7 @@ let check_case ?(minimized = true) ?(specialize = false) ?plan (case : case) :
                 d_case = case.c_name;
                 d_seed = case.c_seed;
                 d_profile = case.c_profile;
-                d_exec = (if spec then exec.x_name ^ "+spec" else exec.x_name);
+                d_exec = Exec.label exec ^ if spec then "+spec" else "";
                 d_packets = packets;
                 d_detail = detail;
                 d_repro = case.c_repro ~packets;

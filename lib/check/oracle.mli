@@ -58,18 +58,12 @@ type divergence = {
   d_repro : string;
 }
 
-type executor = {
-  x_name : string;
-  x_run :
-    ?fault:Fault.t -> ?telemetry:Trace.t -> on_complete:(Nftask.t -> unit) ->
-    Worker.t -> Program.t -> Workload.source -> Metrics.run;
-}
-
-val reference : executor
+(** The semantic reference: [`Rtc]. *)
+val reference : Exec.t
 
 (** Everything compared against {!reference}: batch sizes {1,8,32}, both
     scheduler policies × n_tasks {1,2,4,8,16}. *)
-val executors : executor list
+val executors : Exec.t list
 
 val executor_names : string list
 val batch_sizes : int list
@@ -100,7 +94,7 @@ val per_flow_streams :
     because its hooks never charge cycles, the observation is identical
     with or without it (the inertness test pins this). *)
 val observe :
-  ?specialize:bool -> ?plan:Faultgen.t -> ?telemetry:Trace.t -> executor -> instance ->
+  ?specialize:bool -> ?plan:Faultgen.t -> ?telemetry:Trace.t -> Exec.t -> instance ->
   observation
 
 (** First behavioural difference against the reference observation, or
@@ -112,13 +106,13 @@ val diff_observations : reference:observation -> observation -> string option
 (** Rebuild + rerun reference and [exec] on a [packets]-long prefix. The
     reference is always interpreted; [?specialize] applies to [exec]. *)
 val diverges :
-  ?plan:Faultgen.t -> ?specialize:bool -> case -> executor -> packets:int ->
+  ?plan:Faultgen.t -> ?specialize:bool -> case -> Exec.t -> packets:int ->
   string option
 
 (** Smallest prefix length still diverging (binary search; repro aid, not
     a minimality proof). *)
 val minimize :
-  ?plan:Faultgen.t -> ?specialize:bool -> case -> executor -> packets:int -> int
+  ?plan:Faultgen.t -> ?specialize:bool -> case -> Exec.t -> packets:int -> int
 
 (** Run the case through every executor; [Some] on the first divergence
     (minimized unless [~minimized:false]). With [~specialize:true] the scan

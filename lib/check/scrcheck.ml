@@ -23,10 +23,6 @@
 
 open Gunfu
 
-let engine_name = function
-  | Scaleout.Scr.Engine_rtc -> "rtc"
-  | Scaleout.Scr.Engine_batch b -> Printf.sprintf "batch%d" b
-
 (* Same injection semantics as the recovery engine's plan arming, shaped
    for {!Scaleout.Scr.run}'s [arm] hook: roll the plan at the item's
    global index, mangle the clone's bytes for corruptions, register the
@@ -45,7 +41,7 @@ let arm_plan plan ~plane ~g pkt =
    collected per core (completion order) and merged in global-arrival
    order for the per-flow streams. *)
 let scr_pass ?plan ?(spray = Scaleout.Spray.Round_robin)
-    ?(engine = Scaleout.Scr.Engine_rtc) ?items ~cores (rc : Recovery.rcase) :
+    ?(engine = `Rtc) ?items ~cores (rc : Recovery.rcase) :
     Recovery.pass * Scaleout.Scr.result =
   let plat = Platform.create ~cfg:rc.Recovery.r_cfg ~cores () in
   let universe = rc.Recovery.r_universe in
@@ -176,7 +172,7 @@ type outcome = {
 }
 
 let check_rcase ?plan ?spray ?engine ~cores (rc : Recovery.rcase) : outcome =
-  let engine = Option.value ~default:Scaleout.Scr.Engine_rtc engine in
+  let engine = Option.value ~default:`Rtc engine in
   (* Trace ONCE and share: a case's generator may be stateful (the UPF
      composition's mobile gateway), so a second [r_trace] would draw a
      different stream. *)
@@ -208,7 +204,7 @@ let check_rcase ?plan ?spray ?engine ~cores (rc : Recovery.rcase) : outcome =
     so_case = rc.Recovery.r_name;
     so_cores = cores;
     so_packets = rc.Recovery.r_packets;
-    so_engine = engine_name engine;
+    so_engine = Exec.label engine;
     so_stats = res.Scaleout.Scr.sr_stats;
     so_reference = reference;
     so_scr = scr;

@@ -16,14 +16,12 @@
     arm at each item's global stream index, so the injection schedule is
     spray-independent. *)
 
-val engine_name : Scaleout.Scr.engine -> string
-
 (** One SCR platform pass: the pass observables (per-core observations,
     merged per-flow streams, state digest) and the raw engine result. *)
 val scr_pass :
   ?plan:Faultgen.t ->
   ?spray:Scaleout.Spray.policy ->
-  ?engine:Scaleout.Scr.engine ->
+  ?engine:Gunfu.Exec.flow_free ->
   ?items:Gunfu.Workload.item list ->
   cores:int ->
   Recovery.rcase ->
@@ -48,7 +46,7 @@ type outcome = {
 val check_rcase :
   ?plan:Faultgen.t ->
   ?spray:Scaleout.Spray.policy ->
-  ?engine:Scaleout.Scr.engine ->
+  ?engine:Gunfu.Exec.flow_free ->
   cores:int ->
   Recovery.rcase ->
   outcome

@@ -52,193 +52,93 @@ let prefix_of program =
 let run ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
     (worker : Worker.t) (program : Program.t) (source : Workload.source) =
   if batch <= 0 then invalid_arg "Batch_rtc.run: batch must be positive";
-  let label =
-    Option.value label ~default:(Printf.sprintf "%s/batch-rtc" (Program.name program))
+  (* This executor treats action-less states as pass-ends rather than
+     errors, so every dispatch consults [has_action] first. *)
+  let core =
+    Engine.create ~name:"Batch_rtc" ~kind:"batch-rtc" ?label ?quiesce ?fault
+      ?telemetry ?on_complete worker program
   in
   let ctx = Worker.ctx worker in
-  let cfg = worker.Worker.cfg in
-  let snap = Worker.snapshot worker in
-  let plane = match fault with Some p -> p | None -> Fault.create () in
-  (* Telemetry hooks: [tel] is a no-op without a plane and never charges
-     cycles, so traced and untraced runs are cycle-identical. *)
-  let tel f = match telemetry with Some tr -> f tr | None -> () in
-  (match telemetry with Some tr -> Exec_ctx.attach_trace ctx tr | None -> ());
-  (* Specialized hot path (see rtc.ml): dense Δ dispatch always, fused
-     runners only while untraced so span hooks keep their interpreted
-     ordering. This executor treats action-less states as pass-ends rather
-     than errors, so the fast path consults [has_action] before running a
-     fused closure (which would raise). *)
-  let spec = Specialize.get program in
-  let step_fn =
-    match spec with
-    | Some sp -> fun cs ev -> Specialize.step sp cs ev
-    | None -> fun cs ev -> Program.step program cs ev
+  let dispatch_cycles = worker.Worker.cfg.Worker.rtc_dispatch_cycles in
+  let set_task (task : Nftask.t) =
+    match Engine.trace core with
+    | Some tr -> Trace.set_task tr ~task:task.Nftask.id
+    | None -> ()
   in
-  let fast_runners =
-    match (spec, telemetry) with
-    | Some sp, None ->
-        Some
-          (Specialize.runners sp plane ~err:(fun q ->
-               Printf.sprintf "Batch_rtc: control state %s has no action" q))
-    | _ -> None
-  in
-  let has_action =
-    match fast_runners with
-    | Some _ ->
-        Array.map (fun ci -> Option.is_some ci.Program.action) program.Program.info
-    | None -> [||]
-  in
-  let packets = ref 0 in
-  let drops = ref 0 in
-  let wire_bytes = ref 0 in
-  let faulted = ref 0 in
-  let latencies = Metrics.Collector.create () in
   let tasks = Array.init batch Nftask.create in
   let prefix = prefix_of program in
-  let is_faulted (task : Nftask.t) =
-    match task.Nftask.event with Event.Faulted _ -> true | _ -> false
-  in
+  (* Load-time quarantines are only *marked* by the fill; the task is
+     finalised by the processing pass, in slot order, so per-flow
+     completion order matches the other executors. *)
   let rec fill n =
     if n = batch then n
     else
       match source () with
       | None -> n
       | Some item ->
-          let task = tasks.(n) in
-          Nftask.load task ~cs:(Program.start program) ?packet:item.Workload.packet
-            ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint ();
-          task.Nftask.start_clock <- ctx.Exec_ctx.clock;
-          Exec_ctx.compute ctx ~cycles:cfg.Worker.rx_tx_cycles
-            ~instrs:cfg.Worker.rx_tx_instrs;
-          tel (fun tr ->
-              Trace.on_pull tr ~ts:task.Nftask.start_clock
-                ~dur:cfg.Worker.rx_tx_cycles ~task:task.Nftask.id
-                ~flow:task.Nftask.flow_hint;
-              Trace.on_parse tr ~ts:ctx.Exec_ctx.clock ~task:task.Nftask.id);
-          (* Load-time quarantines are only *marked* here; the task is
-             finalised by the processing pass, in slot order, so per-flow
-             completion order matches the other executors. *)
-          (match Fault.on_load plane ~mem:ctx.Exec_ctx.mem ~now:ctx.Exec_ctx.clock task with
-          | Some r -> task.Nftask.event <- Event.Faulted (Fault.reason_to_key r)
-          | None -> ());
+          Engine.load core tasks.(n) item;
           fill (n + 1)
+  in
+  (* Pre-run the pure prefix (key + first hash) to resolve the first
+     bucket. The prefix's compute is charged here; the processing pass will
+     not repeat it. *)
+  let rec pre (task : Nftask.t) = function
+    | cs :: rest when cs = task.Nftask.cs && Engine.has_action core cs ->
+        Engine.execute core task cs;
+        if not (Engine.faulted task) then begin
+          task.Nftask.cs <- Engine.step core cs task.Nftask.event;
+          Exec_ctx.compute ctx ~cycles:dispatch_cycles ~instrs:2;
+          pre task rest
+        end
+    | _ -> ()
   in
   let prefetch_pass n =
     for i = 0 to n - 1 do
       let task = tasks.(i) in
-      tel (fun tr -> Trace.set_task tr ~task:task.Nftask.id);
-      if not (is_faulted task) then begin
+      set_task task;
+      if not (Engine.faulted task) then begin
         (* Packet headers are known: prefetch them. *)
         (match task.Nftask.packet with
         | Some p when p.Netcore.Packet.sim_addr >= 0 ->
             ignore (Exec_ctx.prefetch ctx ~addr:p.Netcore.Packet.sim_addr ~bytes:64)
         | Some _ | None -> ());
-        (* Pre-run the pure prefix (key + first hash) to resolve the first
-           bucket, then prefetch it. The prefix's compute is charged here;
-           the processing pass will not repeat it. *)
-        task.Nftask.cs <- step_fn (Program.start program) Event.Packet_arrival;
-        let rec pre = function
-          | [] -> ()
-          | cs :: rest when cs = task.Nftask.cs -> (
-              let info = Program.info program cs in
-              match info.Program.action with
-              | None -> ()
-              | Some action ->
-                  (match fast_runners with
-                  | Some r -> task.Nftask.event <- r.(cs) ctx task
-                  | None ->
-                      tel (fun tr ->
-                          Trace.on_action_start tr ~ts:ctx.Exec_ctx.clock
-                            ~nf:info.Program.inst ~cs:info.Program.qname);
-                      task.Nftask.event <-
-                        Fault.guard plane ~nf:info.Program.inst action ctx task;
-                      tel (fun tr -> Trace.on_action_end tr ~ts:ctx.Exec_ctx.clock));
-                  if not (is_faulted task) then begin
-                    task.Nftask.cs <- step_fn cs task.Nftask.event;
-                    Exec_ctx.compute ctx ~cycles:cfg.Worker.rtc_dispatch_cycles ~instrs:2;
-                    pre rest
-                  end)
-          | _ :: _ -> ()
-        in
-        pre prefix;
-        if not (is_faulted task) then
+        task.Nftask.cs <- Engine.step core (Program.start program) Event.Packet_arrival;
+        pre task prefix;
+        if not (Engine.faulted task) then
           List.iter
             (fun (addr, bytes) -> ignore (Exec_ctx.prefetch ctx ~addr ~bytes))
             task.Nftask.match_addrs
       end
     done
   in
+  (* Run one task to completion; quarantined tasks stop executing. *)
+  let rec go (task : Nftask.t) =
+    let cs = task.Nftask.cs in
+    if
+      (not (Engine.faulted task))
+      && (not (Program.is_done program cs))
+      && Engine.has_action core cs
+    then begin
+      Exec_ctx.compute ctx ~cycles:dispatch_cycles ~instrs:2;
+      Engine.execute core task cs;
+      if not (Engine.faulted task) then
+        task.Nftask.cs <- Engine.step core cs task.Nftask.event;
+      go task
+    end
+  in
   let process_pass n =
     for i = 0 to n - 1 do
       let task = tasks.(i) in
-      tel (fun tr -> Trace.set_task tr ~task:task.Nftask.id);
-      let rec go () =
-        if is_faulted task then () (* quarantined; stop executing *)
-        else
-          let cs = task.Nftask.cs in
-          if Program.is_done program cs then ()
-          else
-            match fast_runners with
-            | Some r ->
-                if has_action.(cs) then begin
-                  Exec_ctx.compute ctx ~cycles:cfg.Worker.rtc_dispatch_cycles ~instrs:2;
-                  task.Nftask.event <- r.(cs) ctx task;
-                  if not (is_faulted task) then
-                    task.Nftask.cs <- step_fn cs task.Nftask.event;
-                  go ()
-                end
-            | None -> (
-                let info = Program.info program cs in
-                match info.Program.action with
-                | None -> ()
-                | Some action ->
-                    Exec_ctx.compute ctx ~cycles:cfg.Worker.rtc_dispatch_cycles ~instrs:2;
-                    tel (fun tr ->
-                        Trace.on_action_start tr ~ts:ctx.Exec_ctx.clock
-                          ~nf:info.Program.inst ~cs:info.Program.qname);
-                    task.Nftask.event <-
-                      Fault.guard plane ~nf:info.Program.inst action ctx task;
-                    tel (fun tr -> Trace.on_action_end tr ~ts:ctx.Exec_ctx.clock);
-                    if not (is_faulted task) then
-                      task.Nftask.cs <- step_fn cs task.Nftask.event;
-                    go ())
-      in
-      go ();
-      incr packets;
-      (match
-         Fault.complete plane ~flow:task.Nftask.flow_hint
-           ~faulted:(Fault.reason_of_event task.Nftask.event)
-       with
-      | Some r ->
-          incr faulted;
-          task.Nftask.event <- Event.Faulted (Fault.reason_to_key r)
-      | None ->
-          let dropped =
-            Event.equal task.Nftask.event Event.Drop_packet
-            || Event.equal task.Nftask.event Event.Match_fail
-          in
-          if dropped then incr drops
-          else (
-            match task.Nftask.packet with
-            | Some p -> wire_bytes := !wire_bytes + p.Netcore.Packet.wire_len
-            | None -> ());
-          Metrics.Collector.record latencies
-            (ctx.Exec_ctx.clock - task.Nftask.start_clock));
-      tel (fun tr ->
-          Trace.on_complete tr ~ts:ctx.Exec_ctx.clock ~task:task.Nftask.id
-            ~note:(Event.to_key task.Nftask.event)
-            ~latency:(ctx.Exec_ctx.clock - task.Nftask.start_clock));
-      (match on_complete with Some f -> f task | None -> ());
-      Nftask.retire task
+      set_task task;
+      go task;
+      Engine.complete core task
     done
   in
   (* Batch boundaries are quiescent (the previous batch fully completed),
      so the pause hook is polled before each fill; a hook that never
      answers [true] leaves the run byte-identical to one without it. *)
-  let want_pause () = match quiesce with Some q -> q () | None -> false in
   let rec loop () =
-    if want_pause () then ()
-    else
+    if not (Engine.want_pause core) then
       let n = fill 0 in
       if n > 0 then begin
         prefetch_pass n;
@@ -246,12 +146,4 @@ let run ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
         if n = batch then loop ()
       end
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match telemetry with Some _ -> Exec_ctx.detach_trace ctx | None -> ())
-    loop;
-  Worker.finish
-    ?latency:(Metrics.Collector.summarize latencies)
-    ~faulted:!faulted ~faults:(Fault.counts plane) ~degraded:(Fault.degraded plane)
-    worker snap ~label ~packets:!packets ~drops:!drops ~wire_bytes:!wire_bytes
-    ~switches:0
+  Engine.run core loop

@@ -91,17 +91,11 @@ let update_config (d : deployment) config = d.d_config <- config
 
 let current_config (d : deployment) = d.d_config
 
-type exec_model = Interleaved of int | Run_to_completion
-
-(* Run the deployment under an execution model; runtime agents report their
+(* Run the deployment under an executor; runtime agents report their
    statistics back to the director. *)
-let run (d : deployment) model =
+let run (d : deployment) (exec : Exec.t) =
   let setup w core = d.d_builder d.d_config w ~core in
-  let runs =
-    match model with
-    | Interleaved n_tasks -> Platform.run_interleaved d.d_platform ~n_tasks ~setup
-    | Run_to_completion -> Platform.run_rtc d.d_platform ~setup
-  in
+  let runs = Platform.run d.d_platform ~setup ~execute:(Exec.run exec) in
   d.d_runs <- d.d_runs @ runs;
   Metrics.merge_parallel runs
 

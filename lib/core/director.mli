@@ -44,11 +44,9 @@ val update_config : deployment -> config -> unit
 
 val current_config : deployment -> config
 
-type exec_model = Interleaved of int | Run_to_completion
-
-(** Run under an execution model; runtime agents report statistics back.
+(** Run under an executor; runtime agents report statistics back.
     Returns the merged cross-core run. *)
-val run : deployment -> exec_model -> Metrics.run
+val run : deployment -> Exec.t -> Metrics.run
 
 (** All statistics reported so far (one entry per core per run). *)
 val stats : deployment -> Metrics.run list

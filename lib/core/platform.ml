@@ -44,13 +44,6 @@ let run t ~setup ~execute =
          execute w program source)
        t.workers)
 
-let run_interleaved t ~n_tasks ~setup =
-  run t ~setup ~execute:(fun w program source ->
-      Scheduler.run w program ~n_tasks source)
-
-let run_rtc t ~setup =
-  run t ~setup ~execute:(fun w program source -> Rtc.run w program source)
-
 (* --- crash recovery: epoch checkpoints + bounded replay log ----------- *)
 
 (* Per-core recovery journal. Every [epoch] pulls the core exports its

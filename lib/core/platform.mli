@@ -16,19 +16,13 @@ val worker : t -> int -> Worker.t
 val workers : t -> Worker.t array
 
 (** Run one experiment on every core; [setup] builds the per-core NF and
-    traffic slice. Merge results with {!Metrics.merge_parallel}. *)
+    traffic slice, [execute] runs it (typically [Exec.run e]). Merge
+    results with {!Metrics.merge_parallel}. *)
 val run :
   t ->
   setup:(Worker.t -> int -> Program.t * Workload.source) ->
   execute:(Worker.t -> Program.t -> Workload.source -> Metrics.run) ->
   Metrics.run list
-
-val run_interleaved :
-  t -> n_tasks:int -> setup:(Worker.t -> int -> Program.t * Workload.source) ->
-  Metrics.run list
-
-val run_rtc :
-  t -> setup:(Worker.t -> int -> Program.t * Workload.source) -> Metrics.run list
 
 (** Epoch-based checkpointing and bounded replay logging — the platform
     half of crash recovery. Every [epoch] pulls a core exports its

@@ -9,127 +9,37 @@
 
 let run ?label ?quiesce ?fault ?telemetry ?on_complete (worker : Worker.t)
     (program : Program.t) (source : Workload.source) =
-  let label =
-    Option.value label ~default:(Printf.sprintf "%s/rtc" (Program.name program))
+  let core =
+    Engine.create ~name:"Rtc" ~kind:"rtc" ?label ?quiesce ?fault ?telemetry
+      ?on_complete worker program
   in
   let ctx = Worker.ctx worker in
-  let cfg = worker.Worker.cfg in
-  let snap = Worker.snapshot worker in
-  let plane = match fault with Some p -> p | None -> Fault.create () in
-  (* Telemetry hooks: [tel] is a no-op without a plane and never charges
-     cycles, so traced and untraced runs are cycle-identical. *)
-  let tel f = match telemetry with Some tr -> f tr | None -> () in
-  (match telemetry with Some tr -> Exec_ctx.attach_trace ctx tr | None -> ());
-  (* Specialized hot path, when the compiler attached one: dense Δ dispatch
-     always; fused action runners only while untraced — a traced run keeps
-     the interpreted action body so span hooks and error ordering are
-     untouched (the runner is guard-equivalent either way, so observations
-     match regardless). *)
-  let spec = Specialize.get program in
-  let step_fn =
-    match spec with
-    | Some sp -> fun cs ev -> Specialize.step sp cs ev
-    | None -> fun cs ev -> Program.step program cs ev
-  in
-  let fast_runners =
-    match (spec, telemetry) with
-    | Some sp, None ->
-        Some
-          (Specialize.runners sp plane ~err:(fun q ->
-               Printf.sprintf "Rtc: control state %s has no action" q))
-    | _ -> None
-  in
+  let dispatch_cycles = worker.Worker.cfg.Worker.rtc_dispatch_cycles in
   let task = Nftask.create 0 in
-  let packets = ref 0 in
-  let drops = ref 0 in
-  let wire_bytes = ref 0 in
-  let faulted = ref 0 in
-  let latencies = Metrics.Collector.create () in
+  (* Drive the loaded task to the terminal state, or until it faults
+     (quarantined mid-run; stop executing). *)
+  let rec step () =
+    if not (Engine.faulted task) then begin
+      let next = Engine.step core task.Nftask.cs task.Nftask.event in
+      if not (Program.is_done program next) then begin
+        task.Nftask.cs <- next;
+        Exec_ctx.compute ctx ~cycles:dispatch_cycles ~instrs:2;
+        Engine.execute core task next;
+        step ()
+      end
+    end
+  in
   (* Every RTC pull boundary is quiescent (the previous packet completed),
      so the pause hook simply stops the drain; a hook that never answers
      [true] leaves the run byte-identical to one without it. *)
-  let want_pause () = match quiesce with Some q -> q () | None -> false in
   let rec drain () =
-    if want_pause () then ()
-    else
-    match source () with
-    | None -> ()
-    | Some item ->
-        Nftask.load task ~cs:(Program.start program) ?packet:item.Workload.packet
-          ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint ();
-        task.Nftask.start_clock <- ctx.Exec_ctx.clock;
-        Exec_ctx.compute ctx ~cycles:cfg.Worker.rx_tx_cycles
-          ~instrs:cfg.Worker.rx_tx_instrs;
-        tel (fun tr ->
-            Trace.on_pull tr ~ts:task.Nftask.start_clock ~dur:cfg.Worker.rx_tx_cycles
-              ~task:0 ~flow:task.Nftask.flow_hint;
-            Trace.on_parse tr ~ts:ctx.Exec_ctx.clock ~task:0);
-        let rec step () =
-          match task.Nftask.event with
-          | Event.Faulted _ -> () (* quarantined mid-run; stop executing *)
-          | _ ->
-              let next = step_fn task.Nftask.cs task.Nftask.event in
-              if Program.is_done program next then ()
-              else begin
-                task.Nftask.cs <- next;
-                Exec_ctx.compute ctx ~cycles:cfg.Worker.rtc_dispatch_cycles ~instrs:2;
-                (match fast_runners with
-                | Some r -> task.Nftask.event <- r.(next) ctx task
-                | None ->
-                    let info = Program.info program next in
-                    let action =
-                      match info.Program.action with
-                      | Some a -> a
-                      | None ->
-                          invalid_arg
-                            (Printf.sprintf "Rtc: control state %s has no action"
-                               info.Program.qname)
-                    in
-                    tel (fun tr ->
-                        Trace.on_action_start tr ~ts:ctx.Exec_ctx.clock
-                          ~nf:info.Program.inst ~cs:info.Program.qname);
-                    task.Nftask.event <-
-                      Fault.guard plane ~nf:info.Program.inst action ctx task;
-                    tel (fun tr -> Trace.on_action_end tr ~ts:ctx.Exec_ctx.clock));
-                step ()
-              end
-        in
-        (match Fault.on_load plane ~mem:ctx.Exec_ctx.mem ~now:ctx.Exec_ctx.clock task with
-        | Some r -> task.Nftask.event <- Event.Faulted (Fault.reason_to_key r)
-        | None -> step ());
-        incr packets;
-        (match
-           Fault.complete plane ~flow:task.Nftask.flow_hint
-             ~faulted:(Fault.reason_of_event task.Nftask.event)
-         with
-        | Some r ->
-            incr faulted;
-            task.Nftask.event <- Event.Faulted (Fault.reason_to_key r)
-        | None ->
-            if
-              Event.equal task.Nftask.event Event.Drop_packet
-              || Event.equal task.Nftask.event Event.Match_fail
-            then incr drops
-            else (
-              match task.Nftask.packet with
-              | Some p -> wire_bytes := !wire_bytes + p.Netcore.Packet.wire_len
-              | None -> ());
-            Metrics.Collector.record latencies
-              (ctx.Exec_ctx.clock - task.Nftask.start_clock));
-        tel (fun tr ->
-            Trace.on_complete tr ~ts:ctx.Exec_ctx.clock ~task:0
-              ~note:(Event.to_key task.Nftask.event)
-              ~latency:(ctx.Exec_ctx.clock - task.Nftask.start_clock));
-        (match on_complete with Some f -> f task | None -> ());
-        Nftask.retire task;
-        drain ()
+    if not (Engine.want_pause core) then
+      match source () with
+      | None -> ()
+      | Some item ->
+          Engine.load core task item;
+          step ();
+          Engine.complete core task;
+          drain ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match telemetry with Some _ -> Exec_ctx.detach_trace ctx | None -> ())
-    drain;
-  Worker.finish
-    ?latency:(Metrics.Collector.summarize latencies)
-    ~faulted:!faulted ~faults:(Fault.counts plane) ~degraded:(Fault.degraded plane)
-    worker snap ~label ~packets:!packets ~drops:!drops ~wire_bytes:!wire_bytes
-    ~switches:0
+  Engine.run core drain

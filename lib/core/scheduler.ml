@@ -12,8 +12,6 @@
    Finished NFTasks are re-initialised with new work in place (line 13), so
    the pipeline stays full until the source drains. *)
 
-type completion = { completed : int; dropped : int; wire_bytes : int; faulted : int }
-
 (* Task-selection policy. The paper's scheduler is round-robin; Ready_first
    is a design-space variant that scans for a task whose P-state allows
    immediate execution, trading a (charged) scan for fewer wasted visits. *)
@@ -25,36 +23,13 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
   if n_tasks <= 0 then invalid_arg "Scheduler.run: n_tasks must be positive";
   if prefetch_distance < 0 then
     invalid_arg "Scheduler.run: prefetch_distance must be >= 0";
-  let label =
-    Option.value label
-      ~default:(Printf.sprintf "%s/interleaved-%d" (Program.name program) n_tasks)
+  let core =
+    Engine.create ~name:"Scheduler" ~kind:(Printf.sprintf "interleaved-%d" n_tasks)
+      ?label ?quiesce ?fault ?telemetry ?on_complete worker program
   in
   let ctx = Worker.ctx worker in
   let cfg = worker.Worker.cfg in
-  let snap = Worker.snapshot worker in
   let tasks = Array.init n_tasks Nftask.create in
-  let plane = match fault with Some p -> p | None -> Fault.create () in
-  (* Telemetry hooks: [tel] is a no-op without a plane and never charges
-     cycles, so traced and untraced runs are cycle-identical. *)
-  let tel f = match telemetry with Some tr -> f tr | None -> () in
-  (match telemetry with Some tr -> Exec_ctx.attach_trace ctx tr | None -> ());
-  (* Specialized hot path (see rtc.ml): dense Δ dispatch always, fused
-     runners only while untraced so span hooks keep their interpreted
-     ordering. *)
-  let spec = Specialize.get program in
-  let step_fn =
-    match spec with
-    | Some sp -> fun cs ev -> Specialize.step sp cs ev
-    | None -> fun cs ev -> Program.step program cs ev
-  in
-  let fast_runners =
-    match (spec, telemetry) with
-    | Some sp, None ->
-        Some
-          (Specialize.runners sp plane ~err:(fun q ->
-               Printf.sprintf "Scheduler: control state %s has no action" q))
-    | _ -> None
-  in
   let exhausted = ref false in
   (* Quiescent-pause latch: once [quiesce] answers [true] at a pull
      boundary no further source pulls happen — in-flight tasks and the
@@ -62,10 +37,6 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
      completed. A [quiesce] that never answers [true] leaves the run
      byte-identical to one without the hook. *)
   let paused = ref false in
-  let want_pause () = match quiesce with Some q -> q () | None -> false in
-  let stats = ref { completed = 0; dropped = 0; wire_bytes = 0; faulted = 0 } in
-  let switches = ref 0 in
-  let latencies = Metrics.Collector.create () in
 
   (* Per-flow ordering: two packets of one flow must not be in flight in
      two NFTasks at once (their state mutations would race and could
@@ -106,7 +77,7 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     | Some item -> Some item
     | None ->
         if !exhausted || !paused then None
-        else if want_pause () then begin
+        else if Engine.want_pause core then begin
           paused := true;
           None
         end
@@ -195,55 +166,19 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     end
   in
 
-  (* Finish one task: poisoning disposition, accounting, oracle tap,
-     per-flow release, retire, and immediate re-initialisation with fresh
-     work (Algorithm 1 line 13). *)
+  (* Finish one task: completion (poisoning disposition, accounting,
+     oracle tap, retire), per-flow release, and immediate
+     re-initialisation with fresh work (Algorithm 1 line 13). *)
   let rec finalize (task : Nftask.t) =
-    (match
-       Fault.complete plane ~flow:task.Nftask.flow_hint
-         ~faulted:(Fault.reason_of_event task.Nftask.event)
-     with
-    | Some r ->
-        stats :=
-          {
-            !stats with
-            completed = !stats.completed + 1;
-            faulted = !stats.faulted + 1;
-          };
-        task.Nftask.event <- Event.Faulted (Fault.reason_to_key r)
-    | None ->
-        (* Explicit drops and failed matches both mean the packet is not
-           forwarded. *)
-        let dropped =
-          Event.equal task.Nftask.event Event.Drop_packet
-          || Event.equal task.Nftask.event Event.Match_fail
-        in
-        let wire =
-          match task.Nftask.packet with
-          | Some p when not dropped -> p.Netcore.Packet.wire_len
-          | Some _ | None -> 0
-        in
-        stats :=
-          {
-            !stats with
-            completed = !stats.completed + 1;
-            dropped = (!stats.dropped + if dropped then 1 else 0);
-            wire_bytes = !stats.wire_bytes + wire;
-          };
-        Metrics.Collector.record latencies (ctx.Exec_ctx.clock - task.Nftask.start_clock));
-    tel (fun tr ->
-        Trace.on_complete tr ~ts:ctx.Exec_ctx.clock ~task:task.Nftask.id
-          ~note:(Event.to_key task.Nftask.event)
-          ~latency:(ctx.Exec_ctx.clock - task.Nftask.start_clock));
-    (match on_complete with Some f -> f task | None -> ());
-    clear_inflight task.Nftask.flow_hint;
-    Nftask.retire task;
+    let fh = task.Nftask.flow_hint in
+    Engine.complete core task;
+    clear_inflight fh;
     load_new task
 
   (* Transition (Δ) + Fetch; returns [false] when the task reached the
      terminal state and was retired. *)
   and transition_and_fetch (task : Nftask.t) =
-    let next = step_fn task.Nftask.cs task.Nftask.event in
+    let next = Engine.step core task.Nftask.cs task.Nftask.event in
     Exec_ctx.compute ctx ~cycles:cfg.Worker.fetch_cycles ~instrs:cfg.Worker.fetch_instrs;
     if Program.is_done program next then finalize task
     else begin
@@ -257,34 +192,25 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     | None -> false
     | Some item ->
         mark_inflight item.Workload.flow_hint;
-        Nftask.load task ~cs:(Program.start program) ?packet:item.Workload.packet
-          ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint ();
-          task.Nftask.start_clock <- ctx.Exec_ctx.clock;
-          Exec_ctx.compute ctx ~cycles:cfg.Worker.rx_tx_cycles
-            ~instrs:cfg.Worker.rx_tx_instrs;
-          tel (fun tr ->
-              Trace.on_pull tr ~ts:task.Nftask.start_clock
-                ~dur:cfg.Worker.rx_tx_cycles ~task:task.Nftask.id
-                ~flow:task.Nftask.flow_hint;
-              Trace.on_parse tr ~ts:ctx.Exec_ctx.clock ~task:task.Nftask.id);
-          (match Fault.on_load plane ~mem:ctx.Exec_ctx.mem ~now:ctx.Exec_ctx.clock task with
-          | Some r ->
-              (* Quarantined at load: finalise without executing anything
-                 (the flow is serialised, so completion order is kept). *)
-              task.Nftask.event <- Event.Faulted (Fault.reason_to_key r);
-              ignore (finalize task)
-          | None ->
-              (* Initial transition and fetching (Algorithm 1 line 4),
-                 driven by the "packet" system event. *)
-              ignore (transition_and_fetch task));
-          task.Nftask.active
+        Engine.load core task item;
+        if Engine.faulted task then
+          (* Quarantined at load: finalise without executing anything (the
+             flow is serialised, so completion order is kept). *)
+          ignore (finalize task)
+        else
+          (* Initial transition and fetching (Algorithm 1 line 4), driven
+             by the "packet" system event. *)
+          ignore (transition_and_fetch task);
+        task.Nftask.active
   in
 
   (* One scheduler visit (one iteration of Algorithm 1's inner loop). *)
   let visit (task : Nftask.t) =
     if not task.Nftask.active then ignore (load_new task)
     else begin
-      tel (fun tr -> Trace.set_task tr ~task:task.Nftask.id);
+      (match Engine.trace core with
+      | Some tr -> Trace.set_task tr ~task:task.Nftask.id
+      | None -> ());
       let ready_to_run =
         match task.Nftask.p_state with
         | Nftask.P_ready -> true
@@ -303,27 +229,9 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
             end
       in
       if ready_to_run then begin
-        (match fast_runners with
-        | Some r -> task.Nftask.event <- r.(task.Nftask.cs) ctx task
-        | None ->
-            let info = Program.info program task.Nftask.cs in
-            let action =
-              match info.Program.action with
-              | Some a -> a
-              | None ->
-                  invalid_arg
-                    (Printf.sprintf "Scheduler: control state %s has no action"
-                       info.Program.qname)
-            in
-            tel (fun tr ->
-                Trace.on_action_start tr ~ts:ctx.Exec_ctx.clock ~nf:info.Program.inst
-                  ~cs:info.Program.qname);
-            task.Nftask.event <-
-              Fault.guard plane ~nf:info.Program.inst action ctx task;
-            tel (fun tr -> Trace.on_action_end tr ~ts:ctx.Exec_ctx.clock));
-        (match task.Nftask.event with
-        | Event.Faulted _ -> ignore (finalize task)
-        | _ -> ignore (transition_and_fetch task))
+        Engine.execute core task task.Nftask.cs;
+        if Engine.faulted task then ignore (finalize task)
+        else ignore (transition_and_fetch task)
       end
     end
   in
@@ -368,19 +276,17 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
         in
         idx := scan ((!idx + 1) mod n_tasks) 0
   in
-  let continue_run = ref true in
-  Fun.protect
-    ~finally:(fun () ->
-      match telemetry with Some _ -> Exec_ctx.detach_trace ctx | None -> ())
-    (fun () ->
+  Engine.run core (fun () ->
+      let continue_run = ref true in
       while !continue_run do
         let visited = tasks.(!idx).Nftask.id in
         visit tasks.(!idx);
         let switch_start = ctx.Exec_ctx.clock in
         Exec_ctx.compute ctx ~cycles:cfg.Worker.switch_cycles
           ~instrs:cfg.Worker.switch_instrs;
-        incr switches;
-        tel (fun tr ->
+        Engine.count_switch core;
+        (match Engine.trace core with
+        | Some tr ->
             Trace.on_switch tr ~ts:switch_start ~dur:cfg.Worker.switch_cycles
               ~task:visited;
             Trace.on_occupancy tr ~ts:ctx.Exec_ctx.clock
@@ -390,13 +296,9 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
                    0 tasks)
               ~mshr:
                 (Memsim.Hierarchy.mshr_pending_count ctx.Exec_ctx.mem
-                   ~now:ctx.Exec_ctx.clock));
+                   ~now:ctx.Exec_ctx.clock)
+        | None -> ());
         advance ();
         if (!exhausted || !paused) && !stash = [] && not (any_active ()) then
           continue_run := false
-      done);
-  Worker.finish ?latency:(Metrics.Collector.summarize latencies)
-    ~faulted:!stats.faulted ~faults:(Fault.counts plane)
-    ~degraded:(Fault.degraded plane) worker snap ~label
-    ~packets:!stats.completed ~drops:!stats.dropped ~wire_bytes:!stats.wire_bytes
-    ~switches:!switches
+      done)

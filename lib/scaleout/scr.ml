@@ -29,8 +29,8 @@
    predecessor completed, so each sweep over the cores processes at least
    one item. (Whole-batch atomic readiness, or executors that hold
    in-flight flows across pulls like the rr/rf schedulers, would deadlock
-   on cross-core chains — which is why the SCR engine set is rtc and
-   batch-N.)
+   on cross-core chains — which is why [run] takes an {!Exec.flow_free}
+   engine: rtc or batch-N, by type.)
 
    Fault containment replicates like NF state: each record carries the
    flow's (consecutive-faults, poisoned) containment pair, restored into
@@ -58,8 +58,6 @@ type replica = {
   sc_counters : unit -> (string * int) list;
   sc_flow_digest : Fingerprint.t -> int -> unit;
 }
-
-type engine = Engine_rtc | Engine_batch of int
 
 type stats = {
   st_records : int;  (* update records emitted (completions with a flow) *)
@@ -98,9 +96,9 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
   if Array.length slots <> n_items then
     invalid_arg "Scr.run: slots/items length mismatch";
   let cap =
-    match engine with
-    | Engine_rtc -> 1
-    | Engine_batch b ->
+    match (engine : Exec.flow_free) with
+    | `Rtc -> 1
+    | `Batch b ->
         if b <= 0 then invalid_arg "Scr.run: batch must be positive";
         b
   in
@@ -239,13 +237,8 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
             }
     in
     let r =
-      match engine with
-      | Engine_rtc ->
-          Rtc.run ~fault:planes.(c) ~on_complete:(complete c) replicas.(c).sc_worker
-            replicas.(c).sc_program source
-      | Engine_batch b ->
-          Batch_rtc.run ~batch:b ~fault:planes.(c) ~on_complete:(complete c)
-            replicas.(c).sc_worker replicas.(c).sc_program source
+      Exec.run ~fault:planes.(c) ~on_complete:(complete c) engine replicas.(c).sc_worker
+        replicas.(c).sc_program source
     in
     packets.(c) <- packets.(c) + r.Metrics.packets;
     drops.(c) <- drops.(c) + r.Metrics.drops;

@@ -3,9 +3,10 @@
     are sprayed with no flow affinity, and completions broadcast compact
     absolute state-update records ({!Update_log}) that peers apply lazily,
     coalesced, in per-flow sequence order. A quiescent barrier ends every
-    run and proves replica convergence. The engine set is rtc and batch-N
-    (executors that hold in-flight flows across pulls, like the rr/rf
-    schedulers, would deadlock on cross-core sequence chains). *)
+    run and proves replica convergence. The engine is an
+    {!Gunfu.Exec.flow_free} executor — rtc or batch-N, by type: executors
+    that hold in-flight flows across pulls, like the rr/rf schedulers,
+    would deadlock on cross-core sequence chains. *)
 
 open Gunfu
 
@@ -23,8 +24,6 @@ type replica = {
   sc_counters : unit -> (string * int) list;
   sc_flow_digest : Fingerprint.t -> int -> unit;
 }
-
-type engine = Engine_rtc | Engine_batch of int
 
 type stats = {
   st_records : int;  (** update records emitted *)
@@ -76,7 +75,7 @@ val run :
   ?apply_instrs:int ->
   ?on_complete:(core:int -> g:int -> seq:int -> Nftask.t -> unit) ->
   ?digest:bool ->
-  engine:engine ->
+  engine:Exec.flow_free ->
   replicas:replica array ->
   slots:Spray.slot array ->
   universe:int ->

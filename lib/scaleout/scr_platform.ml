@@ -56,7 +56,7 @@ let run_rss ~(plat : Platform.t) ~build items =
 (* Run the SCR pass on the same platform shape: replicas built per worker,
    items sprayed by [policy], executed by [engine]. *)
 let run_scr ?arm ?apply_cycles ?apply_instrs ?on_complete ?digest
-    ?(policy = Spray.Round_robin) ?(engine = Scr.Engine_rtc) ~(plat : Platform.t)
+    ?(policy = Spray.Round_robin) ?(engine = `Rtc) ~(plat : Platform.t)
     ~build ~universe items =
   let cores = Platform.cores plat in
   let replicas = Array.init cores (fun c -> build ~core:c (Platform.worker plat c)) in

@@ -31,7 +31,7 @@ val run_scr :
   ?on_complete:(core:int -> g:int -> seq:int -> Nftask.t -> unit) ->
   ?digest:bool ->
   ?policy:Spray.policy ->
-  ?engine:Scr.engine ->
+  ?engine:Exec.flow_free ->
   plat:Platform.t ->
   build:(core:int -> Worker.t -> Scr.replica) ->
   universe:int ->

@@ -53,8 +53,7 @@ let test_mem_down_to_batch () =
   let p =
     Adaptive.Policy.create
       ~initial:
-        (Adaptive.Config.Il
-           { policy = Scheduler.Round_robin; n_tasks = 2; distance = 1 })
+        (`Il { Exec.policy = Scheduler.Round_robin; n_tasks = 2; distance = 1 })
       ()
   in
   let cold i = mk ~i ~mem:0.05 ~sw:0.2 () in
@@ -142,8 +141,7 @@ let test_saturated_knob_holds () =
   let p =
     Adaptive.Policy.create
       ~initial:
-        (Adaptive.Config.Il
-           { policy = Scheduler.Round_robin; n_tasks = 16; distance = 3 })
+        (`Il { Exec.policy = Scheduler.Round_robin; n_tasks = 16; distance = 3 })
       ()
   in
   for i = 0 to 9 do
@@ -273,7 +271,7 @@ let decision_key (d : Adaptive.Driver.decision) =
 let test_determinism () =
   let run () =
     let rc = Check.Recovery.gen_rcase ~seed:11 ~profile:"mix" ~packets:800 in
-    Check.Adaptcheck.check_rcase ~epoch:96 ~initial:Adaptive.Config.Rtc rc
+    Check.Adaptcheck.check_rcase ~epoch:96 ~initial:`Rtc rc
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "first passes" true (Check.Adaptcheck.passed a);
@@ -343,7 +341,7 @@ let test_tamper_detected () =
   let rc = Check.Recovery.gen_rcase ~seed:11 ~profile:"mix" ~packets:800 in
   let items = rc.Check.Recovery.r_trace () in
   let _, oc =
-    Check.Adaptcheck.adaptive_pass ~epoch:96 ~initial:Adaptive.Config.Rtc ~items rc
+    Check.Adaptcheck.adaptive_pass ~epoch:96 ~initial:`Rtc ~items rc
   in
   Alcotest.(check (list string)) "clean before tampering" []
     (rules (Check.Invariants.check_adaptive oc));
@@ -376,9 +374,8 @@ let test_tamper_detected () =
               {
                 d with
                 Adaptive.Driver.d_to =
-                  (if Adaptive.Config.equal d.Adaptive.Driver.d_to Adaptive.Config.Rtc
-                   then Adaptive.Config.default
-                   else Adaptive.Config.Rtc);
+                  (if d.Adaptive.Driver.d_to = `Rtc then Adaptive.Config.default
+                   else `Rtc);
               }
             else d)
           oc.Adaptive.Driver.o_decisions;

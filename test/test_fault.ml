@@ -222,15 +222,15 @@ let test_all_executors_agree_under_faults () =
           (match Oracle.diff_observations ~reference:ref_obs obs with
           | None -> ()
           | Some d ->
-              Alcotest.failf "%s diverges under faults (%s): %s" exec.Oracle.x_name
+              Alcotest.failf "%s diverges under faults (%s): %s" (Exec.label exec)
                 profile d);
-          assert_invariants (exec.Oracle.x_name ^ "/" ^ profile) obs)
+          assert_invariants (Exec.label exec ^ "/" ^ profile) obs)
         Oracle.executors)
     [ "uniform"; "zipf" ]
 
 let test_rf_drain_starvation_regression () =
   (* Regression: gen-syn-42 at 128 packets decides a single Stall_mshrs at
-     pull index 116, which drops an rf-4 task's prefetch right as the
+     pull index 116, which drops an il-rf-4-d1 task's prefetch right as the
      source drains. The Ready_first scan used to prefer no-op visits of
      idle slots over the unready task, so its fill was never re-issued and
      the run spun forever. The fix gates idle slots on loadable work; this
@@ -239,13 +239,13 @@ let test_rf_drain_starvation_regression () =
   let plan = Faultgen.create ~rate_ppm:10_000 ~seed:42 () in
   let ref_obs = observe_with ~plan Oracle.reference case in
   let rf4 =
-    List.find (fun e -> e.Oracle.x_name = "rf-4") Oracle.executors
+    List.find (fun e -> Exec.label e = "il-rf-4-d1") Oracle.executors
   in
   let obs = observe_with ~plan rf4 case in
   (match Oracle.diff_observations ~reference:ref_obs obs with
   | None -> ()
-  | Some d -> Alcotest.failf "rf-4 diverges: %s" d);
-  assert_invariants "rf-4/starvation" obs
+  | Some d -> Alcotest.failf "il-rf-4-d1 diverges: %s" d);
+  assert_invariants "il-rf-4-d1/starvation" obs
 
 let test_heavy_faults_poison_flows () =
   (* At a brutal 60% rate on a skewed profile some flow must hit the
@@ -277,14 +277,14 @@ let test_disabled_injection_identical () =
         observe_with ~plan:(Faultgen.create ~rate_ppm:0 ~seed:17 ()) exec case
       in
       Alcotest.(check string)
-        (exec.Oracle.x_name ^ ": state digest identical")
+        (Exec.label exec ^ ": state digest identical")
         plain.Oracle.o_state zero.Oracle.o_state;
       Alcotest.(check bool)
-        (exec.Oracle.x_name ^ ": emit streams identical")
+        (Exec.label exec ^ ": emit streams identical")
         true
         (List.map strip plain.Oracle.o_emits = List.map strip zero.Oracle.o_emits);
       Alcotest.(check int)
-        (exec.Oracle.x_name ^ ": cycle-identical")
+        (Exec.label exec ^ ": cycle-identical")
         plain.Oracle.o_run.Metrics.cycles zero.Oracle.o_run.Metrics.cycles;
       Alcotest.(check int) "no faults" 0 zero.Oracle.o_run.Metrics.faulted)
     [ Oracle.reference; List.hd Oracle.executors; List.nth Oracle.executors 5 ]

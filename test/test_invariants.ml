@@ -14,7 +14,7 @@ let observe ?(profile = "uniform") ?(seed = 11) ?(packets = 48)
   Oracle.observe exec (case.Oracle.c_build ~packets)
 
 let exec_named name =
-  List.find (fun x -> x.Oracle.x_name = name) (Oracle.reference :: Oracle.executors)
+  List.find (fun x -> Exec.label x = name) (Oracle.reference :: Oracle.executors)
 
 let test_real_observations_clean () =
   List.iter
@@ -27,8 +27,8 @@ let test_real_observations_clean () =
             Invariants.pp_violation viol)
     [
       (11, "uniform", "rtc");
-      (11, "burst", "rr-4");
-      (12, "zipf", "rf-8");
+      (11, "burst", "il-rr-4-d1");
+      (12, "zipf", "il-rf-8-d1");
       (13, "mix", "batch-32");
     ]
 

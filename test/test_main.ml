@@ -18,6 +18,7 @@ let () =
       ("runtime", Test_runtime.suite);
       ("nfs", Test_nfs.suite);
       ("platform", Test_platform.suite);
+      ("exec", Test_exec.suite);
       ("extensions", Test_extensions.suite);
       ("dynamics", Test_dynamics.suite);
       ("spec-files", Test_spec_files.suite);

@@ -28,7 +28,7 @@ let exercise (case : Oracle.case) =
           label viol.Invariants.v_rule viol.Invariants.v_detail (repro ())
   in
   let ref_obs = Oracle.observe Oracle.reference (fresh ()) in
-  check_invariants Oracle.reference.Oracle.x_name ref_obs;
+  check_invariants (Exec.label Oracle.reference) ref_obs;
   List.iter
     (fun exec ->
       let obs = Oracle.observe exec (fresh ()) in
@@ -36,8 +36,8 @@ let exercise (case : Oracle.case) =
       | None -> ()
       | Some detail ->
           Alcotest.failf "%s: %s diverges from rtc: %s (replay: %s)"
-            case.Oracle.c_name exec.Oracle.x_name detail (repro ()));
-      check_invariants exec.Oracle.x_name obs)
+            case.Oracle.c_name (Exec.label exec) detail (repro ()));
+      check_invariants (Exec.label exec) obs)
     Oracle.executors
 
 let test_sweep profile () =
@@ -60,7 +60,8 @@ let test_executor_grid () =
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " present") true (List.mem n names))
-    [ "rtc"; "batch-1"; "batch-8"; "batch-32"; "rr-1"; "rr-16"; "rf-1"; "rf-16" ]
+    [ "rtc"; "batch-1"; "batch-8"; "batch-32"; "il-rr-1-d1"; "il-rr-16-d1"; "il-rf-1-d1";
+      "il-rf-16-d1" ]
 
 (* The compiler passes the analyzer reasons about — match removal and
    redundant-prefetch removal — must be observation-preserving: the

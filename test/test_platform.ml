@@ -33,7 +33,7 @@ let test_platform_runs_all_cores () =
   let p = Platform.create ~cores:4 () in
   let builder = nat_builder ~count:200 ~n_flows:1024 () in
   let runs =
-    Platform.run_interleaved p ~n_tasks:8 ~setup:(fun w core -> builder [] w ~core)
+    Platform.run p ~setup:(fun w core -> builder [] w ~core) ~execute:(Exec.run (Exec.il 8))
   in
   Alcotest.(check int) "one run per core" 4 (List.length runs);
   List.iter
@@ -47,7 +47,7 @@ let test_platform_scales_throughput () =
     let p = Platform.create ~cores () in
     let builder = nat_builder ~count:5000 ~n_flows:16384 () in
     let runs =
-      Platform.run_interleaved p ~n_tasks:16 ~setup:(fun w core -> builder [] w ~core)
+      Platform.run p ~setup:(fun w core -> builder [] w ~core) ~execute:(Exec.run (Exec.il 16))
     in
     let m = Metrics.merge_parallel runs in
     Metrics.mpps m
@@ -109,8 +109,8 @@ let test_director_deploy_and_run () =
       ~builder:(nat_builder ~count:300 ~n_flows:2048 ())
       ()
   in
-  let rtc = Director.run dep Director.Run_to_completion in
-  let il = Director.run dep (Director.Interleaved 8) in
+  let rtc = Director.run dep `Rtc in
+  let il = Director.run dep (Exec.il 8) in
   Alcotest.(check int) "rtc packets across cores" 600 rtc.Metrics.packets;
   Alcotest.(check int) "interleaved packets across cores" 600 il.Metrics.packets;
   Alcotest.(check int) "stats exchanged with director" 4 (List.length (Director.stats dep));
@@ -135,7 +135,7 @@ let test_director_dynamic_reconfiguration () =
   Director.update_config dep [ ("mode", "b") ];
   Alcotest.(check (list (pair string string))) "config updated" [ ("mode", "b") ]
     (Director.current_config dep);
-  let r = Director.run dep (Director.Interleaved 4) in
+  let r = Director.run dep (Exec.il 4) in
   Alcotest.(check int) "runs with the new config" 50 r.Metrics.packets
 
 let suite =

@@ -174,7 +174,7 @@ let test_generated_reference_equality () =
   check_passes "seeded spray cores=3"
     (Check.Scrcheck.check_rcase ~spray:(Spray.Seeded 13) ~cores:3 rc);
   check_passes "batch8 cores=4"
-    (Check.Scrcheck.check_rcase ~engine:(Scr.Engine_batch 8) ~cores:4 rc)
+    (Check.Scrcheck.check_rcase ~engine:(`Batch 8) ~cores:4 rc)
 
 let test_generated_under_faults () =
   let rc = Check.Recovery.gen_rcase ~seed:11 ~profile:"zipf" ~packets:96 in

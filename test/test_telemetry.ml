@@ -27,21 +27,21 @@ let test_attached_tracer_identical () =
           (case.Oracle.c_build ~packets:case.Oracle.c_packets)
       in
       Alcotest.(check string)
-        (exec.Oracle.x_name ^ ": state digest identical")
+        (Exec.label exec ^ ": state digest identical")
         plain.Oracle.o_state traced.Oracle.o_state;
       Alcotest.(check bool)
-        (exec.Oracle.x_name ^ ": emit streams identical")
+        (Exec.label exec ^ ": emit streams identical")
         true
         (List.map strip plain.Oracle.o_emits = List.map strip traced.Oracle.o_emits);
       Alcotest.(check int)
-        (exec.Oracle.x_name ^ ": cycle-identical")
+        (Exec.label exec ^ ": cycle-identical")
         plain.Oracle.o_run.Metrics.cycles traced.Oracle.o_run.Metrics.cycles;
       (* And the tracer actually saw the run. *)
       Alcotest.(check int)
-        (exec.Oracle.x_name ^ ": every pull traced")
+        (Exec.label exec ^ ": every pull traced")
         traced.Oracle.o_run.Metrics.packets (Trace.pulls tr);
       Alcotest.(check int)
-        (exec.Oracle.x_name ^ ": every completion traced")
+        (Exec.label exec ^ ": every completion traced")
         traced.Oracle.o_run.Metrics.packets (Trace.completes tr))
     [ Oracle.reference; List.hd Oracle.executors; List.nth Oracle.executors 5 ]
 
@@ -120,7 +120,7 @@ let test_scheduler_trace_clean () =
   (match Invariants.check_telemetry tr run with
   | [] -> ()
   | viol :: _ ->
-      Alcotest.failf "%s traced run violates %s: %s" exec.Oracle.x_name
+      Alcotest.failf "%s traced run violates %s: %s" (Exec.label exec)
         viol.Invariants.v_rule viol.Invariants.v_detail);
   match Telemetry.Attribution.reconcile tr run.Metrics.mem with
   | Ok () -> ()
