@@ -49,8 +49,19 @@ let prefix_of program =
   let first = Program.step program (Program.start program) Event.Packet_arrival in
   walk first [] 0
 
-let run ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
-    (worker : Worker.t) (program : Program.t) (source : Workload.source) =
+(* Per-session state, built once: the engine core, the batch's tasks and
+   the pre-runnable prefix. *)
+type session = {
+  core : Engine.t;
+  ctx : Exec_ctx.t;
+  program : Program.t;
+  dispatch_cycles : int;
+  tasks : Nftask.t array;
+  prefix : int list;
+}
+
+let session ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
+    (worker : Worker.t) (program : Program.t) =
   if batch <= 0 then invalid_arg "Batch_rtc.run: batch must be positive";
   (* This executor treats action-less states as pass-ends rather than
      errors, so every dispatch consults [has_action] first. *)
@@ -58,92 +69,103 @@ let run ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
     Engine.create ~name:"Batch_rtc" ~kind:"batch-rtc" ?label ?quiesce ?fault
       ?telemetry ?on_complete worker program
   in
-  let ctx = Worker.ctx worker in
-  let dispatch_cycles = worker.Worker.cfg.Worker.rtc_dispatch_cycles in
-  let set_task (task : Nftask.t) =
-    match Engine.trace core with
-    | Some tr -> Trace.set_task tr ~task:task.Nftask.id
-    | None -> ()
-  in
-  let tasks = Array.init batch Nftask.create in
-  let prefix = prefix_of program in
-  (* Load-time quarantines are only *marked* by the fill; the task is
-     finalised by the processing pass, in slot order, so per-flow
-     completion order matches the other executors. *)
-  let rec fill n =
-    if n = batch then n
-    else
-      match source () with
-      | None -> n
-      | Some item ->
-          Engine.load core tasks.(n) item;
-          fill (n + 1)
-  in
-  (* Pre-run the pure prefix (key + first hash) to resolve the first
-     bucket. The prefix's compute is charged here; the processing pass will
-     not repeat it. *)
-  let rec pre (task : Nftask.t) = function
-    | cs :: rest when cs = task.Nftask.cs && Engine.has_action core cs ->
-        Engine.execute core task cs;
-        if not (Engine.faulted task) then begin
-          task.Nftask.cs <- Engine.step core cs task.Nftask.event;
-          Exec_ctx.compute ctx ~cycles:dispatch_cycles ~instrs:2;
-          pre task rest
-        end
-    | _ -> ()
-  in
-  let prefetch_pass n =
-    for i = 0 to n - 1 do
-      let task = tasks.(i) in
-      set_task task;
+  {
+    core;
+    ctx = Worker.ctx worker;
+    program;
+    dispatch_cycles = worker.Worker.cfg.Worker.rtc_dispatch_cycles;
+    tasks = Array.init batch Nftask.create;
+    prefix = prefix_of program;
+  }
+
+let set_task s (task : Nftask.t) =
+  match Engine.trace s.core with
+  | Some tr -> Trace.set_task tr ~task:task.Nftask.id
+  | None -> ()
+
+(* Load-time quarantines are only *marked* by the fill; the task is
+   finalised by the processing pass, in slot order, so per-flow
+   completion order matches the other executors. *)
+let rec fill s (source : Workload.source) n =
+  if n = Array.length s.tasks then n
+  else
+    match source () with
+    | None -> n
+    | Some item ->
+        Engine.load s.core s.tasks.(n) item;
+        fill s source (n + 1)
+
+(* Pre-run the pure prefix (key + first hash) to resolve the first
+   bucket. The prefix's compute is charged here; the processing pass will
+   not repeat it. *)
+let rec pre s (task : Nftask.t) = function
+  | cs :: rest when cs = task.Nftask.cs && Engine.has_action s.core cs ->
+      Engine.execute s.core task cs;
       if not (Engine.faulted task) then begin
-        (* Packet headers are known: prefetch them. *)
-        (match task.Nftask.packet with
-        | Some p when p.Netcore.Packet.sim_addr >= 0 ->
-            ignore (Exec_ctx.prefetch ctx ~addr:p.Netcore.Packet.sim_addr ~bytes:64)
-        | Some _ | None -> ());
-        task.Nftask.cs <- Engine.step core (Program.start program) Event.Packet_arrival;
-        pre task prefix;
-        if not (Engine.faulted task) then
-          List.iter
-            (fun (addr, bytes) -> ignore (Exec_ctx.prefetch ctx ~addr ~bytes))
-            task.Nftask.match_addrs
+        task.Nftask.cs <- Engine.step s.core cs task.Nftask.event;
+        Exec_ctx.compute s.ctx ~cycles:s.dispatch_cycles ~instrs:2;
+        pre s task rest
       end
-    done
-  in
-  (* Run one task to completion; quarantined tasks stop executing. *)
-  let rec go (task : Nftask.t) =
-    let cs = task.Nftask.cs in
-    if
-      (not (Engine.faulted task))
-      && (not (Program.is_done program cs))
-      && Engine.has_action core cs
-    then begin
-      Exec_ctx.compute ctx ~cycles:dispatch_cycles ~instrs:2;
-      Engine.execute core task cs;
+  | _ -> ()
+
+let prefetch_pass s n =
+  for i = 0 to n - 1 do
+    let task = s.tasks.(i) in
+    set_task s task;
+    if not (Engine.faulted task) then begin
+      (* Packet headers are known: prefetch them. *)
+      (match task.Nftask.packet with
+      | Some p when p.Netcore.Packet.sim_addr >= 0 ->
+          ignore (Exec_ctx.prefetch s.ctx ~addr:p.Netcore.Packet.sim_addr ~bytes:64)
+      | Some _ | None -> ());
+      task.Nftask.cs <- Engine.step s.core (Program.start s.program) Event.Packet_arrival;
+      pre s task s.prefix;
       if not (Engine.faulted task) then
-        task.Nftask.cs <- Engine.step core cs task.Nftask.event;
-      go task
+        List.iter
+          (fun (addr, bytes) -> ignore (Exec_ctx.prefetch s.ctx ~addr ~bytes))
+          task.Nftask.match_addrs
     end
-  in
-  let process_pass n =
-    for i = 0 to n - 1 do
-      let task = tasks.(i) in
-      set_task task;
-      go task;
-      Engine.complete core task
-    done
-  in
-  (* Batch boundaries are quiescent (the previous batch fully completed),
-     so the pause hook is polled before each fill; a hook that never
-     answers [true] leaves the run byte-identical to one without it. *)
-  let rec loop () =
-    if not (Engine.want_pause core) then
-      let n = fill 0 in
-      if n > 0 then begin
-        prefetch_pass n;
-        process_pass n;
-        if n = batch then loop ()
-      end
-  in
-  Engine.run core loop
+  done
+
+(* Run one task to completion; quarantined tasks stop executing. *)
+let rec go s (task : Nftask.t) =
+  let cs = task.Nftask.cs in
+  if
+    (not (Engine.faulted task))
+    && (not (Program.is_done s.program cs))
+    && Engine.has_action s.core cs
+  then begin
+    Exec_ctx.compute s.ctx ~cycles:s.dispatch_cycles ~instrs:2;
+    Engine.execute s.core task cs;
+    if not (Engine.faulted task) then
+      task.Nftask.cs <- Engine.step s.core cs task.Nftask.event;
+    go s task
+  end
+
+let process_pass s n =
+  for i = 0 to n - 1 do
+    let task = s.tasks.(i) in
+    set_task s task;
+    go s task;
+    Engine.complete s.core task
+  done
+
+(* Batch boundaries are quiescent (the previous batch fully completed),
+   so the pause hook is polled before each fill; a hook that never
+   answers [true] leaves the run byte-identical to one without it. *)
+let rec loop s source =
+  if not (Engine.want_pause s.core) then
+    let n = fill s source 0 in
+    if n > 0 then begin
+      prefetch_pass s n;
+      process_pass s n;
+      if n = Array.length s.tasks then loop s source
+    end
+
+let feed s source = Engine.drive s.core (fun () -> loop s source)
+let close s = Engine.finish s.core
+
+let run ?label ?batch ?quiesce ?fault ?telemetry ?on_complete worker program source =
+  let s = session ?label ?batch ?quiesce ?fault ?telemetry ?on_complete worker program in
+  feed s source;
+  close s

@@ -1,7 +1,8 @@
 (* The per-run core shared by Rtc, Batch_rtc and Scheduler: everything an
    execution model does that is not scheduling. Each executor builds one
-   of these per run and keeps only its loop. Hooks are matched directly
-   (no per-call closures), so the core adds no per-packet allocation. *)
+   of these per run (or per session, which several loops may drive in
+   turn) and keeps only its loop. Hooks are matched directly (no per-call
+   closures), so the core adds no per-packet allocation. *)
 
 type t = {
   ctx : Exec_ctx.t;
@@ -37,7 +38,6 @@ let create ~name ~kind ?label ?quiesce ?fault ?telemetry ?on_complete
   let ctx = Worker.ctx worker in
   let snap = Worker.snapshot worker in
   let plane = match fault with Some p -> p | None -> Fault.create () in
-  (match telemetry with Some tr -> Exec_ctx.attach_trace ctx tr | None -> ());
   (* Specialized hot path, when the compiler attached one: dense Δ dispatch
      always; fused action runners only while untraced — a traced run keeps
      the interpreted action body so span hooks and error ordering are
@@ -149,11 +149,14 @@ let complete t (task : Nftask.t) =
   (match t.on_complete with Some f -> f task | None -> ());
   Nftask.retire task
 
-let run t loop =
-  Fun.protect
-    ~finally:(fun () ->
-      match t.trace with Some _ -> Exec_ctx.detach_trace t.ctx | None -> ())
-    loop;
+let drive t loop =
+  match t.trace with
+  | None -> loop ()
+  | Some tr ->
+      Exec_ctx.attach_trace t.ctx tr;
+      Fun.protect ~finally:(fun () -> Exec_ctx.detach_trace t.ctx) loop
+
+let finish t =
   Worker.finish
     ?latency:(Metrics.Collector.summarize t.latencies)
     ~faulted:t.faulted ~faults:(Fault.counts t.plane) ~degraded:(Fault.degraded t.plane)

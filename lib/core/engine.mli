@@ -2,10 +2,10 @@
     {!Batch_rtc}, {!Scheduler}). The paper's execution models run the same
     compiled program and differ only in how NFTasks are scheduled
     (Algorithm 1, §II-B), so everything but the scheduling loop lives
-    here, built once per run from the run's hooks: the default label, the
-    measurement snapshot, the fault plane, trace attachment, the
-    specialized dispatch, task load, action dispatch, completion
-    accounting and the final {!Worker.finish}.
+    here, built once per run (or per session) from the run's hooks: the
+    default label, the measurement snapshot, the fault plane, trace
+    attachment, the specialized dispatch, task load, action dispatch,
+    completion accounting and the final {!Worker.finish}.
 
     Every operation charges simulated cycles exactly where the executors
     always have, and the telemetry hooks never charge cycles, so traced
@@ -14,11 +14,11 @@
 type t
 
 (** Snapshot the worker, take the run's fault plane (a fresh empty one
-    when [fault] is omitted), attach [telemetry] and select the dispatch:
-    dense Δ when the program is specialized, fused action runners only
-    while untraced (a traced run keeps the interpreted body so spans and
-    error ordering are untouched). [name] prefixes error messages;
-    [label] defaults to ["<program>/<kind>"]. *)
+    when [fault] is omitted), keep [telemetry] for {!drive} to attach and
+    select the dispatch: dense Δ when the program is specialized, fused
+    action runners only while untraced (a traced run keeps the
+    interpreted body so spans and error ordering are untouched). [name]
+    prefixes error messages; [label] defaults to ["<program>/<kind>"]. *)
 val create :
   name:string -> kind:string -> ?label:string -> ?quiesce:(unit -> bool) ->
   ?fault:Fault.t -> ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) ->
@@ -57,6 +57,11 @@ val execute : t -> Nftask.t -> int -> unit
     accounting, the complete span, the [on_complete] tap, then retire. *)
 val complete : t -> Nftask.t -> unit
 
-(** Run the scheduling loop with the trace attached (detached however the
-    loop exits) and close the measurement bracket. *)
-val run : t -> (unit -> unit) -> Metrics.run
+(** Run one scheduling loop with the trace attached, detached however the
+    loop exits. A session drives several loops over one core in turn;
+    their counts accumulate until {!finish}. *)
+val drive : t -> (unit -> unit) -> unit
+
+(** Close the measurement bracket opened by {!create}: everything driven
+    since, in one {!Metrics.run}. *)
+val finish : t -> Metrics.run

@@ -59,3 +59,15 @@ let run ?label ?quiesce ?fault ?telemetry ?on_complete (e : [< t ]) worker progr
   | `Il { policy; n_tasks; distance } ->
       Scheduler.run ?label ~policy ~prefetch_distance:distance ?quiesce ?fault ?telemetry
         ?on_complete worker program ~n_tasks source
+
+type session = Rtc_session of Rtc.session | Batch_session of Batch_rtc.session
+
+let session ?fault ?on_complete (e : [< flow_free ]) worker program =
+  match e with
+  | `Rtc -> Rtc_session (Rtc.session ?fault ?on_complete worker program)
+  | `Batch batch -> Batch_session (Batch_rtc.session ~batch ?fault ?on_complete worker program)
+
+let feed s source =
+  match s with Rtc_session s -> Rtc.feed s source | Batch_session s -> Batch_rtc.feed s source
+
+let close = function Rtc_session s -> Rtc.close s | Batch_session s -> Batch_rtc.close s

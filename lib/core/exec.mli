@@ -36,3 +36,32 @@ val run :
   ?label:string -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
   ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> [< t ] -> Worker.t ->
   Program.t -> Workload.source -> Metrics.run
+
+(** {2 Sessions}
+
+    One run of a flow-free executor fed several sources in turn: the
+    engine core, tasks and measurement bracket are built once and every
+    {!feed} drains one source through them. Feeding windows one by one is
+    equivalent to one {!run} per window on the same worker with the same
+    [fault] plane: the same completions in the same order, the same
+    simulated cycles and memory traffic. The difference is the result:
+    {!close} returns one {!Metrics.run} bracketing everything since
+    {!session}, including work charged to the worker between feeds. SCR
+    replicas run their windows this way. Only flow-free executors have
+    sessions: every feed ends quiescent, with no flow held in flight
+    across feeds. *)
+
+type session
+
+(** A session on [worker] with the default label; [fault] and
+    [on_complete] as in {!run}.
+    @raise Invalid_argument on a non-positive batch width. *)
+val session :
+  ?fault:Fault.t -> ?on_complete:(Nftask.t -> unit) -> [< flow_free ] -> Worker.t ->
+  Program.t -> session
+
+(** Drain [source] to completion on the session's core. *)
+val feed : session -> Workload.source -> unit
+
+(** Close the measurement bracket: everything fed, in one run. *)
+val close : session -> Metrics.run

@@ -18,3 +18,25 @@ val run :
   ?label:string -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
   ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> Worker.t ->
   Program.t -> Workload.source -> Metrics.run
+
+(** {2 Sessions}
+
+    A session is one run fed several sources in turn: the per-run state
+    (engine core, task, measurement bracket) is built once, each {!feed}
+    drains one source to completion, and {!close} returns everything fed
+    as one {!Metrics.run}. [run] is [session], one [feed], [close]. *)
+
+type session
+
+(** The hooks of {!run}. [quiesce] is polled before each pull of every
+    feed; a feed it pauses returns with pulled = completed. *)
+val session :
+  ?label:string -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
+  ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> Worker.t ->
+  Program.t -> session
+
+(** Run [source] to exhaustion (or to a pause) on the session's core. *)
+val feed : session -> Workload.source -> unit
+
+(** Close the measurement bracket: every packet fed, in one run. *)
+val close : session -> Metrics.run

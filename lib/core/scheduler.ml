@@ -276,7 +276,7 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
         in
         idx := scan ((!idx + 1) mod n_tasks) 0
   in
-  Engine.run core (fun () ->
+  Engine.drive core (fun () ->
       let continue_run = ref true in
       while !continue_run do
         let visited = tasks.(!idx).Nftask.id in
@@ -301,4 +301,5 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
         advance ();
         if (!exhausted || !paused) && !stash = [] && not (any_active ()) then
           continue_run := false
-      done)
+      done);
+  Engine.finish core

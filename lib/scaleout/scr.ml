@@ -42,6 +42,7 @@
    pairwise equal — replica convergence, the model's invariant. *)
 
 open Gunfu
+module Itbl = Hashtbl.Make (Int)
 
 (* One core's full replica: the program built on that core's layout with
    the WHOLE universe populated, plus the closures the engine needs —
@@ -115,7 +116,7 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
   (* Completed packets per flow (= the flow's authoritative sequence). *)
   let done_ = Array.make (max universe 1) 0 in
   (* Per-core pending updates, coalesced: flow -> latest unapplied record. *)
-  let pending = Array.init cores (fun _ -> Hashtbl.create 64) in
+  let pending = Array.init cores (fun _ -> Itbl.create 64) in
   let coalesced = ref 0 in
   let barrier_applied = ref 0 in
   let windows = ref 0 in
@@ -129,16 +130,9 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
               (Worker.ctx replicas.(c).sc_worker)
               ~cycles:apply_cycles ~instrs:apply_instrs))
   in
-  (* Per-core accumulators for the outer measurement bracket. *)
-  let snaps = Array.map (fun r -> Worker.snapshot r.sc_worker) replicas in
-  let packets = Array.make cores 0 in
-  let drops = Array.make cores 0 in
-  let wire_bytes = Array.make cores 0 in
-  let faulted = Array.make cores 0 in
-  let switches = Array.make cores 0 in
-  (* Completions arrive in pull order on both engines, so a per-core FIFO
-     of (g, seq) delivered to the in-flight window maps each completion
-     back to its global index without relying on packet ids. *)
+  (* Completions arrive in pull order on both engines, so each core's
+     in-flight window, walked from its head, maps every completion back
+     to its global index without relying on packet ids. *)
   let inflight = Array.make cores [] in
   let records = ref 0 in
   let broadcast c (r : Update_log.record) =
@@ -150,15 +144,15 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
     Update_log.append logs.(c) r;
     for d = 0 to cores - 1 do
       if d <> c then begin
-        if Hashtbl.mem pending.(d) r.Update_log.u_flow then incr coalesced;
-        Hashtbl.replace pending.(d) r.Update_log.u_flow r
+        if Itbl.mem pending.(d) r.Update_log.u_flow then incr coalesced;
+        Itbl.replace pending.(d) r.Update_log.u_flow r
       end
     done
   in
   let complete c (task : Nftask.t) =
     match inflight.(c) with
     | [] -> invalid_arg "Scr.run: completion without a delivered item"
-    | (g, seq) :: rest ->
+    | (g, seq, _) :: rest ->
         inflight.(c) <- rest;
         (match on_complete with Some f -> f ~core:c ~g ~seq task | None -> ());
         let f = task.Nftask.flow_hint in
@@ -181,70 +175,73 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
             }
         end
   in
-  (* The longest dependency-ready prefix of core [c]'s queue, at most
-     [cap] items. *)
-  let form_window c =
-    let in_window : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let rec take acc n = function
-      | [] -> (List.rev acc, [])
-      | ((_, seq, item) as x) :: rest ->
-          let f = (item : Workload.item).Workload.flow_hint in
-          let ahead = if f < 0 then 0 else Option.value ~default:0 (Hashtbl.find_opt in_window f) in
-          let ready = f < 0 || seq = done_.(f) + ahead + 1 in
-          if n >= cap || not ready then (List.rev acc, x :: rest)
-          else begin
-            if f >= 0 then Hashtbl.replace in_window f (ahead + 1);
-            take (x :: acc) (n + 1) rest
-          end
-    in
-    let window, rest = take [] 0 queues.(c) in
-    queues.(c) <- rest;
-    window
+  (* One engine session per replica for the whole sweep: its measurement
+     bracket opens here and spans every window, the applies charged
+     between windows included. *)
+  let sessions =
+    Array.init cores (fun c ->
+        Exec.session ~fault:planes.(c) ~on_complete:(complete c) engine
+          replicas.(c).sc_worker replicas.(c).sc_program)
   in
-  let run_window c window =
+  (* The length of the longest dependency-ready prefix of core [c]'s
+     queue, at most [cap] items. [ahead] counts the earlier same-flow
+     items of the window, at most [cap] entries. *)
+  let window_length c =
+    let rec take ahead n = function
+      | [] -> n
+      | (_, seq, item) :: rest ->
+          let f = (item : Workload.item).Workload.flow_hint in
+          if n >= cap then n
+          else if f < 0 then take ahead (n + 1) rest
+          else
+            let k = try List.assoc f ahead with Not_found -> 0 in
+            if seq <> done_.(f) + k + 1 then n else take ((f, k + 1) :: ahead) (n + 1) rest
+    in
+    take [] 0 queues.(c)
+  in
+  (* Deliver the first [left.(c)] items of core [c]'s queue as clones,
+     arming the fault plan at each item's GLOBAL index so the injection
+     schedule is spray-independent. *)
+  let left = Array.make cores 0 in
+  let sources =
+    Array.init cores (fun c () ->
+        match queues.(c) with
+        | (g, _, item) :: rest when left.(c) > 0 ->
+            queues.(c) <- rest;
+            left.(c) <- left.(c) - 1;
+            let pkt = Option.map Netcore.Packet.clone item.Workload.packet in
+            Option.iter (Netcore.Packet.Pool.assign replicas.(c).sc_pool) pkt;
+            (match (arm, pkt) with
+            | Some f, Some p -> f ~plane:planes.(c) ~g p
+            | _ -> ());
+            Some
+              {
+                Workload.packet = pkt;
+                aux = item.Workload.aux;
+                flow_hint = item.Workload.flow_hint;
+              }
+        | _ -> None)
+  in
+  let run_window c n =
     incr windows;
     (* Lazy coalesced application: freshen exactly the flows this window
        touches, from the latest pending record each. *)
-    List.iter
-      (fun (_, _, item) ->
-        let f = (item : Workload.item).Workload.flow_hint in
-        if f >= 0 then
-          match Hashtbl.find_opt pending.(c) f with
-          | Some r ->
-              Hashtbl.remove pending.(c) f;
-              ignore (Update_log.offer appliers.(c) r : bool)
-          | None -> ())
-      window;
-    (* Deliver clones, arming the fault plan at each item's GLOBAL index so
-       the injection schedule is spray-independent. *)
-    let ops = ref window in
-    let source () =
-      match !ops with
-      | [] -> None
-      | (g, seq, item) :: rest ->
-          ops := rest;
-          let pkt = Option.map Netcore.Packet.clone item.Workload.packet in
-          Option.iter (Netcore.Packet.Pool.assign replicas.(c).sc_pool) pkt;
-          (match (arm, pkt) with
-          | Some f, Some p -> f ~plane:planes.(c) ~g p
-          | _ -> ());
-          inflight.(c) <- inflight.(c) @ [ (g, seq) ];
-          Some
-            {
-              Workload.packet = pkt;
-              aux = item.Workload.aux;
-              flow_hint = item.Workload.flow_hint;
-            }
+    let rec freshen k = function
+      | (_, _, item) :: rest when k > 0 ->
+          let f = (item : Workload.item).Workload.flow_hint in
+          (if f >= 0 then
+             match Itbl.find_opt pending.(c) f with
+             | Some r ->
+                 Itbl.remove pending.(c) f;
+                 ignore (Update_log.offer appliers.(c) r : bool)
+             | None -> ());
+          freshen (k - 1) rest
+      | _ -> ()
     in
-    let r =
-      Exec.run ~fault:planes.(c) ~on_complete:(complete c) engine replicas.(c).sc_worker
-        replicas.(c).sc_program source
-    in
-    packets.(c) <- packets.(c) + r.Metrics.packets;
-    drops.(c) <- drops.(c) + r.Metrics.drops;
-    wire_bytes.(c) <- wire_bytes.(c) + r.Metrics.wire_bytes;
-    faulted.(c) <- faulted.(c) + r.Metrics.faulted;
-    switches.(c) <- switches.(c) + r.Metrics.switches
+    freshen n queues.(c);
+    inflight.(c) <- queues.(c);
+    left.(c) <- n;
+    Exec.feed sessions.(c) sources.(c)
   in
   (* Sweep the cores until every queue drains. Prefix windows guarantee
      progress: the globally oldest unprocessed item is at its core's head
@@ -253,11 +250,11 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
   while remaining () do
     let progressed = ref false in
     for c = 0 to cores - 1 do
-      match form_window c with
-      | [] -> ()
-      | window ->
+      match window_length c with
+      | 0 -> ()
+      | n ->
           progressed := true;
-          run_window c window
+          run_window c n
     done;
     if not !progressed then
       invalid_arg "Scr.run: no core can make progress (broken spray sequence)"
@@ -266,23 +263,20 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
      convergence PROOF, not data-path work — a steady-state deployment
      never quiesces, it keeps coalescing pending updates. Its applies
      still mutate state and count in [stats] (and in the applying core's
-     clock, past the bracket). *)
+     clock, past the bracket). Latency stays unsummarized, as it always
+     was here: callers pool per-packet samples through [on_complete]. *)
   let runs =
-    Array.init cores (fun c ->
-        Worker.finish ~faulted:faulted.(c)
-          ~faults:(Fault.counts planes.(c))
-          ~degraded:(Fault.degraded planes.(c))
-          replicas.(c).sc_worker snaps.(c)
-          ~label:(Printf.sprintf "scr-core%d" c)
-          ~packets:packets.(c) ~drops:drops.(c) ~wire_bytes:wire_bytes.(c)
-          ~switches:switches.(c))
+    Array.mapi
+      (fun c s ->
+        { (Exec.close s) with Metrics.label = Printf.sprintf "scr-core%d" c; latency = None })
+      sessions
   in
   (* Quiescent barrier: drain every replica's pending set, then prove
      convergence. *)
   Array.iteri
     (fun c tbl ->
-      let rs = Hashtbl.fold (fun _ r acc -> r :: acc) tbl [] in
-      Hashtbl.reset tbl;
+      let rs = Itbl.fold (fun _ r acc -> r :: acc) tbl [] in
+      Itbl.reset tbl;
       List.iter
         (fun r ->
           if Update_log.offer appliers.(c) r then incr barrier_applied)

@@ -37,9 +37,12 @@ type stats = {
 
 type result = {
   sr_runs : Metrics.run array;
-      (** per core; the measurement bracket closes before the quiescent
-          barrier — the barrier proves convergence, it is not data-path
-          work (its applies still count in {!stats}) *)
+      (** per core, from one {!Exec.session} per replica that every
+          window feeds, so the bracket spans the applies between windows;
+          no latency summary (pool samples through [on_complete]); it
+          closes before the quiescent barrier — the barrier proves
+          convergence, it is not data-path work (its applies still count
+          in {!stats}) *)
   sr_merged : Metrics.run;  (** {!Metrics.merge_parallel} of the above *)
   sr_stats : stats;
   sr_planes : Fault.t array;

@@ -31,54 +31,75 @@ let magic = "GUPD1"
 
 (* ----- little-endian primitives (Migration's framing conventions) ----- *)
 
-let put_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
+let u32_max = 0xFFFF_FFFF
 
-let put_u32 buf v =
-  put_u16 buf (v land 0xFFFF);
-  put_u16 buf ((v lsr 16) land 0xFFFF)
+let put_u16 = Bytes.set_uint16_le
+let put_u32 b off v =
+  put_u16 b off (v land 0xFFFF);
+  put_u16 b (off + 2) ((v lsr 16) land 0xFFFF)
 
 let get_u16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
 let get_u32 s off = get_u16 s off lor (get_u16 s (off + 2) lsl 16)
 
-(* FNV-1a over a string prefix, folded to 32 bits. *)
-let checksum s len =
+(* FNV-1a over a byte prefix, folded to 32 bits. *)
+let checksum b len =
   let h = ref 0x811c9dc5 in
   for i = 0 to len - 1 do
-    h := (!h lxor Char.code s.[i]) * 0x01000193 land 0xFFFFFFFF
+    h := (!h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF
   done;
   !h
 
+(* magic(5) u32 flow/seq/consec + poisoned(1) + u16 count, then per blob
+   u16 name length + name + u32 blob length + blob, then u32 checksum. *)
+let header_len = 5 + 4 + 4 + 4 + 1 + 2
+
 let encode (r : record) =
+  let u32 what v =
+    if v < 0 || v > u32_max then
+      invalid_arg (Printf.sprintf "Update_log.encode: %s outside the u32 range" what)
+  in
   if r.u_flow < 0 then invalid_arg "Update_log.encode: negative flow";
   if r.u_seq <= 0 then invalid_arg "Update_log.encode: sequence must be positive";
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf magic;
-  put_u32 buf r.u_flow;
-  put_u32 buf r.u_seq;
-  put_u32 buf r.u_consec;
-  Buffer.add_char buf (if r.u_poisoned then '\001' else '\000');
-  put_u16 buf (List.length r.u_payload);
-  List.iter
-    (fun (name, blob) ->
-      if String.length name > 0xFFFF then invalid_arg "Update_log.encode: NF name too long";
-      put_u16 buf (String.length name);
-      Buffer.add_string buf name;
-      put_u32 buf (String.length blob);
-      Buffer.add_string buf blob)
-    r.u_payload;
-  let body = Buffer.contents buf in
-  put_u32 buf (checksum body (String.length body));
-  Buffer.contents buf
+  u32 "flow" r.u_flow;
+  u32 "sequence" r.u_seq;
+  u32 "fault count" r.u_consec;
+  let count = List.length r.u_payload in
+  if count > 0xFFFF then invalid_arg "Update_log.encode: too many payload blobs";
+  let len =
+    List.fold_left
+      (fun acc (name, blob) ->
+        if String.length name > 0xFFFF then invalid_arg "Update_log.encode: NF name too long";
+        u32 "blob length" (String.length blob);
+        acc + 2 + String.length name + 4 + String.length blob)
+      (header_len + 4) r.u_payload
+  in
+  let b = Bytes.create len in
+  Bytes.blit_string magic 0 b 0 5;
+  put_u32 b 5 r.u_flow;
+  put_u32 b 9 r.u_seq;
+  put_u32 b 13 r.u_consec;
+  Bytes.set b 17 (if r.u_poisoned then '\001' else '\000');
+  put_u16 b 18 count;
+  let off =
+    List.fold_left
+      (fun off (name, blob) ->
+        let nl = String.length name and bl = String.length blob in
+        put_u16 b off nl;
+        Bytes.blit_string name 0 b (off + 2) nl;
+        put_u32 b (off + 2 + nl) bl;
+        Bytes.blit_string blob 0 b (off + 6 + nl) bl;
+        off + 6 + nl + bl)
+      header_len r.u_payload
+  in
+  put_u32 b off (checksum b off);
+  Bytes.unsafe_to_string b
 
 let decode s =
   let n = String.length s in
-  (* magic(5) u32 flow/seq/consec + poisoned(1) + u16 count ... + u32 sum *)
-  if n < 5 + 4 + 4 + 4 + 1 + 2 + 4 then raise (Bad_update "truncated");
-  if String.sub s 0 5 <> magic then raise (Bad_update "bad magic");
+  if n < header_len + 4 then raise (Bad_update "truncated");
+  if not (String.starts_with ~prefix:magic s) then raise (Bad_update "bad magic");
   let body_len = n - 4 in
-  if get_u32 s body_len <> checksum s body_len then
+  if get_u32 s body_len <> checksum (Bytes.unsafe_of_string s) body_len then
     raise (Bad_update "checksum mismatch");
   let flow = get_u32 s 5 in
   let seq = get_u32 s 9 in
@@ -90,7 +111,7 @@ let decode s =
     | _ -> raise (Bad_update "bad poisoned flag")
   in
   let count = get_u16 s 18 in
-  let off = ref 20 in
+  let off = ref header_len in
   let payload =
     List.init count (fun _ ->
         if !off + 2 > body_len then raise (Bad_update "truncated");
@@ -132,23 +153,25 @@ let records t = List.rev t.entries
    across every interleaving that respects per-flow sequence order: each
    flow's state ends at its highest offered sequence number regardless of
    how flows interleave. *)
+module Itbl = Hashtbl.Make (Int)
+
 type applier = {
   ap_apply : record -> unit;
-  ap_hwm : (int, int) Hashtbl.t;  (* flow -> resident sequence number *)
+  ap_hwm : int Itbl.t;  (* flow -> resident sequence number *)
   mutable ap_applied : int;
   mutable ap_stale : int;
   mutable ap_max_lag : int;  (* largest sequence gap bridged by one apply *)
 }
 
 let applier ~apply =
-  { ap_apply = apply; ap_hwm = Hashtbl.create 64; ap_applied = 0; ap_stale = 0; ap_max_lag = 0 }
+  { ap_apply = apply; ap_hwm = Itbl.create 64; ap_applied = 0; ap_stale = 0; ap_max_lag = 0 }
 
-let resident ap flow = Option.value ~default:0 (Hashtbl.find_opt ap.ap_hwm flow)
+let resident ap flow = match Itbl.find_opt ap.ap_hwm flow with Some s -> s | None -> 0
 
 (* A local completion advances the flow's resident sequence without an
    apply (the state was produced in place). *)
 let advance ap ~flow ~seq =
-  if seq > resident ap flow then Hashtbl.replace ap.ap_hwm flow seq
+  if seq > resident ap flow then Itbl.replace ap.ap_hwm flow seq
 
 let offer ap (r : record) =
   let have = resident ap r.u_flow in
@@ -158,7 +181,7 @@ let offer ap (r : record) =
   end
   else begin
     ap.ap_apply r;
-    Hashtbl.replace ap.ap_hwm r.u_flow r.u_seq;
+    Itbl.replace ap.ap_hwm r.u_flow r.u_seq;
     ap.ap_applied <- ap.ap_applied + 1;
     ap.ap_max_lag <- max ap.ap_max_lag (r.u_seq - have);
     true

@@ -22,7 +22,10 @@ val magic : string
     u32 consec, u8 poisoned, u16 blob count, then (u16 name length, name,
     u32 blob length, blob) per blob, closed by a u32 FNV-1a checksum over
     everything before it — so decode rejects truncation {e and} bit flips.
-    @raise Invalid_argument on a negative flow or non-positive sequence. *)
+    @raise Invalid_argument on a field the frame cannot hold: a flow or
+    fault count outside \[0, 2{^32}), a sequence outside \[1, 2{^32}),
+    more than 65,535 blobs, a name over 65,535 bytes or a blob of
+    2{^32} bytes or more. *)
 val encode : record -> string
 
 (** @raise Bad_update on bad magic, truncation, trailing bytes, checksum

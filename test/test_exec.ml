@@ -1,6 +1,7 @@
 (* The executor descriptor: canonical labels round-trip through the
    parser, the documented short forms parse, malformed labels are errors,
-   and Exec.run is exactly the engine it names. *)
+   Exec.run is exactly the engine it names, and a session fed window by
+   window is one Exec.run per window. *)
 
 open Gunfu
 
@@ -83,10 +84,78 @@ let test_run_is_the_engine () =
     (fun w p s ->
       Scheduler.run ~policy:Scheduler.Ready_first ~prefetch_distance:2 w p ~n_tasks:4 s)
 
+(* One session fed a stream in windows must behave exactly like one
+   Exec.run per window on an identical worker with the same fault plane:
+   the same completions in the same order, the same totals and the same
+   memory-hierarchy traffic. Window sizes go past the batch width so a
+   feed also spans several batches. *)
+let test_session_is_runs () =
+  let packets = 600 and max_window = 20 in
+  let sizes =
+    let rng = Random.State.make [| 14 |] in
+    let rec go left acc =
+      if left = 0 then List.rev acc
+      else
+        let k = min left (1 + Random.State.int rng max_window) in
+        go (left - k) (k :: acc)
+    in
+    go packets []
+  in
+  (* A fresh NAT worker and program, its whole stream instrumented by one
+     fault plan (armed at global pull indices), cut into [sizes]. *)
+  let setup () =
+    let s = Helpers.nat_setup ~n_flows:2048 () in
+    let plane = Fault.create () in
+    let plan = Check.Faultgen.create ~rate_ppm:50_000 ~seed:11 () in
+    let stream = Check.Faultgen.instrument plan ~plane (Helpers.nat_source s ~count:packets) in
+    let window k =
+      let left = ref k in
+      fun () ->
+        if !left = 0 then None
+        else begin
+          decr left;
+          stream ()
+        end
+    in
+    let seen = ref [] in
+    let tap (t : Nftask.t) = seen := (t.Nftask.flow_hint, Event.to_key t.Nftask.event) :: !seen in
+    (s, plane, window, seen, tap)
+  in
+  let totals (r : Metrics.run) =
+    [ r.Metrics.packets; r.Metrics.drops; r.Metrics.wire_bytes; r.Metrics.faulted; r.Metrics.cycles ]
+  in
+  let check name (e : Exec.flow_free) =
+    let s, plane, window, seen, tap = setup () in
+    let session = Exec.session ~fault:plane ~on_complete:tap e s.Helpers.worker s.Helpers.program in
+    List.iter (fun k -> Exec.feed session (window k)) sizes;
+    let fed = Exec.close session in
+    let fed_seen = List.rev !seen in
+    let fed_mem = Exec_ctx.counters (Worker.ctx s.Helpers.worker) in
+    let s, plane, window, seen, tap = setup () in
+    let runs =
+      List.map
+        (fun k -> Exec.run ~fault:plane ~on_complete:tap e s.Helpers.worker s.Helpers.program (window k))
+        sizes
+    in
+    let summed =
+      List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0; 0 ] (List.map totals runs)
+    in
+    Alcotest.(check int) (name ^ ": every packet completed") packets fed.Metrics.packets;
+    Alcotest.(check bool) (name ^ ": the plan injected faults") true (fed.Metrics.faulted > 0);
+    Alcotest.(check (list (pair int string))) (name ^ ": completion stream") (List.rev !seen) fed_seen;
+    Alcotest.(check (list int)) (name ^ ": packets, drops, wire bytes, faulted, cycles")
+      summed (totals fed);
+    Alcotest.(check bool) (name ^ ": memory-hierarchy counters") true
+      (fed_mem = Exec_ctx.counters (Worker.ctx s.Helpers.worker))
+  in
+  check "rtc" `Rtc;
+  check "batch-8" (`Batch 8)
+
 let suite =
   [
     Alcotest.test_case "labels round-trip" `Quick test_round_trip;
     Alcotest.test_case "short forms" `Quick test_short_forms;
     Alcotest.test_case "malformed labels are errors" `Quick test_malformed;
     Alcotest.test_case "run is the named engine" `Quick test_run_is_the_engine;
+    Alcotest.test_case "a session is one run per window" `Quick test_session_is_runs;
   ]

@@ -42,7 +42,49 @@ let test_encode_rejects_bad_fields () =
   Alcotest.check_raises "negative flow" (Invalid_argument "Update_log.encode: negative flow")
     (fun () -> ignore (Update_log.encode { sample_record with Update_log.u_flow = -1 }));
   Alcotest.check_raises "zero seq" (Invalid_argument "Update_log.encode: sequence must be positive")
-    (fun () -> ignore (Update_log.encode { sample_record with Update_log.u_seq = 0 }))
+    (fun () -> ignore (Update_log.encode { sample_record with Update_log.u_seq = 0 }));
+  (* Fields the frame cannot hold must be refused, not truncated into
+     another flow's or sequence's value. *)
+  let u32 = 1 lsl 32 in
+  let rejects name r =
+    match Update_log.encode r with
+    | _ -> Alcotest.failf "%s encoded" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "flow 2^32" { sample_record with Update_log.u_flow = u32 };
+  rejects "seq 2^32+7" { sample_record with Update_log.u_seq = u32 + 7 };
+  rejects "negative consec" { sample_record with Update_log.u_consec = -1 };
+  rejects "consec 2^32" { sample_record with Update_log.u_consec = u32 };
+  rejects "65536 blobs"
+    { sample_record with Update_log.u_payload = List.init 0x10000 (fun _ -> ("n", "")) };
+  rejects "NF name of 65536 bytes"
+    { sample_record with Update_log.u_payload = [ (String.make 0x10000 'n', "") ] };
+  (* The largest values the frame holds still round-trip. *)
+  let widest =
+    {
+      sample_record with
+      Update_log.u_flow = u32 - 1;
+      u_seq = u32 - 1;
+      u_consec = u32 - 1;
+      u_payload = List.init 0xFFFF (fun i -> ((if i = 0 then String.make 0xFFFF 'n' else "n"), ""));
+    }
+  in
+  Alcotest.(check bool) "widest fields round-trip" true
+    (Update_log.decode (Update_log.encode widest) = widest)
+
+(* The GUPD1 bytes of [sample_record], pinned: any change to the field
+   order, widths, endianness or checksum shows here. Split as magic, flow,
+   seq, consec, poisoned, blob count, then name length, name, blob length
+   and blob per blob, then the checksum. *)
+let test_golden_frame () =
+  let hex s =
+    String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  Alcotest.(check string) "sample record frame"
+    ("4755504431" ^ "39300000" ^ "2a000000" ^ "03000000" ^ "01" ^ "0200"
+   ^ "0300" ^ "6e6174" ^ "0d000000" ^ "000162696e617279ff626c6f62"
+   ^ "0200" ^ "6e6d" ^ "00000000" ^ "675a2df9")
+    (hex (Update_log.encode sample_record))
 
 let test_truncation_rejected () =
   let frame = Update_log.encode sample_record in
@@ -333,6 +375,7 @@ let test_install_session_rejects_duplicate_teid () =
 let suite =
   [
     Alcotest.test_case "GUPD1: encode rejects bad fields" `Quick test_encode_rejects_bad_fields;
+    Alcotest.test_case "GUPD1: golden frame" `Quick test_golden_frame;
     Alcotest.test_case "GUPD1: every truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "GUPD1: every single-bit flip rejected" `Quick test_bit_flips_rejected;
     Helpers.qcheck qcheck_roundtrip;
