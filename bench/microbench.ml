@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the substrate primitives (wall-clock costs
    of the simulator itself, not simulated cycles): cuckoo lookup, MDI tree
-   walk, cache access, flow hashing, NF-C interpretation. Useful for
-   keeping the simulator fast enough to drive the figure sweeps. *)
+   walk, hierarchy read (hit and miss paths) and prefetch, flow hashing,
+   NF-C interpretation. Useful for keeping the simulator fast enough to
+   drive the figure sweeps. *)
 
 open Bechamel
 open Toolkit
@@ -47,6 +48,35 @@ let cache_test =
          i := (!i + 4096) land 0xFFFFF;
          ignore (Memsim.Hierarchy.read h ~now:!i ~addr:!i ~bytes:8)))
 
+(* The same read on a miss path: a 97-line stride over 128 MiB, so the
+   working set is four times the default 33 MiB LLC and every line is an
+   LLC probe plus a DRAM fill with eviction at each level. *)
+let miss_stride = 97 * 64
+let miss_mask = (128 * 1024 * 1024) - 1
+
+let cache_miss_test =
+  let h = Memsim.Hierarchy.create () in
+  let i = ref 0 in
+  Test.make ~name:"hierarchy.read.miss"
+    (Staged.stage (fun () ->
+         i := !i + 1;
+         ignore
+           (Memsim.Hierarchy.read h ~now:(!i * 30)
+              ~addr:((!i * miss_stride) land miss_mask) ~bytes:8)))
+
+(* One-line prefetches over the same stream, [now] advancing 30 cycles per
+   call: mostly issued (locate in all three levels, fill at each), with
+   drops whenever the ten MSHRs are all in flight. *)
+let prefetch_test =
+  let h = Memsim.Hierarchy.create () in
+  let i = ref 0 in
+  Test.make ~name:"hierarchy.prefetch"
+    (Staged.stage (fun () ->
+         i := !i + 1;
+         ignore
+           (Memsim.Hierarchy.prefetch h ~now:(!i * 30)
+              ~addr:((!i * miss_stride) land miss_mask) ~bytes:64)))
+
 let flow_hash_test =
   let flow =
     Netcore.Flow.make ~src_ip:0x0A000001l ~dst_ip:0x0A000002l ~src_port:1234 ~dst_port:80
@@ -76,7 +106,15 @@ let run () =
   Bench_common.header "Microbenchmarks (bechamel, host wall-clock ns/op)";
   let tests =
     Test.make_grouped ~name:"primitives"
-      [ cuckoo_test; mdi_test; cache_test; flow_hash_test; nfc_test ]
+      [
+        cuckoo_test;
+        mdi_test;
+        cache_test;
+        cache_miss_test;
+        prefetch_test;
+        flow_hash_test;
+        nfc_test;
+      ]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ~kde:None () in
@@ -89,5 +127,5 @@ let run () =
       let ns =
         match Analyze.OLS.estimates est with Some [ v ] -> v | _ -> Float.nan
       in
-      Bench_common.row "%-28s %10.1f ns/op" name ns)
+      Bench_common.row "%-32s %10.1f ns/op" name ns)
     (List.sort compare rows)

@@ -26,23 +26,77 @@ module Collector = struct
     t.samples.(t.n) <- v;
     t.n <- t.n + 1
 
+  let swap (a : int array) i j =
+    let v = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- v
+
+  let median3 (x : int) y z =
+    if x < y then (if y < z then y else if x < z then z else x)
+    else if x < z then x
+    else if y < z then z
+    else y
+
+  (* Quickselect: permute [a.(lo..hi)] so that [a.(k)] holds the value a
+     sort of that range would put there, with everything left of [k] <= it
+     and everything right of it >= it. A three-way partition around a
+     median-of-three pivot keeps ties and sorted or reverse-sorted input
+     linear. *)
+  let rec select (a : int array) lo hi k =
+    if lo < hi then begin
+      let pivot = median3 a.(lo) a.(lo + ((hi - lo) / 2)) a.(hi) in
+      (* [lo, lt) < pivot, [lt, i) = pivot, (gt, hi] > pivot *)
+      let lt = ref lo and i = ref lo and gt = ref hi in
+      while !i <= !gt do
+        let v = a.(!i) in
+        if v < pivot then begin
+          swap a !lt !i;
+          incr lt;
+          incr i
+        end
+        else if v > pivot then begin
+          swap a !i !gt;
+          decr gt
+        end
+        else incr i
+      done;
+      if k < !lt then select a lo (!lt - 1) k
+      else if k > !gt then select a (!gt + 1) hi k
+    end
+
   let summarize t =
-    if t.n = 0 then None
+    let n = t.n in
+    if n = 0 then None
     else begin
-      let sorted = Array.sub t.samples 0 t.n in
-      Array.sort compare sorted;
+      let a = Array.sub t.samples 0 n in
       (* Exact nearest-rank: the p-th percentile is the smallest sample
-         with at least ceil(p*n/100) samples <= it. *)
-      let pct p = sorted.(max 0 (((p * t.n) + 99) / 100 - 1)) in
-      let sum = Array.fold_left ( + ) 0 sorted in
+         with at least ceil(p*n/100) samples <= it, i.e. index
+         ceil(p*n/100) - 1 of the sorted samples. Each selection narrows
+         the next: after selecting rank k, a.(0..k) are the k+1 smallest.
+         A later selection permutes a.(0..k), so each value is read as soon
+         as it is selected. *)
+      let rank p = max 0 ((((p * n) + 99) / 100) - 1) in
+      let k99 = rank 99 and k90 = rank 90 and k50 = rank 50 in
+      select a 0 (n - 1) k99;
+      let p99 = a.(k99) in
+      select a 0 k99 k90;
+      let p90 = a.(k90) in
+      select a 0 k90 k50;
+      let p50 = a.(k50) in
+      let sum = ref 0 and mx = ref a.(0) in
+      for i = 0 to n - 1 do
+        let v = a.(i) in
+        sum := !sum + v;
+        if v > !mx then mx := v
+      done;
       Some
         {
-          l_count = t.n;
-          l_mean = float_of_int sum /. float_of_int t.n;
-          l_p50 = pct 50;
-          l_p90 = pct 90;
-          l_p99 = pct 99;
-          l_max = sorted.(t.n - 1);
+          l_count = n;
+          l_mean = float_of_int !sum /. float_of_int n;
+          l_p50 = p50;
+          l_p90 = p90;
+          l_p99 = p99;
+          l_max = !mx;
         }
     end
 end

@@ -19,6 +19,7 @@ type t = {
   line_bits : int;
   nsets : int;
   set_mask : int;  (* nsets - 1 when nsets is a power of two, else -1 *)
+  inv_nsets : float;  (* 1 /. nsets, for the division-free set index *)
   assoc : int;
   tags : int array;  (* nsets * assoc; per set MRU -> LRU, -1 (invalid) at the tail *)
   mutable hits : int;
@@ -46,6 +47,7 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
     line_bits;
     nsets;
     set_mask = (if nsets land (nsets - 1) = 0 then nsets - 1 else -1);
+    inv_nsets = 1. /. float_of_int nsets;
     assoc;
     tags = Array.make (nsets * assoc) (-1);
     hits = 0;
@@ -62,193 +64,131 @@ let capacity_bytes t = nsets t * t.assoc * line_bytes t
 
 let line_of_addr t addr = addr lsr t.line_bits
 
-(* [mod] by a power of two is a [land]; [nsets] is a power of two for every
-   realistic geometry, so the division almost never runs. This is the
-   simulator's innermost loop — every probe of every level goes through
+(* [line mod nsets] without a divide. A power of two is a [land]. Otherwise
+   (the default 33 MiB 11-way LLC has 49,152 sets) the quotient is
+   estimated as [truncate (line *. (1 /. nsets))]. For 0 <= line < 2^50 the
+   line converts exactly and the two roundings (of the reciprocal and of
+   the product, 2^-53 relative each) leave the product within
+   line / nsets * 2^-52 < 1/4 of [line / nsets], so the estimate is off by
+   at most one and a single +-nsets correction gives the exact remainder.
+   Larger (and negative) lines take the [mod]. This is the simulator's
+   innermost loop: every probe and fill of every level goes through
    here. *)
 let set_of_line t line =
-  if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
+  if t.set_mask >= 0 then line land t.set_mask
+  else if line lsr 50 = 0 then begin
+    let r = line - (truncate (float_of_int line *. t.inv_nsets) * t.nsets) in
+    if r < 0 then r + t.nsets else if r >= t.nsets then r - t.nsets else r
+  end
+  else line mod t.nsets
 
 let base t line = set_of_line t line * t.assoc
 
-(* Find the way holding [line] in its set, or -1. Invalid slots sit at the
-   tail, so the scan can stop at the first -1. *)
-let find_way t line =
-  let b = base t line in
-  let tags = t.tags in
-  let last = b + t.assoc in
-  let rec go i =
-    if i = last then -1
-    else
-      let tag = tags.(i) in
-      if tag = line then i else if tag = -1 then -1 else go (i + 1)
-  in
-  go b
+(* The one scan of a set: the first index in [i, last) holding [line] or
+   the invalid marker, else [last]. Invalid slots sit at the tail, so this
+   is [line]'s way when present and the end of the valid prefix when
+   absent. Top-level and closure-free so that it allocates nothing. *)
+let rec scan (tags : int array) line i last =
+  if i = last then i
+  else
+    let tag = tags.(i) in
+    if tag = line || tag = -1 then i else scan tags line (i + 1) last
 
-let contains_line t line = find_way t line >= 0
+let found (tags : int array) line i last = i < last && tags.(i) = line
+
+let locate_line t line =
+  let b = base t line in
+  let last = b + t.assoc in
+  let i = scan t.tags line b last in
+  if found t.tags line i last then i - b else -(i - b + 1)
+
+let contains_line t line = locate_line t line >= 0
 
 let contains t addr = contains_line t (line_of_addr t addr)
 
 (* Rotate [line] (currently at way [i]) to the front of its set: everything
-   in [b, i) shifts down one way. This is the move-to-front "touch". *)
-let promote tags b i line =
-  Array.blit tags b tags (b + 1) (i - b);
+   in [b, i) shifts down one way. This is the move-to-front "touch". A plain
+   loop, not [Array.blit]: on a major-heap array the blit goes through
+   [caml_modify] per element. *)
+let promote (tags : int array) b i line =
+  for j = i downto b + 1 do
+    tags.(j) <- tags.(j - 1)
+  done;
   tags.(b) <- line
 
-(* [access_line] performs a tag check and updates recency on hit. *)
-let access_line t line =
-  let b = base t line in
-  let tags = t.tags in
-  if tags.(b) = line then begin
-    t.hits <- t.hits + 1;
-    true
-  end
-  else begin
-    let last = b + t.assoc in
-    let rec go i =
-      if i = last then begin
-        t.misses <- t.misses + 1;
-        false
-      end
-      else
-        let tag = tags.(i) in
-        if tag = line then begin
-          promote tags b i line;
-          t.hits <- t.hits + 1;
-          true
-        end
-        else if tag = -1 then begin
-          t.misses <- t.misses + 1;
-          false
-        end
-        else go (i + 1)
-    in
-    go (b + 1)
-  end
-
-let access t addr = access_line t (line_of_addr t addr)
-
-(* Fused miss-path probe for the hierarchy's demand loop: behaves exactly
-   like {!access_line} (same counter updates, same recency refresh on hit)
-   but on a miss also reports how many valid ways the set holds, so the
-   subsequent {!fill_line} can install without re-scanning the set. Returns
-   [1] on hit and [-(valid_ways + 1)] on miss. *)
+(* Demand probe: a tag check that refreshes recency and counts a hit or a
+   miss. Returns [1] on hit and [-(valid_ways + 1)] on miss, so a following
+   {!fill_line} can install without re-scanning the set. *)
 let probe_line t line =
   let b = base t line in
-  let tags = t.tags in
-  if tags.(b) = line then begin
+  let last = b + t.assoc in
+  let i = scan t.tags line b last in
+  if found t.tags line i last then begin
+    promote t.tags b i line;
     t.hits <- t.hits + 1;
     1
   end
-  else if tags.(b) = -1 then begin
-    (* Invalid at the front means the whole set is empty. *)
+  else begin
     t.misses <- t.misses + 1;
+    -(i - b + 1)
+  end
+
+let access_line t line = probe_line t line > 0
+
+let access t addr = access_line t (line_of_addr t addr)
+
+(* Install [line] into a set that {!probe_line} or {!locate_line} just found
+   it absent from with [valid_ways] valid entries, with no intervening
+   operation on this cache. Identical decision to {!install_line}: a free
+   way if one exists, otherwise evict the LRU (tail) way. Returns the
+   victim line, or -1. *)
+let fill_line t line valid_ways =
+  let b = base t line in
+  t.installs <- t.installs + 1;
+  if valid_ways < t.assoc then begin
+    promote t.tags b (b + valid_ways) line;
     -1
   end
   else begin
-    let last = b + t.assoc in
-    let rec go i =
-      if i = last then begin
-        t.misses <- t.misses + 1;
-        -(t.assoc + 1)
-      end
-      else
-        let tag = tags.(i) in
-        if tag = line then begin
-          promote tags b i line;
-          t.hits <- t.hits + 1;
-          1
-        end
-        else if tag = -1 then begin
-          t.misses <- t.misses + 1;
-          -(i - b + 1)
-        end
-        else go (i + 1)
-    in
-    go (b + 1)
-  end
-
-(* Install [line] into a set that {!probe_line} just missed with
-   [valid_ways] valid entries, with no intervening operation on this cache.
-   Identical decision to {!install_line}: a free way if one exists,
-   otherwise evict the LRU (tail) way. *)
-let fill_line t line valid_ways =
-  let b = base t line in
-  let tags = t.tags in
-  t.installs <- t.installs + 1;
-  if valid_ways < t.assoc then begin
-    promote tags b (b + valid_ways) line;
-    None
-  end
-  else begin
-    let victim = tags.(b + t.assoc - 1) in
+    let tail = b + t.assoc - 1 in
+    let victim = t.tags.(tail) in
     t.evictions <- t.evictions + 1;
-    promote tags b (b + t.assoc - 1) line;
-    Some victim
+    promote t.tags b tail line;
+    victim
   end
 
 (* Install a line, evicting the LRU way if the set is full. Returns the line
-   number of the victim, if a valid line was evicted. Installing a present
-   line only refreshes recency. *)
+   number of the victim, or -1. Installing a present line only refreshes
+   recency. *)
 let install_line t line =
-  let b = base t line in
-  let tags = t.tags in
-  let last = b + t.assoc in
-  if tags.(b) = line then None (* already MRU; recency refresh is a no-op *)
-  else begin
-    (* Find the line, or the end of the valid prefix if absent. *)
-    let rec find i =
-      if i = last then i
-      else
-        let tag = tags.(i) in
-        if tag = line || tag = -1 then i else find (i + 1)
-    in
-    let i = find (b + 1) in
-    if i < last && tags.(i) = line then begin
-      promote tags b i line;
-      None
-    end
-    else begin
-      t.installs <- t.installs + 1;
-      if i < last then begin
-        (* A free (invalid) way exists: no eviction. *)
-        promote tags b i line;
-        None
-      end
-      else begin
-        let victim = tags.(last - 1) in
-        t.evictions <- t.evictions + 1;
-        promote tags b (last - 1) line;
-        Some victim
-      end
-    end
+  let w = locate_line t line in
+  if w >= 0 then begin
+    let b = base t line in
+    promote t.tags b (b + w) line;
+    -1
   end
+  else fill_line t line (-w - 1)
 
-let install t addr = install_line t (line_of_addr t addr)
+let install t addr =
+  let victim = install_line t (line_of_addr t addr) in
+  if victim < 0 then None else Some victim
 
 (* Drop the line and compact the valid suffix so invalid slots stay at the
    tail (hole position is unobservable: victim choice depends only on the
    recency order of valid ways, which compaction preserves). *)
 let invalidate_line t line =
-  let b = base t line in
-  let tags = t.tags in
-  let last = b + t.assoc in
-  let rec go i =
-    if i < last && tags.(i) <> -1 then begin
-      if tags.(i) = line then begin
-        let rec pull j =
-          if j + 1 < last && tags.(j + 1) <> -1 then begin
-            tags.(j) <- tags.(j + 1);
-            pull (j + 1)
-          end
-          else tags.(j) <- -1
-        in
-        pull i
-      end
-      else go (i + 1)
-    end
-  in
-  go b
+  let w = locate_line t line in
+  if w >= 0 then begin
+    let tags = t.tags in
+    let b = base t line in
+    let last = b + t.assoc in
+    let j = ref (b + w) in
+    while !j + 1 < last && tags.(!j + 1) <> -1 do
+      tags.(!j) <- tags.(!j + 1);
+      incr j
+    done;
+    tags.(!j) <- -1
+  end
 
 let invalidate t addr = invalidate_line t (line_of_addr t addr)
 

@@ -8,8 +8,12 @@
 type t
 
 (** [create ~name ~size_bytes ~assoc ~line_bytes] builds an empty cache.
-    [size_bytes] must equal [nsets * assoc * line_bytes] with [nsets] and
-    [line_bytes] powers of two.
+    [size_bytes] must equal [nsets * assoc * line_bytes] with [line_bytes] a
+    power of two; [nsets] may be any positive count (the default 33 MiB
+    11-way LLC has 49,152 sets). A power-of-two [nsets] is indexed with a
+    mask; any other is indexed by a reciprocal multiply that equals
+    [line mod nsets] exactly for [0 <= line < 2^50], with [mod] itself
+    beyond that range.
     @raise Invalid_argument on malformed geometry. *)
 val create : name:string -> size_bytes:int -> assoc:int -> line_bytes:int -> t
 
@@ -34,10 +38,18 @@ val access_line : t -> int -> bool
     so a following [fill_line] can install without re-scanning the set. *)
 val probe_line : t -> int -> int
 
-(** [fill_line t line valid_ways] installs [line] into the set a
-    [probe_line] just missed with [valid_ways] valid entries (no intervening
-    operation on [t]). Same eviction decision and return as [install_line]. *)
-val fill_line : t -> int -> int -> int option
+(** [locate_line t line] is the pure form of [probe_line]: the way (0 =
+    MRU) holding [line], or [-(valid_ways + 1)] when it is absent. No
+    counter or recency changes. *)
+val locate_line : t -> int -> int
+
+(** [fill_line t line valid_ways] installs an absent [line], given the
+    [valid_ways] a [probe_line] miss or a negative [locate_line] just
+    reported for its set. The contract is that nothing touches [t] between
+    that call and this one; then the eviction decision and the counters are
+    those of [install_line] on the absent line. Returns the evicted line,
+    or [-1] when a free way took it. *)
+val fill_line : t -> int -> int -> int
 
 (** Presence test without touching LRU state or counters. *)
 val contains : t -> int -> bool
@@ -49,7 +61,8 @@ val contains_line : t -> int -> bool
     present line only refreshes recency. *)
 val install : t -> int -> int option
 
-val install_line : t -> int -> int option
+(** As [install], keyed by line number; returns the evicted line or [-1]. *)
+val install_line : t -> int -> int
 
 val invalidate : t -> int -> unit
 val invalidate_line : t -> int -> unit

@@ -143,23 +143,30 @@ let lines_of t ~addr ~bytes =
 (* MSHR helpers; slots whose deadline has passed are reclaimed lazily.
    [mshr_used] stays false until the first prefetch or stall occupies a
    slot, letting demand-only executors (per-packet RTC) skip the scan on
-   every line access. *)
+   every line access. The per-line helpers are top-level and closure-free,
+   and a slot is reported as an index (-1 = none), so the hot path
+   allocates nothing. *)
 
-let mshr_find t line =
+let rec find_slot (lines : int array) line i =
+  if i = Array.length lines then -1
+  else if lines.(i) = line then i
+  else find_slot lines line (i + 1)
+
+let rec free_slot (lines : int array) (ready : int array) now i =
+  if i = Array.length lines then -1
+  else if lines.(i) = -1 || ready.(i) <= now then i
+  else free_slot lines ready now (i + 1)
+
+let mshr_free_slot t ~now = free_slot t.mshr_line t.mshr_ready now 0
+
+(* Slot of [line]'s fill if it is still in flight at [now], else -1. Only
+   the first slot naming [line] counts: a completed slot can still name a
+   line that a later prefetch re-issued into another slot. *)
+let mshr_inflight t ~now line =
   if not t.mshr_used then -1
   else
-    let n = Array.length t.mshr_line in
-    let rec go i = if i = n then -1 else if t.mshr_line.(i) = line then i else go (i + 1) in
-    go 0
-
-let mshr_free_slot t ~now =
-  let n = Array.length t.mshr_line in
-  let rec go i =
-    if i = n then -1
-    else if t.mshr_line.(i) = -1 || t.mshr_ready.(i) <= now then i
-    else go (i + 1)
-  in
-  go 0
+    let i = find_slot t.mshr_line line 0 in
+    if i >= 0 && t.mshr_ready.(i) > now then i else -1
 
 let mshr_pending_count t ~now =
   let count = ref 0 in
@@ -175,15 +182,6 @@ let mshr_deadlines t ~now =
     t.mshr_line;
   List.rev !acc
 
-(* Pending completion time for [line], if in flight and not yet done. *)
-let mshr_pending t ~now line =
-  let i = mshr_find t line in
-  if i >= 0 && t.mshr_ready.(i) > now then Some t.mshr_ready.(i) else None
-
-let mshr_clear t line =
-  let i = mshr_find t line in
-  if i >= 0 then t.mshr_line.(i) <- -1
-
 (* Serve one demand line access at time [now]. The result is packed as
    [latency lsl 3 lor served_code] so the per-line hot path allocates
    nothing; the tap (telemetry only) unpacks the code back to {!served}. *)
@@ -197,51 +195,53 @@ let served_of_code = function
 
 let access_line_coded t ~now line =
   t.line_accesses <- t.line_accesses + 1;
-  match mshr_pending t ~now line with
-  | Some ready ->
-      (* The line is in flight from an earlier prefetch: pay the residual. *)
-      t.mshr_waits <- t.mshr_waits + 1;
-      let wait = ready - now in
-      t.wait_cycles <- t.wait_cycles + wait;
-      mshr_clear t line;
-      ignore (Cache.install_line t.l1 line);
-      ignore (Cache.install_line t.l2 line);
-      ((wait + t.cfg.lat_l1) lsl 3) lor 4
-  | None ->
-      (* Each level is probed once; on a miss the probe also reports the
-         set's valid-way count so the fill below skips the second scan. *)
-      let p1 = Cache.probe_line t.l1 line in
-      if p1 > 0 then begin
-        t.l1_hits <- t.l1_hits + 1;
-        t.cfg.lat_l1 lsl 3
+  let slot = mshr_inflight t ~now line in
+  if slot >= 0 then begin
+    (* The line is in flight from an earlier prefetch: pay the residual. *)
+    t.mshr_waits <- t.mshr_waits + 1;
+    let wait = t.mshr_ready.(slot) - now in
+    t.wait_cycles <- t.wait_cycles + wait;
+    t.mshr_line.(slot) <- -1;
+    ignore (Cache.install_line t.l1 line);
+    ignore (Cache.install_line t.l2 line);
+    ((wait + t.cfg.lat_l1) lsl 3) lor 4
+  end
+  else begin
+    (* Each level is probed once; on a miss the probe also reports the
+       set's valid-way count so the fill below skips the second scan. *)
+    let p1 = Cache.probe_line t.l1 line in
+    if p1 > 0 then begin
+      t.l1_hits <- t.l1_hits + 1;
+      t.cfg.lat_l1 lsl 3
+    end
+    else begin
+      let e1 = -p1 - 1 in
+      let p2 = Cache.probe_line t.l2 line in
+      if p2 > 0 then begin
+        t.l2_hits <- t.l2_hits + 1;
+        ignore (Cache.fill_line t.l1 line e1);
+        (t.cfg.lat_l2 lsl 3) lor 1
       end
       else begin
-        let e1 = -p1 - 1 in
-        let p2 = Cache.probe_line t.l2 line in
-        if p2 > 0 then begin
-          t.l2_hits <- t.l2_hits + 1;
+        let e2 = -p2 - 1 in
+        let p3 = Cache.probe_line t.llc line in
+        if p3 > 0 then begin
+          t.llc_hits <- t.llc_hits + 1;
           ignore (Cache.fill_line t.l1 line e1);
-          (t.cfg.lat_l2 lsl 3) lor 1
+          ignore (Cache.fill_line t.l2 line e2);
+          (t.cfg.lat_llc lsl 3) lor 2
         end
         else begin
-          let e2 = -p2 - 1 in
-          let p3 = Cache.probe_line t.llc line in
-          if p3 > 0 then begin
-            t.llc_hits <- t.llc_hits + 1;
-            ignore (Cache.fill_line t.l1 line e1);
-            ignore (Cache.fill_line t.l2 line e2);
-            (t.cfg.lat_llc lsl 3) lor 2
-          end
-          else begin
-            let e3 = -p3 - 1 in
-            t.dram_fills <- t.dram_fills + 1;
-            ignore (Cache.fill_line t.l1 line e1);
-            ignore (Cache.fill_line t.l2 line e2);
-            ignore (Cache.fill_line t.llc line e3);
-            (t.cfg.lat_dram lsl 3) lor 3
-          end
+          let e3 = -p3 - 1 in
+          t.dram_fills <- t.dram_fills + 1;
+          ignore (Cache.fill_line t.l1 line e1);
+          ignore (Cache.fill_line t.l2 line e2);
+          ignore (Cache.fill_line t.llc line e3);
+          (t.cfg.lat_dram lsl 3) lor 3
         end
       end
+    end
+  end
 
 let stream_discount t lat = max t.cfg.lat_l1 (lat * t.cfg.stream_num / t.cfg.stream_den)
 
@@ -285,7 +285,9 @@ let write t ~now ~addr ~bytes =
 (* Issue an asynchronous prefetch for every line of the block. Returns the
    number of prefetches actually issued (0 when everything was already
    resident or pending). Lines are installed immediately so they contend for
-   cache space from the moment of issue. *)
+   cache space from the moment of issue. Each level's set is scanned once:
+   the locate that decides "resident?" also yields the fill position, and
+   no level is touched between its locate and its fill. *)
 let prefetch t ~now ~addr ~bytes =
   if bytes <= 0 then 0
   else begin
@@ -293,60 +295,53 @@ let prefetch t ~now ~addr ~bytes =
     let last = line_of t (addr + bytes - 1) in
     let issued = ref 0 in
     for line = first to last do
-      if Cache.contains_line t.l1 line || Cache.contains_line t.l2 line then
+      let w1 = Cache.locate_line t.l1 line in
+      (* [w2] is only located when L1 misses; it is [w1] otherwise. *)
+      let w2 = if w1 < 0 then Cache.locate_line t.l2 line else w1 in
+      if w2 >= 0 || mshr_inflight t ~now line >= 0 then
         t.prefetch_redundant <- t.prefetch_redundant + 1
-      else
-        match mshr_pending t ~now line with
-        | Some _ -> t.prefetch_redundant <- t.prefetch_redundant + 1
-        | None -> (
-            match mshr_free_slot t ~now with
-            | -1 -> t.prefetch_dropped <- t.prefetch_dropped + 1
-            | slot ->
-                let lat =
-                  if Cache.contains_line t.llc line then t.cfg.lat_llc
-                  else t.cfg.lat_dram
-                in
-                if not (Cache.contains_line t.llc line) then
-                  ignore (Cache.install_line t.llc line);
-                ignore (Cache.install_line t.l2 line);
-                ignore (Cache.install_line t.l1 line);
-                t.mshr_line.(slot) <- line;
-                t.mshr_ready.(slot) <- now + lat;
-                t.mshr_used <- true;
-                t.prefetch_issued <- t.prefetch_issued + 1;
-                incr issued)
+      else begin
+        let slot = mshr_free_slot t ~now in
+        if slot < 0 then t.prefetch_dropped <- t.prefetch_dropped + 1
+        else begin
+          let w3 = Cache.locate_line t.llc line in
+          let lat =
+            if w3 >= 0 then t.cfg.lat_llc
+            else begin
+              ignore (Cache.fill_line t.llc line (-w3 - 1));
+              t.cfg.lat_dram
+            end
+          in
+          ignore (Cache.fill_line t.l2 line (-w2 - 1));
+          ignore (Cache.fill_line t.l1 line (-w1 - 1));
+          t.mshr_line.(slot) <- line;
+          t.mshr_ready.(slot) <- now + lat;
+          t.mshr_used <- true;
+          t.prefetch_issued <- t.prefetch_issued + 1;
+          incr issued
+        end
+      end
     done;
     !issued
   end
+
+let in_l1_or_l2 t line = Cache.contains_line t.l1 line || Cache.contains_line t.l2 line
+
+let rec lines_ready t now line last =
+  line > last
+  || mshr_inflight t ~now line < 0 && in_l1_or_l2 t line && lines_ready t now (line + 1) last
+
+let rec lines_resident t line last =
+  line > last || in_l1_or_l2 t line && lines_resident t (line + 1) last
 
 (* A block is "ready" when every line is resident in L1 or L2 and no fetch
    for it is still in flight. Prefetched lines that were evicted before use
    therefore report not-ready and must be re-prefetched. *)
 let ready t ~now ~addr ~bytes =
-  if bytes <= 0 then true
-  else begin
-    let first = line_of t addr in
-    let last = line_of t (addr + bytes - 1) in
-    let rec go line =
-      line > last
-      || (match mshr_pending t ~now line with Some _ -> false | None -> true)
-         && (Cache.contains_line t.l1 line || Cache.contains_line t.l2 line)
-         && go (line + 1)
-    in
-    go first
-  end
+  bytes <= 0 || lines_ready t now (line_of t addr) (line_of t (addr + bytes - 1))
 
 let resident t ~addr ~bytes =
-  if bytes <= 0 then true
-  else begin
-    let first = line_of t addr in
-    let last = line_of t (addr + bytes - 1) in
-    let rec go line =
-      line > last
-      || (Cache.contains_line t.l1 line || Cache.contains_line t.l2 line) && go (line + 1)
-    in
-    go first
-  end
+  bytes <= 0 || lines_resident t (line_of t addr) (line_of t (addr + bytes - 1))
 
 let counters t : Memstats.t =
   {

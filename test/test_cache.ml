@@ -127,6 +127,185 @@ let qcheck_install_then_contains =
       ignore (Cache.install c addr);
       Cache.contains c addr)
 
+(* Reference model: per-set MRU-first lists indexed by [line mod nsets],
+   the textbook LRU that the packed tag array must reproduce. *)
+module Reference = struct
+  type t = {
+    nsets : int;
+    assoc : int;
+    sets : int list array;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable installs : int;
+    mutable resident : int;
+  }
+
+  let create ~nsets ~assoc =
+    {
+      nsets;
+      assoc;
+      sets = Array.make nsets [];
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+      installs = 0;
+      resident = 0;
+    }
+
+  let set t line = line mod t.nsets
+  let lines t line = t.sets.(set t line)
+  let mem t line = List.mem line (lines t line)
+
+  let to_front t line =
+    t.sets.(set t line) <- line :: List.filter (( <> ) line) (lines t line)
+
+  let access t line =
+    if mem t line then begin
+      to_front t line;
+      t.hits <- t.hits + 1;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      false
+    end
+
+  (* Victim line, or -1. *)
+  let install t line =
+    if mem t line then begin
+      to_front t line;
+      -1
+    end
+    else begin
+      t.installs <- t.installs + 1;
+      let ls = lines t line in
+      if List.length ls < t.assoc then begin
+        t.resident <- t.resident + 1;
+        t.sets.(set t line) <- line :: ls;
+        -1
+      end
+      else begin
+        let keep = List.filteri (fun i _ -> i < t.assoc - 1) ls in
+        t.evictions <- t.evictions + 1;
+        t.sets.(set t line) <- line :: keep;
+        List.nth ls (t.assoc - 1)
+      end
+    end
+
+  let invalidate t line =
+    if mem t line then begin
+      t.resident <- t.resident - 1;
+      t.sets.(set t line) <- List.filter (( <> ) line) (lines t line)
+    end
+
+  (* What [Cache.locate_line] must return. *)
+  let locate t line =
+    let ls = lines t line in
+    let rec go i = function
+      | [] -> -(List.length ls + 1)
+      | l :: rest -> if l = line then i else go (i + 1) rest
+    in
+    go 0 ls
+end
+
+(* Line numbers that stress the set index: near multiples of [nsets] at
+   small, large (up to 2^50) and out-of-range (2^50 to 2^55) quotients,
+   where a reciprocal-multiply index is most likely to be off by one, plus
+   uniform lines below 2^50. Near multiples crowd three sets, so they also
+   drive evictions on the 49,152-set geometry. *)
+let stress_line rng ~nsets =
+  let near q = max 0 ((q * nsets) + Memsim.Rng.int rng 3 - 1) in
+  match Memsim.Rng.int rng 4 with
+  | 0 -> near (Memsim.Rng.int rng 64)
+  | 1 -> near (Memsim.Rng.int rng ((1 lsl 50) / nsets))
+  | 2 -> near (((1 lsl 50) / nsets) + Memsim.Rng.int rng ((1 lsl 55) / nsets))
+  | _ -> Memsim.Rng.int rng (1 lsl 50)
+
+(* Drive [Cache] and [Reference] with the same seeded operation sequence
+   and compare after every operation: the returned hit, way or victim,
+   every counter, the touched set's recency order, and (periodically) the
+   resident line count. Operations draw from a pool of 48 stress lines so
+   sets see reuse, eviction and invalidation. *)
+let check_against_reference ~nsets ~assoc ~ops ~seed =
+  let line_bytes = 64 in
+  let c = Cache.create ~name:"t" ~size_bytes:(nsets * assoc * line_bytes) ~assoc ~line_bytes in
+  let r = Reference.create ~nsets ~assoc in
+  let rng = Memsim.Rng.create seed in
+  let pool = Array.init 48 (fun _ -> stress_line rng ~nsets) in
+  let geometry = Printf.sprintf "%d sets x %d ways" nsets assoc in
+  let fail step what expected got =
+    Alcotest.failf "%s, op %d: %s: expected %d, got %d" geometry step what expected got
+  in
+  let same step what expected got = if expected <> got then fail step what expected got in
+  for step = 1 to ops do
+    let line =
+      if Memsim.Rng.int rng 8 = 0 then stress_line rng ~nsets
+      else pool.(Memsim.Rng.int rng (Array.length pool))
+    in
+    let addr = (line * line_bytes) + Memsim.Rng.int rng line_bytes in
+    (match Memsim.Rng.int rng 6 with
+    | 0 ->
+        same step "access" (Bool.to_int (Reference.access r line))
+          (Bool.to_int (Cache.access c addr))
+    | 1 ->
+        let p = Cache.probe_line c line in
+        let hit = Reference.access r line in
+        same step "probe hit" (Bool.to_int hit) (Bool.to_int (p > 0));
+        if not hit then begin
+          same step "probe valid ways" (List.length (Reference.lines r line)) (-p - 1);
+          same step "fill victim" (Reference.install r line) (Cache.fill_line c line (-p - 1))
+        end
+    | 2 ->
+        let w = Cache.locate_line c line in
+        same step "locate" (Reference.locate r line) w;
+        if w < 0 then
+          same step "locate+fill victim" (Reference.install r line)
+            (Cache.fill_line c line (-w - 1))
+    | 3 ->
+        let victim = Reference.install r line in
+        same step "install victim" victim
+          (Option.value ~default:(-1) (Cache.install c addr))
+    | 4 ->
+        Reference.invalidate r line;
+        Cache.invalidate c addr
+    | _ ->
+        same step "contains" (Bool.to_int (Reference.mem r line))
+          (Bool.to_int (Cache.contains c addr)));
+    same step "hits" r.Reference.hits (Cache.hits c);
+    same step "misses" r.Reference.misses (Cache.misses c);
+    same step "evictions" r.Reference.evictions (Cache.evictions c);
+    same step "installs" r.Reference.installs (Cache.installs c);
+    List.iteri
+      (fun i l -> same step (Printf.sprintf "way of line %d" l) i (Cache.locate_line c l))
+      (Reference.lines r line);
+    same step "locate after op" (Reference.locate r line) (Cache.locate_line c line);
+    if step mod 97 = 0 || step = ops then
+      same step "resident lines" r.Reference.resident (Cache.resident_lines c)
+  done;
+  if Cache.hits c = 0 || Cache.evictions c = 0 then
+    Alcotest.failf "%s: sequence saw no hit or no eviction" geometry
+
+(* Power-of-two set counts (mask index), 3 * 2^k set counts (reciprocal
+   index, the default LLC among them) and 49 and 98 sets: their reciprocals
+   round low enough that large exact multiples need the index's +-1
+   correction. Direct-mapped and 11-way associativities included. *)
+let test_reference_model () =
+  List.iteri
+    (fun i (nsets, assoc, ops) -> check_against_reference ~nsets ~assoc ~ops ~seed:(17 + i))
+    [
+      (8, 2, 4000);
+      (64, 8, 4000);
+      (1, 4, 2000);
+      (3, 4, 4000);
+      (12, 1, 4000);
+      (48, 11, 4000);
+      (3 * 1024, 16, 3000);
+      (49152, 11, 3000);
+      (49, 3, 4000);
+      (98, 2, 4000);
+    ]
+
 let suite =
   [
     Alcotest.test_case "geometry" `Quick test_geometry;
@@ -142,6 +321,7 @@ let suite =
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "resident lines" `Quick test_resident_lines;
     Alcotest.test_case "contains is stat-free" `Quick test_contains_no_stats;
+    Alcotest.test_case "matches a reference LRU model" `Quick test_reference_model;
     Helpers.qcheck qcheck_capacity_bound;
     Helpers.qcheck qcheck_install_then_contains;
   ]

@@ -185,6 +185,69 @@ let qcheck_prefetch_makes_ready =
       ignore (Hierarchy.prefetch h ~now:0 ~addr ~bytes:8);
       Hierarchy.ready h ~now:(cfg.Hierarchy.lat_dram + 1) ~addr ~bytes:8)
 
+(* Behaviour pin: a seeded mix of reads, writes, prefetches, readiness
+   checks and MSHR stalls with time advancing, folded (every returned
+   latency, issued count and ready flag, then the final Memstats and each
+   level's counters) into one digest. The golden digests were captured
+   before the per-level hot path was rewritten to scan each set once, so
+   any change to a latency, counter or replacement decision shows up here.
+   Addresses mix an L1-sized hot region, an L2-sized warm region, lines in
+   a few LLC sets at multiples of its set count (LLC evictions), a 64 GiB
+   uniform region and line numbers at or above 2^50. *)
+let behaviour_digest cfg =
+  let h = Hierarchy.create ~cfg () in
+  let rng = Rng.create 2024 in
+  let llc_sets = Cache.nsets (Hierarchy.llc h) in
+  let buf = Buffer.create (1 lsl 17) in
+  let add x =
+    Buffer.add_string buf (string_of_int x);
+    Buffer.add_char buf ';'
+  in
+  let addr () =
+    match Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> Rng.int rng (16 * 1024)
+    | 4 | 5 -> Rng.int rng (512 * 1024)
+    | 6 | 7 ->
+        let line = Rng.int rng 4 + (Rng.int rng 24 * llc_sets) + (Rng.int rng 3 - 1) in
+        (max 0 line * 64) + Rng.int rng 64
+    | 8 -> Rng.int rng (1 lsl 36)
+    | _ -> (1 lsl 57) + Rng.int rng (1 lsl 20)
+  in
+  let now = ref 0 in
+  for _ = 1 to 20_000 do
+    now := !now + Rng.int rng 40;
+    let op = Rng.int rng 100 in
+    let addr = addr () in
+    let bytes = 1 + Rng.int rng 256 in
+    let now = !now in
+    if op < 40 then add (Hierarchy.read h ~now ~addr ~bytes)
+    else if op < 55 then add (Hierarchy.write h ~now ~addr ~bytes)
+    else if op < 80 then add (Hierarchy.prefetch h ~now ~addr ~bytes)
+    else if op < 98 then add (Bool.to_int (Hierarchy.ready h ~now ~addr ~bytes))
+    else add (Hierarchy.stall_mshrs h ~now ~cycles:(Rng.int rng 300))
+  done;
+  let c = Hierarchy.counters h in
+  List.iter add
+    Memstats.
+      [
+        c.reads; c.writes; c.line_accesses; c.l1_hits; c.l2_hits; c.llc_hits;
+        c.dram_fills; c.mshr_waits; c.wait_cycles; c.prefetch_issued;
+        c.prefetch_redundant; c.prefetch_dropped; c.mshr_stalls;
+      ];
+  List.iter
+    (fun lvl ->
+      List.iter add
+        Cache.
+          [ hits lvl; misses lvl; evictions lvl; installs lvl; resident_lines lvl ])
+    [ Hierarchy.l1 h; Hierarchy.l2 h; Hierarchy.llc h ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_behaviour_digest () =
+  Alcotest.(check string) "small_cfg" "0eb39f8480655ef481f85e866d05fc0d"
+    (behaviour_digest small_cfg);
+  Alcotest.(check string) "default config" "4b51bdefd0183b0b0a4e46c0ac964d8b"
+    (behaviour_digest cfg)
+
 let suite =
   [
     Alcotest.test_case "cold read = DRAM" `Quick test_cold_read_is_dram;
@@ -206,6 +269,7 @@ let suite =
     Alcotest.test_case "write counts" `Quick test_write_counts;
     Alcotest.test_case "counters diff" `Quick test_counters_diff;
     Alcotest.test_case "memstats derived metrics" `Quick test_memstats_derived;
+    Alcotest.test_case "seeded op mix matches pinned digest" `Quick test_behaviour_digest;
     Helpers.qcheck qcheck_read_latency_bounded;
     Helpers.qcheck qcheck_prefetch_makes_ready;
   ]

@@ -34,6 +34,48 @@ let test_collector_growth () =
       Alcotest.(check int) "max" 5000 l.Metrics.l_max
   | None -> Alcotest.fail "expected a summary"
 
+(* The summary as a full sort computes it: nearest-rank percentiles read off
+   the sorted samples, max from the tail, mean from the sum. *)
+let reference_summary samples =
+  let sorted = Array.copy samples in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  let pct p = sorted.(max 0 ((((p * n) + 99) / 100) - 1)) in
+  {
+    Metrics.l_count = n;
+    l_mean = float_of_int (Array.fold_left ( + ) 0 sorted) /. float_of_int n;
+    l_p50 = pct 50;
+    l_p90 = pct 90;
+    l_p99 = pct 99;
+    l_max = sorted.(n - 1);
+  }
+
+(* Sample arrays of 1..400 values in the shapes selection can get wrong:
+   uniform, heavy ties (few distinct values), all equal, sorted and
+   reverse-sorted. Sizes 1 and 2 are drawn often. *)
+let samples_gen =
+  let open QCheck.Gen in
+  let* n = frequency [ (1, return 1); (1, return 2); (6, int_range 1 400) ] in
+  let* shape = int_bound 4 in
+  let* vals =
+    match shape with
+    | 0 -> array_size (return n) (int_bound 1_000_000)
+    | 1 -> array_size (return n) (int_bound 3)
+    | 2 -> map (Array.make n) (int_bound 1000)
+    | _ -> array_size (return n) (int_bound 500)
+  in
+  if shape = 3 then Array.sort compare vals;
+  if shape = 4 then Array.sort (fun a b -> compare b a) vals;
+  return vals
+
+let qcheck_summarize_matches_sort =
+  QCheck.Test.make ~name:"summarize matches the sorted reference" ~count:500
+    (QCheck.make ~print:QCheck.Print.(array int) samples_gen)
+    (fun samples ->
+      let c = Metrics.Collector.create () in
+      Array.iter (Metrics.Collector.record c) samples;
+      Metrics.Collector.summarize c = Some (reference_summary samples))
+
 let run_nat model =
   let s = Helpers.nat_setup ~n_flows:8192 () in
   match model with
@@ -89,6 +131,7 @@ let suite =
     Alcotest.test_case "collector empty" `Quick test_collector_empty;
     Alcotest.test_case "collector percentiles" `Quick test_collector_percentiles;
     Alcotest.test_case "collector growth" `Quick test_collector_growth;
+    Helpers.qcheck qcheck_summarize_matches_sort;
     Alcotest.test_case "executors collect" `Quick test_executors_collect;
     Alcotest.test_case "model latency ordering" `Quick test_latency_ordering_between_models;
     Alcotest.test_case "latency bounded by run" `Quick test_latency_bounded_by_run;
