@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks of the substrate primitives (wall-clock costs
-   of the simulator itself, not simulated cycles): cuckoo lookup, MDI tree
-   walk, hierarchy read (hit and miss paths) and prefetch, flow hashing,
-   NF-C interpretation. Useful for keeping the simulator fast enough to
-   drive the figure sweeps. *)
+   of the simulator itself, not simulated cycles): cuckoo lookup (in key
+   order and uniformly scattered), MDI tree walk, hierarchy read (hit and
+   miss paths) and prefetch, flow hashing, NF-C interpretation, and SCR's
+   per-record pieces (GUPD1 round trip, monitor apply). Useful for keeping
+   the simulator fast enough to drive the figure sweeps. *)
 
 open Bechamel
 open Toolkit
@@ -18,6 +19,64 @@ let cuckoo_test =
     (Staged.stage (fun () ->
          i := (!i + 1) land 0xFFFF;
          ignore (Structures.Cuckoo.lookup t (Int64.of_int (!i * 3)))))
+
+(* Lookups of 131,072 resident keys in a scattered order (an odd-stride
+   permutation of splitmix-spread keys), so successive probes land in
+   unrelated buckets as flow lookups do. *)
+let uniform_keys = 131_072
+
+let spread i =
+  let open Int64 in
+  let z = mul (of_int (i + 1)) 0x9E3779B97F4A7C15L in
+  logxor z (shift_right_logical z 31)
+
+let cuckoo_uniform_test () =
+  let layout = Memsim.Layout.create () in
+  let t = Structures.Cuckoo.create layout ~label:"c" ~capacity:uniform_keys () in
+  for i = 0 to uniform_keys - 1 do
+    ignore (Structures.Cuckoo.insert t ~key:(spread i) ~value:i)
+  done;
+  let keys = Array.init uniform_keys (fun i -> spread ((i * 40_503) land (uniform_keys - 1))) in
+  let i = ref 0 in
+  Test.make ~name:"cuckoo.lookup.uniform"
+    (Staged.stage (fun () ->
+         i := (!i + 1) land (uniform_keys - 1);
+         ignore (Structures.Cuckoo.lookup t keys.(!i))))
+
+(* SCR's per-record pieces on the scr-zipf payload: a monitor over
+   131,072 flows and single-flow GNMC1 frames for 1,024 of them. One
+   GUPD1 encode+decode of a record carrying such a frame, and one
+   absolute-totals apply of a frame into the monitor. *)
+let monitor_flows = 131_072
+let monitor_frames = 1024
+
+let scr_record_tests () =
+  let flows = Traffic.Flowgen.flows (Traffic.Flowgen.create ~seed:1 ~n_flows:monitor_flows ()) in
+  let nm = Nfs.Monitor.create (Memsim.Layout.create ()) ~name:"nm" ~n_flows:monitor_flows () in
+  Nfs.Monitor.populate nm flows;
+  let frames =
+    Array.init monitor_frames (fun j ->
+        Nfs.Migration.export_monitor nm [ flows.((j * 127) land (monitor_flows - 1)) ])
+  in
+  let record =
+    {
+      Scaleout.Update_log.u_flow = 4242;
+      u_seq = 17;
+      u_payload = [ ("nm", frames.(0)) ];
+      u_consec = 0;
+      u_poisoned = false;
+    }
+  in
+  let i = ref 0 in
+  [
+    Test.make ~name:"update_log.roundtrip"
+      (Staged.stage (fun () ->
+           ignore (Scaleout.Update_log.decode (Scaleout.Update_log.encode record))));
+    Test.make ~name:"migration.apply_monitor"
+      (Staged.stage (fun () ->
+           i := (!i + 1) land (monitor_frames - 1);
+           ignore (Nfs.Migration.apply_monitor nm frames.(!i))));
+  ]
 
 let mdi_test =
   let layout = Memsim.Layout.create () in
@@ -106,15 +165,17 @@ let run () =
   Bench_common.header "Microbenchmarks (bechamel, host wall-clock ns/op)";
   let tests =
     Test.make_grouped ~name:"primitives"
-      [
-        cuckoo_test;
-        mdi_test;
-        cache_test;
-        cache_miss_test;
-        prefetch_test;
-        flow_hash_test;
-        nfc_test;
-      ]
+      ([
+         cuckoo_test;
+         cuckoo_uniform_test ();
+         mdi_test;
+         cache_test;
+         cache_miss_test;
+         prefetch_test;
+         flow_hash_test;
+         nfc_test;
+       ]
+      @ scr_record_tests ())
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ~kde:None () in

@@ -42,11 +42,9 @@ let single_digest ~universe (ci : Recovery.core_instance) plane =
   Fingerprint.of_fn (fun fp ->
       for i = 0 to universe - 1 do
         ci.Recovery.ci_flow_digest fp i;
-        match Fault.export_containment plane [ i ] with
-        | [ (_, consec, poisoned) ] ->
-            Fingerprint.feed_int fp consec;
-            Fingerprint.feed_bool fp poisoned
-        | _ -> ()
+        let consec, poisoned = Fault.containment plane i in
+        Fingerprint.feed_int fp consec;
+        Fingerprint.feed_bool fp poisoned
       done;
       let totals : (string, int) Hashtbl.t = Hashtbl.create 8 in
       List.iter

@@ -588,11 +588,9 @@ let state_digest ~universe ~owner_of ~live (cis : core_instance array)
       for i = 0 to universe - 1 do
         let c = owner_of i in
         cis.(c).ci_flow_digest fp i;
-        match Fault.export_containment planes.(c) [ i ] with
-        | [ (_, consec, poisoned) ] ->
-            Fingerprint.feed_int fp consec;
-            Fingerprint.feed_bool fp poisoned
-        | _ -> ()
+        let consec, poisoned = Fault.containment planes.(c) i in
+        Fingerprint.feed_int fp consec;
+        Fingerprint.feed_bool fp poisoned
       done;
       let totals : (string, int) Hashtbl.t = Hashtbl.create 8 in
       Array.iteri

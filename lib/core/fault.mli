@@ -116,6 +116,9 @@ val convert : t -> nf:string -> reason -> Event.t
     consecutive-fault counters, the poisoned set and the degraded flag. *)
 val complete : t -> flow:int -> faulted:reason option -> reason option
 
+(** One flow's containment state: (consecutive-fault counter, poisoned). *)
+val containment : t -> int -> int * bool
+
 (** Per-flow containment snapshot for [flows]: (flow, consecutive-fault
     counter, poisoned). Exported at checkpoint time so a core adopting the
     flows can resume poisoning from exactly where the dead core left it. *)

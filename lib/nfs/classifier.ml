@@ -131,12 +131,12 @@ let bucket_check_action t ~primary =
       let bucket =
         if primary then task.Nftask.temps.Nftask.h1 else task.Nftask.temps.Nftask.h2
       in
-      match Cuckoo.candidates t.table ~bucket ~key:task.Nftask.temps.Nftask.key with
-      | [] -> if primary then Event.User "check_failure" else Event.Match_fail
-      | _ :: _ ->
-          task.Nftask.match_addrs <-
-            [ (Cuckoo.key_addr t.table bucket, Cuckoo.bucket_bytes) ];
-          Event.User "bucket_hit")
+      if Cuckoo.has_candidate t.table ~bucket ~key:task.Nftask.temps.Nftask.key then begin
+        task.Nftask.match_addrs <- [ (Cuckoo.key_addr t.table bucket, Cuckoo.bucket_bytes) ];
+        Event.User "bucket_hit"
+      end
+      else if primary then Event.User "check_failure"
+      else Event.Match_fail)
 
 (* Full-key comparison against the key-store line. *)
 let key_check_action t ~primary =

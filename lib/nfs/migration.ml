@@ -11,30 +11,12 @@ exception Bad_snapshot of string
 
 let nat_magic = "GNAT1"
 
-let put_u16 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
-
-let put_u32 buf (v : int32) =
-  let v = Int32.to_int v land 0xFFFFFFFF in
-  put_u16 buf (v land 0xFFFF);
-  put_u16 buf (v lsr 16)
-
-let put_u64 buf (v : int64) =
-  put_u32 buf (Int64.to_int32 v);
-  put_u32 buf (Int64.to_int32 (Int64.shift_right_logical v 32))
-
-let get_u16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
-
-let get_u32 s off : int32 =
-  Int32.logor
-    (Int32.of_int (get_u16 s off))
-    (Int32.shift_left (Int32.of_int (get_u16 s (off + 2))) 16)
-
-let get_u64 s off : int64 =
-  Int64.logor
-    (Int64.logand (Int64.of_int32 (get_u32 s off)) 0xFFFFFFFFL)
-    (Int64.shift_left (Int64.of_int32 (get_u32 s (off + 4))) 32)
+let put_u16 buf v = Buffer.add_uint16_le buf (v land 0xFFFF)
+let put_u32 = Buffer.add_int32_le
+let put_u64 = Buffer.add_int64_le
+let get_u16 = String.get_uint16_le
+let get_u32 = String.get_int32_le
+let get_u64 = String.get_int64_le
 
 (* Shared header check: 5-byte magic then a u32 entry count; entries are
    fixed-size from offset 9. Returns the validated count. *)
@@ -202,26 +184,29 @@ let apply_nat (nat : Nat.t) snapshot =
 
 let nm_magic = "GNMC1"
 
+(* One exact-size frame: magic, u32 count, then (key, packets, bytes)
+   as three u64 per tracked flow. *)
 let export_monitor (nm : Monitor.t) flows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf nm_magic;
+  let table = Classifier.table nm.Monitor.classifier in
   let entries =
     List.filter_map
       (fun flow ->
         let key = Netcore.Flow.key64 flow in
-        Option.map
-          (fun idx -> (key, nm.Monitor.pkt_count.(idx), nm.Monitor.byte_count.(idx)))
-          (Structures.Cuckoo.lookup (Classifier.table nm.Monitor.classifier) key))
+        Option.map (fun idx -> (key, idx)) (Structures.Cuckoo.lookup table key))
       flows
   in
-  put_u32 buf (Int32.of_int (List.length entries));
-  List.iter
-    (fun (key, pkts, bytes) ->
-      put_u64 buf key;
-      put_u64 buf (Int64.of_int pkts);
-      put_u64 buf (Int64.of_int bytes))
+  let n = List.length entries in
+  let b = Bytes.create (9 + (24 * n)) in
+  Bytes.blit_string nm_magic 0 b 0 5;
+  Bytes.set_int32_le b 5 (Int32.of_int n);
+  List.iteri
+    (fun i (key, idx) ->
+      let off = 9 + (24 * i) in
+      Bytes.set_int64_le b off key;
+      Bytes.set_int64_le b (off + 8) (Int64.of_int nm.Monitor.pkt_count.(idx));
+      Bytes.set_int64_le b (off + 16) (Int64.of_int nm.Monitor.byte_count.(idx)))
     entries;
-  Buffer.contents buf
+  Bytes.unsafe_to_string b
 
 let import_monitor (nm : Monitor.t) ~flows snapshot =
   let count = parse_header ~magic:nm_magic ~entry_bytes:24 snapshot in

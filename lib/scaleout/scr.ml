@@ -24,6 +24,12 @@
      per flow matters ({!Update_log.applier}) — before the window runs,
      which under run-to-completion is a quiescent point.
 
+   Pending sets are a predicate, not a table. A core freshens a flow
+   before it runs the flow and never receives its own broadcasts, so
+   core d's pending record for flow f, when there is one, is always f's
+   latest broadcast record: d has f pending exactly when that record is
+   newer than d's resident sequence for f.
+
    Prefix windows make the schedule deadlock-free: the globally oldest
    unprocessed item is always at its core's queue head with every
    predecessor completed, so each sweep over the cores processes at least
@@ -42,7 +48,6 @@
    pairwise equal — replica convergence, the model's invariant. *)
 
 open Gunfu
-module Itbl = Hashtbl.Make (Int)
 
 (* One core's full replica: the program built on that core's layout with
    the WHOLE universe populated, plus the closures the engine needs —
@@ -113,16 +118,24 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
       queues.(s.Spray.s_core) <- (g, s.Spray.s_seq, item) :: queues.(s.Spray.s_core))
     items;
   Array.iteri (fun c q -> queues.(c) <- List.rev q) queues;
+  let flows = max universe 1 in
   (* Completed packets per flow (= the flow's authoritative sequence). *)
-  let done_ = Array.make (max universe 1) 0 in
-  (* Per-core pending updates, coalesced: flow -> latest unapplied record. *)
-  let pending = Array.init cores (fun _ -> Itbl.create 64) in
+  let done_ = Array.make flows 0 in
+  (* Each flow's latest broadcast record; [none] (sequence 0) until the
+     first. The flows that have one, in first-broadcast order, are
+     [touched.(0 .. n_touched - 1)]. *)
+  let none =
+    { Update_log.u_flow = -1; u_seq = 0; u_payload = []; u_consec = 0; u_poisoned = false }
+  in
+  let latest = Array.make flows none in
+  let touched = Array.make (min flows n_items) 0 in
+  let n_touched = ref 0 in
   let coalesced = ref 0 in
   let barrier_applied = ref 0 in
   let windows = ref 0 in
   let appliers =
     Array.init cores (fun c ->
-        Update_log.applier ~apply:(fun r ->
+        Update_log.applier ~universe:flows ~apply:(fun r ->
             replicas.(c).sc_apply r;
             Fault.restore_containment planes.(c)
               [ (r.Update_log.u_flow, r.Update_log.u_consec, r.Update_log.u_poisoned) ];
@@ -142,12 +155,24 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
     let frame = Update_log.encode r in
     let r = Update_log.decode frame in
     Update_log.append logs.(c) r;
+    let f = r.Update_log.u_flow in
+    (* A peer still holding f's previous record (sequence u_seq - 1)
+       pending has it superseded by this one. *)
     for d = 0 to cores - 1 do
-      if d <> c then begin
-        if Itbl.mem pending.(d) r.Update_log.u_flow then incr coalesced;
-        Itbl.replace pending.(d) r.Update_log.u_flow r
-      end
-    done
+      if d <> c && Update_log.resident appliers.(d) f < r.Update_log.u_seq - 1 then
+        incr coalesced
+    done;
+    if latest.(f) == none then begin
+      touched.(!n_touched) <- f;
+      incr n_touched
+    end;
+    latest.(f) <- r
+  in
+  (* Apply core [c]'s pending record for [f], if it has one. *)
+  let freshen_flow c f =
+    let r = latest.(f) in
+    r.Update_log.u_seq > Update_log.resident appliers.(c) f
+    && Update_log.offer appliers.(c) r
   in
   let complete c (task : Nftask.t) =
     match inflight.(c) with
@@ -159,11 +184,7 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
         if f >= 0 then begin
           done_.(f) <- seq;
           Update_log.advance appliers.(c) ~flow:f ~seq;
-          let consec, poisoned =
-            match Fault.export_containment planes.(c) [ f ] with
-            | [ (_, consec, poisoned) ] -> (consec, poisoned)
-            | _ -> (0, false)
-          in
+          let consec, poisoned = Fault.containment planes.(c) f in
           incr records;
           broadcast c
             {
@@ -229,12 +250,7 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
     let rec freshen k = function
       | (_, _, item) :: rest when k > 0 ->
           let f = (item : Workload.item).Workload.flow_hint in
-          (if f >= 0 then
-             match Itbl.find_opt pending.(c) f with
-             | Some r ->
-                 Itbl.remove pending.(c) f;
-                 ignore (Update_log.offer appliers.(c) r : bool)
-             | None -> ());
+          if f >= 0 then ignore (freshen_flow c f : bool);
           freshen (k - 1) rest
       | _ -> ()
     in
@@ -271,26 +287,23 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
         { (Exec.close s) with Metrics.label = Printf.sprintf "scr-core%d" c; latency = None })
       sessions
   in
-  (* Quiescent barrier: drain every replica's pending set, then prove
-     convergence. *)
-  Array.iteri
-    (fun c tbl ->
-      let rs = Itbl.fold (fun _ r acc -> r :: acc) tbl [] in
-      Itbl.reset tbl;
-      List.iter
-        (fun r ->
-          if Update_log.offer appliers.(c) r then incr barrier_applied)
-        (List.sort (fun a b -> compare a.Update_log.u_flow b.Update_log.u_flow) rs))
-    pending;
+  (* Quiescent barrier: drain every replica's pending records in
+     ascending flow order, then prove convergence. *)
+  let touched = Array.sub touched 0 !n_touched in
+  Array.sort Int.compare touched;
+  for c = 0 to cores - 1 do
+    Array.iter (fun f -> if freshen_flow c f then incr barrier_applied) touched
+  done;
+  let feed_flow fp c i =
+    replicas.(c).sc_flow_digest fp i;
+    let consec, poisoned = Fault.containment planes.(c) i in
+    Fingerprint.feed_int fp consec;
+    Fingerprint.feed_bool fp poisoned
+  in
   let replica_digest c =
     Fingerprint.of_fn (fun fp ->
         for i = 0 to universe - 1 do
-          replicas.(c).sc_flow_digest fp i;
-          match Fault.export_containment planes.(c) [ i ] with
-          | [ (_, consec, poisoned) ] ->
-              Fingerprint.feed_int fp consec;
-              Fingerprint.feed_bool fp poisoned
-          | _ -> ()
+          feed_flow fp c i
         done)
   in
   (* [digest = false] skips the whole-universe digests — a bench over a
@@ -311,12 +324,7 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
     else
       Fingerprint.of_fn (fun fp ->
         for i = 0 to universe - 1 do
-          replicas.(0).sc_flow_digest fp i;
-          match Fault.export_containment planes.(0) [ i ] with
-          | [ (_, consec, poisoned) ] ->
-              Fingerprint.feed_int fp consec;
-              Fingerprint.feed_bool fp poisoned
-          | _ -> ()
+          feed_flow fp 0 i
         done;
         let totals : (string, int) Hashtbl.t = Hashtbl.create 8 in
         Array.iter

@@ -32,7 +32,7 @@ let assign policy ~cores (items : Workload.item list) =
     | Round_robin -> g mod cores
     | Seeded seed -> mix seed g mod cores
   in
-  let seqs : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let seqs = Itbl.create 256 in
   Array.of_list
     (List.mapi
        (fun g (item : Workload.item) ->
@@ -40,8 +40,8 @@ let assign policy ~cores (items : Workload.item list) =
          let seq =
            if f < 0 then 0
            else begin
-             let s = 1 + Option.value ~default:0 (Hashtbl.find_opt seqs f) in
-             Hashtbl.replace seqs f s;
+             let s = 1 + Option.value ~default:0 (Itbl.find_opt seqs f) in
+             Itbl.replace seqs f s;
              s
            end
          in

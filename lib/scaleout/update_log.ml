@@ -152,36 +152,66 @@ let records t = List.rev t.entries
    are absolute, this makes application deterministic and order-insensitive
    across every interleaving that respects per-flow sequence order: each
    flow's state ends at its highest offered sequence number regardless of
-   how flows interleave. *)
-module Itbl = Hashtbl.Make (Int)
+   how flows interleave.
+
+   The high-water marks are a flat u32 store with one slot per universe
+   flow: a [Bytes] is neither scanned by the GC nor hashed per access, and
+   sequence numbers already fit the u32 the GUPD1 frame gives them. Flows
+   and sequence numbers the store cannot hold are refused, never
+   truncated. *)
 
 type applier = {
   ap_apply : record -> unit;
-  ap_hwm : int Itbl.t;  (* flow -> resident sequence number *)
+  ap_universe : int;
+  ap_hwm : Bytes.t;  (* 4 bytes per flow: its resident sequence number *)
   mutable ap_applied : int;
   mutable ap_stale : int;
   mutable ap_max_lag : int;  (* largest sequence gap bridged by one apply *)
 }
 
-let applier ~apply =
-  { ap_apply = apply; ap_hwm = Itbl.create 64; ap_applied = 0; ap_stale = 0; ap_max_lag = 0 }
+let applier ~universe ~apply =
+  if universe < 0 then invalid_arg "Update_log.applier: negative universe";
+  {
+    ap_apply = apply;
+    ap_universe = universe;
+    ap_hwm = Bytes.make (4 * universe) '\000';
+    ap_applied = 0;
+    ap_stale = 0;
+    ap_max_lag = 0;
+  }
 
-let resident ap flow = match Itbl.find_opt ap.ap_hwm flow with Some s -> s | None -> 0
+(* Byte offset of [flow]'s slot. *)
+let slot ap flow =
+  if flow < 0 || flow >= ap.ap_universe then
+    invalid_arg (Printf.sprintf "Update_log.applier: flow %d outside [0, %d)" flow ap.ap_universe);
+  4 * flow
+
+let check_seq seq =
+  if seq > u32_max then
+    invalid_arg (Printf.sprintf "Update_log.applier: sequence %d outside the u32 range" seq)
+
+let get_hwm ap off = Int32.to_int (Bytes.get_int32_ne ap.ap_hwm off) land u32_max
+let set_hwm ap off seq = Bytes.set_int32_ne ap.ap_hwm off (Int32.of_int seq)
+let resident ap flow = get_hwm ap (slot ap flow)
 
 (* A local completion advances the flow's resident sequence without an
    apply (the state was produced in place). *)
 let advance ap ~flow ~seq =
-  if seq > resident ap flow then Itbl.replace ap.ap_hwm flow seq
+  let off = slot ap flow in
+  check_seq seq;
+  if seq > get_hwm ap off then set_hwm ap off seq
 
 let offer ap (r : record) =
-  let have = resident ap r.u_flow in
+  let off = slot ap r.u_flow in
+  check_seq r.u_seq;
+  let have = get_hwm ap off in
   if r.u_seq <= have then begin
     ap.ap_stale <- ap.ap_stale + 1;
     false
   end
   else begin
     ap.ap_apply r;
-    Itbl.replace ap.ap_hwm r.u_flow r.u_seq;
+    set_hwm ap off r.u_seq;
     ap.ap_applied <- ap.ap_applied + 1;
     ap.ap_max_lag <- max ap.ap_max_lag (r.u_seq - have);
     true

@@ -52,17 +52,25 @@ val records : t -> record list
 
 type applier
 
-val applier : apply:(record -> unit) -> applier
+(** An applier over flows \[0, [universe]), their resident sequence
+    numbers held in a flat u32 store of 4·[universe] bytes.
+    @raise Invalid_argument on a negative [universe]. *)
+val applier : universe:int -> apply:(record -> unit) -> applier
 
-(** The flow's resident sequence number (0 when never seen). *)
+(** The flow's resident sequence number (0 when never seen).
+    @raise Invalid_argument on a flow outside \[0, universe). *)
 val resident : applier -> int -> int
 
 (** Record a local completion: the flow's state was produced in place, so
-    its resident sequence advances without an apply. *)
+    its resident sequence advances without an apply.
+    @raise Invalid_argument on a flow outside \[0, universe) or a
+    sequence number of 2{^32} or more. *)
 val advance : applier -> flow:int -> seq:int -> unit
 
 (** Apply the record if it is newer than the flow's resident state;
-    returns [false] (and counts it stale) otherwise. *)
+    returns [false] (and counts it stale) otherwise.
+    @raise Invalid_argument, before applying anything, on a flow outside
+    \[0, universe) or a sequence number of 2{^32} or more. *)
 val offer : applier -> record -> bool
 
 val applied : applier -> int

@@ -34,7 +34,9 @@ type insert_result =
 
 type t = {
   mask : int;  (* nbuckets - 1 *)
-  keys : int64 array;  (* nbuckets * slots; slot empty when vals.(i) < 0 *)
+  keys : Bytes.t;
+      (* 8 bytes per slot, nbuckets * slots; slot empty when vals.(i) < 0.
+         Unboxed, so neither the GC nor a probe chases a pointer per key. *)
   fps : int array;  (* cached fingerprint of keys.(i); valid where vals.(i) >= 0 *)
   vals : int array;
   stamps : int array;  (* per-slot insertion stamp; LRU-ish eviction order *)
@@ -66,7 +68,7 @@ let create layout ~label ~capacity () =
   in
   {
     mask = nbuckets - 1;
-    keys = Array.make nslots 0L;
+    keys = Bytes.make (8 * nslots) '\000';
     fps = Array.make nslots 0;
     vals = Array.make nslots (-1);
     stamps = Array.make nslots 0;
@@ -115,6 +117,16 @@ let fingerprint key =
   to_int (shift_right_logical (mul key 0x2545F4914F6CDD1DL) 48) land 0xFFFF
 
 let slot_base bucket = bucket * slots_per_bucket
+let last_slot bucket = slot_base bucket + slots_per_bucket - 1
+let key_at t slot = Bytes.get_int64_ne t.keys (8 * slot)
+
+(* Every key write goes through here, keeping the fingerprint cache in
+   step with the key store. *)
+let set_slot t slot ~key ~value ~stamp =
+  Bytes.set_int64_ne t.keys (8 * slot) key;
+  t.fps.(slot) <- fingerprint key;
+  t.vals.(slot) <- value;
+  t.stamps.(slot) <- stamp
 
 (* Slots of [bucket] whose stored fingerprint matches [key]'s — what the
    bucket_check action can decide from the bucket line alone. Resident
@@ -130,56 +142,55 @@ let candidates t ~bucket ~key =
   in
   go (slots_per_bucket - 1) []
 
+(* Whether [candidates] is non-empty, without building it. *)
+let rec fp_in t fp slot last =
+  slot <= last && ((t.vals.(slot) >= 0 && t.fps.(slot) = fp) || fp_in t fp (slot + 1) last)
+
+let has_candidate t ~bucket ~key =
+  fp_in t (fingerprint key) (slot_base bucket) (last_slot bucket)
+
+(* The occupied slot in [slot .. last] holding [key], or -1. Probes are
+   top-level loops over slot indices, so they allocate nothing. *)
+let rec key_slot t key slot last =
+  if slot > last then -1
+  else if t.vals.(slot) >= 0 && Int64.equal (key_at t slot) key then slot
+  else key_slot t key (slot + 1) last
+
+(* The slot holding [key] in either candidate bucket, primary first. *)
+let find_slot t key =
+  let b1 = hash1 t key in
+  match key_slot t key (slot_base b1) (last_slot b1) with
+  | -1 ->
+      let b2 = hash2 t key in
+      key_slot t key (slot_base b2) (last_slot b2)
+  | s -> s
+
 (* Search one bucket for [key]; pure table logic, no memory charging. *)
 let find_in_bucket t ~bucket ~key =
-  let b = slot_base bucket in
-  let rec go i =
-    if i = slots_per_bucket then None
-    else if t.vals.(b + i) >= 0 && Int64.equal t.keys.(b + i) key then
-      Some t.vals.(b + i)
-    else go (i + 1)
-  in
-  go 0
+  match key_slot t key (slot_base bucket) (last_slot bucket) with
+  | -1 -> None
+  | s -> Some t.vals.(s)
 
-let lookup t key =
-  match find_in_bucket t ~bucket:(hash1 t key) ~key with
-  | Some _ as r -> r
-  | None -> find_in_bucket t ~bucket:(hash2 t key) ~key
+let lookup t key = match find_slot t key with -1 -> None | s -> Some t.vals.(s)
 
-let empty_slot_in t bucket =
-  let b = slot_base bucket in
-  let rec go i =
-    if i = slots_per_bucket then None
-    else if t.vals.(b + i) < 0 then Some (b + i)
-    else go (i + 1)
-  in
-  go 0
+(* The first empty slot in [slot .. last], or -1. *)
+let rec empty_slot t slot last =
+  if slot > last then -1 else if t.vals.(slot) < 0 then slot else empty_slot t (slot + 1) last
 
 let try_place t ~key ~value bucket =
-  match empty_slot_in t bucket with
-  | Some slot ->
-      t.keys.(slot) <- key;
-      t.fps.(slot) <- fingerprint key;
-      t.vals.(slot) <- value;
-      t.stamps.(slot) <- t.tick;
+  match empty_slot t (slot_base bucket) (last_slot bucket) with
+  | -1 -> false
+  | slot ->
+      set_slot t slot ~key ~value ~stamp:t.tick;
       true
-  | None -> false
 
 let update_existing t ~key ~value =
-  let set bucket =
-    let b = slot_base bucket in
-    let rec go i =
-      if i = slots_per_bucket then false
-      else if t.vals.(b + i) >= 0 && Int64.equal t.keys.(b + i) key then begin
-        t.vals.(b + i) <- value;
-        t.stamps.(b + i) <- t.tick;
-        true
-      end
-      else go (i + 1)
-    in
-    go 0
-  in
-  set (hash1 t key) || set (hash2 t key)
+  match find_slot t key with
+  | -1 -> false
+  | s ->
+      t.vals.(s) <- value;
+      t.stamps.(s) <- t.tick;
+      true
 
 (* Place [key] into [bucket] or displace a random resident into its
    alternate bucket, carrying per-entry stamps along the walk (a displaced
@@ -191,26 +202,20 @@ let update_existing t ~key ~value =
 let walk_place t ~key ~value ~stamp ~bucket =
   let undo = ref [] in
   let rec go ~key ~value ~stamp ~bucket kicks =
-    (match empty_slot_in t bucket with
-    | Some slot ->
-        t.keys.(slot) <- key;
-        t.fps.(slot) <- fingerprint key;
-        t.vals.(slot) <- value;
-        t.stamps.(slot) <- stamp;
-        true
-    | None -> false)
+    (match empty_slot t (slot_base bucket) (last_slot bucket) with
+    | -1 -> false
+    | slot ->
+        set_slot t slot ~key ~value ~stamp;
+        true)
     || kicks < max_kicks
        && begin
             (* Evict a random resident of this bucket and re-insert it into
                its alternate bucket. *)
             let victim = slot_base bucket + Memsim.Rng.int t.rng slots_per_bucket in
-            let vkey = t.keys.(victim) and vval = t.vals.(victim) in
+            let vkey = key_at t victim and vval = t.vals.(victim) in
             let vstamp = t.stamps.(victim) in
             undo := (victim, vkey, vval, vstamp) :: !undo;
-            t.keys.(victim) <- key;
-            t.fps.(victim) <- fingerprint key;
-            t.vals.(victim) <- value;
-            t.stamps.(victim) <- stamp;
+            set_slot t victim ~key ~value ~stamp;
             let alt =
               let h1 = hash1 t vkey in
               if h1 = bucket then hash2 t vkey else h1
@@ -220,13 +225,7 @@ let walk_place t ~key ~value ~stamp ~bucket =
   in
   let placed = go ~key ~value ~stamp ~bucket 0 in
   if not placed then
-    List.iter
-      (fun (slot, k, v, s) ->
-        t.keys.(slot) <- k;
-        t.fps.(slot) <- fingerprint k;
-        t.vals.(slot) <- v;
-        t.stamps.(slot) <- s)
-      !undo;
+    List.iter (fun (slot, k, v, s) -> set_slot t slot ~key:k ~value:v ~stamp:s) !undo;
   placed
 
 (* Insert a key known to be absent; true population bump on success. *)
@@ -274,30 +273,18 @@ let insert_policy t ~policy ~key ~value =
         match stalest_slot t key with
         | -1 -> Rejected (* both candidate buckets empty yet walk failed: impossible *)
         | slot ->
-            let victim_key = t.keys.(slot) and victim_value = t.vals.(slot) in
-            t.keys.(slot) <- key;
-            t.fps.(slot) <- fingerprint key;
-            t.vals.(slot) <- value;
-            t.stamps.(slot) <- t.tick;
+            let victim_key = key_at t slot and victim_value = t.vals.(slot) in
+            set_slot t slot ~key ~value ~stamp:t.tick;
             (* one out, one in: population unchanged *)
             Evicted { victim_key; victim_value })
 
 let delete t key =
-  let del bucket =
-    let b = slot_base bucket in
-    let rec go i =
-      if i = slots_per_bucket then false
-      else if t.vals.(b + i) >= 0 && Int64.equal t.keys.(b + i) key then begin
-        t.vals.(b + i) <- -1;
-        true
-      end
-      else go (i + 1)
-    in
-    go 0
-  in
-  let removed = del (hash1 t key) || del (hash2 t key) in
-  if removed then t.population <- t.population - 1;
-  removed
+  match find_slot t key with
+  | -1 -> false
+  | s ->
+      t.vals.(s) <- -1;
+      t.population <- t.population - 1;
+      true
 
 let load_factor t =
   float_of_int t.population /. float_of_int (nbuckets t * slots_per_bucket)

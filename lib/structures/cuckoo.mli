@@ -41,6 +41,9 @@ val fingerprint : int64 -> int
     line alone (the bucket_check action). *)
 val candidates : t -> bucket:int -> key:int64 -> int list
 
+(** Whether {!candidates} is non-empty, decided without allocating. *)
+val has_candidate : t -> bucket:int -> key:int64 -> bool
+
 (** Full-key comparison within one bucket (the key_check action). *)
 val find_in_bucket : t -> bucket:int -> key:int64 -> int option
 

@@ -116,7 +116,7 @@ let record ~flow ~seq = { sample_record with Update_log.u_flow = flow; u_seq = s
 
 let test_applier_monotone () =
   let applied = ref [] in
-  let ap = Update_log.applier ~apply:(fun r -> applied := (r.Update_log.u_flow, r.Update_log.u_seq) :: !applied) in
+  let ap = Update_log.applier ~universe:4 ~apply:(fun r -> applied := (r.Update_log.u_flow, r.Update_log.u_seq) :: !applied) in
   Alcotest.(check bool) "fresh record applies" true (Update_log.offer ap (record ~flow:1 ~seq:2));
   Alcotest.(check bool) "older is stale" false (Update_log.offer ap (record ~flow:1 ~seq:1));
   Alcotest.(check bool) "equal is stale" false (Update_log.offer ap (record ~flow:1 ~seq:2));
@@ -133,6 +133,30 @@ let test_applier_monotone () =
   Alcotest.(check (list (pair int int))) "apply saw exactly the applied records"
     [ (1, 2); (1, 9) ] (List.rev !applied)
 
+(* The u32 store refuses what it cannot hold, before applying anything,
+   rather than wrapping it into another flow's or sequence's slot. *)
+let test_applier_rejects_out_of_range () =
+  let applied = ref 0 in
+  let ap = Update_log.applier ~universe:4 ~apply:(fun _ -> incr applied) in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "offer flow -1" (fun () -> Update_log.offer ap (record ~flow:(-1) ~seq:1));
+  rejects "offer flow = universe" (fun () -> Update_log.offer ap (record ~flow:4 ~seq:1));
+  rejects "offer seq 2^32" (fun () -> Update_log.offer ap (record ~flow:1 ~seq:(1 lsl 32)));
+  rejects "advance flow = universe" (fun () -> Update_log.advance ap ~flow:4 ~seq:1);
+  rejects "advance seq 2^32" (fun () -> Update_log.advance ap ~flow:1 ~seq:(1 lsl 32));
+  rejects "resident flow = universe" (fun () -> Update_log.resident ap 4);
+  Alcotest.(check int) "nothing applied" 0 !applied;
+  Alcotest.(check int) "flow 1 untouched" 0 (Update_log.resident ap 1);
+  (* The widest values the store holds round-trip. *)
+  Alcotest.(check bool) "seq 2^32-1 applies" true
+    (Update_log.offer ap (record ~flow:3 ~seq:((1 lsl 32) - 1)));
+  Alcotest.(check int) "resident 2^32-1" ((1 lsl 32) - 1) (Update_log.resident ap 3);
+  Alcotest.(check int) "neighbour untouched" 0 (Update_log.resident ap 2)
+
 (* Absolute records + monotone application = order insensitivity: any
    permutation of an update set leaves every flow at its highest-seq
    payload. *)
@@ -147,7 +171,7 @@ let qcheck_order_insensitive =
       let records = List.map (fun (flow, seq) -> record ~flow ~seq) pairs in
       let final rs =
         let state = Hashtbl.create 8 in
-        let ap = Update_log.applier ~apply:(fun r -> Hashtbl.replace state r.Update_log.u_flow r.Update_log.u_seq) in
+        let ap = Update_log.applier ~universe:6 ~apply:(fun r -> Hashtbl.replace state r.Update_log.u_flow r.Update_log.u_seq) in
         List.iter (fun r -> ignore (Update_log.offer ap r : bool)) rs;
         List.sort compare (Hashtbl.fold (fun f s acc -> (f, s) :: acc) state [])
       in
@@ -226,6 +250,59 @@ let test_generated_under_faults () =
 let test_spec_reference_equality () =
   let rc = Check.Recovery.spec_rcase ~specs_dir ~name:"nat" ~seed:3 ~packets:96 in
   check_passes "spec nat cores=4" (Check.Scrcheck.check_rcase ~cores:4 rc)
+
+(* ----- behaviour pin ----- *)
+
+(* Every SCR observable over the shipped specs and two generated
+   programs, on 2, 4 and 8 cores, under rtc and batch-8, with and without
+   a 15,000 ppm fault plan: each pass's stats, every core's run, the
+   replica digests and the state digest, folded into one MD5. The pinned
+   value was captured before the update stream lost its hash tables; a
+   change to scheduling, coalescing, apply order or charging shows here. *)
+let scr_behaviour_digest () =
+  let cases =
+    List.map
+      (fun name -> Check.Recovery.spec_rcase ~specs_dir ~name ~seed:5 ~packets:256)
+      Check.Progen.spec_names
+    @ [
+        Check.Recovery.gen_rcase ~seed:7 ~profile:"mix" ~packets:256;
+        Check.Recovery.gen_rcase ~seed:11 ~profile:"zipf" ~packets:256;
+      ]
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (rc : Check.Recovery.rcase) ->
+      let items = rc.Check.Recovery.r_trace () in
+      List.iter
+        (fun cores ->
+          List.iter
+            (fun engine ->
+              List.iter
+                (fun plan ->
+                  let _, res = Check.Scrcheck.scr_pass ?plan ~engine ~items ~cores rc in
+                  let s = res.Scr.sr_stats in
+                  List.iter
+                    (fun v -> Buffer.add_string b (string_of_int v ^ " "))
+                    [
+                      s.Scr.st_records; s.Scr.st_applied; s.Scr.st_coalesced; s.Scr.st_stale;
+                      s.Scr.st_max_lag; s.Scr.st_barrier_applied; s.Scr.st_windows;
+                    ];
+                  (* Runs are plain data: marshalling covers every field. *)
+                  Array.iter
+                    (fun (r : Metrics.run) ->
+                      Buffer.add_string b (Marshal.to_string r [ Marshal.No_sharing ]))
+                    res.Scr.sr_runs;
+                  Array.iter (Buffer.add_string b) res.Scr.sr_replica_digests;
+                  Buffer.add_string b res.Scr.sr_state_digest)
+                [ None; Some (Check.Faultgen.create ~rate_ppm:15_000 ~seed:11 ()) ])
+            [ `Rtc; `Batch 8 ])
+        [ 2; 4; 8 ])
+    cases;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_behaviour_pinned () =
+  Alcotest.(check string) "scr behaviour digest" "c2d7b99724557706b94a5082cdaa0c0e"
+    (scr_behaviour_digest ())
 
 (* ----- update-stream accounting + tamper resistance ----- *)
 
@@ -380,11 +457,13 @@ let suite =
     Alcotest.test_case "GUPD1: every single-bit flip rejected" `Quick test_bit_flips_rejected;
     Helpers.qcheck qcheck_roundtrip;
     Alcotest.test_case "applier: sequence-monotone application" `Quick test_applier_monotone;
+    Alcotest.test_case "applier: out-of-range flow or sequence rejected" `Quick test_applier_rejects_out_of_range;
     Helpers.qcheck qcheck_order_insensitive;
     Alcotest.test_case "spray: dense per-flow sequences" `Quick test_spray_dense_sequences;
     Alcotest.test_case "scr: generated programs match the reference" `Quick test_generated_reference_equality;
     Alcotest.test_case "scr: reference equality under faults" `Quick test_generated_under_faults;
     Alcotest.test_case "scr: spec composition matches the reference" `Quick test_spec_reference_equality;
+    Alcotest.test_case "scr: behaviour digest pinned" `Quick test_behaviour_pinned;
     Alcotest.test_case "scr: update-stream accounting closes" `Quick test_stream_accounting;
     Alcotest.test_case "scr: invariant catches doctored results" `Quick test_check_scr_catches_tampering;
     Alcotest.test_case "metrics: load imbalance ratios" `Quick test_load_imbalance;
