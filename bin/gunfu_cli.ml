@@ -103,6 +103,15 @@ let build nf ~flows ~packed ~opts worker =
       Nfs.Sfc.populate sfc (Traffic.Flowgen.flows gen);
       (Nfs.Sfc.program ~opts sfc, flow_src gen)
 
+(* Every command's failure path: malformed input, a bad spec file or a
+   missing one ends in a clean one-line exit-124 error. *)
+let guard f =
+  try f () with
+  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
+  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
+  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
+  | Invalid_argument msg | Sys_error msg -> `Error (false, msg)
+
 (* ----- run command ----- *)
 
 let run_cmd nf model flows packets cores packed match_removal no_prefetch specialize =
@@ -116,7 +125,7 @@ let run_cmd nf model flows packets cores packed match_removal no_prefetch specia
       specialize;
     }
   in
-  try
+  guard (fun () ->
     if cores = 1 then begin
       let worker = Gunfu.Worker.create ~id:0 () in
       let program, source = build nf ~flows ~packed ~opts worker in
@@ -136,8 +145,7 @@ let run_cmd nf model flows packets cores packed match_removal no_prefetch specia
       Fmt.pr "aggregate over %d cores, capped at the 100G line rate: %.2f Gbps@." cores
         (Gunfu.Metrics.gbps_scaled merged ~cores:1);
       `Ok ()
-    end
-  with Invalid_argument msg -> `Error (false, msg)
+    end)
 
 (* ----- inspect command ----- *)
 
@@ -150,45 +158,36 @@ let inspect_cmd nf match_removal =
 
 (* ----- check-spec command ----- *)
 
+(* A composition file declares its NF with a top-level [nf:] line. *)
+let looks_like_nf src =
+  List.exists
+    (fun line -> String.length line >= 3 && String.sub line 0 3 = "nf:")
+    (String.split_on_char '\n' src)
+
 let check_spec_cmd path =
-  let read_file p =
-    let ic = open_in p in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  match read_file path with
-  | exception Sys_error e -> `Error (false, e)
-  | src -> (
-      try
-        let looks_like_nf =
-          List.exists
-            (fun line -> String.length line >= 3 && String.sub line 0 3 = "nf:")
-            (String.split_on_char '\n' src)
-        in
-        if looks_like_nf then begin
-          let nf = Gunfu.Spec.nf_spec_of_string src in
-          Fmt.pr "NF spec %s: %d module instances, %d transitions - OK@."
-            nf.Gunfu.Spec.n_name
-            (List.length nf.Gunfu.Spec.n_modules)
-            (List.length nf.Gunfu.Spec.n_transitions)
-        end
-        else begin
-          let m = Gunfu.Spec.module_spec_of_string src in
-          Gunfu.Spec.validate_module m;
-          Fmt.pr "module spec %s (%s): %d control states, %d transitions - OK@."
-            m.Gunfu.Spec.m_name m.Gunfu.Spec.m_category
-            (List.length (Gunfu.Spec.control_states_of m))
-            (List.length m.Gunfu.Spec.m_transitions)
-        end;
-        `Ok ()
-      with Gunfu.Spec.Spec_error msg -> `Error (false, "spec error: " ^ msg))
+  guard (fun () ->
+    let src = Nfs.Catalog.read_file path in
+    if looks_like_nf src then begin
+      let nf = Gunfu.Spec.nf_spec_of_string src in
+      Fmt.pr "NF spec %s: %d module instances, %d transitions - OK@."
+        nf.Gunfu.Spec.n_name
+        (List.length nf.Gunfu.Spec.n_modules)
+        (List.length nf.Gunfu.Spec.n_transitions)
+    end
+    else begin
+      let m = Gunfu.Spec.module_spec_of_string src in
+      Gunfu.Spec.validate_module m;
+      Fmt.pr "module spec %s (%s): %d control states, %d transitions - OK@."
+        m.Gunfu.Spec.m_name m.Gunfu.Spec.m_category
+        (List.length (Gunfu.Spec.control_states_of m))
+        (List.length m.Gunfu.Spec.m_transitions)
+    end;
+    `Ok ())
 
 (* ----- compose command: build and run an NF from on-disk YAML ----- *)
 
 let compose_cmd nf_file specs_dir model flows packets =
-  try
+  guard (fun () ->
     let worker = Gunfu.Worker.create ~id:0 () in
     let layout = Gunfu.Worker.layout worker in
     let built =
@@ -207,18 +206,44 @@ let compose_cmd nf_file specs_dir model flows packets =
     let source = Gunfu.Workload.of_flowgen gen ~pool ~count:packets in
     let r = Gunfu.Exec.run model worker built.Nfs.Catalog.program source in
     Fmt.pr "%a@." Gunfu.Metrics.pp_row r;
-    `Ok ()
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+    `Ok ())
 
-(* ----- check command: the differential execution oracle ----- *)
+(* ----- check and chaos: the differential execution oracle ----- *)
+
+(* One oracle loop for check and chaos: scan every case, print each
+   divergence and invariant violation with its replay line, or [agree]. *)
+let oracle_loop ~name ~scan ~agree ~summary cases =
+  let divergences = ref 0 and violations = ref 0 in
+  List.iter
+    (fun (case : Check.Oracle.case) ->
+      let sc = scan case in
+      Option.iter
+        (fun d ->
+          incr divergences;
+          Fmt.pr "%a@." Check.Oracle.pp_divergence d)
+        sc.Check.Oracle.sc_divergence;
+      List.iter
+        (fun (exec, viol) ->
+          incr violations;
+          Fmt.pr "INVARIANT VIOLATION in case %s under %s: %a; replay: %s@."
+            case.Check.Oracle.c_name exec Check.Oracle.pp_violation viol
+            sc.Check.Oracle.sc_repro)
+        sc.Check.Oracle.sc_violations;
+      if sc.Check.Oracle.sc_divergence = None && sc.Check.Oracle.sc_violations = [] then
+        agree case sc)
+    cases;
+  if !divergences = 0 && !violations = 0 then begin
+    Fmt.pr "%s@." summary;
+    `Ok ()
+  end
+  else
+    `Error
+      ( false,
+        Printf.sprintf "%s found %d divergence(s), %d invariant violation(s)" name
+          !divergences !violations )
 
 let check_cmd programs seed packets profile spec specs_dir no_minimize specialize =
-  try
+  guard (fun () ->
     (* Interpreted scan runs all 14 executors (reference included);
        --specialize widens to the 28-way matrix: every executor additionally
        runs under the compiled hot path, diffed against the interpreted
@@ -228,291 +253,169 @@ let check_cmd programs seed packets profile spec specs_dir no_minimize specializ
       + if specialize then List.length Check.Oracle.executor_names else 0
     in
     let cases =
-      match spec with
-      | Some "all" -> Check.Progen.spec_cases ~specs_dir ~seed ~packets ()
-      | Some name -> (
-          try [ Check.Progen.spec_case ~specs_dir ~name ~seed ~packets () ]
-          with Invalid_argument m -> raise (Gunfu.Spec.Spec_error m))
-      | None -> (
-          match profile with
-          | Some p when not (List.mem p Check.Progen.profiles) ->
-              invalid_arg
-                (Printf.sprintf "unknown profile %s (expected one of: %s)" p
-                   (String.concat ", " Check.Progen.profiles))
-          | Some p ->
-              List.init programs (fun i ->
-                  Check.Progen.case ~seed:(seed + i) ~profile:p ~packets)
-          | None -> Check.Progen.cases ~seed ~count:programs ~packets)
+      Check.Recovery.select Check.Recovery.Oracle_cases ~specs_dir ~programs ~seed
+        ~packets ?profile ?spec ()
     in
-    let divergences = ref 0 in
-    let violations = ref 0 in
-    List.iter
-      (fun (case : Check.Oracle.case) ->
-        let diverged =
-          match Check.Oracle.check_case ~minimized:(not no_minimize) ~specialize case with
-          | Some d ->
-              incr divergences;
-              Fmt.pr "%a@." Check.Oracle.pp_divergence d;
-              true
-          | None -> false
-        in
-        let viols = Check.Invariants.check_case case in
-        List.iter
-          (fun (exec, viol) ->
-            incr violations;
-            Fmt.pr "INVARIANT VIOLATION in case %s under %s: %a@,replay: %s@."
-              case.Check.Oracle.c_name exec Check.Invariants.pp_violation viol
-              (case.Check.Oracle.c_repro ~packets:case.Check.Oracle.c_packets))
-          viols;
-        if (not diverged) && viols = [] then
-          Fmt.pr "case %-18s seed %-6d profile %-8s %d packets x %d variants: agree@."
-            case.Check.Oracle.c_name case.Check.Oracle.c_seed
-            case.Check.Oracle.c_profile case.Check.Oracle.c_packets n_variants)
-      cases;
-    if !divergences = 0 && !violations = 0 then begin
-      Fmt.pr "oracle: %d cases, %d variants each, no divergence@." (List.length cases)
-        n_variants;
-      `Ok ()
-    end
-    else
-      `Error
-        ( false,
-          Printf.sprintf "oracle found %d divergence(s), %d invariant violation(s)"
-            !divergences !violations )
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+    oracle_loop ~name:"oracle"
+      ~scan:(fun case ->
+        Check.Oracle.check_case ~minimized:(not no_minimize) ~specialize case)
+      ~agree:(fun case _ ->
+        Fmt.pr "case %-18s seed %-6d profile %-8s %d packets x %d variants: agree@."
+          case.Check.Oracle.c_name case.Check.Oracle.c_seed
+          case.Check.Oracle.c_profile case.Check.Oracle.c_packets n_variants)
+      ~summary:
+        (Printf.sprintf "oracle: %d cases, %d variants each, no divergence"
+           (List.length cases) n_variants)
+      cases)
 
-(* ----- chaos command: the oracle under deterministic fault injection ----- *)
+(* ----- the platform axes: chaos --kill-cores, chaos --model scr, scr, adapt ----- *)
 
-(* --kill-cores: the core-failure axis. Shard each case across [cores],
-   schedule a kill from the plan, recover on a survivor via
-   checkpoint/replay, and require equality with the failure-free
-   reference. *)
-(* Case selection shared by the platform axes: --kill-cores recovery,
-   chaos --model scr, and the scr command. *)
-let platform_rcases programs seed packets profile spec specs_dir =
-  match spec with
-  | Some "all" ->
-      List.map
-        (fun name -> Check.Recovery.spec_rcase ~specs_dir ~name ~seed ~packets)
-        Check.Progen.spec_names
-  | Some name -> [ Check.Recovery.spec_rcase ~specs_dir ~name ~seed ~packets ]
-  | None ->
-      let profiles =
-        match profile with
-        | Some p when not (List.mem p Check.Progen.profiles) ->
-            invalid_arg
-              (Printf.sprintf "unknown profile %s (expected one of: %s)" p
-                 (String.concat ", " Check.Progen.profiles))
-        | Some p -> [ p ]
-        | None -> Check.Progen.profiles
-      in
-      List.concat_map
-        (fun profile ->
-          List.init programs (fun i ->
-              Check.Recovery.gen_rcase ~seed:(seed + i) ~profile ~packets))
-        profiles
-
-let chaos_kill_cores programs seed packets profile spec specs_dir rate_ppm cores
-    epoch =
-  let rcases = platform_rcases programs seed packets profile spec specs_dir in
-  let rplan =
-    {
-      Gunfu.Platform.Recovery.epoch;
-      log_capacity = max epoch Gunfu.Platform.Recovery.default_plan.Gunfu.Platform.Recovery.log_capacity;
-    }
-  in
+(* One platform-axis loop: each case's fault plan comes from its own seed
+   (so cases do not all replay the same schedule positions); [run] turns
+   it into the case's outcomes, each printed and counted. *)
+let platform_loop ~rate_ppm ~run ~summary ~failure rcases =
   let failed = ref 0 in
   List.iter
     (fun rc ->
       let plan = Check.Faultgen.create ~rate_ppm ~seed:rc.Check.Recovery.r_seed () in
-      let oc = Check.Recovery.check_case ~plan ~rplan ~cores rc in
-      if not (Check.Recovery.passed oc) then incr failed;
-      Fmt.pr "%a@." Check.Recovery.pp_outcome oc)
+      List.iter
+        (fun oc ->
+          if not (Check.Recovery.passed oc) then incr failed;
+          Fmt.pr "%a@." Check.Recovery.pp_outcome oc)
+        (run plan rc))
     rcases;
   if !failed = 0 then begin
-    Fmt.pr
-      "chaos --kill-cores: %d cases on %d cores (epoch %d): every kill \
-       recovered, exactly-once emits, reference equality@."
-      (List.length rcases) cores epoch;
+    Fmt.pr "%s@." summary;
     `Ok ()
   end
-  else
-    `Error
-      (false, Printf.sprintf "%d case(s) failed to recover from a core kill" !failed)
+  else `Error (false, Printf.sprintf "%d %s" !failed failure)
 
-(* The SCR axis over a case list: each case at every core count, one
-   fault plan per case derived from its own seed (rate 0 = no plan). *)
-let scr_axis ~rcases ~cores_list ~rate_ppm ~spray ~engine =
-  let failed = ref 0 in
-  List.iter
-    (fun rc ->
-      let plan =
-        if rate_ppm = 0 then None
-        else Some (Check.Faultgen.create ~rate_ppm ~seed:rc.Check.Recovery.r_seed ())
-      in
-      List.iter
-        (fun cores ->
-          let oc = Check.Scrcheck.check_rcase ?plan ~spray ~engine ~cores rc in
-          if not (Check.Scrcheck.passed oc) then incr failed;
-          Fmt.pr "%a@." Check.Scrcheck.pp_outcome oc)
-        cores_list)
-    rcases;
-  !failed
+(* Rate 0 runs the scr and adapt axes without a plan. *)
+let optional_plan ~rate_ppm plan = if rate_ppm = 0 then None else Some plan
 
-let chaos_scr programs seed packets profile spec specs_dir rate_ppm cores =
-  let rcases = platform_rcases programs seed packets profile spec specs_dir in
-  let failed =
-    scr_axis ~rcases ~cores_list:[ cores ] ~rate_ppm
-      ~spray:Scaleout.Spray.Round_robin ~engine:`Rtc
-  in
-  if failed = 0 then begin
-    Fmt.pr
-      "chaos --model scr: %d cases on %d cores at %d ppm: replicas converged, \
-       reference equality@."
-      (List.length rcases) cores rate_ppm;
-    `Ok ()
-  end
-  else
-    `Error
-      (false, Printf.sprintf "%d scr case(s) diverged or violated invariants" failed)
+let scr_failure = "scr case(s) diverged or violated invariants"
+
+(* ----- chaos command: the oracle under deterministic fault injection ----- *)
 
 let chaos_cmd programs seed packets profile spec specs_dir rate_ppm no_minimize
     kill_cores model cores epoch =
-  try
-    if kill_cores then
-      chaos_kill_cores programs seed packets profile spec specs_dir rate_ppm cores
-        epoch
-    else if String.equal model "scr" then
-      chaos_scr programs seed packets profile spec specs_dir rate_ppm cores
+  guard (fun () ->
+    if kill_cores then begin
+      (* The core-failure axis: shard each case across [cores], kill one
+         mid-run, recover on a survivor via checkpoint/replay, and require
+         equality with the failure-free reference. *)
+      if cores < 2 then
+        invalid_arg
+          "chaos --kill-cores: --cores must be at least 2 (a lone core has no survivor)";
+      let rplan =
+        {
+          Gunfu.Platform.Recovery.epoch;
+          log_capacity = max epoch Gunfu.Platform.Recovery.default_plan.Gunfu.Platform.Recovery.log_capacity;
+        }
+      in
+      let rcases =
+        Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
+          ~packets ?profile ?spec ()
+      in
+      platform_loop ~rate_ppm rcases
+        ~run:(fun plan rc -> [ Check.Recovery.check_case ~plan ~rplan ~cores rc ])
+        ~summary:
+          (Printf.sprintf
+             "chaos --kill-cores: %d cases on %d cores (epoch %d): every kill \
+              recovered, exactly-once emits, reference equality"
+             (List.length rcases) cores epoch)
+        ~failure:"case(s) failed to recover from a core kill"
+    end
+    else if String.equal model "scr" then begin
+      let rcases =
+        Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
+          ~packets ?profile ?spec ()
+      in
+      platform_loop ~rate_ppm rcases
+        ~run:(fun plan rc ->
+          [ Check.Scrcheck.check_rcase ?plan:(optional_plan ~rate_ppm plan) ~cores rc ])
+        ~summary:
+          (Printf.sprintf
+             "chaos --model scr: %d cases on %d cores at %d ppm: replicas converged, \
+              reference equality"
+             (List.length rcases) cores rate_ppm)
+        ~failure:scr_failure
+    end
     else if not (String.equal model "rss") then
       `Error (false, Printf.sprintf "unknown model %s (expected rss or scr)" model)
     else
-    let cases =
-      match spec with
-      | Some "all" -> Check.Progen.spec_cases ~specs_dir ~seed ~packets ()
-      | Some name -> (
-          try [ Check.Progen.spec_case ~specs_dir ~name ~seed ~packets () ]
-          with Invalid_argument m -> raise (Gunfu.Spec.Spec_error m))
-      | None -> (
-          match profile with
-          | Some p when not (List.mem p Check.Progen.profiles) ->
-              invalid_arg
-                (Printf.sprintf "unknown profile %s (expected one of: %s)" p
-                   (String.concat ", " Check.Progen.profiles))
-          | Some p ->
-              List.init programs (fun i ->
-                  Check.Progen.case ~seed:(seed + i) ~profile:p ~packets)
-          | None -> Check.Progen.cases ~seed ~count:programs ~packets)
-    in
-    let divergences = ref 0 in
-    let violations = ref 0 in
-    List.iter
-      (fun (case : Check.Oracle.case) ->
-        (* One plan per case, derived from the case's own seed, so cases do
-           not all replay the same schedule positions. *)
-        let plan = Check.Faultgen.create ~rate_ppm ~seed:case.Check.Oracle.c_seed () in
-        let diverged =
-          match Check.Oracle.check_case ~minimized:(not no_minimize) ~plan case with
-          | Some d ->
-              incr divergences;
-              Fmt.pr "%a@." Check.Oracle.pp_divergence d;
-              true
-          | None -> false
-        in
-        let viols = Check.Invariants.check_case ~plan case in
-        List.iter
-          (fun (exec, viol) ->
-            incr violations;
-            Fmt.pr "INVARIANT VIOLATION in case %s under %s: %a@,replay: %s@."
-              case.Check.Oracle.c_name exec Check.Invariants.pp_violation viol
-              (case.Check.Oracle.c_repro ~packets:case.Check.Oracle.c_packets))
-          viols;
-        if (not diverged) && viols = [] then begin
-          let obs =
-            Check.Oracle.observe ~plan Check.Oracle.reference
-              (case.Check.Oracle.c_build ~packets:case.Check.Oracle.c_packets)
-          in
-          let r = obs.Check.Oracle.o_run in
+      let cases =
+        Check.Recovery.select Check.Recovery.Oracle_cases ~specs_dir ~programs ~seed
+          ~packets ?profile ?spec ()
+      in
+      let n_executors = List.length Check.Oracle.executor_names in
+      (* One plan per case, derived from the case's own seed. *)
+      let plan (case : Check.Oracle.case) =
+        Check.Faultgen.create ~rate_ppm ~seed:case.Check.Oracle.c_seed ()
+      in
+      oracle_loop ~name:"chaos"
+        ~scan:(fun case ->
+          Check.Oracle.check_case ~minimized:(not no_minimize) ~plan:(plan case) case)
+        ~agree:(fun case sc ->
+          let r = sc.Check.Oracle.sc_reference.Check.Oracle.o_run in
           Fmt.pr
             "case %-18s seed %-6d %4d packets, %2d injected, %2d faulted%s x %d executors: agree@."
             case.Check.Oracle.c_name case.Check.Oracle.c_seed
             case.Check.Oracle.c_packets
-            (Check.Faultgen.planned plan ~packets:case.Check.Oracle.c_packets)
+            (Check.Faultgen.planned (plan case) ~packets:case.Check.Oracle.c_packets)
             r.Gunfu.Metrics.faulted
             (if r.Gunfu.Metrics.degraded then " (degraded)" else "")
-            (List.length Check.Oracle.executor_names)
-        end)
-      cases;
-    if !divergences = 0 && !violations = 0 then begin
-      Fmt.pr
-        "chaos: %d cases at %d ppm, %d executors each: every fault contained, no divergence@."
-        (List.length cases) rate_ppm
-        (List.length Check.Oracle.executor_names);
-      `Ok ()
-    end
-    else
-      `Error
-        ( false,
-          Printf.sprintf "chaos found %d divergence(s), %d invariant violation(s)"
-            !divergences !violations )
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+            n_executors)
+        ~summary:
+          (Printf.sprintf
+             "chaos: %d cases at %d ppm, %d executors each: every fault contained, no divergence"
+             (List.length cases) rate_ppm n_executors)
+        cases)
 
 (* ----- scr command: the State-Compute Replication axis ----- *)
 
 let scr_cmd programs seed packets profile spec specs_dir rate_ppm cores_list
     spray_seed batch =
-  try
+  guard (fun () ->
     if cores_list = [] then invalid_arg "scr: --cores list must be non-empty";
     List.iter
       (fun c -> if c < 1 then invalid_arg "scr: core counts must be positive")
       cores_list;
-    let rcases = platform_rcases programs seed packets profile spec specs_dir in
+    let rcases =
+      Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
+        ~packets ?profile ?spec ()
+    in
     let spray =
       match spray_seed with
       | None -> Scaleout.Spray.Round_robin
       | Some s -> Scaleout.Spray.Seeded s
     in
     let engine = match batch with None -> `Rtc | Some b -> `Batch b in
-    let failed = scr_axis ~rcases ~cores_list ~rate_ppm ~spray ~engine in
-    if failed = 0 then begin
-      Fmt.pr
-        "scr: %d cases x cores {%s} engine=%s spray=%s at %d ppm: replicas \
-         converged, reference equality@."
-        (List.length rcases)
-        (String.concat "," (List.map string_of_int cores_list))
-        (Gunfu.Exec.label engine)
-        (match spray_seed with
-        | None -> "round-robin"
-        | Some s -> Printf.sprintf "seeded(%d)" s)
-        rate_ppm;
-      `Ok ()
-    end
-    else
-      `Error
-        ( false,
-          Printf.sprintf "%d scr case(s) diverged or violated invariants" failed )
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+    platform_loop ~rate_ppm rcases
+      ~run:(fun plan rc ->
+        List.map
+          (fun cores ->
+            Check.Scrcheck.check_rcase ?plan:(optional_plan ~rate_ppm plan) ~spray ~engine
+              ~cores rc)
+          cores_list)
+      ~summary:
+        (Printf.sprintf
+           "scr: %d cases x cores {%s} engine=%s spray=%s at %d ppm: replicas \
+            converged, reference equality"
+           (List.length rcases)
+           (String.concat "," (List.map string_of_int cores_list))
+           (Gunfu.Exec.label engine)
+           (match spray_seed with
+           | None -> "round-robin"
+           | Some s -> Printf.sprintf "seeded(%d)" s)
+           rate_ppm)
+      ~failure:scr_failure)
 
 (* ----- adapt command: the closed-loop adaptive-runtime axis ----- *)
 
 let adapt_cmd programs seed packets profile spec specs_dir rate_ppm scr epoch
     initial =
-  try
+  guard (fun () ->
     if rate_ppm > 0 && scr <> None then
       invalid_arg
         "adapt: --rate-ppm and --scr cannot be combined (replica re-cloning \
@@ -524,46 +427,32 @@ let adapt_cmd programs seed packets profile spec specs_dir rate_ppm scr epoch
       | _, Ok e -> (e :> Adaptive.Config.t)
       | _, Error msg -> invalid_arg ("adapt: --initial: " ^ msg)
     in
-    let rcases = platform_rcases programs seed packets profile spec specs_dir in
-    let failed = ref 0 in
-    List.iter
-      (fun rc ->
-        let plan =
-          if rate_ppm = 0 then None
-          else Some (Check.Faultgen.create ~rate_ppm ~seed:rc.Check.Recovery.r_seed ())
-        in
-        let oc = Check.Adaptcheck.check_rcase ?plan ?scr ~epoch ~initial rc in
-        if not (Check.Adaptcheck.passed oc) then incr failed;
-        Fmt.pr "%a@." Check.Adaptcheck.pp_outcome oc)
-      rcases;
-    if !failed = 0 then begin
-      Fmt.pr
-        "adapt: %d cases (epoch %d, initial %s%s%s): every reconfiguration \
-         quiescent, reference equality@."
-        (List.length rcases) epoch
-        (Adaptive.Config.label initial)
-        (match scr with
-        | None -> ""
-        | Some c -> Printf.sprintf ", scr hand-off armed at %d cores" c)
-        (if rate_ppm > 0 then Printf.sprintf ", %d ppm faults" rate_ppm else "");
-      `Ok ()
-    end
-    else
-      `Error
-        ( false,
-          Printf.sprintf "%d adaptive case(s) diverged or violated invariants"
-            !failed )
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+    let rcases =
+      Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
+        ~packets ?profile ?spec ()
+    in
+    platform_loop ~rate_ppm rcases
+      ~run:(fun plan rc ->
+        [
+          Check.Adaptcheck.check_rcase ?plan:(optional_plan ~rate_ppm plan) ?scr ~epoch
+            ~initial rc;
+        ])
+      ~summary:
+        (Printf.sprintf
+           "adapt: %d cases (epoch %d, initial %s%s%s): every reconfiguration \
+            quiescent, reference equality"
+           (List.length rcases) epoch
+           (Adaptive.Config.label initial)
+           (match scr with
+           | None -> ""
+           | Some c -> Printf.sprintf ", scr hand-off armed at %d cores" c)
+           (if rate_ppm > 0 then Printf.sprintf ", %d ppm faults" rate_ppm else ""))
+      ~failure:"adaptive case(s) diverged or violated invariants")
 
 (* ----- storm command: churn-storm chaos scenarios ----- *)
 
 let storm_cmd scenario seed model =
-  try
+  guard (fun () ->
     let reports =
       match (model, scenario) with
       | "scr", _ -> [ Check.Storm.scr_storm ~seed () ]
@@ -586,15 +475,12 @@ let storm_cmd scenario seed model =
         ( false,
           Printf.sprintf "%d storm scenario(s) failed: %s" (List.length failed)
             (String.concat ", "
-               (List.map (fun r -> r.Check.Storm.st_name) failed)) )
-  with
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+               (List.map (fun r -> r.Check.Storm.st_name) failed)) ))
 
 (* ----- lint command: the static analyzer (nflint) ----- *)
 
 let lint_cmd spec all_specs specs_dir json strict =
-  try
+  guard (fun () ->
     let targets =
       if all_specs then
         Sys.readdir specs_dir |> Array.to_list
@@ -611,12 +497,7 @@ let lint_cmd spec all_specs specs_dir json strict =
        path) and analyzed with concrete prefetch targets and kill sets. *)
     let lint_file path =
       let src = Nfs.Catalog.read_file path in
-      let looks_like_nf =
-        List.exists
-          (fun line -> String.length line >= 3 && String.sub line 0 3 = "nf:")
-          (String.split_on_char '\n' src)
-      in
-      if looks_like_nf then
+      if looks_like_nf src then
         let name = Filename.remove_extension (Filename.basename path) in
         Analysis.Lints.of_build (Check.Progen.spec_lint_input ~specs_dir ~name ())
       else Analysis.Lints.of_module (Gunfu.Spec.module_spec_of_string src)
@@ -650,13 +531,7 @@ let lint_cmd spec all_specs specs_dir json strict =
         ( false,
           Printf.sprintf "lint: %d finding(s) at %s severity or above"
             (List.length failing)
-            (if strict then "warning" else "error") )
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+            (if strict then "warning" else "error") ))
 
 (* ----- verifyeq command: translation validation ----- *)
 
@@ -684,7 +559,7 @@ let verifyeq_one ~json label (vi : Gunfu.Compiler.verify_input) =
   (r.Analysis.Symcheck.findings, List.length refuted, r.Analysis.Symcheck.unknowns)
 
 let verifyeq_cmd spec programs seed specs_dir json strict =
-  try
+  guard (fun () ->
     let spec_targets =
       match spec with
       | Some "all" -> Check.Progen.spec_names
@@ -732,13 +607,7 @@ let verifyeq_cmd spec programs seed specs_dir json strict =
               !refuted !unknowns
               (if !refuted = 0 then " (--strict demands a full static proof)" else "")
           )
-    end
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+    end)
 
 (* ----- profile / trace commands: the telemetry plane ----- *)
 
@@ -770,7 +639,7 @@ let traced_execute nf spec specs_dir model flows packets packed =
   (tr, r)
 
 let profile_cmd nf spec specs_dir model flows packets packed =
-  try
+  guard (fun () ->
     let tr, r = traced_execute nf spec specs_dir model flows packets packed in
     Fmt.pr "%s" (Telemetry.Attribution.report ~run:r tr);
     match Check.Invariants.check_telemetry tr r with
@@ -778,17 +647,11 @@ let profile_cmd nf spec specs_dir model flows packets packed =
     | viol :: _ ->
         `Error
           ( false,
-            Printf.sprintf "telemetry invariant %s: %s" viol.Check.Invariants.v_rule
-              viol.Check.Invariants.v_detail )
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+            Printf.sprintf "telemetry invariant %s: %s" viol.Check.Oracle.v_rule
+              viol.Check.Oracle.v_detail ))
 
 let trace_cmd nf spec specs_dir model flows packets packed out =
-  try
+  guard (fun () ->
     let tr, r = traced_execute nf spec specs_dir model flows packets packed in
     let s = Telemetry.Chrome.export_string tr in
     match Telemetry.Chrome.validate_string s with
@@ -801,18 +664,12 @@ let trace_cmd nf spec specs_dir model flows packets packed out =
           "wrote %s: %d events from %d spans (%d dropped), %d packets in %d cycles@."
           out events (Gunfu.Trace.total_spans tr) (Gunfu.Trace.dropped tr)
           r.Gunfu.Metrics.packets r.Gunfu.Metrics.cycles;
-        `Ok ()
-  with
-  | Nfs.Catalog.Catalog_error msg -> `Error (false, "catalog: " ^ msg)
-  | Gunfu.Spec.Spec_error msg -> `Error (false, "spec: " ^ msg)
-  | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
-  | Invalid_argument msg -> `Error (false, msg)
-  | Sys_error msg -> `Error (false, msg)
+        `Ok ())
 
 (* ----- bench command: round-trip a committed bench baseline ----- *)
 
 let bench_cmd json_file =
-  try
+  guard (fun () ->
     let src = Nfs.Catalog.read_file json_file in
     match Telemetry.Baseline.of_string src with
     | Error e -> `Error (false, "baseline: " ^ e)
@@ -835,8 +692,7 @@ let bench_cmd json_file =
             Fmt.pr "baseline %s (pr %s): %d figures, round-trip OK@." json_file
               b.Telemetry.Baseline.pr
               (List.length b.Telemetry.Baseline.figures);
-            `Ok ())
-  with Sys_error msg -> `Error (false, msg)
+            `Ok ()))
 
 let list_cmd () =
   Fmt.pr "network functions: %s@." nf_names;

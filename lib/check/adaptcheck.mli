@@ -6,7 +6,7 @@
     single-core run-to-completion reference: identical per-flow
     emit-content streams, identical completion/drop/fault/wire-byte
     totals, and an identical location-independent state digest — plus
-    {!Invariants.check} on the adaptive observation (single-core
+    {!Oracle.check_invariants} on the adaptive observation (single-core
     configurations) and {!Invariants.check_adaptive} on the decision log,
     proving every reconfiguration landed at a quiescent boundary.
 
@@ -34,25 +34,21 @@ val adaptive_pass :
   Recovery.rcase ->
   Recovery.pass * Adaptive.Driver.outcome
 
-type outcome = {
-  ao_case : string;
-  ao_packets : int;
-  ao_epoch : int;
-  ao_moves : int;
-  ao_final : Adaptive.Config.t;
-  ao_decisions : Adaptive.Driver.decision list;
-  ao_run : Metrics.run;
-  ao_reference : Recovery.pass;
-  ao_adaptive : Recovery.pass;
-  ao_violations : (string * Invariants.violation) list;
-  ao_divergence : string option;
-  ao_repro : string;
+(** What only the adaptive axis reports. *)
+type extra = {
+  epoch : int;
+  moves : int;
+  final : Adaptive.Config.t;
+  decisions : Adaptive.Driver.decision list;
+  run : Metrics.run;
 }
 
 (** Run the single-core reference and the adaptive pass over the same
-    traced stream and compare. @raise Invalid_argument when both [plan]
-    and [scr] are given — re-cloning inside the sprayed platform would
-    detach armed injections from their packets. *)
+    traced stream and compare. The repro replays through [gunfu_cli adapt]
+    with the same epoch, rate, hand-off and initial configuration
+    ([params] has no command-line form). @raise Invalid_argument when
+    both [plan] and [scr] are given — re-cloning inside the sprayed
+    platform would detach armed injections from their packets. *)
 val check_rcase :
   ?plan:Faultgen.t ->
   ?scr:int ->
@@ -60,9 +56,4 @@ val check_rcase :
   ?epoch:int ->
   ?initial:Adaptive.Config.t ->
   Recovery.rcase ->
-  outcome
-
-(** No violations and no divergence. *)
-val passed : outcome -> bool
-
-val pp_outcome : Format.formatter -> outcome -> unit
+  extra Recovery.outcome

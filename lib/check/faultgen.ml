@@ -102,6 +102,20 @@ let planned t ~packets =
   done;
   !n
 
+(* Arm the plan for one pulled packet: the injection decided at [index],
+   if any, is registered in [plane] under the packet's run-local id, and a
+   [Corrupt_packet] also mangles the bytes. Every axis arms through here —
+   the oracle's source wrapper at the pull index, the platform axes at the
+   item's global stream index. *)
+let arm t ~plane ~index (p : Netcore.Packet.t) =
+  let inj = decide t index in
+  (match inj with
+  | Some inj ->
+      Fault.inject plane ~packet_id:p.Netcore.Packet.id inj;
+      (match inj with Fault.Corrupt_packet -> corrupt t ~index p | _ -> ())
+  | None -> ());
+  inj
+
 let instrument t ~plane (src : Workload.source) : Workload.source =
   let index = ref 0 in
   fun () ->
@@ -110,9 +124,5 @@ let instrument t ~plane (src : Workload.source) : Workload.source =
     | Some item ->
         let i = !index in
         incr index;
-        (match (decide t i, item.Workload.packet) with
-        | Some inj, Some p ->
-            Fault.inject plane ~packet_id:p.Netcore.Packet.id inj;
-            (match inj with Fault.Corrupt_packet -> corrupt t ~index:i p | _ -> ())
-        | Some _, None | None, _ -> ());
+        Option.iter (fun p -> ignore (arm t ~plane ~index:i p)) item.Workload.packet;
         Some item

@@ -35,8 +35,13 @@ val corrupt : t -> index:int -> Netcore.Packet.t -> unit
 (** Deterministically mangle a packet (truncate + scribble); exposed for
     the parser-robustness fuzz tests. *)
 
+val arm :
+  t -> plane:Gunfu.Fault.t -> index:int -> Netcore.Packet.t -> Gunfu.Fault.injection option
+(** Arm one pulled packet at stream index [index]: the decided injection,
+    if any, is registered in [plane] keyed by the packet's run-local id,
+    and [Corrupt_packet] additionally mangles the packet bytes via
+    {!corrupt}. Returns the injection, for journals that must re-arm it. *)
+
 val instrument : t -> plane:Gunfu.Fault.t -> Gunfu.Workload.source -> Gunfu.Workload.source
-(** Wrap a source: each pulled packet rolls the plan at its pull index;
-    a decided injection is registered in [plane] keyed by the packet's
-    run-local id, and [Corrupt_packet] additionally mangles the packet
-    bytes via {!corrupt}. The stream's items and order are unchanged. *)
+(** Wrap a source: each pulled packet is {!arm}ed at its pull index. The
+    stream's items and order are unchanged. *)

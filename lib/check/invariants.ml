@@ -1,182 +1,13 @@
-(* Executor-independent invariants, checked on every oracle observation.
-   Unlike the differential diff (which needs a second run to compare
-   against), these hold for ANY correct executor in isolation:
-
-   - packet conservation: every pulled item completes, exactly once, and
-     the run's packet/drop/byte counters agree with the completion stream;
-   - per-flow order: each flow's packets complete in arrival order;
-   - monotone clock: completion times never run backwards, and fit inside
-     the run's measured cycle window;
-   - memsim accounting: every line access is served by exactly one level
-     (or an in-flight fill), prefetch issue/redundant/dropped books
-     balance, and outstanding fills never exceed the MSHR count. *)
+(* Plane invariants: the rules that judge a whole run of a platform axis
+   rather than one executor's observation — replay-aware conservation
+   across a core failure, the telemetry span tree, SCR's update stream and
+   the adaptive controller's decision log. The per-observation rules
+   (conservation, flow order, clock, memsim accounting) run inside the
+   oracle scan, {!Oracle.check_invariants}. *)
 
 open Gunfu
 
-type violation = { v_rule : string; v_detail : string }
-
-let v rule fmt = Printf.ksprintf (fun s -> { v_rule = rule; v_detail = s }) fmt
-
-(* A completion the fault plane quarantined carries [Event.Faulted] — its
-   key round-trips through {!Gunfu.Event.to_key} as "FAULT[reason]". *)
-let emit_faulted (e : Oracle.emit) =
-  let s = e.Oracle.e_event in
-  String.length s > 7 && String.sub s 0 6 = "FAULT["
-
-let check_conservation (o : Oracle.observation) : violation list =
-  let n_in = List.length o.Oracle.o_inputs in
-  let n_out = List.length o.Oracle.o_emits in
-  let drops = List.length (List.filter (fun e -> e.Oracle.e_dropped) o.Oracle.o_emits) in
-  let faulted = List.length (List.filter emit_faulted o.Oracle.o_emits) in
-  let wire =
-    List.fold_left
-      (fun acc e ->
-        if e.Oracle.e_dropped || emit_faulted e then acc else acc + e.Oracle.e_wire)
-      0 o.Oracle.o_emits
-  in
-  let run = o.Oracle.o_run in
-  List.concat
-    [
-      (if n_in <> n_out then
-         [ v "conservation" "%d items pulled but %d completed" n_in n_out ]
-       else []);
-      (if run.Metrics.packets <> n_out then
-         [
-           v "conservation" "run reports %d packets but %d completions observed"
-             run.Metrics.packets n_out;
-         ]
-       else []);
-      (if run.Metrics.drops <> drops then
-         [
-           v "conservation" "run reports %d drops but %d dropped completions observed"
-             run.Metrics.drops drops;
-         ]
-       else []);
-      (* Every offered packet is accounted exactly once:
-         emits + drops + faulted = offered. *)
-      (if run.Metrics.faulted <> faulted then
-         [
-           v "conservation" "run reports %d faulted but %d faulted completions observed"
-             run.Metrics.faulted faulted;
-         ]
-       else []);
-      (if run.Metrics.packets - run.Metrics.drops - run.Metrics.faulted
-          <> n_out - drops - faulted
-       then
-         [
-           v "conservation"
-             "emit accounting broken: offered=%d drops=%d faulted=%d but %d clean completions"
-             run.Metrics.packets run.Metrics.drops run.Metrics.faulted
-             (n_out - drops - faulted);
-         ]
-       else []);
-      (if run.Metrics.wire_bytes <> wire then
-         [
-           v "conservation" "run reports %d wire bytes but completions sum to %d"
-             run.Metrics.wire_bytes wire;
-         ]
-       else []);
-    ]
-
-(* Each flow's completions must carry that flow's packet ids in arrival
-   order — the per-flow order-preservation claim. Flow hint -1 marks items
-   the generator declared unordered; they are exempt. *)
-let check_flow_order (o : Oracle.observation) : violation list =
-  let arrivals : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (pid, flow) ->
-      if flow >= 0 then
-        match Hashtbl.find_opt arrivals flow with
-        | Some l -> l := pid :: !l
-        | None -> Hashtbl.add arrivals flow (ref [ pid ]))
-    o.Oracle.o_inputs;
-  let completions : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      if e.Oracle.e_flow >= 0 then
-        match Hashtbl.find_opt completions e.Oracle.e_flow with
-        | Some l -> l := e.Oracle.e_pktid :: !l
-        | None -> Hashtbl.add completions e.Oracle.e_flow (ref [ e.Oracle.e_pktid ]))
-    o.Oracle.o_emits;
-  Hashtbl.fold
-    (fun flow arr acc ->
-      let expect = List.rev !arr in
-      let got =
-        match Hashtbl.find_opt completions flow with
-        | Some l -> List.rev !l
-        | None -> []
-      in
-      if expect <> got then
-        v "flow-order" "flow %d arrived as %s but completed as %s" flow
-          (String.concat "," (List.map string_of_int expect))
-          (String.concat "," (List.map string_of_int got))
-        :: acc
-      else acc)
-    arrivals []
-
-let check_clock (o : Oracle.observation) : violation list =
-  let rec monotone prev = function
-    | [] -> []
-    | e :: rest ->
-        if e.Oracle.e_clock < prev then
-          [
-            v "clock" "completion clock ran backwards: %d after %d" e.Oracle.e_clock
-              prev;
-          ]
-        else monotone e.Oracle.e_clock rest
-  in
-  let backwards = monotone 0 o.Oracle.o_emits in
-  let cycles = o.Oracle.o_run.Metrics.cycles in
-  let negative = if cycles < 0 then [ v "clock" "negative run cycles %d" cycles ] else [] in
-  backwards @ negative
-
-let check_memstats (o : Oracle.observation) : violation list =
-  let m = o.Oracle.o_run.Metrics.mem in
-  let served =
-    m.Memsim.Memstats.l1_hits + m.Memsim.Memstats.l2_hits + m.Memsim.Memstats.llc_hits
-    + m.Memsim.Memstats.dram_fills + m.Memsim.Memstats.mshr_waits
-  in
-  List.concat
-    [
-      (if served <> m.Memsim.Memstats.line_accesses then
-         [
-           v "memsim"
-             "per-level serves (%d) do not sum to line accesses (%d): l1=%d l2=%d llc=%d dram=%d mshr=%d"
-             served m.Memsim.Memstats.line_accesses m.Memsim.Memstats.l1_hits
-             m.Memsim.Memstats.l2_hits m.Memsim.Memstats.llc_hits
-             m.Memsim.Memstats.dram_fills m.Memsim.Memstats.mshr_waits;
-         ]
-       else []);
-      (let fields =
-         [
-           ("line_accesses", m.Memsim.Memstats.line_accesses);
-           ("l1_hits", m.Memsim.Memstats.l1_hits);
-           ("l2_hits", m.Memsim.Memstats.l2_hits);
-           ("llc_hits", m.Memsim.Memstats.llc_hits);
-           ("dram_fills", m.Memsim.Memstats.dram_fills);
-           ("mshr_waits", m.Memsim.Memstats.mshr_waits);
-           ("wait_cycles", m.Memsim.Memstats.wait_cycles);
-           ("prefetch_issued", m.Memsim.Memstats.prefetch_issued);
-           ("prefetch_redundant", m.Memsim.Memstats.prefetch_redundant);
-           ("prefetch_dropped", m.Memsim.Memstats.prefetch_dropped);
-           ("mshr_stalls", m.Memsim.Memstats.mshr_stalls);
-         ]
-       in
-       List.filter_map
-         (fun (name, value) ->
-           if value < 0 then Some (v "memsim" "negative counter %s = %d" name value)
-           else None)
-         fields);
-      (if o.Oracle.o_mshr_pending > o.Oracle.o_mshr_limit then
-         [
-           v "memsim" "%d fills outstanding at end of run, MSHR limit is %d"
-             o.Oracle.o_mshr_pending o.Oracle.o_mshr_limit;
-         ]
-       else []);
-    ]
-
-let check (o : Oracle.observation) : violation list =
-  check_conservation o @ check_flow_order o @ check_clock o @ check_memstats o
+let v rule fmt = Printf.ksprintf (fun s -> { Oracle.v_rule = rule; v_detail = s }) fmt
 
 (* ----- recovery-plane rules ----- *)
 
@@ -191,7 +22,7 @@ let check (o : Oracle.observation) : violation list =
    violation). *)
 let check_recovery ~offered ~(live : (string * Oracle.observation) list)
     ~(deduped : Oracle.emit list)
-    ~(suppressed : (Oracle.emit * Oracle.emit option) list) : violation list =
+    ~(suppressed : (Oracle.emit * Oracle.emit option) list) : Oracle.violation list =
   let replayed = List.length suppressed in
   let total =
     List.fold_left (fun acc (_, o) -> acc + o.Oracle.o_run.Metrics.packets) 0 live
@@ -199,7 +30,7 @@ let check_recovery ~offered ~(live : (string * Oracle.observation) list)
   let all_emits = List.concat_map (fun (_, o) -> o.Oracle.o_emits) live in
   let dups = List.map fst suppressed in
   let drops l = List.length (List.filter (fun (e : Oracle.emit) -> e.Oracle.e_dropped) l) in
-  let faults l = List.length (List.filter emit_faulted l) in
+  let faults l = List.length (List.filter Oracle.emit_faulted l) in
   List.concat
     [
       (if total <> offered + replayed then
@@ -254,7 +85,7 @@ let check_recovery ~offered ~(live : (string * Oracle.observation) list)
    span attributed to a unit lies inside one of that unit's action spans
    (memory traffic outside an action is attributed to unit -1 by
    construction). Only checkable when the ring kept every span. *)
-let check_span_nesting ~(spans : Trace.span array) ~dropped : violation list =
+let check_span_nesting ~(spans : Trace.span array) ~dropped : Oracle.violation list =
   if dropped > 0 then []
   else begin
     let by_unit : (int, Trace.span list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -315,7 +146,7 @@ let check_span_nesting ~(spans : Trace.span array) ~dropped : violation list =
 (* span-budget: the cycles the trace attributes (pull + action + prefetch
    + switch + out-of-action memory traffic; no double counting) can never
    exceed the cycles the run measured. *)
-let check_span_budget (tr : Trace.t) (run : Metrics.run) : violation list =
+let check_span_budget (tr : Trace.t) (run : Metrics.run) : Oracle.violation list =
   let attributed = Trace.attributed_cycles tr in
   if attributed > run.Metrics.cycles then
     [
@@ -326,7 +157,7 @@ let check_span_budget (tr : Trace.t) (run : Metrics.run) : violation list =
 
 (* span-memstats: the tap fires exactly once per demand line access, so
    per-level serve counts must equal the run's Memstats delta. *)
-let check_span_memstats (tr : Trace.t) (run : Metrics.run) : violation list =
+let check_span_memstats (tr : Trace.t) (run : Metrics.run) : Oracle.violation list =
   let m = run.Metrics.mem in
   let expected =
     [
@@ -349,7 +180,7 @@ let check_span_memstats (tr : Trace.t) (run : Metrics.run) : violation list =
 
 (* All telemetry rules for a traced run. [?spans] overrides the span set
    (the tamper tests inject doctored copies; the books are unaffected). *)
-let check_telemetry ?spans (tr : Trace.t) (run : Metrics.run) : violation list =
+let check_telemetry ?spans (tr : Trace.t) (run : Metrics.run) : Oracle.violation list =
   let spans = match spans with Some s -> s | None -> Trace.spans tr in
   check_span_nesting ~spans ~dropped:(Trace.dropped tr)
   @ check_span_budget tr run @ check_span_memstats tr run
@@ -364,7 +195,7 @@ let check_telemetry ?spans (tr : Trace.t) (run : Metrics.run) : violation list =
    barrier drains all pending sets, so nothing may remain in flight. And
    the model's defining invariant: after the quiescent barrier all
    replica digests are pairwise equal. *)
-let check_scr ~completions ~cores (res : Scaleout.Scr.result) : violation list =
+let check_scr ~completions ~cores (res : Scaleout.Scr.result) : Oracle.violation list =
   let st = res.Scaleout.Scr.sr_stats in
   let logged =
     Array.fold_left
@@ -422,7 +253,7 @@ let check_scr ~completions ~cores (res : Scaleout.Scr.result) : violation list =
    boundary, the decision log's cumulative cycle stamps never regress,
    consecutive decisions chain configurations without gaps, and the
    bookkeeping (move count, decision spans) matches the log. *)
-let check_adaptive (oc : Adaptive.Driver.outcome) : violation list =
+let check_adaptive (oc : Adaptive.Driver.outcome) : Oracle.violation list =
   let module D = Adaptive.Driver in
   let ds = oc.D.o_decisions in
   let move_name d =
@@ -502,16 +333,3 @@ let check_adaptive (oc : Adaptive.Driver.outcome) : violation list =
     | _ -> []
   in
   List.concat [ quiescence; holds; pairwise [] ds; counts; final ]
-
-(* All invariants over every executor's observation of a case; the
-   returned violations are tagged with the executor label. *)
-let check_case ?plan (case : Oracle.case) : (string * violation) list =
-  List.concat_map
-    (fun x ->
-      let obs =
-        Oracle.observe ?plan x (case.Oracle.c_build ~packets:case.Oracle.c_packets)
-      in
-      List.map (fun viol -> (Exec.label x, viol)) (check obs))
-    (Oracle.reference :: Oracle.executors)
-
-let pp_violation ppf { v_rule; v_detail } = Fmt.pf ppf "[%s] %s" v_rule v_detail

@@ -1,18 +1,6 @@
-(** Executor-independent invariants checked on every oracle observation:
-    packet conservation (pulled = emitted + dropped, counters agree),
-    per-flow order preservation, monotone simulated clock, and memory-
-    hierarchy accounting (per-level serves sum to line accesses, counters
-    non-negative, outstanding fills within the MSHR budget). *)
-
-type violation = { v_rule : string; v_detail : string }
-
-val check_conservation : Oracle.observation -> violation list
-val check_flow_order : Oracle.observation -> violation list
-val check_clock : Oracle.observation -> violation list
-val check_memstats : Oracle.observation -> violation list
-
-(** All of the above. *)
-val check : Oracle.observation -> violation list
+(** Plane invariants: rules that judge a whole platform-axis run rather
+    than one executor's observation. The per-observation rules run inside
+    the oracle scan ({!Oracle.check_invariants}). *)
 
 (** {2 Recovery-plane rules}
 
@@ -29,7 +17,7 @@ val check_recovery :
   live:(string * Oracle.observation) list ->
   deduped:Oracle.emit list ->
   suppressed:(Oracle.emit * Oracle.emit option) list ->
-  violation list
+  Oracle.violation list
 
 (** {2 Telemetry-plane rules}
 
@@ -42,17 +30,17 @@ val check_recovery :
 
 (** Only when the ring kept every span ([dropped = 0]). *)
 val check_span_nesting :
-  spans:Gunfu.Trace.span array -> dropped:int -> violation list
+  spans:Gunfu.Trace.span array -> dropped:int -> Oracle.violation list
 
-val check_span_budget : Gunfu.Trace.t -> Gunfu.Metrics.run -> violation list
-val check_span_memstats : Gunfu.Trace.t -> Gunfu.Metrics.run -> violation list
+val check_span_budget : Gunfu.Trace.t -> Gunfu.Metrics.run -> Oracle.violation list
+val check_span_memstats : Gunfu.Trace.t -> Gunfu.Metrics.run -> Oracle.violation list
 
 (** All three telemetry rules. [?spans] overrides the span set so tamper
     tests can inject doctored copies (the attribution books are
     unaffected); defaults to [Trace.spans tr]. *)
 val check_telemetry :
   ?spans:Gunfu.Trace.span array ->
-  Gunfu.Trace.t -> Gunfu.Metrics.run -> violation list
+  Gunfu.Trace.t -> Gunfu.Metrics.run -> Oracle.violation list
 
 (** {2 SCR-plane rules}
 
@@ -62,7 +50,7 @@ val check_telemetry :
     accounted exactly once as applied, coalesced or stale, and after the
     quiescent barrier all replica digests are pairwise equal. *)
 val check_scr :
-  completions:int -> cores:int -> Scaleout.Scr.result -> violation list
+  completions:int -> cores:int -> Scaleout.Scr.result -> Oracle.violation list
 
 (** {2 Adaptive-runtime rules}
 
@@ -74,12 +62,4 @@ val check_scr :
     previous one left), and the bookkeeping matches the log — the
     outcome's move count and the telemetry plane's decision-span count
     both equal what the log records. *)
-val check_adaptive : Adaptive.Driver.outcome -> violation list
-
-(** Every executor over a fresh instance of the case; violations tagged
-    with the executor label. [?plan] checks the invariants *under* a
-    deterministic fault-injection schedule (conservation then reads
-    emits + drops + faulted = offered). *)
-val check_case : ?plan:Faultgen.t -> Oracle.case -> (string * violation) list
-
-val pp_violation : Format.formatter -> violation -> unit
+val check_adaptive : Adaptive.Driver.outcome -> Oracle.violation list

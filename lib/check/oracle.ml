@@ -7,6 +7,8 @@
    same program and workload. This module runs one case through every
    executor and diffs the observable behaviour against the RTC reference,
    reporting the first divergence with a minimized, seed-replayable repro.
+   The same scan checks the executor-independent invariants on every
+   observation it makes, so each executor runs once per case.
 
    Executors mutate packets in place and advance per-NF state, so every
    run gets a *fresh* instance (worker, program, NF state, workload) built
@@ -51,7 +53,7 @@ type case = {
   c_profile : string;
   c_packets : int;
   c_build : packets:int -> instance;
-  c_repro : packets:int -> string;  (* one-command replay *)
+  c_selector : string;  (* the CLI flags that select this case *)
 }
 
 type divergence = {
@@ -62,6 +64,16 @@ type divergence = {
   d_packets : int;  (* minimized workload length *)
   d_detail : string;
   d_repro : string;
+}
+
+type violation = { v_rule : string; v_detail : string }
+
+(* One scan of a case through the executor matrix. *)
+type scan = {
+  sc_reference : observation;
+  sc_violations : (string * violation) list;  (* tagged with the variant label *)
+  sc_divergence : divergence option;  (* the first, minimized *)
+  sc_repro : string;  (* replays the whole case *)
 }
 
 (* ----- executors under comparison ----- *)
@@ -81,7 +93,7 @@ let executors : Exec.t list =
 
 let executor_names = List.map Exec.label (reference :: executors)
 
-(* ----- observation ----- *)
+(* ----- the completion recorder ----- *)
 
 let packet_fingerprint (p : Netcore.Packet.t) =
   Fingerprint.of_fn (fun fp ->
@@ -89,6 +101,49 @@ let packet_fingerprint (p : Netcore.Packet.t) =
       Fingerprint.feed_int fp p.Netcore.Packet.wire_len;
       Fingerprint.feed_int fp p.Netcore.Packet.l3_off;
       Fingerprint.feed_int fp p.Netcore.Packet.l4_off)
+
+(* One completed packet, read at the executor's completion hook. *)
+let emit_of_task ~clock (task : Nftask.t) =
+  let e_pkt, e_pktid, e_wire =
+    match task.Nftask.packet with
+    | Some p -> (packet_fingerprint p, p.Netcore.Packet.id, p.Netcore.Packet.wire_len)
+    | None -> ("", -1, 0)
+  in
+  {
+    e_flow = task.Nftask.flow_hint;
+    e_aux = task.Nftask.aux;
+    e_event = Event.to_key task.Nftask.event;
+    e_dropped =
+      Event.equal task.Nftask.event Event.Drop_packet
+      || Event.equal task.Nftask.event Event.Match_fail;
+    e_wire;
+    e_pkt;
+    e_pktid;
+    e_clock = clock;
+  }
+
+let input_of_item (item : Workload.item) =
+  ( (match item.Workload.packet with Some p -> p.Netcore.Packet.id | None -> -1),
+    item.Workload.flow_hint )
+
+let observation ~label ?(state = "") ~inputs (ctx : Exec_ctx.t) run emits =
+  let mem = ctx.Exec_ctx.mem in
+  {
+    o_label = label;
+    o_run = run;
+    o_emits = emits;
+    o_inputs = inputs;
+    o_state = state;
+    o_mshr_pending = Memsim.Hierarchy.mshr_pending_count mem ~now:ctx.Exec_ctx.clock;
+    o_mshr_limit = (Memsim.Hierarchy.config mem).Memsim.Hierarchy.mshr_count;
+  }
+
+let record ~label ?(state = fun () -> "") ctx source exec =
+  let emits = ref [] and inputs = ref [] in
+  let on_complete task = emits := emit_of_task ~clock:ctx.Exec_ctx.clock task :: !emits in
+  let source = Workload.tap (fun item -> inputs := input_of_item item :: !inputs) source in
+  let run = exec ~on_complete source in
+  observation ~label ~state:(state ()) ~inputs:(List.rev !inputs) ctx run (List.rev !emits)
 
 let observe ?(specialize = false) ?plan ?telemetry (x : Exec.t) (inst : instance) :
     observation =
@@ -99,62 +154,201 @@ let observe ?(specialize = false) ?plan ?telemetry (x : Exec.t) (inst : instance
   if specialize then Specialize.install inst.program
   else Specialize.remove inst.program;
   let label = if specialize then Exec.label x ^ "+spec" else Exec.label x in
-  let ctx = Worker.ctx inst.worker in
   (* One fresh plane per run: the plan decides by pull index, so identical
      plans arm identical schedules in every executor. *)
   let plane = Option.map (fun _ -> Fault.create ()) plan in
-  let base_source =
+  let source =
     match (plan, plane) with
     | Some pl, Some pn -> Faultgen.instrument pl ~plane:pn inst.source
     | _ -> inst.source
   in
-  let emits = ref [] in
-  let inputs = ref [] in
-  let on_complete (task : Nftask.t) =
-    let dropped =
-      Event.equal task.Nftask.event Event.Drop_packet
-      || Event.equal task.Nftask.event Event.Match_fail
-    in
-    let e_pkt, e_pktid, e_wire =
-      match task.Nftask.packet with
-      | Some p -> (packet_fingerprint p, p.Netcore.Packet.id, p.Netcore.Packet.wire_len)
-      | None -> ("", -1, 0)
-    in
-    emits :=
-      {
-        e_flow = task.Nftask.flow_hint;
-        e_aux = task.Nftask.aux;
-        e_event = Event.to_key task.Nftask.event;
-        e_dropped = dropped;
-        e_wire;
-        e_pkt;
-        e_pktid;
-        e_clock = ctx.Exec_ctx.clock;
-      }
-      :: !emits
+  record ~label
+    ~state:(fun () -> Fingerprint.of_fn inst.digest)
+    (Worker.ctx inst.worker) source
+    (fun ~on_complete source ->
+      Exec.run ?fault:plane ?telemetry ~on_complete x inst.worker inst.program source)
+
+(* ----- executor-independent invariants -----
+
+   Unlike the differential diff (which needs a second run to compare
+   against), these hold for ANY correct executor in isolation:
+
+   - packet conservation: every pulled item completes, exactly once, and
+     the run's packet/drop/byte counters agree with the completion stream;
+   - per-flow order: each flow's packets complete in arrival order;
+   - monotone clock: completion times never run backwards, and fit inside
+     the run's measured cycle window;
+   - memsim accounting: every line access is served by exactly one level
+     (or an in-flight fill), prefetch issue/redundant/dropped books
+     balance, and outstanding fills never exceed the MSHR count. *)
+
+let v rule fmt = Printf.ksprintf (fun s -> { v_rule = rule; v_detail = s }) fmt
+
+(* A completion the fault plane quarantined carries [Event.Faulted] — its
+   key round-trips through {!Gunfu.Event.to_key} as "FAULT[reason]". *)
+let emit_faulted (e : emit) =
+  let s = e.e_event in
+  String.length s > 7 && String.sub s 0 6 = "FAULT["
+
+let check_conservation (o : observation) : violation list =
+  let n_in = List.length o.o_inputs in
+  let n_out = List.length o.o_emits in
+  let drops = List.length (List.filter (fun e -> e.e_dropped) o.o_emits) in
+  let faulted = List.length (List.filter emit_faulted o.o_emits) in
+  let wire =
+    List.fold_left
+      (fun acc e ->
+        if e.e_dropped || emit_faulted e then acc else acc + e.e_wire)
+      0 o.o_emits
   in
-  let source =
-    Workload.tap
-      (fun item ->
-        let pid =
-          match item.Workload.packet with
-          | Some p -> p.Netcore.Packet.id
-          | None -> -1
-        in
-        inputs := (pid, item.Workload.flow_hint) :: !inputs)
-      base_source
+  let run = o.o_run in
+  List.concat
+    [
+      (if n_in <> n_out then
+         [ v "conservation" "%d items pulled but %d completed" n_in n_out ]
+       else []);
+      (if run.Metrics.packets <> n_out then
+         [
+           v "conservation" "run reports %d packets but %d completions observed"
+             run.Metrics.packets n_out;
+         ]
+       else []);
+      (if run.Metrics.drops <> drops then
+         [
+           v "conservation" "run reports %d drops but %d dropped completions observed"
+             run.Metrics.drops drops;
+         ]
+       else []);
+      (* Every offered packet is accounted exactly once:
+         emits + drops + faulted = offered. *)
+      (if run.Metrics.faulted <> faulted then
+         [
+           v "conservation" "run reports %d faulted but %d faulted completions observed"
+             run.Metrics.faulted faulted;
+         ]
+       else []);
+      (if run.Metrics.packets - run.Metrics.drops - run.Metrics.faulted
+          <> n_out - drops - faulted
+       then
+         [
+           v "conservation"
+             "emit accounting broken: offered=%d drops=%d faulted=%d but %d clean completions"
+             run.Metrics.packets run.Metrics.drops run.Metrics.faulted
+             (n_out - drops - faulted);
+         ]
+       else []);
+      (if run.Metrics.wire_bytes <> wire then
+         [
+           v "conservation" "run reports %d wire bytes but completions sum to %d"
+             run.Metrics.wire_bytes wire;
+         ]
+       else []);
+    ]
+
+(* Each flow's completions must carry that flow's packet ids in arrival
+   order — the per-flow order-preservation claim. Flow hint -1 marks items
+   the generator declared unordered; they are exempt. *)
+let check_flow_order (o : observation) : violation list =
+  let arrivals : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (pid, flow) ->
+      if flow >= 0 then
+        match Hashtbl.find_opt arrivals flow with
+        | Some l -> l := pid :: !l
+        | None -> Hashtbl.add arrivals flow (ref [ pid ]))
+    o.o_inputs;
+  let completions : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      if e.e_flow >= 0 then
+        match Hashtbl.find_opt completions e.e_flow with
+        | Some l -> l := e.e_pktid :: !l
+        | None -> Hashtbl.add completions e.e_flow (ref [ e.e_pktid ]))
+    o.o_emits;
+  Hashtbl.fold
+    (fun flow arr acc ->
+      let expect = List.rev !arr in
+      let got =
+        match Hashtbl.find_opt completions flow with
+        | Some l -> List.rev !l
+        | None -> []
+      in
+      if expect <> got then
+        v "flow-order" "flow %d arrived as %s but completed as %s" flow
+          (String.concat "," (List.map string_of_int expect))
+          (String.concat "," (List.map string_of_int got))
+        :: acc
+      else acc)
+    arrivals []
+
+let check_clock (o : observation) : violation list =
+  let rec monotone prev = function
+    | [] -> []
+    | e :: rest ->
+        if e.e_clock < prev then
+          [
+            v "clock" "completion clock ran backwards: %d after %d" e.e_clock
+              prev;
+          ]
+        else monotone e.e_clock rest
   in
-  let run = Exec.run ?fault:plane ?telemetry ~on_complete x inst.worker inst.program source in
-  let mem = ctx.Exec_ctx.mem in
-  {
-    o_label = label;
-    o_run = run;
-    o_emits = List.rev !emits;
-    o_inputs = List.rev !inputs;
-    o_state = Fingerprint.of_fn inst.digest;
-    o_mshr_pending = Memsim.Hierarchy.mshr_pending_count mem ~now:ctx.Exec_ctx.clock;
-    o_mshr_limit = (Memsim.Hierarchy.config mem).Memsim.Hierarchy.mshr_count;
-  }
+  let backwards = monotone 0 o.o_emits in
+  let cycles = o.o_run.Metrics.cycles in
+  let negative = if cycles < 0 then [ v "clock" "negative run cycles %d" cycles ] else [] in
+  backwards @ negative
+
+let check_memstats (o : observation) : violation list =
+  let m = o.o_run.Metrics.mem in
+  let served =
+    m.Memsim.Memstats.l1_hits + m.Memsim.Memstats.l2_hits + m.Memsim.Memstats.llc_hits
+    + m.Memsim.Memstats.dram_fills + m.Memsim.Memstats.mshr_waits
+  in
+  List.concat
+    [
+      (if served <> m.Memsim.Memstats.line_accesses then
+         [
+           v "memsim"
+             "per-level serves (%d) do not sum to line accesses (%d): l1=%d l2=%d llc=%d dram=%d mshr=%d"
+             served m.Memsim.Memstats.line_accesses m.Memsim.Memstats.l1_hits
+             m.Memsim.Memstats.l2_hits m.Memsim.Memstats.llc_hits
+             m.Memsim.Memstats.dram_fills m.Memsim.Memstats.mshr_waits;
+         ]
+       else []);
+      (let fields =
+         [
+           ("line_accesses", m.Memsim.Memstats.line_accesses);
+           ("l1_hits", m.Memsim.Memstats.l1_hits);
+           ("l2_hits", m.Memsim.Memstats.l2_hits);
+           ("llc_hits", m.Memsim.Memstats.llc_hits);
+           ("dram_fills", m.Memsim.Memstats.dram_fills);
+           ("mshr_waits", m.Memsim.Memstats.mshr_waits);
+           ("wait_cycles", m.Memsim.Memstats.wait_cycles);
+           ("prefetch_issued", m.Memsim.Memstats.prefetch_issued);
+           ("prefetch_redundant", m.Memsim.Memstats.prefetch_redundant);
+           ("prefetch_dropped", m.Memsim.Memstats.prefetch_dropped);
+           ("mshr_stalls", m.Memsim.Memstats.mshr_stalls);
+         ]
+       in
+       List.filter_map
+         (fun (name, value) ->
+           if value < 0 then Some (v "memsim" "negative counter %s = %d" name value)
+           else None)
+         fields);
+      (if o.o_mshr_pending > o.o_mshr_limit then
+         [
+           v "memsim" "%d fills outstanding at end of run, MSHR limit is %d"
+             o.o_mshr_pending o.o_mshr_limit;
+         ]
+       else []);
+    ]
+
+let check_invariants (o : observation) : violation list =
+  check_conservation o @ check_flow_order o @ check_clock o @ check_memstats o
+
+(* An observation's violations, tagged with its label. *)
+let violations o = List.map (fun viol -> (o.o_label, viol)) (check_invariants o)
+
+let pp_violation ppf { v_rule; v_detail } = Fmt.pf ppf "[%s] %s" v_rule v_detail
 
 (* ----- diffing ----- *)
 
@@ -292,9 +486,31 @@ let minimize ?plan ?specialize case exec ~packets =
   in
   if packets <= 1 then packets else go 0 packets
 
-let check_case ?(minimized = true) ?(specialize = false) ?plan (case : case) :
-    divergence option =
-  let ref_obs = observe ?plan reference (case.c_build ~packets:case.c_packets) in
+(* The one-command replay of a case: the case supplies its selector, seed
+   and packet budget, the axis its command and flags. *)
+let repro ~command ~selector ~seed ~packets flags =
+  String.concat " "
+    ("gunfu_cli" :: command :: selector
+    :: Printf.sprintf "--seed %d --packets %d" seed packets
+    :: flags)
+
+(* Every axis command derives its fault plan from the case seed, so the
+   rate is all a repro has to carry. *)
+let plan_flags = function
+  | Some p -> [ Printf.sprintf "--rate-ppm %d" (Faultgen.rate_ppm p) ]
+  | None -> []
+
+let case_repro ~specialize ?plan case ~packets =
+  let command, flags =
+    match plan with
+    | Some _ -> ("chaos", plan_flags plan)
+    | None -> ("check", if specialize then [ "--specialize" ] else [])
+  in
+  repro ~command ~selector:case.c_selector ~seed:case.c_seed ~packets flags
+
+let check_case ?(minimized = true) ?(specialize = false) ?plan (case : case) : scan =
+  let repro = case_repro ~specialize ?plan case in
+  let build () = case.c_build ~packets:case.c_packets in
   (* The comparison matrix: every non-reference executor interpreted and —
      with [specialize] — every executor (reference included) under the
      compiled hot path, all against the interpreted RTC reference. *)
@@ -302,40 +518,46 @@ let check_case ?(minimized = true) ?(specialize = false) ?plan (case : case) :
     List.map (fun x -> (x, false)) executors
     @ (if specialize then List.map (fun x -> (x, true)) (reference :: executors) else [])
   in
-  let rec scan = function
-    | [] -> None
-    | (exec, spec) :: rest -> (
-        let obs =
-          observe ~specialize:spec ?plan exec (case.c_build ~packets:case.c_packets)
-        in
-        match diff_observations ~reference:ref_obs obs with
-        | None -> scan rest
-        | Some detail ->
-            let packets =
-              if minimized then
-                minimize ?plan ~specialize:spec case exec ~packets:case.c_packets
-              else case.c_packets
+  let ref_obs = observe ?plan reference (build ()) in
+  let ref_violations = violations ref_obs in
+  let divergence = ref None in
+  let variant_violations =
+    List.concat_map
+      (fun (exec, spec) ->
+        let obs = observe ~specialize:spec ?plan exec (build ()) in
+        (match (!divergence, diff_observations ~reference:ref_obs obs) with
+        | None, Some detail ->
+            let packets, detail =
+              if not minimized then (case.c_packets, detail)
+              else
+                let packets =
+                  minimize ?plan ~specialize:spec case exec ~packets:case.c_packets
+                in
+                ( packets,
+                  Option.value ~default:detail
+                    (diverges ?plan ~specialize:spec case exec ~packets) )
             in
-            let detail =
-              match diverges ?plan ~specialize:spec case exec ~packets with
-              | Some d when minimized -> d
-              | _ -> detail
-            in
-            Some
-              {
-                d_case = case.c_name;
-                d_seed = case.c_seed;
-                d_profile = case.c_profile;
-                d_exec = Exec.label exec ^ if spec then "+spec" else "";
-                d_packets = packets;
-                d_detail = detail;
-                d_repro = case.c_repro ~packets;
-              })
+            divergence :=
+              Some
+                {
+                  d_case = case.c_name;
+                  d_seed = case.c_seed;
+                  d_profile = case.c_profile;
+                  d_exec = obs.o_label;
+                  d_packets = packets;
+                  d_detail = detail;
+                  d_repro = repro ~packets;
+                }
+        | _ -> ());
+        violations obs)
+      variants
   in
-  scan variants
-
-let check_cases ?minimized ?specialize ?plan cases =
-  List.filter_map (check_case ?minimized ?specialize ?plan) cases
+  {
+    sc_reference = ref_obs;
+    sc_violations = ref_violations @ variant_violations;
+    sc_divergence = !divergence;
+    sc_repro = repro ~packets:case.c_packets;
+  }
 
 let pp_divergence ppf d =
   Fmt.pf ppf

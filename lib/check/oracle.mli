@@ -2,8 +2,9 @@
     executor (RTC as the semantic reference; Batch_rtc over several batch
     sizes; Scheduler over both policies × several task counts) and diff the
     observable behaviour — emitted packet streams, drop/emit/byte counts,
-    per-flow output order, final NF state. Divergences come with a
-    minimized, seed-replayable repro.
+    per-flow output order, final NF state — and check the
+    executor-independent invariants on every observation of the same scan.
+    Divergences come with a minimized, seed-replayable repro.
 
     Executors mutate packets and NF state in place, so a {!case} builds a
     fresh {!instance} (worker, program, state, workload) per run from its
@@ -45,7 +46,9 @@ type case = {
   c_profile : string;
   c_packets : int;
   c_build : packets:int -> instance;  (** fresh system under test *)
-  c_repro : packets:int -> string;  (** one-command replay *)
+  c_selector : string;
+      (** the command-line flags that select this case
+          ([--programs 1 --profile P] or [--spec NAME]) *)
 }
 
 type divergence = {
@@ -56,6 +59,17 @@ type divergence = {
   d_packets : int;  (** minimized workload length *)
   d_detail : string;
   d_repro : string;
+}
+
+type violation = { v_rule : string; v_detail : string }
+
+(** One scan of a case through the executor matrix. *)
+type scan = {
+  sc_reference : observation;  (** the interpreted RTC reference *)
+  sc_violations : (string * violation) list;
+      (** invariant violations of every observation, tagged with its label *)
+  sc_divergence : divergence option;  (** the first divergence, minimized *)
+  sc_repro : string;  (** replays the whole case *)
 }
 
 (** The semantic reference: [`Rtc]. *)
@@ -81,6 +95,29 @@ val emit_content : emit -> int * int * string * bool * int * string
 val per_flow_streams :
   emit list -> (int * (int * int * string * bool * int * string) list) list
 
+(** {2 The completion recorder}
+
+    Every axis observes a run the same way: one {!emit} per completion,
+    one (pktid, flow) input per pull, the memory system's MSHR state at
+    the end. *)
+
+(** The emit for a completed task at simulated time [clock]. *)
+val emit_of_task : clock:int -> Nftask.t -> emit
+
+(** Assemble an observation; MSHR occupancy is read from [ctx] now.
+    [state] defaults to [""] (the platform axes digest state per pass). *)
+val observation :
+  label:string -> ?state:string -> inputs:(int * int) list -> Exec_ctx.t ->
+  Metrics.run -> emit list -> observation
+
+(** [record ~label ctx source exec] runs [exec ~on_complete source'] where
+    [source'] taps [source]'s inputs and [on_complete] records emits at
+    [ctx]'s clock, then assembles the observation; [state] is read after
+    the run. *)
+val record :
+  label:string -> ?state:(unit -> string) -> Exec_ctx.t -> Workload.source ->
+  (on_complete:(Nftask.t -> unit) -> Workload.source -> Metrics.run) -> observation
+
 (** Run one executor over a fresh instance, recording all observables.
     With [~specialize:true] the compiled hot path (see {!Specialize}) is
     installed on the instance's program before the run and the label gains
@@ -96,6 +133,32 @@ val per_flow_streams :
 val observe :
   ?specialize:bool -> ?plan:Faultgen.t -> ?telemetry:Trace.t -> Exec.t -> instance ->
   observation
+
+(** {2 Executor-independent invariants}
+
+    Checked on every observation: packet conservation (pulled = emitted +
+    dropped + faulted, counters agree), per-flow order preservation,
+    monotone simulated clock, and memory-hierarchy accounting (per-level
+    serves sum to line accesses, counters non-negative, outstanding fills
+    within the MSHR budget). *)
+
+(** A completion the fault plane quarantined ([FAULT[reason]] event). *)
+val emit_faulted : emit -> bool
+
+val check_conservation : observation -> violation list
+val check_flow_order : observation -> violation list
+val check_clock : observation -> violation list
+val check_memstats : observation -> violation list
+
+(** All of the above. *)
+val check_invariants : observation -> violation list
+
+(** {!check_invariants}, each violation tagged with the observation's label. *)
+val violations : observation -> (string * violation) list
+
+val pp_violation : Format.formatter -> violation -> unit
+
+(** {2 Diffing and the scan} *)
 
 (** First behavioural difference against the reference observation, or
     [None] when identical. Under faults this additionally diffs the
@@ -114,18 +177,27 @@ val diverges :
 val minimize :
   ?plan:Faultgen.t -> ?specialize:bool -> case -> Exec.t -> packets:int -> int
 
-(** Run the case through every executor; [Some] on the first divergence
-    (minimized unless [~minimized:false]). With [~specialize:true] the scan
-    widens to the full 28-way matrix: all 14 executors interpreted plus all
-    14 under the specialized hot path (the reference included), every one
-    diffed against the interpreted reference; diverging specialized
-    variants are reported with a ["+spec"] suffix on [d_exec]. [?plan] runs
-    the whole comparison under that injection schedule — the chaos mode:
-    executors must agree even while faulting. *)
-val check_case :
-  ?minimized:bool -> ?specialize:bool -> ?plan:Faultgen.t -> case -> divergence option
+(** [gunfu_cli COMMAND SELECTOR --seed S --packets N FLAGS...]: the case
+    supplies selector, seed and packets, the axis its command and flags. *)
+val repro :
+  command:string -> selector:string -> seed:int -> packets:int -> string list -> string
 
-val check_cases :
-  ?minimized:bool -> ?specialize:bool -> ?plan:Faultgen.t -> case list ->
-  divergence list
+(** [[--rate-ppm R]] for a plan, [[]] without: every axis command derives
+    its plan from the case seed, so the rate is all a repro carries. *)
+val plan_flags : Faultgen.t option -> string list
+
+(** Run the case through every executor, checking {!check_invariants} on
+    each observation and diffing it against the reference; the first
+    divergence is minimized unless [~minimized:false]. With
+    [~specialize:true] the scan widens to the full 28-way matrix: all 14
+    executors interpreted plus all 14 under the specialized hot path (the
+    reference included), every one diffed against the interpreted
+    reference and labelled with a ["+spec"] suffix. [?plan] runs the whole
+    comparison under that injection schedule — the chaos mode: executors
+    must agree even while faulting. Repros replay through [chaos
+    --rate-ppm] under a plan (which the command derives from the case
+    seed) and through [check], plus [--specialize], otherwise. *)
+val check_case :
+  ?minimized:bool -> ?specialize:bool -> ?plan:Faultgen.t -> case -> scan
+
 val pp_divergence : Format.formatter -> divergence -> unit

@@ -431,9 +431,7 @@ let build_synthetic ~rng ~seed ~profile ~packets =
 
 (* ----- cases ----- *)
 
-let repro_command ~kind ~seed ~profile ~packets =
-  Printf.sprintf "gunfu_cli check %s--seed %d --programs 1 --profile %s --packets %d"
-    kind seed profile packets
+let gen_selector ~profile = "--programs 1 --profile " ^ profile
 
 let case ~seed ~profile ~packets : Oracle.case =
   let rng = Rng.create seed in
@@ -448,14 +446,8 @@ let case ~seed ~profile ~packets : Oracle.case =
     c_profile = profile;
     c_packets = packets;
     c_build = build;
-    c_repro = (fun ~packets -> repro_command ~kind:"" ~seed ~profile ~packets);
+    c_selector = gen_selector ~profile;
   }
-
-let cases ~seed ~count ~packets : Oracle.case list =
-  List.concat_map
-    (fun i ->
-      List.map (fun profile -> case ~seed:(seed + i) ~profile ~packets) profiles)
-    (List.init count Fun.id)
 
 (* The generated program behind a seed, as data rather than a built
    instance — the recovery plane rebuilds the same program once per core,
@@ -501,10 +493,7 @@ let catalog_spec_case ?opts ~specs_dir ~name ~seed ~packets () : Oracle.case =
           source = make_source ~profile ~seed ~gen ~pool ~packets:(min budget packets);
           digest = built.Nfs.Catalog.digest;
         });
-    c_repro =
-      (fun ~packets ->
-        Printf.sprintf "gunfu_cli check --spec %s --seed %d --packets %d" name seed
-          packets);
+    c_selector = "--spec " ^ name;
   }
 
 (* The UPF downlink composition: instances from the shipped UPF, module
@@ -565,10 +554,7 @@ let upf_spec_case ?opts ~specs_dir ~seed ~packets () : Oracle.case =
               Fingerprint.feed_int fp upf.Nfs.Upf.decapsulated;
               Fingerprint.feed_int fp upf.Nfs.Upf.n_active);
         });
-    c_repro =
-      (fun ~packets ->
-        Printf.sprintf "gunfu_cli check --spec upf_downlink --seed %d --packets %d" seed
-          packets);
+    c_selector = "--spec upf_downlink";
   }
 
 (* One oracle case per composition under [specs_dir]; the module specs the

@@ -25,8 +25,9 @@ val make_source :
 (** A generated oracle case (chain or synthetic, chosen by the seed). *)
 val case : seed:int -> profile:string -> packets:int -> Oracle.case
 
-(** [count] seeds × all {!profiles}. *)
-val cases : seed:int -> count:int -> packets:int -> Oracle.case list
+(** [--programs 1 --profile P]: the command-line selector of a generated
+    case, oracle or platform. *)
+val gen_selector : profile:string -> string
 
 (** {2 Recovery-plane building blocks}
 

@@ -66,7 +66,7 @@ type rcase = {
          check and shared (as clones) by the reference and killed passes,
          so packet ids line up across both *)
   r_build : Worker.t -> owned:int array -> core_instance;
-  r_repro : cores:int -> string;
+  r_selector : string;  (* the CLI flags that select this case *)
 }
 
 (* ----- tracing ----- *)
@@ -111,105 +111,80 @@ let syn_export (st : Progen.syn_state) flow ids =
     present;
   Buffer.contents buf
 
+(* Admit an absent flow into the next free slot. *)
+let syn_admit (st : Progen.syn_state) key =
+  if st.Progen.syn_next >= Array.length st.Progen.syn_seqs then
+    raise (Nfs.Migration.Bad_snapshot "target synthetic state full");
+  let slot = st.Progen.syn_next in
+  let shed = Nfs.Classifier.populate st.Progen.syn_classifier [ (key, slot) ] in
+  if shed > 0 then raise (Nfs.Migration.Bad_snapshot "target synthetic classifier full");
+  st.Progen.syn_next <- slot + 1;
+  slot
+
+(* The one GSYN1 decode loop: each entry's state lands in the slot
+   [slot_of] picks for its key. *)
+let syn_decode (st : Progen.syn_state) blob ~slot_of =
+  let count =
+    Nfs.Migration.parse_header ~magic:syn_magic ~entry_bytes:syn_entry_bytes blob
+  in
+  let base = String.length syn_magic + 4 in
+  for e = 0 to count - 1 do
+    let off = base + (e * syn_entry_bytes) in
+    let slot = slot_of (Nfs.Migration.get_u64 blob off) in
+    st.Progen.syn_ident.(slot) <- Int32.to_int (Nfs.Migration.get_u32 blob (off + 8));
+    st.Progen.syn_seqs.(slot) <- Int32.to_int (Nfs.Migration.get_u32 blob (off + 12));
+    st.Progen.syn_scratch.(slot) <- Int64.to_int (Nfs.Migration.get_u64 blob (off + 16))
+  done
+
+(* Checkpoint import: every entry is a flow the adopter does not hold. *)
 let syn_import (st : Progen.syn_state) blob =
   let count =
     Nfs.Migration.parse_header ~magic:syn_magic ~entry_bytes:syn_entry_bytes blob
   in
   if st.Progen.syn_next + count > Array.length st.Progen.syn_seqs then
     raise (Nfs.Migration.Bad_snapshot "target synthetic state full");
-  let base = String.length syn_magic + 4 in
-  for e = 0 to count - 1 do
-    let off = base + (e * syn_entry_bytes) in
-    let key = Nfs.Migration.get_u64 blob off in
-    let ident = Int32.to_int (Nfs.Migration.get_u32 blob (off + 8)) in
-    let seq = Int32.to_int (Nfs.Migration.get_u32 blob (off + 12)) in
-    let scratch = Int64.to_int (Nfs.Migration.get_u64 blob (off + 16)) in
-    let slot = st.Progen.syn_next in
-    let shed = Nfs.Classifier.populate st.Progen.syn_classifier [ (key, slot) ] in
-    if shed > 0 then
-      raise (Nfs.Migration.Bad_snapshot "target synthetic classifier full");
-    st.Progen.syn_next <- slot + 1;
-    st.Progen.syn_ident.(slot) <- ident;
-    st.Progen.syn_seqs.(slot) <- seq;
-    st.Progen.syn_scratch.(slot) <- scratch
-  done
+  syn_decode st blob ~slot_of:(syn_admit st)
 
-(* Upsert flavour of {!syn_import}: overwrite a resident flow's state in
-   place, admit an absent one into a fresh slot — the synthetic unit's SCR
-   update-apply surface. *)
+(* Upsert flavour — the synthetic unit's SCR update-apply surface:
+   overwrite a resident flow's state in place, admit an absent one. *)
 let syn_apply (st : Progen.syn_state) blob =
-  let count =
-    Nfs.Migration.parse_header ~magic:syn_magic ~entry_bytes:syn_entry_bytes blob
-  in
   let table = Nfs.Classifier.table st.Progen.syn_classifier in
-  let base = String.length syn_magic + 4 in
-  for e = 0 to count - 1 do
-    let off = base + (e * syn_entry_bytes) in
-    let key = Nfs.Migration.get_u64 blob off in
-    let ident = Int32.to_int (Nfs.Migration.get_u32 blob (off + 8)) in
-    let seq = Int32.to_int (Nfs.Migration.get_u32 blob (off + 12)) in
-    let scratch = Int64.to_int (Nfs.Migration.get_u64 blob (off + 16)) in
-    let slot =
+  syn_decode st blob ~slot_of:(fun key ->
       match Structures.Cuckoo.lookup table key with
       | Some slot -> slot
-      | None ->
-          if st.Progen.syn_next >= Array.length st.Progen.syn_seqs then
-            raise (Nfs.Migration.Bad_snapshot "target synthetic state full");
-          let slot = st.Progen.syn_next in
-          let shed = Nfs.Classifier.populate st.Progen.syn_classifier [ (key, slot) ] in
-          if shed > 0 then
-            raise (Nfs.Migration.Bad_snapshot "target synthetic classifier full");
-          st.Progen.syn_next <- slot + 1;
-          slot
-    in
-    st.Progen.syn_ident.(slot) <- ident;
-    st.Progen.syn_seqs.(slot) <- seq;
-    st.Progen.syn_scratch.(slot) <- scratch
-  done
+      | None -> syn_admit st key)
 
-let chain_instance ~families ~n_flows ~opts ~gen worker ~owned =
-  let layout = Worker.layout worker in
-  let built =
-    Nfs.Catalog.build layout ~nf:(Progen.chain_spec families)
-      ~modules:(Lazy.force Progen.builtin_modules) ~n_flows ~opts ()
-  in
-  let flow i = Traffic.Flowgen.flow gen i in
+(* A core's instance of a catalog-built composition: every stateful NF's
+   snapshotter is the state plane. *)
+let catalog_instance worker (built : Nfs.Catalog.built) ~flow ~owned =
   built.Nfs.Catalog.populate (Array.map flow owned);
+  let snaps = built.Nfs.Catalog.snapshots in
+  let each f blobs =
+    List.iter
+      (fun (sn : Nfs.Catalog.snapshotter) ->
+        Option.iter (f sn) (List.assoc_opt sn.Nfs.Catalog.sn_name blobs))
+      snaps
+  in
   {
     ci_worker = worker;
     ci_program = built.Nfs.Catalog.program;
-    ci_pool = Netcore.Packet.Pool.create layout ~count:256;
+    ci_pool = Netcore.Packet.Pool.create (Worker.layout worker) ~count:256;
     ci_export =
       (fun ids ->
         let flows = List.map flow ids in
         List.map
           (fun (sn : Nfs.Catalog.snapshotter) ->
             (sn.Nfs.Catalog.sn_name, sn.Nfs.Catalog.sn_export flows))
-          built.Nfs.Catalog.snapshots);
-    ci_import =
-      (fun blobs ->
-        List.iter
-          (fun (sn : Nfs.Catalog.snapshotter) ->
-            match List.assoc_opt sn.Nfs.Catalog.sn_name blobs with
-            | Some blob -> ignore (sn.Nfs.Catalog.sn_import blob : int)
-            | None -> ())
-          built.Nfs.Catalog.snapshots);
-    ci_apply =
-      (fun blobs ->
-        List.iter
-          (fun (sn : Nfs.Catalog.snapshotter) ->
-            match List.assoc_opt sn.Nfs.Catalog.sn_name blobs with
-            | Some blob -> ignore (sn.Nfs.Catalog.sn_apply blob : int)
-            | None -> ())
-          built.Nfs.Catalog.snapshots);
+          snaps);
+    ci_import = each (fun sn blob -> ignore (sn.Nfs.Catalog.sn_import blob : int));
+    ci_apply = each (fun sn blob -> ignore (sn.Nfs.Catalog.sn_apply blob : int));
     ci_counters = (fun () -> []);
     ci_restore = (fun _ -> ());
     ci_flow_digest =
       (fun fp i ->
         List.iter
-          (fun (sn : Nfs.Catalog.snapshotter) ->
-            sn.Nfs.Catalog.sn_flow_digest fp (flow i))
-          built.Nfs.Catalog.snapshots);
+          (fun (sn : Nfs.Catalog.snapshotter) -> sn.Nfs.Catalog.sn_flow_digest fp (flow i))
+          snaps);
   }
 
 let synthetic_instance ~seed ~shape ~gen worker ~owned =
@@ -228,16 +203,8 @@ let synthetic_instance ~seed ~shape ~gen worker ~owned =
     ci_program = program;
     ci_pool = Netcore.Packet.Pool.create layout ~count:256;
     ci_export = (fun ids -> [ ("syn", syn_export st flow ids) ]);
-    ci_import =
-      (fun blobs ->
-        match List.assoc_opt "syn" blobs with
-        | Some blob -> syn_import st blob
-        | None -> ());
-    ci_apply =
-      (fun blobs ->
-        match List.assoc_opt "syn" blobs with
-        | Some blob -> syn_apply st blob
-        | None -> ());
+    ci_import = (fun blobs -> Option.iter (syn_import st) (List.assoc_opt "syn" blobs));
+    ci_apply = (fun blobs -> Option.iter (syn_apply st) (List.assoc_opt "syn" blobs));
     ci_counters = (fun () -> [ ("syn.total", !(st.Progen.syn_total)) ]);
     ci_restore =
       List.iter (fun (name, v) ->
@@ -279,15 +246,16 @@ let gen_rcase ~seed ~profile ~packets : rcase =
       (match recipe with
       | Progen.Chain { families; n_flows; opts } ->
           fun worker ~owned ->
-            chain_instance ~families ~n_flows ~opts ~gen:(gen ()) worker ~owned
+            let gen = gen () in
+            let built =
+              Nfs.Catalog.build (Worker.layout worker) ~nf:(Progen.chain_spec families)
+                ~modules:(Lazy.force Progen.builtin_modules) ~n_flows ~opts ()
+            in
+            catalog_instance worker built ~flow:(Traffic.Flowgen.flow gen) ~owned
       | Progen.Synthetic { shape } ->
           fun worker ~owned ->
             synthetic_instance ~seed ~shape ~gen:(gen ()) worker ~owned);
-    r_repro =
-      (fun ~cores ->
-        Printf.sprintf
-          "gunfu_cli chaos --kill-cores --cores %d --seed %d --profile %s --packets %d"
-          cores seed profile packets);
+    r_selector = Progen.gen_selector ~profile;
   }
 
 (* ----- cases over the on-disk specs/ compositions ----- *)
@@ -310,21 +278,14 @@ let upf_instance ~specs_dir ~mgw worker ~owned =
           invalid_arg (Printf.sprintf "recovery: UPF session install rejected (cause %d)" cause))
     owned;
   let ue_ips ids = List.map (fun i -> (Traffic.Mgw.session mgw i).Traffic.Mgw.ue_ip) ids in
+  let upf_blob f blobs = Option.iter f (List.assoc_opt "upf" blobs) in
   {
     ci_worker = worker;
     ci_program = Compiler.compile ~name:nf.Spec.n_name instances nf;
     ci_pool = Netcore.Packet.Pool.create layout ~count:256;
     ci_export = (fun ids -> [ ("upf", Nfs.Migration.export_upf upf (ue_ips ids)) ]);
-    ci_import =
-      (fun blobs ->
-        match List.assoc_opt "upf" blobs with
-        | Some blob -> ignore (Nfs.Migration.import_upf upf blob : int)
-        | None -> ());
-    ci_apply =
-      (fun blobs ->
-        match List.assoc_opt "upf" blobs with
-        | Some blob -> ignore (Nfs.Migration.apply_upf upf blob : int)
-        | None -> ());
+    ci_import = upf_blob (fun blob -> ignore (Nfs.Migration.import_upf upf blob : int));
+    ci_apply = upf_blob (fun blob -> ignore (Nfs.Migration.apply_upf upf blob : int));
     ci_counters =
       (fun () ->
         [
@@ -346,91 +307,42 @@ let upf_instance ~specs_dir ~mgw worker ~owned =
   }
 
 let spec_rcase ~specs_dir ~name ~seed ~packets : rcase =
-  let repro ~cores =
-    Printf.sprintf "gunfu_cli chaos --kill-cores --cores %d --spec %s --seed %d --packets %d"
-      cores name seed packets
+  let trace source () =
+    let worker = Worker.create ~id:0 () in
+    let pool = Netcore.Packet.Pool.create (Worker.layout worker) ~count:256 in
+    drain (source ~pool)
+  in
+  let case ~trace ~build =
+    {
+      r_name = "rec-spec-" ^ name;
+      r_seed = seed;
+      r_packets = packets;
+      r_universe = spec_universe;
+      r_cfg = Worker.default_cfg;
+      r_trace = trace;
+      r_build = build;
+      r_selector = "--spec " ^ name;
+    }
   in
   match name with
   | "upf_downlink" ->
       let mgw = Traffic.Mgw.create ~seed ~n_sessions:spec_universe ~n_pdrs:4 () in
-      {
-        r_name = "rec-spec-upf_downlink";
-        r_seed = seed;
-        r_packets = packets;
-        r_universe = spec_universe;
-        r_cfg = Worker.default_cfg;
-        r_trace =
-          (fun () ->
-            let worker = Worker.create ~id:0 () in
-            let pool = Netcore.Packet.Pool.create (Worker.layout worker) ~count:256 in
-            drain (Workload.of_mgw_downlink mgw ~pool ~count:packets));
-        r_build = (fun worker ~owned -> upf_instance ~specs_dir ~mgw worker ~owned);
-        r_repro = repro;
-      }
+      case
+        ~trace:(trace (fun ~pool -> Workload.of_mgw_downlink mgw ~pool ~count:packets))
+        ~build:(fun worker ~owned -> upf_instance ~specs_dir ~mgw worker ~owned)
   | _ ->
       let profile = "zipf" in
       let gen () = Progen.flowgen_for ~profile ~seed ~n_flows:spec_universe in
-      {
-        r_name = "rec-spec-" ^ name;
-        r_seed = seed;
-        r_packets = packets;
-        r_universe = spec_universe;
-        r_cfg = Worker.default_cfg;
-        r_trace =
-          (fun () ->
-            let worker = Worker.create ~id:0 () in
-            let pool = Netcore.Packet.Pool.create (Worker.layout worker) ~count:256 in
-            drain
-              (Progen.make_source ~profile ~seed ~gen:(gen ()) ~pool ~packets));
-        r_build =
-          (fun worker ~owned ->
-            let layout = Worker.layout worker in
-            let built =
-              Nfs.Catalog.build_from_files layout
-                ~nf_file:(Filename.concat specs_dir (name ^ ".yaml"))
-                ~specs_dir ~n_flows:spec_universe ()
-            in
-            let gen = gen () in
-            let flow i = Traffic.Flowgen.flow gen i in
-            built.Nfs.Catalog.populate (Array.map flow owned);
-            {
-              ci_worker = worker;
-              ci_program = built.Nfs.Catalog.program;
-              ci_pool = Netcore.Packet.Pool.create layout ~count:256;
-              ci_export =
-                (fun ids ->
-                  let flows = List.map flow ids in
-                  List.map
-                    (fun (sn : Nfs.Catalog.snapshotter) ->
-                      (sn.Nfs.Catalog.sn_name, sn.Nfs.Catalog.sn_export flows))
-                    built.Nfs.Catalog.snapshots);
-              ci_import =
-                (fun blobs ->
-                  List.iter
-                    (fun (sn : Nfs.Catalog.snapshotter) ->
-                      match List.assoc_opt sn.Nfs.Catalog.sn_name blobs with
-                      | Some blob -> ignore (sn.Nfs.Catalog.sn_import blob : int)
-                      | None -> ())
-                    built.Nfs.Catalog.snapshots);
-              ci_apply =
-                (fun blobs ->
-                  List.iter
-                    (fun (sn : Nfs.Catalog.snapshotter) ->
-                      match List.assoc_opt sn.Nfs.Catalog.sn_name blobs with
-                      | Some blob -> ignore (sn.Nfs.Catalog.sn_apply blob : int)
-                      | None -> ())
-                    built.Nfs.Catalog.snapshots);
-              ci_counters = (fun () -> []);
-              ci_restore = (fun _ -> ());
-              ci_flow_digest =
-                (fun fp i ->
-                  List.iter
-                    (fun (sn : Nfs.Catalog.snapshotter) ->
-                      sn.Nfs.Catalog.sn_flow_digest fp (flow i))
-                    built.Nfs.Catalog.snapshots);
-            });
-        r_repro = repro;
-      }
+      case
+        ~trace:(trace (fun ~pool ->
+            Progen.make_source ~profile ~seed ~gen:(gen ()) ~pool ~packets))
+        ~build:(fun worker ~owned ->
+          let built =
+            Nfs.Catalog.build_from_files (Worker.layout worker)
+              ~nf_file:(Filename.concat specs_dir (name ^ ".yaml"))
+              ~specs_dir ~n_flows:spec_universe ()
+          in
+          catalog_instance worker built ~flow:(Traffic.Flowgen.flow (gen ())) ~owned)
 
 (* ----- the engine ----- *)
 
@@ -463,19 +375,6 @@ type op =
   | Replay of Platform.Recovery.entry
   | Adopt of (unit -> unit)
 
-let arm_plan ?plan ~plane ~g pkt =
-  match (plan, pkt) with
-  | Some fg, Some p -> (
-      match Faultgen.decide fg g with
-      | Some inj ->
-          (match inj with
-          | Fault.Corrupt_packet -> Faultgen.corrupt fg ~index:g p
-          | Fault.Raise_at _ | Fault.Stall_mshrs _ | Fault.Kill_core -> ());
-          Fault.inject plane ~packet_id:p.Netcore.Packet.id inj;
-          Some inj
-      | None -> None)
-  | _ -> None
-
 let make_source ?plan ~plane ~pool ?journal ops : Workload.source =
   let ops = ref ops in
   let rec next () =
@@ -507,7 +406,11 @@ let make_source ?plan ~plane ~pool ?journal ops : Workload.source =
         | None -> ());
         let pkt = Option.map Netcore.Packet.clone item.Workload.packet in
         Option.iter (Netcore.Packet.Pool.assign pool) pkt;
-        let inj = arm_plan ?plan ~plane ~g pkt in
+        let inj =
+          match (plan, pkt) with
+          | Some fg, Some p -> Faultgen.arm fg ~plane ~index:g p
+          | _ -> None
+        in
         (match journal with
         | Some (j, _) ->
             Platform.Recovery.record j
@@ -530,54 +433,18 @@ let make_source ?plan ~plane ~pool ?journal ops : Workload.source =
 (* Run one core to completion under RTC, recording the same observables
    as the single-core oracle. *)
 let observe_core ~label ~plane (ci : core_instance) source : Oracle.observation =
-  let ctx = Worker.ctx ci.ci_worker in
-  let emits = ref [] in
-  let inputs = ref [] in
-  let on_complete (task : Nftask.t) =
-    let dropped =
-      Event.equal task.Nftask.event Event.Drop_packet
-      || Event.equal task.Nftask.event Event.Match_fail
-    in
-    let e_pkt, e_pktid, e_wire =
-      match task.Nftask.packet with
-      | Some p -> (Oracle.packet_fingerprint p, p.Netcore.Packet.id, p.Netcore.Packet.wire_len)
-      | None -> ("", -1, 0)
-    in
-    emits :=
-      {
-        Oracle.e_flow = task.Nftask.flow_hint;
-        e_aux = task.Nftask.aux;
-        e_event = Event.to_key task.Nftask.event;
-        e_dropped = dropped;
-        e_wire;
-        e_pkt;
-        e_pktid;
-        e_clock = ctx.Exec_ctx.clock;
-      }
-      :: !emits
-  in
-  let source =
-    Workload.tap
-      (fun item ->
-        let pid =
-          match item.Workload.packet with
-          | Some p -> p.Netcore.Packet.id
-          | None -> -1
-        in
-        inputs := (pid, item.Workload.flow_hint) :: !inputs)
-      source
-  in
-  let run = Rtc.run ~fault:plane ~on_complete ci.ci_worker ci.ci_program source in
-  {
-    Oracle.o_label = label;
-    o_run = run;
-    o_emits = List.rev !emits;
-    o_inputs = List.rev !inputs;
-    o_state = "";
-    o_mshr_pending =
-      Memsim.Hierarchy.mshr_pending_count ctx.Exec_ctx.mem ~now:ctx.Exec_ctx.clock;
-    o_mshr_limit = (Memsim.Hierarchy.config ctx.Exec_ctx.mem).Memsim.Hierarchy.mshr_count;
-  }
+  Oracle.record ~label (Worker.ctx ci.ci_worker) source (fun ~on_complete source ->
+      Rtc.run ~fault:plane ~on_complete ci.ci_worker ci.ci_program source)
+
+(* Named counters summed across cores, sorted by name. *)
+let sum_counters (per_core : (string * int) list list) =
+  let totals : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (List.iter (fun (name, v) ->
+         Hashtbl.replace totals name
+           (v + Option.value ~default:0 (Hashtbl.find_opt totals name))))
+    per_core;
+  Hashtbl.fold (fun name v acc -> (name, v) :: acc) totals [] |> List.sort compare
 
 (* Location-independent final-state digest: each universe flow's NF state
    read from the core that finally owns it, its containment state, then
@@ -592,18 +459,10 @@ let state_digest ~universe ~owner_of ~live (cis : core_instance array)
         Fingerprint.feed_int fp consec;
         Fingerprint.feed_bool fp poisoned
       done;
-      let totals : (string, int) Hashtbl.t = Hashtbl.create 8 in
-      Array.iteri
-        (fun c ci ->
-          if live c then
-            List.iter
-              (fun (name, v) ->
-                Hashtbl.replace totals name
-                  (v + Option.value ~default:0 (Hashtbl.find_opt totals name)))
-              (ci.ci_counters ()))
-        cis;
-      Hashtbl.fold (fun name v acc -> (name, v) :: acc) totals []
-      |> List.sort compare
+      Array.to_list cis
+      |> List.filteri (fun c _ -> live c)
+      |> List.map (fun ci -> ci.ci_counters ())
+      |> sum_counters
       |> List.iter (fun (name, v) ->
              Fingerprint.feed_string fp name;
              Fingerprint.feed_int fp v))
@@ -616,6 +475,12 @@ type pass = {
   p_streams : (int * content list) list;  (* merged per-flow emit contents *)
   p_digest : string;
 }
+
+(* One instance per core of a fresh [cores]-core platform, core [c]
+   holding the flows [owned c]. *)
+let instances (rc : rcase) ~cores ~owned =
+  let plat = Platform.create ~cfg:rc.r_cfg ~cores () in
+  Array.init cores (fun c -> rc.r_build (Platform.worker plat c) ~owned:(owned c))
 
 let indexed items = List.mapi (fun g item -> (g, item)) items
 
@@ -635,13 +500,8 @@ let delivers ~cores ~core ?lo ?hi items =
    on or off (pinned by test). *)
 let platform_pass ?plan ?(journal = false)
     ?(rplan = Platform.Recovery.default_plan) ~cores ~items (rc : rcase) : pass =
-  let plat = Platform.create ~cfg:rc.r_cfg ~cores () in
   let items = indexed items in
-  let cis =
-    Array.init cores (fun c ->
-        rc.r_build (Platform.worker plat c)
-          ~owned:(owned_ids ~cores ~universe:rc.r_universe c))
-  in
+  let cis = instances rc ~cores ~owned:(owned_ids ~cores ~universe:rc.r_universe) in
   let planes = Array.init cores (fun _ -> Fault.create ()) in
   let obs =
     Array.to_list
@@ -675,53 +535,242 @@ let observe_platform ?plan ?journal ?rplan ?items ~cores (rc : rcase) : pass =
   let items = match items with Some l -> l | None -> rc.r_trace () in
   platform_pass ?plan ?journal ?rplan ~cores ~items rc
 
-(* First difference between two passes, or [None]. *)
-let diff_passes ~(reference : pass) (obs : pass) : string option =
+let pass_totals (p : pass) =
+  List.fold_left
+    (fun (pk, dr, fl, wb) (_, (o : Oracle.observation)) ->
+      let r = o.Oracle.o_run in
+      ( pk + r.Metrics.packets,
+        dr + r.Metrics.drops,
+        fl + r.Metrics.faulted,
+        wb + r.Metrics.wire_bytes ))
+    (0, 0, 0, 0) p.p_obs
+
+(* First difference between the reference pass and the [variant] pass, or
+   [None]: with [~totals], the completion/drop/fault/wire-byte totals
+   first; then the per-flow streams and the state digest. A recovered
+   pass skips the totals — its live cores complete the replayed suffix
+   twice. *)
+let diff_passes ?(totals = false) ~variant ~(reference : pass) (obs : pass) :
+    string option =
+  let rp, rd, rf, rw = if totals then pass_totals reference else (0, 0, 0, 0) in
+  let vp, vd, vf, vw = if totals then pass_totals obs else (0, 0, 0, 0) in
+  let differ what r v =
+    Some (Printf.sprintf "%s differ: %d (reference) vs %d (%s)" what r v variant)
+  in
   let rec diff_streams a b =
     match (a, b) with
     | [], [] -> None
-    | (fa, _) :: _, [] -> Some (Printf.sprintf "flow %d missing from recovered run" fa)
-    | [], (fb, _) :: _ -> Some (Printf.sprintf "recovered run invented flow %d" fb)
+    | (fa, _) :: _, [] -> Some (Printf.sprintf "flow %d missing from %s run" fa variant)
+    | [], (fb, _) :: _ -> Some (Printf.sprintf "%s run invented flow %d" variant fb)
     | (fa, sa) :: ra, (fb, sb) :: rb ->
         if fa <> fb then
-          Some (Printf.sprintf "flow sets differ: %d (reference) vs %d (recovered)" fa fb)
+          Some (Printf.sprintf "flow sets differ: %d (reference) vs %d (%s)" fa fb variant)
         else if List.length sa <> List.length sb then
           Some
-            (Printf.sprintf "flow %d: %d completions (reference) vs %d (recovered)" fa
-               (List.length sa) (List.length sb))
+            (Printf.sprintf "flow %d: %d completions (reference) vs %d (%s)" fa
+               (List.length sa) (List.length sb) variant)
         else if sa <> sb then
           Some (Printf.sprintf "flow %d: emit-content streams differ" fa)
         else diff_streams ra rb
   in
-  match diff_streams reference.p_streams obs.p_streams with
-  | Some d -> Some d
-  | None ->
-      if String.equal reference.p_digest obs.p_digest then None
-      else
-        Some
-          (Printf.sprintf "state digests differ: %s (reference) vs %s (recovered)"
-             reference.p_digest obs.p_digest)
+  if rp <> vp then differ "completion counts" rp vp
+  else if rd <> vd then differ "drop counts" rd vd
+  else if rf <> vf then differ "faulted counts" rf vf
+  else if rw <> vw then differ "wire bytes" rw vw
+  else
+    match diff_streams reference.p_streams obs.p_streams with
+    | Some d -> Some d
+    | None ->
+        if String.equal reference.p_digest obs.p_digest then None
+        else
+          Some
+            (Printf.sprintf "state digests differ: %s (reference) vs %s (%s)"
+               reference.p_digest obs.p_digest variant)
 
-type outcome = {
+(* Every live core's observation through the oracle's invariants. *)
+let pass_violations (p : pass) = List.concat_map (fun (_, o) -> Oracle.violations o) p.p_obs
+
+(* ----- the platform outcome, shared by the recovery, SCR and adaptive axes ----- *)
+
+type 'x outcome = {
   oc_case : string;
-  oc_cores : int;
   oc_packets : int;
-  oc_kill : (int * int) option;  (* (victim, global kill index) *)
-  oc_replayed : int;
-  oc_checkpoints : int;  (* checkpoints the victim took *)
+  oc_summary : string;
+  oc_verdict : string;
   oc_reference : pass;
-  oc_recovered : pass;
-  oc_violations : (string * Invariants.violation) list;
+  oc_variant : pass;
+  oc_violations : (string * Oracle.violation) list;
   oc_divergence : string option;
   oc_repro : string;
+  oc_extra : 'x;
+}
+
+let passed oc = oc.oc_violations = [] && oc.oc_divergence = None
+
+let pp_outcome ppf oc =
+  Fmt.pf ppf "%s %s: %s" oc.oc_case oc.oc_summary
+    (if passed oc then oc.oc_verdict
+     else
+       let why =
+         match (oc.oc_divergence, oc.oc_violations) with
+         | Some d, _ -> "DIVERGED: " ^ d
+         | None, (where, viol) :: _ ->
+             Fmt.str "INVARIANT VIOLATIONS (%d; first under %s: %a)"
+               (List.length oc.oc_violations) where Oracle.pp_violation viol
+         | None, [] -> "INVARIANT VIOLATIONS"
+       in
+       why ^ "; replay: " ^ oc.oc_repro)
+
+let repro (rc : rcase) ~command flags =
+  Oracle.repro ~command ~selector:rc.r_selector ~seed:rc.r_seed ~packets:rc.r_packets
+    flags
+
+(* ----- the recovery axis ----- *)
+
+type kill = {
+  k_cores : int;
+  k_kill : (int * int) option;  (* (victim, global kill index) *)
+  k_replayed : int;  (* journal-suffix completions replayed by the adopter *)
+  k_checkpoints : int;  (* checkpoints the victim took *)
 }
 
 (* The chaos pass: same platform, same schedule, but core [victim] dies
    right after global pull [g_kill] and core [(victim + 1) mod cores]
    adopts its flows — checkpoint restore, suffix replay, redirected
    remainder — all in the adopter's single run. *)
+let kill_pass ?plan ~rplan ~cores ~items ~packets (rc : rcase) (victim, g_kill) =
+  if victim < 0 || victim >= cores then
+    invalid_arg "Recovery.check_case: victim out of range";
+  let adopter = (victim + 1) mod cores in
+  let ixitems = indexed items in
+  let cis = instances rc ~cores ~owned:(owned_ids ~cores ~universe:rc.r_universe) in
+  let planes = Array.init cores (fun _ -> Fault.create ()) in
+  (* 1. The victim runs its truncated stream, journaling every pull. *)
+  let j = Platform.Recovery.journal rplan in
+  let checkpoints = ref 0 in
+  let victim_owned = owned_ids ~cores ~universe:rc.r_universe victim in
+  let snapshot () =
+    incr checkpoints;
+    take_ckpt cis.(victim) planes.(victim) victim_owned ()
+  in
+  let vobs =
+    observe_core
+      ~label:(Printf.sprintf "core%d" victim)
+      ~plane:planes.(victim) cis.(victim)
+      (make_source ?plan ~plane:planes.(victim) ~pool:cis.(victim).ci_pool
+         ~journal:(j, snapshot)
+         (delivers ~cores ~core:victim ~hi:g_kill ixitems))
+  in
+  let ck =
+    match Platform.Recovery.last_checkpoint j with
+    | Some ck -> ck
+    | None -> snapshot () (* victim died before its first pull *)
+  in
+  let suffix = Platform.Recovery.suffix j in
+  (* 2. The adopter: own pre-kill slice, then checkpoint import +
+     suffix replay, then the merged post-kill remainder (its own items
+     and the victim's redirected ones, in global order). *)
+  let adopt () =
+    cis.(adopter).ci_import ck.ck_snaps;
+    cis.(adopter).ci_restore ck.ck_counters;
+    Fault.restore_containment planes.(adopter) ck.ck_containment
+  in
+  let post_kill =
+    List.filter_map
+      (fun (g, item) ->
+        let owner = Platform.Recovery.owner ~cores item.Workload.flow_hint in
+        if g > g_kill && (owner = adopter || owner = victim) then
+          Some (Deliver (g, item))
+        else None)
+      ixitems
+  in
+  let adopter_ops =
+    delivers ~cores ~core:adopter ~hi:g_kill ixitems
+    @ (Adopt adopt :: List.map (fun e -> Replay e) suffix)
+    @ post_kill
+  in
+  let aobs =
+    observe_core
+      ~label:(Printf.sprintf "core%d" adopter)
+      ~plane:planes.(adopter) cis.(adopter)
+      (make_source ?plan ~plane:planes.(adopter) ~pool:cis.(adopter).ci_pool
+         adopter_ops)
+  in
+  (* 3. Bystander cores, unaffected. *)
+  let others =
+    List.filter_map
+      (fun c ->
+        if c = victim || c = adopter then None
+        else
+          Some
+            ( Printf.sprintf "core%d" c,
+              observe_core
+                ~label:(Printf.sprintf "core%d" c)
+                ~plane:planes.(c) cis.(c)
+                (make_source ?plan ~plane:planes.(c) ~pool:cis.(c).ci_pool
+                   (delivers ~cores ~core:c ixitems)) ))
+      (List.init cores Fun.id)
+  in
+  (* 4. Exactly-once: every replayed completion is a duplicate of one
+     the victim already emitted — suppress it from the merged stream,
+     keep the pair for content verification. *)
+  let replay_ids : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Platform.Recovery.entry) ->
+      match e.Platform.Recovery.e_pkt with
+      | Some p -> Hashtbl.replace replay_ids p.Netcore.Packet.id ()
+      | None -> ())
+    suffix;
+  let victim_by_id : (int, Oracle.emit) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Oracle.emit) -> Hashtbl.replace victim_by_id e.Oracle.e_pktid e)
+    vobs.Oracle.o_emits;
+  let suppressed, adopter_kept =
+    List.partition_map
+      (fun (e : Oracle.emit) ->
+        if e.Oracle.e_pktid >= 0 && Hashtbl.mem replay_ids e.Oracle.e_pktid then
+          Either.Left (e, Hashtbl.find_opt victim_by_id e.Oracle.e_pktid)
+        else Either.Right e)
+      aobs.Oracle.o_emits
+  in
+  (* Merged stream: victim first (its pre-kill emits made the wire),
+     then the adopter minus replays, then bystanders. Flow sets are
+     disjoint across cores, so per-flow order is concatenation order
+     only within the victim -> adopter pair, which matches global
+     arrival order. *)
+  let live_obs =
+    ((Printf.sprintf "core%d" victim, vobs)
+    :: (Printf.sprintf "core%d" adopter, aobs) :: others)
+  in
+  let merged =
+    vobs.Oracle.o_emits @ adopter_kept
+    @ List.concat_map (fun (_, o) -> o.Oracle.o_emits) others
+  in
+  let recovered =
+    {
+      p_obs = live_obs;
+      p_streams = Oracle.per_flow_streams merged;
+      p_digest =
+        state_digest ~universe:rc.r_universe
+          ~owner_of:(fun i ->
+            let c = Platform.Recovery.owner ~cores i in
+            if c = victim then adopter else c)
+          ~live:(fun c -> c <> victim) cis planes;
+    }
+  in
+  let recovery_violations =
+    List.map
+      (fun viol -> ("recovery", viol))
+      (Invariants.check_recovery ~offered:packets ~live:live_obs ~deduped:merged
+         ~suppressed)
+  in
+  ( recovered,
+    List.length suffix,
+    !checkpoints,
+    pass_violations recovered @ recovery_violations )
+
 let check_case ?plan ?kill ?(rplan = Platform.Recovery.default_plan) ~cores
-    (rc : rcase) : outcome =
+    (rc : rcase) : kill outcome =
   let items = rc.r_trace () in
   let packets = List.length items in
   let kill =
@@ -730,184 +779,100 @@ let check_case ?plan ?kill ?(rplan = Platform.Recovery.default_plan) ~cores
     | None -> Option.bind plan (fun fg -> Faultgen.decide_kill fg ~cores ~packets)
   in
   let reference = platform_pass ?plan ~rplan ~cores ~items rc in
-  let repro = rc.r_repro ~cores in
-  match kill with
+  let recovered, replayed, checkpoints, violations =
+    match kill with
+    | None -> (reference, 0, 0, [])
+    | Some k -> kill_pass ?plan ~rplan ~cores ~items ~packets rc k
+  in
+  {
+    oc_case = rc.r_name;
+    oc_packets = packets;
+    oc_summary =
+      Printf.sprintf "cores=%d packets=%d %s replayed=%d ckpts=%d" cores packets
+        (match kill with
+        | Some (v, g) -> Printf.sprintf "kill=core%d@%d" v g
+        | None -> "kill=none")
+        replayed checkpoints;
+    oc_verdict = "recovered";
+    oc_reference = reference;
+    oc_variant = recovered;
+    oc_violations = violations;
+    oc_divergence = diff_passes ~variant:"recovered" ~reference recovered;
+    oc_repro =
+      repro rc ~command:"chaos --kill-cores"
+        ((Printf.sprintf "--cores %d" cores :: Oracle.plan_flags plan)
+        @ [ Printf.sprintf "--epoch %d" rplan.Platform.Recovery.epoch ]);
+    oc_extra =
+      {
+        k_cores = cores;
+        k_kill = kill;
+        k_replayed = replayed;
+        k_checkpoints = checkpoints;
+      };
+  }
+
+(* ----- building blocks of the SCR and adaptive axes ----- *)
+
+(* A core instance as an SCR replica. *)
+let replica (ci : core_instance) =
+  {
+    Scaleout.Scr.sc_worker = ci.ci_worker;
+    sc_program = ci.ci_program;
+    sc_pool = ci.ci_pool;
+    sc_export = (fun i -> ci.ci_export [ i ]);
+    sc_apply = (fun r -> ci.ci_apply r.Scaleout.Update_log.u_payload);
+    sc_counters = ci.ci_counters;
+    sc_flow_digest = ci.ci_flow_digest;
+  }
+
+(* The traced stream as one core's source: each pull clones the pristine
+   packet into [pool] and arms the plan at the item's global index. *)
+let deliver ?plan ~plane ~pool items =
+  make_source ?plan ~plane ~pool (List.mapi (fun g item -> Deliver (g, item)) items)
+
+(* ----- case selection ----- *)
+
+type _ cases = Oracle_cases : Oracle.case cases | Platform_cases : rcase cases
+
+let select : type c.
+    c cases -> specs_dir:string -> programs:int -> seed:int -> packets:int ->
+    ?profile:string -> ?spec:string -> unit -> c list =
+ fun kind ~specs_dir ~programs ~seed ~packets ?profile ?spec () ->
+  if packets < 1 then invalid_arg "--packets must be positive";
+  let spec_case name : c =
+    match kind with
+    | Oracle_cases -> Progen.spec_case ~specs_dir ~name ~seed ~packets ()
+    | Platform_cases -> spec_rcase ~specs_dir ~name ~seed ~packets
+  in
+  let gen_case (seed, profile) : c =
+    match kind with
+    | Oracle_cases -> Progen.case ~seed ~profile ~packets
+    | Platform_cases -> gen_rcase ~seed ~profile ~packets
+  in
+  match spec with
+  | Some "all" -> List.map spec_case Progen.spec_names
+  | Some name when List.mem name Progen.spec_names -> [ spec_case name ]
+  | Some name ->
+      invalid_arg
+        (Printf.sprintf "unknown composition %s (expected %s or all)" name
+           (String.concat ", " Progen.spec_names))
   | None ->
-      {
-        oc_case = rc.r_name;
-        oc_cores = cores;
-        oc_packets = packets;
-        oc_kill = None;
-        oc_replayed = 0;
-        oc_checkpoints = 0;
-        oc_reference = reference;
-        oc_recovered = reference;
-        oc_violations = [];
-        oc_divergence = None;
-        oc_repro = repro;
-      }
-  | Some (victim, g_kill) ->
-      if victim < 0 || victim >= cores then
-        invalid_arg "Recovery.check_case: victim out of range";
-      let adopter = (victim + 1) mod cores in
-      let ixitems = indexed items in
-      let plat = Platform.create ~cfg:rc.r_cfg ~cores () in
-      let cis =
-        Array.init cores (fun c ->
-            rc.r_build (Platform.worker plat c)
-              ~owned:(owned_ids ~cores ~universe:rc.r_universe c))
+      if programs < 1 then invalid_arg "--programs must be positive";
+      let profiles =
+        match profile with
+        | None -> Progen.profiles
+        | Some p when List.mem p Progen.profiles -> [ p ]
+        | Some p ->
+            invalid_arg
+              (Printf.sprintf "unknown profile %s (expected one of: %s)" p
+                 (String.concat ", " Progen.profiles))
       in
-      let planes = Array.init cores (fun _ -> Fault.create ()) in
-      (* 1. The victim runs its truncated stream, journaling every pull. *)
-      let j = Platform.Recovery.journal rplan in
-      let checkpoints = ref 0 in
-      let victim_owned = owned_ids ~cores ~universe:rc.r_universe victim in
-      let snapshot () =
-        incr checkpoints;
-        take_ckpt cis.(victim) planes.(victim) victim_owned ()
-      in
-      let vobs =
-        observe_core
-          ~label:(Printf.sprintf "core%d" victim)
-          ~plane:planes.(victim) cis.(victim)
-          (make_source ?plan ~plane:planes.(victim) ~pool:cis.(victim).ci_pool
-             ~journal:(j, snapshot)
-             (delivers ~cores ~core:victim ~hi:g_kill ixitems))
-      in
-      let ck =
-        match Platform.Recovery.last_checkpoint j with
-        | Some ck -> ck
-        | None -> snapshot () (* victim died before its first pull *)
-      in
-      let suffix = Platform.Recovery.suffix j in
-      (* 2. The adopter: own pre-kill slice, then checkpoint import +
-         suffix replay, then the merged post-kill remainder (its own items
-         and the victim's redirected ones, in global order). *)
-      let adopt () =
-        cis.(adopter).ci_import ck.ck_snaps;
-        cis.(adopter).ci_restore ck.ck_counters;
-        Fault.restore_containment planes.(adopter) ck.ck_containment
-      in
-      let post_kill =
-        List.filter_map
-          (fun (g, item) ->
-            let owner = Platform.Recovery.owner ~cores item.Workload.flow_hint in
-            if g > g_kill && (owner = adopter || owner = victim) then
-              Some (Deliver (g, item))
-            else None)
-          ixitems
-      in
-      let adopter_ops =
-        delivers ~cores ~core:adopter ~hi:g_kill ixitems
-        @ (Adopt adopt :: List.map (fun e -> Replay e) suffix)
-        @ post_kill
-      in
-      let aobs =
-        observe_core
-          ~label:(Printf.sprintf "core%d" adopter)
-          ~plane:planes.(adopter) cis.(adopter)
-          (make_source ?plan ~plane:planes.(adopter) ~pool:cis.(adopter).ci_pool
-             adopter_ops)
-      in
-      (* 3. Bystander cores, unaffected. *)
-      let others =
-        List.filter_map
-          (fun c ->
-            if c = victim || c = adopter then None
-            else
-              Some
-                ( Printf.sprintf "core%d" c,
-                  observe_core
-                    ~label:(Printf.sprintf "core%d" c)
-                    ~plane:planes.(c) cis.(c)
-                    (make_source ?plan ~plane:planes.(c) ~pool:cis.(c).ci_pool
-                       (delivers ~cores ~core:c ixitems)) ))
-          (List.init cores Fun.id)
-      in
-      (* 4. Exactly-once: every replayed completion is a duplicate of one
-         the victim already emitted — suppress it from the merged stream,
-         keep the pair for content verification. *)
-      let replay_ids : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (e : Platform.Recovery.entry) ->
-          match e.Platform.Recovery.e_pkt with
-          | Some p -> Hashtbl.replace replay_ids p.Netcore.Packet.id ()
-          | None -> ())
-        suffix;
-      let victim_by_id : (int, Oracle.emit) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (e : Oracle.emit) -> Hashtbl.replace victim_by_id e.Oracle.e_pktid e)
-        vobs.Oracle.o_emits;
-      let suppressed, adopter_kept =
-        List.partition_map
-          (fun (e : Oracle.emit) ->
-            if e.Oracle.e_pktid >= 0 && Hashtbl.mem replay_ids e.Oracle.e_pktid then
-              Either.Left (e, Hashtbl.find_opt victim_by_id e.Oracle.e_pktid)
-            else Either.Right e)
-          aobs.Oracle.o_emits
-      in
-      (* Merged stream: victim first (its pre-kill emits made the wire),
-         then the adopter minus replays, then bystanders. Flow sets are
-         disjoint across cores, so per-flow order is concatenation order
-         only within the victim -> adopter pair, which matches global
-         arrival order. *)
-      let live_obs =
-        ((Printf.sprintf "core%d" victim, vobs)
-        :: (Printf.sprintf "core%d" adopter, aobs) :: others)
-      in
-      let merged =
-        vobs.Oracle.o_emits @ adopter_kept
-        @ List.concat_map (fun (_, o) -> o.Oracle.o_emits) others
-      in
-      let recovered =
-        {
-          p_obs = live_obs;
-          p_streams = Oracle.per_flow_streams merged;
-          p_digest =
-            state_digest ~universe:rc.r_universe
-              ~owner_of:(fun i ->
-                let c = Platform.Recovery.owner ~cores i in
-                if c = victim then adopter else c)
-              ~live:(fun c -> c <> victim) cis planes;
-        }
-      in
-      let per_core_violations =
-        List.concat_map
-          (fun (label, o) ->
-            List.map (fun viol -> (label, viol)) (Invariants.check o))
-          live_obs
-      in
-      let recovery_violations =
-        List.map
-          (fun viol -> ("recovery", viol))
-          (Invariants.check_recovery ~offered:packets ~live:live_obs ~deduped:merged
-             ~suppressed)
-      in
-      {
-        oc_case = rc.r_name;
-        oc_cores = cores;
-        oc_packets = packets;
-        oc_kill = Some (victim, g_kill);
-        oc_replayed = List.length suffix;
-        oc_checkpoints = !checkpoints;
-        oc_reference = reference;
-        oc_recovered = recovered;
-        oc_violations = per_core_violations @ recovery_violations;
-        oc_divergence = diff_passes ~reference recovered;
-        oc_repro = repro;
-      }
-
-let passed (oc : outcome) = oc.oc_violations = [] && oc.oc_divergence = None
-
-let pp_outcome ppf (oc : outcome) =
-  Fmt.pf ppf "%s cores=%d packets=%d %a replayed=%d ckpts=%d: %s" oc.oc_case
-    oc.oc_cores oc.oc_packets
-    (fun ppf -> function
-      | Some (v, g) -> Fmt.pf ppf "kill=core%d@%d" v g
-      | None -> Fmt.pf ppf "kill=none")
-    oc.oc_kill oc.oc_replayed oc.oc_checkpoints
-    (if passed oc then "recovered"
-     else
-       match oc.oc_divergence with
-       | Some d -> "DIVERGED: " ^ d
-       | None -> "INVARIANT VIOLATIONS")
+      let seeds = List.init programs (fun i -> seed + i) in
+      (* The oracle has always swept seed-major, the platform axes
+         profile-major; the gates' output order depends on it. *)
+      List.map gen_case
+        (match kind with
+        | Oracle_cases ->
+            List.concat_map (fun s -> List.map (fun p -> (s, p)) profiles) seeds
+        | Platform_cases ->
+            List.concat_map (fun p -> List.map (fun s -> (s, p)) seeds) profiles)

@@ -50,7 +50,9 @@ type rcase = {
       (** the global input stream, pristine packets — traced once per check
           and shared (as clones) by both passes so packet ids line up *)
   r_build : Worker.t -> owned:int array -> core_instance;
-  r_repro : cores:int -> string;
+  r_selector : string;
+      (** the command-line flags that select this case
+          ([--programs 1 --profile P] or [--spec NAME]) *)
 }
 
 (** The generated program behind [seed] (chain or synthetic, via
@@ -85,22 +87,54 @@ val observe_platform :
   ?plan:Faultgen.t -> ?journal:bool -> ?rplan:Platform.Recovery.plan ->
   ?items:Workload.item list -> cores:int -> rcase -> pass
 
-(** First behavioural difference between two passes (per-flow streams,
-    then state digest), or [None]. *)
-val diff_passes : reference:pass -> pass -> string option
+(** Completion/drop/fault/wire-byte totals over a pass's live cores. *)
+val pass_totals : pass -> int * int * int * int
 
-type outcome = {
+(** First behavioural difference between the reference and the [variant]
+    pass (the label in the message), or [None]: with [~totals] (default
+    off) the {!pass_totals} first, then the per-flow streams and the state
+    digest. *)
+val diff_passes :
+  ?totals:bool -> variant:string -> reference:pass -> pass -> string option
+
+(** {!Oracle.violations} of every live core's observation. *)
+val pass_violations : pass -> (string * Oracle.violation) list
+
+(** {2 The platform outcome}
+
+    One record for the recovery, SCR and adaptive axes; [oc_extra] holds
+    what only one axis reports. *)
+type 'x outcome = {
   oc_case : string;
-  oc_cores : int;
   oc_packets : int;
-  oc_kill : (int * int) option;  (** (victim core, global kill index) *)
-  oc_replayed : int;  (** journal-suffix completions replayed by the adopter *)
-  oc_checkpoints : int;  (** checkpoints the victim took *)
-  oc_reference : pass;
-  oc_recovered : pass;
-  oc_violations : (string * Invariants.violation) list;
+  oc_summary : string;  (** the axis's counters, rendered *)
+  oc_verdict : string;  (** what a passing line says *)
+  oc_reference : pass;  (** the failure-free / single-core reference *)
+  oc_variant : pass;  (** the recovered, SCR or adaptive pass *)
+  oc_violations : (string * Oracle.violation) list;
   oc_divergence : string option;
-  oc_repro : string;
+  oc_repro : string;  (** one-command replay of the case under this axis *)
+  oc_extra : 'x;
+}
+
+(** No violations and no divergence. *)
+val passed : 'x outcome -> bool
+
+(** [CASE SUMMARY: VERDICT]; a failing line names the divergence or the
+    first violation and ends in [replay: gunfu_cli ...]. *)
+val pp_outcome : Format.formatter -> 'x outcome -> unit
+
+(** [gunfu_cli COMMAND] plus the case's selector, seed and packets, plus
+    [flags]. *)
+val repro : rcase -> command:string -> string list -> string
+
+(** {2 The recovery axis} *)
+
+type kill = {
+  k_cores : int;
+  k_kill : (int * int) option;  (** (victim core, global kill index) *)
+  k_replayed : int;  (** journal-suffix completions replayed by the adopter *)
+  k_checkpoints : int;  (** checkpoints the victim took *)
 }
 
 (** Run the failure-free reference and the killed-and-recovered pass and
@@ -110,9 +144,42 @@ type outcome = {
     index so the schedule is sharding-independent. *)
 val check_case :
   ?plan:Faultgen.t -> ?kill:int * int -> ?rplan:Platform.Recovery.plan -> cores:int ->
-  rcase -> outcome
+  rcase -> kill outcome
 
-(** No violations and no divergence. *)
-val passed : outcome -> bool
+(** {2 Building blocks of the SCR and adaptive axes} *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
+(** One instance per core of a fresh [cores]-core platform built from the
+    case's config, core [c] holding the flows [owned c]. *)
+val instances : rcase -> cores:int -> owned:(int -> int array) -> core_instance array
+
+(** A core instance as an SCR replica. *)
+val replica : core_instance -> Scaleout.Scr.replica
+
+(** Named counters summed across cores, sorted by name. *)
+val sum_counters : (string * int) list list -> (string * int) list
+
+(** Location-independent final-state digest: every universe flow's NF
+    state read from core [owner_of flow], its containment state in that
+    core's plane, then the counters summed over [live] cores. *)
+val state_digest :
+  universe:int -> owner_of:(int -> int) -> live:(int -> bool) -> core_instance array ->
+  Fault.t array -> string
+
+(** The traced stream as one core's source: each pull clones the pristine
+    packet into [pool] and arms [plan] at the item's global index. *)
+val deliver :
+  ?plan:Faultgen.t -> plane:Fault.t -> pool:Netcore.Packet.Pool.pool ->
+  Workload.item list -> Workload.source
+
+(** {2 Case selection}
+
+    One selection for every axis command: [--spec NAME|all] or [programs]
+    generated seeds from [seed] over [profile] (default all profiles).
+    Oracle cases sweep seed-major, platform cases profile-major. @raise
+    Invalid_argument with a one-line message on a non-positive [packets]
+    or [programs], an unknown composition or an unknown profile. *)
+type _ cases = Oracle_cases : Oracle.case cases | Platform_cases : rcase cases
+
+val select :
+  'c cases -> specs_dir:string -> programs:int -> seed:int -> packets:int ->
+  ?profile:string -> ?spec:string -> unit -> 'c list

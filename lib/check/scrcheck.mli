@@ -7,7 +7,7 @@
     per-flow emit-content streams (SCR emits merged in global-arrival
     order), identical completion/drop/fault/wire-byte totals and an
     identical location-independent state digest — plus
-    {!Invariants.check} on every core's observation,
+    {!Oracle.check_invariants} on every core's observation,
     {!Invariants.check_scr} on the update stream, and the model's
     replica-convergence invariant.
 
@@ -27,31 +27,21 @@ val scr_pass :
   Recovery.rcase ->
   Recovery.pass * Scaleout.Scr.result
 
-type outcome = {
-  so_case : string;
-  so_cores : int;
-  so_packets : int;
-  so_engine : string;
-  so_stats : Scaleout.Scr.stats;
-  so_reference : Recovery.pass;
-  so_scr : Recovery.pass;
-  so_converged : bool;
-  so_violations : (string * Invariants.violation) list;
-  so_divergence : string option;
-  so_repro : string;
+(** What only the SCR axis reports. *)
+type extra = {
+  cores : int;
+  engine : string;  (** executor label of the per-core engine *)
+  stats : Scaleout.Scr.stats;
+  converged : bool;  (** replica digests equal after the barrier *)
 }
 
 (** Run the single-core reference and the SCR pass and compare.
-    [spray] defaults to round-robin, [engine] to rtc. *)
+    [spray] defaults to round-robin, [engine] to rtc. The repro replays
+    through [gunfu_cli scr] with the same cores, rate, spray and engine. *)
 val check_rcase :
   ?plan:Faultgen.t ->
   ?spray:Scaleout.Spray.policy ->
   ?engine:Gunfu.Exec.flow_free ->
   cores:int ->
   Recovery.rcase ->
-  outcome
-
-(** No violations and no divergence. *)
-val passed : outcome -> bool
-
-val pp_outcome : Format.formatter -> outcome -> unit
+  extra Recovery.outcome

@@ -258,19 +258,15 @@ let overload_storm ?(seed = 1) ?(profile = "mix") ?(packets = 96)
   (try
      let case = Progen.case ~seed ~profile ~packets in
      let plan = Faultgen.create ~rate_ppm ~seed () in
-     (match Oracle.check_case ~plan case with
+     let scan = Oracle.check_case ~plan case in
+     (match scan.Oracle.sc_divergence with
      | Some d -> fail "divergence under overload: %s" d.Oracle.d_detail
      | None -> ());
      List.iter
        (fun (exec, v) ->
-         fail "invariant violation under %s: %s/%s" exec v.Invariants.v_rule
-           v.Invariants.v_detail)
-       (Invariants.check_case ~plan case);
-     let obs =
-       Oracle.observe ~plan:(Faultgen.create ~rate_ppm ~seed ()) Oracle.reference
-         (case.Oracle.c_build ~packets)
-     in
-     let r = obs.Oracle.o_run in
+         fail "invariant violation under %s: %s/%s" exec v.Oracle.v_rule v.Oracle.v_detail)
+       scan.Oracle.sc_violations;
+     let r = scan.Oracle.sc_reference.Oracle.o_run in
      if r.Metrics.faulted = 0 then
        fail "overload plan at %d ppm injected nothing over %d packets" rate_ppm
          packets;
@@ -321,24 +317,24 @@ let scr_storm ?(seed = 1) ?(packets = 96) ?(rate_ppm = 100_000) ?(cores = 4) ()
            Scrcheck.check_rcase ~plan ~spray:(Scaleout.Spray.Seeded seed) ~cores
              rc
          in
-         let st = oc.Scrcheck.so_stats in
+         let st = oc.Recovery.oc_extra.Scrcheck.stats in
          records := !records + st.Scaleout.Scr.st_records;
          applied := !applied + st.Scaleout.Scr.st_applied;
          stale := !stale + st.Scaleout.Scr.st_stale;
          List.iter
            (fun (_, (o : Oracle.observation)) ->
              faulted := !faulted + o.Oracle.o_run.Metrics.faulted)
-           oc.Scrcheck.so_scr.Recovery.p_obs;
-         (match oc.Scrcheck.so_divergence with
-         | Some d -> fail "scr diverged on %s: %s" oc.Scrcheck.so_case d
+           oc.Recovery.oc_variant.Recovery.p_obs;
+         (match oc.Recovery.oc_divergence with
+         | Some d -> fail "scr diverged on %s: %s" oc.Recovery.oc_case d
          | None -> ());
          List.iter
            (fun (where, v) ->
-             fail "invariant violation (%s) on %s: %s/%s" where
-               oc.Scrcheck.so_case v.Invariants.v_rule v.Invariants.v_detail)
-           oc.Scrcheck.so_violations;
-         if not oc.Scrcheck.so_converged then
-           fail "replicas failed to converge on %s" oc.Scrcheck.so_case)
+             fail "invariant violation (%s) on %s: %s/%s" where oc.Recovery.oc_case
+               v.Oracle.v_rule v.Oracle.v_detail)
+           oc.Recovery.oc_violations;
+         if not oc.Recovery.oc_extra.Scrcheck.converged then
+           fail "replicas failed to converge on %s" oc.Recovery.oc_case)
        rcases;
      if !faulted = 0 then
        fail "overload plan at %d ppm injected nothing over %d packets" rate_ppm

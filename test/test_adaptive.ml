@@ -274,13 +274,13 @@ let test_determinism () =
     Check.Adaptcheck.check_rcase ~epoch:96 ~initial:`Rtc rc
   in
   let a = run () and b = run () in
-  Alcotest.(check bool) "first passes" true (Check.Adaptcheck.passed a);
-  Alcotest.(check bool) "second passes" true (Check.Adaptcheck.passed b);
-  Alcotest.(check bool) "at least one move" true (a.Check.Adaptcheck.ao_moves > 0);
+  Alcotest.(check bool) "first passes" true (Check.Recovery.passed a);
+  Alcotest.(check bool) "second passes" true (Check.Recovery.passed b);
+  Alcotest.(check bool) "at least one move" true (a.Check.Recovery.oc_extra.Check.Adaptcheck.moves > 0);
   Alcotest.(check (list string))
     "identical decision logs"
-    (List.map decision_key a.Check.Adaptcheck.ao_decisions)
-    (List.map decision_key b.Check.Adaptcheck.ao_decisions)
+    (List.map decision_key a.Check.Recovery.oc_extra.Check.Adaptcheck.decisions)
+    (List.map decision_key b.Check.Recovery.oc_extra.Check.Adaptcheck.decisions)
 
 (* ----- the oracle axis ----- *)
 
@@ -288,16 +288,16 @@ let test_oracle_plain () =
   let rc = Check.Recovery.gen_rcase ~seed:23 ~profile:"uniform" ~packets:768 in
   let oc = Check.Adaptcheck.check_rcase ~epoch:96 rc in
   Alcotest.(check bool)
-    (Format.asprintf "%a" Check.Adaptcheck.pp_outcome oc)
-    true (Check.Adaptcheck.passed oc)
+    (Format.asprintf "%a" Check.Recovery.pp_outcome oc)
+    true (Check.Recovery.passed oc)
 
 let test_oracle_faulted () =
   let rc = Check.Recovery.gen_rcase ~seed:29 ~profile:"burst" ~packets:640 in
   let plan = Check.Faultgen.create ~rate_ppm:30_000 ~seed:29 () in
   let oc = Check.Adaptcheck.check_rcase ~plan ~epoch:64 rc in
   Alcotest.(check bool)
-    (Format.asprintf "%a" Check.Adaptcheck.pp_outcome oc)
-    true (Check.Adaptcheck.passed oc)
+    (Format.asprintf "%a" Check.Recovery.pp_outcome oc)
+    true (Check.Recovery.passed oc)
 
 let test_oracle_scr_handoff () =
   let rc = Check.Recovery.gen_rcase ~seed:13 ~profile:"zipf" ~packets:1024 in
@@ -313,15 +313,15 @@ let test_oracle_scr_handoff () =
   in
   let oc = Check.Adaptcheck.check_rcase ~scr:4 ~params ~epoch:128 rc in
   Alcotest.(check bool)
-    (Format.asprintf "%a" Check.Adaptcheck.pp_outcome oc)
-    true (Check.Adaptcheck.passed oc);
+    (Format.asprintf "%a" Check.Recovery.pp_outcome oc)
+    true (Check.Recovery.passed oc);
   let handed_off =
     List.exists
       (fun (d : Adaptive.Driver.decision) ->
         match d.Adaptive.Driver.d_move with
         | Some Adaptive.Policy.Scr_handoff -> true
         | _ -> false)
-      oc.Check.Adaptcheck.ao_decisions
+      oc.Check.Recovery.oc_extra.Check.Adaptcheck.decisions
   in
   Alcotest.(check bool) "the stream was handed off" true handed_off
 
@@ -335,7 +335,7 @@ let test_plan_and_scr_rejected () =
 (* ----- decision-log invariants: tamper resistance ----- *)
 
 let rules vs =
-  List.map (fun (v : Check.Invariants.violation) -> v.Check.Invariants.v_rule) vs
+  List.map (fun (v : Check.Oracle.violation) -> v.Check.Oracle.v_rule) vs
 
 let test_tamper_detected () =
   let rc = Check.Recovery.gen_rcase ~seed:11 ~profile:"mix" ~packets:800 in

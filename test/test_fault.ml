@@ -199,11 +199,11 @@ let observe_with ?plan exec case =
   Oracle.observe ?plan exec (case.Oracle.c_build ~packets:case.Oracle.c_packets)
 
 let assert_invariants name obs =
-  match Invariants.check obs with
+  match Oracle.check_invariants obs with
   | [] -> ()
   | viol :: _ ->
-      Alcotest.failf "%s violates %s: %s" name viol.Invariants.v_rule
-        viol.Invariants.v_detail
+      Alcotest.failf "%s violates %s: %s" name viol.Oracle.v_rule
+        viol.Oracle.v_detail
 
 let test_all_executors_agree_under_faults () =
   List.iter

@@ -20,11 +20,11 @@ let test_real_observations_clean () =
   List.iter
     (fun (seed, profile, exec) ->
       let obs = observe ~seed ~profile ~exec:(exec_named exec) () in
-      match Invariants.check obs with
+      match Oracle.check_invariants obs with
       | [] -> ()
       | viol :: _ ->
           Alcotest.failf "seed %d/%s under %s: %a" seed profile exec
-            Invariants.pp_violation viol)
+            Oracle.pp_violation viol)
     [
       (11, "uniform", "rtc");
       (11, "burst", "il-rr-4-d1");
@@ -33,13 +33,13 @@ let test_real_observations_clean () =
     ]
 
 let test_check_case_clean () =
-  (* The CLI entry point: all executors over a fresh small case. *)
+  (* The oracle scan's violation list: all executors over a fresh small case. *)
   let case = Progen.case ~seed:21 ~profile:"mix" ~packets:24 in
-  match Invariants.check_case case with
+  match (Oracle.check_case case).Oracle.sc_violations with
   | [] -> ()
   | (exec, viol) :: _ ->
       Alcotest.failf "%s under %s: %a" case.Oracle.c_name exec
-        Invariants.pp_violation viol
+        Oracle.pp_violation viol
 
 (* ----- each rule flags a tampered observation ----- *)
 
@@ -47,18 +47,18 @@ let expect_rule name rule check obs =
   match check obs with
   | [] -> Alcotest.failf "%s: tampered observation passed" name
   | viol :: _ ->
-      Alcotest.(check string) (name ^ ": rule name") rule viol.Invariants.v_rule
+      Alcotest.(check string) (name ^ ": rule name") rule viol.Oracle.v_rule
 
 let test_conservation_flags () =
   let obs = observe () in
-  expect_rule "inflated packet counter" "conservation" Invariants.check_conservation
+  expect_rule "inflated packet counter" "conservation" Oracle.check_conservation
     {
       obs with
       Oracle.o_run = { obs.Oracle.o_run with Metrics.packets = obs.Oracle.o_run.Metrics.packets + 1 };
     };
-  expect_rule "lost input item" "conservation" Invariants.check_conservation
+  expect_rule "lost input item" "conservation" Oracle.check_conservation
     { obs with Oracle.o_inputs = List.tl obs.Oracle.o_inputs };
-  expect_rule "wrong drop counter" "conservation" Invariants.check_conservation
+  expect_rule "wrong drop counter" "conservation" Oracle.check_conservation
     {
       obs with
       Oracle.o_run = { obs.Oracle.o_run with Metrics.drops = obs.Oracle.o_run.Metrics.drops + 1 };
@@ -76,7 +76,7 @@ let test_flow_order_flags () =
       obs.Oracle.o_emits
   in
   Alcotest.(check bool) "burst produced a flow with several packets" true multi;
-  expect_rule "reversed completions" "flow-order" Invariants.check_flow_order
+  expect_rule "reversed completions" "flow-order" Oracle.check_flow_order
     { obs with Oracle.o_emits = List.rev obs.Oracle.o_emits }
 
 let test_clock_flags () =
@@ -86,18 +86,18 @@ let test_clock_flags () =
       let max_clock =
         List.fold_left (fun acc e -> max acc e.Oracle.e_clock) 0 obs.Oracle.o_emits
       in
-      expect_rule "backwards clock" "clock" Invariants.check_clock
+      expect_rule "backwards clock" "clock" Oracle.check_clock
         { obs with Oracle.o_emits = { first with Oracle.e_clock = max_clock + 1 } :: rest }
   | _ -> Alcotest.fail "observation too small for the clock test");
-  expect_rule "negative cycles" "clock" Invariants.check_clock
+  expect_rule "negative cycles" "clock" Oracle.check_clock
     { obs with Oracle.o_run = { obs.Oracle.o_run with Metrics.cycles = -1 } }
 
 let test_memstats_flags () =
   let obs = observe () in
-  expect_rule "MSHR budget exceeded" "memsim" Invariants.check_memstats
+  expect_rule "MSHR budget exceeded" "memsim" Oracle.check_memstats
     { obs with Oracle.o_mshr_pending = obs.Oracle.o_mshr_limit + 1 };
   let mem = obs.Oracle.o_run.Metrics.mem in
-  expect_rule "serve sum broken" "memsim" Invariants.check_memstats
+  expect_rule "serve sum broken" "memsim" Oracle.check_memstats
     {
       obs with
       Oracle.o_run =
@@ -106,7 +106,7 @@ let test_memstats_flags () =
           Metrics.mem = { mem with Memsim.Memstats.l1_hits = mem.Memsim.Memstats.l1_hits + 1 };
         };
     };
-  expect_rule "negative counter" "memsim" Invariants.check_memstats
+  expect_rule "negative counter" "memsim" Oracle.check_memstats
     {
       obs with
       Oracle.o_run =

@@ -38,6 +38,7 @@ let () =
       ("specialize", Test_specialize.suite);
       ("recovery", Test_recovery.suite);
       ("storm", Test_storm.suite);
+      ("axes", Test_axes.suite);
       ("verifyeq", Test_verifyeq.suite);
       ("adaptive", Test_adaptive.suite);
       ("baseline", Test_baseline.suite);

@@ -14,31 +14,18 @@ let specs_dir = "../specs"
 let sweep_seeds = 51
 let sweep_packets = 64
 
-(* Observe each executor exactly once per case and use the same
-   observation for both the differential diff and the executor-independent
-   invariants — half the work of the CLI's two passes. *)
+(* One scan per case: each executor is observed once, and the same
+   observation feeds both the differential diff and the invariants. *)
 let exercise (case : Oracle.case) =
-  let fresh () = case.Oracle.c_build ~packets:case.Oracle.c_packets in
-  let repro () = case.Oracle.c_repro ~packets:case.Oracle.c_packets in
-  let check_invariants label obs =
-    match Invariants.check obs with
-    | [] -> ()
-    | viol :: _ ->
-        Alcotest.failf "%s under %s violates %s: %s (replay: %s)" case.Oracle.c_name
-          label viol.Invariants.v_rule viol.Invariants.v_detail (repro ())
-  in
-  let ref_obs = Oracle.observe Oracle.reference (fresh ()) in
-  check_invariants (Exec.label Oracle.reference) ref_obs;
-  List.iter
-    (fun exec ->
-      let obs = Oracle.observe exec (fresh ()) in
-      (match Oracle.diff_observations ~reference:ref_obs obs with
-      | None -> ()
-      | Some detail ->
-          Alcotest.failf "%s: %s diverges from rtc: %s (replay: %s)"
-            case.Oracle.c_name (Exec.label exec) detail (repro ()));
-      check_invariants (Exec.label exec) obs)
-    Oracle.executors
+  let sc = Oracle.check_case ~minimized:false case in
+  (match sc.Oracle.sc_divergence with
+  | Some d -> Alcotest.failf "%a" Oracle.pp_divergence d
+  | None -> ());
+  match sc.Oracle.sc_violations with
+  | [] -> ()
+  | (label, viol) :: _ ->
+      Alcotest.failf "%s under %s violates %a (replay: %s)" case.Oracle.c_name label
+        Oracle.pp_violation viol sc.Oracle.sc_repro
 
 let test_sweep profile () =
   for i = 0 to sweep_seeds - 1 do
@@ -162,7 +149,7 @@ let broken_case () =
   }
 
 let test_check_case_reports_divergence () =
-  match Oracle.check_case (broken_case ()) with
+  match (Oracle.check_case (broken_case ())).Oracle.sc_divergence with
   | None -> Alcotest.fail "injected state divergence not reported"
   | Some d ->
       Alcotest.(check string) "first comparison executor blamed" "batch-1"

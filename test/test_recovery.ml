@@ -76,17 +76,17 @@ let test_owner_pinning () =
 let kill_recovers rc ~seed ~cores =
   let plan = Faultgen.create ~seed () in
   let oc = Recovery.check_case ~plan ~cores rc in
-  (match oc.Recovery.oc_kill with
+  (match oc.Recovery.oc_extra.Recovery.k_kill with
   | Some _ -> ()
   | None -> Alcotest.fail "expected a scheduled kill");
   List.iter
     (fun (label, viol) ->
-      Alcotest.failf "%s: %a" label Invariants.pp_violation viol)
+      Alcotest.failf "%s: %a" label Oracle.pp_violation viol)
     oc.Recovery.oc_violations;
   (match oc.Recovery.oc_divergence with
   | None -> ()
   | Some d -> Alcotest.failf "recovered run diverged: %s (repro: %s)" d oc.Recovery.oc_repro);
-  Alcotest.(check bool) "victim checkpointed" true (oc.Recovery.oc_checkpoints > 0)
+  Alcotest.(check bool) "victim checkpointed" true (oc.Recovery.oc_extra.Recovery.k_checkpoints > 0)
 
 let test_gen_kill_sweep () =
   List.iter
@@ -207,14 +207,14 @@ let test_check_recovery_teeth () =
   (* lost packet: deduped comes up short *)
   Alcotest.(check bool) "lost completion detected" true
     (List.exists
-       (fun v -> v.Invariants.v_rule = "recovery-conservation")
+       (fun v -> v.Oracle.v_rule = "recovery-conservation")
        (Invariants.check_recovery ~offered:2 ~live ~deduped:[ e0 ]
           ~suppressed:[ (dup, Some e0) ]));
   (* duplicate divergence: replayed content differs from the original *)
   let mutant = emit ~pktid:0 ~wire:999 () in
   Alcotest.(check bool) "diverging replay detected" true
     (List.exists
-       (fun v -> v.Invariants.v_rule = "exactly-once")
+       (fun v -> v.Oracle.v_rule = "exactly-once")
        (Invariants.check_recovery ~offered:2
           ~live:[ ("core0", obs_of_emits [ e0 ] 1); ("core1", obs_of_emits [ mutant; e1 ] 2) ]
           ~deduped:[ e0; e1 ]
@@ -222,7 +222,7 @@ let test_check_recovery_teeth () =
   (* orphan replay: no original on the dead core *)
   Alcotest.(check bool) "orphan replay detected" true
     (List.exists
-       (fun v -> v.Invariants.v_rule = "exactly-once")
+       (fun v -> v.Oracle.v_rule = "exactly-once")
        (Invariants.check_recovery ~offered:2 ~live ~deduped:[ e0; e1 ]
           ~suppressed:[ (dup, None) ]))
 

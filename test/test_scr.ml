@@ -229,10 +229,11 @@ let test_spray_dense_sequences () =
 
 (* ----- SCR engine vs single-core reference (oracle pins) ----- *)
 
-let check_passes name (oc : Check.Scrcheck.outcome) =
-  if not (Check.Scrcheck.passed oc) then
-    Alcotest.failf "%s: %s" name (Format.asprintf "%a" Check.Scrcheck.pp_outcome oc);
-  Alcotest.(check bool) (name ^ ": replicas converged") true oc.Check.Scrcheck.so_converged
+let check_passes name (oc : Check.Scrcheck.extra Check.Recovery.outcome) =
+  if not (Check.Recovery.passed oc) then
+    Alcotest.failf "%s: %s" name (Format.asprintf "%a" Check.Recovery.pp_outcome oc);
+  Alcotest.(check bool) (name ^ ": replicas converged") true
+    oc.Check.Recovery.oc_extra.Check.Scrcheck.converged
 
 let test_generated_reference_equality () =
   let rc = Check.Recovery.gen_rcase ~seed:7 ~profile:"mix" ~packets:96 in
@@ -330,14 +331,14 @@ let test_stream_accounting () =
     (s.Scr.st_barrier_applied <= s.Scr.st_applied);
   Alcotest.(check bool) "converged" true res.Scr.sr_converged;
   Alcotest.(check (list string)) "no violations" []
-    (List.map (fun (v : Check.Invariants.violation) -> v.Check.Invariants.v_rule)
+    (List.map (fun (v : Check.Oracle.violation) -> v.Check.Oracle.v_rule)
        (Check.Invariants.check_scr ~completions ~cores res))
 
 let test_check_scr_catches_tampering () =
   let cores = 4 in
   let completions, res = scr_result ~cores in
   let rules doctored =
-    List.map (fun (v : Check.Invariants.violation) -> v.Check.Invariants.v_rule)
+    List.map (fun (v : Check.Oracle.violation) -> v.Check.Oracle.v_rule)
       (Check.Invariants.check_scr ~completions ~cores doctored)
   in
   let with_stats st = { res with Scr.sr_stats = st } in

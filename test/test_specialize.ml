@@ -36,7 +36,8 @@ let exercise (case : Oracle.case) =
       | Some detail ->
           Alcotest.failf "%s: %s diverges from interpreted rtc: %s (replay: %s)"
             case.Oracle.c_name obs.Oracle.o_label detail
-            (case.Oracle.c_repro ~packets:case.Oracle.c_packets))
+            (Oracle.repro ~command:"check" ~selector:case.Oracle.c_selector
+               ~seed:case.Oracle.c_seed ~packets:case.Oracle.c_packets [ "--specialize" ]))
     (Oracle.reference :: Oracle.executors)
 
 let test_sweep profile () =

@@ -78,8 +78,8 @@ let test_specialized_traced_identical () =
       (match Invariants.check_telemetry tr_s spec.Oracle.o_run with
       | [] -> ()
       | viol :: _ ->
-          Alcotest.failf "%s traced run violates %s: %s" label viol.Invariants.v_rule
-            viol.Invariants.v_detail);
+          Alcotest.failf "%s traced run violates %s: %s" label viol.Oracle.v_rule
+            viol.Oracle.v_detail);
       match Telemetry.Attribution.reconcile tr_s spec.Oracle.o_run.Metrics.mem with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: attribution does not reconcile: %s" label e)
@@ -106,8 +106,8 @@ let test_reconciles_with_memstats () =
   match Invariants.check_telemetry tr run with
   | [] -> ()
   | viol :: _ ->
-      Alcotest.failf "traced run violates %s: %s" viol.Invariants.v_rule
-        viol.Invariants.v_detail
+      Alcotest.failf "traced run violates %s: %s" viol.Oracle.v_rule
+        viol.Oracle.v_detail
 
 let test_scheduler_trace_clean () =
   (* The scheduler path exercises switches, occupancy and MSHR waits. *)
@@ -121,7 +121,7 @@ let test_scheduler_trace_clean () =
   | [] -> ()
   | viol :: _ ->
       Alcotest.failf "%s traced run violates %s: %s" (Exec.label exec)
-        viol.Invariants.v_rule viol.Invariants.v_detail);
+        viol.Oracle.v_rule viol.Oracle.v_detail);
   match Telemetry.Attribution.reconcile tr run.Metrics.mem with
   | Ok () -> ()
   | Error e -> Alcotest.failf "attribution does not reconcile: %s" e
@@ -167,7 +167,7 @@ let test_tampered_nesting_flagged () =
     (Invariants.check_telemetry ~spans tr run = []);
   match
     List.filter
-      (fun v -> v.Invariants.v_rule = "span-nesting")
+      (fun v -> v.Oracle.v_rule = "span-nesting")
       (Invariants.check_telemetry ~spans:doctored tr run)
   with
   | [] -> Alcotest.fail "doctored span escaped the nesting rule"
@@ -180,7 +180,7 @@ let test_tampered_budget_flagged () =
   let shrunk = { run with Metrics.cycles = attributed - 1 } in
   match
     List.filter
-      (fun v -> v.Invariants.v_rule = "span-budget")
+      (fun v -> v.Oracle.v_rule = "span-budget")
       (Invariants.check_telemetry tr shrunk)
   with
   | [] -> Alcotest.fail "over-attribution escaped the budget rule"
@@ -192,7 +192,7 @@ let test_tampered_memstats_flagged () =
   let doctored = { run with Metrics.mem = mem } in
   match
     List.filter
-      (fun v -> v.Invariants.v_rule = "span-memstats")
+      (fun v -> v.Oracle.v_rule = "span-memstats")
       (Invariants.check_telemetry tr doctored)
   with
   | [] -> Alcotest.fail "counter drift escaped the memstats rule"
