@@ -85,74 +85,35 @@ let owned_ids ~cores ~universe core =
 
 (* GSYN1: the synthetic unit's per-flow state on the wire — key (u64),
    universe flow id (u32), sequence number (u32), scratch accumulator
-   (u64). Same framing as the Migration formats. *)
-let syn_magic = "GSYN1"
-let syn_entry_bytes = 24
-
-let syn_export (st : Progen.syn_state) flow ids =
-  let table = Nfs.Classifier.table st.Progen.syn_classifier in
-  let present =
-    List.filter_map
-      (fun i ->
-        match Structures.Cuckoo.lookup table (Netcore.Flow.key64 (flow i)) with
-        | Some slot -> Some (i, slot)
-        | None -> None)
-      ids
-  in
-  let buf = Buffer.create (String.length syn_magic + 4 + (List.length present * syn_entry_bytes)) in
-  Buffer.add_string buf syn_magic;
-  Nfs.Migration.put_u32 buf (Int32.of_int (List.length present));
-  List.iter
-    (fun (i, slot) ->
-      Nfs.Migration.put_u64 buf (Netcore.Flow.key64 (flow i));
-      Nfs.Migration.put_u32 buf (Int32.of_int i);
-      Nfs.Migration.put_u32 buf (Int32.of_int st.Progen.syn_seqs.(slot));
-      Nfs.Migration.put_u64 buf (Int64.of_int st.Progen.syn_scratch.(slot)))
-    present;
-  Buffer.contents buf
-
-(* Admit an absent flow into the next free slot. *)
-let syn_admit (st : Progen.syn_state) key =
-  if st.Progen.syn_next >= Array.length st.Progen.syn_seqs then
-    raise (Nfs.Migration.Bad_snapshot "target synthetic state full");
-  let slot = st.Progen.syn_next in
-  let shed = Nfs.Classifier.populate st.Progen.syn_classifier [ (key, slot) ] in
-  if shed > 0 then raise (Nfs.Migration.Bad_snapshot "target synthetic classifier full");
-  st.Progen.syn_next <- slot + 1;
-  slot
-
-(* The one GSYN1 decode loop: each entry's state lands in the slot
-   [slot_of] picks for its key. *)
-let syn_decode (st : Progen.syn_state) blob ~slot_of =
-  let count =
-    Nfs.Migration.parse_header ~magic:syn_magic ~entry_bytes:syn_entry_bytes blob
-  in
-  let base = String.length syn_magic + 4 in
-  for e = 0 to count - 1 do
-    let off = base + (e * syn_entry_bytes) in
-    let slot = slot_of (Nfs.Migration.get_u64 blob off) in
-    st.Progen.syn_ident.(slot) <- Int32.to_int (Nfs.Migration.get_u32 blob (off + 8));
-    st.Progen.syn_seqs.(slot) <- Int32.to_int (Nfs.Migration.get_u32 blob (off + 12));
-    st.Progen.syn_scratch.(slot) <- Int64.to_int (Nfs.Migration.get_u64 blob (off + 16))
-  done
-
-(* Checkpoint import: every entry is a flow the adopter does not hold. *)
-let syn_import (st : Progen.syn_state) blob =
-  let count =
-    Nfs.Migration.parse_header ~magic:syn_magic ~entry_bytes:syn_entry_bytes blob
-  in
-  if st.Progen.syn_next + count > Array.length st.Progen.syn_seqs then
-    raise (Nfs.Migration.Bad_snapshot "target synthetic state full");
-  syn_decode st blob ~slot_of:(syn_admit st)
-
-(* Upsert flavour — the synthetic unit's SCR update-apply surface:
-   overwrite a resident flow's state in place, admit an absent one. *)
-let syn_apply (st : Progen.syn_state) blob =
-  let table = Nfs.Classifier.table st.Progen.syn_classifier in
-  syn_decode st blob ~slot_of:(fun key ->
-      match Structures.Cuckoo.lookup table key with
-      | Some slot -> slot
-      | None -> syn_admit st key)
+   (u64). A flow's id is [syn_ident] of its slot, which is the id the
+   recovery plane asked for. *)
+let syn_codec : Progen.syn_state Nfs.Migration.codec =
+  {
+    Nfs.Migration.magic = "GSYN1";
+    entry_bytes = 24;
+    label = "synthetic";
+    arena = "state";
+    classifier = (fun st -> st.Progen.syn_classifier);
+    encode =
+      (fun st b off slot ->
+        Bytes.set_int32_le b (off + 8) (Int32.of_int st.Progen.syn_ident.(slot));
+        Bytes.set_int32_le b (off + 12) (Int32.of_int st.Progen.syn_seqs.(slot));
+        Bytes.set_int64_le b (off + 16) (Int64.of_int st.Progen.syn_scratch.(slot)));
+    validate = None;
+    decode =
+      (fun st s off slot ->
+        st.Progen.syn_ident.(slot) <- Int32.to_int (String.get_int32_le s (off + 8));
+        st.Progen.syn_seqs.(slot) <- Int32.to_int (String.get_int32_le s (off + 12));
+        st.Progen.syn_scratch.(slot) <- Int64.to_int (String.get_int64_le s (off + 16)));
+    capacity = (fun st -> Array.length st.Progen.syn_seqs);
+    next_free = (fun st -> st.Progen.syn_next);
+    set_next_free = (fun st v -> st.Progen.syn_next <- v);
+    recycling = None;
+    feed =
+      (fun st fp slot ->
+        Fingerprint.feed_int fp st.Progen.syn_seqs.(slot);
+        Fingerprint.feed_int fp st.Progen.syn_scratch.(slot));
+  }
 
 (* A core's instance of a catalog-built composition: every stateful NF's
    snapshotter is the state plane. *)
@@ -197,27 +158,22 @@ let synthetic_instance ~seed ~shape ~gen worker ~owned =
   let program =
     Nfs.Nf_unit.compile ~opts:shape.Progen.syn_opts ~name:"gen-syn" [ unit ]
   in
-  let table = Nfs.Classifier.table st.Progen.syn_classifier in
+  let blob f blobs =
+    Option.iter (fun b -> ignore (f syn_codec st b : int)) (List.assoc_opt "syn" blobs)
+  in
   {
     ci_worker = worker;
     ci_program = program;
     ci_pool = Netcore.Packet.Pool.create layout ~count:256;
-    ci_export = (fun ids -> [ ("syn", syn_export st flow ids) ]);
-    ci_import = (fun blobs -> Option.iter (syn_import st) (List.assoc_opt "syn" blobs));
-    ci_apply = (fun blobs -> Option.iter (syn_apply st) (List.assoc_opt "syn" blobs));
+    ci_export = (fun ids -> [ ("syn", Nfs.Migration.export syn_codec st (List.map flow ids)) ]);
+    ci_import = blob Nfs.Migration.import;
+    ci_apply = blob Nfs.Migration.apply;
     ci_counters = (fun () -> [ ("syn.total", !(st.Progen.syn_total)) ]);
     ci_restore =
       List.iter (fun (name, v) ->
           if String.equal name "syn.total" then
             st.Progen.syn_total := !(st.Progen.syn_total) + v);
-    ci_flow_digest =
-      (fun fp i ->
-        match Structures.Cuckoo.lookup table (Netcore.Flow.key64 (flow i)) with
-        | Some slot ->
-            Fingerprint.feed_bool fp true;
-            Fingerprint.feed_int fp st.Progen.syn_seqs.(slot);
-            Fingerprint.feed_int fp st.Progen.syn_scratch.(slot)
-        | None -> Fingerprint.feed_bool fp false);
+    ci_flow_digest = (fun fp i -> Nfs.Migration.flow_digest syn_codec st fp (flow i));
   }
 
 let gen_rcase ~seed ~profile ~packets : rcase =

@@ -55,6 +55,10 @@ type rcase = {
           ([--programs 1 --profile P] or [--spec NAME]) *)
 }
 
+(** GSYN1, the synthetic unit's per-flow state: key, universe flow id,
+    sequence number and scratch accumulator. *)
+val syn_codec : Progen.syn_state Nfs.Migration.codec
+
 (** The generated program behind [seed] (chain or synthetic, via
     {!Progen.recipe}) as a recovery case. *)
 val gen_rcase : seed:int -> profile:string -> packets:int -> rcase

@@ -214,10 +214,10 @@ let nat_rebalance_storm ?(seed = 1) ?(capacity = 64) ?(universe = 192)
      let imported = ref 0 in
      let src = ref nat_a and dst = ref nat_b in
      for hop = 1 to moves do
-       let blob = Nfs.Migration.export_nat !src all_flows in
-       Nfs.Migration.evict_nat !src all_flows;
-       imported := !imported + Nfs.Migration.import_nat !dst blob;
-       let back = Nfs.Migration.export_nat !dst all_flows in
+       let blob = Nfs.Migration.(export nat) !src all_flows in
+       Nfs.Migration.(evict nat) !src all_flows;
+       imported := !imported + Nfs.Migration.(import nat) !dst blob;
+       let back = Nfs.Migration.(export nat) !dst all_flows in
        if not (String.equal blob back) then
          fail "hop %d: re-export differs from the snapshot (%d vs %d bytes)" hop
            (String.length blob) (String.length back);

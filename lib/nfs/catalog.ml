@@ -63,75 +63,15 @@ let digest_nm (nm : Monitor.t) fp =
   Fingerprint.feed_int_array fp nm.Monitor.pkt_count;
   Fingerprint.feed_int_array fp nm.Monitor.byte_count
 
-(* ----- per-family snapshotters ----- *)
-
-let flow_slot cls flow =
-  Structures.Cuckoo.lookup (Classifier.table cls) (Netcore.Flow.key64 flow)
-
-let snap_nat (nat : Nat.t) =
+(* One NF's codec bound to the instance. *)
+let snap name (c : 'nf Migration.codec) (nf : 'nf) =
   {
-    sn_name = nat.Nat.name;
-    sn_export = Migration.export_nat nat;
-    sn_evict = Migration.evict_nat nat;
-    sn_import = Migration.import_nat nat;
-    sn_apply = Migration.apply_nat nat;
-    sn_flow_digest =
-      (fun fp flow ->
-        match flow_slot nat.Nat.classifier flow with
-        | None -> Fingerprint.feed_bool fp false
-        | Some idx ->
-            Fingerprint.feed_bool fp true;
-            Fingerprint.feed_int64 fp (Int64.of_int32 nat.Nat.map_ip.(idx));
-            Fingerprint.feed_int fp nat.Nat.map_port.(idx));
-  }
-
-let snap_lb (lb : Lb.t) =
-  {
-    sn_name = lb.Lb.name;
-    sn_export = Migration.export_lb lb;
-    sn_evict = Migration.evict_lb lb;
-    sn_import = Migration.import_lb lb;
-    sn_apply = Migration.apply_lb lb;
-    sn_flow_digest =
-      (fun fp flow ->
-        match flow_slot lb.Lb.classifier flow with
-        | None -> Fingerprint.feed_bool fp false
-        | Some idx ->
-            Fingerprint.feed_bool fp true;
-            Fingerprint.feed_int fp lb.Lb.assignment.(idx));
-  }
-
-let snap_fw (fw : Firewall.t) =
-  {
-    sn_name = fw.Firewall.name;
-    sn_export = Migration.export_firewall fw;
-    sn_evict = Migration.evict_firewall fw;
-    sn_import = Migration.import_firewall fw;
-    sn_apply = Migration.apply_firewall fw;
-    sn_flow_digest =
-      (fun fp flow ->
-        match flow_slot fw.Firewall.classifier flow with
-        | None -> Fingerprint.feed_bool fp false
-        | Some idx ->
-            Fingerprint.feed_bool fp true;
-            Fingerprint.feed_bool fp fw.Firewall.verdicts.(idx));
-  }
-
-let snap_nm (nm : Monitor.t) =
-  {
-    sn_name = nm.Monitor.name;
-    sn_export = Migration.export_monitor nm;
-    sn_evict = Migration.evict_monitor nm;
-    sn_import = Migration.adopt_monitor nm;
-    sn_apply = Migration.apply_monitor nm;
-    sn_flow_digest =
-      (fun fp flow ->
-        match flow_slot nm.Monitor.classifier flow with
-        | None -> Fingerprint.feed_bool fp false
-        | Some idx ->
-            Fingerprint.feed_bool fp true;
-            Fingerprint.feed_int fp nm.Monitor.pkt_count.(idx);
-            Fingerprint.feed_int fp nm.Monitor.byte_count.(idx));
+    sn_name = name;
+    sn_export = Migration.export c nf;
+    sn_evict = Migration.evict c nf;
+    sn_import = Migration.import c nf;
+    sn_apply = Migration.apply c nf;
+    sn_flow_digest = Migration.flow_digest c nf;
   }
 
 let prefix_of inst =
@@ -182,26 +122,26 @@ let assemble layout ~(nf : Spec.nf_spec) ~modules ~n_flows =
             let nat = Nat.create layout ~name:prefix ~n_flows () in
             populates := Nat.populate nat :: !populates;
             digests := digest_nat nat :: !digests;
-            snaps := snap_nat nat :: !snaps;
+            snaps := snap prefix Migration.nat nat :: !snaps;
             let u = if has_learner then Nat.dynamic_unit nat else Nat.unit nat in
             u.Nf_unit.instances
         | Lb_f ->
             let lb = Lb.create layout ~name:prefix ~n_flows () in
             populates := Lb.populate lb :: !populates;
             digests := digest_lb lb :: !digests;
-            snaps := snap_lb lb :: !snaps;
+            snaps := snap prefix Migration.lb lb :: !snaps;
             (Lb.unit lb).Nf_unit.instances
         | Fw_f ->
             let fw = Firewall.create layout ~name:prefix ~n_flows () in
             populates := Firewall.populate fw :: !populates;
             digests := digest_fw fw :: !digests;
-            snaps := snap_fw fw :: !snaps;
+            snaps := snap prefix Migration.firewall fw :: !snaps;
             (Firewall.unit fw).Nf_unit.instances
         | Nm_f ->
             let nm = Monitor.create layout ~name:prefix ~n_flows () in
             populates := Monitor.populate nm :: !populates;
             digests := digest_nm nm :: !digests;
-            snaps := snap_nm nm :: !snaps;
+            snaps := snap prefix Migration.monitor nm :: !snaps;
             (Monitor.unit nm).Nf_unit.instances)
       order
   in

@@ -31,7 +31,7 @@ and snapshotter = {
   sn_import : string -> int;
   sn_apply : string -> int;
       (** SCR update upsert: overwrite a resident flow's state in place,
-          admit an absent one (see {!Migration.apply_nat}) *)
+          admit an absent one (see {!Migration.apply}) *)
   sn_flow_digest : Fingerprint.t -> Netcore.Flow.t -> unit;
 }
 

@@ -5,554 +5,318 @@
    external (ip, port) mapping must survive the move.
 
    Snapshots use an explicit little-endian wire format (not OCaml
-   marshalling): a real system would ship these across machines. *)
+   marshalling): a real system would ship these across machines. Every
+   classifier-keyed format is one {!codec}; export, evict, import and apply
+   are written once over it. *)
+
+open Gunfu
 
 exception Bad_snapshot of string
 
-let nat_magic = "GNAT1"
+(* 5-byte magic, then a u32 entry count; entries are fixed-size from
+   offset 9. *)
+let header_bytes = 9
 
-let put_u16 buf v = Buffer.add_uint16_le buf (v land 0xFFFF)
-let put_u32 = Buffer.add_int32_le
-let put_u64 = Buffer.add_int64_le
-let get_u16 = String.get_uint16_le
-let get_u32 = String.get_int32_le
-let get_u64 = String.get_int64_le
+let rec has_prefix s p i =
+  i = String.length p || (s.[i] = p.[i] && has_prefix s p (i + 1))
 
-(* Shared header check: 5-byte magic then a u32 entry count; entries are
-   fixed-size from offset 9. Returns the validated count. *)
-let parse_header ~magic ~entry_bytes snapshot =
-  let n = String.length snapshot in
-  if n < 9 || String.sub snapshot 0 5 <> magic then
+(* The validated entry count. *)
+let parse_header ~magic ~entry_bytes frame =
+  let n = String.length frame in
+  if n < header_bytes || not (has_prefix frame magic 0) then
     raise (Bad_snapshot "bad magic");
-  let count = Int32.to_int (get_u32 snapshot 5) in
-  if count < 0 || 9 + (count * entry_bytes) > n then
+  let count = Int32.to_int (String.get_int32_le frame 5) in
+  if count < 0 || header_bytes + (count * entry_bytes) > n then
     raise (Bad_snapshot "truncated");
   count
 
-(* One NAT mapping on the wire: flow key (the lookup identity) plus the
-   external endpoint that must be preserved. *)
-type nat_entry = { key : int64; ext_ip : Netcore.Ipv4.addr; ext_port : int }
+type 'nf codec = {
+  magic : string;
+  entry_bytes : int;
+  label : string;
+  arena : string;
+  classifier : 'nf -> Classifier.t;
+  encode : 'nf -> Bytes.t -> int -> int -> unit;
+  validate : ('nf -> string -> int -> unit) option;
+  decode : 'nf -> string -> int -> int -> unit;
+  capacity : 'nf -> int;
+  next_free : 'nf -> int;
+  set_next_free : 'nf -> int -> unit;
+  recycling : 'nf recycling option;
+  feed : 'nf -> Fingerprint.t -> int -> unit;
+}
 
-(* Export the mappings of the given flows from a NAT. Flows without an
-   installed mapping are skipped. *)
-let export_nat (nat : Nat.t) flows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf nat_magic;
-  let entries =
-    List.filter_map
-      (fun flow ->
-        let key = Netcore.Flow.key64 flow in
-        Option.map
-          (fun idx -> { key; ext_ip = nat.Nat.map_ip.(idx); ext_port = nat.Nat.map_port.(idx) })
-          (Structures.Cuckoo.lookup (Classifier.table nat.Nat.classifier) key))
-      flows
-  in
-  put_u32 buf (Int32.of_int (List.length entries));
-  List.iter
-    (fun e ->
-      put_u64 buf e.key;
-      put_u32 buf e.ext_ip;
-      put_u16 buf e.ext_port)
-    entries;
-  Buffer.contents buf
+and 'nf recycling = {
+  free_slots : 'nf -> int list;
+  set_free_slots : 'nf -> int list -> unit;
+}
 
-let parse_nat snapshot =
-  let count = parse_header ~magic:nat_magic ~entry_bytes:14 snapshot in
-  List.init count (fun i ->
-      let off = 9 + (i * 14) in
-      {
-        key = get_u64 snapshot off;
-        ext_ip = get_u32 snapshot (off + 8);
-        ext_port = get_u16 snapshot (off + 12);
-      })
+let full c = Bad_snapshot (Printf.sprintf "target %s %s full" c.label c.arena)
+let table_full c = Bad_snapshot (Printf.sprintf "target %s match table full" c.label)
+let table c nf = Classifier.table (c.classifier nf)
+let entry c e = header_bytes + (e * c.entry_bytes)
 
-(* Remove the flows from the source NAT (after export): subsequent packets
-   of these flows MATCH_FAIL there. Freed mapping slots are zeroed and
-   recycled onto the free list (like {!Nat.expire}), so a NAT that handed
-   flows away can later adopt flows back — rebalancing ping-pong. *)
-let evict_nat (nat : Nat.t) flows =
+(* ----- the slot allocator: recycled slots first, then the bump region ----- *)
+
+let recycled c nf = match c.recycling with Some r -> r.free_slots nf | None -> []
+let headroom c nf = c.capacity nf - c.next_free nf + List.length (recycled c nf)
+
+(* A free slot, or -1. *)
+let take c nf =
+  match (recycled c nf, c.recycling) with
+  | slot :: rest, Some r ->
+      r.set_free_slots nf rest;
+      slot
+  | _ ->
+      let slot = c.next_free nf in
+      if slot >= c.capacity nf then -1
+      else begin
+        c.set_next_free nf (slot + 1);
+        slot
+      end
+
+(* Undo a [take] made since the allocator stood at [mark]; most recent
+   first, a recycled slot (below [mark]) goes back to the head of the free
+   list it came from. *)
+let release c nf ~mark slot =
+  (match c.recycling with
+  | Some r when slot < mark -> r.set_free_slots nf (slot :: r.free_slots nf)
+  | _ -> ());
+  c.set_next_free nf mark
+
+(* An evicted key's slot: a recycling NF scrubs it — an all-zero entry
+   decodes to an unused slot — and queues it behind the free list. *)
+let free c nf slot =
+  match c.recycling with
+  | Some r ->
+      c.decode nf (String.make c.entry_bytes '\000') 0 slot;
+      r.set_free_slots nf (r.free_slots nf @ [ slot ])
+  | None -> ()
+
+(* ----- the four operations, once ----- *)
+
+let rec put_entries c nf table frame off = function
+  | [] -> off
+  | flow :: rest ->
+      let key = Netcore.Flow.key64 flow in
+      let slot = Structures.Cuckoo.find table key in
+      if slot < 0 then put_entries c nf table frame off rest
+      else begin
+        Bytes.set_int64_le frame off key;
+        c.encode nf frame off slot;
+        put_entries c nf table frame (off + c.entry_bytes) rest
+      end
+
+(* One exact-size frame; flows without resident state are skipped. *)
+let export c nf flows =
+  let frame = Bytes.create (entry c (List.length flows)) in
+  Bytes.blit_string c.magic 0 frame 0 5;
+  let len = put_entries c nf (table c nf) frame header_bytes flows in
+  Bytes.set_int32_le frame 5 (Int32.of_int ((len - header_bytes) / c.entry_bytes));
+  if len = Bytes.length frame then Bytes.unsafe_to_string frame
+  else Bytes.sub_string frame 0 len
+
+let evict c nf flows =
+  let table = table c nf in
   List.iter
     (fun flow ->
       let key = Netcore.Flow.key64 flow in
-      match Structures.Cuckoo.lookup (Classifier.table nat.Nat.classifier) key with
-      | None -> ()
-      | Some idx ->
-          ignore (Structures.Cuckoo.delete (Classifier.table nat.Nat.classifier) key);
-          nat.Nat.map_ip.(idx) <- 0l;
-          nat.Nat.map_port.(idx) <- 0;
-          nat.Nat.keys.(idx) <- 0L;
-          nat.Nat.free_slots <- nat.Nat.free_slots @ [ idx ])
-    flows
-
-(* Install a snapshot into a target NAT, preserving external mappings.
-   Returns the number of entries imported. All-or-nothing: the snapshot is
-   fully parsed and capacity-checked before the first mutation, and a
-   mid-import cuckoo rejection rolls every already-installed entry back —
-   on ANY failure the target is exactly as it was.
-   @raise Bad_snapshot on malformed input or when the target is full. *)
-let import_nat (nat : Nat.t) snapshot =
-  let entries = parse_nat snapshot in
-  let table = Classifier.table nat.Nat.classifier in
-  let headroom =
-    Array.length nat.Nat.map_ip - nat.Nat.next_free
-    + List.length nat.Nat.free_slots
-  in
-  if List.length entries > headroom then
-    raise (Bad_snapshot "target NAT mapping table full");
-  let saved_next = nat.Nat.next_free in
-  let saved_free = nat.Nat.free_slots in
-  (* (key, slot, overwritten mapping bytes) — enough to restore the target
-     exactly, whether the slot came off the free list or the bump region *)
-  let installed = ref [] in
-  let rollback () =
-    List.iter
-      (fun (key, idx, ip, port, k) ->
+      let slot = Structures.Cuckoo.find table key in
+      if slot >= 0 then begin
         ignore (Structures.Cuckoo.delete table key);
-        nat.Nat.map_ip.(idx) <- ip;
-        nat.Nat.map_port.(idx) <- port;
-        nat.Nat.keys.(idx) <- k)
-      !installed;
-    nat.Nat.next_free <- saved_next;
-    nat.Nat.free_slots <- saved_free
-  in
-  (try
-     List.iter
-       (fun e ->
-         let idx =
-           match nat.Nat.free_slots with
-           | idx :: rest ->
-               nat.Nat.free_slots <- rest;
-               idx
-           | [] ->
-               let idx = nat.Nat.next_free in
-               nat.Nat.next_free <- idx + 1;
-               idx
-         in
-         installed :=
-           (e.key, idx, nat.Nat.map_ip.(idx), nat.Nat.map_port.(idx), nat.Nat.keys.(idx))
-           :: !installed;
-         nat.Nat.map_ip.(idx) <- e.ext_ip;
-         nat.Nat.map_port.(idx) <- e.ext_port;
-         nat.Nat.keys.(idx) <- e.key;
-         if not (Structures.Cuckoo.insert table ~key:e.key ~value:idx) then
-           raise (Bad_snapshot "target NAT match table full"))
-       entries
-   with exn ->
-     rollback ();
-     raise exn);
-  List.length entries
-
-(* Upsert a snapshot into a target NAT: entries whose flow is already
-   resident get their mapping overwritten in place; absent flows are
-   admitted (free list first, then the bump region). This is the SCR
-   update-apply surface — an update record is an *absolute* per-flow state
-   snapshot, so applying only the latest pending record for a flow is
-   equivalent to applying all of them in sequence order, and re-applying is
-   idempotent. The frame is fully parsed before the first mutation.
-   @raise Bad_snapshot on malformed input or a full target. *)
-let apply_nat (nat : Nat.t) snapshot =
-  let entries = parse_nat snapshot in
-  let table = Classifier.table nat.Nat.classifier in
-  List.iter
-    (fun e ->
-      match Structures.Cuckoo.lookup table e.key with
-      | Some idx ->
-          nat.Nat.map_ip.(idx) <- e.ext_ip;
-          nat.Nat.map_port.(idx) <- e.ext_port
-      | None ->
-          let idx =
-            match nat.Nat.free_slots with
-            | idx :: rest ->
-                nat.Nat.free_slots <- rest;
-                idx
-            | [] ->
-                if nat.Nat.next_free >= Array.length nat.Nat.map_ip then
-                  raise (Bad_snapshot "target NAT mapping table full");
-                let idx = nat.Nat.next_free in
-                nat.Nat.next_free <- idx + 1;
-                idx
-          in
-          nat.Nat.map_ip.(idx) <- e.ext_ip;
-          nat.Nat.map_port.(idx) <- e.ext_port;
-          nat.Nat.keys.(idx) <- e.key;
-          if not (Structures.Cuckoo.insert table ~key:e.key ~value:idx) then
-            raise (Bad_snapshot "target NAT match table full"))
-    entries;
-  List.length entries
-
-(* ----- monitor counters (accounting survives scale events) ----- *)
-
-let nm_magic = "GNMC1"
-
-(* One exact-size frame: magic, u32 count, then (key, packets, bytes)
-   as three u64 per tracked flow. *)
-let export_monitor (nm : Monitor.t) flows =
-  let table = Classifier.table nm.Monitor.classifier in
-  let entries =
-    List.filter_map
-      (fun flow ->
-        let key = Netcore.Flow.key64 flow in
-        Option.map (fun idx -> (key, idx)) (Structures.Cuckoo.lookup table key))
-      flows
-  in
-  let n = List.length entries in
-  let b = Bytes.create (9 + (24 * n)) in
-  Bytes.blit_string nm_magic 0 b 0 5;
-  Bytes.set_int32_le b 5 (Int32.of_int n);
-  List.iteri
-    (fun i (key, idx) ->
-      let off = 9 + (24 * i) in
-      Bytes.set_int64_le b off key;
-      Bytes.set_int64_le b (off + 8) (Int64.of_int nm.Monitor.pkt_count.(idx));
-      Bytes.set_int64_le b (off + 16) (Int64.of_int nm.Monitor.byte_count.(idx)))
-    entries;
-  Bytes.unsafe_to_string b
-
-let import_monitor (nm : Monitor.t) ~flows snapshot =
-  let count = parse_header ~magic:nm_magic ~entry_bytes:24 snapshot in
-  let by_key = Hashtbl.create 16 in
-  Array.iteri (fun i f -> Hashtbl.replace by_key (Netcore.Flow.key64 f) i) flows;
-  let imported = ref 0 in
-  for i = 0 to count - 1 do
-    let off = 9 + (i * 24) in
-    let key = get_u64 snapshot off in
-    match Hashtbl.find_opt by_key key with
-    | None -> ()
-    | Some idx ->
-        nm.Monitor.pkt_count.(idx) <-
-          nm.Monitor.pkt_count.(idx) + Int64.to_int (get_u64 snapshot (off + 8));
-        nm.Monitor.byte_count.(idx) <-
-          nm.Monitor.byte_count.(idx) + Int64.to_int (get_u64 snapshot (off + 16));
-        incr imported
-  done;
-  !imported
-
-(* Remove the flows from a monitor (post-export): later packets of these
-   flows MATCH_FAIL. Counter slots are not recycled (bump allocator). *)
-let evict_monitor (nm : Monitor.t) flows =
-  List.iter
-    (fun flow ->
-      ignore
-        (Structures.Cuckoo.delete
-           (Classifier.table nm.Monitor.classifier)
-           (Netcore.Flow.key64 flow)))
+        free c nf slot
+      end)
     flows
 
-(* Install monitor accounting as *fresh* flows (failover/adoption), unlike
-   {!import_monitor} which merges into flows the target already tracks:
-   each entry gets a new counter slot holding the exported totals, and the
-   flow key is admitted into the classifier. All-or-nothing like
-   {!import_nat}. *)
-let adopt_monitor (nm : Monitor.t) snapshot =
-  let count = parse_header ~magic:nm_magic ~entry_bytes:24 snapshot in
-  let table = Classifier.table nm.Monitor.classifier in
-  if nm.Monitor.next_free + count > Array.length nm.Monitor.pkt_count then
-    raise (Bad_snapshot "target monitor counter table full");
-  let saved_next = nm.Monitor.next_free in
-  let installed = ref [] in
-  let rollback () =
-    List.iter (fun key -> ignore (Structures.Cuckoo.delete table key)) !installed;
-    for idx = saved_next to nm.Monitor.next_free - 1 do
-      nm.Monitor.pkt_count.(idx) <- 0;
-      nm.Monitor.byte_count.(idx) <- 0
-    done;
-    nm.Monitor.next_free <- saved_next
-  in
+(* Undo phase one for entries [last] down to 0: each re-pointed key gets
+   its prior value back (or leaves), each taken slot is released. Slots
+   are released most recent first, which is what lets a free list be
+   restored exactly. *)
+let rollback c nf table frame slots ~mark last =
+  for e = last downto 0 do
+    let slot = slots.(2 * e) and prior = slots.((2 * e) + 1) in
+    if slot >= 0 && slot <> prior then begin
+      let key = String.get_int64_le frame (entry c e) in
+      if prior < 0 then ignore (Structures.Cuckoo.delete table key)
+      else ignore (Structures.Cuckoo.insert table ~key ~value:prior);
+      release c nf ~mark slot
+    end
+  done
+
+(* Phase one's record, entry e at 2e: the slot it took (-1: none) and the
+   value its key held before (-1: absent). One buffer serves every call,
+   so the per-record SCR apply allocates none; [install] never re-enters. *)
+let phase_one = ref (Array.make 64 (-1))
+
+(* Phase one points every key at its slot, remembering what the key held
+   before; phase two writes the payloads. Only phase one can fail, and it
+   has touched nothing but the table and the allocator, so a failure
+   restores those two and the target is as it was. [upsert] keeps a
+   resident key on its slot; otherwise every entry takes a fresh slot. *)
+let install ~upsert c nf frame =
+  let count = parse_header ~magic:c.magic ~entry_bytes:c.entry_bytes frame in
+  if (not upsert) && count > headroom c nf then raise (full c);
+  (match c.validate with
+  | None -> ()
+  | Some validate ->
+      for e = 0 to count - 1 do
+        validate nf frame (entry c e)
+      done);
+  let table = table c nf in
+  let mark = c.next_free nf in
+  if Array.length !phase_one < 2 * count then phase_one := Array.make (2 * count) (-1);
+  let slots = !phase_one in
+  let e = ref 0 in
   (try
-     for i = 0 to count - 1 do
-       let off = 9 + (i * 24) in
-       let key = get_u64 snapshot off in
-       let idx = nm.Monitor.next_free in
-       nm.Monitor.next_free <- idx + 1;
-       nm.Monitor.pkt_count.(idx) <- Int64.to_int (get_u64 snapshot (off + 8));
-       nm.Monitor.byte_count.(idx) <- Int64.to_int (get_u64 snapshot (off + 16));
-       if not (Structures.Cuckoo.insert table ~key ~value:idx) then
-         raise (Bad_snapshot "target monitor match table full");
-       installed := key :: !installed
+     while !e < count do
+       let key = String.get_int64_le frame (entry c !e) in
+       let prior = Structures.Cuckoo.find table key in
+       slots.(2 * !e) <- -1;
+       slots.((2 * !e) + 1) <- prior;
+       if upsert && prior >= 0 then slots.(2 * !e) <- prior
+       else begin
+         let slot = take c nf in
+         if slot < 0 then raise (full c);
+         slots.(2 * !e) <- slot;
+         if not (Structures.Cuckoo.insert table ~key ~value:slot) then
+           raise (table_full c)
+       end;
+       incr e
      done
    with exn ->
-     rollback ();
+     rollback c nf table frame slots ~mark !e;
      raise exn);
-  count
-
-(* Upsert monitor accounting as *absolute* totals: a resident flow's
-   counters are overwritten (NOT merged like {!import_monitor} — an SCR
-   update record carries the flow's authoritative running totals), an
-   absent flow is admitted with them. See {!apply_nat} for the contract. *)
-let apply_monitor (nm : Monitor.t) snapshot =
-  let count = parse_header ~magic:nm_magic ~entry_bytes:24 snapshot in
-  let table = Classifier.table nm.Monitor.classifier in
-  for i = 0 to count - 1 do
-    let off = 9 + (i * 24) in
-    let key = get_u64 snapshot off in
-    let pkts = Int64.to_int (get_u64 snapshot (off + 8)) in
-    let bytes = Int64.to_int (get_u64 snapshot (off + 16)) in
-    match Structures.Cuckoo.lookup table key with
-    | Some idx ->
-        nm.Monitor.pkt_count.(idx) <- pkts;
-        nm.Monitor.byte_count.(idx) <- bytes
-    | None ->
-        if nm.Monitor.next_free >= Array.length nm.Monitor.pkt_count then
-          raise (Bad_snapshot "target monitor counter table full");
-        let idx = nm.Monitor.next_free in
-        nm.Monitor.next_free <- idx + 1;
-        nm.Monitor.pkt_count.(idx) <- pkts;
-        nm.Monitor.byte_count.(idx) <- bytes;
-        if not (Structures.Cuckoo.insert table ~key ~value:idx) then
-          raise (Bad_snapshot "target monitor match table full")
+  for e = 0 to count - 1 do
+    c.decode nf frame (entry c e) slots.(2 * e)
   done;
   count
 
-(* ----- load balancer (backend pinning survives the move) ----- *)
+let import c nf frame = install ~upsert:false c nf frame
+let apply c nf frame = install ~upsert:true c nf frame
 
-let lb_magic = "GNLB1"
+let flow_digest c nf fp flow =
+  match Structures.Cuckoo.find (table c nf) (Netcore.Flow.key64 flow) with
+  | -1 -> Fingerprint.feed_bool fp false
+  | slot ->
+      Fingerprint.feed_bool fp true;
+      c.feed nf fp slot
 
-(* (key u64, backend u16): what must survive is the flow's backend pin —
-   re-running Maglev on the target could re-balance it elsewhere and break
-   the connection. *)
-let export_lb (lb : Lb.t) flows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf lb_magic;
-  let entries =
-    List.filter_map
-      (fun flow ->
-        let key = Netcore.Flow.key64 flow in
-        Option.map
-          (fun idx -> (key, lb.Lb.assignment.(idx)))
-          (Structures.Cuckoo.lookup (Classifier.table lb.Lb.classifier) key))
-      flows
-  in
-  put_u32 buf (Int32.of_int (List.length entries));
-  List.iter
-    (fun (key, backend) ->
-      put_u64 buf key;
-      put_u16 buf backend)
-    entries;
-  Buffer.contents buf
+(* ----- the formats ----- *)
 
-let evict_lb (lb : Lb.t) flows =
-  List.iter
-    (fun flow ->
-      ignore
-        (Structures.Cuckoo.delete (Classifier.table lb.Lb.classifier)
-           (Netcore.Flow.key64 flow)))
-    flows
+(* (key u64, external ip u32, external port u16): the mapping that must
+   survive the move. Evicted slots are zeroed and recycled onto the free
+   list (like {!Nat.expire}), so a NAT that handed flows away can adopt
+   flows back later — rebalancing ping-pong. The others bump. *)
+let nat : Nat.t codec =
+  {
+    magic = "GNAT1";
+    entry_bytes = 14;
+    label = "NAT";
+    arena = "mapping table";
+    classifier = (fun n -> n.Nat.classifier);
+    encode =
+      (fun n b off slot ->
+        Bytes.set_int32_le b (off + 8) n.Nat.map_ip.(slot);
+        Bytes.set_uint16_le b (off + 12) (n.Nat.map_port.(slot) land 0xFFFF));
+    validate = None;
+    decode =
+      (fun n s off slot ->
+        n.Nat.map_ip.(slot) <- String.get_int32_le s (off + 8);
+        n.Nat.map_port.(slot) <- String.get_uint16_le s (off + 12);
+        n.Nat.keys.(slot) <- String.get_int64_le s off);
+    capacity = (fun n -> Array.length n.Nat.map_ip);
+    next_free = (fun n -> n.Nat.next_free);
+    set_next_free = (fun n v -> n.Nat.next_free <- v);
+    recycling =
+      Some
+        {
+          free_slots = (fun n -> n.Nat.free_slots);
+          set_free_slots = (fun n l -> n.Nat.free_slots <- l);
+        };
+    feed =
+      (fun n fp slot ->
+        Fingerprint.feed_int64 fp (Int64.of_int32 n.Nat.map_ip.(slot));
+        Fingerprint.feed_int fp n.Nat.map_port.(slot));
+  }
 
-let import_lb (lb : Lb.t) snapshot =
-  let count = parse_header ~magic:lb_magic ~entry_bytes:10 snapshot in
-  let table = Classifier.table lb.Lb.classifier in
-  if lb.Lb.next_free + count > Array.length lb.Lb.assignment then
-    raise (Bad_snapshot "target LB assignment table full");
-  (* Validate every entry before the first mutation. *)
-  for i = 0 to count - 1 do
-    let backend = get_u16 snapshot (9 + (i * 10) + 8) in
-    if backend >= Array.length lb.Lb.backends then
-      raise (Bad_snapshot "LB backend index out of range")
-  done;
-  let saved_next = lb.Lb.next_free in
-  let installed = ref [] in
-  let rollback () =
-    List.iter (fun key -> ignore (Structures.Cuckoo.delete table key)) !installed;
-    for idx = saved_next to lb.Lb.next_free - 1 do
-      lb.Lb.assignment.(idx) <- 0
-    done;
-    lb.Lb.next_free <- saved_next
-  in
-  (try
-     for i = 0 to count - 1 do
-       let off = 9 + (i * 10) in
-       let key = get_u64 snapshot off in
-       let idx = lb.Lb.next_free in
-       lb.Lb.next_free <- idx + 1;
-       lb.Lb.assignment.(idx) <- get_u16 snapshot (off + 8);
-       if not (Structures.Cuckoo.insert table ~key ~value:idx) then
-         raise (Bad_snapshot "target LB match table full");
-       installed := key :: !installed
-     done
-   with exn ->
-     rollback ();
-     raise exn);
-  count
+(* (key u64, packets u64, bytes u64): a flow's absolute running totals. *)
+let monitor : Monitor.t codec =
+  {
+    magic = "GNMC1";
+    entry_bytes = 24;
+    label = "monitor";
+    arena = "counter table";
+    classifier = (fun m -> m.Monitor.classifier);
+    encode =
+      (fun m b off slot ->
+        Bytes.set_int64_le b (off + 8) (Int64.of_int m.Monitor.pkt_count.(slot));
+        Bytes.set_int64_le b (off + 16) (Int64.of_int m.Monitor.byte_count.(slot)));
+    validate = None;
+    decode =
+      (fun m s off slot ->
+        m.Monitor.pkt_count.(slot) <- Int64.to_int (String.get_int64_le s (off + 8));
+        m.Monitor.byte_count.(slot) <- Int64.to_int (String.get_int64_le s (off + 16)));
+    capacity = (fun m -> Array.length m.Monitor.pkt_count);
+    next_free = (fun m -> m.Monitor.next_free);
+    set_next_free = (fun m v -> m.Monitor.next_free <- v);
+    recycling = None;
+    feed =
+      (fun m fp slot ->
+        Fingerprint.feed_int fp m.Monitor.pkt_count.(slot);
+        Fingerprint.feed_int fp m.Monitor.byte_count.(slot));
+  }
 
-(* Upsert backend pins (see {!apply_nat} for the SCR update contract).
-   Backend indices are validated before the first mutation. *)
-let apply_lb (lb : Lb.t) snapshot =
-  let count = parse_header ~magic:lb_magic ~entry_bytes:10 snapshot in
-  let table = Classifier.table lb.Lb.classifier in
-  for i = 0 to count - 1 do
-    let backend = get_u16 snapshot (9 + (i * 10) + 8) in
-    if backend >= Array.length lb.Lb.backends then
-      raise (Bad_snapshot "LB backend index out of range")
-  done;
-  for i = 0 to count - 1 do
-    let off = 9 + (i * 10) in
-    let key = get_u64 snapshot off in
-    let backend = get_u16 snapshot (off + 8) in
-    match Structures.Cuckoo.lookup table key with
-    | Some idx -> lb.Lb.assignment.(idx) <- backend
-    | None ->
-        if lb.Lb.next_free >= Array.length lb.Lb.assignment then
-          raise (Bad_snapshot "target LB assignment table full");
-        let idx = lb.Lb.next_free in
-        lb.Lb.next_free <- idx + 1;
-        lb.Lb.assignment.(idx) <- backend;
-        if not (Structures.Cuckoo.insert table ~key ~value:idx) then
-          raise (Bad_snapshot "target LB match table full")
-  done;
-  count
+let export_monitor nm flows = export monitor nm flows
+let apply_monitor nm frame = apply monitor nm frame
 
-(* ----- firewall (admission verdicts survive the move) ----- *)
-
-let fw_magic = "GNFW1"
+(* (key u64, backend u16): the flow's backend pin — re-running Maglev on
+   the target could re-balance it elsewhere and break the connection. *)
+let lb : Lb.t codec =
+  {
+    magic = "GNLB1";
+    entry_bytes = 10;
+    label = "LB";
+    arena = "assignment table";
+    classifier = (fun l -> l.Lb.classifier);
+    encode =
+      (fun l b off slot -> Bytes.set_uint16_le b (off + 8) (l.Lb.assignment.(slot) land 0xFFFF));
+    validate =
+      Some
+        (fun l s off ->
+          if String.get_uint16_le s (off + 8) >= Array.length l.Lb.backends then
+            raise (Bad_snapshot "LB backend index out of range"));
+    decode = (fun l s off slot -> l.Lb.assignment.(slot) <- String.get_uint16_le s (off + 8));
+    capacity = (fun l -> Array.length l.Lb.assignment);
+    next_free = (fun l -> l.Lb.next_free);
+    set_next_free = (fun l v -> l.Lb.next_free <- v);
+    recycling = None;
+    feed = (fun l fp slot -> Fingerprint.feed_int fp l.Lb.assignment.(slot));
+  }
 
 (* (key u64, verdict u8): the verdict was decided at admission against the
-   *source* instance's policy; re-evaluating on the target (which may run a
-   different policy) could flip it mid-connection. *)
-let export_firewall (fw : Firewall.t) flows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf fw_magic;
-  let entries =
-    List.filter_map
-      (fun flow ->
-        let key = Netcore.Flow.key64 flow in
-        Option.map
-          (fun idx -> (key, fw.Firewall.verdicts.(idx)))
-          (Structures.Cuckoo.lookup (Classifier.table fw.Firewall.classifier) key))
-      flows
-  in
-  put_u32 buf (Int32.of_int (List.length entries));
-  List.iter
-    (fun (key, accept) ->
-      put_u64 buf key;
-      Buffer.add_char buf (if accept then '\001' else '\000'))
-    entries;
-  Buffer.contents buf
-
-let evict_firewall (fw : Firewall.t) flows =
-  List.iter
-    (fun flow ->
-      ignore
-        (Structures.Cuckoo.delete
-           (Classifier.table fw.Firewall.classifier)
-           (Netcore.Flow.key64 flow)))
-    flows
-
-let import_firewall (fw : Firewall.t) snapshot =
-  let count = parse_header ~magic:fw_magic ~entry_bytes:9 snapshot in
-  let table = Classifier.table fw.Firewall.classifier in
-  if fw.Firewall.next_free + count > Array.length fw.Firewall.verdicts then
-    raise (Bad_snapshot "target firewall verdict table full");
-  for i = 0 to count - 1 do
-    let v = Char.code snapshot.[9 + (i * 9) + 8] in
-    if v > 1 then raise (Bad_snapshot "firewall verdict out of range")
-  done;
-  let saved_next = fw.Firewall.next_free in
-  let installed = ref [] in
-  let rollback () =
-    List.iter (fun key -> ignore (Structures.Cuckoo.delete table key)) !installed;
-    for idx = saved_next to fw.Firewall.next_free - 1 do
-      fw.Firewall.verdicts.(idx) <- true
-    done;
-    fw.Firewall.next_free <- saved_next
-  in
-  (try
-     for i = 0 to count - 1 do
-       let off = 9 + (i * 9) in
-       let key = get_u64 snapshot off in
-       let idx = fw.Firewall.next_free in
-       fw.Firewall.next_free <- idx + 1;
-       fw.Firewall.verdicts.(idx) <- Char.code snapshot.[off + 8] = 1;
-       if not (Structures.Cuckoo.insert table ~key ~value:idx) then
-         raise (Bad_snapshot "target firewall match table full");
-       installed := key :: !installed
-     done
-   with exn ->
-     rollback ();
-     raise exn);
-  count
-
-(* Upsert admission verdicts (see {!apply_nat} for the SCR update
-   contract). Verdict bytes are validated before the first mutation. *)
-let apply_firewall (fw : Firewall.t) snapshot =
-  let count = parse_header ~magic:fw_magic ~entry_bytes:9 snapshot in
-  let table = Classifier.table fw.Firewall.classifier in
-  for i = 0 to count - 1 do
-    let v = Char.code snapshot.[9 + (i * 9) + 8] in
-    if v > 1 then raise (Bad_snapshot "firewall verdict out of range")
-  done;
-  for i = 0 to count - 1 do
-    let off = 9 + (i * 9) in
-    let key = get_u64 snapshot off in
-    let accept = Char.code snapshot.[off + 8] = 1 in
-    match Structures.Cuckoo.lookup table key with
-    | Some idx -> fw.Firewall.verdicts.(idx) <- accept
-    | None ->
-        if fw.Firewall.next_free >= Array.length fw.Firewall.verdicts then
-          raise (Bad_snapshot "target firewall verdict table full");
-        let idx = fw.Firewall.next_free in
-        fw.Firewall.next_free <- idx + 1;
-        fw.Firewall.verdicts.(idx) <- accept;
-        if not (Structures.Cuckoo.insert table ~key ~value:idx) then
-          raise (Bad_snapshot "target firewall match table full")
-  done;
-  count
-
-(* ----- bare classifier (match table as the unit of state) ----- *)
-
-let cls_magic = "GCLS1"
-
-(* (key u64, value u32) pairs, exactly as resident in the cuckoo table.
-   Values are slot indices into whatever data structure sits behind the
-   classifier, so cross-instance imports usually pass [remap] to translate
-   them into the target's slot space. *)
-let export_classifier (cls : Classifier.t) keys =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf cls_magic;
-  let entries =
-    List.filter_map
-      (fun key ->
-        Option.map
-          (fun v -> (key, v))
-          (Structures.Cuckoo.lookup (Classifier.table cls) key))
-      keys
-  in
-  put_u32 buf (Int32.of_int (List.length entries));
-  List.iter
-    (fun (key, v) ->
-      put_u64 buf key;
-      put_u32 buf (Int32.of_int v))
-    entries;
-  Buffer.contents buf
-
-let evict_classifier (cls : Classifier.t) keys =
-  List.iter
-    (fun key -> ignore (Structures.Cuckoo.delete (Classifier.table cls) key))
-    keys
-
-let import_classifier ?(remap = fun v -> v) (cls : Classifier.t) snapshot =
-  let count = parse_header ~magic:cls_magic ~entry_bytes:12 snapshot in
-  let table = Classifier.table cls in
-  if
-    Structures.Cuckoo.population table + count
-    > Structures.Cuckoo.nbuckets table * Structures.Cuckoo.slots_per_bucket
-  then raise (Bad_snapshot "target classifier table full");
-  let installed = ref [] in
-  let rollback () =
-    List.iter (fun key -> ignore (Structures.Cuckoo.delete table key)) !installed
-  in
-  (try
-     for i = 0 to count - 1 do
-       let off = 9 + (i * 12) in
-       let key = get_u64 snapshot off in
-       let value = remap (Int32.to_int (get_u32 snapshot (off + 8)) land 0xFFFFFFFF) in
-       if not (Structures.Cuckoo.insert table ~key ~value) then
-         raise (Bad_snapshot "target classifier match table full");
-       installed := key :: !installed
-     done
-   with exn ->
-     rollback ();
-     raise exn);
-  count
+   *source* instance's policy; re-evaluating on the target (which may run
+   a different policy) could flip it mid-connection. *)
+let firewall : Firewall.t codec =
+  {
+    magic = "GNFW1";
+    entry_bytes = 9;
+    label = "firewall";
+    arena = "verdict table";
+    classifier = (fun f -> f.Firewall.classifier);
+    encode =
+      (fun f b off slot -> Bytes.set_uint8 b (off + 8) (Bool.to_int f.Firewall.verdicts.(slot)));
+    validate =
+      Some
+        (fun _ s off ->
+          if String.get_uint8 s (off + 8) > 1 then
+            raise (Bad_snapshot "firewall verdict out of range"));
+    decode = (fun f s off slot -> f.Firewall.verdicts.(slot) <- String.get_uint8 s (off + 8) = 1);
+    capacity = (fun f -> Array.length f.Firewall.verdicts);
+    next_free = (fun f -> f.Firewall.next_free);
+    set_next_free = (fun f v -> f.Firewall.next_free <- v);
+    recycling = None;
+    feed = (fun f fp slot -> Fingerprint.feed_bool fp f.Firewall.verdicts.(slot));
+  }
 
 (* ----- UPF (PFCP sessions re-homed with their tunnel identity) ----- *)
 
@@ -574,11 +338,11 @@ let export_upf (upf : Upf.t) ue_ips =
           (Structures.Cuckoo.lookup (Classifier.table upf.Upf.classifier) key))
       ue_ips
   in
-  put_u32 buf (Int32.of_int (List.length entries));
+  Buffer.add_int32_le buf (Int32.of_int (List.length entries));
   List.iter
     (fun (s : Traffic.Mgw.session) ->
-      put_u32 buf s.Traffic.Mgw.ue_ip;
-      put_u32 buf s.Traffic.Mgw.teid)
+      Buffer.add_int32_le buf s.Traffic.Mgw.ue_ip;
+      Buffer.add_int32_le buf s.Traffic.Mgw.teid)
     entries;
   Buffer.contents buf
 
@@ -605,8 +369,8 @@ let import_upf (upf : Upf.t) snapshot =
   (try
      for i = 0 to count - 1 do
        let off = 9 + (i * 8) in
-       let ue_ip = get_u32 snapshot off in
-       let teid = get_u32 snapshot (off + 4) in
+       let ue_ip = String.get_int32_le snapshot off in
+       let teid = String.get_int32_le snapshot (off + 4) in
        let idx = upf.Upf.n_active in
        let old_session = upf.Upf.sessions.(idx) in
        match Upf.install_session upf ~ue_ip ~teid with
@@ -621,13 +385,13 @@ let import_upf (upf : Upf.t) snapshot =
 (* Upsert PFCP sessions: a session already resident under its UE IP is
    left alone (session identity — TEID, PDR shape — is immutable, so the
    update carries nothing new for it); absent sessions are admitted through
-   the normal {!Upf.install_session} path. See {!apply_nat}. *)
+   the normal {!Upf.install_session} path. *)
 let apply_upf (upf : Upf.t) snapshot =
   let count = parse_header ~magic:upf_magic ~entry_bytes:8 snapshot in
   for i = 0 to count - 1 do
     let off = 9 + (i * 8) in
-    let ue_ip = get_u32 snapshot off in
-    let teid = get_u32 snapshot (off + 4) in
+    let ue_ip = String.get_int32_le snapshot off in
+    let teid = String.get_int32_le snapshot (off + 4) in
     let key = Int64.logand (Int64.of_int32 ue_ip) 0xFFFFFFFFL in
     match Structures.Cuckoo.lookup (Classifier.table upf.Upf.classifier) key with
     | Some _ -> ()

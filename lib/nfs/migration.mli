@@ -2,125 +2,122 @@
     Data and Code"): per-flow state decoupled from code can be exported
     from one instance and imported into another (scale-out / failover)
     without breaking connections. Snapshots use an explicit little-endian
-    wire format. *)
+    wire format.
+
+    {2 Formats}
+
+    A frame is a 5-byte magic, a u32 entry count, then that many
+    fixed-size entries. Every classifier-keyed entry starts with the
+    flow's u64 classifier key.
+
+    {v
+    magic  entry  payload after the key          codec
+    GNAT1  14     external ip u32, port u16      nat
+    GNMC1  24     packets u64, bytes u64         monitor
+    GNLB1  10     backend index u16              lb
+    GNFW1   9     verdict u8 (0 drop, 1 accept)  firewall
+    GSYN1  24     flow id u32, seq u32,          Check.Recovery.syn_codec
+                  scratch u64
+    GUPF1   8     ue_ip u32, teid u32 (no key)   export_upf / import_upf
+    v}
+
+    {2 Import and apply}
+
+    {!import} gives every entry a fresh slot and points its key there;
+    {!apply} is the SCR update upsert: a resident key keeps its slot and
+    has its state overwritten, an absent one is admitted. An SCR update
+    record is an absolute per-flow state snapshot, so applying only the
+    latest record for a flow equals applying all of them in order, and
+    re-applying is idempotent.
+
+    Both are all-or-nothing. The frame is parsed and every entry validated
+    before the first mutation; then every key is pointed at its slot, and
+    only then are payloads written. If a slot or a table insert is refused,
+    each key gets back the value it held before (a key the target already
+    held stays resident) and every taken slot is released, so the target
+    is as it was.
+    @raise Bad_snapshot on a malformed frame, an invalid entry or a full
+    target. *)
+
+open Gunfu
 
 exception Bad_snapshot of string
 
-(** {2 Wire-format building blocks}
+(** One wire format for the state of an NF whose per-flow state sits in
+    slot-indexed arrays behind a {!Classifier}. A codec is a static value:
+    its functions take the NF, so binding one to an instance builds
+    nothing per call. Payload functions work on (frame, entry offset):
+    the key sits at the offset, the payload after it.
 
-    Little-endian primitives shared by every snapshot format, exposed so
-    other planes (e.g. the recovery engine's synthetic-program
-    checkpoints) can define additional formats with identical framing
-    semantics. *)
+    Slots are allocated from the NF's own arena: recycled slots first (NAT
+    only), then the bump region [next_free .. capacity). *)
+type 'nf codec = {
+  magic : string;
+  entry_bytes : int;  (** key included *)
+  label : string;  (** names the NF in {!Bad_snapshot} messages *)
+  arena : string;  (** names its slot arena in them *)
+  classifier : 'nf -> Classifier.t;
+  encode : 'nf -> Bytes.t -> int -> int -> unit;  (** frame, offset, slot *)
+  validate : ('nf -> string -> int -> unit) option;
+      (** raises {!Bad_snapshot} on an entry the target cannot hold *)
+  decode : 'nf -> string -> int -> int -> unit;  (** frame, offset, slot *)
+  capacity : 'nf -> int;
+  next_free : 'nf -> int;
+  set_next_free : 'nf -> int -> unit;
+  recycling : 'nf recycling option;
+      (** evicted slots are scrubbed (an all-zero entry decodes to an
+          unused slot) and queued here for reuse *)
+  feed : 'nf -> Fingerprint.t -> int -> unit;  (** one slot's observable state *)
+}
 
-val put_u16 : Buffer.t -> int -> unit
-val put_u32 : Buffer.t -> int32 -> unit
-val put_u64 : Buffer.t -> int64 -> unit
-val get_u16 : string -> int -> int
-val get_u32 : string -> int -> int32
-val get_u64 : string -> int -> int64
+and 'nf recycling = {
+  free_slots : 'nf -> int list;
+  set_free_slots : 'nf -> int list -> unit;
+}
 
-(** Validate a snapshot's magic and length ([magic] + u32 count + [count]
-    fixed-size entries); returns the entry count.
-    @raise Bad_snapshot on bad magic or truncation. *)
-val parse_header : magic:string -> entry_bytes:int -> string -> int
+val nat : Nat.t codec
 
-type nat_entry = { key : int64; ext_ip : Netcore.Ipv4.addr; ext_port : int }
+(** Counters carry absolute totals: import and apply overwrite, never add. *)
+val monitor : Monitor.t codec
 
-(** Export the NAT mappings of the given flows (flows without a mapping are
-    skipped). *)
-val export_nat : Nat.t -> Netcore.Flow.t list -> string
+(** Backend indices are validated against the target's backends. *)
+val lb : Lb.t codec
 
-(** @raise Bad_snapshot on malformed input. *)
-val parse_nat : string -> nat_entry list
+(** Verdict bytes outside [{0,1}] are rejected. *)
+val firewall : Firewall.t codec
 
-(** Remove the flows from the source NAT (post-export); their mapping
-    slots are zeroed and recycled, so the source can adopt flows back
-    later (rebalancing ping-pong). *)
-val evict_nat : Nat.t -> Netcore.Flow.t list -> unit
+(** One exact-size frame holding the given flows' state; flows without
+    resident state are skipped. *)
+val export : 'nf codec -> 'nf -> Netcore.Flow.t list -> string
 
-(** Install a snapshot, preserving external mappings; returns entries
-    imported. All-or-nothing: on failure the target NAT is left exactly as
-    it was (parse + capacity check happen before the first mutation, and a
-    mid-import insert rejection rolls back the installed prefix).
-    @raise Bad_snapshot on malformed input or a full target. *)
-val import_nat : Nat.t -> string -> int
+(** Remove the flows' keys (after export): later packets of these flows
+    MATCH_FAIL. A recycling codec frees their slots for reuse. *)
+val evict : 'nf codec -> 'nf -> Netcore.Flow.t list -> unit
 
-(** {2 Update apply (State-Compute Replication)}
+(** Entries installed. See "Import and apply" above. *)
+val import : 'nf codec -> 'nf -> string -> int
 
-    [apply_*] upsert a snapshot instead of importing it fresh: entries
-    whose flow is already resident have their state {e overwritten} in
-    place, absent flows are admitted. An SCR update record is an absolute
-    per-flow state snapshot, so applying only the latest pending record
-    for a flow equals applying all of them in sequence order, and
-    re-application is idempotent. Frames are fully parsed (and
-    range-validated) before the first mutation.
-    @raise Bad_snapshot on malformed input or a full target. *)
+val apply : 'nf codec -> 'nf -> string -> int
 
-val apply_nat : Nat.t -> string -> int
+(** One flow's location-independent state: whether it is resident and, if
+    so, its slot's {!codec.feed}. *)
+val flow_digest : 'nf codec -> 'nf -> Fingerprint.t -> Netcore.Flow.t -> unit
 
-(** Absolute counter overwrite — unlike {!import_monitor}, which merges. *)
-val apply_monitor : Monitor.t -> string -> int
-
-val apply_lb : Lb.t -> string -> int
-val apply_firewall : Firewall.t -> string -> int
-
-(** Resident sessions are left alone (session identity is immutable);
-    absent ones are admitted via {!Upf.install_session}. *)
-val apply_upf : Upf.t -> string -> int
-
-(** Monitor accounting export/import (added into the target's counters for
-    flows present in [flows]). *)
+(** [export monitor] and [apply monitor]: SCR's per-record hot path. *)
 val export_monitor : Monitor.t -> Netcore.Flow.t list -> string
 
-val import_monitor : Monitor.t -> flows:Netcore.Flow.t array -> string -> int
+val apply_monitor : Monitor.t -> string -> int
 
-(** Remove the flows from the source monitor (post-export). *)
-val evict_monitor : Monitor.t -> Netcore.Flow.t list -> unit
+(** {2 UPF}
 
-(** Install monitor accounting as fresh flows (failover/adoption): each
-    entry gets a new counter slot holding the exported totals and its key
-    is admitted into the classifier — unlike {!import_monitor}, which
-    merges into already-tracked flows. All-or-nothing.
+    PFCP sessions by identity (UE IP, TEID). They are admitted through
+    {!Upf.install_session}, keyed by UE IP, not through a codec. Import is
+    all-or-nothing: a mid-import rejection tears the installed prefix back
+    out and rewinds [n_active]. Apply leaves resident sessions alone
+    (session identity is immutable) and admits absent ones.
     @raise Bad_snapshot on malformed input or a full target. *)
-val adopt_monitor : Monitor.t -> string -> int
 
-(** LB backend pinning: (key, backend index) pairs — re-running Maglev on
-    the target could re-balance a live connection elsewhere. Import is
-    all-or-nothing and validates backend indices against the target.
-    @raise Bad_snapshot on malformed input, unknown backend, or a full
-    target. *)
-val export_lb : Lb.t -> Netcore.Flow.t list -> string
-
-val evict_lb : Lb.t -> Netcore.Flow.t list -> unit
-val import_lb : Lb.t -> string -> int
-
-(** Firewall admission verdicts: (key, verdict) pairs — the verdict was
-    decided against the *source* policy and must not be re-evaluated
-    mid-connection. All-or-nothing; verdict bytes outside {0,1} are
-    rejected.
-    @raise Bad_snapshot on malformed input or a full target. *)
-val export_firewall : Firewall.t -> Netcore.Flow.t list -> string
-
-val evict_firewall : Firewall.t -> Netcore.Flow.t list -> unit
-val import_firewall : Firewall.t -> string -> int
-
-(** Bare classifier match entries: (key, value) pairs exactly as resident.
-    Values are slot indices into the structure behind the classifier;
-    cross-instance imports pass [remap] to translate them into the
-    target's slot space. All-or-nothing.
-    @raise Bad_snapshot on malformed input or a full target. *)
-val export_classifier : Classifier.t -> int64 list -> string
-
-val evict_classifier : Classifier.t -> int64 list -> unit
-val import_classifier : ?remap:(int -> int) -> Classifier.t -> string -> int
-
-(** UPF PFCP sessions by identity (UE IP, TEID); re-homing reinstalls
-    through the normal {!Upf.install_session} admission path.
-    All-or-nothing: a mid-import rejection tears the installed prefix back
-    out and rewinds [n_active].
-    @raise Bad_snapshot on malformed input or a full target. *)
 val export_upf : Upf.t -> Netcore.Ipv4.addr list -> string
-
 val evict_upf : Upf.t -> Netcore.Ipv4.addr list -> unit
 val import_upf : Upf.t -> string -> int
+val apply_upf : Upf.t -> string -> int

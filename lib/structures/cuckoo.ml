@@ -172,6 +172,7 @@ let find_in_bucket t ~bucket ~key =
   | s -> Some t.vals.(s)
 
 let lookup t key = match find_slot t key with -1 -> None | s -> Some t.vals.(s)
+let find t key = match find_slot t key with -1 -> -1 | s -> t.vals.(s)
 
 (* The first empty slot in [slot .. last], or -1. *)
 let rec empty_slot t slot last =

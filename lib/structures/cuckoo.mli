@@ -50,6 +50,9 @@ val find_in_bucket : t -> bucket:int -> key:int64 -> int option
 (** Two-bucket lookup (pure table logic; RTC and tests). *)
 val lookup : t -> int64 -> int option
 
+(** {!lookup} without the option: the key's value, or [-1] when absent. *)
+val find : t -> int64 -> int
+
 (** Insert or update; random-walk displacement on conflicts. [false] means
     the walk exceeded {!max_kicks} (no entry is lost). *)
 val insert : t -> key:int64 -> value:int -> bool
