@@ -4,8 +4,10 @@
    is exported as a real pcap capture.
 
      dune exec examples/dynamic_nat.exe
-     tcpdump -nr /tmp/gunfu_nat.pcap | head     # if tcpdump is available
-*)
+     tcpdump -nr PATH | head     # if tcpdump is available
+
+   where PATH is the temporary file named on the example's last line
+   ("wrote 5 translated packets to PATH"). *)
 
 let () =
   let capacity = 8192 in

@@ -31,10 +31,10 @@ let () =
   in
 
   let rtc =
-    run_model "run-to-completion" (fun w p s -> Gunfu.Rtc.run ~label:"nat/rtc" w p s)
+    run_model "run-to-completion" (fun w p s -> Gunfu.Exec.run ~label:"nat/rtc" `Rtc w p s)
   in
   let inter =
     run_model "interleaved (16 NFTasks)" (fun w p s ->
-        Gunfu.Scheduler.run ~label:"nat/interleaved" w p ~n_tasks:16 s)
+        Gunfu.Exec.run ~label:"nat/interleaved" (Gunfu.Exec.il 16) w p s)
   in
   Printf.printf "\nSpeedup: %.2fx\n" (Gunfu.Metrics.mpps inter /. Gunfu.Metrics.mpps rtc)

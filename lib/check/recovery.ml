@@ -390,7 +390,7 @@ let make_source ?plan ~plane ~pool ?journal ops : Workload.source =
    as the single-core oracle. *)
 let observe_core ~label ~plane (ci : core_instance) source : Oracle.observation =
   Oracle.record ~label (Worker.ctx ci.ci_worker) source (fun ~on_complete source ->
-      Rtc.run ~fault:plane ~on_complete ci.ci_worker ci.ci_program source)
+      Exec.run ~fault:plane ~on_complete `Rtc ci.ci_worker ci.ci_program source)
 
 (* Named counters summed across cores, sorted by name. *)
 let sum_counters (per_core : (string * int) list list) =

@@ -126,7 +126,7 @@ let pfcp_storm ?(seed = 1) ?(capacity = 48) ?(universe = 72) ?(packets = 320)
              if Hashtbl.mem established si then incr data_hits else incr data_miss;
              Some { Workload.packet = Some pkt; aux = 0; flow_hint = si }
      in
-     let run = Rtc.run ~label:"pfcp-storm" worker program source in
+     let run = Exec.run ~label:"pfcp-storm" `Rtc worker program source in
      if run.Metrics.packets <> packets then
        fail "run pulled %d packets, offered %d" run.Metrics.packets packets;
      if run.Metrics.drops <> !data_miss then
@@ -186,7 +186,7 @@ let nat_rebalance_storm ?(seed = 1) ?(capacity = 64) ?(universe = 192)
      let pool = Netcore.Packet.Pool.create layout ~count:32 in
      let burst nat ~seed ~packets =
        let run =
-         Rtc.run ~label:"nat-storm" worker
+         Exec.run ~label:"nat-storm" `Rtc worker
            (Nfs.Nat.dynamic_program nat)
            (Progen.make_source ~profile:"zipf" ~seed ~gen ~pool ~packets)
        in

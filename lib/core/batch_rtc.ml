@@ -60,24 +60,6 @@ type session = {
   prefix : int list;
 }
 
-let session ?label ?(batch = default_batch) ?quiesce ?fault ?telemetry ?on_complete
-    (worker : Worker.t) (program : Program.t) =
-  if batch <= 0 then invalid_arg "Batch_rtc.run: batch must be positive";
-  (* This executor treats action-less states as pass-ends rather than
-     errors, so every dispatch consults [has_action] first. *)
-  let core =
-    Engine.create ~name:"Batch_rtc" ~kind:"batch-rtc" ?label ?quiesce ?fault
-      ?telemetry ?on_complete worker program
-  in
-  {
-    core;
-    ctx = Worker.ctx worker;
-    program;
-    dispatch_cycles = worker.Worker.cfg.Worker.rtc_dispatch_cycles;
-    tasks = Array.init batch Nftask.create;
-    prefix = prefix_of program;
-  }
-
 let set_task s (task : Nftask.t) =
   match Engine.trace s.core with
   | Some tr -> Trace.set_task tr ~task:task.Nftask.id
@@ -153,19 +135,28 @@ let process_pass s n =
 (* Batch boundaries are quiescent (the previous batch fully completed),
    so the pause hook is polled before each fill; a hook that never
    answers [true] leaves the run byte-identical to one without it. *)
-let rec loop s source =
+let rec batches s source =
   if not (Engine.want_pause s.core) then
     let n = fill s source 0 in
     if n > 0 then begin
       prefetch_pass s n;
       process_pass s n;
-      if n = Array.length s.tasks then loop s source
+      if n = Array.length s.tasks then batches s source
     end
 
-let feed s source = Engine.drive s.core (fun () -> loop s source)
-let close s = Engine.finish s.core
-
-let run ?label ?batch ?quiesce ?fault ?telemetry ?on_complete worker program source =
-  let s = session ?label ?batch ?quiesce ?fault ?telemetry ?on_complete worker program in
-  feed s source;
-  close s
+(* This executor treats action-less states as pass-ends rather than
+   errors, so every dispatch consults [has_action] first. *)
+let loop ~batch core =
+  if batch <= 0 then invalid_arg "Batch_rtc.run: batch must be positive";
+  let program = Engine.program core in
+  let s =
+    {
+      core;
+      ctx = Engine.ctx core;
+      program;
+      dispatch_cycles = (Engine.cfg core).Worker.rtc_dispatch_cycles;
+      tasks = Array.init batch Nftask.create;
+      prefix = prefix_of program;
+    }
+  in
+  fun source -> Engine.drive core (fun () -> batches s source)

@@ -9,42 +9,11 @@
 
 val default_batch : int
 
-(** [on_complete] observes each finished task just before it is retired —
-    the differential oracle's tap. [fault] supplies the run's
-    fault-injection plane (a fresh empty plane when omitted). [telemetry]
-    attaches the span tracer for the duration of the run; its hooks never
-    charge cycles, so traced and untraced runs are cycle-identical.
-    [quiesce] is polled before each batch fill (batch boundaries are
-    quiescent); once it answers [true] the run returns with
-    pulled = completed.
+(** The loop over [core]: builds the batch's [batch] tasks and the
+    pre-runnable prefix and returns the feed, which drains a source in
+    batches. Every feed starts a fresh batch, so a source shorter than
+    [batch] is one partial batch. The core's quiesce hook is polled before
+    each batch fill (batch boundaries are quiescent); once it answers
+    [true] the feed returns with pulled = completed.
     @raise Invalid_argument when [batch <= 0]. *)
-val run :
-  ?label:string -> ?batch:int -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
-  ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> Worker.t ->
-  Program.t -> Workload.source -> Metrics.run
-
-(** {2 Sessions}
-
-    A session is one run fed several sources in turn: the per-run state
-    (engine core, the batch's tasks, the pre-runnable prefix, measurement
-    bracket) is built once, each {!feed} drains one source to completion
-    in batches, and {!close} returns everything fed as one
-    {!Metrics.run}. [run] is [session], one [feed], [close]. Every feed
-    starts a fresh batch: a window shorter than [batch] is one partial
-    batch, exactly as a [run] over that window alone. *)
-
-type session
-
-(** The hooks of {!run}. [quiesce] is polled before each batch fill of
-    every feed; a feed it pauses returns with pulled = completed.
-    @raise Invalid_argument when [batch <= 0]. *)
-val session :
-  ?label:string -> ?batch:int -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
-  ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> Worker.t ->
-  Program.t -> session
-
-(** Run [source] to exhaustion (or to a pause) on the session's core. *)
-val feed : session -> Workload.source -> unit
-
-(** Close the measurement bracket: every packet fed, in one run. *)
-val close : session -> Metrics.run
+val loop : batch:int -> Engine.t -> Workload.source -> unit

@@ -1,7 +1,7 @@
-(* The per-run core shared by Rtc, Batch_rtc and Scheduler: everything an
-   execution model does that is not scheduling. Each executor builds one
-   of these per run (or per session, which several loops may drive in
-   turn) and keeps only its loop. Hooks are matched directly (no per-call
+(* The engine session shared by Rtc, Batch_rtc and Scheduler: everything
+   an execution model does that is not scheduling. Exec opens one per run
+   (or per session, which several feeds drive in turn) and each executor
+   is only its loop over it. Hooks are matched directly (no per-call
    closures), so the core adds no per-packet allocation. *)
 
 type t = {
@@ -162,3 +162,7 @@ let finish t =
     ~faulted:t.faulted ~faults:(Fault.counts t.plane) ~degraded:(Fault.degraded t.plane)
     t.worker t.snap ~label:t.label ~packets:t.packets ~drops:t.drops
     ~wire_bytes:t.wire_bytes ~switches:t.switches
+
+let ctx t = t.ctx
+let cfg t = t.cfg
+let program t = t.program

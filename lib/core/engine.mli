@@ -1,11 +1,12 @@
-(** The per-run core shared by the three single-core executors ({!Rtc},
+(** The engine session shared by the three single-core executors ({!Rtc},
     {!Batch_rtc}, {!Scheduler}). The paper's execution models run the same
     compiled program and differ only in how NFTasks are scheduled
     (Algorithm 1, §II-B), so everything but the scheduling loop lives
-    here, built once per run (or per session) from the run's hooks: the
-    default label, the measurement snapshot, the fault plane, trace
-    attachment, the specialized dispatch, task load, action dispatch,
-    completion accounting and the final {!Worker.finish}.
+    here, built once per session from the run's hooks: the default label,
+    the measurement snapshot, the fault plane, trace attachment, the
+    specialized dispatch, task load, action dispatch, completion
+    accounting and the final {!Worker.finish}. {!Exec} opens sessions;
+    each executor is a loop built over one.
 
     Every operation charges simulated cycles exactly where the executors
     always have, and the telemetry hooks never charge cycles, so traced
@@ -23,6 +24,11 @@ val create :
   name:string -> kind:string -> ?label:string -> ?quiesce:(unit -> bool) ->
   ?fault:Fault.t -> ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) ->
   Worker.t -> Program.t -> t
+
+(** The session's execution context, worker configuration and program. *)
+val ctx : t -> Exec_ctx.t
+val cfg : t -> Worker.cfg
+val program : t -> Program.t
 
 (** Whether the quiesce hook asks the run to pause (never without one). *)
 val want_pause : t -> bool

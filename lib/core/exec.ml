@@ -49,25 +49,31 @@ let of_string s : (t, string) result =
         s)
     parsed
 
-let run ?label ?quiesce ?fault ?telemetry ?on_complete (e : [< t ]) worker program
-    source =
-  match e with
-  | `Rtc -> Rtc.run ?label ?quiesce ?fault ?telemetry ?on_complete worker program source
-  | `Batch batch ->
-      Batch_rtc.run ?label ~batch ?quiesce ?fault ?telemetry ?on_complete worker program
-        source
-  | `Il { policy; n_tasks; distance } ->
-      Scheduler.run ?label ~policy ~prefetch_distance:distance ?quiesce ?fault ?telemetry
-        ?on_complete worker program ~n_tasks source
+(* A session is the engine core with the named executor's loop built over
+   it; the engine name and kind give the default label and error prefix. *)
+type session = { core : Engine.t; feed : Workload.source -> unit }
 
-type session = Rtc_session of Rtc.session | Batch_session of Batch_rtc.session
+let start ?label ?quiesce ?fault ?telemetry ?on_complete (e : [< t ]) worker program =
+  let name, kind, loop =
+    match e with
+    | `Rtc -> ("Rtc", "rtc", Rtc.loop)
+    | `Batch batch -> ("Batch_rtc", "batch-rtc", Batch_rtc.loop ~batch)
+    | `Il { policy; n_tasks; distance } ->
+        ( "Scheduler",
+          Printf.sprintf "interleaved-%d" n_tasks,
+          Scheduler.loop ~policy ~prefetch_distance:distance ~n_tasks )
+  in
+  let core =
+    Engine.create ~name ~kind ?label ?quiesce ?fault ?telemetry ?on_complete worker program
+  in
+  { core; feed = loop core }
 
-let session ?fault ?on_complete (e : [< flow_free ]) worker program =
-  match e with
-  | `Rtc -> Rtc_session (Rtc.session ?fault ?on_complete worker program)
-  | `Batch batch -> Batch_session (Batch_rtc.session ~batch ?fault ?on_complete worker program)
+let feed s source = s.feed source
+let close s = Engine.finish s.core
 
-let feed s source =
-  match s with Rtc_session s -> Rtc.feed s source | Batch_session s -> Batch_rtc.feed s source
+let run ?label ?quiesce ?fault ?telemetry ?on_complete e worker program source =
+  let s = start ?label ?quiesce ?fault ?telemetry ?on_complete e worker program in
+  feed s source;
+  close s
 
-let close = function Rtc_session s -> Rtc.close s | Batch_session s -> Batch_rtc.close s
+let session ?fault ?on_complete (e : [< flow_free ]) = start ?fault ?on_complete e

@@ -29,9 +29,18 @@ val label : [< t ] -> string
     batch counts and negative distances are [Error]; never raises. *)
 val of_string : string -> (t, string) result
 
-(** Run [source] on [worker] under the executor. The hooks are passed to
-    the engine unchanged (see {!Rtc.run}, {!Batch_rtc.run} and
-    {!Scheduler.run}). *)
+(** Run [source] on [worker] under the executor: {!session}, one {!feed},
+    {!close}. The hooks go to {!Engine.create} unchanged. [label] defaults
+    to ["<program>/rtc"], ["<program>/batch-rtc"] or
+    ["<program>/interleaved-N"]. [quiesce] is polled at the loop's
+    quiescent points; once it answers [true] the run returns with
+    pulled = completed. [fault] is the fault-injection plane (a fresh
+    empty one when omitted: behaviour is then byte-identical to a
+    plane-less run). [telemetry] attaches the span tracer, which never
+    charges cycles. [on_complete] observes each finished task just before
+    it is retired — the differential oracle's tap.
+    @raise Invalid_argument on a non-positive batch width or task count,
+    or a negative prefetch distance, before [source] is pulled. *)
 val run :
   ?label:string -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
   ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> [< t ] -> Worker.t ->
@@ -39,12 +48,12 @@ val run :
 
 (** {2 Sessions}
 
-    One run of a flow-free executor fed several sources in turn: the
-    engine core, tasks and measurement bracket are built once and every
-    {!feed} drains one source through them. Feeding windows one by one is
-    equivalent to one {!run} per window on the same worker with the same
-    [fault] plane: the same completions in the same order, the same
-    simulated cycles and memory traffic. The difference is the result:
+    One {!Engine.t} with the executor's loop built over it: the core,
+    tasks and measurement bracket are built once and every {!feed} drains
+    one source through them. Feeding windows one by one is equivalent to
+    one {!run} per window on the same worker with the same [fault] plane:
+    the same completions in the same order, the same simulated cycles and
+    memory traffic. The difference is the result:
     {!close} returns one {!Metrics.run} bracketing everything since
     {!session}, including work charged to the worker between feeds. SCR
     replicas run their windows this way. Only flow-free executors have

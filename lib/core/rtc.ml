@@ -1,11 +1,6 @@
-(* The per-packet run-to-completion baseline (§II-B): the execution model of
-   BESS / FastClick / L25GC / Free5GC that the paper compares against.
-
-   Each packet is processed start-to-finish with no yielding: every state
-   access demand-fetches and the core stalls for the full latency of
-   whatever level serves it. The same compiled {!Program} is executed —
-   only the execution model differs — so comparisons isolate exactly the
-   paper's variable. Prefetch policies are ignored. *)
+(* The per-packet run-to-completion baseline (§II-B): each packet runs
+   start-to-finish with no yielding, every state access demand-fetching.
+   Prefetch policies are ignored. *)
 
 (* Per-session state, built once: the engine core and the one task every
    packet reuses. *)
@@ -16,20 +11,6 @@ type session = {
   dispatch_cycles : int;
   task : Nftask.t;
 }
-
-let session ?label ?quiesce ?fault ?telemetry ?on_complete (worker : Worker.t)
-    (program : Program.t) =
-  let core =
-    Engine.create ~name:"Rtc" ~kind:"rtc" ?label ?quiesce ?fault ?telemetry
-      ?on_complete worker program
-  in
-  {
-    core;
-    ctx = Worker.ctx worker;
-    program;
-    dispatch_cycles = worker.Worker.cfg.Worker.rtc_dispatch_cycles;
-    task = Nftask.create 0;
-  }
 
 (* Drive the loaded task to the terminal state, or until it faults
    (quarantined mid-run; stop executing). *)
@@ -58,10 +39,19 @@ let rec drain s (source : Workload.source) =
         Engine.complete s.core s.task;
         drain s source
 
-let feed s source = Engine.drive s.core (fun () -> drain s source)
-let close s = Engine.finish s.core
+let loop core =
+  let s =
+    {
+      core;
+      ctx = Engine.ctx core;
+      program = Engine.program core;
+      dispatch_cycles = (Engine.cfg core).Worker.rtc_dispatch_cycles;
+      task = Nftask.create 0;
+    }
+  in
+  fun source -> Engine.drive core (fun () -> drain s source)
 
-let run ?label ?quiesce ?fault ?telemetry ?on_complete worker program source =
-  let s = session ?label ?quiesce ?fault ?telemetry ?on_complete worker program in
-  feed s source;
-  close s
+let run ?telemetry ?on_complete worker program source =
+  let core = Engine.create ~name:"Rtc" ~kind:"rtc" ?telemetry ?on_complete worker program in
+  loop core source;
+  Engine.finish core

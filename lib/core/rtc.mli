@@ -5,38 +5,15 @@
     {!Program} (prefetch policies ignored), so comparisons isolate exactly
     the execution model. *)
 
-(** [on_complete] observes each finished task (terminal event, packet,
-    flow hint) just before it is retired — the differential oracle's tap.
-    [fault] supplies the run's fault-injection plane; when omitted a fresh
-    empty plane is used, so containment is always on but behaviour is
-    byte-identical to a plane-less run. [telemetry] attaches the span
-    tracer for the duration of the run; its hooks never charge cycles, so
-    traced and untraced runs are cycle-identical. [quiesce] is polled
-    before each pull (every RTC pull boundary is quiescent); once it
-    answers [true] the run returns with pulled = completed. *)
+(** The loop over [core]: builds the one task every packet reuses and
+    returns the feed, which runs a source to exhaustion. The core's
+    quiesce hook is polled before each pull (every RTC pull boundary is
+    quiescent); once it answers [true] the feed returns with
+    pulled = completed. *)
+val loop : Engine.t -> Workload.source -> unit
+
+(** One session, one feed, closed: [Exec.run `Rtc] without a label,
+    quiesce hook or fault plane. *)
 val run :
-  ?label:string -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
-  ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> Worker.t ->
-  Program.t -> Workload.source -> Metrics.run
-
-(** {2 Sessions}
-
-    A session is one run fed several sources in turn: the per-run state
-    (engine core, task, measurement bracket) is built once, each {!feed}
-    drains one source to completion, and {!close} returns everything fed
-    as one {!Metrics.run}. [run] is [session], one [feed], [close]. *)
-
-type session
-
-(** The hooks of {!run}. [quiesce] is polled before each pull of every
-    feed; a feed it pauses returns with pulled = completed. *)
-val session :
-  ?label:string -> ?quiesce:(unit -> bool) -> ?fault:Fault.t ->
-  ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> Worker.t ->
-  Program.t -> session
-
-(** Run [source] to exhaustion (or to a pause) on the session's core. *)
-val feed : session -> Workload.source -> unit
-
-(** Close the measurement bracket: every packet fed, in one run. *)
-val close : session -> Metrics.run
+  ?telemetry:Trace.t -> ?on_complete:(Nftask.t -> unit) -> Worker.t -> Program.t ->
+  Workload.source -> Metrics.run

@@ -12,31 +12,14 @@
    Finished NFTasks are re-initialised with new work in place (line 13), so
    the pipeline stays full until the source drains. *)
 
-(* Task-selection policy. The paper's scheduler is round-robin; Ready_first
-   is a design-space variant that scans for a task whose P-state allows
-   immediate execution, trading a (charged) scan for fewer wasted visits. *)
 type policy = Round_robin | Ready_first
 
-let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
-    ?telemetry ?on_complete (worker : Worker.t) (program : Program.t) ~n_tasks
-    (source : Workload.source) =
+let loop ~policy ~prefetch_distance ~n_tasks core =
   if n_tasks <= 0 then invalid_arg "Scheduler.run: n_tasks must be positive";
   if prefetch_distance < 0 then
     invalid_arg "Scheduler.run: prefetch_distance must be >= 0";
-  let core =
-    Engine.create ~name:"Scheduler" ~kind:(Printf.sprintf "interleaved-%d" n_tasks)
-      ?label ?quiesce ?fault ?telemetry ?on_complete worker program
-  in
-  let ctx = Worker.ctx worker in
-  let cfg = worker.Worker.cfg in
+  let ctx = Engine.ctx core and cfg = Engine.cfg core and program = Engine.program core in
   let tasks = Array.init n_tasks Nftask.create in
-  let exhausted = ref false in
-  (* Quiescent-pause latch: once [quiesce] answers [true] at a pull
-     boundary no further source pulls happen — in-flight tasks and the
-     stash drain to completion and the run returns with every pulled item
-     completed. A [quiesce] that never answers [true] leaves the run
-     byte-identical to one without the hook. *)
-  let paused = ref false in
 
   (* Per-flow ordering: two packets of one flow must not be in flight in
      two NFTasks at once (their state mutations would race and could
@@ -72,32 +55,6 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     go [] !stash
   in
   let stashed_flow fh = List.exists (fun i -> flow_of i = fh) !stash in
-  let next_item () =
-    match take_stashed () with
-    | Some item -> Some item
-    | None ->
-        if !exhausted || !paused then None
-        else if Engine.want_pause core then begin
-          paused := true;
-          None
-        end
-        else
-          let rec pull () =
-            match source () with
-            | None ->
-                exhausted := true;
-                None
-            | Some item ->
-                let fh = flow_of item in
-                if fh >= 0 && (Hashtbl.mem inflight fh || stashed_flow fh) then begin
-                  stash := !stash @ [ item ];
-                  (* Keep pulling: another flow's packet can fill this task. *)
-                  if List.length !stash < 4 * n_tasks then pull () else None
-                end
-                else Some item
-          in
-          pull ()
-  in
 
   let issue_prefetches (task : Nftask.t) =
     List.iter
@@ -166,140 +123,183 @@ let run ?label ?(policy = Round_robin) ?(prefetch_distance = 1) ?quiesce ?fault
     end
   in
 
-  (* Finish one task: completion (poisoning disposition, accounting,
-     oracle tap, retire), per-flow release, and immediate
-     re-initialisation with fresh work (Algorithm 1 line 13). *)
-  let rec finalize (task : Nftask.t) =
-    let fh = task.Nftask.flow_hint in
-    Engine.complete core task;
-    clear_inflight fh;
-    load_new task
-
-  (* Transition (Δ) + Fetch; returns [false] when the task reached the
-     terminal state and was retired. *)
-  and transition_and_fetch (task : Nftask.t) =
-    let next = Engine.step core task.Nftask.cs task.Nftask.event in
-    Exec_ctx.compute ctx ~cycles:cfg.Worker.fetch_cycles ~instrs:cfg.Worker.fetch_instrs;
-    if Program.is_done program next then finalize task
-    else begin
-      task.Nftask.cs <- next;
-      fetch task;
-      true
-    end
-
-  and load_new (task : Nftask.t) =
-    match next_item () with
-    | None -> false
-    | Some item ->
-        mark_inflight item.Workload.flow_hint;
-        Engine.load core task item;
-        if Engine.faulted task then
-          (* Quarantined at load: finalise without executing anything (the
-             flow is serialised, so completion order is kept). *)
-          ignore (finalize task)
-        else
-          (* Initial transition and fetching (Algorithm 1 line 4), driven
-             by the "packet" system event. *)
-          ignore (transition_and_fetch task);
-        task.Nftask.active
-  in
-
-  (* One scheduler visit (one iteration of Algorithm 1's inner loop). *)
-  let visit (task : Nftask.t) =
-    if not task.Nftask.active then ignore (load_new task)
-    else begin
-      (match Engine.trace core with
-      | Some tr -> Trace.set_task tr ~task:task.Nftask.id
-      | None -> ());
-      let ready_to_run =
-        match task.Nftask.p_state with
-        | Nftask.P_ready -> true
-        | Nftask.P_none | Nftask.P_issued ->
-            if
-              List.for_all
-                (fun (addr, bytes) -> Exec_ctx.ready ctx ~addr ~bytes)
-                task.Nftask.pending_blocks
-            then true
-            else begin
-              (* Fills dropped (MSHR full) or lines evicted before use:
-                 re-issue; resident/pending lines are skipped inside the
-                 hierarchy, so this is cheap and idempotent. *)
-              issue_prefetches task;
-              false
-            end
-      in
-      if ready_to_run then begin
-        Engine.execute core task task.Nftask.cs;
-        if Engine.faulted task then ignore (finalize task)
-        else ignore (transition_and_fetch task)
-      end
-    end
-  in
-
-  let any_active () = Array.exists (fun t -> t.Nftask.active) tasks in
-  let idx = ref 0 in
-  (* Ready_first: advance to the next runnable (or inactive, to refill)
-     task, charging one cycle per skipped slot for the scan. Falls back to
-     plain round-robin when nothing is ready. *)
-  let advance () =
-    match policy with
-    | Round_robin -> idx := (!idx + 1) mod n_tasks
-    | Ready_first ->
-        (* An idle slot is only worth visiting when it can actually load
-           work; otherwise the scan would keep picking no-op idle slots
-           over a waiting task whose dropped prefetch (MSHR starvation)
-           needs a re-issuing visit — during the drain phase that task
-           would never be visited again and the loop would spin forever. *)
-        let refillable =
-          lazy
-            ((not (!exhausted || !paused))
-            || List.exists (fun i -> not (Hashtbl.mem inflight (flow_of i))) !stash)
-        in
-        let runnable i =
-          let t = tasks.(i) in
-          if not t.Nftask.active then Lazy.force refillable
+  fun (source : Workload.source) ->
+    let exhausted = ref false in
+    (* Quiescent-pause latch: once [quiesce] answers [true] at a pull
+       boundary no further source pulls happen — in-flight tasks and the
+       stash drain to completion and the feed returns with every pulled
+       item completed. A [quiesce] that never answers [true] leaves the
+       run byte-identical to one without the hook. *)
+    let paused = ref false in
+    let next_item () =
+      match take_stashed () with
+      | Some item -> Some item
+      | None ->
+          if !exhausted || !paused then None
+          else if Engine.want_pause core then begin
+            paused := true;
+            None
+          end
           else
-            match t.Nftask.p_state with
-            | Nftask.P_ready -> true
-            | Nftask.P_none | Nftask.P_issued ->
+            let rec pull () =
+              match source () with
+              | None ->
+                  exhausted := true;
+                  None
+              | Some item ->
+                  let fh = flow_of item in
+                  if fh >= 0 && (Hashtbl.mem inflight fh || stashed_flow fh) then begin
+                    stash := !stash @ [ item ];
+                    (* Keep pulling: another flow's packet can fill this task. *)
+                    if List.length !stash < 4 * n_tasks then pull () else None
+                  end
+                  else Some item
+            in
+            pull ()
+    in
+
+    (* Finish one task: completion (poisoning disposition, accounting,
+       oracle tap, retire), per-flow release, and immediate
+       re-initialisation with fresh work (Algorithm 1 line 13). *)
+    let rec finalize (task : Nftask.t) =
+      let fh = task.Nftask.flow_hint in
+      Engine.complete core task;
+      clear_inflight fh;
+      load_new task
+
+    (* Transition (Δ) + Fetch; returns [false] when the task reached the
+       terminal state and was retired. *)
+    and transition_and_fetch (task : Nftask.t) =
+      let next = Engine.step core task.Nftask.cs task.Nftask.event in
+      Exec_ctx.compute ctx ~cycles:cfg.Worker.fetch_cycles ~instrs:cfg.Worker.fetch_instrs;
+      if Program.is_done program next then finalize task
+      else begin
+        task.Nftask.cs <- next;
+        fetch task;
+        true
+      end
+
+    and load_new (task : Nftask.t) =
+      match next_item () with
+      | None -> false
+      | Some item ->
+          mark_inflight item.Workload.flow_hint;
+          Engine.load core task item;
+          if Engine.faulted task then
+            (* Quarantined at load: finalise without executing anything (the
+               flow is serialised, so completion order is kept). *)
+            ignore (finalize task)
+          else
+            (* Initial transition and fetching (Algorithm 1 line 4), driven
+               by the "packet" system event. *)
+            ignore (transition_and_fetch task);
+          task.Nftask.active
+    in
+
+    (* One scheduler visit (one iteration of Algorithm 1's inner loop). *)
+    let visit (task : Nftask.t) =
+      if not task.Nftask.active then ignore (load_new task)
+      else begin
+        (match Engine.trace core with
+        | Some tr -> Trace.set_task tr ~task:task.Nftask.id
+        | None -> ());
+        let ready_to_run =
+          match task.Nftask.p_state with
+          | Nftask.P_ready -> true
+          | Nftask.P_none | Nftask.P_issued ->
+              if
                 List.for_all
                   (fun (addr, bytes) -> Exec_ctx.ready ctx ~addr ~bytes)
-                  t.Nftask.pending_blocks
+                  task.Nftask.pending_blocks
+              then true
+              else begin
+                (* Fills dropped (MSHR full) or lines evicted before use:
+                   re-issue; resident/pending lines are skipped inside the
+                   hierarchy, so this is cheap and idempotent. *)
+                issue_prefetches task;
+                false
+              end
         in
-        let rec scan k skipped =
-          if skipped = n_tasks then (!idx + 1) mod n_tasks
-          else if runnable k then begin
-            Exec_ctx.compute ctx ~cycles:skipped ~instrs:skipped;
-            k
-          end
-          else scan ((k + 1) mod n_tasks) (skipped + 1)
-        in
-        idx := scan ((!idx + 1) mod n_tasks) 0
+        if ready_to_run then begin
+          Engine.execute core task task.Nftask.cs;
+          if Engine.faulted task then ignore (finalize task)
+          else ignore (transition_and_fetch task)
+        end
+      end
+    in
+
+    let any_active () = Array.exists (fun t -> t.Nftask.active) tasks in
+    let idx = ref 0 in
+    (* Ready_first: advance to the next runnable (or inactive, to refill)
+       task, charging one cycle per skipped slot for the scan. Falls back to
+       plain round-robin when nothing is ready. *)
+    let advance () =
+      match policy with
+      | Round_robin -> idx := (!idx + 1) mod n_tasks
+      | Ready_first ->
+          (* An idle slot is only worth visiting when it can actually load
+             work; otherwise the scan would keep picking no-op idle slots
+             over a waiting task whose dropped prefetch (MSHR starvation)
+             needs a re-issuing visit — during the drain phase that task
+             would never be visited again and the loop would spin forever. *)
+          let refillable =
+            lazy
+              ((not (!exhausted || !paused))
+              || List.exists (fun i -> not (Hashtbl.mem inflight (flow_of i))) !stash)
+          in
+          let runnable i =
+            let t = tasks.(i) in
+            if not t.Nftask.active then Lazy.force refillable
+            else
+              match t.Nftask.p_state with
+              | Nftask.P_ready -> true
+              | Nftask.P_none | Nftask.P_issued ->
+                  List.for_all
+                    (fun (addr, bytes) -> Exec_ctx.ready ctx ~addr ~bytes)
+                    t.Nftask.pending_blocks
+          in
+          let rec scan k skipped =
+            if skipped = n_tasks then (!idx + 1) mod n_tasks
+            else if runnable k then begin
+              Exec_ctx.compute ctx ~cycles:skipped ~instrs:skipped;
+              k
+            end
+            else scan ((k + 1) mod n_tasks) (skipped + 1)
+          in
+          idx := scan ((!idx + 1) mod n_tasks) 0
+    in
+    Engine.drive core (fun () ->
+        let continue_run = ref true in
+        while !continue_run do
+          let visited = tasks.(!idx).Nftask.id in
+          visit tasks.(!idx);
+          let switch_start = ctx.Exec_ctx.clock in
+          Exec_ctx.compute ctx ~cycles:cfg.Worker.switch_cycles
+            ~instrs:cfg.Worker.switch_instrs;
+          Engine.count_switch core;
+          (match Engine.trace core with
+          | Some tr ->
+              Trace.on_switch tr ~ts:switch_start ~dur:cfg.Worker.switch_cycles
+                ~task:visited;
+              Trace.on_occupancy tr ~ts:ctx.Exec_ctx.clock
+                ~active:
+                  (Array.fold_left
+                     (fun acc t -> if t.Nftask.active then acc + 1 else acc)
+                     0 tasks)
+                ~mshr:
+                  (Memsim.Hierarchy.mshr_pending_count ctx.Exec_ctx.mem
+                     ~now:ctx.Exec_ctx.clock)
+          | None -> ());
+          advance ();
+          if (!exhausted || !paused) && !stash = [] && not (any_active ()) then
+            continue_run := false
+        done)
+
+let run ?(policy = Round_robin) ?(prefetch_distance = 1) ?telemetry ?on_complete worker
+    program ~n_tasks source =
+  let core =
+    Engine.create ~name:"Scheduler" ~kind:(Printf.sprintf "interleaved-%d" n_tasks)
+      ?telemetry ?on_complete worker program
   in
-  Engine.drive core (fun () ->
-      let continue_run = ref true in
-      while !continue_run do
-        let visited = tasks.(!idx).Nftask.id in
-        visit tasks.(!idx);
-        let switch_start = ctx.Exec_ctx.clock in
-        Exec_ctx.compute ctx ~cycles:cfg.Worker.switch_cycles
-          ~instrs:cfg.Worker.switch_instrs;
-        Engine.count_switch core;
-        (match Engine.trace core with
-        | Some tr ->
-            Trace.on_switch tr ~ts:switch_start ~dur:cfg.Worker.switch_cycles
-              ~task:visited;
-            Trace.on_occupancy tr ~ts:ctx.Exec_ctx.clock
-              ~active:
-                (Array.fold_left
-                   (fun acc t -> if t.Nftask.active then acc + 1 else acc)
-                   0 tasks)
-              ~mshr:
-                (Memsim.Hierarchy.mshr_pending_count ctx.Exec_ctx.mem
-                   ~now:ctx.Exec_ctx.clock)
-        | None -> ());
-        advance ();
-        if (!exhausted || !paused) && !stash = [] && not (any_active ()) then
-          continue_run := false
-      done);
+  loop ~policy ~prefetch_distance ~n_tasks core source;
   Engine.finish core

@@ -13,27 +13,24 @@
     per skipped slot). *)
 type policy = Round_robin | Ready_first
 
-(** Run until the source drains; returns the measured run. [on_complete]
-    observes each finished task just before it is retired — the
-    differential oracle's tap. [fault] supplies the run's fault-injection
-    plane (a fresh empty plane when omitted). [telemetry] attaches the span
-    tracer for the duration of the run; its hooks never charge cycles, so
-    traced and untraced runs are cycle-identical.
-
-    [prefetch_distance] (default 1, the paper's policy) tunes the Fetch
-    step: 0 issues nothing (every access demand-fetches), and [d >= 2] also
-    speculatively issues the resolvable targets of FSM successor states up
-    to [d - 1] transitions ahead (fire-and-forget; readiness is tracked on
-    the current state's blocks only).
-
-    [quiesce] is polled at pull boundaries; once it answers [true] the run
-    stops pulling, drains every in-flight task and stashed item, and
-    returns with pulled = completed — the adaptive driver's observation-safe
-    reconfiguration point. A hook that never answers [true] leaves the run
-    byte-identical to one without it.
+(** The loop over [core]: builds the [n_tasks] NFTasks and the per-flow
+    stash and returns the feed, which runs a source until it drains.
+    [prefetch_distance] tunes the Fetch step: 0 issues nothing (every
+    access demand-fetches), 1 is the paper's policy, and [d >= 2] also
+    issues the resolvable targets of FSM successor states up to [d - 1]
+    transitions ahead (fire-and-forget). The core's quiesce hook is polled
+    at pull boundaries; once it answers [true] the feed stops pulling,
+    drains every in-flight task and stashed item, and returns with
+    pulled = completed — the adaptive driver's reconfiguration point.
     @raise Invalid_argument when [n_tasks <= 0] or [prefetch_distance < 0]. *)
+val loop :
+  policy:policy -> prefetch_distance:int -> n_tasks:int -> Engine.t -> Workload.source ->
+  unit
+
+(** One session, one feed, closed: [Exec.run (`Il _)] without a label,
+    quiesce hook or fault plane. [policy] defaults to [Round_robin] and
+    [prefetch_distance] to 1. *)
 val run :
-  ?label:string -> ?policy:policy -> ?prefetch_distance:int ->
-  ?quiesce:(unit -> bool) -> ?fault:Fault.t -> ?telemetry:Trace.t ->
+  ?policy:policy -> ?prefetch_distance:int -> ?telemetry:Trace.t ->
   ?on_complete:(Nftask.t -> unit) -> Worker.t -> Program.t -> n_tasks:int ->
   Workload.source -> Metrics.run

@@ -48,7 +48,7 @@ let run_rss ~(plat : Platform.t) ~build items =
                   flow_hint = item.Workload.flow_hint;
                 }
         in
-        Rtc.run ~label:(Printf.sprintf "rss-core%d" c) core.rss_worker
+        Exec.run ~label:(Printf.sprintf "rss-core%d" c) `Rtc core.rss_worker
           core.rss_program source)
   in
   (runs, Metrics.merge_parallel (Array.to_list runs))

@@ -222,12 +222,11 @@ let build_plant (rc : Check.Recovery.rcase) items =
 let test_inertness () =
   let rc = Check.Recovery.gen_rcase ~seed:17 ~profile:"mix" ~packets:600 in
   let items = rc.Check.Recovery.r_trace () in
-  (* Uncontrolled: the engine invoked directly. *)
+  (* Uncontrolled: one Exec.run, no driver. *)
   let worker, ci, source, on_complete, emits = build_plant rc items in
   let bare =
-    Scheduler.run ~policy:Scheduler.Round_robin ~prefetch_distance:1
-      ~fault:(Fault.create ()) ~on_complete worker ci.Check.Recovery.ci_program
-      ~n_tasks:8 source
+    Exec.run ~fault:(Fault.create ()) ~on_complete (Exec.il 8) worker
+      ci.Check.Recovery.ci_program source
   in
   let bare_emits = List.rev !emits in
   (* Controlled, but the policy can never move. *)

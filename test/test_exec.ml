@@ -1,7 +1,8 @@
 (* The executor descriptor: canonical labels round-trip through the
    parser, the documented short forms parse, malformed labels are errors,
    Exec.run is exactly the engine it names, and a session fed window by
-   window is one Exec.run per window. *)
+   window is one Exec.run per window. Default labels and argument checks
+   are pinned per executor. *)
 
 open Gunfu
 
@@ -63,7 +64,8 @@ let test_malformed () =
 
 (* Exec.run must hand its policy, distance and batch width to the engine
    unchanged: the same arguments through the engine directly give an
-   identical run. *)
+   identical run. The batch-8 reference composes the engine session and
+   the batch loop by hand. *)
 let test_run_is_the_engine () =
   let same name (e : Exec.t) direct =
     let fresh () =
@@ -78,11 +80,56 @@ let test_run_is_the_engine () =
     Alcotest.(check bool) (name ^ ": identical run") true (r = via)
   in
   same "rtc" `Rtc (fun w p s -> Rtc.run w p s);
-  same "batch-8" (`Batch 8) (fun w p s -> Batch_rtc.run ~batch:8 w p s);
+  same "batch-8" (`Batch 8) (fun w p s ->
+      let core = Engine.create ~name:"Batch_rtc" ~kind:"batch-rtc" w p in
+      Batch_rtc.loop ~batch:8 core s;
+      Engine.finish core);
   same "il-rf-4-d2"
     (`Il { Exec.policy = Scheduler.Ready_first; n_tasks = 4; distance = 2 })
     (fun w p s ->
       Scheduler.run ~policy:Scheduler.Ready_first ~prefetch_distance:2 w p ~n_tasks:4 s)
+
+(* Each executor's default run label is "<program>/<kind>", for a run and
+   for a session alike, and [~label] overrides it. *)
+let test_default_labels () =
+  let label_of ?label (e : Exec.t) =
+    let s = Helpers.nat_setup ~n_flows:256 () in
+    let source = Helpers.nat_source s ~count:8 in
+    (Exec.run ?label e s.Helpers.worker s.Helpers.program source).Metrics.label
+  in
+  List.iter
+    (fun (e, want) ->
+      Alcotest.(check string) (Exec.label e ^ ": default") want (label_of e);
+      Alcotest.(check string) (Exec.label e ^ ": override") "mine" (label_of ~label:"mine" e))
+    [ (`Rtc, "nat/rtc"); (`Batch 8, "nat/batch-rtc"); (Exec.il 4, "nat/interleaved-4") ];
+  let s = Helpers.nat_setup ~n_flows:256 () in
+  let session = Exec.session (`Batch 8) s.Helpers.worker s.Helpers.program in
+  Exec.feed session (Helpers.nat_source s ~count:8);
+  Alcotest.(check string) "session: default" "nat/batch-rtc" (Exec.close session).Metrics.label
+
+(* A non-positive batch width or task count and a negative prefetch
+   distance are rejected before the source is pulled once. *)
+let test_rejects_before_pulling () =
+  let s = Helpers.nat_setup ~n_flows:256 () in
+  let pulled = ref 0 in
+  let source = Helpers.nat_source s ~count:8 in
+  let counted () =
+    incr pulled;
+    source ()
+  in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ ->
+        Alcotest.(check int) (name ^ ": nothing pulled") 0 !pulled
+  in
+  let run e () = Exec.run e s.Helpers.worker s.Helpers.program counted in
+  let il n_tasks distance = `Il { Exec.policy = Scheduler.Round_robin; n_tasks; distance } in
+  rejects "run batch-0" (run (`Batch 0));
+  rejects "session batch-0" (fun () ->
+      Exec.session (`Batch 0) s.Helpers.worker s.Helpers.program);
+  rejects "run il, 0 tasks" (run (il 0 1));
+  rejects "run il, distance -1" (run (il 4 (-1)))
 
 (* One session fed a stream in windows must behave exactly like one
    Exec.run per window on an identical worker with the same fault plane:
@@ -158,4 +205,7 @@ let suite =
     Alcotest.test_case "malformed labels are errors" `Quick test_malformed;
     Alcotest.test_case "run is the named engine" `Quick test_run_is_the_engine;
     Alcotest.test_case "a session is one run per window" `Quick test_session_is_runs;
+    Alcotest.test_case "default labels" `Quick test_default_labels;
+    Alcotest.test_case "bad arguments are rejected before pulling" `Quick
+      test_rejects_before_pulling;
   ]

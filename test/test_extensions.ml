@@ -63,14 +63,17 @@ let qcheck_maglev_lookup_in_range =
 
 let test_batch_rtc_processes_all () =
   let s = Helpers.nat_setup () in
-  let r = Batch_rtc.run s.Helpers.worker s.Helpers.program (Helpers.nat_source s ~count:500) in
+  let r =
+    Exec.run (`Batch Batch_rtc.default_batch) s.Helpers.worker s.Helpers.program
+      (Helpers.nat_source s ~count:500)
+  in
   Alcotest.(check int) "all packets" 500 r.Metrics.packets;
   Alcotest.(check int) "no drops" 0 r.Metrics.drops
 
 let test_batch_rtc_partial_batch () =
   let s = Helpers.nat_setup () in
   let r =
-    Batch_rtc.run ~batch:32 s.Helpers.worker s.Helpers.program
+    Exec.run (`Batch 32) s.Helpers.worker s.Helpers.program
       (Helpers.nat_source s ~count:37)
   in
   Alcotest.(check int) "non-multiple of batch size" 37 r.Metrics.packets
@@ -78,7 +81,8 @@ let test_batch_rtc_partial_batch () =
 let test_batch_rtc_prefetches () =
   let s = Helpers.nat_setup ~n_flows:65536 () in
   let r =
-    Batch_rtc.run s.Helpers.worker s.Helpers.program (Helpers.nat_source s ~count:2000)
+    Exec.run (`Batch Batch_rtc.default_batch) s.Helpers.worker s.Helpers.program
+      (Helpers.nat_source s ~count:2000)
   in
   Alcotest.(check bool) "batch prefetching issued" true
     (r.Metrics.mem.Memsim.Memstats.prefetch_issued > 0)
@@ -94,7 +98,7 @@ let test_batch_rtc_same_effects () =
     Netcore.Packet.flow_of_headers pkt
   in
   let a = run (fun w p s -> Rtc.run w p s) in
-  let b = run (fun w p s -> Batch_rtc.run w p s) in
+  let b = run (Exec.run (`Batch Batch_rtc.default_batch)) in
   Alcotest.(check bool) "same NAT rewrite as plain RTC" true (Netcore.Flow.equal a b)
 
 (* The hierarchy the paper claims (§II-C): batched prefetching beats plain
@@ -106,7 +110,7 @@ let test_execution_model_ordering () =
     Metrics.mpps (exec s.Helpers.worker s.Helpers.program (Helpers.nat_source s ~count:20_000))
   in
   let rtc = measure (fun w p s -> Rtc.run w p s) in
-  let batch = measure (fun w p s -> Batch_rtc.run w p s) in
+  let batch = measure (Exec.run (`Batch Batch_rtc.default_batch)) in
   let il = measure (fun w p s -> Scheduler.run w p ~n_tasks:16 s) in
   Alcotest.(check bool) "batched prefetch beats plain RTC" true (batch > rtc);
   Alcotest.(check bool) "interleaving beats batched prefetch" true (il > batch)

@@ -81,7 +81,8 @@ let run_nat model =
   match model with
   | `Rtc -> Rtc.run s.Helpers.worker s.Helpers.program (Helpers.nat_source s ~count:3000)
   | `Batch ->
-      Batch_rtc.run s.Helpers.worker s.Helpers.program (Helpers.nat_source s ~count:3000)
+      Exec.run (`Batch Batch_rtc.default_batch) s.Helpers.worker s.Helpers.program
+        (Helpers.nat_source s ~count:3000)
   | `Il n ->
       Scheduler.run s.Helpers.worker s.Helpers.program ~n_tasks:n
         (Helpers.nat_source s ~count:3000)

@@ -239,9 +239,9 @@ let test_kill_core_inert_in_executors () =
   Gunfu.Fault.inject plane ~packet_id:3 Gunfu.Fault.Kill_core;
   let emits = ref 0 in
   let run =
-    Gunfu.Rtc.run ~fault:plane
+    Gunfu.Exec.run ~fault:plane
       ~on_complete:(fun _ -> incr emits)
-      inst.Oracle.worker inst.Oracle.program inst.Oracle.source
+      `Rtc inst.Oracle.worker inst.Oracle.program inst.Oracle.source
   in
   Alcotest.(check int) "same completions" (List.length base.Oracle.o_emits) !emits;
   Alcotest.(check int) "same drops" base.Oracle.o_run.Gunfu.Metrics.drops

@@ -238,7 +238,7 @@ let qcheck_models_semantically_equal =
       in
       let rtc = run (fun w p s -> Rtc.run w p s) in
       let il = run (fun w p s -> Scheduler.run w p ~n_tasks:16 s) in
-      let batch = run (fun w p s -> Batch_rtc.run w p s) in
+      let batch = run (Exec.run (`Batch Batch_rtc.default_batch)) in
       let rf =
         run (fun w p s -> Scheduler.run ~policy:Scheduler.Ready_first w p ~n_tasks:16 s)
       in
