@@ -2,7 +2,9 @@
    of the simulator itself, not simulated cycles): cuckoo lookup (in key
    order and uniformly scattered), MDI tree walk, hierarchy read (hit and
    miss paths) and prefetch, flow hashing, NF-C interpretation, and SCR's
-   per-record pieces (GUPD1 round trip, monitor apply). Useful for keeping
+   per-record pieces (GUPD1 round trip, monitor apply), and the per-packet
+   host path every executor shares: header encode, arena packet build,
+   PRNG draws and one traffic pull from each generator. Useful for keeping
    the simulator fast enough to drive the figure sweeps. *)
 
 open Bechamel
@@ -161,6 +163,42 @@ let nfc_test =
     (Staged.stage (fun () ->
          ignore (Gunfu.Action.execute action (Gunfu.Worker.ctx worker) task)))
 
+(* The per-packet host path: one IPv4 header encode, one arena packet
+   build, one bounded PRNG draw, and one pull of each generator the
+   perfbench workloads use (131,072 uniform flows at 128 B; a UPF
+   downlink over 131,072 sessions x 16 PDRs), built only when [micro]
+   runs. *)
+let traffic_flows = 131_072
+
+let packet_path_tests () =
+  let open Netcore in
+  let ip =
+    Ipv4.make ~src:0x0A000001l ~dst:0xC0A80001l ~proto:Ipv4.proto_udp ~total_len:114 ()
+  in
+  let buf = Bytes.make Packet.max_header_bytes '\000' in
+  let flow =
+    Flow.make ~src_ip:0x0A000001l ~dst_ip:0xC0A80001l ~src_port:1234 ~dst_port:80
+      ~proto:Ipv4.proto_udp
+  in
+  let arena = Packet.Arena.create () in
+  let rng = Memsim.Rng.create 1 in
+  let gen =
+    Traffic.Flowgen.create ~seed:1 ~n_flows:traffic_flows
+      ~size_model:(Traffic.Flowgen.Fixed 128) ()
+  in
+  let gen_arena = Packet.Arena.create () in
+  let mgw = Traffic.Mgw.create ~seed:1 ~n_sessions:traffic_flows ~n_pdrs:16 () in
+  [
+    Test.make ~name:"ipv4.encode" (Staged.stage (fun () -> Ipv4.encode ip buf ~off:14));
+    Test.make ~name:"packet.make"
+      (Staged.stage (fun () -> ignore (Packet.make ~arena ~flow ~wire_len:128 ())));
+    Test.make ~name:"rng.int" (Staged.stage (fun () -> ignore (Memsim.Rng.int rng 1000)));
+    Test.make ~name:"flowgen.pull"
+      (Staged.stage (fun () -> ignore (Traffic.Flowgen.next_with_idx ~arena:gen_arena gen)));
+    Test.make ~name:"mgw.downlink_pull"
+      (Staged.stage (fun () -> ignore (Traffic.Mgw.next_downlink mgw)));
+  ]
+
 let run () =
   Bench_common.header "Microbenchmarks (bechamel, host wall-clock ns/op)";
   let tests =
@@ -175,7 +213,8 @@ let run () =
          flow_hash_test;
          nfc_test;
        ]
-      @ scr_record_tests ())
+      @ scr_record_tests ()
+      @ packet_path_tests ())
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ~kde:None () in

@@ -14,53 +14,82 @@
 
 type policy = Round_robin | Ready_first
 
+(* The walks a visit makes, top-level so that no closure is built per
+   visit: readiness of a task's pending blocks, and (re-)issuing them. *)
+let rec all_ready ctx = function
+  | [] -> true
+  | (addr, bytes) :: rest -> Exec_ctx.ready ctx ~addr ~bytes && all_ready ctx rest
+
+let rec issue ctx = function
+  | [] -> ()
+  | (addr, bytes) :: rest ->
+      ignore (Exec_ctx.prefetch ctx ~addr ~bytes : int);
+      issue ctx rest
+
+(* Per-flow ordering: two packets of one flow must not be in flight in two
+   NFTasks at once (their state mutations would race and could complete
+   out of order). [inflight] counts active tasks per flow; items whose
+   flow is already being processed wait in a stash. *)
+let mark_inflight inflight fh =
+  if fh >= 0 then
+    Itbl.replace inflight fh (1 + try Itbl.find inflight fh with Not_found -> 0)
+
+let clear_inflight inflight fh =
+  if fh >= 0 then
+    match Itbl.find inflight fh with
+    | 1 -> Itbl.remove inflight fh
+    | n -> Itbl.replace inflight fh (n - 1)
+    | exception Not_found -> ()
+
+let rec stashed_flow fh = function
+  | [] -> false
+  | (item : Workload.item) :: rest -> item.Workload.flow_hint = fh || stashed_flow fh rest
+
+(* First stashed item whose flow is idle, removed from [stash]; earlier
+   stash entries of the same flow are by construction in front, so taking
+   the first match preserves per-flow FIFO order. *)
+let rec take_stashed inflight stash acc = function
+  | [] -> None
+  | (item : Workload.item) :: rest ->
+      if Itbl.mem inflight item.Workload.flow_hint then
+        take_stashed inflight stash (item :: acc) rest
+      else begin
+        stash := List.rev_append acc rest;
+        Some item
+      end
+
+let rec any_idle_flow inflight = function
+  | [] -> false
+  | (item : Workload.item) :: rest ->
+      (not (Itbl.mem inflight item.Workload.flow_hint)) || any_idle_flow inflight rest
+
+(* Ready_first's pick: the first runnable task from slot [k] on, or
+   [start] when none is, charging one cycle per skipped slot for the scan.
+   An idle slot is runnable only when [refillable]. *)
+let runnable ctx ~refillable (t : Nftask.t) =
+  if not t.Nftask.active then refillable
+  else
+    match t.Nftask.p_state with
+    | Nftask.P_ready -> true
+    | Nftask.P_none | Nftask.P_issued -> all_ready ctx t.Nftask.pending_blocks
+
+let rec ready_first ctx tasks ~refillable ~start k skipped =
+  let n = Array.length tasks in
+  if skipped = n then start
+  else if runnable ctx ~refillable tasks.(k) then begin
+    Exec_ctx.compute ctx ~cycles:skipped ~instrs:skipped;
+    k
+  end
+  else ready_first ctx tasks ~refillable ~start ((k + 1) mod n) (skipped + 1)
+
 let loop ~policy ~prefetch_distance ~n_tasks core =
   if n_tasks <= 0 then invalid_arg "Scheduler.run: n_tasks must be positive";
   if prefetch_distance < 0 then
     invalid_arg "Scheduler.run: prefetch_distance must be >= 0";
   let ctx = Engine.ctx core and cfg = Engine.cfg core and program = Engine.program core in
   let tasks = Array.init n_tasks Nftask.create in
-
-  (* Per-flow ordering: two packets of one flow must not be in flight in
-     two NFTasks at once (their state mutations would race and could
-     complete out of order). Items whose flow is already being processed
-     wait in [stash]; [inflight] counts active tasks per flow. *)
-  let inflight : (int, int) Hashtbl.t = Hashtbl.create (4 * n_tasks) in
+  let inflight : int Itbl.t = Itbl.create (4 * n_tasks) in
   let stash : Workload.item list ref = ref [] in
-  let flow_of (item : Workload.item) = item.Workload.flow_hint in
-  let mark_inflight fh =
-    if fh >= 0 then
-      Hashtbl.replace inflight fh (1 + Option.value ~default:0 (Hashtbl.find_opt inflight fh))
-  in
-  let clear_inflight fh =
-    if fh >= 0 then
-      match Hashtbl.find_opt inflight fh with
-      | Some 1 -> Hashtbl.remove inflight fh
-      | Some n -> Hashtbl.replace inflight fh (n - 1)
-      | None -> ()
-  in
-  (* First stashed item whose flow is idle; earlier stash entries of the
-     same flow are by construction in front, so taking the first match
-     preserves per-flow FIFO order. *)
-  let take_stashed () =
-    let rec go acc = function
-      | [] -> None
-      | item :: rest ->
-          if Hashtbl.mem inflight (flow_of item) then go (item :: acc) rest
-          else begin
-            stash := List.rev_append acc rest;
-            Some item
-          end
-    in
-    go [] !stash
-  in
-  let stashed_flow fh = List.exists (fun i -> flow_of i = fh) !stash in
-
-  let issue_prefetches (task : Nftask.t) =
-    List.iter
-      (fun (addr, bytes) -> ignore (Exec_ctx.prefetch ctx ~addr ~bytes))
-      task.Nftask.pending_blocks
-  in
 
   (* Distance >= 2: also issue the resolvable targets of FSM successor
      states, breadth-first up to [prefetch_distance - 1] steps ahead.
@@ -69,7 +98,7 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
      transition happens are mere cache pollution, and the issue cycles are
      charged like any other software prefetch. *)
   let speculate (task : Nftask.t) =
-    let seen = Hashtbl.create 8 in
+    let seen = Itbl.create 8 in
     let frontier = ref (Fsm.successors program.Program.fsm task.Nftask.cs) in
     let depth = ref 1 in
     while !depth < prefetch_distance && !frontier <> [] do
@@ -77,11 +106,11 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
       List.iter
         (fun cs ->
           if
-            (not (Hashtbl.mem seen cs))
+            (not (Itbl.mem seen cs))
             && (not (Program.is_done program cs))
             && cs <> task.Nftask.cs
           then begin
-            Hashtbl.add seen cs ();
+            Itbl.add seen cs ();
             let blocks =
               Prefetch.resolve_all (Program.info program cs).Program.prefetch task
             in
@@ -108,17 +137,15 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
     task.Nftask.pending_blocks <- blocks;
     if prefetch_distance = 0 then task.Nftask.p_state <- Nftask.P_ready
     else begin
-      (if blocks = [] then task.Nftask.p_state <- Nftask.P_ready
-       else begin
-         issue_prefetches task;
-         (* If everything is already resident (e.g. packed states fetched by
-            an earlier NF of the chain), run on the next visit without
-            waiting. *)
-         task.Nftask.p_state <-
-           (if List.for_all (fun (addr, bytes) -> Exec_ctx.ready ctx ~addr ~bytes) blocks
-            then Nftask.P_ready
-            else Nftask.P_issued)
-       end);
+      (match blocks with
+      | [] -> task.Nftask.p_state <- Nftask.P_ready
+      | _ :: _ ->
+          issue ctx blocks;
+          (* If everything is already resident (e.g. packed states fetched
+             by an earlier NF of the chain), run on the next visit without
+             waiting. *)
+          task.Nftask.p_state <-
+            (if all_ready ctx blocks then Nftask.P_ready else Nftask.P_issued));
       if prefetch_distance >= 2 then speculate task
     end
   in
@@ -131,31 +158,31 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
        item completed. A [quiesce] that never answers [true] leaves the
        run byte-identical to one without the hook. *)
     let paused = ref false in
+    (* Pull until an item whose flow is idle arrives, stashing the others
+       (another flow's packet can fill this task), up to a full stash. *)
+    let rec pull () =
+      match source () with
+      | None ->
+          exhausted := true;
+          None
+      | Some item as got ->
+          let fh = item.Workload.flow_hint in
+          if fh >= 0 && (Itbl.mem inflight fh || stashed_flow fh !stash) then begin
+            stash := !stash @ [ item ];
+            if List.length !stash < 4 * n_tasks then pull () else None
+          end
+          else got
+    in
     let next_item () =
-      match take_stashed () with
-      | Some item -> Some item
+      match take_stashed inflight stash [] !stash with
+      | Some _ as got -> got
       | None ->
           if !exhausted || !paused then None
           else if Engine.want_pause core then begin
             paused := true;
             None
           end
-          else
-            let rec pull () =
-              match source () with
-              | None ->
-                  exhausted := true;
-                  None
-              | Some item ->
-                  let fh = flow_of item in
-                  if fh >= 0 && (Hashtbl.mem inflight fh || stashed_flow fh) then begin
-                    stash := !stash @ [ item ];
-                    (* Keep pulling: another flow's packet can fill this task. *)
-                    if List.length !stash < 4 * n_tasks then pull () else None
-                  end
-                  else Some item
-            in
-            pull ()
+          else pull ()
     in
 
     (* Finish one task: completion (poisoning disposition, accounting,
@@ -164,7 +191,7 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
     let rec finalize (task : Nftask.t) =
       let fh = task.Nftask.flow_hint in
       Engine.complete core task;
-      clear_inflight fh;
+      clear_inflight inflight fh;
       load_new task
 
     (* Transition (Δ) + Fetch; returns [false] when the task reached the
@@ -183,7 +210,7 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
       match next_item () with
       | None -> false
       | Some item ->
-          mark_inflight item.Workload.flow_hint;
+          mark_inflight inflight item.Workload.flow_hint;
           Engine.load core task item;
           if Engine.faulted task then
             (* Quarantined at load: finalise without executing anything (the
@@ -207,18 +234,14 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
           match task.Nftask.p_state with
           | Nftask.P_ready -> true
           | Nftask.P_none | Nftask.P_issued ->
-              if
-                List.for_all
-                  (fun (addr, bytes) -> Exec_ctx.ready ctx ~addr ~bytes)
-                  task.Nftask.pending_blocks
-              then true
-              else begin
-                (* Fills dropped (MSHR full) or lines evicted before use:
-                   re-issue; resident/pending lines are skipped inside the
-                   hierarchy, so this is cheap and idempotent. *)
-                issue_prefetches task;
-                false
-              end
+              all_ready ctx task.Nftask.pending_blocks
+              || begin
+                   (* Fills dropped (MSHR full) or lines evicted before use:
+                      re-issue; resident/pending lines are skipped inside
+                      the hierarchy, so this is cheap and idempotent. *)
+                   issue ctx task.Nftask.pending_blocks;
+                   false
+                 end
         in
         if ready_to_run then begin
           Engine.execute core task task.Nftask.cs;
@@ -242,31 +265,9 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
              over a waiting task whose dropped prefetch (MSHR starvation)
              needs a re-issuing visit — during the drain phase that task
              would never be visited again and the loop would spin forever. *)
-          let refillable =
-            lazy
-              ((not (!exhausted || !paused))
-              || List.exists (fun i -> not (Hashtbl.mem inflight (flow_of i))) !stash)
-          in
-          let runnable i =
-            let t = tasks.(i) in
-            if not t.Nftask.active then Lazy.force refillable
-            else
-              match t.Nftask.p_state with
-              | Nftask.P_ready -> true
-              | Nftask.P_none | Nftask.P_issued ->
-                  List.for_all
-                    (fun (addr, bytes) -> Exec_ctx.ready ctx ~addr ~bytes)
-                    t.Nftask.pending_blocks
-          in
-          let rec scan k skipped =
-            if skipped = n_tasks then (!idx + 1) mod n_tasks
-            else if runnable k then begin
-              Exec_ctx.compute ctx ~cycles:skipped ~instrs:skipped;
-              k
-            end
-            else scan ((k + 1) mod n_tasks) (skipped + 1)
-          in
-          idx := scan ((!idx + 1) mod n_tasks) 0
+          let refillable = (not (!exhausted || !paused)) || any_idle_flow inflight !stash in
+          let start = (!idx + 1) mod n_tasks in
+          idx := ready_first ctx tasks ~refillable ~start start 0
     in
     Engine.drive core (fun () ->
         let continue_run = ref true in

@@ -5,10 +5,10 @@ let sum_bytes ?(acc = 0) buf ~off ~len =
   let i = ref off in
   let stop = off + len in
   while !i + 1 < stop do
-    acc := !acc + ((Char.code (Bytes.get buf !i) lsl 8) lor Char.code (Bytes.get buf (!i + 1)));
+    acc := !acc + Bytes.get_uint16_be buf !i;
     i := !i + 2
   done;
-  if !i < stop then acc := !acc + (Char.code (Bytes.get buf !i) lsl 8);
+  if !i < stop then acc := !acc + (Bytes.get_uint8 buf !i lsl 8);
   !acc
 
 let fold_carries sum =

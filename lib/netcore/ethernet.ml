@@ -22,29 +22,25 @@ let mac_to_string m =
     ((m lsr 40) land 0xFF) ((m lsr 32) land 0xFF) ((m lsr 24) land 0xFF)
     ((m lsr 16) land 0xFF) ((m lsr 8) land 0xFF) (m land 0xFF)
 
+(* A MAC is a 16-bit high half and a 32-bit low half on the wire. *)
 let put_mac buf off m =
-  for i = 0 to 5 do
-    Bytes.set buf (off + i) (Char.chr ((m lsr ((5 - i) * 8)) land 0xFF))
-  done
+  Bytes.set_uint16_be buf off ((m lsr 32) land 0xFFFF);
+  Bytes.set_int32_be buf (off + 2) (Int32.of_int m)
 
 let get_mac buf off =
-  let m = ref 0 in
-  for i = 0 to 5 do
-    m := (!m lsl 8) lor Char.code (Bytes.get buf (off + i))
-  done;
-  !m
+  (Bytes.get_uint16_be buf off lsl 32)
+  lor (Int32.to_int (Bytes.get_int32_be buf (off + 2)) land 0xFFFFFFFF)
 
-let put_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xFF))
+let encode_fields buf ~off ~dst ~src ~ethertype =
+  put_mac buf off dst;
+  put_mac buf (off + 6) src;
+  Bytes.set_uint16_be buf (off + 12) ethertype
 
-let get_u16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let encode t buf ~off =
-  put_mac buf off t.dst;
-  put_mac buf (off + 6) t.src;
-  put_u16 buf (off + 12) t.ethertype
+let encode t buf ~off = encode_fields buf ~off ~dst:t.dst ~src:t.src ~ethertype:t.ethertype
 
 let decode buf ~off =
-  { dst = get_mac buf off; src = get_mac buf (off + 6); ethertype = get_u16 buf (off + 12) }
+  {
+    dst = get_mac buf off;
+    src = get_mac buf (off + 6);
+    ethertype = Bytes.get_uint16_be buf (off + 12);
+  }

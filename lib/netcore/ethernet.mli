@@ -14,15 +14,10 @@ val mac_of_string : string -> mac
 
 val mac_to_string : mac -> string
 
-(** Encode the header at [off] (14 bytes). *)
+(** Encode the header at [off] (14 bytes) from its fields. *)
+val encode_fields : Bytes.t -> off:int -> dst:mac -> src:mac -> ethertype:int -> unit
+
+(** {!encode_fields} of a record. *)
 val encode : t -> Bytes.t -> off:int -> unit
 
 val decode : Bytes.t -> off:int -> t
-
-(** Big-endian 16-bit accessors shared by the other header codecs. *)
-val put_u16 : Bytes.t -> int -> int -> unit
-
-val get_u16 : Bytes.t -> int -> int
-
-val put_mac : Bytes.t -> int -> mac -> unit
-val get_mac : Bytes.t -> int -> mac

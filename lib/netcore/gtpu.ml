@@ -11,19 +11,21 @@ type t = { msg_type : int; length : int; teid : int32 }
 
 let make ?(msg_type = msg_gpdu) ~teid ~length () = { msg_type; length; teid }
 
+let encode_fields buf ~off ~msg_type ~length ~teid =
+  Bytes.set_uint8 buf off 0x30 (* version 1, PT=1, no extensions *);
+  Bytes.set_uint8 buf (off + 1) msg_type;
+  Bytes.set_uint16_be buf (off + 2) length;
+  Bytes.set_int32_be buf (off + 4) teid
+
 let encode t buf ~off =
-  Bytes.set buf off (Char.chr 0x30) (* version 1, PT=1, no extensions *);
-  Bytes.set buf (off + 1) (Char.chr t.msg_type);
-  Ethernet.put_u16 buf (off + 2) t.length;
-  Ipv4.put_u32 buf (off + 4) t.teid
+  encode_fields buf ~off ~msg_type:t.msg_type ~length:t.length ~teid:t.teid
 
 let decode buf ~off =
-  let flags = Char.code (Bytes.get buf off) in
-  if flags lsr 5 <> 1 then invalid_arg "Gtpu.decode: unsupported version";
+  if Bytes.get_uint8 buf off lsr 5 <> 1 then invalid_arg "Gtpu.decode: unsupported version";
   {
-    msg_type = Char.code (Bytes.get buf (off + 1));
-    length = Ethernet.get_u16 buf (off + 2);
-    teid = Ipv4.get_u32 buf (off + 4);
+    msg_type = Bytes.get_uint8 buf (off + 1);
+    length = Bytes.get_uint16_be buf (off + 2);
+    teid = Bytes.get_int32_be buf (off + 4);
   }
 
 (* Total overhead of a GTP-U tunnel on an inner IP packet:

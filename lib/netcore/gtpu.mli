@@ -13,6 +13,11 @@ val msg_echo_response : int
 type t = { msg_type : int; length : int; teid : int32 }
 
 val make : ?msg_type:int -> teid:int32 -> length:int -> unit -> t
+
+(** Encode the header from its fields. Allocates nothing. *)
+val encode_fields : Bytes.t -> off:int -> msg_type:int -> length:int -> teid:int32 -> unit
+
+(** {!encode_fields} of a record. *)
 val encode : t -> Bytes.t -> off:int -> unit
 
 (** @raise Invalid_argument on an unsupported version nibble. *)

@@ -34,35 +34,38 @@ let addr_to_string a =
   let b i = Int32.to_int (Int32.logand (Int32.shift_right_logical a (i * 8)) 0xFFl) in
   Printf.sprintf "%d.%d.%d.%d" (b 3) (b 2) (b 1) (b 0)
 
-let put_u8 buf off v = Bytes.set buf off (Char.chr (v land 0xFF))
-let put_u16 = Ethernet.put_u16
-let get_u16 = Ethernet.get_u16
-let get_u8 buf off = Char.code (Bytes.get buf off)
-
-let put_u32 buf off (v : int32) =
-  let vi = Int32.to_int (Int32.logand v 0xFFFFFFFFl) land 0xFFFFFFFF in
-  put_u16 buf off (vi lsr 16);
-  put_u16 buf (off + 2) (vi land 0xFFFF)
-
-let get_u32 buf off : int32 =
-  let hi = get_u16 buf off and lo = get_u16 buf (off + 2) in
-  Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo)
-
 let checksum_offset = 10
 
+(* The header from its fields, with the checksum computed over the bytes
+   written. *)
+let encode_fields buf ~off ~src ~dst ~proto ~ttl ~total_len ~ident ~dscp =
+  Bytes.set_uint8 buf off 0x45 (* version 4, IHL 5 *);
+  Bytes.set_uint8 buf (off + 1) (dscp lsl 2);
+  Bytes.set_uint16_be buf (off + 2) total_len;
+  Bytes.set_uint16_be buf (off + 4) ident;
+  Bytes.set_uint16_be buf (off + 6) 0x4000 (* DF *);
+  Bytes.set_uint8 buf (off + 8) ttl;
+  Bytes.set_uint8 buf (off + 9) proto;
+  Bytes.set_uint16_be buf (off + checksum_offset) 0;
+  Bytes.set_int32_be buf (off + 12) src;
+  Bytes.set_int32_be buf (off + 16) dst;
+  Bytes.set_uint16_be buf (off + checksum_offset)
+    (Checksum.of_bytes buf ~off ~len:header_bytes)
+
 let encode t buf ~off =
-  put_u8 buf off 0x45 (* version 4, IHL 5 *);
-  put_u8 buf (off + 1) (t.dscp lsl 2);
-  put_u16 buf (off + 2) t.total_len;
-  put_u16 buf (off + 4) t.ident;
-  put_u16 buf (off + 6) 0x4000 (* DF *);
-  put_u8 buf (off + 8) t.ttl;
-  put_u8 buf (off + 9) t.proto;
-  put_u16 buf (off + checksum_offset) 0;
-  put_u32 buf (off + 12) t.src;
-  put_u32 buf (off + 16) t.dst;
-  let csum = Checksum.of_bytes buf ~off ~len:header_bytes in
-  put_u16 buf (off + checksum_offset) csum
+  encode_fields buf ~off ~src:t.src ~dst:t.dst ~proto:t.proto ~ttl:t.ttl
+    ~total_len:t.total_len ~ident:t.ident ~dscp:t.dscp
+
+let fields buf ~off =
+  {
+    src = Bytes.get_int32_be buf (off + 12);
+    dst = Bytes.get_int32_be buf (off + 16);
+    proto = Bytes.get_uint8 buf (off + 9);
+    ttl = Bytes.get_uint8 buf (off + 8);
+    total_len = Bytes.get_uint16_be buf (off + 2);
+    ident = Bytes.get_uint16_be buf (off + 4);
+    dscp = Bytes.get_uint8 buf (off + 1) lsr 2;
+  }
 
 (* Total decode: truncation and a wrong version nibble are typed errors,
    never exceptions — garbage from the wire must not escape a packet
@@ -70,65 +73,40 @@ let encode t buf ~off =
 let decode_result buf ~off =
   if off < 0 || off + header_bytes > Bytes.length buf then
     Error "Ipv4.decode: truncated header"
-  else
-    let vihl = get_u8 buf off in
-    if vihl lsr 4 <> 4 then Error "Ipv4.decode: not IPv4"
-    else
-      Ok
-        {
-          src = get_u32 buf (off + 12);
-          dst = get_u32 buf (off + 16);
-          proto = get_u8 buf (off + 9);
-          ttl = get_u8 buf (off + 8);
-          total_len = get_u16 buf (off + 2);
-          ident = get_u16 buf (off + 4);
-          dscp = get_u8 buf (off + 1) lsr 2;
-        }
+  else if Bytes.get_uint8 buf off lsr 4 <> 4 then Error "Ipv4.decode: not IPv4"
+  else Ok (fields buf ~off)
 
 let decode buf ~off =
-  let vihl = get_u8 buf off in
-  if vihl lsr 4 <> 4 then invalid_arg "Ipv4.decode: not IPv4";
-  {
-    src = get_u32 buf (off + 12);
-    dst = get_u32 buf (off + 16);
-    proto = get_u8 buf (off + 9);
-    ttl = get_u8 buf (off + 8);
-    total_len = get_u16 buf (off + 2);
-    ident = get_u16 buf (off + 4);
-    dscp = get_u8 buf (off + 1) lsr 2;
-  }
+  if Bytes.get_uint8 buf off lsr 4 <> 4 then invalid_arg "Ipv4.decode: not IPv4";
+  fields buf ~off
 
 let header_valid buf ~off = Checksum.valid buf ~off ~len:header_bytes
 
-(* In-place src address rewrite with incremental checksum update (the NAT
-   fast path). *)
-let rewrite_src buf ~off ~src =
-  let old_hi = get_u16 buf (off + 12) and old_lo = get_u16 buf (off + 14) in
-  put_u32 buf (off + 12) src;
-  let new_hi = get_u16 buf (off + 12) and new_lo = get_u16 buf (off + 14) in
-  let c = get_u16 buf (off + checksum_offset) in
+(* In-place address rewrite at [pos] with incremental checksum update,
+   one 16-bit half at a time (the NAT fast path). *)
+let rewrite_addr buf ~off ~pos addr =
+  let old_hi = Bytes.get_uint16_be buf (off + pos)
+  and old_lo = Bytes.get_uint16_be buf (off + pos + 2) in
+  Bytes.set_int32_be buf (off + pos) addr;
+  let new_hi = Bytes.get_uint16_be buf (off + pos)
+  and new_lo = Bytes.get_uint16_be buf (off + pos + 2) in
+  let c = Bytes.get_uint16_be buf (off + checksum_offset) in
   let c = Checksum.update ~old_csum:c ~old_field:old_hi ~new_field:new_hi in
   let c = Checksum.update ~old_csum:c ~old_field:old_lo ~new_field:new_lo in
-  put_u16 buf (off + checksum_offset) c
+  Bytes.set_uint16_be buf (off + checksum_offset) c
 
-let rewrite_dst buf ~off ~dst =
-  let old_hi = get_u16 buf (off + 16) and old_lo = get_u16 buf (off + 18) in
-  put_u32 buf (off + 16) dst;
-  let new_hi = get_u16 buf (off + 16) and new_lo = get_u16 buf (off + 18) in
-  let c = get_u16 buf (off + checksum_offset) in
-  let c = Checksum.update ~old_csum:c ~old_field:old_hi ~new_field:new_hi in
-  let c = Checksum.update ~old_csum:c ~old_field:old_lo ~new_field:new_lo in
-  put_u16 buf (off + checksum_offset) c
+let rewrite_src buf ~off ~src = rewrite_addr buf ~off ~pos:12 src
+let rewrite_dst buf ~off ~dst = rewrite_addr buf ~off ~pos:16 dst
 
 let decrement_ttl buf ~off =
-  let ttl = get_u8 buf (off + 8) in
+  let ttl = Bytes.get_uint8 buf (off + 8) in
   if ttl = 0 then false
   else begin
-    put_u8 buf (off + 8) (ttl - 1);
-    let old_field = get_u16 buf (off + 8) + 0x0100 in
-    let new_field = get_u16 buf (off + 8) in
-    let c = get_u16 buf (off + checksum_offset) in
-    put_u16 buf (off + checksum_offset)
+    Bytes.set_uint8 buf (off + 8) (ttl - 1);
+    let old_field = Bytes.get_uint16_be buf (off + 8) + 0x0100 in
+    let new_field = Bytes.get_uint16_be buf (off + 8) in
+    let c = Bytes.get_uint16_be buf (off + checksum_offset) in
+    Bytes.set_uint16_be buf (off + checksum_offset)
       (Checksum.update ~old_csum:c ~old_field ~new_field);
     true
   end

@@ -28,7 +28,13 @@ val addr_of_string : string -> addr
 
 val addr_to_string : addr -> string
 
-(** Encode at [off], computing the header checksum. *)
+(** Encode at [off] from the header's fields, computing the header
+    checksum. Allocates nothing. *)
+val encode_fields :
+  Bytes.t -> off:int -> src:addr -> dst:addr -> proto:int -> ttl:int -> total_len:int ->
+  ident:int -> dscp:int -> unit
+
+(** {!encode_fields} of a record. *)
 val encode : t -> Bytes.t -> off:int -> unit
 
 (** Total decode: truncation and a non-4 version nibble are typed errors,
@@ -51,12 +57,4 @@ val rewrite_dst : Bytes.t -> off:int -> dst:addr -> unit
     already 0 and the packet must be dropped. *)
 val decrement_ttl : Bytes.t -> off:int -> bool
 
-(** Big-endian 32-bit accessors shared with other codecs. *)
-val put_u32 : Bytes.t -> int -> int32 -> unit
-
-val get_u32 : Bytes.t -> int -> int32
-val put_u16 : Bytes.t -> int -> int -> unit
-val get_u16 : Bytes.t -> int -> int
-val put_u8 : Bytes.t -> int -> int -> unit
-val get_u8 : Bytes.t -> int -> int
 val checksum_offset : int

@@ -17,17 +17,21 @@ type tcp = {
   window : int;
 }
 
-let put_u16 = Ethernet.put_u16
-let get_u16 = Ethernet.get_u16
+let encode_udp_fields buf ~off ~src_port ~dst_port ~length =
+  Bytes.set_uint16_be buf off src_port;
+  Bytes.set_uint16_be buf (off + 2) dst_port;
+  Bytes.set_uint16_be buf (off + 4) length;
+  Bytes.set_uint16_be buf (off + 6) 0 (* checksum optional over IPv4 *)
 
 let encode_udp (u : udp) buf ~off =
-  put_u16 buf off u.src_port;
-  put_u16 buf (off + 2) u.dst_port;
-  put_u16 buf (off + 4) u.length;
-  put_u16 buf (off + 6) 0 (* checksum optional over IPv4 *)
+  encode_udp_fields buf ~off ~src_port:u.src_port ~dst_port:u.dst_port ~length:u.length
 
 let decode_udp buf ~off : udp =
-  { src_port = get_u16 buf off; dst_port = get_u16 buf (off + 2); length = get_u16 buf (off + 4) }
+  {
+    src_port = Bytes.get_uint16_be buf off;
+    dst_port = Bytes.get_uint16_be buf (off + 2);
+    length = Bytes.get_uint16_be buf (off + 4);
+  }
 
 (* Total decode with bounds checks — truncated transport headers are a
    typed error, not an out-of-bounds exception. *)
@@ -45,25 +49,29 @@ let flags_byte f =
 let flags_of_byte b =
   { fin = b land 0x01 <> 0; syn = b land 0x02 <> 0; rst = b land 0x04 <> 0; ack = b land 0x10 <> 0 }
 
+let encode_tcp_fields buf ~off ~src_port ~dst_port ~seq ~ack_seq ~flags ~window =
+  Bytes.set_uint16_be buf off src_port;
+  Bytes.set_uint16_be buf (off + 2) dst_port;
+  Bytes.set_int32_be buf (off + 4) seq;
+  Bytes.set_int32_be buf (off + 8) ack_seq;
+  Bytes.set_uint8 buf (off + 12) 0x50 (* data offset 5 *);
+  Bytes.set_uint8 buf (off + 13) (flags_byte flags);
+  Bytes.set_uint16_be buf (off + 14) window;
+  Bytes.set_uint16_be buf (off + 16) 0 (* checksum: not computed in simulation *);
+  Bytes.set_uint16_be buf (off + 18) 0
+
 let encode_tcp (t : tcp) buf ~off =
-  put_u16 buf off t.src_port;
-  put_u16 buf (off + 2) t.dst_port;
-  Ipv4.put_u32 buf (off + 4) t.seq;
-  Ipv4.put_u32 buf (off + 8) t.ack_seq;
-  Bytes.set buf (off + 12) (Char.chr 0x50) (* data offset 5 *);
-  Bytes.set buf (off + 13) (Char.chr (flags_byte t.flags));
-  put_u16 buf (off + 14) t.window;
-  put_u16 buf (off + 16) 0 (* checksum: not computed in simulation *);
-  put_u16 buf (off + 18) 0
+  encode_tcp_fields buf ~off ~src_port:t.src_port ~dst_port:t.dst_port ~seq:t.seq
+    ~ack_seq:t.ack_seq ~flags:t.flags ~window:t.window
 
 let decode_tcp buf ~off : tcp =
   {
-    src_port = get_u16 buf off;
-    dst_port = get_u16 buf (off + 2);
-    seq = Ipv4.get_u32 buf (off + 4);
-    ack_seq = Ipv4.get_u32 buf (off + 8);
-    flags = flags_of_byte (Char.code (Bytes.get buf (off + 13)));
-    window = get_u16 buf (off + 14);
+    src_port = Bytes.get_uint16_be buf off;
+    dst_port = Bytes.get_uint16_be buf (off + 2);
+    seq = Bytes.get_int32_be buf (off + 4);
+    ack_seq = Bytes.get_int32_be buf (off + 8);
+    flags = flags_of_byte (Bytes.get_uint8 buf (off + 13));
+    window = Bytes.get_uint16_be buf (off + 14);
   }
 
 let decode_tcp_result buf ~off =
@@ -72,7 +80,7 @@ let decode_tcp_result buf ~off =
   else Ok (decode_tcp buf ~off)
 
 (* Port rewrites shared by UDP and TCP (ports sit at the same offsets). *)
-let rewrite_src_port buf ~off ~port = put_u16 buf off port
-let rewrite_dst_port buf ~off ~port = put_u16 buf (off + 2) port
-let src_port buf ~off = get_u16 buf off
-let dst_port buf ~off = get_u16 buf (off + 2)
+let rewrite_src_port buf ~off ~port = Bytes.set_uint16_be buf off port
+let rewrite_dst_port buf ~off ~port = Bytes.set_uint16_be buf (off + 2) port
+let src_port buf ~off = Bytes.get_uint16_be buf off
+let dst_port buf ~off = Bytes.get_uint16_be buf (off + 2)

@@ -17,9 +17,25 @@ type tcp = {
   window : int;
 }
 
+(** Encode a UDP header from its fields (zero checksum). Allocates
+    nothing. *)
+val encode_udp_fields :
+  Bytes.t -> off:int -> src_port:int -> dst_port:int -> length:int -> unit
+
+(** {!encode_udp_fields} of a record. *)
 val encode_udp : udp -> Bytes.t -> off:int -> unit
+
 val decode_udp : Bytes.t -> off:int -> udp
+
+(** Encode a 20-byte TCP header (no options, zero checksum) from its
+    fields. Allocates nothing. *)
+val encode_tcp_fields :
+  Bytes.t -> off:int -> src_port:int -> dst_port:int -> seq:int32 -> ack_seq:int32 ->
+  flags:tcp_flags -> window:int -> unit
+
+(** {!encode_tcp_fields} of a record. *)
 val encode_tcp : tcp -> Bytes.t -> off:int -> unit
+
 val decode_tcp : Bytes.t -> off:int -> tcp
 
 (** Total decodes with bounds checks: a truncated transport header is a

@@ -35,11 +35,11 @@ let encode t buf ~off =
   (* UE id TLV: tag, len=4, value. *)
   Bytes.set buf (off + 3) (Char.chr ie_ue_id);
   Bytes.set buf (off + 4) '\x04';
-  Ipv4.put_u32 buf (off + 5) (Int32.of_int t.ue_id);
+  Bytes.set_int32_be buf (off + 5) (Int32.of_int t.ue_id);
   (* payload length TLV: tag, len=2, value *)
   Bytes.set buf (off + 9) (Char.chr ie_payload_len);
   Bytes.set buf (off + 10) '\x02';
-  Ethernet.put_u16 buf (off + 11) t.payload_len
+  Bytes.set_uint16_be buf (off + 11) t.payload_len
 
 let encoded_bytes = 13
 
@@ -56,9 +56,9 @@ let decode buf ~off =
     let len = Char.code (Bytes.get buf (!pos + 1)) in
     if !pos + 2 + len > stop then raise (Malformed "truncated IE");
     if tag = ie_ue_id && len = 4 then
-      ue_id := Int32.to_int (Ipv4.get_u32 buf (!pos + 2)) land 0xFFFFFFFF
+      ue_id := Int32.to_int (Bytes.get_int32_be buf (!pos + 2)) land 0xFFFFFFFF
     else if tag = ie_payload_len && len = 2 then
-      payload_len := Ethernet.get_u16 buf (!pos + 2);
+      payload_len := Bytes.get_uint16_be buf (!pos + 2);
     pos := !pos + 2 + len
   done;
   if !ue_id < 0 then raise (Malformed "missing UE id IE");

@@ -23,41 +23,38 @@ let max_header_bytes = 128
 
 let next_id = ref 0
 
-(* Encode the Eth/IPv4/L4 headers for [flow] into [buf] (assumed zeroed);
-   returns (l3_off, l4_off, hdr_len, wire_len). Shared by fresh
-   construction and arena reuse so the two produce byte-identical
-   packets. *)
-let encode_headers ~src_mac ~dst_mac ~flow ~wire_len buf =
-  let eth = Ethernet.{ dst = dst_mac; src = src_mac; ethertype = ethertype_ipv4 } in
-  Ethernet.encode eth buf ~off:0;
+let ack_only = { L4.syn = false; ack = true; fin = false; rst = false }
+
+(* Encode the Eth/IPv4/L4 headers for [p.flow] into [p.buf] (assumed
+   zeroed) and set the offsets and lengths they imply. Shared by fresh
+   construction and arena reuse so the two produce byte-identical packets;
+   allocates nothing. *)
+let encode_headers ~src_mac ~dst_mac ~wire_len p =
+  let buf = p.buf and flow = p.flow in
+  Ethernet.encode_fields buf ~off:0 ~dst:dst_mac ~src:src_mac
+    ~ethertype:Ethernet.ethertype_ipv4;
   let l3_off = Ethernet.header_bytes in
-  let l4_is_udp = flow.Flow.proto = Ipv4.proto_udp in
+  let proto = flow.Flow.proto in
   let l4_len =
-    if l4_is_udp then L4.udp_header_bytes
-    else if flow.Flow.proto = Ipv4.proto_tcp then L4.tcp_header_bytes
+    if proto = Ipv4.proto_udp then L4.udp_header_bytes
+    else if proto = Ipv4.proto_tcp then L4.tcp_header_bytes
     else 0
   in
   let ip_total = wire_len - Ethernet.header_bytes in
-  let ip =
-    Ipv4.make ~src:flow.Flow.src_ip ~dst:flow.Flow.dst_ip ~proto:flow.Flow.proto
-      ~total_len:(max ip_total (Ipv4.header_bytes + l4_len))
-      ()
-  in
-  Ipv4.encode ip buf ~off:l3_off;
+  Ipv4.encode_fields buf ~off:l3_off ~src:flow.Flow.src_ip ~dst:flow.Flow.dst_ip ~proto
+    ~ttl:64 ~total_len:(max ip_total (Ipv4.header_bytes + l4_len)) ~ident:0 ~dscp:0;
   let l4_off = l3_off + Ipv4.header_bytes in
-  if l4_is_udp then
-    L4.encode_udp
-      L4.{ src_port = flow.Flow.src_port; dst_port = flow.Flow.dst_port;
-           length = max (ip_total - Ipv4.header_bytes) udp_header_bytes }
-      buf ~off:l4_off
-  else if flow.Flow.proto = Ipv4.proto_tcp then
-    L4.encode_tcp
-      L4.{ src_port = flow.Flow.src_port; dst_port = flow.Flow.dst_port;
-           seq = 0l; ack_seq = 0l;
-           flags = { syn = false; ack = true; fin = false; rst = false };
-           window = 65535 }
-      buf ~off:l4_off;
-  (l3_off, l4_off, l4_off + l4_len, max wire_len (l4_off + l4_len))
+  if proto = Ipv4.proto_udp then
+    L4.encode_udp_fields buf ~off:l4_off ~src_port:flow.Flow.src_port
+      ~dst_port:flow.Flow.dst_port
+      ~length:(max (ip_total - Ipv4.header_bytes) L4.udp_header_bytes)
+  else if proto = Ipv4.proto_tcp then
+    L4.encode_tcp_fields buf ~off:l4_off ~src_port:flow.Flow.src_port
+      ~dst_port:flow.Flow.dst_port ~seq:0l ~ack_seq:0l ~flags:ack_only ~window:65535;
+  p.l3_off <- l3_off;
+  p.l4_off <- l4_off;
+  p.hdr_len <- l4_off + l4_len;
+  p.wire_len <- max wire_len (l4_off + l4_len)
 
 (* Zero-alloc packet arena: a ring of packet records recycled in place.
    Reuse resets every field to the exact state a fresh [make] would
@@ -85,26 +82,28 @@ module Arena = struct
     i
 end
 
+(* A newly allocated packet record and zeroed buffer for [flow]. *)
+let fresh ~src_mac ~dst_mac ~flow ~wire_len =
+  incr next_id;
+  let p =
+    { id = !next_id; buf = Bytes.make max_header_bytes '\000'; hdr_len = 0; l3_off = 0;
+      l4_off = 0; wire_len; flow; sim_addr = -1 }
+  in
+  encode_headers ~src_mac ~dst_mac ~wire_len p;
+  p
+
 (* Build a plain Eth/IPv4/L4 packet for [flow] with the headers actually
    encoded into [buf]. With [arena], recycle the ring's next record in
    place instead of allocating. *)
 let make ?(src_mac = 0x020000000001) ?(dst_mac = 0x020000000002) ?arena ~flow
     ~wire_len () =
-  let fresh () =
-    let buf = Bytes.make max_header_bytes '\000' in
-    let l3_off, l4_off, hdr_len, wire_len =
-      encode_headers ~src_mac ~dst_mac ~flow ~wire_len buf
-    in
-    incr next_id;
-    { id = !next_id; buf; hdr_len; l3_off; l4_off; wire_len; flow; sim_addr = -1 }
-  in
   match arena with
-  | None -> fresh ()
+  | None -> fresh ~src_mac ~dst_mac ~flow ~wire_len
   | Some a -> (
       let slot = Arena.take a in
       match a.Arena.slots.(slot) with
       | None ->
-          let p = fresh () in
+          let p = fresh ~src_mac ~dst_mac ~flow ~wire_len in
           a.Arena.slots.(slot) <- Some p;
           p
       | Some p ->
@@ -113,17 +112,11 @@ let make ?(src_mac = 0x020000000001) ?(dst_mac = 0x020000000002) ?arena ~flow
           if Bytes.length p.buf <> max_header_bytes then
             p.buf <- Bytes.make max_header_bytes '\000'
           else Bytes.fill p.buf 0 max_header_bytes '\000';
-          let l3_off, l4_off, hdr_len, wire_len =
-            encode_headers ~src_mac ~dst_mac ~flow ~wire_len p.buf
-          in
           incr next_id;
           p.id <- !next_id;
-          p.hdr_len <- hdr_len;
-          p.l3_off <- l3_off;
-          p.l4_off <- l4_off;
-          p.wire_len <- wire_len;
           p.flow <- flow;
           p.sim_addr <- -1;
+          encode_headers ~src_mac ~dst_mac ~wire_len p;
           p)
 
 (* Deep copy sharing nothing mutable with the original, keeping the same
@@ -159,16 +152,11 @@ let encapsulate_gtpu t ~outer_src ~outer_dst ~teid =
   let outer_ip_off = Ethernet.header_bytes in
   let outer_udp_off = outer_ip_off + Ipv4.header_bytes in
   let gtpu_off = outer_udp_off + L4.udp_header_bytes in
-  let outer_ip =
-    Ipv4.make ~src:outer_src ~dst:outer_dst ~proto:Ipv4.proto_udp
-      ~total_len:(inner_len + shift) ()
-  in
-  Ipv4.encode outer_ip t.buf ~off:outer_ip_off;
-  L4.encode_udp
-    L4.{ src_port = Gtpu.udp_port; dst_port = Gtpu.udp_port;
-         length = inner_len + udp_header_bytes + Gtpu.header_bytes }
-    t.buf ~off:outer_udp_off;
-  Gtpu.encode (Gtpu.make ~teid ~length:inner_len ()) t.buf ~off:gtpu_off;
+  Ipv4.encode_fields t.buf ~off:outer_ip_off ~src:outer_src ~dst:outer_dst
+    ~proto:Ipv4.proto_udp ~ttl:64 ~total_len:(inner_len + shift) ~ident:0 ~dscp:0;
+  L4.encode_udp_fields t.buf ~off:outer_udp_off ~src_port:Gtpu.udp_port
+    ~dst_port:Gtpu.udp_port ~length:(inner_len + L4.udp_header_bytes + Gtpu.header_bytes);
+  Gtpu.encode_fields t.buf ~off:gtpu_off ~msg_type:Gtpu.msg_gpdu ~length:inner_len ~teid;
   t.l3_off <- t.l3_off + shift;
   t.l4_off <- t.l4_off + shift;
   t.hdr_len <- t.hdr_len + shift;

@@ -79,7 +79,10 @@ type t = {
 
 let state_bytes = 8 (* 4B ip + 2B port, padded *)
 
-let public_ip i = Int32.of_int (0xCB007100 lor (i mod 64)) (* 203.0.113.x *)
+(* The 64 pool addresses 203.0.113.0-63, one shared box each, so a mapping
+   table of any size holds pointers to the same 64 [int32]s. *)
+let public_ips = Array.init 64 (fun k -> Int32.of_int (0xCB007100 lor k))
+let public_ip i = public_ips.(i mod 64)
 let public_port i = 20000 + (i mod 40000)
 
 let create layout ~name ?arena ?(overflow = Cuckoo.Drop_new) ~n_flows () =

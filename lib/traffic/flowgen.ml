@@ -30,15 +30,36 @@ type t = {
   size_table : int array;  (* flattened weights for O(1) sampling *)
 }
 
+(* The 251 server addresses, one shared box each: every flow towards a
+   server points at the same [int32], so a universe of any size keeps only
+   251 of them. *)
+let servers = Array.init 251 (fun k -> Int32.of_int (0xC0A80000 lor k))
+
 (* Distinct flows: client i gets a unique (src_ip, src_port) pair towards a
    small set of servers — the shape of south-north datacenter traffic. *)
 let make_flow i =
   let src_ip = Int32.of_int (0x0A000000 lor (i land 0xFFFFFF)) in
-  let dst_ip = Int32.of_int (0xC0A80000 lor (i mod 251)) in
+  let dst_ip = servers.(i mod 251) in
   let src_port = 1024 + (i mod 60000) in
   let dst_port = 80 + (i mod 16) in
   let proto = if i mod 8 = 0 then Ipv4.proto_tcp else Ipv4.proto_udp in
   Flow.make ~src_ip ~dst_ip ~src_port ~dst_port ~proto
+
+(* Reject a size model a pull could not sample: every size and weight
+   must be positive and a mix needs at least one entry. [who] names the
+   rejecting function. *)
+let check_size_model ~who model =
+  let reject fmt = Printf.ksprintf (fun m -> invalid_arg (who ^ ": " ^ m)) fmt in
+  let check_size sz = if sz <= 0 then reject "size %d must be positive" sz in
+  match model with
+  | Fixed n -> check_size n
+  | Mix [] -> reject "Mix must have at least one size"
+  | Mix weighted ->
+      List.iter
+        (fun (sz, w) ->
+          check_size sz;
+          if w <= 0 then reject "weight %d of size %d must be positive" w sz)
+        weighted
 
 let size_table_of_model = function
   | Fixed n -> [| n |]
@@ -57,6 +78,7 @@ let size_table_of_model = function
 
 let create ?(seed = 42) ?(popularity = Uniform) ?(size_model = Fixed 64) ~n_flows () =
   if n_flows <= 0 then invalid_arg "Flowgen.create: n_flows must be positive";
+  check_size_model ~who:"Flowgen.create" size_model;
   let rng = Memsim.Rng.create seed in
   let flows = Array.init n_flows make_flow in
   (* Shuffle so that Zipf rank is uncorrelated with address layout. *)
@@ -102,6 +124,7 @@ let mean_wire_bytes t = mean_size t.size_model
    independently seeded rng, so sweep points differ only in skew. *)
 let alpha_sweep ?(seed = 42) ?(size_model = Fixed 64) ~n_flows alphas =
   if n_flows <= 0 then invalid_arg "Flowgen.alpha_sweep: n_flows must be positive";
+  check_size_model ~who:"Flowgen.alpha_sweep" size_model;
   let rng = Memsim.Rng.create seed in
   let flows = Array.init n_flows make_flow in
   Memsim.Rng.shuffle rng flows;

@@ -15,7 +15,9 @@ type popularity = Uniform | Zipf of float
 
 type t
 
-(** @raise Invalid_argument when [n_flows <= 0]. Deterministic per seed. *)
+(** Deterministic per seed.
+    @raise Invalid_argument when [n_flows <= 0], or when the size model has
+    a non-positive size or weight or is an empty [Mix]. *)
 val create :
   ?seed:int -> ?popularity:popularity -> ?size_model:size_model -> n_flows:int ->
   unit -> t
@@ -39,8 +41,8 @@ val mean_wire_bytes : t -> float
     capable — and each alpha gets its own generator with an
     independently seeded rng, so sweep points differ only in skew.
     [0.] is uniform.
-    @raise Invalid_argument when [n_flows <= 0] or an alpha is
-    negative. *)
+    @raise Invalid_argument when [n_flows <= 0], an alpha is negative,
+    or the size model is rejected as by {!create}. *)
 val alpha_sweep :
   ?seed:int -> ?size_model:size_model -> n_flows:int -> float list ->
   (float * t) list

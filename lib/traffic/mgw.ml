@@ -25,10 +25,13 @@ type t = {
 let ue_ip_of_index i = Int32.of_int (0x64000000 lor (i land 0xFFFFFF)) (* 100.x.y.z *)
 let teid_of_index i = Int32.of_int (0x1000 + i)
 
-(* PDR [j] of a session matches remote source ports in [port_lo, port_hi]. *)
+(* PDR [j] of a session matches remote source ports in [port_lo, port_hi]:
+   [span] ports from [1024 + j * span]. *)
+let pdr_span n_pdrs = 49152 / n_pdrs
+
 let pdr_port_range ~n_pdrs ~pdr =
   if pdr < 0 || pdr >= n_pdrs then invalid_arg "Mgw.pdr_port_range";
-  let span = 49152 / n_pdrs in
+  let span = pdr_span n_pdrs in
   let lo = 1024 + (pdr * span) in
   (lo, lo + span - 1)
 
@@ -63,18 +66,22 @@ let sample_session_idx t =
     | None -> Memsim.Rng.int t.rng (Array.length t.sessions)
     | Some z -> Zipf.sample z t.rng
 
+(* The 512 data-network hosts 8.8.0.0-8.8.1.255 that talk to UEs, one
+   shared box each: session [si] talks to [remotes.(si mod 512)]. *)
+let remotes = Array.init 512 (fun k -> Int32.of_int (0x08080000 lor k))
+
 (* A downlink packet towards a sampled UE, hitting a sampled PDR. *)
 let next_downlink ?arena t =
   let si = sample_session_idx t in
   let s = t.sessions.(si) in
   let pdr = Memsim.Rng.int t.rng s.n_pdrs in
-  let lo, hi = pdr_port_range ~n_pdrs:s.n_pdrs ~pdr in
-  let src_port = Memsim.Rng.int_in_range t.rng ~lo ~hi in
+  (* [pdr_port_range], without allocating its pair. *)
+  let span = pdr_span s.n_pdrs in
+  let lo = 1024 + (pdr * span) in
+  let src_port = Memsim.Rng.int_in_range t.rng ~lo ~hi:(lo + span - 1) in
   let flow =
-    Flow.make
-      ~src_ip:(Int32.of_int (0x08080000 lor (si mod 512)))
-      ~dst_ip:s.ue_ip ~src_port ~dst_port:(10000 + (si mod 1000))
-      ~proto:Ipv4.proto_udp
+    Flow.make ~src_ip:remotes.(si mod 512) ~dst_ip:s.ue_ip ~src_port
+      ~dst_port:(10000 + (si mod 1000)) ~proto:Ipv4.proto_udp
   in
   (si, pdr, Packet.make ?arena ~flow ~wire_len:t.wire_len ())
 
@@ -84,8 +91,7 @@ let next_uplink t ~ran_ip ~upf_ip =
   let si = sample_session_idx t in
   let s = t.sessions.(si) in
   let flow =
-    Flow.make ~src_ip:s.ue_ip
-      ~dst_ip:(Int32.of_int (0x08080000 lor (si mod 512)))
+    Flow.make ~src_ip:s.ue_ip ~dst_ip:remotes.(si mod 512)
       ~src_port:(10000 + (si mod 1000))
       ~dst_port:(Memsim.Rng.int_in_range t.rng ~lo:1024 ~hi:50175)
       ~proto:Ipv4.proto_udp

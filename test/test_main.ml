@@ -42,4 +42,5 @@ let () =
       ("verifyeq", Test_verifyeq.suite);
       ("adaptive", Test_adaptive.suite);
       ("baseline", Test_baseline.suite);
+      ("golden", Test_golden.suite);
     ]

@@ -19,7 +19,7 @@ let test_checksum_valid () =
   Bytes.set buf 0 '\x45';
   Bytes.set buf 9 '\x11';
   let c = Checksum.of_bytes buf ~off:0 ~len:20 in
-  Ethernet.put_u16 buf 10 c;
+  Bytes.set_uint16_be buf 10 c;
   Alcotest.(check bool) "range incl. checksum validates" true
     (Checksum.valid buf ~off:0 ~len:20)
 
@@ -28,10 +28,10 @@ let qcheck_incremental_update =
     QCheck.(triple (list_of_size (Gen.return 10) (int_bound 0xFFFF)) (int_bound 9) (int_bound 0xFFFF))
     (fun (words, pos, new_field) ->
       let buf = Bytes.make 20 '\000' in
-      List.iteri (fun i w -> Ethernet.put_u16 buf (i * 2) w) words;
+      List.iteri (fun i w -> Bytes.set_uint16_be buf (i * 2) w) words;
       let old_csum = Checksum.of_bytes buf ~off:0 ~len:20 in
-      let old_field = Ethernet.get_u16 buf (pos * 2) in
-      Ethernet.put_u16 buf (pos * 2) new_field;
+      let old_field = Bytes.get_uint16_be buf (pos * 2) in
+      Bytes.set_uint16_be buf (pos * 2) new_field;
       let updated = Checksum.update ~old_csum ~old_field ~new_field in
       let recomputed = Checksum.of_bytes buf ~off:0 ~len:20 in
       (* Both are valid ones'-complement checksums of the new data; they may
@@ -52,15 +52,15 @@ let qcheck_incremental_chain =
     (fun (words, edits) ->
       (* 10 data words followed by one trailing checksum word. *)
       let buf = Bytes.make 22 '\000' in
-      List.iteri (fun i w -> Ethernet.put_u16 buf (i * 2) w) words;
+      List.iteri (fun i w -> Bytes.set_uint16_be buf (i * 2) w) words;
       let csum = ref (Checksum.of_bytes buf ~off:0 ~len:20) in
-      Ethernet.put_u16 buf 20 !csum;
+      Bytes.set_uint16_be buf 20 !csum;
       List.for_all
         (fun (pos, new_field) ->
-          let old_field = Ethernet.get_u16 buf (pos * 2) in
-          Ethernet.put_u16 buf (pos * 2) new_field;
+          let old_field = Bytes.get_uint16_be buf (pos * 2) in
+          Bytes.set_uint16_be buf (pos * 2) new_field;
           csum := Checksum.update ~old_csum:!csum ~old_field ~new_field;
-          Ethernet.put_u16 buf 20 !csum;
+          Bytes.set_uint16_be buf 20 !csum;
           Checksum.valid buf ~off:0 ~len:22)
         edits)
 

@@ -298,6 +298,35 @@ let test_mgw_elephant_knob () =
     (Invalid_argument "Mgw.create: elephant must be in [0, 1)") (fun () ->
       ignore (Traffic.Mgw.create ~elephant:1.0 ~n_sessions:4 ~n_pdrs:2 ()))
 
+(* A size model no pull could sample is rejected when the generator is
+   created, not at its first pull. *)
+let rejects ~who size_model msg () =
+  let make () =
+    if who = "create" then ignore (Flowgen.create ~size_model ~n_flows:8 ())
+    else ignore (Flowgen.alpha_sweep ~size_model ~n_flows:8 [ 0.0; 1.0 ])
+  in
+  Alcotest.check_raises msg (Invalid_argument (Printf.sprintf "Flowgen.%s: %s" who msg)) make
+
+let size_model_rejections =
+  [
+    ("empty Mix rejected", "create", Flowgen.Mix [], "Mix must have at least one size");
+    ( "zero weight rejected", "create", Flowgen.Mix [ (64, 7); (576, 0) ],
+      "weight 0 of size 576 must be positive" );
+    ( "negative weight rejected", "create", Flowgen.Mix [ (64, -1) ],
+      "weight -1 of size 64 must be positive" );
+    ("zero Fixed size rejected", "create", Flowgen.Fixed 0, "size 0 must be positive");
+    ( "negative Mix size rejected", "create", Flowgen.Mix [ (-64, 1) ],
+      "size -64 must be positive" );
+    ( "sweep: empty Mix rejected", "alpha_sweep", Flowgen.Mix [],
+      "Mix must have at least one size" );
+    ( "sweep: zero weight rejected", "alpha_sweep", Flowgen.Mix [ (64, 0) ],
+      "weight 0 of size 64 must be positive" );
+    ( "sweep: negative weight rejected", "alpha_sweep", Flowgen.Mix [ (64, -3) ],
+      "weight -3 of size 64 must be positive" );
+    ( "sweep: negative Fixed size rejected", "alpha_sweep", Flowgen.Fixed (-1),
+      "size -1 must be positive" );
+  ]
+
 let suite =
   [
     Alcotest.test_case "zipf pmf sums to 1" `Quick test_zipf_pmf_sums_to_one;
@@ -328,3 +357,6 @@ let suite =
       test_alpha_sweep_shared_universe;
     Alcotest.test_case "mgw elephant knob" `Quick test_mgw_elephant_knob;
   ]
+  @ List.map
+      (fun (name, who, model, msg) -> Alcotest.test_case name `Quick (rejects ~who model msg))
+      size_model_rejections
