@@ -222,7 +222,7 @@ let a7 () =
   Nfs.Sfc.populate sfc (Traffic.Flowgen.flows g2);
   let pool2 = Netcore.Packet.Pool.create layout ~count:1024 in
   let cons =
-    Gunfu.Scheduler.run worker (Nfs.Sfc.program sfc) ~n_tasks:16
+    Gunfu.Exec.run (Gunfu.Exec.il 16) worker (Nfs.Sfc.program sfc)
       (Gunfu.Workload.of_flowgen g2 ~pool:pool2 ~count:packets)
   in
   row "%-40s %10.2f Mpps (3 cores)" "pipeline LB|NAT|NM (RTC + queues)"

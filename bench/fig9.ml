@@ -51,7 +51,7 @@ let scheduler_pass () =
     Workload.limited packets_per_run (fun () ->
         { Workload.packet = None; aux = 0; flow_hint = -1 })
   in
-  Scheduler.run worker program ~n_tasks:16 source
+  Exec.run (Exec.il 16) worker program source
 
 (* Count how many NFTask switches one pass performs (deterministic). *)
 let switches_per_pass = lazy (scheduler_pass ()).Metrics.switches

@@ -126,7 +126,7 @@ let nat packets =
   let arena = Netcore.Packet.Arena.create () in
   let run count =
     ignore
-      (Scheduler.run worker program ~n_tasks:16
+      (Exec.run (Exec.il 16) worker program
          (Workload.of_flowgen ~arena gen ~pool ~count)
         : Metrics.run)
   in
@@ -144,7 +144,8 @@ let upf packets =
   Nfs.Upf.populate upf;
   let program = Nfs.Upf.program upf in
   let run count =
-    ignore (Rtc.run worker program (Workload.of_mgw_downlink mgw ~pool ~count) : Metrics.run)
+    ignore
+      (Exec.run `Rtc worker program (Workload.of_mgw_downlink mgw ~pool ~count) : Metrics.run)
   in
   run 5_000;
   with_sampler (fun () -> run packets)

@@ -35,7 +35,7 @@ let () =
   let program = Nfs.Amf.program amf in
   let pool = Netcore.Packet.Pool.create layout ~count:16 in
   let gen = Traffic.Mgw.amf_create ~n_ues:1 () in
-  let _ = Gunfu.Rtc.run worker program (Gunfu.Workload.of_amf gen ~pool ~count:5) in
+  let _ = Gunfu.Exec.run `Rtc worker program (Gunfu.Workload.of_amf gen ~pool ~count:5) in
   Printf.printf "one UE sent the 5-message registration call flow:\n";
   Printf.printf "  completed registrations: %d, protocol errors: %d\n\n"
     amf.Nfs.Amf.registrations.(0) amf.Nfs.Amf.protocol_errors;

@@ -42,7 +42,7 @@ let () =
         incr captured;
         { Gunfu.Workload.packet = Some pkt; aux = 0; flow_hint = i })
   in
-  let run = Gunfu.Scheduler.run worker program ~n_tasks:16 source in
+  let run = Gunfu.Exec.run (Gunfu.Exec.il 16) worker program source in
   Printf.printf "processed %d packets: %.2f Mpps, %d mappings learned, %d drops\n"
     run.Gunfu.Metrics.packets (Gunfu.Metrics.mpps run) nat.Nfs.Nat.learned
     run.Gunfu.Metrics.drops;
@@ -57,7 +57,7 @@ let () =
     let pkt = Netcore.Packet.make ~flow ~wire_len:128 () in
     Netcore.Packet.Pool.assign pool pkt;
     let item = { Gunfu.Workload.packet = Some pkt; aux = 0; flow_hint = i } in
-    let _ = Gunfu.Rtc.run worker program (Gunfu.Workload.total_items [ item ]) in
+    let _ = Gunfu.Exec.run `Rtc worker program (Gunfu.Workload.total_items [ item ]) in
     let out = Netcore.Packet.flow_of_headers pkt in
     Printf.printf "  %s -> %s\n"
       (Fmt.str "%a" Netcore.Flow.pp flow)

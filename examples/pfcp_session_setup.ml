@@ -61,7 +61,7 @@ let () =
         Netcore.Packet.Pool.assign pool pkt;
         { Gunfu.Workload.packet = Some pkt; aux = 0; flow_hint = i })
   in
-  let run = Gunfu.Scheduler.run worker program ~n_tasks:16 source in
+  let run = Gunfu.Exec.run (Gunfu.Exec.il 16) worker program source in
   Printf.printf "downlink through PFCP-installed sessions: %.2f Mpps, %d drops\n"
     (Gunfu.Metrics.mpps run) run.Gunfu.Metrics.drops;
 
@@ -76,6 +76,6 @@ let () =
   let pkt = Netcore.Packet.make ~flow ~wire_len:256 () in
   Netcore.Packet.Pool.assign pool pkt;
   let item = { Gunfu.Workload.packet = Some pkt; aux = 0; flow_hint = 1 } in
-  let r = Gunfu.Rtc.run worker program (Gunfu.Workload.total_items [ item ]) in
+  let r = Gunfu.Exec.run `Rtc worker program (Gunfu.Workload.total_items [ item ]) in
   Printf.printf "packet to the deleted session: %s\n"
     (if r.Gunfu.Metrics.drops = 1 then "dropped (as it must be)" else "FORWARDED (bug!)")

@@ -82,7 +82,7 @@ let () =
   let si, _, pkt = Traffic.Mgw.next_downlink mgw in
   Netcore.Packet.Pool.assign pool pkt;
   let item = { Gunfu.Workload.packet = Some pkt; aux = 0; flow_hint = si } in
-  let _ = Gunfu.Rtc.run worker program (Gunfu.Workload.total_items [ item ]) in
+  let _ = Gunfu.Exec.run `Rtc worker program (Gunfu.Workload.total_items [ item ]) in
   let outer = Netcore.Ipv4.decode pkt.Netcore.Packet.buf ~off:Netcore.Ethernet.header_bytes in
   let gtpu =
     Netcore.Gtpu.decode pkt.Netcore.Packet.buf

@@ -14,4 +14,3 @@ let label = function
   | `Scr cores -> Printf.sprintf "scr-%d" cores
 
 let single_core = function #Exec.t -> true | `Scr _ -> false
-let pp ppf t = Fmt.string ppf (label t)

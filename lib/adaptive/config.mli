@@ -19,5 +19,3 @@ val label : t -> string
 (** Whether the configuration runs on the single core (everything but
     [`Scr]). *)
 val single_core : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -106,7 +106,6 @@ let create ?(params = default_params) ?scr ~initial () =
   }
 
 let config t = t.cur
-let params t = t.p
 
 let apply t move =
   (match t.cur with `Il il -> t.last_il <- il | `Rtc | `Batch _ | `Scr _ -> ());

@@ -46,7 +46,6 @@ type t
 val create : ?params:params -> ?scr:int -> initial:Config.t -> unit -> t
 
 val config : t -> Config.t
-val params : t -> params
 
 (** Feed one closed window; [Some move] means the driver must pause at the
     next quiescent boundary and apply it ([config] already reflects the

@@ -31,9 +31,6 @@ type t = {
           (the runtime then raises the compiler's default event) *)
 }
 
-(** Walk a parsed program. *)
-val of_program : Nfc.t -> t
-
 (** Parse and walk; [Error msg] on NF-C syntax errors. *)
 val of_source : string -> (t, string) result
 

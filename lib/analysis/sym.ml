@@ -501,13 +501,3 @@ let pp_writes ppf writes =
           list ~sep:(any "; ") (fun ppf (scope, field, e) ->
               Fmt.pf ppf "%s.%s = %a" (Nfc.keyword_of_scope scope) field pp_sexpr e))
         writes
-
-let pp_path ppf p =
-  let exit =
-    match p.p_exit with
-    | Exit_emit k -> Fmt.str "emit %S" k
-    | Exit_drop -> "drop"
-    | Exit_fall -> "fall-through"
-    | Exit_raise -> "raise (modulo by zero)"
-  in
-  Fmt.pf ppf "[%a] %a -> %s" pp_pc p.p_pc pp_writes p.p_writes exit

@@ -71,4 +71,3 @@ val exit_keys : ?default_event:Event.t -> summary -> string list
 
 val pp_pc : Format.formatter -> pc -> unit
 val pp_writes : Format.formatter -> (Nfc.scope * string * sexpr) list -> unit
-val pp_path : Format.formatter -> path -> unit

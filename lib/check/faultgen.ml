@@ -26,7 +26,6 @@ let create ?(rate_ppm = default_rate_ppm) ~seed () =
     invalid_arg "Faultgen.create: rate_ppm must be within [0, 1000000]";
   { seed; rate_ppm }
 
-let seed t = t.seed
 let rate_ppm t = t.rate_ppm
 
 (* splitmix64 finalizer: a full-avalanche bijection on 64 bits. *)

@@ -14,7 +14,6 @@ val default_rate_ppm : int
 val create : ?rate_ppm:int -> seed:int -> unit -> t
 (** @raise Invalid_argument when [rate_ppm] is outside [0, 1_000_000]. *)
 
-val seed : t -> int
 val rate_ppm : t -> int
 
 val decide : t -> int -> Gunfu.Fault.injection option

@@ -28,13 +28,6 @@ val check_recovery :
     measured cycles, and per-cache-level serve counts must equal the
     run's Memstats delta. Each rule flags a tampered trace. *)
 
-(** Only when the ring kept every span ([dropped = 0]). *)
-val check_span_nesting :
-  spans:Gunfu.Trace.span array -> dropped:int -> Oracle.violation list
-
-val check_span_budget : Gunfu.Trace.t -> Gunfu.Metrics.run -> Oracle.violation list
-val check_span_memstats : Gunfu.Trace.t -> Gunfu.Metrics.run -> Oracle.violation list
-
 (** All three telemetry rules. [?spans] overrides the span set so tamper
     tests can inject doctored copies (the attribution books are
     unaffected); defaults to [Trace.spans tr]. *)

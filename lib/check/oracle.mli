@@ -80,8 +80,6 @@ val reference : Exec.t
 val executors : Exec.t list
 
 val executor_names : string list
-val batch_sizes : int list
-val task_counts : int list
 
 val packet_fingerprint : Netcore.Packet.t -> string
 

@@ -36,9 +36,6 @@ val gen_selector : profile:string -> string
     — so the pieces behind {!case} (shape draws, flow universe, unit
     assembly) are exposed as data here. *)
 
-(** Generated wire length (bytes) of every non-MGW packet. *)
-val wire_len : int
-
 (** The flow universe a generated case draws traffic from. *)
 val flowgen_for : profile:string -> seed:int -> n_flows:int -> Traffic.Flowgen.t
 

@@ -25,14 +25,7 @@ let make ?(kind = Data_action) ?(base_cycles = 20) ?(base_instrs = 15)
     ?(invalidates = []) ~name body =
   { name; kind; base_cycles; base_instrs; invalidates; body }
 
-let kind_name = function
-  | Match_action -> "match"
-  | Data_action -> "data"
-  | Config_action -> "config"
-
 (* Run the action, charging its base computation. *)
 let execute t ctx task =
   Exec_ctx.compute ctx ~cycles:t.base_cycles ~instrs:t.base_instrs;
   t.body ctx task
-
-let pp ppf t = Fmt.pf ppf "%s(%s)" t.name (kind_name t.kind)

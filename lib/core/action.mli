@@ -21,9 +21,5 @@ val make :
   ?kind:kind -> ?base_cycles:int -> ?base_instrs:int -> ?invalidates:resource list ->
   name:string -> (Exec_ctx.t -> Nftask.t -> Event.t) -> t
 
-val kind_name : kind -> string
-
 (** Run the action, charging its base computation first. *)
 val execute : t -> Exec_ctx.t -> Nftask.t -> Event.t
-
-val pp : Format.formatter -> t -> unit

@@ -116,7 +116,3 @@ val remove_redundant_matching :
     analyzer's cold-access and short-distance lints reuse it. *)
 val prefetch_availability :
   Program.cs_info array -> Fsm.t -> start:int -> Prefetch.target list Dataflow.result
-
-(** Exposed for tests: the prefetch must-analysis; returns removed-target
-    count. *)
-val remove_redundant_prefetch : Program.cs_info array -> Fsm.t -> start:int -> int

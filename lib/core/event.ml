@@ -34,5 +34,3 @@ let of_key = function
       else User s
 
 let equal a b = String.equal (to_key a) (to_key b)
-
-let pp ppf t = Fmt.string ppf (to_key t)

@@ -21,4 +21,3 @@ val to_key : t -> string
 val of_key : string -> t
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

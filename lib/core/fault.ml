@@ -51,8 +51,6 @@ let reason_of_key = function
   | "poisoned" -> Some Poisoned
   | _ -> None
 
-let pp_reason ppf r = Fmt.string ppf (reason_to_key r)
-
 (* Raised by NF code / state structures to signal a contained fault; the
    string attributes it to an NF instance for the taxonomy. Executors never
    let it (or any other exception from an action body) escape: {!guard}
@@ -98,7 +96,6 @@ let create ?(poison_threshold = default_poison_threshold) () =
   }
 
 let inject t ~packet_id inj = Itbl.replace t.injections packet_id inj
-let injection_count t = Itbl.length t.injections
 let faulted t = t.faulted
 let degraded t = t.degraded
 let poisoned_flows t = Itbl.length t.poisoned
@@ -115,9 +112,6 @@ let counts t =
          match String.compare a b with
          | 0 -> String.compare (reason_to_key ra) (reason_to_key rb)
          | c -> c)
-
-let total_counted t =
-  Hashtbl.fold (fun _ n acc -> acc + n) t.counts 0
 
 (* --- executor hooks ------------------------------------------------- *)
 

@@ -27,9 +27,6 @@ type reason =
     the payload of [Event.Faulted]. *)
 val reason_to_key : reason -> string
 
-val reason_of_key : string -> reason option
-val pp_reason : Format.formatter -> reason -> unit
-
 (** Raised by NF code and state structures to signal a *contained* fault;
     the string names the NF instance for the taxonomy. {!guard} converts it
     (and any other exception escaping an action body) into
@@ -55,16 +52,14 @@ type injection =
 
 type t
 
-val default_poison_threshold : int
-
-(** @raise Invalid_argument when [poison_threshold <= 0]. *)
+(** [poison_threshold] (default 3) consecutive faulted completions poison a
+    flow.
+    @raise Invalid_argument when [poison_threshold <= 0]. *)
 val create : ?poison_threshold:int -> unit -> t
 
 (** Arm an injection for the packet with the given id (call before the
     executor pulls it from the source). *)
 val inject : t -> packet_id:int -> injection -> unit
-
-val injection_count : t -> int
 
 (** Completions quarantined by the plane (the [faulted] leg of the
     conservation invariant: emits + drops + faulted = offered). *)
@@ -73,16 +68,9 @@ val faulted : t -> int
 val degraded : t -> bool
 val poisoned_flows : t -> int
 
-(** Record one taxonomy occurrence — used by executors for faults detected
-    outside {!guard} (e.g. a parse quarantine attributed to "netcore"). *)
-val count : t -> nf:string -> reason -> unit
-
 (** The (nf, reason, occurrences) taxonomy, sorted — deterministic across
     executors for identical schedules. *)
 val counts : t -> (string * reason * int) list
-
-(** Sum of all taxonomy occurrences. *)
-val total_counted : t -> int
 
 (** Load-time hook, called once per task right after [Nftask.load] and the
     rx/tx charge. Applies load-time injections; [Some reason] means the

@@ -28,10 +28,6 @@ let feed_string t s =
   feed_int t (String.length s);
   String.iter (fun c -> feed_byte t (Char.code c)) s
 
-let feed_bytes t b =
-  feed_int t (Bytes.length b);
-  Bytes.iter (fun c -> feed_byte t (Char.code c)) b
-
 let feed_sub t b ~off ~len =
   feed_int t len;
   for i = off to off + len - 1 do
@@ -46,9 +42,7 @@ let feed_int64_array t a =
   feed_int t (Array.length a);
   Array.iter (feed_int64 t) a
 
-let value t = t.acc
 let to_hex t = Printf.sprintf "%016Lx" t.acc
-let equal a b = Int64.equal a.acc b.acc
 
 (* One-shot convenience: digest of a feeding function. *)
 let of_fn f =

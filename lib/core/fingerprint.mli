@@ -5,8 +5,6 @@
 
 type t
 
-val create : unit -> t
-val feed_byte : t -> int -> unit
 val feed_int : t -> int -> unit
 val feed_int64 : t -> int64 -> unit
 val feed_bool : t -> bool -> unit
@@ -15,14 +13,9 @@ val feed_bool : t -> bool -> unit
     produce colliding feeds. *)
 val feed_string : t -> string -> unit
 
-val feed_bytes : t -> bytes -> unit
 val feed_sub : t -> bytes -> off:int -> len:int -> unit
 val feed_int_array : t -> int array -> unit
 val feed_int64_array : t -> int64 array -> unit
-
-val value : t -> int64
-val to_hex : t -> string
-val equal : t -> t -> bool
 
 (** [of_fn feed] runs [feed] on a fresh accumulator and returns the hex. *)
 val of_fn : (t -> unit) -> string

@@ -149,8 +149,6 @@ let l1_misses_per_packet r = per_packet r (Memsim.Memstats.l1_misses r.mem)
 let l2_misses_per_packet r = per_packet r (Memsim.Memstats.l2_misses r.mem)
 let llc_misses_per_packet r = per_packet r (Memsim.Memstats.llc_misses r.mem)
 
-let l1_hit_rate r = Memsim.Memstats.l1_hit_rate r.mem
-
 (* Fraction of run time spent waiting on the given state classes. *)
 let state_access_share r classes =
   if r.cycles = 0 then 0.0
@@ -161,9 +159,6 @@ let state_access_share r classes =
         0 classes
     in
     float_of_int cyc /. float_of_int r.cycles
-
-let switches_per_second r =
-  if r.cycles = 0 then 0.0 else float_of_int r.switches /. seconds r
 
 let pp_row ppf r =
   Fmt.pf ppf
@@ -180,13 +175,6 @@ let pp_row ppf r =
   match r.imbalance with
   | Some (off, served) -> Fmt.pf ppf " imb=%.2f/%.2f" off served
   | None -> ()
-
-(* One line per (nf, reason) taxonomy entry; empty output when no faults. *)
-let pp_faults ppf r =
-  List.iter
-    (fun (nf, reason, n) ->
-      Fmt.pf ppf "  fault %-16s %-9s x%d@." nf (Fault.reason_to_key reason) n)
-    r.faults
 
 (* Combine per-core fault taxonomies: occurrences add per (nf, reason),
    output sorted like Fault.counts. *)

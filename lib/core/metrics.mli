@@ -49,7 +49,6 @@ type run = {
 (** Convert a cycle count to nanoseconds at the run's clock. *)
 val cycles_to_ns : run -> int -> float
 
-val seconds : run -> float
 val mpps : run -> float
 val gbps : run -> float
 
@@ -62,17 +61,11 @@ val per_packet : run -> int -> float
 val l1_misses_per_packet : run -> float
 val l2_misses_per_packet : run -> float
 val llc_misses_per_packet : run -> float
-val l1_hit_rate : run -> float
 
 (** Fraction of run time stalled on the given state classes. *)
 val state_access_share : run -> Sref.state_class list -> float
 
-val switches_per_second : run -> float
 val pp_row : Format.formatter -> run -> unit
-
-(** One line per (nf, reason) taxonomy entry; prints nothing for a
-    fault-free run. *)
-val pp_faults : Format.formatter -> run -> unit
 
 (** Per-core (offered, served) max-to-mean load ratios over a run set —
     offered counts packets pulled, served counts completions that made the

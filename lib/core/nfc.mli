@@ -11,8 +11,6 @@ exception Nfc_error of string
 
 type scope = Packet | Per_flow | Sub_flow | Control | Temp | Match_state
 
-val scope_of_keyword : string -> scope option
-
 type binop = Add | Sub | Mul | Mod | And | Eq | Ne | Lt | Gt | Le | Ge
 
 type expr =
@@ -45,10 +43,6 @@ val of_body : action_name:string -> stmt list -> t
 val keyword_of_scope : scope -> string
 val binop_symbol : binop -> string
 
-(** Fully parenthesised printing; [parse (to_string p)] reproduces [p]'s
-    AST (up to redundant parentheses). *)
-val pp_program : Format.formatter -> t -> unit
-
 val to_string : t -> string
 
 type binding = {
@@ -64,8 +58,6 @@ val event_of_name : string -> Event.t
     behind {!compile}'s [base_cycles = 4 + 2*weight] charge. Exposed so the
     symbolic checker can validate the cycle model of compiled actions. *)
 val stmt_weight : stmt -> int
-
-val expr_weight : expr -> int
 
 (** Compile NF-C source to an executable NFAction. Memory charging happens
     inside the binding's accessors; the static statement weight models the

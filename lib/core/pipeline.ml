@@ -102,5 +102,3 @@ let run ?(label = "pipeline") (stages : (Worker.t * Program.t) list)
     packets = n_in;
     drops = n_in - List.length survivors;
   }
-
-let stage_count stages = List.length stages

@@ -4,14 +4,8 @@
     cross-core cache transfer; steady-state throughput is the bottleneck
     stage's. Provided as a comparison baseline. *)
 
-val queue_cycles : int
-val queue_instrs : int
-val transfer_cycles : int
-
 (** [run stages source]: stage k's program runs on stage k's worker; the
     returned run carries the bottleneck stage's cycle count (stages overlap
     in steady state) and the sum of all stages' memory counters.
     @raise Invalid_argument on an empty stage list. *)
 val run : ?label:string -> (Worker.t * Program.t) list -> Workload.source -> Metrics.run
-
-val stage_count : (Worker.t * Program.t) list -> int

@@ -123,7 +123,6 @@ module Recovery = struct
 
   let last_checkpoint j = j.ckpt
   let suffix j = List.rev j.log
-  let recorded j = j.pulls
   let trimmed j = j.trimmed
   let overflowed j = j.overflowed
 end

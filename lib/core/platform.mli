@@ -73,7 +73,6 @@ module Recovery : sig
   (** Entries since the last checkpoint, oldest first. *)
   val suffix : 'a journal -> entry list
 
-  val recorded : 'a journal -> int
   val trimmed : 'a journal -> int
   val overflowed : 'a journal -> int
 end

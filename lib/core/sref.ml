@@ -22,15 +22,6 @@ let class_name = function
   | Control_state -> "control"
   | Temp_state -> "temp"
 
-let class_of_name = function
-  | "match" -> Some Match_state
-  | "per_flow" -> Some Per_flow
-  | "sub_flow" -> Some Sub_flow
-  | "packet" -> Some Packet_state
-  | "control" -> Some Control_state
-  | "temp" -> Some Temp_state
-  | _ -> None
-
 type t = { cls : state_class; addr : int; bytes : int }
 
 let make ~cls ~addr ~bytes =

@@ -12,7 +12,6 @@ type state_class =
   | Temp_state  (** per-packet intermediates *)
 
 val class_name : state_class -> string
-val class_of_name : string -> state_class option
 
 type t = { cls : state_class; addr : int; bytes : int }
 

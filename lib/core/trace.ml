@@ -129,14 +129,6 @@ module Hist = struct
        with Exit -> ());
       !result
     end
-
-  (* Non-empty (bucket lower bound, count) pairs, ascending. *)
-  let nonzero t =
-    let acc = ref [] in
-    for i = n_buckets - 1 downto 0 do
-      if t.buckets.(i) > 0 then acc := (value_of_index i, t.buckets.(i)) :: !acc
-    done;
-    !acc
 end
 
 (* One row of the exact attribution books. *)

@@ -14,9 +14,6 @@
     MSHR (prefetched, fill not yet landed; paid the residual wait). *)
 type level = L1 | L2 | Llc | Dram | Inflight
 
-val n_levels : int
-val level_index : level -> int
-val level_of_index : int -> level
 val level_name : level -> string
 
 (** Lifecycle phase of a span. [State_access]/[Mshr_wait] come from the
@@ -62,9 +59,6 @@ module Hist : sig
 
   (** Nearest-rank percentile over bucket lower bounds. *)
   val percentile : t -> int -> int
-
-  (** Non-empty (bucket lower bound, count) pairs, ascending. *)
-  val nonzero : t -> (int * int) list
 end
 
 (** Scheduler/MSHR occupancy sample (one per task switch, ring-bounded). *)
@@ -72,9 +66,7 @@ type occupancy = { oc_ts : int; oc_active : int; oc_mshr : int }
 
 type t
 
-(** Default ring capacity (65536 spans). *)
-val default_capacity : int
-
+(** [capacity] is the span ring's size (default 65536 spans). *)
 val create : ?capacity:int -> unit -> t
 
 (** {2 Executor hooks} — called by the [?telemetry]-enabled executors and

@@ -12,8 +12,6 @@ type item = {
 
 type source = unit -> item option
 
-let of_fn f : source = f
-
 (* At most [count] items from a producer. *)
 let limited count (produce : unit -> item) : source =
   let left = ref count in
@@ -33,17 +31,6 @@ let tap f (src : source) : source =
   | Some item ->
       f item;
       Some item
-
-(* First [n] items of a source; used by the oracle's divergence minimizer
-   to replay shrinking prefixes of a workload. *)
-let take n (src : source) : source =
-  let left = ref n in
-  fun () ->
-    if !left <= 0 then None
-    else begin
-      decr left;
-      src ()
-    end
 
 let total_items (items : item list) : source =
   let rest = ref items in

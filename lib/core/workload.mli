@@ -10,8 +10,6 @@ type item = {
 
 type source = unit -> item option
 
-val of_fn : (unit -> item option) -> source
-
 (** At most [count] items from a producer. *)
 val limited : int -> (unit -> item) -> source
 
@@ -20,9 +18,6 @@ val total_items : item list -> source
 (** [tap f src] calls [f] on every item pulled from [src], unchanged —
     deterministic observation of the input stream for replay cross-checks. *)
 val tap : (item -> unit) -> source -> source
-
-(** [take n src] ends the stream after [n] items (prefix replay). *)
-val take : int -> source -> source
 
 (** Replay a parsed pcap capture in timestamp order; flow identities are
     re-derived by decoding the captured headers. Records too short for an

@@ -15,7 +15,6 @@
    simulator's hottest data. *)
 
 type t = {
-  name : string;
   line_bits : int;
   nsets : int;
   set_mask : int;  (* nsets - 1 when nsets is a power of two, else -1 *)
@@ -35,7 +34,7 @@ let log2_exact name n =
   if 1 lsl b <> n then invalid_arg (name ^ ": must be a power of two");
   b
 
-let create ~name ~size_bytes ~assoc ~line_bytes =
+let create ~size_bytes ~assoc ~line_bytes =
   let line_bits = log2_exact "line_bytes" line_bytes in
   if assoc <= 0 then invalid_arg "Cache.create: assoc must be positive";
   if size_bytes mod (assoc * line_bytes) <> 0 then
@@ -43,7 +42,6 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
   let nsets = size_bytes / (assoc * line_bytes) in
   if nsets <= 0 then invalid_arg "Cache.create: zero sets";
   {
-    name;
     line_bits;
     nsets;
     set_mask = (if nsets land (nsets - 1) = 0 then nsets - 1 else -1);
@@ -56,7 +54,6 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
     installs = 0;
   }
 
-let name t = t.name
 let line_bytes t = 1 lsl t.line_bits
 let nsets t = t.nsets
 let assoc t = t.assoc
@@ -194,12 +191,6 @@ let invalidate t addr = invalidate_line t (line_of_addr t addr)
 
 let clear t = Array.fill t.tags 0 (Array.length t.tags) (-1)
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  t.installs <- 0
-
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
@@ -207,9 +198,3 @@ let installs t = t.installs
 
 let resident_lines t =
   Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
-
-let pp ppf t =
-  Fmt.pf ppf "%s: %d sets x %d ways x %dB (%d KiB), hits=%d misses=%d evict=%d"
-    t.name (nsets t) t.assoc (line_bytes t)
-    (capacity_bytes t / 1024)
-    t.hits t.misses t.evictions

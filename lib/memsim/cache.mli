@@ -15,27 +15,21 @@ type t
     [line mod nsets] exactly for [0 <= line < 2^50], with [mod] itself
     beyond that range.
     @raise Invalid_argument on malformed geometry. *)
-val create : name:string -> size_bytes:int -> assoc:int -> line_bytes:int -> t
+val create : size_bytes:int -> assoc:int -> line_bytes:int -> t
 
-val name : t -> string
 val line_bytes : t -> int
 val nsets : t -> int
 val assoc : t -> int
 val capacity_bytes : t -> int
 
-(** Line number of a byte address. *)
-val line_of_addr : t -> int -> int
-
 (** [access t addr] performs a tag check; on hit, recency is refreshed and
     the result is [true]. Updates hit/miss counters. *)
 val access : t -> int -> bool
 
-(** As [access], keyed directly by line number. *)
-val access_line : t -> int -> bool
-
-(** Fused miss-path probe: identical to [access_line] in counters and
-    recency effects, but returns [1] on hit and [-(valid_ways + 1)] on miss
-    so a following [fill_line] can install without re-scanning the set. *)
+(** Fused miss-path probe by line number: identical to [access] in
+    counters and recency effects, but returns [1] on hit and
+    [-(valid_ways + 1)] on miss so a following [fill_line] can install
+    without re-scanning the set. *)
 val probe_line : t -> int -> int
 
 (** [locate_line t line] is the pure form of [probe_line]: the way (0 =
@@ -65,12 +59,10 @@ val install : t -> int -> int option
 val install_line : t -> int -> int
 
 val invalidate : t -> int -> unit
-val invalidate_line : t -> int -> unit
 
 (** Drop all lines (counters preserved). *)
 val clear : t -> unit
 
-val reset_stats : t -> unit
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
@@ -78,5 +70,3 @@ val installs : t -> int
 
 (** Number of currently valid lines. *)
 val resident_lines : t -> int
-
-val pp : Format.formatter -> t -> unit

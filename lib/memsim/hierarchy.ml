@@ -93,13 +93,13 @@ let create ?(cfg = default_config) () =
   {
     cfg;
     l1 =
-      Cache.create ~name:"L1d" ~size_bytes:cfg.l1_size ~assoc:cfg.l1_assoc
+      Cache.create ~size_bytes:cfg.l1_size ~assoc:cfg.l1_assoc
         ~line_bytes:cfg.line_bytes;
     l2 =
-      Cache.create ~name:"L2" ~size_bytes:cfg.l2_size ~assoc:cfg.l2_assoc
+      Cache.create ~size_bytes:cfg.l2_size ~assoc:cfg.l2_assoc
         ~line_bytes:cfg.line_bytes;
     llc =
-      Cache.create ~name:"LLC" ~size_bytes:cfg.llc_size ~assoc:cfg.llc_assoc
+      Cache.create ~size_bytes:cfg.llc_size ~assoc:cfg.llc_assoc
         ~line_bytes:cfg.line_bytes;
     line_bits = log2_exact cfg.line_bytes;
     mshr_line = Array.make cfg.mshr_count (-1);
@@ -331,17 +331,11 @@ let rec lines_ready t now line last =
   line > last
   || mshr_inflight t ~now line < 0 && in_l1_or_l2 t line && lines_ready t now (line + 1) last
 
-let rec lines_resident t line last =
-  line > last || in_l1_or_l2 t line && lines_resident t (line + 1) last
-
 (* A block is "ready" when every line is resident in L1 or L2 and no fetch
    for it is still in flight. Prefetched lines that were evicted before use
    therefore report not-ready and must be re-prefetched. *)
 let ready t ~now ~addr ~bytes =
   bytes <= 0 || lines_ready t now (line_of t addr) (line_of t (addr + bytes - 1))
-
-let resident t ~addr ~bytes =
-  bytes <= 0 || lines_resident t (line_of t addr) (line_of t (addr + bytes - 1))
 
 let counters t : Memstats.t =
   {

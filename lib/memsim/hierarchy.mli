@@ -55,9 +55,6 @@ val l1 : t -> Cache.t
 val l2 : t -> Cache.t
 val llc : t -> Cache.t
 
-(** Line number containing a byte address. *)
-val line_of : t -> int -> int
-
 (** Line numbers spanned by [\[addr, addr+bytes)]. *)
 val lines_of : t -> addr:int -> bytes:int -> int list
 
@@ -79,9 +76,6 @@ val prefetch : t -> now:int -> addr:int -> bytes:int -> int
     resident in L1/L2 with no fill still in flight — i.e. an access now would
     be cheap. The scheduler's [isPrefetched] test (Algorithm 1, line 7). *)
 val ready : t -> now:int -> addr:int -> bytes:int -> bool
-
-(** Residency in L1/L2 regardless of in-flight status. *)
-val resident : t -> addr:int -> bytes:int -> bool
 
 (** Number of fills currently outstanding. *)
 val mshr_pending_count : t -> now:int -> int

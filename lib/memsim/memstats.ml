@@ -76,13 +76,3 @@ let llc_misses t = t.dram_fills
 let l1_hit_rate t =
   if t.line_accesses = 0 then 1.0
   else float_of_int t.l1_hits /. float_of_int t.line_accesses
-
-let pp ppf t =
-  Fmt.pf ppf
-    "accesses=%d l1_hits=%d l2_hits=%d llc_hits=%d dram=%d mshr_waits=%d \
-     wait_cyc=%d pf=%d pf_redundant=%d pf_dropped=%d"
-    t.line_accesses t.l1_hits t.l2_hits t.llc_hits t.dram_fills t.mshr_waits
-    t.wait_cycles t.prefetch_issued t.prefetch_redundant t.prefetch_dropped;
-  (* appended only when the fault plane actually injected stalls, so
-     fault-free output is unchanged *)
-  if t.mshr_stalls > 0 then Fmt.pf ppf " mshr_stalls=%d" t.mshr_stalls

@@ -36,5 +36,3 @@ val l2_misses : t -> int
 val llc_misses : t -> int
 
 val l1_hit_rate : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -1,15 +1,5 @@
 (** RFC 1071 Internet checksum and RFC 1624 incremental update. *)
 
-(** Ones'-complement sum of a byte range, foldable into further sums via
-    [~acc]. *)
-val sum_bytes : ?acc:int -> Bytes.t -> off:int -> len:int -> int
-
-(** Fold carries into 16 bits. *)
-val fold_carries : int -> int
-
-(** Complement a folded sum into the wire checksum value. *)
-val finish : int -> int
-
 (** Checksum of a byte range (with the checksum field zeroed by the
     caller). *)
 val of_bytes : Bytes.t -> off:int -> len:int -> int

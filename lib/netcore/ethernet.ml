@@ -9,12 +9,18 @@ let ethertype_arp = 0x0806
 
 type t = { dst : mac; src : mac; ethertype : int }
 
+(* One or two hex digits per octet: [int_of_string] alone would take "-1"
+   and "1_f", and a longer octet would carry into its neighbour. *)
 let mac_of_string s =
+  let hex_digit = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+  let octet x =
+    if x <> "" && String.length x <= 2 && String.for_all hex_digit x then
+      int_of_string ("0x" ^ x)
+    else invalid_arg "Ethernet.mac_of_string"
+  in
   match String.split_on_char ':' s with
-  | [ a; b; c; d; e; f ] ->
-      List.fold_left
-        (fun acc hex -> (acc lsl 8) lor int_of_string ("0x" ^ hex))
-        0 [ a; b; c; d; e; f ]
+  | [ _; _; _; _; _; _ ] as octets ->
+      List.fold_left (fun acc x -> (acc lsl 8) lor octet x) 0 octets
   | _ -> invalid_arg "Ethernet.mac_of_string"
 
 let mac_to_string m =

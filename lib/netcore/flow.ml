@@ -18,8 +18,6 @@ let equal a b =
   && a.dst_port = b.dst_port
   && a.proto = b.proto
 
-let compare = Stdlib.compare
-
 let reverse t =
   {
     src_ip = t.dst_ip;
@@ -46,8 +44,6 @@ let key64 t =
   in
   let port_part = of_int ((t.src_port lsl 24) lxor (t.dst_port lsl 8) lxor t.proto) in
   mix64 (logxor (mix64 ip_part) port_part)
-
-let hash t = Int64.to_int (Int64.shift_right_logical (key64 t) 16) land max_int
 
 (* RSS: steer a flow to one of [cores] queues, symmetric not required. *)
 let rss t ~cores =

@@ -12,7 +12,6 @@ val make :
   src_ip:Ipv4.addr -> dst_ip:Ipv4.addr -> src_port:int -> dst_port:int -> proto:int -> t
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** Swap endpoints (the reverse direction of a bidirectional flow). *)
 val reverse : t -> t
@@ -21,9 +20,6 @@ val reverse : t -> t
     keys; lookups additionally compare full tuples, so key collisions are
     harmless. *)
 val key64 : t -> int64
-
-(** Non-negative hash for OCaml-side containers. *)
-val hash : t -> int
 
 (** RSS: deterministic queue in [\[0, cores)].
     @raise Invalid_argument when [cores <= 0]. *)

@@ -8,7 +8,6 @@ val udp_port : int
 
 val msg_gpdu : int
 val msg_echo_request : int
-val msg_echo_response : int
 
 type t = { msg_type : int; length : int; teid : int32 }
 

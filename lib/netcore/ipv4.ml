@@ -22,12 +22,19 @@ type t = {
 let make ?(ttl = 64) ?(ident = 0) ?(dscp = 0) ~src ~dst ~proto ~total_len () =
   { src; dst; proto; ttl; total_len; ident; dscp }
 
+(* Decimal digits only: [int_of_string] alone would take "0x10", "1_0" and
+   "-1", and an octet above 255 would carry into its neighbour. *)
 let addr_of_string s =
+  let octet x =
+    if x <> "" && String.length x <= 3 && String.for_all (fun c -> c >= '0' && c <= '9') x
+    then
+      let v = int_of_string x in
+      if v <= 255 then v else invalid_arg "Ipv4.addr_of_string"
+    else invalid_arg "Ipv4.addr_of_string"
+  in
   match String.split_on_char '.' s with
   | [ a; b; c; d ] ->
-      let p x = Int32.of_int (int_of_string x) in
-      let ( <| ) v x = Int32.logor (Int32.shift_left v 8) (p x) in
-      p a <| b <| c <| d
+      Int32.of_int ((octet a lsl 24) lor (octet b lsl 16) lor (octet c lsl 8) lor octet d)
   | _ -> invalid_arg "Ipv4.addr_of_string"
 
 let addr_to_string a =

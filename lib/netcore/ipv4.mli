@@ -56,5 +56,3 @@ val rewrite_dst : Bytes.t -> off:int -> dst:addr -> unit
 (** Decrement TTL (incremental checksum update); [false] when TTL is
     already 0 and the packet must be dropped. *)
 val decrement_ttl : Bytes.t -> off:int -> bool
-
-val checksum_offset : int

@@ -4,7 +4,6 @@
 
 exception Malformed of string
 
-val epd_5gmm : int
 val mt_registration_request : int
 val mt_registration_complete : int
 val mt_deregistration_request : int
@@ -16,8 +15,6 @@ val mt_periodic_update : int
 val mt_context_release : int
 
 type t = { msg_type : int; ue_id : int; payload_len : int }
-
-val header_bytes : int
 
 (** Total bytes {!encode} writes. *)
 val encoded_bytes : int

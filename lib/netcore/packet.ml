@@ -200,6 +200,4 @@ module Pool = struct
   let assign pool pkt =
     pkt.sim_addr <- pool.base + (pool.next * pool.stride);
     pool.next <- (pool.next + 1) mod pool.count
-
-  let count pool = pool.count
 end

@@ -45,9 +45,6 @@ val make :
     was rewritten or recycled. *)
 val clone : t -> t
 
-(** Decode the (innermost) IPv4 header from the actual bytes. *)
-val ipv4 : t -> Ipv4.t
-
 (** Re-derive the 5-tuple from the actual header bytes — reflects rewrites
     performed by NFs, unlike the canonical [flow] field. *)
 val flow_of_headers : t -> Flow.t
@@ -69,6 +66,4 @@ module Pool : sig
 
   (** Assign the next ring buffer's simulated address to the packet. *)
   val assign : pool -> t -> unit
-
-  val count : pool -> int
 end

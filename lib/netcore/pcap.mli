@@ -2,10 +2,6 @@
     LINKTYPE_ETHERNET). Packets carry their real header bytes; the virtual
     payload shows as original length with a truncated capture. *)
 
-val magic : int
-val linktype_ethernet : int
-val default_snaplen : int
-
 type writer
 
 val create_writer : ?snaplen:int -> unit -> writer

@@ -12,8 +12,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 let msg_session_establishment_request = 50
 let msg_session_establishment_response = 51
-let msg_session_modification_request = 52
-let msg_session_modification_response = 53
 let msg_session_deletion_request = 54
 let msg_session_deletion_response = 55
 

@@ -5,13 +5,6 @@
 
 exception Malformed of string
 
-val msg_session_establishment_request : int
-val msg_session_establishment_response : int
-val msg_session_modification_request : int
-val msg_session_modification_response : int
-val msg_session_deletion_request : int
-val msg_session_deletion_response : int
-
 val cause_accepted : int
 val cause_request_rejected : int
 val cause_no_resources : int

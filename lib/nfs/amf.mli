@@ -10,15 +10,6 @@ open Gunfu
 (** UE-context fields (name, bytes); ~1.3 KiB total. *)
 val context_fields : (string * int) list
 
-(** @raise Invalid_argument on unknown fields. *)
-val field_bytes : string -> int
-
-(** The context slice a message touches. *)
-val message_fields : Traffic.Mgw.amf_msg -> string list
-
-(** Handler compute weight (NAS crypto/codec work). *)
-val message_cycles : Traffic.Mgw.amf_msg -> int
-
 val spec : Spec.module_spec Lazy.t
 
 type t = {
@@ -36,8 +27,6 @@ type t = {
 val create : Memsim.Layout.t -> name:string -> ?packed:bool -> n_ues:int -> unit -> t
 
 val populate : t -> unit
-val handler_instance : t -> Compiler.instance
-val unit : t -> Nf_unit.t
 val program : ?opts:Compiler.opts -> t -> Program.t
 
 (** Cache lines a message's handler touches under this instance's layout. *)

@@ -10,8 +10,6 @@ open Gunfu
 (** The Listing-1 module specification (parsed once). *)
 val spec : Spec.module_spec Lazy.t
 
-val spec_text : string
-
 type t = {
   name : string;
   table : Structures.Cuckoo.t;

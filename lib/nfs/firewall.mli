@@ -42,6 +42,5 @@ val create :
   n_flows:int -> unit -> t
 
 val populate : t -> Netcore.Flow.t array -> unit
-val filter_instance : t -> Compiler.instance
 val unit : t -> Nf_unit.t
 val program : ?opts:Compiler.opts -> t -> Program.t

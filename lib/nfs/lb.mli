@@ -19,7 +19,6 @@ type t = {
 }
 
 val state_bytes : int
-val default_backends : Netcore.Ipv4.addr array
 
 val create :
   Memsim.Layout.t -> name:string -> ?arena:Structures.State_arena.t ->
@@ -30,6 +29,5 @@ val populate : t -> Netcore.Flow.t array -> unit
 (** Backend address a flow index is pinned to. *)
 val backend_of : t -> int -> Netcore.Ipv4.addr
 
-val forwarder_instance : t -> Compiler.instance
 val unit : t -> Nf_unit.t
 val program : ?opts:Compiler.opts -> t -> Program.t

@@ -346,9 +346,6 @@ let export_upf (upf : Upf.t) ue_ips =
     entries;
   Buffer.contents buf
 
-let evict_upf (upf : Upf.t) ue_ips =
-  List.iter (fun ue_ip -> ignore (Upf.remove_session upf ~ue_ip)) ue_ips
-
 (* All-or-nothing over the admission path: on any rejection the installed
    prefix is torn back out (classifier keys deleted, session slots restored
    to their previous contents, [n_active] rewound). *)

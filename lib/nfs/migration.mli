@@ -115,9 +115,16 @@ val apply_monitor : Monitor.t -> string -> int
     all-or-nothing: a mid-import rejection tears the installed prefix back
     out and rewinds [n_active]. Apply leaves resident sessions alone
     (session identity is immutable) and admits absent ones.
+
+    UPF stays off {!codec}. A GUPF1 entry carries no classifier key: the
+    UE IP is both key and payload. A session is admitted, not slotted:
+    {!Upf.install_session} takes the next session slot itself, keys both
+    the UE IP and the TEID classifier, and can refuse with a PFCP cause.
+    A codec decodes into a slot that {!import} allocated and keys one
+    classifier, so fitting UPF in would make the shared import and apply
+    branch on their caller.
     @raise Bad_snapshot on malformed input or a full target. *)
 
 val export_upf : Upf.t -> Netcore.Ipv4.addr list -> string
-val evict_upf : Upf.t -> Netcore.Ipv4.addr list -> unit
 val import_upf : Upf.t -> string -> int
 val apply_upf : Upf.t -> string -> int

@@ -22,7 +22,6 @@ val create :
   unit -> t
 
 val populate : t -> Netcore.Flow.t array -> unit
-val counter_instance : t -> Compiler.instance
 val unit : t -> Nf_unit.t
 val program : ?opts:Compiler.opts -> t -> Program.t
 

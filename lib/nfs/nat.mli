@@ -7,7 +7,6 @@ open Gunfu
 
 val mapper_spec : Spec.module_spec Lazy.t
 val learner_spec : Spec.module_spec Lazy.t
-val mapper_source : string  (** the NF-C program (Listing 4 extended) *)
 
 type t = {
   name : string;
@@ -40,9 +39,6 @@ val create :
     the classifier. *)
 val populate : t -> Netcore.Flow.t array -> unit
 
-val mapper_binding : t -> Nfc.binding
-val mapper_instance : t -> Compiler.instance
-val learner_instance : t -> Compiler.instance
 val unit : t -> Nf_unit.t
 
 (** NAT with the miss path wired to a learner that allocates a mapping and

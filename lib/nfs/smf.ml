@@ -23,7 +23,6 @@ let create ?(smf_addr = Netcore.Ipv4.addr_of_string "10.250.1.1") () =
   { smf_addr; next_seid = 1L; next_seq = 1; sessions = []; rejected = 0 }
 
 let n_established t = List.length t.sessions
-let sessions t = t.sessions
 
 let fresh_seq t =
   let s = t.next_seq in

@@ -14,7 +14,6 @@ type t
 
 val create : ?smf_addr:Netcore.Ipv4.addr -> unit -> t
 val n_established : t -> int
-val sessions : t -> established list
 
 (** The Create PDR / Create FAR set for a session with [n_pdrs] rules. *)
 val rules :

@@ -435,102 +435,6 @@ let uplink_unit t =
 let uplink_program ?(opts = Compiler.default_opts) t =
   Nf_unit.compile ~opts ~name:(t.name ^ "_uplink") [ uplink_unit t ]
 
-(* ----- QoS enforcement (QER): per-session token-bucket rate limiting ----- *)
-
-let qer_spec_text =
-  {|
-module: upf_qer
-category: StatefulNF
-parameters:
-- session_ambr
-transitions:
-- Start,MATCH_SUCCESS->enforce
-- enforce,MATCH_SUCCESS->End
-- enforce,DROP->End
-fetching:
-  enforce:
-  - qer_state
-states:
-  qer_state: per_flow
-|}
-
-let qer_spec = lazy (Spec.module_spec_of_string qer_spec_text)
-
-type qos = {
-  buckets : Structures.Token_bucket.t array;  (* one per session *)
-  qer_arena : State_arena.t;
-  mutable conformant : int;
-  mutable policed : int;
-}
-
-(* Per-session downlink AMBR enforcement. *)
-let create_qos layout (t : t) ~rate_bytes_per_sec ~burst_bytes ~freq_ghz =
-  {
-    buckets =
-      Array.init (Array.length t.sessions) (fun _ ->
-          Structures.Token_bucket.create ~rate_bytes_per_sec ~burst_bytes ~freq_ghz ());
-    qer_arena =
-      State_arena.create layout ~label:(t.name ^ ".qer") ~entry_bytes:32
-        ~count:(Array.length t.sessions) ();
-    conformant = 0;
-    policed = 0;
-  }
-
-let qer_action t qos =
-  Action.make ~base_cycles:18 ~base_instrs:16 ~name:(t.name ^ ".enforce")
-    (fun ctx task ->
-      (* Read + update the session's QER state (bucket fill level). *)
-      let si = Nf_common.per_flow_read ctx task qos.qer_arena ~name:(t.name ^ ".qer") in
-      let p = Nftask.packet_exn task in
-      Exec_ctx.write ctx ~cls:Sref.Per_flow ~addr:(State_arena.addr qos.qer_arena si)
-        ~bytes:16;
-      if
-        Structures.Token_bucket.admit qos.buckets.(si) ~now:ctx.Exec_ctx.clock
-          ~bytes:p.Netcore.Packet.wire_len
-      then begin
-        qos.conformant <- qos.conformant + 1;
-        Event.Match_success (* session still matched: pass to the PDR stage *)
-      end
-      else begin
-        qos.policed <- qos.policed + 1;
-        Event.Drop_packet
-      end)
-
-let qer_instance t qos : Compiler.instance =
-  {
-    Compiler.i_name = t.name ^ "_qer";
-    i_spec = Lazy.force qer_spec;
-    i_actions = [ ("enforce", qer_action t qos) ];
-    i_bindings = [ ("qer_state", Prefetch.Per_flow (qos.qer_arena, [])) ];
-    i_key_kind = None;
-  }
-
-(* Downlink handler with QoS enforcement between the session match and the
-   PDR lookup: classifier -> QER -> PDR matcher -> encapsulator. *)
-let unit_with_qos t qos =
-  {
-    Nf_unit.instances =
-      [
-        Classifier.instance t.classifier; qer_instance t qos; pdr_instance t;
-        encap_instance t;
-      ];
-    entry = t.classifier.Classifier.name;
-    exits = [ (t.name ^ "_enc", "packet") ];
-    internal =
-      [
-        {
-          Spec.src = t.classifier.Classifier.name;
-          event = "MATCH_SUCCESS";
-          dst = t.name ^ "_qer";
-        };
-        { Spec.src = t.name ^ "_qer"; event = "MATCH_SUCCESS"; dst = t.name ^ "_pdr" };
-        { Spec.src = t.name ^ "_pdr"; event = "MATCH_SUCCESS"; dst = t.name ^ "_enc" };
-      ];
-  }
-
-let program_with_qos ?(opts = Compiler.default_opts) t qos =
-  Nf_unit.compile ~opts ~name:(t.name ^ "_qos") [ unit_with_qos t qos ]
-
 (* The downlink handler: classifier -> PDR matcher -> encapsulator. *)
 let unit t =
   {

@@ -32,12 +32,6 @@ type t = {
   seid_table : (int64, Netcore.Ipv4.addr) Hashtbl.t;  (** UP F-SEID -> UE IP *)
 }
 
-val session_bytes : int
-val pdr_bytes : int
-
-(** The PDR rule set shared by all sessions (port-partitioning MGW shape). *)
-val pdr_rules : n_pdrs:int -> Structures.Mdi_tree.rule list
-
 (** @raise Invalid_argument on an empty session array. *)
 val create :
   Memsim.Layout.t -> name:string -> sessions:Traffic.Mgw.session array -> n_pdrs:int ->
@@ -62,50 +56,16 @@ val install_session :
 (** Remove a session by UE IP; [false] when absent. *)
 val remove_session : t -> ue_ip:Netcore.Ipv4.addr -> bool
 
-(** Whether a request's PDR set is expressible in this UPF's fixed
-    per-session rule shape. *)
-val pdrs_match_shape : t -> Netcore.Pfcp.create_pdr list -> bool
-
 (** The UPF's N4 agent: decode a PFCP request, act on it, return the
     encoded response (malformed requests get a rejection response). *)
 val handle_pfcp : t -> string -> string
-
-val pdr_instance : t -> Compiler.instance
-val encap_instance : t -> Compiler.instance
-val decap_instance : t -> Compiler.instance
 
 (** Downlink unit: classifier -> PDR matcher -> encapsulator. *)
 val unit : t -> Nf_unit.t
 
 val program : ?opts:Compiler.opts -> t -> Program.t
 
-(** Uplink unit: TEID classifier -> decapsulator. *)
-val uplink_unit : t -> Nf_unit.t
-
 val uplink_program : ?opts:Compiler.opts -> t -> Program.t
 
 (** Depth of the shared PDR tree (grows with [n_pdrs]). *)
 val tree_depth : t -> int
-
-(** {2 QoS enforcement (QER)} *)
-
-val qer_spec : Spec.module_spec Lazy.t
-
-type qos = {
-  buckets : Structures.Token_bucket.t array;  (** one per session *)
-  qer_arena : Structures.State_arena.t;
-  mutable conformant : int;
-  mutable policed : int;
-}
-
-(** Per-session downlink AMBR enforcement (token bucket per session). *)
-val create_qos :
-  Memsim.Layout.t -> t -> rate_bytes_per_sec:int -> burst_bytes:int ->
-  freq_ghz:float -> qos
-
-val qer_instance : t -> qos -> Compiler.instance
-
-(** Downlink with policing: classifier -> QER -> PDR matcher -> encap. *)
-val unit_with_qos : t -> qos -> Nf_unit.t
-
-val program_with_qos : ?opts:Compiler.opts -> t -> qos -> Program.t

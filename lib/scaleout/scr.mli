@@ -55,9 +55,6 @@ type result = {
           counters summed — comparable with an RSS/rtc reference *)
 }
 
-val default_apply_cycles : int
-val default_apply_instrs : int
-
 (** Drive [items] (the global arrival stream) through [replicas] under the
     spray in [slots] ({!Spray.assign} on the same items). [universe] bounds
     flow hints; [arm] is called at each delivery with the item's global

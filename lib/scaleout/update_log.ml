@@ -142,7 +142,6 @@ let append t r =
   t.n <- t.n + 1
 
 let length t = t.n
-let records t = List.rev t.entries
 
 (* ----- sequence-monotonic application ----- *)
 

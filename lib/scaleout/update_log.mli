@@ -16,8 +16,6 @@ type record = {
   u_poisoned : bool;
 }
 
-val magic : string
-
 (** "GUPD1" wire format, little-endian: magic, u32 flow, u32 seq,
     u32 consec, u8 poisoned, u16 blob count, then (u16 name length, name,
     u32 blob length, blob) per blob, closed by a u32 FNV-1a checksum over
@@ -39,9 +37,6 @@ type t
 val create : unit -> t
 val append : t -> record -> unit
 val length : t -> int
-
-(** Records in append order. *)
-val records : t -> record list
 
 (** {2 Sequence-monotonic application}
 

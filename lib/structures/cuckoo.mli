@@ -13,9 +13,6 @@ type t
 val slots_per_bucket : int
 val bucket_bytes : int
 
-(** Max displacement-walk length before an insert reports the table full. *)
-val max_kicks : int
-
 (** Sized for ~80% max load factor over [capacity] entries.
     @raise Invalid_argument when [capacity <= 0]. *)
 val create : Memsim.Layout.t -> label:string -> capacity:int -> unit -> t
@@ -54,7 +51,7 @@ val lookup : t -> int64 -> int option
 val find : t -> int64 -> int
 
 (** Insert or update; random-walk displacement on conflicts. [false] means
-    the walk exceeded {!max_kicks} (no entry is lost). *)
+    the walk exceeded 500 displacements (no entry is lost). *)
 val insert : t -> key:int64 -> value:int -> bool
 
 val delete : t -> int64 -> bool

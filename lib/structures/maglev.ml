@@ -60,7 +60,6 @@ let build ?(table_size = default_table_size) ~n_backends () =
   { table; n_backends }
 
 let table_size t = Array.length t.table
-let n_backends t = t.n_backends
 
 (* Backend for a 64-bit flow key. *)
 let lookup t key =

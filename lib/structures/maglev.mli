@@ -4,14 +4,11 @@
 
 type t
 
-val default_table_size : int
-
 (** @raise Invalid_argument unless [table_size] is prime, positive and at
     least [n_backends]. *)
 val build : ?table_size:int -> n_backends:int -> unit -> t
 
 val table_size : t -> int
-val n_backends : t -> int
 
 (** Backend index for a 64-bit flow key. *)
 val lookup : t -> int64 -> int

@@ -13,7 +13,6 @@ type range = { lo : int; hi : int }
 val range : lo:int -> hi:int -> range
 
 val full_range : range
-val contains : range -> int -> bool
 
 type rule = {
   src_ip : range;
@@ -52,8 +51,6 @@ val step : t -> node:int -> key -> step_result
 val lookup_path : t -> key -> int option * int list
 
 val lookup : t -> key -> int option
-
-val rule_matches : rule -> key -> bool
 
 module Forest : sig
   (** Many members (sessions) sharing one rule shape, each with private

@@ -25,18 +25,6 @@ let sequential fields =
   in
   (List.rev offsets, total)
 
-(* Pairwise affinity: total weight of accesses touching both fields. *)
-let affinity accesses f g =
-  List.fold_left
-    (fun acc a ->
-      if List.mem f a.fields && List.mem g a.fields then acc +. a.weight else acc)
-    0.0 accesses
-
-let total_weight accesses f =
-  List.fold_left
-    (fun acc a -> if List.mem f a.fields then acc +. a.weight else acc)
-    0.0 accesses
-
 (* Reference-affinity clustering: fields with the same access signature
    (the set of actions that touch them) are always fetched together, so
    they are laid out contiguously as one cluster. Clusters are ordered by

@@ -14,11 +14,6 @@ type access = { fields : string list; weight : float }
     baseline. Returns (field offsets, total bytes). *)
 val sequential : field list -> (string * int) list * int
 
-(** Total weight of accesses touching both fields. *)
-val affinity : access list -> string -> string -> float
-
-val total_weight : access list -> string -> float
-
 (** Reference-affinity clustering: fields with identical access signatures
     are laid out contiguously; clusters are chained by signature overlap
     and aligned to cache lines when that saves a line per access. *)

@@ -38,7 +38,6 @@ let create_record layout ~label ~field_offsets ~record_bytes ~count () =
   { label; base; stride; entry_bytes = record_bytes; count; field_offsets }
 
 let label t = t.label
-let count t = t.count
 let stride t = t.stride
 let entry_bytes t = t.entry_bytes
 

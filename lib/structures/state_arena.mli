@@ -10,8 +10,6 @@
 
 type t
 
-val line_bytes : int
-
 (** @raise Invalid_argument on non-positive sizes. *)
 val create : Memsim.Layout.t -> label:string -> entry_bytes:int -> count:int -> unit -> t
 
@@ -22,7 +20,6 @@ val create_record :
   record_bytes:int -> count:int -> unit -> t
 
 val label : t -> string
-val count : t -> int
 val stride : t -> int
 val entry_bytes : t -> int
 val lines_per_entry : t -> int

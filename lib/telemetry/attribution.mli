@@ -11,8 +11,4 @@
     trace. *)
 val reconcile : Gunfu.Trace.t -> Memsim.Memstats.t -> (unit, string) result
 
-(** Text report. With [?run], adds attributed-cycle coverage of the run
-    and the Memstats reconciliation verdict. *)
-val pp : ?run:Gunfu.Metrics.run -> Format.formatter -> Gunfu.Trace.t -> unit
-
 val report : ?run:Gunfu.Metrics.run -> Gunfu.Trace.t -> string

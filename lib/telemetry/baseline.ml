@@ -25,8 +25,6 @@ let metrics_of_run (r : Metrics.run) =
     ("llc_misses_per_packet", Metrics.llc_misses_per_packet r);
   ]
 
-let point_of_run ~x r = { x; metrics = metrics_of_run r }
-
 (* ----- JSON ----- *)
 
 let json_of_point p =

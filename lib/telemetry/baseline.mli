@@ -14,11 +14,7 @@ type t = { pr : string; figures : figure list }
     cycles_per_packet, and per-level misses per packet. *)
 val metrics_of_run : Gunfu.Metrics.run -> (string * float) list
 
-val point_of_run : x:float -> Gunfu.Metrics.run -> point
-
-val to_json : t -> Json_lite.t
 val to_string : t -> string
-val of_json : Json_lite.t -> (t, string) result
 val of_string : string -> (t, string) result
 val equal : t -> t -> bool
 

@@ -5,17 +5,12 @@
     counter ("C") events for the occupancy timeline. Timestamps are
     simulated cycles. *)
 
-(** Export as a trace object; events sorted by (ts, -dur) so timestamps
-    are non-decreasing and enclosing spans precede their children. *)
-val export : ?pid:int -> Gunfu.Trace.t -> Json_lite.t
-
-(** {!export} rendered with indentation. *)
+(** The trace as an indented trace object. Events are sorted by
+    (ts, -dur), so timestamps are non-decreasing and enclosing spans
+    precede their children. *)
 val export_string : ?pid:int -> Gunfu.Trace.t -> string
 
-(** Structural check: a [traceEvents] array whose entries carry
-    name/ph/ts, durations non-negative, timestamps non-decreasing in
+(** Parse, then check the structure: a [traceEvents] array whose entries
+    carry name/ph/ts, durations non-negative, timestamps non-decreasing in
     array order. Returns the event count. *)
-val validate : Json_lite.t -> (int, string) result
-
-(** Parse then {!validate}. *)
 val validate_string : string -> (int, string) result

@@ -3,7 +3,6 @@
     experiments depend on — heavy-tailed (Zipf ~1.1) flow popularity and a
     backbone-like packet-size mix. *)
 
-val zipf_exponent : float
 val size_model : Flowgen.size_model
 val mean_wire_bytes : float
 

@@ -26,7 +26,6 @@ type t = {
   flows : Flow.t array;
   rng : Memsim.Rng.t;
   zipf : Zipf.t option;
-  size_model : size_model;
   size_table : int array;  (* flattened weights for O(1) sampling *)
 }
 
@@ -88,7 +87,7 @@ let create ?(seed = 42) ?(popularity = Uniform) ?(size_model = Fixed 64) ~n_flow
     | Uniform -> None
     | Zipf s -> Some (Zipf.create ~n:n_flows ~s)
   in
-  { flows; rng; zipf; size_model; size_table = size_table_of_model size_model }
+  { flows; rng; zipf; size_table = size_table_of_model size_model }
 
 let n_flows t = Array.length t.flows
 let flows t = t.flows
@@ -115,8 +114,6 @@ let next t = snd (next_with_idx t)
 (* Pre-generate a batch (the RX burst the runtime receives). *)
 let batch t n = Array.init n (fun _ -> next t)
 
-let mean_wire_bytes t = mean_size t.size_model
-
 (* Deterministic alpha sweep over ONE shared flow universe: the
    population (and its rank shuffle) is built once — million-flow
    capable, the per-flow array being the only O(n) allocation shared by
@@ -139,7 +136,6 @@ let alpha_sweep ?(seed = 42) ?(size_model = Fixed 64) ~n_flows alphas =
           flows;
           rng = Memsim.Rng.create (seed + (7919 * (k + 1)));
           zipf;
-          size_model;
           size_table;
         } ))
     alphas

@@ -34,8 +34,6 @@ val next : t -> Netcore.Packet.t
 (** Pre-generate an RX burst. *)
 val batch : t -> int -> Netcore.Packet.t array
 
-val mean_wire_bytes : t -> float
-
 (** Deterministic seeded alpha sweep over ONE shared flow universe: the
     population (and its rank shuffle) is built once — million-flow
     capable — and each alpha gets its own generator with an

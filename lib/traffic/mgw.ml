@@ -51,7 +51,6 @@ let create ?(seed = 11) ?(popularity = Flowgen.Uniform) ?(wire_len = 128)
   in
   { sessions; rng = Memsim.Rng.create seed; zipf; wire_len; elephant }
 
-let n_sessions t = Array.length t.sessions
 let sessions t = t.sessions
 let session t i = t.sessions.(i)
 
@@ -219,8 +218,6 @@ let amf_create ?(seed = 23) ?(popularity = Flowgen.Uniform) ~n_ues () =
     | Flowgen.Zipf s -> Some (Zipf.create ~n:n_ues ~s)
   in
   { progress = Array.make n_ues 0; amf_rng = Memsim.Rng.create seed; amf_zipf }
-
-let amf_n_ues g = Array.length g.progress
 
 (* Next (ue, message). Fresh UEs walk the 5-message registration sequence;
    registered UEs then live a connected/idle lifecycle with occasional

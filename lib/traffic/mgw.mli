@@ -24,7 +24,6 @@ val create :
   ?seed:int -> ?popularity:Flowgen.popularity -> ?wire_len:int ->
   ?elephant:float -> n_sessions:int -> n_pdrs:int -> unit -> t
 
-val n_sessions : t -> int
 val sessions : t -> session array
 val session : t -> int -> session
 
@@ -80,7 +79,6 @@ type amf_msg =
   | Context_release  (** AN release: connected -> idle *)
   | Deregistration_request
 
-val registration_sequence : amf_msg array
 val amf_msg_name : amf_msg -> string
 
 (** Registration sequence plus the lifecycle messages. *)
@@ -95,7 +93,6 @@ val phase_idle : int
 type amf_gen
 
 val amf_create : ?seed:int -> ?popularity:Flowgen.popularity -> n_ues:int -> unit -> amf_gen
-val amf_n_ues : amf_gen -> int
 
 (** Next [(ue, message)], always valid for the UE's current phase: fresh
     UEs walk the registration sequence; registered UEs live a

@@ -18,8 +18,6 @@ let create ~n ~s =
   done;
   { cdf }
 
-let n t = Array.length t.cdf
-
 (* Smallest index with cdf.(i) >= u. *)
 let sample t rng =
   let u = Memsim.Rng.float rng 1.0 in
@@ -33,7 +31,3 @@ let sample t rng =
 (* Probability mass of rank [i] (0-based). *)
 let pmf t i =
   if i = 0 then t.cdf.(0) else t.cdf.(i) -. t.cdf.(i - 1)
-
-(* Cumulative mass of the k most popular ranks — how heavy the head is. *)
-let top_share t ~k =
-  if k <= 0 then 0.0 else t.cdf.(min k (Array.length t.cdf) - 1)

@@ -6,13 +6,8 @@ type t
 (** @raise Invalid_argument when [n <= 0] or [s < 0]. [s = 0] is uniform. *)
 val create : n:int -> s:float -> t
 
-val n : t -> int
-
 (** Sample a rank. *)
 val sample : t -> Memsim.Rng.t -> int
 
 (** Probability mass of rank [i]. *)
 val pmf : t -> int -> float
-
-(** Cumulative probability mass of the [k] most popular ranks. *)
-val top_share : t -> k:int -> float

@@ -3,7 +3,7 @@
 open Memsim
 
 let mk ?(size = 1024) ?(assoc = 2) ?(line = 64) () =
-  Cache.create ~name:"t" ~size_bytes:size ~assoc ~line_bytes:line
+  Cache.create ~size_bytes:size ~assoc ~line_bytes:line
 
 let test_geometry () =
   let c = mk () in
@@ -15,15 +15,15 @@ let test_geometry () =
 let test_geometry_validation () =
   Alcotest.check_raises "line not power of two"
     (Invalid_argument "line_bytes: must be a power of two") (fun () ->
-      ignore (Cache.create ~name:"x" ~size_bytes:960 ~assoc:2 ~line_bytes:48));
+      ignore (Cache.create ~size_bytes:960 ~assoc:2 ~line_bytes:48));
   Alcotest.check_raises "size mismatch"
     (Invalid_argument "Cache.create: size not divisible by assoc * line_bytes") (fun () ->
-      ignore (Cache.create ~name:"x" ~size_bytes:1000 ~assoc:2 ~line_bytes:64))
+      ignore (Cache.create ~size_bytes:1000 ~assoc:2 ~line_bytes:64))
 
 let test_non_pow2_sets () =
   (* 33 MiB 11-way LLC: 49152 sets, modulo indexing. *)
   let c =
-    Cache.create ~name:"llc" ~size_bytes:(33 * 1024 * 1024) ~assoc:11 ~line_bytes:64
+    Cache.create ~size_bytes:(33 * 1024 * 1024) ~assoc:11 ~line_bytes:64
   in
   Alcotest.(check int) "nsets" 49152 (Cache.nsets c);
   ignore (Cache.install c 0x12340);
@@ -229,7 +229,7 @@ let stress_line rng ~nsets =
    sets see reuse, eviction and invalidation. *)
 let check_against_reference ~nsets ~assoc ~ops ~seed =
   let line_bytes = 64 in
-  let c = Cache.create ~name:"t" ~size_bytes:(nsets * assoc * line_bytes) ~assoc ~line_bytes in
+  let c = Cache.create ~size_bytes:(nsets * assoc * line_bytes) ~assoc ~line_bytes in
   let r = Reference.create ~nsets ~assoc in
   let rng = Memsim.Rng.create seed in
   let pool = Array.init 48 (fun _ -> stress_line rng ~nsets) in

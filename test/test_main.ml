@@ -29,7 +29,6 @@ let () =
       ("pfcp", Test_pfcp.suite);
       ("nas", Test_nas.suite);
       ("exec-ctx", Test_exec_ctx.suite);
-      ("qos", Test_qos.suite);
       ("lint", Test_lint.suite);
       ("oracle", Test_oracle.suite);
       ("invariants", Test_invariants.suite);

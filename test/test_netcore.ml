@@ -66,9 +66,25 @@ let qcheck_incremental_chain =
 
 (* ----- ethernet ----- *)
 
+(* Well-formed strings round-trip; every malformed one raises
+   [Invalid_argument], never [Failure] or a wrong address. *)
+let check_string_codec ~of_string ~to_string ~valid ~malformed =
+  List.iter (fun s -> Alcotest.(check string) "roundtrip" s (to_string (of_string s))) valid;
+  List.iter
+    (fun s ->
+      match of_string s with
+      | exception Invalid_argument _ -> ()
+      | v -> Alcotest.failf "%S accepted as %s" s (to_string v))
+    malformed
+
 let test_mac_string_roundtrip () =
-  let m = Ethernet.mac_of_string "02:42:ac:11:00:02" in
-  Alcotest.(check string) "roundtrip" "02:42:ac:11:00:02" (Ethernet.mac_to_string m)
+  check_string_codec ~of_string:Ethernet.mac_of_string ~to_string:Ethernet.mac_to_string
+    ~valid:[ "02:42:ac:11:00:02"; "ff:ff:ff:ff:ff:ff"; "00:00:00:00:00:00" ]
+    ~malformed:
+      [
+        "zz:42:ac:11:00:02"; "1ff:42:ac:11:00:02"; "02:42:ac:11:00:"; "02:42:ac:11:00";
+        "-1:42:ac:11:00:02"; "1_f:42:ac:11:00:02"; "";
+      ]
 
 let test_ethernet_roundtrip () =
   let hdr = Ethernet.{ dst = 0x112233445566; src = 0xAABBCCDDEEFF; ethertype = 0x0800 } in
@@ -80,8 +96,13 @@ let test_ethernet_roundtrip () =
 (* ----- ipv4 ----- *)
 
 let test_ipv4_addr_string () =
-  let a = Ipv4.addr_of_string "192.168.1.200" in
-  Alcotest.(check string) "roundtrip" "192.168.1.200" (Ipv4.addr_to_string a)
+  check_string_codec ~of_string:Ipv4.addr_of_string ~to_string:Ipv4.addr_to_string
+    ~valid:[ "192.168.1.200"; "0.0.0.0"; "255.255.255.255" ]
+    ~malformed:
+      [
+        "1.2.3.x"; "1.2.3."; "300.1.1.1"; "1.2.3.256"; "1.2.3.-1"; "0x10.0.0.1"; "1_0.0.0.1";
+        "1.2.3"; "1.2.3.4.5"; "";
+      ]
 
 let test_ipv4_roundtrip () =
   let hdr =

@@ -442,23 +442,25 @@ let test_synthetic_snapshot_fuzz () =
   fuzz_snapshot ~snapshot ~import:(Nfs.Migration.import Check.Recovery.syn_codec st_b) ~state
     ~undo
 
+(* Install the MGW sessions with the given indices. *)
+let install_sessions upf indices =
+  List.iter
+    (fun i ->
+      match
+        Nfs.Upf.install_session upf ~ue_ip:(Traffic.Mgw.ue_ip_of_index i)
+          ~teid:(Traffic.Mgw.teid_of_index i)
+      with
+      | Ok _ -> ()
+      | Error c -> Alcotest.failf "setup: session %d rejected with cause %d" i c)
+    indices
+
 let test_upf_snapshot_fuzz () =
   let layout = Memsim.Layout.create () in
   let mk name = Nfs.Upf.create_empty layout ~name ~capacity:16 ~n_pdrs:4 () in
   let upf_a = mk "ua" and upf_b = mk "ub" in
-  let install upf i =
-    match
-      Nfs.Upf.install_session upf ~ue_ip:(Traffic.Mgw.ue_ip_of_index i)
-        ~teid:(Traffic.Mgw.teid_of_index i)
-    with
-    | Ok _ -> ()
-    | Error c -> Alcotest.failf "setup: session %d rejected with cause %d" i c
-  in
-  install upf_a 0;
-  install upf_a 1;
+  install_sessions upf_a [ 0; 1 ];
   (* resident target sessions, far (in Hamming distance) from the source's *)
-  install upf_b 40;
-  install upf_b 41;
+  install_sessions upf_b [ 40; 41 ];
   let snapshot =
     Nfs.Migration.export_upf upf_a
       [ Traffic.Mgw.ue_ip_of_index 0; Traffic.Mgw.ue_ip_of_index 1 ]
@@ -614,6 +616,15 @@ let catalog_frame family =
   | [ sn ] -> sn.Nfs.Catalog.sn_export [ flows.(2); flows.(8); flows.(0) ]
   | _ -> Alcotest.fail "expected one snapshotter"
 
+(* UPF sessions 0, 1 and 3 installed; the frame asks for 3, 7 and 0. *)
+let upf_frame () =
+  let upf =
+    Nfs.Upf.create_empty (Memsim.Layout.create ()) ~name:"u" ~capacity:16 ~n_pdrs:4 ()
+  in
+  install_sessions upf [ 0; 1; 3 ];
+  let ue = Traffic.Mgw.ue_ip_of_index in
+  Nfs.Migration.export_upf upf [ ue 3; ue 7; ue 0 ]
+
 let syn_instance () =
   let seed, _ = Lazy.force synthetic_shape in
   let rc = Check.Recovery.gen_rcase ~seed ~profile:"zipf" ~packets:16 in
@@ -622,23 +633,26 @@ let syn_instance () =
 
 let test_frames_pinned () =
   List.iter
-    (fun (magic, family, want) ->
-      Alcotest.(check string) magic want (hex (catalog_frame family)))
+    (fun (magic, frame, want) -> Alcotest.(check string) magic want (hex (frame ())))
     [
       ( "GNAT1",
-        Check.Progen.F_nat,
+        (fun () -> catalog_frame Check.Progen.F_nat),
         "474e41543102000000" ^ "737a0f4f01e68c72" ^ "027100cb" ^ "224e"
         ^ "87fddbde5ba22123" ^ "007100cb" ^ "204e" );
       ( "GNLB1",
-        Check.Progen.F_lb,
+        (fun () -> catalog_frame Check.Progen.F_lb),
         "474e4c423102000000" ^ "737a0f4f01e68c72" ^ "0f00" ^ "87fddbde5ba22123" ^ "0700" );
       ( "GNFW1",
-        Check.Progen.F_fw,
+        (fun () -> catalog_frame Check.Progen.F_fw),
         "474e46573102000000" ^ "737a0f4f01e68c72" ^ "01" ^ "87fddbde5ba22123" ^ "01" );
       ( "GNMC1",
-        Check.Progen.F_nm,
+        (fun () -> catalog_frame Check.Progen.F_nm),
         "474e4d433102000000" ^ "737a0f4f01e68c72" ^ String.make 32 '0' ^ "87fddbde5ba22123"
         ^ String.make 32 '0' );
+      (* Sessions 3 and 0 resident, 7 never installed (skipped). *)
+      ( "GUPF1",
+        upf_frame,
+        "475550463102000000" ^ "03000064" ^ "03100000" ^ "00000064" ^ "00100000" );
     ];
   (* GSYN1: universe ids 6 and 0 resident (slots 2 and 0), 4 not owned. *)
   let ci = syn_instance () in
