@@ -2,11 +2,13 @@
 
      dune exec bench/hostprof/hostprof.exe -- nat-il16 [packets]
      dune exec bench/hostprof/hostprof.exe -- upf-rtc [packets]
+     dune exec bench/hostprof/hostprof.exe -- scr-zipf [packets]
      dune exec bench/hostprof/hostprof.exe -- pulls
 
-   The first two rebuild a perfbench workload from the library (same
+   The first three rebuild a perfbench workload from the library (same
    generator, NF, executor and seed 1), warm it up, then run [packets]
-   (default 1,000,000) packets with an ITIMER_PROF timer firing every
+   (default 1,000,000; scr-zipf rounds it up to whole 16,384-item chunks,
+   each one [Scr.run]) packets with an ITIMER_PROF timer firing every
    millisecond of CPU time. Each SIGPROF records the OCaml call stack. The
    report gives the share of samples per innermost function (self) and per
    layer: a sample belongs to the first layer of [layer]'s list that any
@@ -77,11 +79,14 @@ let layer fs =
     else if any_frame fs [ "Memsim__Rng"; "Traffic__Zipf" ] then "traffic: rng / zipf"
     else if any_frame fs [ "Netcore__Packet" ] then "traffic: packet record + buffer"
     else "traffic: generator (flow/session records, item)"
+  else if any_frame fs [ "Nfs__Migration" ] then "scaleout: migration export / apply"
+  else if any_frame fs [ "Scaleout__Update_log" ] then "scaleout: update log (GUPD1, applier)"
   else if any_frame fs [ "Memsim__" ] then "memsim"
   else if any_frame fs [ "Structures__" ] then "structures"
   else if any_frame fs [ "Nfs__"; "Gunfu__Specialize"; "Gunfu__Action"; "Gunfu__Fault" ] then
     "NF actions"
   else if any_frame fs [ "Gunfu__" ] then "executor (engine, scheduler, fsm)"
+  else if any_frame fs [ "Scaleout__" ] then "scaleout: scr driver"
   else "other (gc, runtime)"
 
 let report name =
@@ -150,6 +155,72 @@ let upf packets =
   run 5_000;
   with_sampler (fun () -> run packets)
 
+(* The monitor replicated on 8 cores by [Scr_platform.run_scr], Zipf 1.2
+   over [n_flows] flows, as perfbench's scr-zipf builds it: the items are
+   generated before the run, and every chunk is one [Scr.run] over the
+   same 16,384 items. *)
+let scr_cores = 8
+let scr_chunk = 16_384
+
+let scr packets =
+  let gen =
+    Traffic.Flowgen.create ~seed ~popularity:(Traffic.Flowgen.Zipf 1.2)
+      ~size_model:(Traffic.Flowgen.Fixed 64) ~n_flows ()
+  in
+  let gen_pool =
+    Netcore.Packet.Pool.create (Worker.layout (Worker.create ~id:99 ())) ~count:1024
+  in
+  let items count =
+    let src = Workload.of_flowgen gen ~pool:gen_pool ~count in
+    let rec go acc = match src () with Some it -> go (it :: acc) | None -> List.rev acc in
+    go []
+  in
+  let warm = items 5_000 in
+  let chunk = items scr_chunk in
+  let plat = Platform.create ~cores:scr_cores () in
+  let workers = Platform.workers plat in
+  let flows = Traffic.Flowgen.flows gen in
+  let mons =
+    Array.mapi
+      (fun c w ->
+        let m =
+          Nfs.Monitor.create (Worker.layout w) ~name:(Printf.sprintf "nm%d" c) ~n_flows ()
+        in
+        Nfs.Monitor.populate m flows;
+        m)
+      workers
+  in
+  let replicas =
+    Array.mapi
+      (fun c w ->
+        {
+          Scaleout.Scr.sc_worker = w;
+          sc_program = Nfs.Monitor.program mons.(c);
+          sc_pool = Netcore.Packet.Pool.create (Worker.layout w) ~count:1024;
+          sc_export = (fun i -> [ ("nm", Nfs.Migration.export_monitor mons.(c) [ flows.(i) ]) ]);
+          sc_apply =
+            (fun r ->
+              List.iter
+                (fun (_, snap) -> ignore (Nfs.Migration.apply_monitor mons.(c) snap : int))
+                r.Scaleout.Update_log.u_payload);
+          sc_counters = (fun () -> []);
+          sc_flow_digest = (fun _ _ -> ());
+        })
+      workers
+  in
+  let run its =
+    ignore
+      (Scaleout.Scr_platform.run_scr ~digest:false ~plat
+         ~build:(fun ~core _ -> replicas.(core))
+         ~universe:n_flows its
+        : Scaleout.Scr.result)
+  in
+  run warm;
+  with_sampler (fun () ->
+      for _ = 1 to (packets + scr_chunk - 1) / scr_chunk do
+        run chunk
+      done)
+
 (* ----- pull timing ----- *)
 
 let ns_per_pull pull =
@@ -193,7 +264,10 @@ let () =
   | "upf-rtc" :: _ ->
       upf (packets 1_000_000);
       report "upf-rtc"
+  | "scr-zipf" :: _ ->
+      scr (packets 1_000_000);
+      report "scr-zipf"
   | "pulls" :: _ -> pulls ()
   | _ ->
-      prerr_endline "usage: hostprof.exe (nat-il16 | upf-rtc) [packets] | pulls";
+      prerr_endline "usage: hostprof.exe (nat-il16 | upf-rtc | scr-zipf) [packets] | pulls";
       exit 2

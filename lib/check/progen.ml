@@ -322,10 +322,7 @@ let synthetic_unit layout ~seed ~(sh : syn_shape) ?ident ~flows () =
     Nfs.Classifier.create layout ~name:"syn_cls" ~key_kind:"five_tuple"
       ~key_fn:Nfs.Classifier.five_tuple_key ~capacity:n_flows ()
   in
-  let (_shed : int) =
-    Nfs.Classifier.populate classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
-  in
+  ignore (Nfs.Classifier.populate_flows classifier flows : int);
   let arena =
     Structures.State_arena.create layout ~label:"syn.per_flow" ~entry_bytes:16
       ~count:n_flows ()

@@ -411,9 +411,8 @@ let state_digest ~universe ~owner_of ~live (cis : core_instance array)
       for i = 0 to universe - 1 do
         let c = owner_of i in
         cis.(c).ci_flow_digest fp i;
-        let consec, poisoned = Fault.containment planes.(c) i in
-        Fingerprint.feed_int fp consec;
-        Fingerprint.feed_bool fp poisoned
+        Fingerprint.feed_int fp (Fault.consecutive_faults planes.(c) i);
+        Fingerprint.feed_bool fp (Fault.poisoned planes.(c) i)
       done;
       Array.to_list cis
       |> List.filteri (fun c _ -> live c)

@@ -197,7 +197,7 @@ let complete t ~flow ~faulted:fr =
     match fr with
     | Some _ -> fr
     | None ->
-        if flow >= 0 && Itbl.mem t.poisoned flow then begin
+        if flow >= 0 && Itbl.length t.poisoned > 0 && Itbl.mem t.poisoned flow then begin
           count t ~nf:"flow" Poisoned;
           Some Poisoned
         end
@@ -214,7 +214,7 @@ let complete t ~flow ~faulted:fr =
           t.degraded <- true
         end
       end
-  | None -> if flow >= 0 then Itbl.remove t.consec flow);
+  | None -> if flow >= 0 && Itbl.length t.consec > 0 then Itbl.remove t.consec flow);
   disposition
 
 (* --- containment checkpointing --------------------------------------- *)
@@ -226,27 +226,27 @@ let complete t ~flow ~faulted:fr =
    two faults deep would need three more (not one) to poison after
    adoption, and the recovered run would diverge from the failure-free
    reference. *)
-let containment t flow =
-  ( (match Itbl.find_opt t.consec flow with Some c -> c | None -> 0),
-    Itbl.mem t.poisoned flow )
+let consecutive_faults t flow =
+  if Itbl.length t.consec = 0 then 0
+  else match Itbl.find t.consec flow with c -> c | exception Not_found -> 0
+
+let poisoned t flow = Itbl.length t.poisoned > 0 && Itbl.mem t.poisoned flow
 
 let export_containment t flows =
-  List.map
-    (fun flow ->
-      let consec, poisoned = containment t flow in
-      (flow, consec, poisoned))
-    flows
+  List.map (fun flow -> (flow, consecutive_faults t flow, poisoned t flow)) flows
+
+let restore_flow t ~flow ~consec ~poisoned =
+  if consec > 0 then Itbl.replace t.consec flow consec
+  else if Itbl.length t.consec > 0 then Itbl.remove t.consec flow;
+  if poisoned then begin
+    if not (Itbl.mem t.poisoned flow) then
+      Itbl.replace t.poisoned flow ();
+    t.degraded <- true
+  end
 
 let restore_containment t entries =
   List.iter
-    (fun (flow, consec, poisoned) ->
-      if consec > 0 then Itbl.replace t.consec flow consec
-      else Itbl.remove t.consec flow;
-      if poisoned then begin
-        if not (Itbl.mem t.poisoned flow) then
-          Itbl.replace t.poisoned flow ();
-        t.degraded <- true
-      end)
+    (fun (flow, consec, poisoned) -> restore_flow t ~flow ~consec ~poisoned)
     entries
 
 (* Reason a task's current event encodes, if it is a containment marker. *)

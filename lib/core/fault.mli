@@ -104,16 +104,23 @@ val convert : t -> nf:string -> reason -> Event.t
     consecutive-fault counters, the poisoned set and the degraded flag. *)
 val complete : t -> flow:int -> faulted:reason option -> reason option
 
-(** One flow's containment state: (consecutive-fault counter, poisoned). *)
-val containment : t -> int -> int * bool
+(** One flow's containment state, field by field: its consecutive-fault
+    counter and whether it is poisoned. *)
+val consecutive_faults : t -> int -> int
+
+val poisoned : t -> int -> bool
 
 (** Per-flow containment snapshot for [flows]: (flow, consecutive-fault
     counter, poisoned). Exported at checkpoint time so a core adopting the
     flows can resume poisoning from exactly where the dead core left it. *)
 val export_containment : t -> int list -> (int * int * bool) list
 
-(** Install a containment snapshot (inverse of {!export_containment}).
-    Restoring any poisoned flow also sets the degraded flag. *)
+(** Install one flow's containment state. A poisoned flow stays poisoned
+    and sets the degraded flag. *)
+val restore_flow : t -> flow:int -> consec:int -> poisoned:bool -> unit
+
+(** Install a containment snapshot (inverse of {!export_containment}):
+    {!restore_flow} on each entry. *)
 val restore_containment : t -> (int * int * bool) list -> unit
 
 (** The reason encoded in a task's event, when it is [Event.Faulted]. *)

@@ -39,5 +39,9 @@ val table : t -> Structures.Cuckoo.t
 val populate :
   ?policy:Structures.Cuckoo.overflow_policy -> t -> (int64 * int) list -> int
 
+(** {!populate} with [Flow.key64 flows.(i) -> i] for each flow, in array
+    order, under [Drop_new]. *)
+val populate_flows : t -> Netcore.Flow.t array -> int
+
 (** The compiler-ready instance (actions + prefetch bindings). *)
 val instance : t -> Compiler.instance

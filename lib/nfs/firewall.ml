@@ -119,11 +119,7 @@ let populate t flows =
     (fun i flow -> t.verdicts.(i) <- evaluate t.policy flow = Accept)
     flows;
   t.next_free <- max t.next_free (Array.length flows);
-  let (_shed : int) =
-    Classifier.populate t.classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
-  in
-  ()
+  ignore (Classifier.populate_flows t.classifier flows : int)
 
 let filter_action t =
   Action.make ~base_cycles:14 ~base_instrs:12 ~name:(t.name ^ ".filter")

@@ -74,11 +74,7 @@ let populate t flows =
       t.assignment.(i) <- Maglev.lookup t.maglev (Netcore.Flow.key64 flow))
     flows;
   t.next_free <- max t.next_free (Array.length flows);
-  let (_shed : int) =
-    Classifier.populate t.classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
-  in
-  ()
+  ignore (Classifier.populate_flows t.classifier flows : int)
 
 let backend_of t idx = t.backends.(t.assignment.(idx))
 

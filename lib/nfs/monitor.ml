@@ -55,10 +55,7 @@ let create layout ~name ?arena ~n_flows () =
   }
 
 let populate t flows =
-  let (_shed : int) =
-    Classifier.populate t.classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
-  in
+  ignore (Classifier.populate_flows t.classifier flows : int);
   t.next_free <- max t.next_free (Array.length flows)
 
 let account_action t =

@@ -125,11 +125,7 @@ let populate t flows =
       t.keys.(i) <- Netcore.Flow.key64 flow)
     flows;
   t.next_free <- Array.length flows;
-  let (_shed : int) =
-    Classifier.populate t.classifier
-      (Array.to_list (Array.mapi (fun i f -> (Netcore.Flow.key64 f, i)) flows))
-  in
-  ()
+  ignore (Classifier.populate_flows t.classifier flows : int)
 
 (* NF-C binding: the only state the mapper can reach. Packet field writes
    rewrite the real header bytes. *)

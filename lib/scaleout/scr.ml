@@ -30,6 +30,13 @@
    latest broadcast record: d has f pending exactly when that record is
    newer than d's resident sequence for f.
 
+   Every per-flow table of a run is indexed by a dense slot, numbered in
+   first-arrival order as the queues are built, so a run's tables are
+   sized by the flows it touches, not by universe x cores. The resident
+   sequences are one slot-major store: a broadcast's coalescing check
+   over the peers, their freshens and the sender's advance read one host
+   line.
+
    Prefix windows make the schedule deadlock-free: the globally oldest
    unprocessed item is always at its core's queue head with every
    predecessor completed, so each sweep over the cores processes at least
@@ -44,8 +51,9 @@
    follow per-flow completion order no matter where packets land.
 
    A quiescent barrier ends the run: every replica applies its remaining
-   pending updates, and per-replica whole-universe state digests must be
-   pairwise equal — replica convergence, the model's invariant. *)
+   pending updates in ascending flow order, and per-replica
+   whole-universe state digests must be pairwise equal — replica
+   convergence, the model's invariant. *)
 
 open Gunfu
 
@@ -80,7 +88,7 @@ type result = {
   sr_merged : Metrics.run;  (* merge_parallel of the above *)
   sr_stats : stats;
   sr_planes : Fault.t array;
-  sr_logs : Update_log.t array;  (* per-core emitted update streams *)
+  sr_logs : Update_log.t array;  (* per-core emitted-record counts *)
   sr_replica_digests : string array;  (* post-barrier whole-universe digests *)
   sr_converged : bool;  (* all replica digests pairwise equal *)
   sr_state_digest : string;  (* per-flow state + summed counters, vs references *)
@@ -91,6 +99,22 @@ type result = {
    charged to the applying core's clock. *)
 let default_apply_cycles = 8
 let default_apply_instrs = 6
+
+(* One core's queue, arrival order, as parallel arrays: each item's
+   global index, per-flow sequence number and the dense per-run slot of
+   its flow (-1 for a hintless item). Items [q_done, q_head) are in
+   flight; [q_left] more may be delivered in the current window. *)
+type queue = {
+  q_g : int array;
+  q_seq : int array;
+  q_slot : int array;
+  q_item : Workload.item array;
+  mutable q_head : int;
+  mutable q_done : int;
+  mutable q_left : int;
+}
+
+let hintless = { Workload.packet = None; aux = 0; flow_hint = -1 }
 
 let run ?arm ?(apply_cycles = default_apply_cycles)
     ?(apply_instrs = default_apply_instrs) ?on_complete ?(digest = true) ~engine
@@ -108,93 +132,124 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
         if b <= 0 then invalid_arg "Scr.run: batch must be positive";
         b
   in
+  (* Build the queues, numbering each flow's slot at its first arrival. *)
+  let lengths = Array.make cores 0 in
+  Array.iter
+    (fun (s : Spray.slot) -> lengths.(s.Spray.s_core) <- lengths.(s.Spray.s_core) + 1)
+    slots;
+  let queues =
+    Array.map
+      (fun n ->
+        {
+          q_g = Array.make n 0;
+          q_seq = Array.make n 0;
+          q_slot = Array.make n 0;
+          q_item = Array.make n hintless;
+          q_head = 0;
+          q_done = 0;
+          q_left = 0;
+        })
+      lengths
+  in
+  let slot_of = Itbl.create 256 in
+  List.iteri
+    (fun g (item : Workload.item) ->
+      let f = item.Workload.flow_hint in
+      if f >= universe then
+        invalid_arg (Printf.sprintf "Scr.run: flow %d outside [0, %d)" f universe);
+      let k =
+        if f < 0 then -1
+        else
+          match Itbl.find slot_of f with
+          | k -> k
+          | exception Not_found ->
+              let k = Itbl.length slot_of in
+              Itbl.add slot_of f k;
+              k
+      in
+      let s = slots.(g) in
+      let q = queues.(s.Spray.s_core) in
+      let i = q.q_head in
+      q.q_g.(i) <- g;
+      q.q_seq.(i) <- s.Spray.s_seq;
+      q.q_slot.(i) <- k;
+      q.q_item.(i) <- item;
+      q.q_head <- i + 1)
+    items;
+  Array.iter (fun q -> q.q_head <- 0) queues;
+  let n_slots = Itbl.length slot_of in
+  let flow_of = Array.make n_slots 0 in
+  Itbl.iter (fun f k -> flow_of.(k) <- f) slot_of;
   let planes = Array.init cores (fun _ -> Fault.create ()) in
   let logs = Array.init cores (fun _ -> Update_log.create ()) in
-  (* Per-core queues of (g, seq, item), arrival order. *)
-  let queues = Array.make cores [] in
-  List.iteri
-    (fun g item ->
-      let s = slots.(g) in
-      queues.(s.Spray.s_core) <- (g, s.Spray.s_seq, item) :: queues.(s.Spray.s_core))
-    items;
-  Array.iteri (fun c q -> queues.(c) <- List.rev q) queues;
-  let flows = max universe 1 in
-  (* Completed packets per flow (= the flow's authoritative sequence). *)
-  let done_ = Array.make flows 0 in
-  (* Each flow's latest broadcast record; [none] (sequence 0) until the
-     first. The flows that have one, in first-broadcast order, are
-     [touched.(0 .. n_touched - 1)]. *)
+  (* Each slot's latest broadcast record; [none] (sequence 0) until the
+     first. Its sequence is also the flow's completed-packet count. *)
   let none =
     { Update_log.u_flow = -1; u_seq = 0; u_payload = []; u_consec = 0; u_poisoned = false }
   in
-  let latest = Array.make flows none in
-  let touched = Array.make (min flows n_items) 0 in
-  let n_touched = ref 0 in
+  let latest = Array.make n_slots none in
   let coalesced = ref 0 in
   let barrier_applied = ref 0 in
   let windows = ref 0 in
-  let appliers =
-    Array.init cores (fun c ->
-        Update_log.applier ~universe:flows ~apply:(fun r ->
-            replicas.(c).sc_apply r;
-            Fault.restore_containment planes.(c)
-              [ (r.Update_log.u_flow, r.Update_log.u_consec, r.Update_log.u_poisoned) ];
-            Exec_ctx.compute
-              (Worker.ctx replicas.(c).sc_worker)
-              ~cycles:apply_cycles ~instrs:apply_instrs))
+  let applier =
+    Update_log.applier ~slots:n_slots ~cores ~apply:(fun c r ->
+        replicas.(c).sc_apply r;
+        Fault.restore_flow planes.(c) ~flow:r.Update_log.u_flow ~consec:r.Update_log.u_consec
+          ~poisoned:r.Update_log.u_poisoned;
+        Exec_ctx.compute
+          (Worker.ctx replicas.(c).sc_worker)
+          ~cycles:apply_cycles ~instrs:apply_instrs)
   in
-  (* Completions arrive in pull order on both engines, so each core's
-     in-flight window, walked from its head, maps every completion back
-     to its global index without relying on packet ids. *)
-  let inflight = Array.make cores [] in
   let records = ref 0 in
-  let broadcast c (r : Update_log.record) =
+  let broadcast c k (r : Update_log.record) =
     (* Encode-then-decode exercises the wire format on every record the
        engine ships; a framing bug surfaces as Bad_update, not as silent
        divergence. *)
     let frame = Update_log.encode r in
     let r = Update_log.decode frame in
     Update_log.append logs.(c) r;
-    let f = r.Update_log.u_flow in
-    (* A peer still holding f's previous record (sequence u_seq - 1)
-       pending has it superseded by this one. *)
+    (* A peer still holding the flow's previous record (sequence
+       u_seq - 1) pending has it superseded by this one. Counted here,
+       not derived from the gap an apply bridges: derived from the
+       applier's own arithmetic, Invariants.check_scr's conservation law
+       misses some out-of-order schedules (a window's head run before
+       its predecessor). *)
     for d = 0 to cores - 1 do
-      if d <> c && Update_log.resident appliers.(d) f < r.Update_log.u_seq - 1 then
+      if d <> c && Update_log.resident applier ~core:d k < r.Update_log.u_seq - 1 then
         incr coalesced
     done;
-    if latest.(f) == none then begin
-      touched.(!n_touched) <- f;
-      incr n_touched
-    end;
-    latest.(f) <- r
+    latest.(k) <- r
   in
-  (* Apply core [c]'s pending record for [f], if it has one. *)
-  let freshen_flow c f =
-    let r = latest.(f) in
-    r.Update_log.u_seq > Update_log.resident appliers.(c) f
-    && Update_log.offer appliers.(c) r
+  (* Apply core [c]'s pending record for slot [k], if it has one. *)
+  let freshen_slot c k =
+    let r = latest.(k) in
+    r.Update_log.u_seq > Update_log.resident applier ~core:c k
+    && Update_log.offer applier ~core:c ~slot:k r
   in
+  (* Completions arrive in pull order on both engines, so each core's
+     in-flight items, walked from the oldest, map every completion back
+     to its queue entry without relying on packet ids. *)
   let complete c (task : Nftask.t) =
-    match inflight.(c) with
-    | [] -> invalid_arg "Scr.run: completion without a delivered item"
-    | (g, seq, _) :: rest ->
-        inflight.(c) <- rest;
-        (match on_complete with Some f -> f ~core:c ~g ~seq task | None -> ());
-        let f = task.Nftask.flow_hint in
-        if f >= 0 then begin
-          done_.(f) <- seq;
-          Update_log.advance appliers.(c) ~flow:f ~seq;
-          let consec, poisoned = Fault.containment planes.(c) f in
-          incr records;
-          broadcast c
-            {
-              Update_log.u_flow = f;
-              u_seq = seq;
-              u_payload = replicas.(c).sc_export f;
-              u_consec = consec;
-              u_poisoned = poisoned;
-            }
-        end
+    let q = queues.(c) in
+    let i = q.q_done in
+    if i >= q.q_head then invalid_arg "Scr.run: completion without a delivered item";
+    q.q_done <- i + 1;
+    let seq = q.q_seq.(i) in
+    (match on_complete with Some f -> f ~core:c ~g:q.q_g.(i) ~seq task | None -> ());
+    let f = task.Nftask.flow_hint in
+    if f >= 0 then begin
+      let k = q.q_slot.(i) in
+      Update_log.advance applier ~core:c ~slot:k ~seq;
+      incr records;
+      broadcast c k
+        {
+          Update_log.u_flow = f;
+          u_seq = seq;
+          u_payload = replicas.(c).sc_export f;
+          u_consec = Fault.consecutive_faults planes.(c) f;
+          u_poisoned = Fault.poisoned planes.(c) f;
+        }
+    end
   in
   (* One engine session per replica for the whole sweep: its measurement
      bracket opens here and spans every window, the applies charged
@@ -205,64 +260,64 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
           replicas.(c).sc_worker replicas.(c).sc_program)
   in
   (* The length of the longest dependency-ready prefix of core [c]'s
-     queue, at most [cap] items. [ahead] counts the earlier same-flow
-     items of the window, at most [cap] entries. *)
+     queue, at most [cap] items: an item is ready when its sequence
+     follows its flow's completions plus the earlier same-flow items of
+     the window. *)
   let window_length c =
-    let rec take ahead n = function
-      | [] -> n
-      | (_, seq, item) :: rest ->
-          let f = (item : Workload.item).Workload.flow_hint in
-          if n >= cap then n
-          else if f < 0 then take ahead (n + 1) rest
-          else
-            let k = try List.assoc f ahead with Not_found -> 0 in
-            if seq <> done_.(f) + k + 1 then n else take ((f, k + 1) :: ahead) (n + 1) rest
+    let q = queues.(c) in
+    let stop = min (Array.length q.q_g) (q.q_head + cap) in
+    let rec ahead k i j = if j = i then 0 else ahead k i (j + 1) + Bool.to_int (q.q_slot.(j) = k) in
+    let rec take i =
+      if i = stop then i
+      else
+        let k = q.q_slot.(i) in
+        if k < 0 || q.q_seq.(i) = latest.(k).Update_log.u_seq + ahead k i q.q_head + 1 then
+          take (i + 1)
+        else i
     in
-    take [] 0 queues.(c)
+    take q.q_head - q.q_head
   in
-  (* Deliver the first [left.(c)] items of core [c]'s queue as clones,
+  (* Deliver the next [q_left] items of core [c]'s queue as clones,
      arming the fault plan at each item's GLOBAL index so the injection
      schedule is spray-independent. *)
-  let left = Array.make cores 0 in
   let sources =
     Array.init cores (fun c () ->
-        match queues.(c) with
-        | (g, _, item) :: rest when left.(c) > 0 ->
-            queues.(c) <- rest;
-            left.(c) <- left.(c) - 1;
-            let pkt = Option.map Netcore.Packet.clone item.Workload.packet in
-            Option.iter (Netcore.Packet.Pool.assign replicas.(c).sc_pool) pkt;
-            (match (arm, pkt) with
-            | Some f, Some p -> f ~plane:planes.(c) ~g p
-            | _ -> ());
-            Some
-              {
-                Workload.packet = pkt;
-                aux = item.Workload.aux;
-                flow_hint = item.Workload.flow_hint;
-              }
-        | _ -> None)
+        let q = queues.(c) in
+        if q.q_left = 0 then None
+        else begin
+          let i = q.q_head in
+          let item = q.q_item.(i) in
+          q.q_head <- i + 1;
+          q.q_left <- q.q_left - 1;
+          let pkt = Option.map Netcore.Packet.clone item.Workload.packet in
+          Option.iter (Netcore.Packet.Pool.assign replicas.(c).sc_pool) pkt;
+          (match (arm, pkt) with
+          | Some f, Some p -> f ~plane:planes.(c) ~g:q.q_g.(i) p
+          | _ -> ());
+          Some
+            {
+              Workload.packet = pkt;
+              aux = item.Workload.aux;
+              flow_hint = item.Workload.flow_hint;
+            }
+        end)
   in
   let run_window c n =
     incr windows;
     (* Lazy coalesced application: freshen exactly the flows this window
        touches, from the latest pending record each. *)
-    let rec freshen k = function
-      | (_, _, item) :: rest when k > 0 ->
-          let f = (item : Workload.item).Workload.flow_hint in
-          if f >= 0 then ignore (freshen_flow c f : bool);
-          freshen (k - 1) rest
-      | _ -> ()
-    in
-    freshen n queues.(c);
-    inflight.(c) <- queues.(c);
-    left.(c) <- n;
+    let q = queues.(c) in
+    for i = q.q_head to q.q_head + n - 1 do
+      let k = q.q_slot.(i) in
+      if k >= 0 then ignore (freshen_slot c k : bool)
+    done;
+    q.q_left <- n;
     Exec.feed sessions.(c) sources.(c)
   in
   (* Sweep the cores until every queue drains. Prefix windows guarantee
      progress: the globally oldest unprocessed item is at its core's head
      with all predecessors complete. *)
-  let remaining () = Array.exists (fun q -> q <> []) queues in
+  let remaining () = Array.exists (fun q -> q.q_head < Array.length q.q_g) queues in
   while remaining () do
     let progressed = ref false in
     for c = 0 to cores - 1 do
@@ -289,16 +344,15 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
   in
   (* Quiescent barrier: drain every replica's pending records in
      ascending flow order, then prove convergence. *)
-  let touched = Array.sub touched 0 !n_touched in
-  Array.sort Int.compare touched;
+  let order = Array.init n_slots Fun.id in
+  Array.sort (fun a b -> Int.compare flow_of.(a) flow_of.(b)) order;
   for c = 0 to cores - 1 do
-    Array.iter (fun f -> if freshen_flow c f then incr barrier_applied) touched
+    Array.iter (fun k -> if freshen_slot c k then incr barrier_applied) order
   done;
   let feed_flow fp c i =
     replicas.(c).sc_flow_digest fp i;
-    let consec, poisoned = Fault.containment planes.(c) i in
-    Fingerprint.feed_int fp consec;
-    Fingerprint.feed_bool fp poisoned
+    Fingerprint.feed_int fp (Fault.consecutive_faults planes.(c) i);
+    Fingerprint.feed_bool fp (Fault.poisoned planes.(c) i)
   in
   let replica_digest c =
     Fingerprint.of_fn (fun fp ->
@@ -341,19 +395,16 @@ let run ?arm ?(apply_cycles = default_apply_cycles)
                Fingerprint.feed_string fp name;
                Fingerprint.feed_int fp v))
   in
-  let applied = Array.fold_left (fun a ap -> a + Update_log.applied ap) 0 appliers in
-  let stale = Array.fold_left (fun a ap -> a + Update_log.stale ap) 0 appliers in
-  let max_lag = Array.fold_left (fun a ap -> max a (Update_log.max_lag ap)) 0 appliers in
   {
     sr_runs = runs;
     sr_merged = Metrics.merge_parallel (Array.to_list runs);
     sr_stats =
       {
         st_records = !records;
-        st_applied = applied;
+        st_applied = Update_log.applied applier;
         st_coalesced = !coalesced;
-        st_stale = stale;
-        st_max_lag = max_lag;
+        st_stale = Update_log.stale applier;
+        st_max_lag = Update_log.max_lag applier;
         st_barrier_applied = !barrier_applied;
         st_windows = !windows;
       };

@@ -46,7 +46,7 @@ type result = {
   sr_merged : Metrics.run;  (** {!Metrics.merge_parallel} of the above *)
   sr_stats : stats;
   sr_planes : Fault.t array;
-  sr_logs : Update_log.t array;  (** per-core emitted update streams *)
+  sr_logs : Update_log.t array;  (** per-core emitted-record counts *)
   sr_replica_digests : string array;
       (** post-barrier whole-universe digests, per replica *)
   sr_converged : bool;  (** all replica digests pairwise equal *)
@@ -57,7 +57,8 @@ type result = {
 
 (** Drive [items] (the global arrival stream) through [replicas] under the
     spray in [slots] ({!Spray.assign} on the same items). [universe] bounds
-    flow hints; [arm] is called at each delivery with the item's global
+    flow hints and sizes only the digests: per-run tables are sized by
+    the distinct flows of [items]. [arm] is called at each delivery with the item's global
     index to arm fault injections spray-independently; [on_complete] sees
     every completion with its global index and per-flow sequence.
     [apply_cycles]/[apply_instrs] are the simulated cost charged per
@@ -67,8 +68,8 @@ type result = {
     would dwarf the measured work ([sr_replica_digests] is then empty,
     [sr_converged] is [false] and [sr_state_digest] is [""]).
     @raise Invalid_argument on empty replicas, slot/item length mismatch,
-    a non-positive batch, or a spray whose sequence numbers cannot be
-    scheduled. *)
+    a non-positive batch, a flow hint at or above [universe] (before any
+    work), or a spray whose sequence numbers cannot be scheduled. *)
 val run :
   ?arm:(plane:Fault.t -> g:int -> Netcore.Packet.t -> unit) ->
   ?apply_cycles:int ->

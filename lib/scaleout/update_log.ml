@@ -43,56 +43,76 @@ let get_u32 s off = get_u16 s off lor (get_u16 s (off + 2) lsl 16)
 
 (* FNV-1a over a byte prefix, folded to 32 bits. *)
 let checksum b len =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to len - 1 do
-    h := (!h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF
-  done;
-  !h
+  let rec go h i =
+    if i = len then h
+    else go ((h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF) (i + 1)
+  in
+  go 0x811c9dc5 0
 
 (* magic(5) u32 flow/seq/consec + poisoned(1) + u16 count, then per blob
    u16 name length + name + u32 blob length + blob, then u32 checksum. *)
 let header_len = 5 + 4 + 4 + 4 + 1 + 2
 
+let check_u32 what v =
+  if v < 0 || v > u32_max then
+    invalid_arg (Printf.sprintf "Update_log.encode: %s outside the u32 range" what)
+
+(* The frame length of [payload] after the header and before the
+   checksum, refusing a blob the frame cannot hold. *)
+let rec payload_len acc = function
+  | [] -> acc
+  | (name, blob) :: rest ->
+      if String.length name > 0xFFFF then invalid_arg "Update_log.encode: NF name too long";
+      check_u32 "blob length" (String.length blob);
+      payload_len (acc + 2 + String.length name + 4 + String.length blob) rest
+
+let rec put_payload b off = function
+  | [] -> off
+  | (name, blob) :: rest ->
+      let nl = String.length name and bl = String.length blob in
+      put_u16 b off nl;
+      Bytes.blit_string name 0 b (off + 2) nl;
+      put_u32 b (off + 2 + nl) bl;
+      Bytes.blit_string blob 0 b (off + 6 + nl) bl;
+      put_payload b (off + 6 + nl + bl) rest
+
 let encode (r : record) =
-  let u32 what v =
-    if v < 0 || v > u32_max then
-      invalid_arg (Printf.sprintf "Update_log.encode: %s outside the u32 range" what)
-  in
   if r.u_flow < 0 then invalid_arg "Update_log.encode: negative flow";
   if r.u_seq <= 0 then invalid_arg "Update_log.encode: sequence must be positive";
-  u32 "flow" r.u_flow;
-  u32 "sequence" r.u_seq;
-  u32 "fault count" r.u_consec;
+  check_u32 "flow" r.u_flow;
+  check_u32 "sequence" r.u_seq;
+  check_u32 "fault count" r.u_consec;
   let count = List.length r.u_payload in
   if count > 0xFFFF then invalid_arg "Update_log.encode: too many payload blobs";
-  let len =
-    List.fold_left
-      (fun acc (name, blob) ->
-        if String.length name > 0xFFFF then invalid_arg "Update_log.encode: NF name too long";
-        u32 "blob length" (String.length blob);
-        acc + 2 + String.length name + 4 + String.length blob)
-      (header_len + 4) r.u_payload
-  in
-  let b = Bytes.create len in
+  let b = Bytes.create (payload_len (header_len + 4) r.u_payload) in
   Bytes.blit_string magic 0 b 0 5;
   put_u32 b 5 r.u_flow;
   put_u32 b 9 r.u_seq;
   put_u32 b 13 r.u_consec;
   Bytes.set b 17 (if r.u_poisoned then '\001' else '\000');
   put_u16 b 18 count;
-  let off =
-    List.fold_left
-      (fun off (name, blob) ->
-        let nl = String.length name and bl = String.length blob in
-        put_u16 b off nl;
-        Bytes.blit_string name 0 b (off + 2) nl;
-        put_u32 b (off + 2 + nl) bl;
-        Bytes.blit_string blob 0 b (off + 6 + nl) bl;
-        off + 6 + nl + bl)
-      header_len r.u_payload
-  in
+  let off = put_payload b header_len r.u_payload in
   put_u32 b off (checksum b off);
   Bytes.unsafe_to_string b
+
+(* The [count] blobs from [off] on, which must end exactly at
+   [body_len]. *)
+let rec get_payload s ~body_len off count =
+  if count = 0 then begin
+    if off <> body_len then raise (Bad_update "trailing bytes");
+    []
+  end
+  else begin
+    if off + 2 > body_len then raise (Bad_update "truncated");
+    let name_len = get_u16 s off in
+    if off + 2 + name_len + 4 > body_len then raise (Bad_update "truncated");
+    let name = String.sub s (off + 2) name_len in
+    let blob_len = get_u32 s (off + 2 + name_len) in
+    let blob_off = off + 6 + name_len in
+    if blob_off + blob_len > body_len then raise (Bad_update "truncated");
+    let blob = String.sub s blob_off blob_len in
+    (name, blob) :: get_payload s ~body_len (blob_off + blob_len) (count - 1)
+  end
 
 let decode s =
   let n = String.length s in
@@ -110,80 +130,69 @@ let decode s =
     | '\001' -> true
     | _ -> raise (Bad_update "bad poisoned flag")
   in
-  let count = get_u16 s 18 in
-  let off = ref header_len in
-  let payload =
-    List.init count (fun _ ->
-        if !off + 2 > body_len then raise (Bad_update "truncated");
-        let name_len = get_u16 s !off in
-        off := !off + 2;
-        if !off + name_len + 4 > body_len then raise (Bad_update "truncated");
-        let name = String.sub s !off name_len in
-        off := !off + name_len;
-        let blob_len = get_u32 s !off in
-        off := !off + 4;
-        if !off + blob_len > body_len then raise (Bad_update "truncated");
-        let blob = String.sub s !off blob_len in
-        off := !off + blob_len;
-        (name, blob))
-  in
-  if !off <> body_len then raise (Bad_update "trailing bytes");
+  let payload = get_payload s ~body_len header_len (get_u16 s 18) in
   if seq <= 0 then raise (Bad_update "bad sequence number");
   { u_flow = flow; u_seq = seq; u_payload = payload; u_consec = consec; u_poisoned = poisoned }
 
-(* ----- per-core append log ----- *)
+(* ----- per-core emitted-record count ----- *)
 
-type t = { mutable entries : record list; mutable n : int }
+(* Only the count is kept: the records themselves are dead once broadcast,
+   and a run of 16,384 items would otherwise hold every decoded record. *)
+type t = { mutable n : int }
 
-let create () = { entries = []; n = 0 }
-
-let append t r =
-  t.entries <- r :: t.entries;
-  t.n <- t.n + 1
-
+let create () = { n = 0 }
+let append t (_ : record) = t.n <- t.n + 1
 let length t = t.n
 
 (* ----- sequence-monotonic application ----- *)
 
-(* An applier tracks each flow's high-water sequence number and hands only
-   strictly newer records to [apply] — stale records (already superseded
-   by a local completion or a later update) are skipped. Because records
-   are absolute, this makes application deterministic and order-insensitive
-   across every interleaving that respects per-flow sequence order: each
-   flow's state ends at its highest offered sequence number regardless of
-   how flows interleave.
+(* An applier tracks each (flow slot, core) high-water sequence number
+   and hands only strictly newer records to [apply] — stale records
+   (already superseded by a local completion or a later update) are
+   skipped. Because records are absolute, this makes application
+   deterministic and order-insensitive across every interleaving that
+   respects per-flow sequence order: each flow's state ends at its highest
+   offered sequence number regardless of how flows interleave.
 
-   The high-water marks are a flat u32 store with one slot per universe
-   flow: a [Bytes] is neither scanned by the GC nor hashed per access, and
-   sequence numbers already fit the u32 the GUPD1 frame gives them. Flows
-   and sequence numbers the store cannot hold are refused, never
-   truncated. *)
+   A slot is a dense per-run flow index, not a universe flow id, so the
+   store is sized by the flows a run touches. It is one flat u32 store,
+   slot-major: a slot's [cores] marks are adjacent, so a broadcast's
+   check of every peer, a peer's freshen and the sender's advance read
+   one host line. A [Bytes] is neither scanned by the GC nor hashed per
+   access, and sequence numbers already fit the u32 the GUPD1 frame gives
+   them. Slots, cores and sequence numbers the store cannot hold are
+   refused, never truncated. *)
 
 type applier = {
-  ap_apply : record -> unit;
-  ap_universe : int;
-  ap_hwm : Bytes.t;  (* 4 bytes per flow: its resident sequence number *)
+  ap_apply : int -> record -> unit;  (* core, record *)
+  ap_slots : int;
+  ap_cores : int;
+  ap_hwm : Bytes.t;  (* 4 bytes per (slot, core): its resident sequence number *)
   mutable ap_applied : int;
   mutable ap_stale : int;
   mutable ap_max_lag : int;  (* largest sequence gap bridged by one apply *)
 }
 
-let applier ~universe ~apply =
-  if universe < 0 then invalid_arg "Update_log.applier: negative universe";
+let applier ~slots ~cores ~apply =
+  if slots < 0 then invalid_arg "Update_log.applier: negative slot count";
+  if cores <= 0 then invalid_arg "Update_log.applier: cores must be positive";
   {
     ap_apply = apply;
-    ap_universe = universe;
-    ap_hwm = Bytes.make (4 * universe) '\000';
+    ap_slots = slots;
+    ap_cores = cores;
+    ap_hwm = Bytes.make (4 * slots * cores) '\000';
     ap_applied = 0;
     ap_stale = 0;
     ap_max_lag = 0;
   }
 
-(* Byte offset of [flow]'s slot. *)
-let slot ap flow =
-  if flow < 0 || flow >= ap.ap_universe then
-    invalid_arg (Printf.sprintf "Update_log.applier: flow %d outside [0, %d)" flow ap.ap_universe);
-  4 * flow
+(* Byte offset of ([slot], [core])'s mark. *)
+let offset ap ~core slot =
+  if slot < 0 || slot >= ap.ap_slots then
+    invalid_arg (Printf.sprintf "Update_log.applier: slot %d outside [0, %d)" slot ap.ap_slots);
+  if core < 0 || core >= ap.ap_cores then
+    invalid_arg (Printf.sprintf "Update_log.applier: core %d outside [0, %d)" core ap.ap_cores);
+  4 * ((slot * ap.ap_cores) + core)
 
 let check_seq seq =
   if seq > u32_max then
@@ -191,17 +200,17 @@ let check_seq seq =
 
 let get_hwm ap off = Int32.to_int (Bytes.get_int32_ne ap.ap_hwm off) land u32_max
 let set_hwm ap off seq = Bytes.set_int32_ne ap.ap_hwm off (Int32.of_int seq)
-let resident ap flow = get_hwm ap (slot ap flow)
+let resident ap ~core slot = get_hwm ap (offset ap ~core slot)
 
-(* A local completion advances the flow's resident sequence without an
+(* A local completion advances the slot's resident sequence without an
    apply (the state was produced in place). *)
-let advance ap ~flow ~seq =
-  let off = slot ap flow in
+let advance ap ~core ~slot ~seq =
+  let off = offset ap ~core slot in
   check_seq seq;
   if seq > get_hwm ap off then set_hwm ap off seq
 
-let offer ap (r : record) =
-  let off = slot ap r.u_flow in
+let offer ap ~core ~slot (r : record) =
+  let off = offset ap ~core slot in
   check_seq r.u_seq;
   let have = get_hwm ap off in
   if r.u_seq <= have then begin
@@ -209,7 +218,7 @@ let offer ap (r : record) =
     false
   end
   else begin
-    ap.ap_apply r;
+    ap.ap_apply core r;
     set_hwm ap off r.u_seq;
     ap.ap_applied <- ap.ap_applied + 1;
     ap.ap_max_lag <- max ap.ap_max_lag (r.u_seq - have);

@@ -30,43 +30,52 @@ val encode : record -> string
     mismatch, or out-of-range fields. *)
 val decode : string -> record
 
-(** {2 Per-core append log} *)
+(** {2 Per-core emitted-record count} *)
 
 type t
 
 val create : unit -> t
+
+(** Count one emitted record; the record itself is not kept. *)
 val append : t -> record -> unit
+
 val length : t -> int
 
 (** {2 Sequence-monotonic application}
 
-    An applier tracks each flow's resident sequence number and hands only
-    strictly newer records to [apply]. Because records are absolute, this
-    makes application deterministic and order-insensitive across every
-    interleaving that respects per-flow sequence order. *)
+    An applier tracks a resident sequence number per (flow slot, core)
+    and hands only strictly newer records to [apply]. Because records are
+    absolute, this makes application deterministic and order-insensitive
+    across every interleaving that respects per-flow sequence order. A
+    slot is the caller's dense index for a flow (SCR numbers a run's
+    flows in first-arrival order), so the store is sized by the flows in
+    use, not by the flow universe. *)
 
 type applier
 
-(** An applier over flows \[0, [universe]), their resident sequence
-    numbers held in a flat u32 store of 4·[universe] bytes.
-    @raise Invalid_argument on a negative [universe]. *)
-val applier : universe:int -> apply:(record -> unit) -> applier
+(** An applier over slots \[0, [slots]) on cores \[0, [cores]), whose
+    resident sequence numbers are held in one flat slot-major u32 store
+    of 4·[slots]·[cores] bytes: a slot's marks for every core are
+    adjacent. [apply c r] applies [r] on core [c].
+    @raise Invalid_argument on a negative [slots] or a non-positive
+    [cores]. *)
+val applier : slots:int -> cores:int -> apply:(int -> record -> unit) -> applier
 
-(** The flow's resident sequence number (0 when never seen).
-    @raise Invalid_argument on a flow outside \[0, universe). *)
-val resident : applier -> int -> int
+(** The slot's resident sequence number on [core] (0 when never seen).
+    @raise Invalid_argument on a slot or core outside the store. *)
+val resident : applier -> core:int -> int -> int
 
-(** Record a local completion: the flow's state was produced in place, so
-    its resident sequence advances without an apply.
-    @raise Invalid_argument on a flow outside \[0, universe) or a
+(** Record a local completion: the slot's state was produced in place on
+    [core], so its resident sequence advances without an apply.
+    @raise Invalid_argument on a slot or core outside the store or a
     sequence number of 2{^32} or more. *)
-val advance : applier -> flow:int -> seq:int -> unit
+val advance : applier -> core:int -> slot:int -> seq:int -> unit
 
-(** Apply the record if it is newer than the flow's resident state;
-    returns [false] (and counts it stale) otherwise.
-    @raise Invalid_argument, before applying anything, on a flow outside
-    \[0, universe) or a sequence number of 2{^32} or more. *)
-val offer : applier -> record -> bool
+(** Apply the record on [core] if it is newer than the slot's resident
+    state there; returns [false] (and counts it stale) otherwise.
+    @raise Invalid_argument, before applying anything, on a slot or core
+    outside the store or a sequence number of 2{^32} or more. *)
+val offer : applier -> core:int -> slot:int -> record -> bool
 
 val applied : applier -> int
 val stale : applier -> int

@@ -116,17 +116,18 @@ let record ~flow ~seq = { sample_record with Update_log.u_flow = flow; u_seq = s
 
 let test_applier_monotone () =
   let applied = ref [] in
-  let ap = Update_log.applier ~universe:4 ~apply:(fun r -> applied := (r.Update_log.u_flow, r.Update_log.u_seq) :: !applied) in
-  Alcotest.(check bool) "fresh record applies" true (Update_log.offer ap (record ~flow:1 ~seq:2));
-  Alcotest.(check bool) "older is stale" false (Update_log.offer ap (record ~flow:1 ~seq:1));
-  Alcotest.(check bool) "equal is stale" false (Update_log.offer ap (record ~flow:1 ~seq:2));
-  Update_log.advance ap ~flow:1 ~seq:5;
+  let ap = Update_log.applier ~slots:4 ~cores:1 ~apply:(fun _ r -> applied := (r.Update_log.u_flow, r.Update_log.u_seq) :: !applied) in
+  let offer r = Update_log.offer ap ~core:0 ~slot:r.Update_log.u_flow r in
+  Alcotest.(check bool) "fresh record applies" true (offer (record ~flow:1 ~seq:2));
+  Alcotest.(check bool) "older is stale" false (offer (record ~flow:1 ~seq:1));
+  Alcotest.(check bool) "equal is stale" false (offer (record ~flow:1 ~seq:2));
+  Update_log.advance ap ~core:0 ~slot:1 ~seq:5;
   Alcotest.(check bool) "advance suppresses seq <= resident" false
-    (Update_log.offer ap (record ~flow:1 ~seq:5));
+    (offer (record ~flow:1 ~seq:5));
   Alcotest.(check bool) "newer than advanced applies" true
-    (Update_log.offer ap (record ~flow:1 ~seq:9));
-  Alcotest.(check int) "resident tracks the max" 9 (Update_log.resident ap 1);
-  Alcotest.(check int) "other flows independent" 0 (Update_log.resident ap 2);
+    (offer (record ~flow:1 ~seq:9));
+  Alcotest.(check int) "resident tracks the max" 9 (Update_log.resident ap ~core:0 1);
+  Alcotest.(check int) "other flows independent" 0 (Update_log.resident ap ~core:0 2);
   Alcotest.(check int) "applied count" 2 (Update_log.applied ap);
   Alcotest.(check int) "stale count" 3 (Update_log.stale ap);
   Alcotest.(check int) "max lag = 9 - 5" 4 (Update_log.max_lag ap);
@@ -137,25 +138,26 @@ let test_applier_monotone () =
    rather than wrapping it into another flow's or sequence's slot. *)
 let test_applier_rejects_out_of_range () =
   let applied = ref 0 in
-  let ap = Update_log.applier ~universe:4 ~apply:(fun _ -> incr applied) in
+  let ap = Update_log.applier ~slots:4 ~cores:1 ~apply:(fun _ _ -> incr applied) in
+  let offer r = Update_log.offer ap ~core:0 ~slot:r.Update_log.u_flow r in
   let rejects name f =
     match f () with
     | _ -> Alcotest.failf "%s accepted" name
     | exception Invalid_argument _ -> ()
   in
-  rejects "offer flow -1" (fun () -> Update_log.offer ap (record ~flow:(-1) ~seq:1));
-  rejects "offer flow = universe" (fun () -> Update_log.offer ap (record ~flow:4 ~seq:1));
-  rejects "offer seq 2^32" (fun () -> Update_log.offer ap (record ~flow:1 ~seq:(1 lsl 32)));
-  rejects "advance flow = universe" (fun () -> Update_log.advance ap ~flow:4 ~seq:1);
-  rejects "advance seq 2^32" (fun () -> Update_log.advance ap ~flow:1 ~seq:(1 lsl 32));
-  rejects "resident flow = universe" (fun () -> Update_log.resident ap 4);
+  rejects "offer flow -1" (fun () -> offer (record ~flow:(-1) ~seq:1));
+  rejects "offer flow = universe" (fun () -> offer (record ~flow:4 ~seq:1));
+  rejects "offer seq 2^32" (fun () -> offer (record ~flow:1 ~seq:(1 lsl 32)));
+  rejects "advance flow = universe" (fun () -> Update_log.advance ap ~core:0 ~slot:4 ~seq:1);
+  rejects "advance seq 2^32" (fun () -> Update_log.advance ap ~core:0 ~slot:1 ~seq:(1 lsl 32));
+  rejects "resident flow = universe" (fun () -> Update_log.resident ap ~core:0 4);
   Alcotest.(check int) "nothing applied" 0 !applied;
-  Alcotest.(check int) "flow 1 untouched" 0 (Update_log.resident ap 1);
+  Alcotest.(check int) "flow 1 untouched" 0 (Update_log.resident ap ~core:0 1);
   (* The widest values the store holds round-trip. *)
   Alcotest.(check bool) "seq 2^32-1 applies" true
-    (Update_log.offer ap (record ~flow:3 ~seq:((1 lsl 32) - 1)));
-  Alcotest.(check int) "resident 2^32-1" ((1 lsl 32) - 1) (Update_log.resident ap 3);
-  Alcotest.(check int) "neighbour untouched" 0 (Update_log.resident ap 2)
+    (offer (record ~flow:3 ~seq:((1 lsl 32) - 1)));
+  Alcotest.(check int) "resident 2^32-1" ((1 lsl 32) - 1) (Update_log.resident ap ~core:0 3);
+  Alcotest.(check int) "neighbour untouched" 0 (Update_log.resident ap ~core:0 2)
 
 (* Absolute records + monotone application = order insensitivity: any
    permutation of an update set leaves every flow at its highest-seq
@@ -171,8 +173,8 @@ let qcheck_order_insensitive =
       let records = List.map (fun (flow, seq) -> record ~flow ~seq) pairs in
       let final rs =
         let state = Hashtbl.create 8 in
-        let ap = Update_log.applier ~universe:6 ~apply:(fun r -> Hashtbl.replace state r.Update_log.u_flow r.Update_log.u_seq) in
-        List.iter (fun r -> ignore (Update_log.offer ap r : bool)) rs;
+        let ap = Update_log.applier ~slots:6 ~cores:1 ~apply:(fun _ r -> Hashtbl.replace state r.Update_log.u_flow r.Update_log.u_seq) in
+        List.iter (fun r -> ignore (Update_log.offer ap ~core:0 ~slot:r.Update_log.u_flow r : bool)) rs;
         List.sort compare (Hashtbl.fold (fun f s acc -> (f, s) :: acc) state [])
       in
       (* A deterministic pseudo-shuffle keyed by the generated ints. *)
@@ -251,6 +253,61 @@ let test_generated_under_faults () =
 let test_spec_reference_equality () =
   let rc = Check.Recovery.spec_rcase ~specs_dir ~name:"nat" ~seed:3 ~packets:96 in
   check_passes "spec nat cores=4" (Check.Scrcheck.check_rcase ~cores:4 rc)
+
+(* ----- argument checks and universe invariance ----- *)
+
+(* Fresh full-universe replicas of [rc] on [cores] cores: a run mutates
+   its replicas, so every run gets its own. *)
+let fresh_replicas (rc : Check.Recovery.rcase) ~cores =
+  let full = Array.init rc.Check.Recovery.r_universe Fun.id in
+  Array.map Check.Recovery.replica
+    (Check.Recovery.instances rc ~cores ~owned:(fun _ -> full))
+
+let test_run_rejects () =
+  let rc = Check.Recovery.gen_rcase ~seed:9 ~profile:"uniform" ~packets:16 in
+  let replicas = fresh_replicas rc ~cores:2 in
+  let run ?(engine = `Rtc) ?(replicas = replicas) ~universe hints =
+    let items = items_of_hints hints in
+    let slots = Spray.assign Spray.Round_robin ~cores:2 items in
+    ignore (Scr.run ~engine ~replicas ~slots ~universe items : Scr.result)
+  in
+  List.iter
+    (fun (name, msg, f) -> Alcotest.check_raises name (Invalid_argument msg) f)
+    [
+      ("no replicas", "Scr.run: no replicas", fun () -> run ~replicas:[||] ~universe:4 [ 0 ]);
+      ( "batch 0",
+        "Scr.run: batch must be positive",
+        fun () -> run ~engine:(`Batch 0) ~universe:4 [ 0 ] );
+      ("flow = universe", "Scr.run: flow 4 outside [0, 4)", fun () -> run ~universe:4 [ 0; 4 ]);
+      ("flow 0 of universe 0", "Scr.run: flow 0 outside [0, 0)", fun () -> run ~universe:0 [ -1; 0 ]);
+    ]
+
+(* Per-run tables are sized by the flows a run touches, so the universe
+   bound changes nothing but the range check: the same items under the
+   tightest universe and under 2^20 give the same stats and runs. *)
+let test_universe_invariance () =
+  let rc = Check.Recovery.gen_rcase ~seed:7 ~profile:"mix" ~packets:256 in
+  let items = rc.Check.Recovery.r_trace () in
+  let max_flow =
+    List.fold_left (fun a (it : Workload.item) -> max a it.Workload.flow_hint) (-1) items
+  in
+  List.iter
+    (fun engine ->
+      let run universe =
+        let cores = 4 in
+        let slots = Spray.assign (Spray.Seeded 3) ~cores items in
+        let res =
+          Scr.run ~digest:false ~engine ~replicas:(fresh_replicas rc ~cores) ~slots ~universe
+            items
+        in
+        (res.Scr.sr_stats, Marshal.to_string res.Scr.sr_runs [ Marshal.No_sharing ])
+      in
+      let tight_stats, tight_runs = run (max_flow + 1) in
+      let wide_stats, wide_runs = run (1 lsl 20) in
+      Alcotest.(check bool) "identical stats" true (tight_stats = wide_stats);
+      Alcotest.(check bool) "identical runs" true (String.equal tight_runs wide_runs);
+      Alcotest.(check bool) "records emitted" true (tight_stats.Scr.st_records > 0))
+    [ `Rtc; `Batch 8 ]
 
 (* ----- behaviour pin ----- *)
 
@@ -464,6 +521,8 @@ let suite =
     Alcotest.test_case "scr: generated programs match the reference" `Quick test_generated_reference_equality;
     Alcotest.test_case "scr: reference equality under faults" `Quick test_generated_under_faults;
     Alcotest.test_case "scr: spec composition matches the reference" `Quick test_spec_reference_equality;
+    Alcotest.test_case "scr: run rejects bad arguments" `Quick test_run_rejects;
+    Alcotest.test_case "scr: stats and runs independent of universe" `Quick test_universe_invariance;
     Alcotest.test_case "scr: behaviour digest pinned" `Quick test_behaviour_pinned;
     Alcotest.test_case "scr: update-stream accounting closes" `Quick test_stream_accounting;
     Alcotest.test_case "scr: invariant catches doctored results" `Quick test_check_scr_catches_tampering;
