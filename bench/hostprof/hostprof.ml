@@ -8,11 +8,16 @@
    The first three rebuild a perfbench workload from the library (same
    generator, NF, executor and seed 1), warm it up, then run [packets]
    (default 1,000,000; scr-zipf rounds it up to whole 16,384-item chunks,
-   each one [Scr.run]) packets with an ITIMER_PROF timer firing every
-   millisecond of CPU time. Each SIGPROF records the OCaml call stack. The
-   report gives the share of samples per innermost function (self) and per
-   layer: a sample belongs to the first layer of [layer]'s list that any
-   of its frames matches, and GC work lands on the allocating function.
+   each one [Scr.run]) packets with an ITIMER_PROF timer asking for a
+   SIGPROF every millisecond of CPU time. The kernel checks CPU-time timers
+   at its scheduler tick, so the signal comes at most once per tick: on a
+   250 Hz kernel that is one sample per 4 ms, about a quarter of what the
+   interval asks for. Every report therefore prints the samples it got,
+   the CPU seconds they cover and the milliseconds per sample. Each
+   SIGPROF records the OCaml call stack. The report gives the share of
+   samples per innermost function (self) and per layer: a sample belongs
+   to the first layer of [layer]'s list that any of its frames matches,
+   and GC work lands on the allocating function.
    OCaml runs a signal handler at its next poll point (an allocation, a
    call or a loop back-edge), so a sample lands on the first such point
    after the tick: read the shares per function, not per line, and expect
@@ -40,14 +45,23 @@ let on_prof _ =
     incr n_samples
   end
 
+(* User plus system CPU seconds of the sampled run. *)
+let sampled_cpu_s = ref 0.
+
+let cpu_s () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
 let with_sampler f =
   Sys.set_signal Sys.sigprof (Sys.Signal_handle on_prof);
   let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
+  let cpu0 = cpu_s () in
   ignore (Unix.setitimer Unix.ITIMER_PROF tick : Unix.interval_timer_status);
   f ();
   ignore
     (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.; it_value = 0. }
       : Unix.interval_timer_status);
+  sampled_cpu_s := cpu_s () -. cpu0;
   Sys.set_signal Sys.sigprof Sys.Signal_ignore
 
 (* Frame names, innermost first, without the sampler's own frames. *)
@@ -108,7 +122,9 @@ let report name =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
-  Printf.printf "%s: %d samples\n\nby layer\n" name n;
+  Printf.printf "%s: %d samples over %.2f s of CPU time, %.2f ms per sample\n\nby layer\n"
+    name n !sampled_cpu_s
+    (1000. *. !sampled_cpu_s /. float_of_int (max 1 n));
   List.iter (fun (k, c) -> Printf.printf "  %5.1f%%  %s\n" (pct c) k) (sorted layers);
   Printf.printf "\nself, top 25\n";
   List.iteri

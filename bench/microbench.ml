@@ -1,11 +1,12 @@
 (* Bechamel micro-benchmarks of the substrate primitives (wall-clock costs
    of the simulator itself, not simulated cycles): cuckoo lookup (in key
-   order and uniformly scattered), MDI tree walk, hierarchy read (hit and
-   miss paths) and prefetch, flow hashing, NF-C interpretation, and SCR's
-   per-record pieces (GUPD1 round trip, monitor apply), and the per-packet
-   host path every executor shares: header encode, arena packet build,
-   PRNG draws and one traffic pull from each generator. Useful for keeping
-   the simulator fast enough to drive the figure sweeps. *)
+   order and uniformly scattered) and populate, MDI tree walk, hierarchy
+   read (hit, miss and random-line paths) and prefetch, flow hashing, NF-C
+   interpretation, and SCR's per-record pieces (GUPD1 round trip, monitor
+   apply), and the per-packet host path every executor shares: header
+   encode, arena packet build, PRNG draws and one traffic pull from each
+   generator. Useful for keeping the simulator fast enough to drive the
+   figure sweeps. *)
 
 open Bechamel
 open Toolkit
@@ -44,6 +45,17 @@ let cuckoo_uniform_test () =
     (Staged.stage (fun () ->
          i := (!i + 1) land (uniform_keys - 1);
          ignore (Structures.Cuckoo.lookup t keys.(!i))))
+
+(* One populate: a fresh 131,072-entry table and the same 131,072
+   scattered keys, inserted in order (setup cost of every classifier, so
+   one op is the whole batch). *)
+let cuckoo_insert_test () =
+  let keys = Array.init uniform_keys spread in
+  Test.make ~name:"cuckoo.insert"
+    (Staged.stage (fun () ->
+         let layout = Memsim.Layout.create () in
+         let t = Structures.Cuckoo.create layout ~label:"c" ~capacity:uniform_keys () in
+         Array.iteri (fun i key -> ignore (Structures.Cuckoo.insert t ~key ~value:i)) keys))
 
 (* SCR's per-record pieces on the scr-zipf payload: a monitor over
    131,072 flows and single-flow GNMC1 frames for 1,024 of them. One
@@ -124,6 +136,23 @@ let cache_miss_test =
          ignore
            (Memsim.Hierarchy.read h ~now:(!i * 30)
               ~addr:((!i * miss_stride) land miss_mask) ~bytes:8)))
+
+(* Reads of random lines over 8 MiB, eight times the simulated L2: most
+   miss L1 and L2 and hit the LLC, as flow-state reads do. The 65,536
+   addresses are drawn once, so the loop times the hierarchy only. *)
+let random_lines = 65_536
+
+let cache_random_test () =
+  let h = Memsim.Hierarchy.create () in
+  let rng = Memsim.Rng.create 5 in
+  let addrs = Array.init random_lines (fun _ -> Memsim.Rng.int rng (8 * 1024 * 1024)) in
+  let i = ref 0 in
+  Test.make ~name:"hierarchy.read.random"
+    (Staged.stage (fun () ->
+         i := !i + 1;
+         ignore
+           (Memsim.Hierarchy.read h ~now:(!i * 30)
+              ~addr:addrs.(!i land (random_lines - 1)) ~bytes:8)))
 
 (* One-line prefetches over the same stream, [now] advancing 30 cycles per
    call: mostly issued (locate in all three levels, fill at each), with
@@ -206,9 +235,11 @@ let run () =
       ([
          cuckoo_test;
          cuckoo_uniform_test ();
+         cuckoo_insert_test ();
          mdi_test;
          cache_test;
          cache_miss_test;
+         cache_random_test ();
          prefetch_test;
          flow_hash_test;
          nfc_test;

@@ -3,11 +3,14 @@
     The cache tracks only the {e presence} of 64-byte (configurable) lines of
     the simulated physical address space; actual data contents live in
     ordinary OCaml values elsewhere. This is all the paper's evaluation
-    needs: hit/miss placement per level drives every reported metric. *)
+    needs: hit/miss placement per level drives every reported metric.
+
+    Every function keyed by line number ([*_line]) raises
+    [Invalid_argument] on a negative line: no set holds one. *)
 
 type t
 
-(** [create ~name ~size_bytes ~assoc ~line_bytes] builds an empty cache.
+(** [create ~size_bytes ~assoc ~line_bytes] builds an empty cache.
     [size_bytes] must equal [nsets * assoc * line_bytes] with [line_bytes] a
     power of two; [nsets] may be any positive count (the default 33 MiB
     11-way LLC has 49,152 sets). A power-of-two [nsets] is indexed with a

@@ -68,7 +68,13 @@ type t = {
   line_bits : int;
   mshr_line : int array;   (* -1 = free slot *)
   mshr_ready : int array;
-  mutable mshr_used : bool;  (* false until the first slot is occupied *)
+  (* In-flight filter over the MSHR file (see [mshr_inflight]): the bits
+     of the lines of the slots in flight at [filter_time], or written
+     since; the earliest deadline among them; and the time of the last
+     rebuild. *)
+  mutable filter : int;
+  mutable filter_deadline : int;
+  mutable filter_time : int;
   mutable tap : tap option;
   mutable reads : int;
   mutable writes : int;
@@ -104,7 +110,9 @@ let create ?(cfg = default_config) () =
     line_bits = log2_exact cfg.line_bytes;
     mshr_line = Array.make cfg.mshr_count (-1);
     mshr_ready = Array.make cfg.mshr_count 0;
-    mshr_used = false;
+    filter = 0;
+    filter_deadline = max_int;
+    filter_time = min_int;
     tap = None;
     reads = 0;
     writes = 0;
@@ -141,11 +149,8 @@ let lines_of t ~addr ~bytes =
   end
 
 (* MSHR helpers; slots whose deadline has passed are reclaimed lazily.
-   [mshr_used] stays false until the first prefetch or stall occupies a
-   slot, letting demand-only executors (per-packet RTC) skip the scan on
-   every line access. The per-line helpers are top-level and closure-free,
-   and a slot is reported as an index (-1 = none), so the hot path
-   allocates nothing. *)
+   The per-line helpers are top-level and closure-free, and a slot is
+   reported as an index (-1 = none), so the hot path allocates nothing. *)
 
 let rec find_slot (lines : int array) line i =
   if i = Array.length lines then -1
@@ -159,11 +164,44 @@ let rec free_slot (lines : int array) (ready : int array) now i =
 
 let mshr_free_slot t ~now = free_slot t.mshr_line t.mshr_ready now 0
 
+(* The in-flight filter. A line's bit is [1 lsl (line land 31)].
+   [filter] holds the bits of every slot that was in flight at
+   [filter_time] (the last rebuild) plus every slot written since, and
+   [filter_deadline] the earliest of their deadlines.
+
+   It is exact for any [now >= filter_time]: a slot in flight at [now]
+   either held its current line at the rebuild, and then it was in flight
+   there too ([ready > now >= filter_time]), or it was written after it;
+   either way its bit is set. So a clear bit proves that no slot naming
+   the line is in flight at [now], and in particular not the first one,
+   which is the only one [mshr_inflight] may report. A set bit only sends
+   the lookup to the slots, where the first-slot rule applies unchanged.
+   When [now] is earlier than the rebuild, slots the rebuild dropped can
+   be in flight again, so the filter is rebuilt first; it is also rebuilt
+   once a counted deadline has passed, so that completed lines leave it.
+   Freeing a slot leaves its bit set: a stale bit costs a scan, never a
+   wrong answer. Demand-only executors never write a slot, so the filter
+   stays empty and every line access skips the scan. *)
+let filter_bit line = 1 lsl (line land 31)
+
+let note_slot t i =
+  t.filter <- t.filter lor filter_bit t.mshr_line.(i);
+  if t.mshr_ready.(i) < t.filter_deadline then t.filter_deadline <- t.mshr_ready.(i)
+
+let rebuild_filter t now =
+  t.filter <- 0;
+  t.filter_deadline <- max_int;
+  t.filter_time <- now;
+  for i = 0 to Array.length t.mshr_line - 1 do
+    if t.mshr_line.(i) <> -1 && t.mshr_ready.(i) > now then note_slot t i
+  done
+
 (* Slot of [line]'s fill if it is still in flight at [now], else -1. Only
    the first slot naming [line] counts: a completed slot can still name a
    line that a later prefetch re-issued into another slot. *)
 let mshr_inflight t ~now line =
-  if not t.mshr_used then -1
+  if now < t.filter_time || now >= t.filter_deadline then rebuild_filter t now;
+  if t.filter land filter_bit line = 0 then -1
   else
     let i = find_slot t.mshr_line line 0 in
     if i >= 0 && t.mshr_ready.(i) > now then i else -1
@@ -316,7 +354,7 @@ let prefetch t ~now ~addr ~bytes =
           ignore (Cache.fill_line t.l1 line (-w1 - 1));
           t.mshr_line.(slot) <- line;
           t.mshr_ready.(slot) <- now + lat;
-          t.mshr_used <- true;
+          note_slot t slot;
           t.prefetch_issued <- t.prefetch_issued + 1;
           incr issued
         end
@@ -367,10 +405,10 @@ let stall_mshrs t ~now ~cycles =
     if t.mshr_line.(i) = -1 || t.mshr_ready.(i) <= now then begin
       t.mshr_line.(i) <- max_int - i;
       t.mshr_ready.(i) <- now + cycles;
+      note_slot t i;
       incr stalled
     end
   done;
-  if !stalled > 0 then t.mshr_used <- true;
   t.mshr_stalls <- t.mshr_stalls + !stalled;
   !stalled
 
@@ -379,4 +417,6 @@ let clear t =
   Cache.clear t.l2;
   Cache.clear t.llc;
   Array.fill t.mshr_line 0 (Array.length t.mshr_line) (-1);
-  t.mshr_used <- false
+  t.filter <- 0;
+  t.filter_deadline <- max_int;
+  t.filter_time <- min_int

@@ -32,13 +32,15 @@ type insert_result =
   | Evicted of { victim_key : int64; victim_value : int }
   | Rejected
 
+(* Host layout: one 64-byte record per bucket in [buckets], the same size
+   as the simulated bucket line. Bytes 0-31 hold the four slot words,
+   each [value lsl 16 lor fingerprint], or -1 when the slot is empty;
+   bytes 32-63 hold the four keys, valid where the slot word is. A probe
+   reads only its bucket's record. The value is at most 46 bits so that
+   the packed word stays a non-negative OCaml int. *)
 type t = {
   mask : int;  (* nbuckets - 1 *)
-  keys : Bytes.t;
-      (* 8 bytes per slot, nbuckets * slots; slot empty when vals.(i) < 0.
-         Unboxed, so neither the GC nor a probe chases a pointer per key. *)
-  fps : int array;  (* cached fingerprint of keys.(i); valid where vals.(i) >= 0 *)
-  vals : int array;
+  buckets : Bytes.t;  (* 64 bytes per bucket, see above *)
   stamps : int array;  (* per-slot insertion stamp; LRU-ish eviction order *)
   base_addr : int;  (* bucket array: fingerprints + value indices *)
   key_base : int;  (* out-of-line full-key store, one line per bucket *)
@@ -49,6 +51,8 @@ type t = {
   mutable tick : int;
 }
 
+let value_bits = 46
+
 let next_pow2 n =
   let rec go v = if v >= n then v else go (v * 2) in
   go 1
@@ -57,7 +61,6 @@ let create layout ~label ~capacity () =
   if capacity <= 0 then invalid_arg "Cuckoo.create: capacity must be positive";
   (* Size for ~80% max load factor. *)
   let nbuckets = next_pow2 ((capacity * 5 / 4 / slots_per_bucket) + 1) in
-  let nslots = nbuckets * slots_per_bucket in
   let base_addr =
     Memsim.Layout.alloc_array layout ~align:64 ~label ~stride:bucket_bytes
       ~count:nbuckets ()
@@ -68,10 +71,9 @@ let create layout ~label ~capacity () =
   in
   {
     mask = nbuckets - 1;
-    keys = Bytes.make (8 * nslots) '\000';
-    fps = Array.make nslots 0;
-    vals = Array.make nslots (-1);
-    stamps = Array.make nslots 0;
+    (* All ones: every slot word reads -1, empty. *)
+    buckets = Bytes.make (nbuckets * bucket_bytes) '\xff';
+    stamps = Array.make (nbuckets * slots_per_bucket) 0;
     base_addr;
     key_base;
     seed1 = 0x9E3779B97F4A7C15L;
@@ -116,35 +118,45 @@ let fingerprint key =
   let open Int64 in
   to_int (shift_right_logical (mul key 0x2545F4914F6CDD1DL) 48) land 0xFFFF
 
+(* A slot is [bucket * 4 + i]; its word and key sit at byte [word_off]
+   and [word_off + 32] of the bucket record. The accessors are forced
+   inline so that a key is compared where it lies: an [int64] returned
+   across a call is boxed, and that made populate twice as slow. *)
 let slot_base bucket = bucket * slots_per_bucket
 let last_slot bucket = slot_base bucket + slots_per_bucket - 1
-let key_at t slot = Bytes.get_int64_ne t.keys (8 * slot)
+let[@inline] word_off slot = ((slot lsr 2) lsl 6) lor ((slot land 3) lsl 3)
+let[@inline] word t slot = Int64.to_int (Bytes.get_int64_ne t.buckets (word_off slot))
+let[@inline] set_word t slot w = Bytes.set_int64_ne t.buckets (word_off slot) (Int64.of_int w)
+let[@inline] key_at t slot = Bytes.get_int64_ne t.buckets (word_off slot + 32)
 
-(* Every key write goes through here, keeping the fingerprint cache in
-   step with the key store. *)
+(* Occupied [slot] holds [key]. *)
+let[@inline] holds t slot key = word t slot >= 0 && (key_at t slot : int64) = key
+
+(* Every key write goes through here, so a slot's fingerprint always
+   belongs to its key. *)
 let set_slot t slot ~key ~value ~stamp =
-  Bytes.set_int64_ne t.keys (8 * slot) key;
-  t.fps.(slot) <- fingerprint key;
-  t.vals.(slot) <- value;
+  Bytes.set_int64_ne t.buckets (word_off slot + 32) key;
+  set_word t slot ((value lsl 16) lor fingerprint key);
   t.stamps.(slot) <- stamp
 
+(* Whether occupied [slot] carries fingerprint [fp]. An empty slot's -1
+   would match 0xFFFF, hence the sign test. *)
+let[@inline] fp_at t slot fp =
+  let w = word t slot in
+  w >= 0 && w land 0xFFFF = fp
+
 (* Slots of [bucket] whose stored fingerprint matches [key]'s — what the
-   bucket_check action can decide from the bucket line alone. Resident
-   fingerprints come from the [fps] cache maintained at every key write, so
-   the probe does one multiply instead of one per occupied slot. *)
+   bucket_check action can decide from the bucket line alone. *)
 let candidates t ~bucket ~key =
   let fp = fingerprint key in
   let b = slot_base bucket in
   let rec go i acc =
-    if i < 0 then acc
-    else if t.vals.(b + i) >= 0 && t.fps.(b + i) = fp then go (i - 1) (i :: acc)
-    else go (i - 1) acc
+    if i < 0 then acc else go (i - 1) (if fp_at t (b + i) fp then i :: acc else acc)
   in
   go (slots_per_bucket - 1) []
 
 (* Whether [candidates] is non-empty, without building it. *)
-let rec fp_in t fp slot last =
-  slot <= last && ((t.vals.(slot) >= 0 && t.fps.(slot) = fp) || fp_in t fp (slot + 1) last)
+let rec fp_in t fp slot last = slot <= last && (fp_at t slot fp || fp_in t fp (slot + 1) last)
 
 let has_candidate t ~bucket ~key =
   fp_in t (fingerprint key) (slot_base bucket) (last_slot bucket)
@@ -152,9 +164,7 @@ let has_candidate t ~bucket ~key =
 (* The occupied slot in [slot .. last] holding [key], or -1. Probes are
    top-level loops over slot indices, so they allocate nothing. *)
 let rec key_slot t key slot last =
-  if slot > last then -1
-  else if t.vals.(slot) >= 0 && Int64.equal (key_at t slot) key then slot
-  else key_slot t key (slot + 1) last
+  if slot > last then -1 else if holds t slot key then slot else key_slot t key (slot + 1) last
 
 (* The slot holding [key] in either candidate bucket, primary first. *)
 let find_slot t key =
@@ -165,32 +175,26 @@ let find_slot t key =
       key_slot t key (slot_base b2) (last_slot b2)
   | s -> s
 
+let[@inline] value_at t slot = word t slot lsr 16
+
 (* Search one bucket for [key]; pure table logic, no memory charging. *)
 let find_in_bucket t ~bucket ~key =
   match key_slot t key (slot_base bucket) (last_slot bucket) with
   | -1 -> None
-  | s -> Some t.vals.(s)
+  | s -> Some (value_at t s)
 
-let lookup t key = match find_slot t key with -1 -> None | s -> Some t.vals.(s)
-let find t key = match find_slot t key with -1 -> -1 | s -> t.vals.(s)
+let lookup t key = match find_slot t key with -1 -> None | s -> Some (value_at t s)
+let find t key = match find_slot t key with -1 -> -1 | s -> value_at t s
 
 (* The first empty slot in [slot .. last], or -1. *)
 let rec empty_slot t slot last =
-  if slot > last then -1 else if t.vals.(slot) < 0 then slot else empty_slot t (slot + 1) last
+  if slot > last then -1 else if word t slot < 0 then slot else empty_slot t (slot + 1) last
 
 let try_place t ~key ~value bucket =
   match empty_slot t (slot_base bucket) (last_slot bucket) with
   | -1 -> false
   | slot ->
       set_slot t slot ~key ~value ~stamp:t.tick;
-      true
-
-let update_existing t ~key ~value =
-  match find_slot t key with
-  | -1 -> false
-  | s ->
-      t.vals.(s) <- value;
-      t.stamps.(s) <- t.tick;
       true
 
 (* Place [key] into [bucket] or displace a random resident into its
@@ -213,7 +217,7 @@ let walk_place t ~key ~value ~stamp ~bucket =
             (* Evict a random resident of this bucket and re-insert it into
                its alternate bucket. *)
             let victim = slot_base bucket + Memsim.Rng.int t.rng slots_per_bucket in
-            let vkey = key_at t victim and vval = t.vals.(victim) in
+            let vkey = key_at t victim and vval = value_at t victim in
             let vstamp = t.stamps.(victim) in
             undo := (victim, vkey, vval, vstamp) :: !undo;
             set_slot t victim ~key ~value ~stamp;
@@ -229,22 +233,42 @@ let walk_place t ~key ~value ~stamp ~bucket =
     List.iter (fun (slot, k, v, s) -> set_slot t slot ~key:k ~value:v ~stamp:s) !undo;
   placed
 
-(* Insert a key known to be absent; true population bump on success. *)
-let insert_fresh t ~key ~value =
-  let placed =
-    try_place t ~key ~value (hash1 t key)
-    || try_place t ~key ~value (hash2 t key)
-    || walk_place t ~key ~value ~stamp:t.tick ~bucket:(hash1 t key)
-  in
-  if placed then t.population <- t.population + 1;
-  placed
+(* A value must fit the slot word's 46 bits. *)
+let check_value value =
+  if value lsr value_bits <> 0 then
+    invalid_arg "Cuckoo.insert: value must be in [0, 2^46)"
 
-(* Random-walk cuckoo insert. Returns [false] when the walk exceeds
-   [max_kicks] (table effectively full); the failed walk is fully unwound,
-   so no entry is ever lost or moved by a rejected insert. *)
-let insert t ~key ~value =
+(* Re-point resident slot [s] at [value]; its key and fingerprint stay. *)
+let update t s value =
+  set_word t s ((value lsl 16) lor (word t s land 0xFFFF));
+  t.stamps.(s) <- t.tick;
+  Updated
+
+(* Point a resident [key] at [value] ([Updated]), or place it with a
+   random-walk cuckoo insert ([Inserted]; [Rejected] when the walk exceeds
+   [max_kicks], and the failed walk is fully unwound, so no entry is ever
+   lost or moved). Both buckets are hashed once for the whole call. *)
+let place t ~key ~value =
+  check_value value;
   t.tick <- t.tick + 1;
-  update_existing t ~key ~value || insert_fresh t ~key ~value
+  let b1 = hash1 t key and b2 = hash2 t key in
+  match key_slot t key (slot_base b1) (last_slot b1) with
+  | -1 -> (
+      match key_slot t key (slot_base b2) (last_slot b2) with
+      | -1 ->
+          if
+            try_place t ~key ~value b1
+            || try_place t ~key ~value b2
+            || walk_place t ~key ~value ~stamp:t.tick ~bucket:b1
+          then begin
+            t.population <- t.population + 1;
+            Inserted
+          end
+          else Rejected
+      | s -> update t s value)
+  | s -> update t s value
+
+let insert t ~key ~value = match place t ~key ~value with Rejected -> false | _ -> true
 
 (* Stalest slot among the key's two candidate buckets (lowest stamp;
    first-in-scan-order tie-break — fully deterministic). *)
@@ -254,7 +278,7 @@ let stalest_slot t key =
     let b = slot_base bucket in
     for i = 0 to slots_per_bucket - 1 do
       let s = b + i in
-      if t.vals.(s) >= 0 && (!best < 0 || t.stamps.(s) < t.stamps.(!best)) then
+      if word t s >= 0 && (!best < 0 || t.stamps.(s) < t.stamps.(!best)) then
         best := s
     done
   in
@@ -264,26 +288,25 @@ let stalest_slot t key =
   !best
 
 let insert_policy t ~policy ~key ~value =
-  t.tick <- t.tick + 1;
-  if update_existing t ~key ~value then Updated
-  else if insert_fresh t ~key ~value then Inserted
-  else
+  match place t ~key ~value with
+  | (Inserted | Updated | Evicted _) as r -> r
+  | Rejected -> (
     match policy with
     | Drop_new | Shed_flow -> Rejected
     | Evict_lru -> (
         match stalest_slot t key with
         | -1 -> Rejected (* both candidate buckets empty yet walk failed: impossible *)
         | slot ->
-            let victim_key = key_at t slot and victim_value = t.vals.(slot) in
+            let victim_key = key_at t slot and victim_value = value_at t slot in
             set_slot t slot ~key ~value ~stamp:t.tick;
             (* one out, one in: population unchanged *)
-            Evicted { victim_key; victim_value })
+            Evicted { victim_key; victim_value }))
 
 let delete t key =
   match find_slot t key with
   | -1 -> false
   | s ->
-      t.vals.(s) <- -1;
+      set_word t s (-1);
       t.population <- t.population - 1;
       true
 

@@ -51,7 +51,9 @@ val lookup : t -> int64 -> int option
 val find : t -> int64 -> int
 
 (** Insert or update; random-walk displacement on conflicts. [false] means
-    the walk exceeded 500 displacements (no entry is lost). *)
+    the walk exceeded 500 displacements (no entry is lost).
+    @raise Invalid_argument unless [0 <= value < 2^46] (a slot packs the
+    value with the key's 16-bit fingerprint into one word). *)
 val insert : t -> key:int64 -> value:int -> bool
 
 val delete : t -> int64 -> bool
@@ -76,6 +78,7 @@ type insert_result =
 
 (** Like {!insert} but overflow resolves per [policy] instead of just
     reporting [false]. Deterministic: LRU order comes from per-slot
-    insertion stamps, ties break on scan order. *)
+    insertion stamps, ties break on scan order.
+    @raise Invalid_argument unless [0 <= value < 2^46], as {!insert}. *)
 val insert_policy :
   t -> policy:overflow_policy -> key:int64 -> value:int -> insert_result

@@ -111,6 +111,37 @@ let test_contains_no_stats () =
   Alcotest.(check int) "contains does not count hits" 0 (Cache.hits c);
   Alcotest.(check int) "contains does not count misses" 0 (Cache.misses c)
 
+(* A negative line names no set. It used to read as present on an empty
+   power-of-two cache (-1 was also the empty-way marker) and to escape as
+   an index error on the 49,152-set LLC; every [*_line] entry point now
+   refuses it, and the refusal leaves the cache untouched. *)
+let test_negative_line_rejected () =
+  let l1 = Cache.create ~size_bytes:(32 * 1024) ~assoc:8 ~line_bytes:64 in
+  let llc = Cache.create ~size_bytes:(33 * 1024 * 1024) ~assoc:11 ~line_bytes:64 in
+  let refused = Invalid_argument "Cache: negative line number" in
+  List.iter
+    (fun (geometry, c) ->
+      List.iter
+        (fun line ->
+          List.iter
+            (fun (name, f) ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s: %s %d" geometry name line)
+                refused
+                (fun () -> ignore (f c line : int)))
+            [
+              ("contains_line", fun c l -> Bool.to_int (Cache.contains_line c l));
+              ("locate_line", Cache.locate_line);
+              ("probe_line", Cache.probe_line);
+              ("install_line", Cache.install_line);
+              ("fill_line", fun c l -> Cache.fill_line c l 0);
+            ])
+        [ -1; min_int; -(Cache.nsets c) ];
+      Alcotest.(check int) (geometry ^ ": nothing counted") 0
+        (Cache.hits c + Cache.misses c + Cache.installs c);
+      Alcotest.(check int) (geometry ^ ": nothing resident") 0 (Cache.resident_lines c))
+    [ ("32 KiB 8-way", l1); ("33 MiB 11-way", llc) ]
+
 let qcheck_capacity_bound =
   QCheck.Test.make ~name:"resident lines never exceed capacity" ~count:100
     QCheck.(list_of_size (Gen.return 200) (int_bound 10_000))
@@ -321,6 +352,7 @@ let suite =
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "resident lines" `Quick test_resident_lines;
     Alcotest.test_case "contains is stat-free" `Quick test_contains_no_stats;
+    Alcotest.test_case "negative line rejected" `Quick test_negative_line_rejected;
     Alcotest.test_case "matches a reference LRU model" `Quick test_reference_model;
     Helpers.qcheck qcheck_capacity_bound;
     Helpers.qcheck qcheck_install_then_contains;

@@ -185,6 +185,25 @@ let qcheck_prefetch_makes_ready =
       ignore (Hierarchy.prefetch h ~now:0 ~addr ~bytes:8);
       Hierarchy.ready h ~now:(cfg.Hierarchy.lat_dram + 1) ~addr ~bytes:8)
 
+(* Appends the final Memstats and each level's counters to [buf] and
+   digests it. *)
+let digest_of h buf add =
+  let c = Hierarchy.counters h in
+  List.iter add
+    Memstats.
+      [
+        c.reads; c.writes; c.line_accesses; c.l1_hits; c.l2_hits; c.llc_hits;
+        c.dram_fills; c.mshr_waits; c.wait_cycles; c.prefetch_issued;
+        c.prefetch_redundant; c.prefetch_dropped; c.mshr_stalls;
+      ];
+  List.iter
+    (fun lvl ->
+      List.iter add
+        Cache.
+          [ hits lvl; misses lvl; evictions lvl; installs lvl; resident_lines lvl ])
+    [ Hierarchy.l1 h; Hierarchy.l2 h; Hierarchy.llc h ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 (* Behaviour pin: a seeded mix of reads, writes, prefetches, readiness
    checks and MSHR stalls with time advancing, folded (every returned
    latency, issued count and ready flag, then the final Memstats and each
@@ -226,27 +245,74 @@ let behaviour_digest cfg =
     else if op < 98 then add (Bool.to_int (Hierarchy.ready h ~now ~addr ~bytes))
     else add (Hierarchy.stall_mshrs h ~now ~cycles:(Rng.int rng 300))
   done;
-  let c = Hierarchy.counters h in
-  List.iter add
-    Memstats.
-      [
-        c.reads; c.writes; c.line_accesses; c.l1_hits; c.l2_hits; c.llc_hits;
-        c.dram_fills; c.mshr_waits; c.wait_cycles; c.prefetch_issued;
-        c.prefetch_redundant; c.prefetch_dropped; c.mshr_stalls;
-      ];
-  List.iter
-    (fun lvl ->
-      List.iter add
-        Cache.
-          [ hits lvl; misses lvl; evictions lvl; installs lvl; resident_lines lvl ])
-    [ Hierarchy.l1 h; Hierarchy.l2 h; Hierarchy.llc h ];
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  digest_of h buf add
+
+(* Behaviour pin for the MSHR rules, captured before the in-flight filter
+   on the MSHR file landed. One step in sixteen moves [now] back by up to
+   200 cycles, so in-flight checks see time go backwards past slots that
+   completed in between. Re-prefetches (4 in 9) re-issue one of the last
+   8 prefetched lines after dropping it from L1 and L2, so a
+   completed slot that still names a line meets a second fill of it (only
+   the first slot naming a line counts). Pending counts and deadlines are
+   folded in as well as every returned latency, count and flag. *)
+let mshr_digest cfg =
+  let h = Hierarchy.create ~cfg () in
+  let rng = Rng.create 2025 in
+  let buf = Buffer.create (1 lsl 17) in
+  let add x =
+    Buffer.add_string buf (string_of_int x);
+    Buffer.add_char buf ';'
+  in
+  let recent = Array.make 8 0 and n_recent = ref 0 in
+  let remember addr =
+    recent.(!n_recent land 7) <- addr;
+    incr n_recent
+  in
+  let old () = if !n_recent = 0 then 0 else recent.(Rng.int rng (min 8 !n_recent)) in
+  let fresh () = Rng.int rng (2 * 1024 * 1024) in
+  let now = ref 1000 in
+  for _ = 1 to 20_000 do
+    (if Rng.int rng 16 = 0 then now := max 0 (!now - Rng.int rng 200)
+     else now := !now + Rng.int rng 40);
+    let now = !now in
+    let op = Rng.int rng 100 in
+    let bytes = 1 + Rng.int rng 128 in
+    if op < 25 then begin
+      let addr = fresh () in
+      remember addr;
+      add (Hierarchy.prefetch h ~now ~addr ~bytes)
+    end
+    else if op < 45 then begin
+      let addr = old () in
+      Cache.invalidate (Hierarchy.l1 h) addr;
+      if Rng.int rng 4 > 0 then Cache.invalidate (Hierarchy.l2 h) addr;
+      add (Hierarchy.prefetch h ~now ~addr ~bytes)
+    end
+    else if op < 65 then
+      let addr = if Rng.int rng 2 = 0 then old () else fresh () in
+      add (Hierarchy.read h ~now ~addr ~bytes)
+    else if op < 85 then add (Bool.to_int (Hierarchy.ready h ~now ~addr:(old ()) ~bytes))
+    else if op < 98 then begin
+      add (Hierarchy.mshr_pending_count h ~now);
+      List.iter
+        (fun (line, deadline) ->
+          add line;
+          add deadline)
+        (Hierarchy.mshr_deadlines h ~now)
+    end
+    else add (Hierarchy.stall_mshrs h ~now ~cycles:(Rng.int rng 300))
+  done;
+  digest_of h buf add
 
 let test_behaviour_digest () =
   Alcotest.(check string) "small_cfg" "0eb39f8480655ef481f85e866d05fc0d"
     (behaviour_digest small_cfg);
   Alcotest.(check string) "default config" "4b51bdefd0183b0b0a4e46c0ac964d8b"
     (behaviour_digest cfg)
+
+let test_mshr_digest () =
+  Alcotest.(check string) "small_cfg" "d5db0549799a5e0811de8cc35f5a76f1" (mshr_digest small_cfg);
+  Alcotest.(check string) "default config" "3810902f643a7a224766076b6d9b59ef" (mshr_digest cfg)
 
 let suite =
   [
@@ -270,6 +336,8 @@ let suite =
     Alcotest.test_case "counters diff" `Quick test_counters_diff;
     Alcotest.test_case "memstats derived metrics" `Quick test_memstats_derived;
     Alcotest.test_case "seeded op mix matches pinned digest" `Quick test_behaviour_digest;
+    Alcotest.test_case "MSHR op mix with time going back matches pinned digest" `Quick
+      test_mshr_digest;
     Helpers.qcheck qcheck_read_latency_bounded;
     Helpers.qcheck qcheck_prefetch_makes_ready;
   ]

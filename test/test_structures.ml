@@ -73,6 +73,30 @@ let test_cuckoo_candidates_superset () =
       (Cuckoo.candidates t ~bucket ~key <> [])
   done
 
+(* A slot word packs [value lsl 16 lor fingerprint], so a value must lie
+   in [0, 2^46). One outside used to be accepted: [insert ~value:(-1)]
+   returned true and counted the key, which then read as absent, and a
+   second insert counted it again. Now both insert paths refuse it and
+   leave the table as it was. *)
+let test_cuckoo_value_range () =
+  let t = Cuckoo.create (layout ()) ~label:"c" ~capacity:16 () in
+  let refused = Invalid_argument "Cuckoo.insert: value must be in [0, 2^46)" in
+  List.iter
+    (fun value ->
+      Alcotest.check_raises (Printf.sprintf "insert %d" value) refused (fun () ->
+          ignore (Cuckoo.insert t ~key:42L ~value));
+      Alcotest.check_raises (Printf.sprintf "insert_policy %d" value) refused (fun () ->
+          ignore (Cuckoo.insert_policy t ~policy:Cuckoo.Evict_lru ~key:42L ~value)))
+    [ -1; min_int; 1 lsl 46; max_int ];
+  Alcotest.(check int) "nothing counted" 0 (Cuckoo.population t);
+  Alcotest.(check (option int)) "key absent" None (Cuckoo.lookup t 42L);
+  let top = (1 lsl 46) - 1 in
+  Alcotest.(check bool) "largest value accepted" true (Cuckoo.insert t ~key:42L ~value:top);
+  Alcotest.(check (option int)) "largest value round-trips" (Some top) (Cuckoo.lookup t 42L);
+  Alcotest.(check bool) "zero accepted" true (Cuckoo.insert t ~key:42L ~value:0);
+  Alcotest.(check (option int)) "updated to zero" (Some 0) (Cuckoo.lookup t 42L);
+  Alcotest.(check int) "one key" 1 (Cuckoo.population t)
+
 let test_cuckoo_full_table () =
   (* A tiny table eventually refuses inserts instead of looping forever. *)
   let t = Cuckoo.create (layout ()) ~label:"c" ~capacity:4 () in
@@ -589,6 +613,7 @@ let suite =
     Alcotest.test_case "cuckoo address regions" `Quick test_cuckoo_addrs_distinct_regions;
     Alcotest.test_case "cuckoo candidates" `Quick test_cuckoo_candidates_superset;
     Alcotest.test_case "cuckoo full table" `Quick test_cuckoo_full_table;
+    Alcotest.test_case "cuckoo value range" `Quick test_cuckoo_value_range;
     Helpers.qcheck qcheck_cuckoo_model;
     Helpers.qcheck qcheck_cuckoo_model_stepwise;
     Alcotest.test_case "cuckoo seeded drive" `Quick test_cuckoo_seeded_drive;
