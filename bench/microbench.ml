@@ -187,7 +187,7 @@ let nfc_test =
   in
   let worker = Gunfu.Worker.create ~id:0 () in
   let task = Gunfu.Nftask.create 0 in
-  Gunfu.Nftask.load task ~cs:0 ();
+  Gunfu.Nftask.load task ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   Test.make ~name:"nfc.interpret"
     (Staged.stage (fun () ->
          ignore (Gunfu.Action.execute action (Gunfu.Worker.ctx worker) task)))

@@ -102,10 +102,10 @@ let prefetch_pass s n =
       | Some _ | None -> ());
       task.Nftask.cs <- Engine.step s.core (Program.start s.program) Event.Packet_arrival;
       pre s task s.prefix;
-      if not (Engine.faulted task) then
-        List.iter
-          (fun (addr, bytes) -> ignore (Exec_ctx.prefetch s.ctx ~addr ~bytes))
-          task.Nftask.match_addrs
+      if (not (Engine.faulted task)) && task.Nftask.match_addr >= 0 then
+        ignore
+          (Exec_ctx.prefetch s.ctx ~addr:task.Nftask.match_addr
+             ~bytes:task.Nftask.match_bytes)
     end
   done
 

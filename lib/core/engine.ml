@@ -86,8 +86,8 @@ let faulted (task : Nftask.t) =
 
 let load t (task : Nftask.t) (item : Workload.item) =
   let ctx = t.ctx in
-  Nftask.load task ~cs:(Program.start t.program) ?packet:item.Workload.packet
-    ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint ();
+  Nftask.load task ~cs:(Program.start t.program) ~packet:item.Workload.packet
+    ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint;
   task.Nftask.start_clock <- ctx.Exec_ctx.clock;
   Exec_ctx.compute ctx ~cycles:t.cfg.Worker.rx_tx_cycles ~instrs:t.cfg.Worker.rx_tx_instrs;
   (match t.trace with

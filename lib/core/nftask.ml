@@ -33,7 +33,8 @@ type t = {
   mutable flow_hint : int;                (* generator's flow index; -1 unknown *)
   mutable matched : int;                  (* per-flow index from matching; -1 none *)
   mutable sub_matched : int;              (* sub-flow index; -1 none *)
-  mutable match_addrs : (int * int) list; (* (addr, bytes) the next match action reads *)
+  mutable match_addr : int;               (* block the next match action reads; -1 none *)
+  mutable match_bytes : int;              (* ... and its size *)
   mutable pending_blocks : (int * int) list;
       (* blocks resolved by the last Fetch step; what p_state refers to *)
   mutable p_state : p_state;
@@ -52,7 +53,8 @@ let create id =
     flow_hint = -1;
     matched = -1;
     sub_matched = -1;
-    match_addrs = [];
+    match_addr = -1;
+    match_bytes = 0;
     pending_blocks = [];
     p_state = P_none;
     active = false;
@@ -61,8 +63,9 @@ let create id =
   }
 
 (* Load a new unit of work; performed by the scheduler's initialisation and
-   re-initialisation steps (Algorithm 1, lines 4 and 13). *)
-let load t ~cs ?packet ?(aux = 0) ?(flow_hint = -1) () =
+   re-initialisation steps (Algorithm 1, lines 4 and 13). Every argument
+   is labelled and required, so a load boxes no optional argument. *)
+let load t ~cs ~packet ~aux ~flow_hint =
   t.cs <- cs;
   t.event <- Event.Packet_arrival;
   t.packet <- packet;
@@ -70,7 +73,8 @@ let load t ~cs ?packet ?(aux = 0) ?(flow_hint = -1) () =
   t.flow_hint <- flow_hint;
   t.matched <- -1;
   t.sub_matched <- -1;
-  t.match_addrs <- [];
+  t.match_addr <- -1;
+  t.match_bytes <- 0;
   t.pending_blocks <- [];
   t.p_state <- P_none;
   t.active <- true;
@@ -79,6 +83,11 @@ let load t ~cs ?packet ?(aux = 0) ?(flow_hint = -1) () =
   t.temps.h2 <- -1;
   t.temps.cursor <- -1;
   Array.fill t.temps.regs 0 (Array.length t.temps.regs) 0
+
+(* Resolve the one block the next match action reads. *)
+let set_match t ~addr ~bytes =
+  t.match_addr <- addr;
+  t.match_bytes <- bytes
 
 let retire t =
   t.active <- false;

@@ -29,8 +29,9 @@ type t = {
   mutable flow_hint : int;  (** flow/session/UE index; -1 unknown *)
   mutable matched : int;  (** per-flow index from matching; -1 none *)
   mutable sub_matched : int;  (** sub-flow index; -1 none *)
-  mutable match_addrs : (int * int) list;
-      (** (addr, bytes) blocks the next match action will read *)
+  mutable match_addr : int;
+      (** address of the block the next match action will read; -1 none *)
+  mutable match_bytes : int;  (** size of that block *)
   mutable pending_blocks : (int * int) list;
       (** blocks resolved by the last Fetch step — what [p_state] refers to *)
   mutable p_state : p_state;
@@ -42,9 +43,12 @@ type t = {
 val create : int -> t
 
 (** Load a new unit of work (Algorithm 1 lines 4/13): resets all per-packet
-    context. *)
+    context. [aux] is 0 and [flow_hint] -1 when the work item has none. *)
 val load :
-  t -> cs:int -> ?packet:Netcore.Packet.t -> ?aux:int -> ?flow_hint:int -> unit -> unit
+  t -> cs:int -> packet:Netcore.Packet.t option -> aux:int -> flow_hint:int -> unit
+
+(** Set the block ([match_addr], [match_bytes]) the next match action reads. *)
+val set_match : t -> addr:int -> bytes:int -> unit
 
 val retire : t -> unit
 

@@ -35,8 +35,8 @@ let run ?(label = "pipeline") (stages : (Worker.t * Program.t) list)
         else
           Exec_ctx.compute ctx ~cycles:(queue_cycles + transfer_cycles)
             ~instrs:queue_instrs;
-        Nftask.load task ~cs:(Program.start program) ?packet:item.Workload.packet
-          ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint ();
+        Nftask.load task ~cs:(Program.start program) ~packet:item.Workload.packet
+          ~aux:item.Workload.aux ~flow_hint:item.Workload.flow_hint;
         let rec go () =
           let next = Program.step program task.Nftask.cs task.Nftask.event in
           if Program.is_done program next then begin

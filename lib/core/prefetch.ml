@@ -13,7 +13,7 @@ type target =
   | Packet_header of int
       (* first [n] bytes of the packet buffer (headers) *)
   | Match_addrs
-      (* whatever (addr, bytes) list the previous match step resolved *)
+      (* the block the previous match step resolved *)
   | Per_flow of State_arena.t * (string * int) list
       (* per-flow entry of this module's arena at index [task.matched];
          with a non-empty field list, only those (field, bytes) slices *)
@@ -57,7 +57,9 @@ let resolve target (task : Nftask.t) =
       match task.Nftask.packet with
       | Some p when p.Netcore.Packet.sim_addr >= 0 -> [ (p.Netcore.Packet.sim_addr, n) ]
       | Some _ | None -> [])
-  | Match_addrs -> task.Nftask.match_addrs
+  | Match_addrs ->
+      if task.Nftask.match_addr < 0 then []
+      else [ (task.Nftask.match_addr, task.Nftask.match_bytes) ]
   | Per_flow (arena, fields) -> arena_blocks arena task.Nftask.matched fields
   | Sub_flow (arena, fields) -> arena_blocks arena task.Nftask.sub_matched fields
   | Fixed s -> [ (s.Sref.addr, s.Sref.bytes) ]

@@ -118,12 +118,12 @@ let class_of t cs ev =
   | Event.User s ->
       if s == t.memo_key.(cs) then t.memo_cls.(cs)
       else begin
-        match Hashtbl.find_opt t.class_of_key s with
-        | Some c ->
+        match Hashtbl.find t.class_of_key s with
+        | c ->
             t.memo_key.(cs) <- s;
             t.memo_cls.(cs) <- c;
             c
-        | None -> -1
+        | exception Not_found -> -1
       end
 
 (* Δ through the dense table. Dead cells and class-less events defer to

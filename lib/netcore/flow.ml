@@ -28,8 +28,10 @@ let reverse t =
   }
 
 (* 64-bit mix (splitmix finalizer) — used both as the flow-table key hash and
-   for RSS. Collision-safe lookups compare the full tuple on the OCaml side. *)
-let mix64 z =
+   for RSS. Collision-safe lookups compare the full tuple on the OCaml side.
+   Inlined so that [key64]'s intermediates stay unboxed: only its result
+   is boxed. *)
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in

@@ -108,11 +108,6 @@ let populate_flows t flows =
 
 (* ----- NFActions ----- *)
 
-let read_match_addrs ctx (task : Nftask.t) =
-  List.iter
-    (fun (addr, bytes) -> Exec_ctx.read ctx ~cls:Sref.Match_state ~addr ~bytes)
-    task.Nftask.match_addrs
-
 let get_key_action t =
   Action.make ~kind:Action.Match_action ~base_cycles:12 ~base_instrs:14
     ~name:(t.name ^ ".get_key")
@@ -123,7 +118,8 @@ let get_key_action t =
 
 let hash_action t ~primary =
   let name = if primary then ".hash_1" else ".hash_2" in
-  let event = if primary then "hash_done" else "sec_hash_done" in
+  (* Built once: [User] of a non-literal string is a fresh block per call. *)
+  let event = Event.User (if primary then "hash_done" else "sec_hash_done") in
   Action.make ~kind:Action.Match_action ~base_cycles:22 ~base_instrs:20
     ~invalidates:[ `Match_addrs ] ~name:(t.name ^ name)
     (fun _ctx task ->
@@ -131,8 +127,8 @@ let hash_action t ~primary =
       let bucket = if primary then Cuckoo.hash1 t.table key else Cuckoo.hash2 t.table key in
       if primary then task.Nftask.temps.Nftask.h1 <- bucket
       else task.Nftask.temps.Nftask.h2 <- bucket;
-      task.Nftask.match_addrs <- [ (Cuckoo.bucket_addr t.table bucket, Cuckoo.bucket_bytes) ];
-      Event.User event)
+      Nftask.set_match task ~addr:(Cuckoo.bucket_addr t.table bucket) ~bytes:Cuckoo.bucket_bytes;
+      event)
 
 (* Fingerprint scan over the bucket line; on a hit, resolves the key-store
    line for the key_check step. *)
@@ -141,12 +137,12 @@ let bucket_check_action t ~primary =
   Action.make ~kind:Action.Match_action ~base_cycles:10 ~base_instrs:12
     ~invalidates:[ `Match_addrs ] ~name:(t.name ^ name)
     (fun ctx task ->
-      read_match_addrs ctx task;
+      Nf_common.match_read ctx task;
       let bucket =
         if primary then task.Nftask.temps.Nftask.h1 else task.Nftask.temps.Nftask.h2
       in
       if Cuckoo.has_candidate t.table ~bucket ~key:task.Nftask.temps.Nftask.key then begin
-        task.Nftask.match_addrs <- [ (Cuckoo.key_addr t.table bucket, Cuckoo.bucket_bytes) ];
+        Nftask.set_match task ~addr:(Cuckoo.key_addr t.table bucket) ~bytes:Cuckoo.bucket_bytes;
         Event.User "bucket_hit"
       end
       else if primary then Event.User "check_failure"
@@ -158,15 +154,17 @@ let key_check_action t ~primary =
   Action.make ~kind:Action.Match_action ~base_cycles:10 ~base_instrs:12
     ~invalidates:[ `Per_flow; `Sub_flow; `Match_addrs ] ~name:(t.name ^ name)
     (fun ctx task ->
-      read_match_addrs ctx task;
+      Nf_common.match_read ctx task;
       let bucket =
         if primary then task.Nftask.temps.Nftask.h1 else task.Nftask.temps.Nftask.h2
       in
-      match Cuckoo.find_in_bucket t.table ~bucket ~key:task.Nftask.temps.Nftask.key with
-      | Some idx ->
-          task.Nftask.matched <- idx;
-          Event.Match_success
-      | None -> if primary then Event.User "check_failure" else Event.Match_fail)
+      let idx = Cuckoo.find_in_bucket t.table ~bucket ~key:task.Nftask.temps.Nftask.key in
+      if idx >= 0 then begin
+        task.Nftask.matched <- idx;
+        Event.Match_success
+      end
+      else if primary then Event.User "check_failure"
+      else Event.Match_fail)
 
 let instance t : Compiler.instance =
   {

@@ -233,10 +233,10 @@ let learn_action t =
         if not installed then Event.Drop_packet
         else begin
           let table = Classifier.table t.classifier in
+          let b1 = Structures.Cuckoo.hash1 table key in
           let bucket =
-            match Structures.Cuckoo.find_in_bucket table ~bucket:(Structures.Cuckoo.hash1 table key) ~key with
-            | Some _ -> Structures.Cuckoo.hash1 table key
-            | None -> Structures.Cuckoo.hash2 table key
+            if Structures.Cuckoo.find_in_bucket table ~bucket:b1 ~key >= 0 then b1
+            else Structures.Cuckoo.hash2 table key
           in
           Exec_ctx.write ctx ~cls:Sref.Match_state
             ~addr:(Structures.Cuckoo.bucket_addr table bucket)

@@ -16,6 +16,12 @@ let packet_write ctx (task : Nftask.t) ~bytes =
       Exec_ctx.write ctx ~cls:Sref.Packet_state ~addr:p.Netcore.Packet.sim_addr ~bytes
   | Some _ | None -> ()
 
+(* The block the previous match step resolved, if any. *)
+let match_read ctx (task : Nftask.t) =
+  if task.Nftask.match_addr >= 0 then
+    Exec_ctx.read ctx ~cls:Sref.Match_state ~addr:task.Nftask.match_addr
+      ~bytes:task.Nftask.match_bytes
+
 let matched_exn (task : Nftask.t) name =
   if task.Nftask.matched < 0 then
     failwith (name ^ ": data action executed without a match result");

@@ -8,6 +8,10 @@ open Gunfu
 val packet_read : Exec_ctx.t -> Nftask.t -> bytes:int -> unit
 val packet_write : Exec_ctx.t -> Nftask.t -> bytes:int -> unit
 
+(** Read the match block ([Nftask.match_addr]) as match state; nothing
+    when none is set. *)
+val match_read : Exec_ctx.t -> Nftask.t -> unit
+
 (** @raise Failure when no match result is present (a wiring bug). *)
 val matched_exn : Nftask.t -> string -> int
 

@@ -122,6 +122,7 @@ let teid_key (task : Nftask.t) =
 let create layout ~name ~sessions ~n_pdrs () =
   let n_sessions = Array.length sessions in
   if n_sessions = 0 then invalid_arg "Upf.create: no sessions";
+  if n_pdrs < 1 then invalid_arg "Upf.create: n_pdrs must be positive";
   let classifier =
     Classifier.create layout ~name:(name ^ "_cls") ~key_kind:"ue_ip"
       ~key_fn:Classifier.dst_ip_key ~capacity:n_sessions ()
@@ -163,6 +164,7 @@ let create layout ~name ~sessions ~n_pdrs () =
    at runtime over PFCP (see {!handle_pfcp}). *)
 let create_empty layout ~name ~capacity ~n_pdrs () =
   if capacity <= 0 then invalid_arg "Upf.create_empty";
+  if n_pdrs < 1 then invalid_arg "Upf.create: n_pdrs must be positive";
   let placeholder =
     { Traffic.Mgw.ue_ip = 0l; teid = 0l; n_pdrs }
   in
@@ -300,48 +302,48 @@ let handle_pfcp t (request : string) =
 
 (* ----- PDR matcher actions ----- *)
 
-let mdi_key_of_packet (task : Nftask.t) =
-  let flow = (Nftask.packet_exn task).Netcore.Packet.flow in
-  {
-    Mdi_tree.k_src_ip = Int32.to_int flow.Netcore.Flow.src_ip land 0xFFFFFFFF;
-    k_src_port = flow.Netcore.Flow.src_port;
-    k_dst_port = flow.Netcore.Flow.dst_port;
-    k_proto = flow.Netcore.Flow.proto;
-  }
-
+(* The shape has at least one rule ([create] rejects [n_pdrs < 1]), so
+   every session's tree has a root. *)
 let locate_tree_action t =
   Action.make ~kind:Action.Match_action ~base_cycles:16 ~base_instrs:14
     ~invalidates:[ `Match_addrs ] ~name:(t.name ^ ".locate_tree")
     (fun ctx task ->
       (* Read the PFCP session entry to find this session's PDR tree. *)
       let si = Nf_common.per_flow_read ctx task t.session_arena ~name:t.name in
-      match Mdi_tree.root (Mdi_tree.Forest.shape t.forest) with
-      | None -> Event.Match_fail
-      | Some root ->
-          task.Nftask.temps.Nftask.cursor <- root;
-          task.Nftask.match_addrs <-
-            [ (Mdi_tree.Forest.node_addr t.forest ~member:si root, Mdi_tree.node_bytes) ];
-          Event.User "tree_ready")
+      let root = Mdi_tree.root (Mdi_tree.Forest.shape t.forest) in
+      task.Nftask.temps.Nftask.cursor <- root;
+      Nftask.set_match task
+        ~addr:(Mdi_tree.Forest.node_addr t.forest ~member:si root)
+        ~bytes:Mdi_tree.node_bytes;
+      Event.User "tree_ready")
 
 let tree_step_action t =
   Action.make ~kind:Action.Match_action ~base_cycles:14 ~base_instrs:14
     ~invalidates:[ `Match_addrs; `Sub_flow ] ~name:(t.name ^ ".tree_step")
     (fun ctx task ->
-      List.iter
-        (fun (addr, bytes) -> Exec_ctx.read ctx ~cls:Sref.Match_state ~addr ~bytes)
-        task.Nftask.match_addrs;
+      Nf_common.match_read ctx task;
       let shape = Mdi_tree.Forest.shape t.forest in
       let si = task.Nftask.matched in
-      match Mdi_tree.step shape ~node:task.Nftask.temps.Nftask.cursor (mdi_key_of_packet task) with
-      | Mdi_tree.Found j ->
-          task.Nftask.sub_matched <- (si * t.n_pdrs) + j;
-          Event.Match_success
-      | Mdi_tree.Descend next ->
-          task.Nftask.temps.Nftask.cursor <- next;
-          task.Nftask.match_addrs <-
-            [ (Mdi_tree.Forest.node_addr t.forest ~member:si next, Mdi_tree.node_bytes) ];
-          Event.User "descend"
-      | Mdi_tree.Miss -> Event.Match_fail)
+      let flow = (Nftask.packet_exn task).Netcore.Packet.flow in
+      let r =
+        Mdi_tree.step shape ~node:task.Nftask.temps.Nftask.cursor
+          ~src_ip:(Int32.to_int flow.Netcore.Flow.src_ip land 0xFFFFFFFF)
+          ~src_port:flow.Netcore.Flow.src_port ~dst_port:flow.Netcore.Flow.dst_port
+          ~proto:flow.Netcore.Flow.proto
+      in
+      if r >= 0 then begin
+        task.Nftask.sub_matched <- (si * t.n_pdrs) + r;
+        Event.Match_success
+      end
+      else if r = Mdi_tree.miss then Event.Match_fail
+      else begin
+        let next = Mdi_tree.descend_to r in
+        task.Nftask.temps.Nftask.cursor <- next;
+        Nftask.set_match task
+          ~addr:(Mdi_tree.Forest.node_addr t.forest ~member:si next)
+          ~bytes:Mdi_tree.node_bytes;
+        Event.User "descend"
+      end)
 
 let pdr_instance t : Compiler.instance =
   {

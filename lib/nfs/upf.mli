@@ -32,14 +32,15 @@ type t = {
   seid_table : (int64, Netcore.Ipv4.addr) Hashtbl.t;  (** UP F-SEID -> UE IP *)
 }
 
-(** @raise Invalid_argument on an empty session array. *)
+(** @raise Invalid_argument on an empty session array or when
+    [n_pdrs < 1]. *)
 val create :
   Memsim.Layout.t -> name:string -> sessions:Traffic.Mgw.session array -> n_pdrs:int ->
   unit -> t
 
 (** A UPF with pre-sized capacity and no installed sessions — sessions
     arrive at runtime over PFCP. @raise Invalid_argument when
-    [capacity <= 0]. *)
+    [capacity <= 0] or [n_pdrs < 1]. *)
 val create_empty :
   Memsim.Layout.t -> name:string -> capacity:int -> n_pdrs:int -> unit -> t
 

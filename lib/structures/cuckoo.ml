@@ -177,11 +177,12 @@ let find_slot t key =
 
 let[@inline] value_at t slot = word t slot lsr 16
 
-(* Search one bucket for [key]; pure table logic, no memory charging. *)
+(* Search one bucket for [key]: its value, or -1. Pure table logic, no
+   memory charging. *)
 let find_in_bucket t ~bucket ~key =
   match key_slot t key (slot_base bucket) (last_slot bucket) with
-  | -1 -> None
-  | s -> Some (value_at t s)
+  | -1 -> -1
+  | s -> value_at t s
 
 let lookup t key = match find_slot t key with -1 -> None | s -> Some (value_at t s)
 let find t key = match find_slot t key with -1 -> -1 | s -> value_at t s

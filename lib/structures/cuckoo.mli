@@ -41,8 +41,9 @@ val candidates : t -> bucket:int -> key:int64 -> int list
 (** Whether {!candidates} is non-empty, decided without allocating. *)
 val has_candidate : t -> bucket:int -> key:int64 -> bool
 
-(** Full-key comparison within one bucket (the key_check action). *)
-val find_in_bucket : t -> bucket:int -> key:int64 -> int option
+(** Full-key comparison within one bucket (the key_check action): the
+    key's value, or [-1] when the bucket does not hold it. *)
+val find_in_bucket : t -> bucket:int -> key:int64 -> int
 
 (** Two-bucket lookup (pure table logic; RTC and tests). *)
 val lookup : t -> int64 -> int option

@@ -45,16 +45,20 @@ type t = {
 
 let node_bytes = 64
 
-let rule_matches r k =
-  contains r.src_port k.k_src_port
-  && contains r.src_ip k.k_src_ip
-  && contains r.dst_port k.k_dst_port
-  && contains r.proto k.k_proto
+let rule_matches r ~src_ip ~src_port ~dst_port ~proto =
+  contains r.src_port src_port
+  && contains r.src_ip src_ip
+  && contains r.dst_port dst_port
+  && contains r.proto proto
 
 (* Build a balanced BST from rules sorted by src_port.lo. Rules must be
-   disjoint along src_port — the discriminating dimension. *)
+   disjoint along src_port — the discriminating dimension — and carry
+   non-negative values, which {!step} returns in the same int as its other
+   outcomes. *)
 let create layout ~label ~rules () =
   let rules = Array.of_list rules in
+  if Array.exists (fun r -> r.value < 0) rules then
+    invalid_arg "Mdi_tree.create: rule values must be non-negative";
   Array.sort (fun a b -> compare a.src_port.lo b.src_port.lo) rules;
   for i = 1 to Array.length rules - 1 do
     if rules.(i).src_port.lo <= rules.(i - 1).src_port.hi then
@@ -89,32 +93,37 @@ let create layout ~label ~rules () =
   { nodes; root; base_addr; placement }
 
 let size t = Array.length t.nodes
-let root t = if t.root >= 0 then Some t.root else None
+let root t = t.root
 
 let node_addr t idx = t.base_addr + (t.placement.(idx) * node_bytes)
 
 (* One node visit: the granular-decomposed tree-walk action. The caller
-   charges a read of [node_addr t idx] before calling. *)
-type step_result = Found of int | Descend of int | Miss
+   charges a read of [node_addr t idx] before calling. The outcome is one
+   int, so a walk allocates nothing: the matched rule's value (>= 0), -1
+   for a miss, or [-2 - child] to descend ({!descend_to} decodes it). *)
+let miss = -1
+let descend_to r = -2 - r
 
-let step t ~node:idx key =
+let step t ~node:idx ~src_ip ~src_port ~dst_port ~proto =
   let n = t.nodes.(idx) in
-  if rule_matches n.rule key then Found n.rule.value
-  else if key.k_src_port < n.rule.src_port.lo then
-    if n.left >= 0 then Descend n.left else Miss
-  else if n.right >= 0 then Descend n.right
-  else Miss
+  if rule_matches n.rule ~src_ip ~src_port ~dst_port ~proto then n.rule.value
+  else
+    let child = if src_port < n.rule.src_port.lo then n.left else n.right in
+    if child >= 0 then -2 - child else miss
 
-(* Full walk (pure); RTC and tests use this. Returns the matched value and
-   the list of node indices visited, root first. *)
+(* Full walk (pure); {!lookup} and tests use this. Returns the matched
+   value and the list of node indices visited, root first. *)
 let lookup_path t key =
   let rec go idx acc =
     if idx < 0 then (None, List.rev acc)
     else
-      match step t ~node:idx key with
-      | Found v -> (Some v, List.rev (idx :: acc))
-      | Descend next -> go next (idx :: acc)
-      | Miss -> (None, List.rev (idx :: acc))
+      let r =
+        step t ~node:idx ~src_ip:key.k_src_ip ~src_port:key.k_src_port
+          ~dst_port:key.k_dst_port ~proto:key.k_proto
+      in
+      if r >= 0 then (Some r, List.rev (idx :: acc))
+      else if r = miss then (None, List.rev (idx :: acc))
+      else go (descend_to r) (idx :: acc)
   in
   go t.root []
 

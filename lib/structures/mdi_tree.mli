@@ -29,23 +29,30 @@ type t
 val node_bytes : int
 
 (** Build from rules disjoint along [src_port].
-    @raise Invalid_argument on overlap. *)
+    @raise Invalid_argument on overlap or a negative rule value. *)
 val create : Memsim.Layout.t -> label:string -> rules:rule list -> unit -> t
 
 val size : t -> int
 val depth : t -> int
 
-(** Root node index; [None] for an empty tree. *)
-val root : t -> int option
+(** Root node index; [-1] for an empty tree. *)
+val root : t -> int
 
 (** Simulated address of a node's cache line. *)
 val node_addr : t -> int -> int
 
-type step_result = Found of int | Descend of int | Miss
-
 (** One node visit — the granular tree-walk action. The caller charges the
-    read of [node_addr] before calling. *)
-val step : t -> node:int -> key -> step_result
+    read of [node_addr] before calling. Allocation-free, so the outcome is
+    one int: the matched rule's value ([>= 0]), {!miss}, or a descent
+    whose child {!descend_to} decodes. *)
+val step :
+  t -> node:int -> src_ip:int -> src_port:int -> dst_port:int -> proto:int -> int
+
+(** [-1]: the walk ends without a match. *)
+val miss : int
+
+(** The child node a descending {!step} result ([<= -2]) names. *)
+val descend_to : int -> int
 
 (** Full walk; returns the matched value and the node path (root first). *)
 val lookup_path : t -> key -> int option * int list

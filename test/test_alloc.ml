@@ -1,0 +1,65 @@
+(* Per-packet allocation budget of the run-to-completion action path. An
+   NFTask is a fixed, preallocated context that actions update in place
+   (§V, Fig 9a), so driving a UPF downlink packet through [Rtc.run] may
+   allocate only what the classifier's boxed int64 key costs, plus, when
+   interpreted, what Δ and the fault barrier cost. The source hands out
+   pre-built items, and a zero-packet run is subtracted, so only the
+   per-packet path is counted: engine dispatch, the fault barrier, Δ, the
+   action bodies and the structure probes. *)
+
+open Gunfu
+
+let n_sessions = 1024
+let n_pdrs = 16
+let packets = 4000
+
+(* Minor words per packet; [Helpers.upf_setup]'s session count and PDR
+   shape, run interpreted or through [Specialize.install]. *)
+let words_per_packet ~specialize =
+  let worker, mgw, pool, _upf, program = Helpers.upf_setup ~n_sessions ~n_pdrs () in
+  if specialize then Specialize.install program;
+  let items count =
+    let src = Workload.of_mgw_downlink mgw ~pool ~count in
+    Array.init count (fun _ -> src ())
+  in
+  let source (items : Workload.item option array) =
+    let i = ref 0 in
+    fun () ->
+      if !i < Array.length items then begin
+        let it = items.(!i) in
+        incr i;
+        it
+      end
+      else None
+  in
+  let words items =
+    let src = source items in
+    let before = Gc.minor_words () in
+    let (_ : Metrics.run) = Rtc.run worker program src in
+    Gc.minor_words () -. before
+  in
+  (* Warm the memo tables and the latency collector first. *)
+  ignore (words (items 500) : float);
+  let measured = items packets in
+  let empty = words [||] in
+  let full = words measured in
+  (full -. empty) /. float_of_int packets
+
+(* Specialized: 3.00 words on a 64-bit host, the int64 that the
+   classifier's key extractor returns. Interpreted: 97.06, because
+   [Fsm.step] and [Fault.guard] still allocate per action; making them
+   cheaper would spend the host margin perfbench's self-check requires of
+   the specialized path. Any closure, option, list or variant built per
+   action lands above these budgets. *)
+let check_budget ~specialize ~budget () =
+  let w = words_per_packet ~specialize in
+  if w > budget then
+    Alcotest.failf "%.2f minor words per packet, budget %.1f" w budget
+
+let suite =
+  [
+    Alcotest.test_case "upf rtc words per packet, interpreted" `Quick
+      (check_budget ~specialize:false ~budget:98.0);
+    Alcotest.test_case "upf rtc words per packet, specialized" `Quick
+      (check_budget ~specialize:true ~budget:4.0);
+  ]

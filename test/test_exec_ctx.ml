@@ -61,7 +61,7 @@ let test_read_sref () =
 let test_action_execute_charges_base () =
   let ctx = mk () in
   let task = Nftask.create 0 in
-  Nftask.load task ~cs:0 ();
+  Nftask.load task ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   let action =
     Action.make ~base_cycles:55 ~base_instrs:44 ~name:"t" (fun _ _ -> Event.Emit_packet)
   in

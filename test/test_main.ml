@@ -42,4 +42,5 @@ let () =
       ("adaptive", Test_adaptive.suite);
       ("baseline", Test_baseline.suite);
       ("golden", Test_golden.suite);
+      ("alloc", Test_alloc.suite);
     ]

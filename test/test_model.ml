@@ -77,14 +77,14 @@ let test_nftask_load_resets () =
   let t = Nftask.create 3 in
   t.Nftask.matched <- 5;
   t.Nftask.sub_matched <- 7;
-  t.Nftask.match_addrs <- [ (1, 2) ];
+  Nftask.set_match t ~addr:1 ~bytes:2;
   t.Nftask.temps.Nftask.key <- 99L;
   t.Nftask.temps.Nftask.regs.(0) <- 42;
-  Nftask.load t ~cs:2 ~aux:1 ~flow_hint:12 ();
+  Nftask.load t ~cs:2 ~packet:None ~aux:1 ~flow_hint:12;
   Alcotest.(check int) "cs set" 2 t.Nftask.cs;
   Alcotest.(check int) "matched reset" (-1) t.Nftask.matched;
   Alcotest.(check int) "sub_matched reset" (-1) t.Nftask.sub_matched;
-  Alcotest.(check bool) "match addrs cleared" true (t.Nftask.match_addrs = []);
+  Alcotest.(check int) "match addr cleared" (-1) t.Nftask.match_addr;
   Alcotest.(check int64) "key cleared" 0L t.Nftask.temps.Nftask.key;
   Alcotest.(check int) "regs cleared" 0 t.Nftask.temps.Nftask.regs.(0);
   Alcotest.(check int) "aux stored" 1 t.Nftask.aux;
@@ -93,7 +93,7 @@ let test_nftask_load_resets () =
 
 let test_nftask_retire () =
   let t = Nftask.create 0 in
-  Nftask.load t ~cs:0 ();
+  Nftask.load t ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   Nftask.retire t;
   Alcotest.(check bool) "inactive after retire" false t.Nftask.active;
   match Nftask.packet_exn t with
@@ -121,7 +121,7 @@ let test_target_equality () =
 let test_target_resolution () =
   let a = Lazy.force arena_a in
   let t = Nftask.create 0 in
-  Nftask.load t ~cs:0 ();
+  Nftask.load t ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   (* Unresolvable before a match. *)
   Alcotest.(check (list (pair int int))) "per-flow unresolved" []
     (Prefetch.resolve (Prefetch.Per_flow (a, [])) t);
@@ -129,9 +129,9 @@ let test_target_resolution () =
   Alcotest.(check (list (pair int int))) "per-flow resolves to entry"
     [ (Structures.State_arena.addr a 3, 8) ]
     (Prefetch.resolve (Prefetch.Per_flow (a, [])) t);
-  t.Nftask.match_addrs <- [ (0x100, 64); (0x200, 64) ];
-  Alcotest.(check (list (pair int int))) "match addrs pass through"
-    [ (0x100, 64); (0x200, 64) ]
+  Nftask.set_match t ~addr:0x100 ~bytes:64;
+  Alcotest.(check (list (pair int int))) "match addr passes through"
+    [ (0x100, 64) ]
     (Prefetch.resolve Prefetch.Match_addrs t);
   (* No packet: header target resolves empty rather than crashing. *)
   Alcotest.(check (list (pair int int))) "no packet -> empty" []
@@ -144,7 +144,7 @@ let test_target_field_resolution () =
       ~field_offsets:[ ("x", 0); ("y", 32) ] ~record_bytes:64 ~count:4 ()
   in
   let t = Nftask.create 0 in
-  Nftask.load t ~cs:0 ();
+  Nftask.load t ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   t.Nftask.matched <- 2;
   Alcotest.(check (list (pair int int))) "field slices"
     [

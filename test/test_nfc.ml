@@ -45,7 +45,7 @@ let worker = lazy (Worker.create ~id:99 ())
 
 let run_action action =
   let task = Nftask.create 0 in
-  Nftask.load task ~cs:0 ();
+  Nftask.load task ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   Action.execute action (Worker.ctx (Lazy.force worker)) task
 
 let compile ?default_event e src = Nfc.compile ?default_event ~binding:(binding e) src

@@ -192,6 +192,20 @@ let test_upf_tree_depth_grows () =
     (Nfs.Upf.tree_depth upf128 > Nfs.Upf.tree_depth upf2);
   Alcotest.(check bool) "depth stays logarithmic" true (Nfs.Upf.tree_depth upf128 <= 8)
 
+(* A UPF with no PDRs would have an empty rule forest, which the PDR
+   matcher cannot walk: both constructors refuse it by name. *)
+let test_upf_rejects_no_pdrs () =
+  let err = Invalid_argument "Upf.create: n_pdrs must be positive" in
+  let sessions = Traffic.Mgw.sessions (Traffic.Mgw.create ~n_sessions:4 ~n_pdrs:1 ()) in
+  List.iter
+    (fun n_pdrs ->
+      Alcotest.check_raises (Printf.sprintf "create, n_pdrs %d" n_pdrs) err (fun () ->
+          ignore (Nfs.Upf.create (Memsim.Layout.create ()) ~name:"upf" ~sessions ~n_pdrs ()));
+      Alcotest.check_raises (Printf.sprintf "create_empty, n_pdrs %d" n_pdrs) err (fun () ->
+          ignore
+            (Nfs.Upf.create_empty (Memsim.Layout.create ()) ~name:"upf" ~capacity:4 ~n_pdrs ())))
+    [ 0; -1 ]
+
 let test_upf_interleaved_equals_rtc_effects () =
   let run exec =
     let worker, mgw, pool, upf, program = Helpers.upf_setup ~n_sessions:512 ~n_pdrs:4 () in
@@ -349,6 +363,7 @@ let suite =
     Alcotest.test_case "upf unknown UE dropped" `Quick test_upf_unknown_ue_dropped;
     Alcotest.test_case "upf pdr miss dropped" `Quick test_upf_out_of_range_port_misses_pdr;
     Alcotest.test_case "upf tree depth" `Quick test_upf_tree_depth_grows;
+    Alcotest.test_case "upf rejects no pdrs" `Quick test_upf_rejects_no_pdrs;
     Alcotest.test_case "upf models equivalent" `Quick test_upf_interleaved_equals_rtc_effects;
     Alcotest.test_case "amf registration fsm" `Quick test_amf_registration_fsm;
     Alcotest.test_case "amf out-of-order" `Quick test_amf_out_of_order_detected;

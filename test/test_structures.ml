@@ -65,9 +65,9 @@ let test_cuckoo_candidates_superset () =
     let b1 = Cuckoo.hash1 t key and b2 = Cuckoo.hash2 t key in
     let in_b1 = Cuckoo.find_in_bucket t ~bucket:b1 ~key in
     let in_b2 = Cuckoo.find_in_bucket t ~bucket:b2 ~key in
-    let bucket = if in_b1 <> None then b1 else b2 in
+    let bucket = if in_b1 >= 0 then b1 else b2 in
     Alcotest.(check bool) "stored in one of its two buckets" true
-      (in_b1 <> None || in_b2 <> None);
+      (in_b1 >= 0 || in_b2 >= 0);
     (* The fingerprint scan must flag the bucket holding the key. *)
     Alcotest.(check bool) "candidates include the match" true
       (Cuckoo.candidates t ~bucket ~key <> [])
@@ -171,6 +171,7 @@ let test_cuckoo_seeded_drive () =
     Buffer.add_char b ';'
   in
   let opt = function None -> "-" | Some v -> string_of_int v in
+  let found v = if v < 0 then None else Some v in
   List.iter
     (fun (seed, capacity, policy) ->
       let name = Printf.sprintf "seed %d %s" seed (Cuckoo.policy_to_string policy) in
@@ -253,9 +254,9 @@ let test_cuckoo_seeded_drive () =
           and v2 = Cuckoo.find_in_bucket t ~bucket:b2 ~key in
           Alcotest.(check (option int)) (name ^ ": find_in_bucket")
             (Hashtbl.find_opt model key)
-            (if v1 <> None then v1 else v2);
-          if v1 <> None then Hashtbl.add resident b1 key
-          else if v2 <> None then Hashtbl.add resident b2 key)
+            (found (if v1 >= 0 then v1 else v2));
+          if v1 >= 0 then Hashtbl.add resident b1 key
+          else if v2 >= 0 then Hashtbl.add resident b2 key)
         keys;
       List.iter
         (fun key ->
@@ -271,7 +272,7 @@ let test_cuckoo_seeded_drive () =
                 (Cuckoo.has_candidate t ~bucket ~key);
               Alcotest.(check bool) (name ^ ": has_candidate = candidates <> []") (cands <> [])
                 (Cuckoo.has_candidate t ~bucket ~key);
-              add (opt (Cuckoo.find_in_bucket t ~bucket ~key)))
+              add (opt (found (Cuckoo.find_in_bucket t ~bucket ~key))))
             [ b1; b2 ];
           add (String.concat "," (List.map string_of_int (Cuckoo.candidates t ~bucket:b1 ~key)));
           add (String.concat "," (List.map string_of_int (Cuckoo.candidates t ~bucket:b2 ~key))))
@@ -402,6 +403,14 @@ let test_mdi_overlap_rejected () =
     (Invalid_argument "Mdi_tree.create: rules overlap on the discriminating dimension")
     (fun () -> ignore (Mdi_tree.create (layout ()) ~label:"m" ~rules:overlapping ()))
 
+(* [step] returns a rule's value in the same int as a miss or a descent,
+   so values must be non-negative. *)
+let test_mdi_negative_value_rejected () =
+  let rule = { (List.hd (mk_rules 1)) with Mdi_tree.value = -1 } in
+  Alcotest.check_raises "negative value rejected"
+    (Invalid_argument "Mdi_tree.create: rule values must be non-negative")
+    (fun () -> ignore (Mdi_tree.create (layout ()) ~label:"m" ~rules:[ rule ] ()))
+
 let test_mdi_depth_logarithmic () =
   let t = Mdi_tree.create (layout ()) ~label:"m" ~rules:(mk_rules 128) () in
   Alcotest.(check bool) "balanced depth" true (Mdi_tree.depth t <= 8);
@@ -420,32 +429,30 @@ let test_mdi_path_is_pointer_chase () =
 
 let test_mdi_step_semantics () =
   let t = Mdi_tree.create (layout ()) ~label:"m" ~rules:(mk_rules 8) () in
-  match Mdi_tree.root t with
-  | None -> Alcotest.fail "non-empty tree has a root"
-  | Some root ->
-      let rec walk node steps =
-        Alcotest.(check bool) "bounded walk" true (steps < 10);
-        match Mdi_tree.step t ~node (key 701) with
-        | Mdi_tree.Found v -> v
-        | Mdi_tree.Descend next -> walk next (steps + 1)
-        | Mdi_tree.Miss -> Alcotest.fail "unexpected miss"
-      in
-      Alcotest.(check int) "step walk finds rule 7" 7 (walk root 0)
+  let root = Mdi_tree.root t in
+  if root < 0 then Alcotest.fail "non-empty tree has a root";
+  let rec walk node steps =
+    Alcotest.(check bool) "bounded walk" true (steps < 10);
+    let r = Mdi_tree.step t ~node ~src_ip:1 ~src_port:701 ~dst_port:80 ~proto:17 in
+    if r >= 0 then r
+    else if r = Mdi_tree.miss then Alcotest.fail "unexpected miss"
+    else walk (Mdi_tree.descend_to r) (steps + 1)
+  in
+  Alcotest.(check int) "step walk finds rule 7" 7 (walk root 0)
 
 let test_mdi_empty () =
   let t = Mdi_tree.create (layout ()) ~label:"m" ~rules:[] () in
-  Alcotest.(check (option int)) "no root" None (Mdi_tree.root t);
+  Alcotest.(check int) "no root" (-1) (Mdi_tree.root t);
   Alcotest.(check (option int)) "lookup misses" None (Mdi_tree.lookup t (key 5))
 
 let test_mdi_forest_distinct_members () =
   let f = Mdi_tree.Forest.create (layout ()) ~label:"f" ~rules:(mk_rules 4) ~members:10 () in
   let shape = Mdi_tree.Forest.shape f in
-  (match Mdi_tree.root shape with
-  | None -> Alcotest.fail "root expected"
-  | Some root ->
-      let addrs = List.init 10 (fun m -> Mdi_tree.Forest.node_addr f ~member:m root) in
-      Alcotest.(check int) "per-member root lines distinct" 10
-        (List.length (List.sort_uniq compare (List.map (fun a -> a / 64) addrs))));
+  let root = Mdi_tree.root shape in
+  if root < 0 then Alcotest.fail "root expected";
+  let addrs = List.init 10 (fun m -> Mdi_tree.Forest.node_addr f ~member:m root) in
+  Alcotest.(check int) "per-member root lines distinct" 10
+    (List.length (List.sort_uniq compare (List.map (fun a -> a / 64) addrs)));
   Alcotest.(check int) "members" 10 (Mdi_tree.Forest.members f)
 
 let qcheck_mdi_vs_linear_scan =
@@ -622,6 +629,7 @@ let suite =
     Alcotest.test_case "mdi lookup all" `Quick test_mdi_lookup_all;
     Alcotest.test_case "mdi miss" `Quick test_mdi_miss;
     Alcotest.test_case "mdi overlap rejected" `Quick test_mdi_overlap_rejected;
+    Alcotest.test_case "mdi negative value rejected" `Quick test_mdi_negative_value_rejected;
     Alcotest.test_case "mdi depth" `Quick test_mdi_depth_logarithmic;
     Alcotest.test_case "mdi path pointer chase" `Quick test_mdi_path_is_pointer_chase;
     Alcotest.test_case "mdi step semantics" `Quick test_mdi_step_semantics;
