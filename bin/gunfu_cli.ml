@@ -112,6 +112,10 @@ let guard f =
   | Gunfu.Compiler.Compile_error msg -> `Error (false, "compile: " ^ msg)
   | Invalid_argument msg | Sys_error msg -> `Error (false, msg)
 
+(* The commands that build their own traffic reject an empty run up front,
+   as [Recovery.select] does for the oracle axes. *)
+let require_packets packets = if packets < 1 then invalid_arg "--packets must be positive"
+
 (* ----- run command ----- *)
 
 let run_cmd nf model flows packets cores packed match_removal no_prefetch specialize =
@@ -120,12 +124,13 @@ let run_cmd nf model flows packets cores packed match_removal no_prefetch specia
       Gunfu.Compiler.match_removal;
       prefetch_dedup = true;
       prefetching = not no_prefetch;
-      lint = `Off;
-      verify_passes = `Off;
+      lint = false;
+      verify_passes = false;
       specialize;
     }
   in
   guard (fun () ->
+    require_packets packets;
     if cores = 1 then begin
       let worker = Gunfu.Worker.create ~id:0 () in
       let program, source = build nf ~flows ~packed ~opts worker in
@@ -188,6 +193,7 @@ let check_spec_cmd path =
 
 let compose_cmd nf_file specs_dir model flows packets =
   guard (fun () ->
+    require_packets packets;
     let worker = Gunfu.Worker.create ~id:0 () in
     let layout = Gunfu.Worker.layout worker in
     let built =
@@ -560,6 +566,7 @@ let verifyeq_one ~json label (vi : Gunfu.Compiler.verify_input) =
 
 let verifyeq_cmd spec programs seed specs_dir json strict =
   guard (fun () ->
+    if programs < 0 then invalid_arg "--programs must not be negative";
     let spec_targets =
       match spec with
       | Some "all" -> Check.Progen.spec_names
@@ -614,6 +621,7 @@ let verifyeq_cmd spec programs seed specs_dir json strict =
 (* Build the system under test — a built-in NF (--nf) or an on-disk
    composition (--spec) — and run it once with the span tracer attached. *)
 let traced_execute nf spec specs_dir model flows packets packed =
+  require_packets packets;
   let worker = Gunfu.Worker.create ~id:0 () in
   let layout = Gunfu.Worker.layout worker in
   let opts = Gunfu.Compiler.default_opts in

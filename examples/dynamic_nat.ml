@@ -1,13 +1,11 @@
 (* Dynamic NAT with flow churn: unknown flows take the classifier's
    MATCH_FAIL path into a learner action that allocates a mapping and
    installs the match-state entry at runtime — then the translated traffic
-   is exported as a real pcap capture.
+   is exported as a real pcap capture, read back and checked. The capture
+   goes to a temporary file that is removed afterwards, so the output is
+   the same on every run.
 
-     dune exec examples/dynamic_nat.exe
-     tcpdump -nr PATH | head     # if tcpdump is available
-
-   where PATH is the temporary file named on the example's last line
-   ("wrote 5 translated packets to PATH"). *)
+     dune exec examples/dynamic_nat.exe *)
 
 let () =
   let capacity = 8192 in
@@ -65,8 +63,13 @@ let () =
     Netcore.Pcap.add_packet pcap ~ts_us:(i * 10) pkt
   done;
   let path = Filename.temp_file "gunfu_nat" ".pcap" in
-  Netcore.Pcap.write_file pcap path;
-  let records = Netcore.Pcap.read_file path in
-  Printf.printf "\nwrote %d translated packets to %s (valid pcap: %b)\n"
-    (List.length records) path
+  let records =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Netcore.Pcap.write_file pcap path;
+        Netcore.Pcap.read_file path)
+  in
+  Printf.printf "\nwrote %d translated packets to a temporary pcap file (valid pcap: %b)\n"
+    (List.length records)
     (List.length records = 5)

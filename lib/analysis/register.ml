@@ -11,50 +11,31 @@ let print_findings findings =
       then Fmt.epr "nflint: %a@." Report.pp_finding f)
     (Report.sort findings)
 
+(* Print the findings below error severity, and fail the compile on the
+   first error-severity one. *)
+let fail_on_errors ~name ~tool ~kind findings =
+  let errors, rest = List.partition (fun f -> f.Report.severity = Report.Error) findings in
+  print_findings rest;
+  match Report.sort errors with
+  | [] -> ()
+  | first :: _ ->
+      let n = List.length errors in
+      raise
+        (Compiler.Compile_error
+           (Fmt.str "nf %s: %s: %d %s%s, first: %a" name tool n kind
+              (if n = 1 then "" else "s")
+              Report.pp_finding first))
+
 let hook (li : Compiler.lint_input) =
-  match li.Compiler.li_opts.Compiler.lint with
-  | `Off -> ()
-  | `Warn -> print_findings (Lints.of_build li)
-  | `Error -> (
-      let findings = Lints.of_build li in
-      let errors, rest =
-        List.partition (fun f -> f.Report.severity = Report.Error) findings
-      in
-      print_findings rest;
-      match Report.sort errors with
-      | [] -> ()
-      | first :: _ ->
-          raise
-            (Compiler.Compile_error
-               (Fmt.str "nf %s: nflint: %d error finding%s, first: %a"
-                  li.Compiler.li_name (List.length errors)
-                  (if List.length errors = 1 then "" else "s")
-                  Report.pp_finding first)))
+  fail_on_errors ~name:li.Compiler.li_name ~tool:"nflint" ~kind:"error finding"
+    (Lints.of_build li)
 
 (* Translation validation. Refutations are Error findings; Unknown
    verdicts are Warnings and never fail the compile — those programs are
    exactly the ones the dynamic oracle exists for. *)
 let verify_hook (vi : Compiler.verify_input) =
-  match vi.Compiler.vi_opts.Compiler.verify_passes with
-  | `Off -> ()
-  | `Warn -> print_findings (Symcheck.check vi).Symcheck.findings
-  | `Error -> (
-      let result = Symcheck.check vi in
-      let errors, rest =
-        List.partition
-          (fun f -> f.Report.severity = Report.Error)
-          result.Symcheck.findings
-      in
-      print_findings rest;
-      match Report.sort errors with
-      | [] -> ()
-      | first :: _ ->
-          raise
-            (Compiler.Compile_error
-               (Fmt.str "nf %s: verifyeq: %d refuted pass finding%s, first: %a"
-                  vi.Compiler.vi_name (List.length errors)
-                  (if List.length errors = 1 then "" else "s")
-                  Report.pp_finding first)))
+  fail_on_errors ~name:vi.Compiler.vi_name ~tool:"verifyeq" ~kind:"refuted pass finding"
+    (Symcheck.check vi).Symcheck.findings
 
 let installed = ref false
 

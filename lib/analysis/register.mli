@@ -6,11 +6,10 @@
     {!install} (idempotent) once at startup. *)
 
 (** Install {!Lints.of_build} as the compiler's lint hook and
-    {!Symcheck.check} as its translation-validation hook. Under
-    [opts.lint = `Warn] (resp. [opts.verify_passes = `Warn]) findings of
-    warning severity and above are printed to stderr; under [`Error],
-    error-severity findings (lint errors, refuted passes) additionally
-    raise {!Gunfu.Compiler.Compile_error}. Unknown verifier verdicts are
-    warnings at either level — those programs fall back to the dynamic
-    oracle. *)
+    {!Symcheck.check} as its translation-validation hook. A compile with
+    [opts.lint] (resp. [opts.verify_passes]) set prints findings of
+    warning severity and above to stderr, and error-severity findings
+    (lint errors, refuted passes) raise {!Gunfu.Compiler.Compile_error}.
+    Unknown verifier verdicts are warnings — those programs fall back to
+    the dynamic oracle. *)
 val install : unit -> unit

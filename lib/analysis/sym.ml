@@ -467,13 +467,13 @@ let summarize (prog : Nfc.t) =
 
 (* The event keys a summary can hand the control logic ([Exit_raise]
    paths are contained by the fault plane, not transitioned on). *)
-let exit_keys ?(default_event = Event.User "continue") summary =
+let exit_keys summary =
   List.fold_left
     (fun acc p ->
       let key =
         match p.p_exit with
         | Exit_emit k -> Some k
-        | Exit_fall -> Some (Event.to_key default_event)
+        | Exit_fall -> Some (Event.to_key Nfc.fall_through)
         | Exit_drop -> Some (Event.to_key Event.Drop_packet)
         | Exit_raise -> None
       in

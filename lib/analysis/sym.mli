@@ -67,7 +67,7 @@ val summarize : Nfc.t -> summary
 (** The distinct event keys a summary can hand the control logic, in
     path order. [Exit_raise] paths are contained by the fault plane and
     contribute no key. *)
-val exit_keys : ?default_event:Event.t -> summary -> string list
+val exit_keys : summary -> string list
 
 val pp_pc : Format.formatter -> pc -> unit
 val pp_writes : Format.formatter -> (Nfc.scope * string * sexpr) list -> unit

@@ -142,8 +142,8 @@ let chain_spec families =
   }
 
 (* Generated programs must be lint-clean by construction: every randomized
-   compile runs the analyzer at `Error level (the hook is installed by this
-   module's initializer below). *)
+   compile runs the analyzer, failing on error findings (the hook is
+   installed by this module's initializer below). *)
 let () = Analysis.Register.install ()
 
 let random_opts rng =
@@ -151,10 +151,10 @@ let random_opts rng =
     Compiler.match_removal = Rng.bool rng;
     prefetch_dedup = Rng.bool rng;
     prefetching = Rng.bool rng;
-    lint = `Error;
+    lint = true;
     (* Every fuzz program is symbolically validated before the oracle
        runs, so the 28-way matrix carries a static proof axis too. *)
-    verify_passes = `Error;
+    verify_passes = true;
     (* Specialization is exercised by the oracle's explicit axis, not
        randomized here: cases must stay interpreted by default so the
        interp-vs-spec cross-check has a genuine baseline. *)
@@ -589,7 +589,7 @@ let spec_lint_input ?opts ~specs_dir ~name () : Compiler.lint_input =
 (* ----- translation-validation inputs ----- *)
 
 (* All passes on: each generated program is proven across the full
-   {match_removal, prefetch_dedup, specialize} axis. Hooks stay `Off —
+   {match_removal, prefetch_dedup, specialize} axis. Hooks stay off —
    the caller hands the view to {!Analysis.Symcheck.check} and interprets
    the verdicts itself. *)
 let verify_opts =
@@ -597,8 +597,8 @@ let verify_opts =
     Compiler.match_removal = true;
     prefetch_dedup = true;
     prefetching = true;
-    lint = `Off;
-    verify_passes = `Off;
+    lint = false;
+    verify_passes = false;
     specialize = true;
   }
 

@@ -169,7 +169,8 @@ let pfcp_storm ?(seed = 1) ?(capacity = 48) ?(universe = 72) ?(packets = 320)
 (* ----- cuckoo-capacity NAT churn with Migration rebalancing ----- *)
 
 let nat_rebalance_storm ?(seed = 1) ?(capacity = 64) ?(universe = 192)
-    ?(packets = 480) ?(moves = 6) () =
+    ?(packets = 480) () =
+  let moves = 6 in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let metrics = ref [] in
@@ -225,8 +226,9 @@ let nat_rebalance_storm ?(seed = 1) ?(capacity = 64) ?(universe = 192)
        src := !dst;
        dst := tmp
      done;
-     (* the holder must keep learning after the last hop *)
-     let holder = if moves mod 2 = 0 then nat_a else nat_b in
+     (* the holder must keep learning after the last hop; an even number
+        of hops has brought the mappings back to [nat_a] *)
+     let holder = nat_a in
      let before = holder.Nfs.Nat.learned in
      let pulled2, _ = burst holder ~seed:(seed + 7) ~packets:(packets / 4) in
      if pulled2 <> packets / 4 then fail "post-rebalance burst pulled %d" pulled2;

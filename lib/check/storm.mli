@@ -28,14 +28,13 @@ val pfcp_storm :
 
 (** Cuckoo-capacity churn with Migration rebalancing: a dynamic NAT whose
     flow universe is several times its table capacity (the learner's
-    [Evict_lru] overflow policy churns entries), then [moves] ping-pong
+    [Evict_lru] overflow policy churns entries), then six ping-pong
     rebalancing hops — export every installed mapping, evict, import into
     a twin instance — each hop verified byte-preserving (the re-export
     must equal the snapshot), with a post-rebalance burst proving the
     table still learns. *)
 val nat_rebalance_storm :
-  ?seed:int -> ?capacity:int -> ?universe:int -> ?packets:int -> ?moves:int ->
-  unit -> report
+  ?seed:int -> ?capacity:int -> ?universe:int -> ?packets:int -> unit -> report
 
 (** Overload: the full differential-oracle executor matrix and invariant
     battery under a saturating fault plan (default 100,000 ppm). *)

@@ -22,17 +22,15 @@ type instance = {
   i_key_kind : string option;  (* classifiers: what key they match on *)
 }
 
-type lint_level = [ `Off | `Warn | `Error ]
-
 type opts = {
   match_removal : bool;
   prefetch_dedup : bool;
   prefetching : bool;  (* false: compile with empty prefetch policies *)
-  lint : lint_level;  (* run the static analyzer on every compile *)
-  verify_passes : lint_level;
+  lint : bool;  (* run the static analyzer on every compile *)
+  verify_passes : bool;
       (* translation validation: symbolically check each optimization pass
-         preserved observations (`Error fails the compile on a refutation;
-         Unknown verdicts only warn — the dynamic oracle still covers them) *)
+         preserved observations (a refutation fails the compile; Unknown
+         verdicts only warn — the dynamic oracle still covers them) *)
   specialize : bool;  (* attach the specialized hot path (Specialize.install) *)
 }
 
@@ -41,8 +39,8 @@ let default_opts =
     match_removal = false;
     prefetch_dedup = true;
     prefetching = true;
-    lint = `Off;
-    verify_passes = `Off;
+    lint = false;
+    verify_passes = false;
     specialize = false;
   }
 
@@ -412,24 +410,20 @@ let verify_view ?(opts = default_opts) ~name instances (nf : Spec.nf_spec) =
 
 let compile ?(opts = default_opts) ~name instances (nf : Spec.nf_spec) =
   let v = lint_view ~opts ~name instances nf in
-  (match opts.lint with
-  | `Off -> ()
-  | `Warn | `Error -> (
-      match !lint_hook with
-      | Some hook -> hook v
-      | None ->
-          fail "nf %s: opts.lint requested but no analyzer is linked (link the analysis library and call Register.install)"
-            name));
+  if opts.lint then (
+    match !lint_hook with
+    | Some hook -> hook v
+    | None ->
+        fail "nf %s: opts.lint requested but no analyzer is linked (link the analysis library and call Register.install)"
+          name);
   let pre_dedup, program = finish_program ~opts v in
-  (match opts.verify_passes with
-  | `Off -> ()
-  | `Warn | `Error -> (
-      match !verify_hook with
-      | Some hook ->
-          hook
-            (verify_input_of ~opts ~orig_instances:instances ~orig_nf:nf v
-               ~pre_dedup ~program)
-      | None ->
-          fail "nf %s: opts.verify_passes requested but no analyzer is linked (link the analysis library and call Register.install)"
-            name));
+  if opts.verify_passes then (
+    match !verify_hook with
+    | Some hook ->
+        hook
+          (verify_input_of ~opts ~orig_instances:instances ~orig_nf:nf v ~pre_dedup
+             ~program)
+    | None ->
+        fail "nf %s: opts.verify_passes requested but no analyzer is linked (link the analysis library and call Register.install)"
+          name);
   program

@@ -21,22 +21,20 @@ type instance = {
   i_key_kind : string option;
 }
 
-(** Run the static analyzer (the [analysis] library, reached through
-    {!set_lint_hook}) on every compile: [`Warn] prints findings, [`Error]
-    additionally fails compilation on error-severity findings. *)
-type lint_level = [ `Off | `Warn | `Error ]
-
 type opts = {
   match_removal : bool;
   prefetch_dedup : bool;
   prefetching : bool;  (** [false]: compile with empty prefetch policies *)
-  lint : lint_level;
-  verify_passes : lint_level;
+  lint : bool;
+      (** run the static analyzer (the [analysis] library, reached
+          through {!set_lint_hook}) on every compile: it prints findings
+          and fails compilation on error-severity ones *)
+  verify_passes : bool;
       (** translation validation (the [analysis] library's symbolic
           checker, reached through {!set_verify_hook}): prove each
-          optimization pass preserved observations. [`Error] fails the
-          compile on a refuted pass; [Unknown] verdicts only warn — the
-          dynamic oracle still covers them. *)
+          optimization pass preserved observations. A refuted pass fails
+          the compile; [Unknown] verdicts only warn — the dynamic oracle
+          still covers them. *)
   specialize : bool;
       (** attach the specialized hot path ({!Specialize.install}) to the
           compiled program *)
@@ -61,9 +59,9 @@ type lint_input = {
   li_opts : opts;
 }
 
-(** Install the analyzer. The hook is expected to print warning-severity
-    findings and raise {!Compile_error} on error-severity findings when
-    [li_opts.lint = `Error]. *)
+(** Install the analyzer, run on every compile whose [opts.lint] is set.
+    The hook is expected to print warning-severity findings and raise
+    {!Compile_error} on error-severity findings. *)
 val set_lint_hook : (lint_input -> unit) -> unit
 
 (** Build a {!lint_input} without running dedup or the hook (the [lint]
@@ -90,7 +88,7 @@ type verify_input = {
 
 (** Install the translation validator. The hook is expected to print
     warning-severity findings and raise {!Compile_error} on refutations
-    when [vi_opts.verify_passes = `Error]. *)
+    when [vi_opts.verify_passes] is set. *)
 val set_verify_hook : (verify_input -> unit) -> unit
 
 (** Run the full compile pipeline (validation, match removal, flattening,
@@ -103,7 +101,7 @@ val verify_view :
 
 (** @raise Compile_error (or {!Spec.Spec_error}) on invalid specs, missing
     action implementations, missing prefetch bindings, or — with
-    [opts.lint = `Error] — analyzer findings. *)
+    [opts.lint] set — error-severity analyzer findings. *)
 val compile : ?opts:opts -> name:string -> instance list -> Spec.nf_spec -> Program.t
 
 (** Exposed for tests: the match-removal rewrite on the instance graph. *)

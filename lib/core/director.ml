@@ -21,9 +21,8 @@ type builder =
 type deployment = {
   d_name : string;
   d_platform : Platform.t;
-  mutable d_config : config;
+  d_config : config;
   d_builder : builder;
-  mutable d_runs : Metrics.run list;  (* operational statistics *)
 }
 
 type t = {
@@ -78,32 +77,13 @@ let deploy t ~name ~cores ?(cfg = Worker.default_cfg) ~config ~builder () =
       d_platform = Platform.create ~cfg ~cores ();
       d_config = config;
       d_builder = builder;
-      d_runs = [];
     }
   in
   t.deployments <- d :: t.deployments;
   d
 
-(* Dynamic reconfiguration (§III: "initialization and dynamic
-   configuration"): the director pushes a new configuration to the
-   deployment's runtime agents; it takes effect on the next run. *)
-let update_config (d : deployment) config = d.d_config <- config
-
-let current_config (d : deployment) = d.d_config
-
 (* Run the deployment under an executor; runtime agents report their
    statistics back to the director. *)
 let run (d : deployment) (exec : Exec.t) =
   let setup w core = d.d_builder d.d_config w ~core in
-  let runs = Platform.run d.d_platform ~setup ~execute:(Exec.run exec) in
-  d.d_runs <- d.d_runs @ runs;
-  Metrics.merge_parallel runs
-
-let stats (d : deployment) = d.d_runs
-
-let report ppf t =
-  List.iter
-    (fun d ->
-      Fmt.pf ppf "deployment %s (%d cores):@." d.d_name (Platform.cores d.d_platform);
-      List.iter (fun r -> Fmt.pf ppf "  %a@." Metrics.pp_row r) d.d_runs)
-    t.deployments
+  Metrics.merge_parallel (Platform.run d.d_platform ~setup ~execute:(Exec.run exec))

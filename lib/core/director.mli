@@ -38,17 +38,6 @@ val deploy :
   t -> name:string -> cores:int -> ?cfg:Worker.cfg -> config:config ->
   builder:builder -> unit -> deployment
 
-(** Dynamic reconfiguration: push a new configuration to the runtime
-    agents; takes effect on the next {!run}. *)
-val update_config : deployment -> config -> unit
-
-val current_config : deployment -> config
-
 (** Run under an executor; runtime agents report statistics back.
     Returns the merged cross-core run. *)
 val run : deployment -> Exec.t -> Metrics.run
-
-(** All statistics reported so far (one entry per core per run). *)
-val stats : deployment -> Metrics.run list
-
-val report : Format.formatter -> t -> unit

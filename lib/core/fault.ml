@@ -69,7 +69,6 @@ type injection =
                   leaking into a single-core run is inert *)
 
 type t = {
-  poison_threshold : int;
   injections : injection Itbl.t;  (* packet id -> injection *)
   armed : int ref Itbl.t;  (* packet id -> remaining countdown *)
   consec : int Itbl.t;  (* flow -> consecutive faulted completions *)
@@ -79,13 +78,11 @@ type t = {
   mutable degraded : bool;  (* at least one flow is poisoned *)
 }
 
-let default_poison_threshold = 3
+(* Consecutive faulted completions that poison a flow. *)
+let poison_threshold = 3
 
-let create ?(poison_threshold = default_poison_threshold) () =
-  if poison_threshold <= 0 then
-    invalid_arg "Fault.create: poison_threshold must be positive";
+let create () =
   {
-    poison_threshold;
     injections = Itbl.create 64;
     armed = Itbl.create 16;
     consec = Itbl.create 64;
@@ -209,7 +206,7 @@ let complete t ~flow ~faulted:fr =
       if flow >= 0 then begin
         let c = 1 + Option.value ~default:0 (Itbl.find_opt t.consec flow) in
         Itbl.replace t.consec flow c;
-        if c >= t.poison_threshold && not (Itbl.mem t.poisoned flow) then begin
+        if c >= poison_threshold && not (Itbl.mem t.poisoned flow) then begin
           Itbl.replace t.poisoned flow ();
           t.degraded <- true
         end

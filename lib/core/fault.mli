@@ -52,10 +52,8 @@ type injection =
 
 type t
 
-(** [poison_threshold] (default 3) consecutive faulted completions poison a
-    flow.
-    @raise Invalid_argument when [poison_threshold <= 0]. *)
-val create : ?poison_threshold:int -> unit -> t
+(** A plane that poisons a flow after 3 consecutive faulted completions. *)
+val create : unit -> t
 
 (** Arm an injection for the packet with the given id (call before the
     executor pulls it from the source). *)

@@ -134,9 +134,9 @@ let gbps r =
   if r.cycles = 0 then 0.0
   else float_of_int r.wire_bytes *. 8.0 /. seconds r /. 1e9
 
-(* Aggregate throughput over [cores] replicas, capped at line rate. *)
-let gbps_scaled ?(line_rate = 100.0) r ~cores =
-  Float.min line_rate (gbps r *. float_of_int cores)
+(* Aggregate throughput over [cores] replicas, capped at the 100 Gbps line
+   rate. *)
+let gbps_scaled r ~cores = Float.min 100.0 (gbps r *. float_of_int cores)
 
 let ipc r = if r.cycles = 0 then 0.0 else float_of_int r.instrs /. float_of_int r.cycles
 

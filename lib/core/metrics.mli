@@ -52,8 +52,8 @@ val cycles_to_ns : run -> int -> float
 val mpps : run -> float
 val gbps : run -> float
 
-(** Aggregate over [cores] replicas, capped at [line_rate] (default 100). *)
-val gbps_scaled : ?line_rate:float -> run -> cores:int -> float
+(** Aggregate over [cores] replicas, capped at the 100 Gbps line rate. *)
+val gbps_scaled : run -> cores:int -> float
 
 val ipc : run -> float
 val cycles_per_packet : run -> float

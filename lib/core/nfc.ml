@@ -393,15 +393,16 @@ and expr_weight = function
   | Ref _ -> 1
   | Bin (_, a, b) -> 1 + expr_weight a + expr_weight b
 
+let fall_through = Event.User "continue"
+
 (* Compile NF-C source into an executable NFAction. Memory charging happens
    inside the binding's read/write field accessors; the static statement
    weight models the compute cost of the generated code. *)
-let compile ?(kind = Action.Data_action) ?(invalidates = [])
-    ?(default_event = Event.User "continue") ~binding src =
+let compile ?(kind = Action.Data_action) ?(invalidates = []) ~binding src =
   let prog = parse src in
   let weight = List.fold_left (fun acc s -> acc + stmt_weight s) 0 prog.body in
   Action.make ~kind ~base_cycles:(4 + (2 * weight)) ~base_instrs:(3 + (2 * weight))
     ~invalidates ~name:prog.action_name (fun ctx task ->
       match exec binding ctx task prog.body with
       | Some ev -> ev
-      | None -> default_event)
+      | None -> fall_through)

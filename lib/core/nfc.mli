@@ -59,12 +59,16 @@ val event_of_name : string -> Event.t
     symbolic checker can validate the cycle model of compiled actions. *)
 val stmt_weight : stmt -> int
 
+(** The event of an action whose body ends without [Emit] or [Drop]:
+    [continue]. *)
+val fall_through : Event.t
+
 (** Compile NF-C source to an executable NFAction. Memory charging happens
     inside the binding's accessors; the static statement weight models the
     generated code's compute cost. The first executed [Emit]/[Drop] decides
-    the event; fall-through yields [default_event].
+    the event; fall-through yields {!fall_through}.
     @raise Nfc_error on parse errors (immediately) or on binding violations
     (when the action runs). *)
 val compile :
-  ?kind:Action.kind -> ?invalidates:Action.resource list -> ?default_event:Event.t ->
-  binding:binding -> string -> Action.t
+  ?kind:Action.kind -> ?invalidates:Action.resource list -> binding:binding -> string ->
+  Action.t

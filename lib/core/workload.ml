@@ -41,48 +41,6 @@ let total_items (items : item list) : source =
         rest := tl;
         Some x
 
-(* Replay a parsed pcap capture: reconstruct packets (flow, offsets, wire
-   length) from the captured bytes and feed them in timestamp order. The
-   flow identity is re-derived by actually decoding the headers. *)
-let of_pcap (records : Pcap.record list) ~pool : source =
-  let ordered =
-    List.stable_sort (fun a b -> compare a.Pcap.ts_us b.Pcap.ts_us) records
-  in
-  let remaining = ref ordered in
-  (* Malformed records — truncated below Eth+IPv4+ports or failing the
-     typed IPv4 decode — are skipped, not treated as end-of-stream: one
-     garbage record in a capture must not silently discard the rest of the
-     trace (and must never raise out of the decode). *)
-  let rec next () =
-    match !remaining with
-    | [] -> None
-    | r :: rest -> (
-        remaining := rest;
-        let data = r.Pcap.data in
-        let l4_off = Ethernet.header_bytes + Ipv4.header_bytes in
-        if Bytes.length data < l4_off + 4 then next ()
-        else
-          match Ipv4.decode_result data ~off:Ethernet.header_bytes with
-          | Error _ -> next ()
-          | Ok ip ->
-              let flow =
-                Flow.make ~src_ip:ip.Ipv4.src ~dst_ip:ip.Ipv4.dst
-                  ~src_port:(L4.src_port data ~off:l4_off)
-                  ~dst_port:(L4.dst_port data ~off:l4_off)
-                  ~proto:ip.Ipv4.proto
-              in
-              let pkt = Packet.make ~flow ~wire_len:(max r.Pcap.orig_len (l4_off + 8)) () in
-              (* Carry the captured bytes verbatim. *)
-              Bytes.blit data 0 pkt.Packet.buf 0
-                (min (Bytes.length data) (Bytes.length pkt.Packet.buf));
-              pkt.Packet.hdr_len <-
-                max pkt.Packet.hdr_len
-                  (min (Bytes.length data) (Bytes.length pkt.Packet.buf));
-              Packet.Pool.assign pool pkt;
-              Some { packet = Some pkt; aux = 0; flow_hint = -1 })
-  in
-  next
-
 (* Generic flows (NAT / LB / FW / NM / SFC experiments). *)
 let of_flowgen ?arena gen ~pool ~count : source =
   limited count (fun () ->

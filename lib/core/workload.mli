@@ -19,11 +19,6 @@ val total_items : item list -> source
     deterministic observation of the input stream for replay cross-checks. *)
 val tap : (item -> unit) -> source -> source
 
-(** Replay a parsed pcap capture in timestamp order; flow identities are
-    re-derived by decoding the captured headers. Records too short for an
-    Ethernet+IPv4 header end the stream. *)
-val of_pcap : Netcore.Pcap.record list -> pool:Netcore.Packet.Pool.pool -> source
-
 (** Generic flows (NAT / LB / FW / NM / SFC). *)
 val of_flowgen :
   ?arena:Netcore.Packet.Arena.t -> Traffic.Flowgen.t ->

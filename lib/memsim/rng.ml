@@ -13,8 +13,6 @@ let create seed =
   Bytes.set_int64_ne t 0 (Int64.of_int seed);
   t
 
-let copy = Bytes.copy
-
 (* Advance the state and mix it. Inlined into every consumer so the
    result stays unboxed until it is narrowed to an [int] or [float]. *)
 let[@inline always] next t =
@@ -24,8 +22,6 @@ let[@inline always] next t =
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
-
-let next_int64 t = next t
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
@@ -51,5 +47,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let split t = create (Int64.to_int (next t))

@@ -9,12 +9,6 @@ type t
     streams. *)
 val create : int -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
-(** Next raw 64-bit value. *)
-val next_int64 : t -> int64
-
 (** [bits t] is a non-negative 62-bit integer. *)
 val bits : t -> int
 
@@ -32,6 +26,3 @@ val bool : t -> bool
 
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
-
-(** [split t] derives an independent generator (advances [t]). *)
-val split : t -> t

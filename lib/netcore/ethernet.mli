@@ -5,14 +5,8 @@ type mac = int
 
 val header_bytes : int
 val ethertype_ipv4 : int
-val ethertype_arp : int
 
 type t = { dst : mac; src : mac; ethertype : int }
-
-(** Parse ["aa:bb:cc:dd:ee:ff"]. @raise Invalid_argument on malformed input. *)
-val mac_of_string : string -> mac
-
-val mac_to_string : mac -> string
 
 (** Encode the header at [off] (14 bytes) from its fields. *)
 val encode_fields : Bytes.t -> off:int -> dst:mac -> src:mac -> ethertype:int -> unit

@@ -1,4 +1,4 @@
-(* Network flows: 5-tuples, hashing, RSS steering. *)
+(* Network flows: 5-tuples and their hash keys. *)
 
 type t = {
   src_ip : Ipv4.addr;
@@ -18,17 +18,7 @@ let equal a b =
   && a.dst_port = b.dst_port
   && a.proto = b.proto
 
-let reverse t =
-  {
-    src_ip = t.dst_ip;
-    dst_ip = t.src_ip;
-    src_port = t.dst_port;
-    dst_port = t.src_port;
-    proto = t.proto;
-  }
-
-(* 64-bit mix (splitmix finalizer) — used both as the flow-table key hash and
-   for RSS. Collision-safe lookups compare the full tuple on the OCaml side.
+(* 64-bit mix (splitmix finalizer) — the flow-table key hash. Collision-safe lookups compare the full tuple on the OCaml side.
    Inlined so that [key64]'s intermediates stay unboxed: only its result
    is boxed. *)
 let[@inline] mix64 z =
@@ -46,11 +36,6 @@ let key64 t =
   in
   let port_part = of_int ((t.src_port lsl 24) lxor (t.dst_port lsl 8) lxor t.proto) in
   mix64 (logxor (mix64 ip_part) port_part)
-
-(* RSS: steer a flow to one of [cores] queues, symmetric not required. *)
-let rss t ~cores =
-  if cores <= 0 then invalid_arg "Flow.rss: cores must be positive";
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (key64 t) 3) (Int64.of_int cores))
 
 let pp ppf t =
   Fmt.pf ppf "%s:%d -> %s:%d/%d"

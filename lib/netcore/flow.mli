@@ -1,4 +1,4 @@
-(** Network flows: 5-tuples, 64-bit match keys, RSS steering. *)
+(** Network flows: 5-tuples and 64-bit match keys. *)
 
 type t = {
   src_ip : Ipv4.addr;
@@ -13,16 +13,9 @@ val make :
 
 val equal : t -> t -> bool
 
-(** Swap endpoints (the reverse direction of a bidirectional flow). *)
-val reverse : t -> t
-
 (** Mixed 64-bit key used by the cuckoo flow tables. Equal flows yield equal
     keys; lookups additionally compare full tuples, so key collisions are
     harmless. *)
 val key64 : t -> int64
-
-(** RSS: deterministic queue in [\[0, cores)].
-    @raise Invalid_argument when [cores <= 0]. *)
-val rss : t -> cores:int -> int
 
 val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@
 let header_bytes = 8
 let udp_port = 2152
 let msg_gpdu = 0xFF
-let msg_echo_request = 0x01
 
 type t = { msg_type : int; length : int; teid : int32 }
 

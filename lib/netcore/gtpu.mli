@@ -7,7 +7,6 @@ val header_bytes : int
 val udp_port : int
 
 val msg_gpdu : int
-val msg_echo_request : int
 
 type t = { msg_type : int; length : int; teid : int32 }
 

@@ -104,16 +104,3 @@ let rewrite_addr buf ~off ~pos addr =
 
 let rewrite_src buf ~off ~src = rewrite_addr buf ~off ~pos:12 src
 let rewrite_dst buf ~off ~dst = rewrite_addr buf ~off ~pos:16 dst
-
-let decrement_ttl buf ~off =
-  let ttl = Bytes.get_uint8 buf (off + 8) in
-  if ttl = 0 then false
-  else begin
-    Bytes.set_uint8 buf (off + 8) (ttl - 1);
-    let old_field = Bytes.get_uint16_be buf (off + 8) + 0x0100 in
-    let new_field = Bytes.get_uint16_be buf (off + 8) in
-    let c = Bytes.get_uint16_be buf (off + checksum_offset) in
-    Bytes.set_uint16_be buf (off + checksum_offset)
-      (Checksum.update ~old_csum:c ~old_field ~new_field);
-    true
-  end

@@ -52,7 +52,3 @@ val header_valid : Bytes.t -> off:int -> bool
 val rewrite_src : Bytes.t -> off:int -> src:addr -> unit
 
 val rewrite_dst : Bytes.t -> off:int -> dst:addr -> unit
-
-(** Decrement TTL (incremental checksum update); [false] when TTL is
-    already 0 and the packet must be dropped. *)
-val decrement_ttl : Bytes.t -> off:int -> bool

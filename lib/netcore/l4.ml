@@ -81,6 +81,5 @@ let decode_tcp_result buf ~off =
 
 (* Port rewrites shared by UDP and TCP (ports sit at the same offsets). *)
 let rewrite_src_port buf ~off ~port = Bytes.set_uint16_be buf off port
-let rewrite_dst_port buf ~off ~port = Bytes.set_uint16_be buf (off + 2) port
 let src_port buf ~off = Bytes.get_uint16_be buf off
 let dst_port buf ~off = Bytes.get_uint16_be buf (off + 2)

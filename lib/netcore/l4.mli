@@ -46,7 +46,5 @@ val decode_tcp_result : Bytes.t -> off:int -> (tcp, string) result
 
 (** Port rewrites/reads valid for both UDP and TCP (same offsets). *)
 val rewrite_src_port : Bytes.t -> off:int -> port:int -> unit
-
-val rewrite_dst_port : Bytes.t -> off:int -> port:int -> unit
 val src_port : Bytes.t -> off:int -> int
 val dst_port : Bytes.t -> off:int -> int

@@ -29,9 +29,9 @@ let ack_only = { L4.syn = false; ack = true; fin = false; rst = false }
    zeroed) and set the offsets and lengths they imply. Shared by fresh
    construction and arena reuse so the two produce byte-identical packets;
    allocates nothing. *)
-let encode_headers ~src_mac ~dst_mac ~wire_len p =
+let encode_headers ~wire_len p =
   let buf = p.buf and flow = p.flow in
-  Ethernet.encode_fields buf ~off:0 ~dst:dst_mac ~src:src_mac
+  Ethernet.encode_fields buf ~off:0 ~dst:0x020000000002 ~src:0x020000000001
     ~ethertype:Ethernet.ethertype_ipv4;
   let l3_off = Ethernet.header_bytes in
   let proto = flow.Flow.proto in
@@ -83,27 +83,26 @@ module Arena = struct
 end
 
 (* A newly allocated packet record and zeroed buffer for [flow]. *)
-let fresh ~src_mac ~dst_mac ~flow ~wire_len =
+let fresh ~flow ~wire_len =
   incr next_id;
   let p =
     { id = !next_id; buf = Bytes.make max_header_bytes '\000'; hdr_len = 0; l3_off = 0;
       l4_off = 0; wire_len; flow; sim_addr = -1 }
   in
-  encode_headers ~src_mac ~dst_mac ~wire_len p;
+  encode_headers ~wire_len p;
   p
 
 (* Build a plain Eth/IPv4/L4 packet for [flow] with the headers actually
    encoded into [buf]. With [arena], recycle the ring's next record in
    place instead of allocating. *)
-let make ?(src_mac = 0x020000000001) ?(dst_mac = 0x020000000002) ?arena ~flow
-    ~wire_len () =
+let make ?arena ~flow ~wire_len () =
   match arena with
-  | None -> fresh ~src_mac ~dst_mac ~flow ~wire_len
+  | None -> fresh ~flow ~wire_len
   | Some a -> (
       let slot = Arena.take a in
       match a.Arena.slots.(slot) with
       | None ->
-          let p = fresh ~src_mac ~dst_mac ~flow ~wire_len in
+          let p = fresh ~flow ~wire_len in
           a.Arena.slots.(slot) <- Some p;
           p
       | Some p ->
@@ -116,7 +115,7 @@ let make ?(src_mac = 0x020000000001) ?(dst_mac = 0x020000000002) ?arena ~flow
           p.id <- !next_id;
           p.flow <- flow;
           p.sim_addr <- -1;
-          encode_headers ~src_mac ~dst_mac ~wire_len p;
+          encode_headers ~wire_len p;
           p)
 
 (* Deep copy sharing nothing mutable with the original, keeping the same

@@ -35,9 +35,7 @@ end
 
 (** Build an Eth/IPv4/UDP-or-TCP packet for [flow], encoding real headers.
     With [arena], recycle the ring's next record instead of allocating. *)
-val make :
-  ?src_mac:Ethernet.mac -> ?dst_mac:Ethernet.mac -> ?arena:Arena.t -> flow:Flow.t ->
-  wire_len:int -> unit -> t
+val make : ?arena:Arena.t -> flow:Flow.t -> wire_len:int -> unit -> t
 
 (** Deep copy sharing no mutable state with the original but keeping its
     id — replay-log entries must re-run as "the same packet" (exactly-once

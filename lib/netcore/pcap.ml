@@ -7,7 +7,7 @@ let magic = 0xA1B2C3D4
 let version_major = 2
 let version_minor = 4
 let linktype_ethernet = 1
-let default_snaplen = 65535
+let snaplen = 65535
 
 let put_u32le buf v =
   Buffer.add_char buf (Char.chr (v land 0xFF));
@@ -19,9 +19,9 @@ let put_u16le buf v =
   Buffer.add_char buf (Char.chr (v land 0xFF));
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
 
-type writer = { buf : Buffer.t; snaplen : int }
+type writer = Buffer.t
 
-let create_writer ?(snaplen = default_snaplen) () =
+let create_writer () =
   let buf = Buffer.create 4096 in
   put_u32le buf magic;
   put_u16le buf version_major;
@@ -30,18 +30,18 @@ let create_writer ?(snaplen = default_snaplen) () =
   put_u32le buf 0 (* sigfigs *);
   put_u32le buf snaplen;
   put_u32le buf linktype_ethernet;
-  { buf; snaplen }
+  buf
 
 (* [ts_us] is the timestamp in microseconds (simulated time works fine). *)
 let add_packet w ~ts_us (p : Packet.t) =
-  let incl = min (min p.Packet.hdr_len w.snaplen) p.Packet.wire_len in
-  put_u32le w.buf (ts_us / 1_000_000);
-  put_u32le w.buf (ts_us mod 1_000_000);
-  put_u32le w.buf incl;
-  put_u32le w.buf p.Packet.wire_len;
-  Buffer.add_subbytes w.buf p.Packet.buf 0 incl
+  let incl = min (min p.Packet.hdr_len snaplen) p.Packet.wire_len in
+  put_u32le w (ts_us / 1_000_000);
+  put_u32le w (ts_us mod 1_000_000);
+  put_u32le w incl;
+  put_u32le w p.Packet.wire_len;
+  Buffer.add_subbytes w p.Packet.buf 0 incl
 
-let contents w = Buffer.contents w.buf
+let contents = Buffer.contents
 
 let write_file w path =
   let oc = open_out_bin path in

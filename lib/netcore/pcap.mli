@@ -4,7 +4,7 @@
 
 type writer
 
-val create_writer : ?snaplen:int -> unit -> writer
+val create_writer : unit -> writer
 
 (** Append one packet at [ts_us] microseconds (simulated time is fine). *)
 val add_packet : writer -> ts_us:int -> Packet.t -> unit

@@ -93,6 +93,13 @@ let handler_cs m = "handle_" ^ String.lowercase_ascii (Traffic.Mgw.amf_msg_name 
 let msg_event m = "msg_" ^ String.lowercase_ascii (Traffic.Mgw.amf_msg_name m)
 let state_name m = "ue_" ^ String.lowercase_ascii (Traffic.Mgw.amf_msg_name m)
 
+(* The dispatch event of each message, by [Workload.amf_msg_code], built
+   once: a per-message string would allocate on every dispatch, and
+   [Specialize]'s physical-equality memo could never hit. *)
+let msg_events =
+  Array.init (List.length all_msgs) (fun code ->
+      Event.User (msg_event (Workload.amf_msg_of_code code)))
+
 let spec_text =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -221,7 +228,7 @@ let dispatch_action t =
                 Workload.amf_msg_of_code task.Nftask.aux)
         | None -> Workload.amf_msg_of_code task.Nftask.aux
       in
-      Event.User (msg_event msg))
+      msg_events.(Workload.amf_msg_code msg))
 
 let handler_action t msg =
   let fields = message_fields msg in

@@ -38,10 +38,10 @@ type t = {
 
 let state_bytes = 8
 
-let default_backends =
+let backends =
   Array.init 16 (fun i -> Int32.of_int (0xC0A86400 lor (i + 1))) (* 192.168.100.x *)
 
-let create layout ~name ?arena ?(backends = default_backends) ~n_flows () =
+let create layout ~name ?arena ~n_flows () =
   let classifier =
     Classifier.create layout ~name:(name ^ "_cls") ~key_kind:"five_tuple"
       ~key_fn:Classifier.five_tuple_key ~capacity:n_flows ()

@@ -22,7 +22,7 @@ val state_bytes : int
 
 val create :
   Memsim.Layout.t -> name:string -> ?arena:Structures.State_arena.t ->
-  ?backends:Netcore.Ipv4.addr array -> n_flows:int -> unit -> t
+  n_flows:int -> unit -> t
 
 val populate : t -> Netcore.Flow.t array -> unit
 

@@ -11,16 +11,17 @@ type established = {
   e_teid : int32;
 }
 
+let smf_addr = Netcore.Ipv4.addr_of_string "10.250.1.1"
+
 type t = {
-  smf_addr : Netcore.Ipv4.addr;
   mutable next_seid : int64;
   mutable next_seq : int;
   mutable sessions : established list;
   mutable rejected : int;
 }
 
-let create ?(smf_addr = Netcore.Ipv4.addr_of_string "10.250.1.1") () =
-  { smf_addr; next_seid = 1L; next_seq = 1; sessions = []; rejected = 0 }
+let create () =
+  { next_seid = 1L; next_seq = 1; sessions = []; rejected = 0 }
 
 let n_established t = List.length t.sessions
 
@@ -63,7 +64,7 @@ let establishment_request t ~ue_ip ~teid ~n_pdrs ~ran_ip =
       seq = fresh_seq t;
       payload =
         Netcore.Pfcp.Establishment_request
-          Netcore.Pfcp.{ cp_seid; cp_addr = t.smf_addr; ue_ip; pdrs; fars };
+          Netcore.Pfcp.{ cp_seid; cp_addr = smf_addr; ue_ip; pdrs; fars };
     }
 
 (* Drive a full establishment exchange against a UPF's N4 agent. *)

@@ -12,7 +12,7 @@ type established = {
 
 type t
 
-val create : ?smf_addr:Netcore.Ipv4.addr -> unit -> t
+val create : unit -> t
 val n_established : t -> int
 
 (** The Create PDR / Create FAR set for a session with [n_pdrs] rules. *)

@@ -94,11 +94,11 @@ type result = {
   sr_state_digest : string;  (* per-flow state + summed counters, vs references *)
 }
 
-(* Default simulated cost of applying one update record: a dozen-byte
-   store into already-resident state plus the ring pop — pure compute,
-   charged to the applying core's clock. *)
-let default_apply_cycles = 8
-let default_apply_instrs = 6
+(* Simulated cost of applying one update record: a dozen-byte store into
+   already-resident state plus the ring pop — pure compute, charged to the
+   applying core's clock. *)
+let apply_cycles = 8
+let apply_instrs = 6
 
 (* One core's queue, arrival order, as parallel arrays: each item's
    global index, per-flow sequence number and the dense per-run slot of
@@ -116,8 +116,7 @@ type queue = {
 
 let hintless = { Workload.packet = None; aux = 0; flow_hint = -1 }
 
-let run ?arm ?(apply_cycles = default_apply_cycles)
-    ?(apply_instrs = default_apply_instrs) ?on_complete ?(digest = true) ~engine
+let run ?arm ?on_complete ?(digest = true) ~engine
     ~(replicas : replica array) ~(slots : Spray.slot array) ~universe items :
     result =
   let cores = Array.length replicas in

@@ -60,9 +60,8 @@ type result = {
     flow hints and sizes only the digests: per-run tables are sized by
     the distinct flows of [items]. [arm] is called at each delivery with the item's global
     index to arm fault injections spray-independently; [on_complete] sees
-    every completion with its global index and per-flow sequence.
-    [apply_cycles]/[apply_instrs] are the simulated cost charged per
-    applied update. [digest] (default [true]) computes the post-barrier
+    every completion with its global index and per-flow sequence. Each
+    applied update costs 8 simulated cycles and 6 instructions. [digest] (default [true]) computes the post-barrier
     replica digests and global state digest; pass [false] in benches
     over huge universes, where the O(universe x cores) convergence proof
     would dwarf the measured work ([sr_replica_digests] is then empty,
@@ -72,8 +71,6 @@ type result = {
     work), or a spray whose sequence numbers cannot be scheduled. *)
 val run :
   ?arm:(plane:Fault.t -> g:int -> Netcore.Packet.t -> unit) ->
-  ?apply_cycles:int ->
-  ?apply_instrs:int ->
   ?on_complete:(core:int -> g:int -> seq:int -> Nftask.t -> unit) ->
   ?digest:bool ->
   engine:Exec.flow_free ->

@@ -55,11 +55,11 @@ let run_rss ~(plat : Platform.t) ~build items =
 
 (* Run the SCR pass on the same platform shape: replicas built per worker,
    items sprayed by [policy], executed by [engine]. *)
-let run_scr ?arm ?apply_cycles ?apply_instrs ?on_complete ?digest
+let run_scr ?arm ?on_complete ?digest
     ?(policy = Spray.Round_robin) ?(engine = `Rtc) ~(plat : Platform.t)
     ~build ~universe items =
   let cores = Platform.cores plat in
   let replicas = Array.init cores (fun c -> build ~core:c (Platform.worker plat c)) in
   let slots = Spray.assign policy ~cores items in
-  Scr.run ?arm ?apply_cycles ?apply_instrs ?on_complete ?digest ~engine ~replicas
+  Scr.run ?arm ?on_complete ?digest ~engine ~replicas
     ~slots ~universe items

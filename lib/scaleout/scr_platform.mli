@@ -26,8 +26,6 @@ val run_rss :
     [engine] (default rtc). See {!Scr.run} for the remaining knobs. *)
 val run_scr :
   ?arm:(plane:Fault.t -> g:int -> Netcore.Packet.t -> unit) ->
-  ?apply_cycles:int ->
-  ?apply_instrs:int ->
   ?on_complete:(core:int -> g:int -> seq:int -> Nftask.t -> unit) ->
   ?digest:bool ->
   ?policy:Spray.policy ->

@@ -15,17 +15,6 @@ let max_kicks = 500
 
 type overflow_policy = Drop_new | Evict_lru | Shed_flow
 
-let policy_to_string = function
-  | Drop_new -> "drop-new"
-  | Evict_lru -> "evict-lru"
-  | Shed_flow -> "shed-flow"
-
-let policy_of_string = function
-  | "drop-new" -> Some Drop_new
-  | "evict-lru" -> Some Evict_lru
-  | "shed-flow" -> Some Shed_flow
-  | _ -> None
-
 type insert_result =
   | Inserted
   | Updated

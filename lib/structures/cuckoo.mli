@@ -66,9 +66,6 @@ val delete : t -> int64 -> bool
     quarantine the offending flow (the caller raises a contained fault). *)
 type overflow_policy = Drop_new | Evict_lru | Shed_flow
 
-val policy_to_string : overflow_policy -> string
-val policy_of_string : string -> overflow_policy option
-
 (** Outcome of {!insert_policy}. [Evicted] carries the displaced resident so
     the caller can release any out-of-table resources tied to it. *)
 type insert_result =

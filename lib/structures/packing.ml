@@ -127,10 +127,3 @@ let lines_touched ~line_bytes fields offsets access =
       IS.empty access.fields
   in
   IS.cardinal set
-
-(* Expected lines fetched per unit weight — the objective data packing
-   minimises; used by tests and the compiler to report the improvement. *)
-let cost ~line_bytes fields offsets accesses =
-  List.fold_left
-    (fun acc a -> acc +. (a.weight *. float_of_int (lines_touched ~line_bytes fields offsets a)))
-    0.0 accesses

@@ -21,6 +21,3 @@ val pack : line_bytes:int -> field list -> access list -> (string * int) list * 
 
 (** Distinct cache lines one access touches under a layout. *)
 val lines_touched : line_bytes:int -> field list -> (string * int) list -> access -> int
-
-(** Weighted expected lines per access — the objective packing minimises. *)
-val cost : line_bytes:int -> field list -> (string * int) list -> access list -> float

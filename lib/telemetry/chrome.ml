@@ -10,6 +10,9 @@ open Gunfu
 
 let tid_of_task task = task + 1
 
+(* A trace is one simulated process. *)
+let pid = ("pid", Json_lite.Num 0.0)
+
 let span_name (sp : Trace.span) =
   match sp.Trace.sp_phase with
   | Trace.Action_body ->
@@ -42,12 +45,12 @@ let span_args (sp : Trace.span) =
     | None -> [])
   @ opt "note" sp.Trace.sp_note
 
-let event_of_span ~pid (sp : Trace.span) =
+let event_of_span (sp : Trace.span) =
   let common =
     [
       ("name", Json_lite.Str (span_name sp));
       ("cat", Json_lite.Str (Trace.phase_name sp.Trace.sp_phase));
-      ("pid", Json_lite.Num (float_of_int pid));
+      pid;
       ("tid", Json_lite.Num (float_of_int (tid_of_task sp.Trace.sp_task)));
       ("ts", Json_lite.Num (float_of_int sp.Trace.sp_ts));
     ]
@@ -69,12 +72,12 @@ let event_of_span ~pid (sp : Trace.span) =
           ("args", Json_lite.Obj (span_args sp));
         ])
 
-let counter_events ~pid (oc : Trace.occupancy) =
+let counter_events (oc : Trace.occupancy) =
   Json_lite.Obj
     [
       ("name", Json_lite.Str "occupancy");
       ("ph", Json_lite.Str "C");
-      ("pid", Json_lite.Num (float_of_int pid));
+      pid;
       ("ts", Json_lite.Num (float_of_int oc.Trace.oc_ts));
       ( "args",
         Json_lite.Obj
@@ -84,12 +87,12 @@ let counter_events ~pid (oc : Trace.occupancy) =
           ] );
     ]
 
-let metadata ~pid name tid thread_name =
+let metadata name tid thread_name =
   Json_lite.Obj
     [
       ("name", Json_lite.Str name);
       ("ph", Json_lite.Str "M");
-      ("pid", Json_lite.Num (float_of_int pid));
+      pid;
       ("tid", Json_lite.Num (float_of_int tid));
       ("ts", Json_lite.Num 0.0);
       ("args", Json_lite.Obj [ ("name", Json_lite.Str thread_name) ]);
@@ -110,7 +113,7 @@ let dur_of_event ev =
    before the action span itself), so sorting restores chronological order
    and puts enclosing spans before their children at equal start times —
    both what the validator checks and what viewers nest correctly. *)
-let export ?(pid = 0) (tr : Trace.t) : Json_lite.t =
+let export (tr : Trace.t) : Json_lite.t =
   let spans = Trace.spans tr in
   let tids = Hashtbl.create 16 in
   Array.iter
@@ -121,11 +124,11 @@ let export ?(pid = 0) (tr : Trace.t) : Json_lite.t =
     |> List.sort compare
     |> List.map (fun tid ->
            let name = if tid = 0 then "runtime" else Printf.sprintf "nftask-%d" (tid - 1) in
-           metadata ~pid "thread_name" tid name)
+           metadata "thread_name" tid name)
   in
   let events =
-    Array.to_list (Array.map (event_of_span ~pid) spans)
-    @ Array.to_list (Array.map (counter_events ~pid) (Trace.occupancy tr))
+    Array.to_list (Array.map event_of_span spans)
+    @ Array.to_list (Array.map counter_events (Trace.occupancy tr))
   in
   let events =
     List.stable_sort
@@ -137,7 +140,7 @@ let export ?(pid = 0) (tr : Trace.t) : Json_lite.t =
   in
   Json_lite.Obj
     [
-      ("traceEvents", Json_lite.Arr ((metadata ~pid "process_name" 0 "gunfu") :: threads @ events));
+      ("traceEvents", Json_lite.Arr ((metadata "process_name" 0 "gunfu") :: threads @ events));
       ("displayTimeUnit", Json_lite.Str "ns");
       ( "otherData",
         Json_lite.Obj
@@ -147,7 +150,7 @@ let export ?(pid = 0) (tr : Trace.t) : Json_lite.t =
           ] );
     ]
 
-let export_string ?pid tr = Json_lite.to_string ~indent:true (export ?pid tr)
+let export_string tr = Json_lite.to_string ~indent:true (export tr)
 
 (* ----- validation ----- *)
 

@@ -8,7 +8,7 @@
 (** The trace as an indented trace object. Events are sorted by
     (ts, -dur), so timestamps are non-decreasing and enclosing spans
     precede their children. *)
-val export_string : ?pid:int -> Gunfu.Trace.t -> string
+val export_string : Gunfu.Trace.t -> string
 
 (** Parse, then check the structure: a [traceEvents] array whose entries
     carry name/ph/ts, durations non-negative, timestamps non-decreasing in

@@ -19,7 +19,6 @@ type t = {
   rng : Memsim.Rng.t;
   zipf : Zipf.t option;
   wire_len : int;
-  elephant : float;
 }
 
 let ue_ip_of_index i = Int32.of_int (0x64000000 lor (i land 0xFFFFFF)) (* 100.x.y.z *)
@@ -36,10 +35,8 @@ let pdr_port_range ~n_pdrs ~pdr =
   (lo, lo + span - 1)
 
 let create ?(seed = 11) ?(popularity = Flowgen.Uniform) ?(wire_len = 128)
-    ?(elephant = 0.0) ~n_sessions ~n_pdrs () =
+    ~n_sessions ~n_pdrs () =
   if n_sessions <= 0 || n_pdrs <= 0 then invalid_arg "Mgw.create";
-  if elephant < 0.0 || elephant >= 1.0 then
-    invalid_arg "Mgw.create: elephant must be in [0, 1)";
   let sessions =
     Array.init n_sessions (fun i ->
         { ue_ip = ue_ip_of_index i; teid = teid_of_index i; n_pdrs })
@@ -49,21 +46,15 @@ let create ?(seed = 11) ?(popularity = Flowgen.Uniform) ?(wire_len = 128)
     | Flowgen.Uniform -> None
     | Flowgen.Zipf s -> Some (Zipf.create ~n:n_sessions ~s)
   in
-  { sessions; rng = Memsim.Rng.create seed; zipf; wire_len; elephant }
+  { sessions; rng = Memsim.Rng.create seed; zipf; wire_len }
 
 let sessions t = t.sessions
 let session t i = t.sessions.(i)
 
 let sample_session_idx t =
-  (* The elephant knob diverts [elephant] of the probability mass to
-     session 0 on top of the base popularity — an adversarial single hot
-     UE for skew-collapse experiments. At 0 (the default) no rng draw is
-     spent, preserving existing packet streams byte-for-byte. *)
-  if t.elephant > 0.0 && Memsim.Rng.float t.rng 1.0 < t.elephant then 0
-  else
-    match t.zipf with
-    | None -> Memsim.Rng.int t.rng (Array.length t.sessions)
-    | Some z -> Zipf.sample z t.rng
+  match t.zipf with
+  | None -> Memsim.Rng.int t.rng (Array.length t.sessions)
+  | Some z -> Zipf.sample z t.rng
 
 (* The 512 data-network hosts 8.8.0.0-8.8.1.255 that talk to UEs, one
    shared box each: session [si] talks to [remotes.(si mod 512)]. *)

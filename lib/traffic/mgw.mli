@@ -14,15 +14,10 @@ val teid_of_index : int -> int32
     @raise Invalid_argument when [pdr] is out of range. *)
 val pdr_port_range : n_pdrs:int -> pdr:int -> int * int
 
-(** [elephant] diverts that share of the downlink/uplink probability
-    mass to session 0 on top of the base popularity — an adversarial
-    single hot UE for skew-collapse experiments (0, the default, spends
-    no rng draw and preserves existing streams).
-    @raise Invalid_argument on non-positive sizes or
-    [elephant] outside [0, 1). *)
+(** @raise Invalid_argument on non-positive sizes. *)
 val create :
   ?seed:int -> ?popularity:Flowgen.popularity -> ?wire_len:int ->
-  ?elephant:float -> n_sessions:int -> n_pdrs:int -> unit -> t
+  n_sessions:int -> n_pdrs:int -> unit -> t
 
 val sessions : t -> session array
 val session : t -> int -> session

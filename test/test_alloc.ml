@@ -5,7 +5,8 @@
    interpreted, what Δ and the fault barrier cost. The source hands out
    pre-built items, and a zero-packet run is subtracted, so only the
    per-packet path is counted: engine dispatch, the fault barrier, Δ, the
-   action bodies and the structure probes. *)
+   action bodies and the structure probes. The AMF case pins the
+   signalling path's cost per NAS message the same way. *)
 
 open Gunfu
 
@@ -13,16 +14,15 @@ let n_sessions = 1024
 let n_pdrs = 16
 let packets = 4000
 
-(* Minor words per packet; [Helpers.upf_setup]'s session count and PDR
-   shape, run interpreted or through [Specialize.install]. *)
-let words_per_packet ~specialize =
-  let worker, mgw, pool, _upf, program = Helpers.upf_setup ~n_sessions ~n_pdrs () in
+(* Minor words per packet of [program] over [packets] pre-built items from
+   [source ~count], run interpreted or through [Specialize.install]. *)
+let words_per_packet ~specialize (worker, program, source) =
   if specialize then Specialize.install program;
   let items count =
-    let src = Workload.of_mgw_downlink mgw ~pool ~count in
+    let src = source ~count in
     Array.init count (fun _ -> src ())
   in
-  let source (items : Workload.item option array) =
+  let replay (items : Workload.item option array) =
     let i = ref 0 in
     fun () ->
       if !i < Array.length items then begin
@@ -33,7 +33,7 @@ let words_per_packet ~specialize =
       else None
   in
   let words items =
-    let src = source items in
+    let src = replay items in
     let before = Gc.minor_words () in
     let (_ : Metrics.run) = Rtc.run worker program src in
     Gc.minor_words () -. before
@@ -45,21 +45,36 @@ let words_per_packet ~specialize =
   let full = words measured in
   (full -. empty) /. float_of_int packets
 
-(* Specialized: 3.00 words on a 64-bit host, the int64 that the
-   classifier's key extractor returns. Interpreted: 97.06, because
+(* [Helpers.upf_setup]'s session count and PDR shape. *)
+let upf () =
+  let worker, mgw, pool, _upf, program = Helpers.upf_setup ~n_sessions ~n_pdrs () in
+  (worker, program, fun ~count -> Workload.of_mgw_downlink mgw ~pool ~count)
+
+(* [Helpers.amf_setup]'s 1,024 UEs, one NAS message per item. *)
+let amf () =
+  let worker, gen, pool, _amf, program = Helpers.amf_setup () in
+  (worker, program, fun ~count -> Workload.of_amf gen ~pool ~count)
+
+(* UPF specialized: 3.00 words on a 64-bit host, the int64 that the
+   classifier's key extractor returns. UPF interpreted: 97.06, because
    [Fsm.step] and [Fault.guard] still allocate per action; making them
    cheaper would spend the host margin perfbench's self-check requires of
-   the specialized path. Any closure, option, list or variant built per
-   action lands above these budgets. *)
-let check_budget ~specialize ~budget () =
-  let w = words_per_packet ~specialize in
+   the specialized path. AMF specialized: 46.62 words per message, with
+   the dispatch action handing back one prebuilt event per message type
+   (57.28 when it built a fresh event string per message). Any
+   closure, option, list or variant built per action lands above these
+   budgets. *)
+let check_budget ~specialize ~budget setup () =
+  let w = words_per_packet ~specialize (setup ()) in
   if w > budget then
     Alcotest.failf "%.2f minor words per packet, budget %.1f" w budget
 
 let suite =
   [
     Alcotest.test_case "upf rtc words per packet, interpreted" `Quick
-      (check_budget ~specialize:false ~budget:98.0);
+      (check_budget ~specialize:false ~budget:98.0 upf);
     Alcotest.test_case "upf rtc words per packet, specialized" `Quick
-      (check_budget ~specialize:true ~budget:4.0);
+      (check_budget ~specialize:true ~budget:4.0 upf);
+    Alcotest.test_case "amf rtc words per message, specialized" `Quick
+      (check_budget ~specialize:true ~budget:47.0 amf);
   ]

@@ -7,8 +7,8 @@ let no_opt =
     Compiler.match_removal = false;
     prefetch_dedup = false;
     prefetching = true;
-    lint = `Off;
-    verify_passes = `Off;
+    lint = false;
+    verify_passes = false;
     specialize = false;
   }
 

@@ -260,59 +260,6 @@ let test_pcap_bad_input () =
       | _ -> Alcotest.fail "malformed capture accepted")
     [ ""; "short"; String.make 24 '\000' ]
 
-let test_pcap_replay_roundtrip () =
-  (* Generate traffic, capture it, replay the capture through a NAT: the
-     replayed flows must be the generated ones, in order. *)
-  let gen =
-    Traffic.Flowgen.create ~seed:31 ~n_flows:32 ~size_model:(Traffic.Flowgen.Fixed 200) ()
-  in
-  let pkts = Array.to_list (Traffic.Flowgen.batch gen 20) in
-  let w = Netcore.Pcap.create_writer () in
-  List.iteri (fun i p -> Netcore.Pcap.add_packet w ~ts_us:i p) pkts;
-  let records = Netcore.Pcap.parse (Netcore.Pcap.contents w) in
-  let worker = Worker.create ~id:0 () in
-  let layout = Worker.layout worker in
-  let pool = Netcore.Packet.Pool.create layout ~count:32 in
-  let source = Workload.of_pcap records ~pool in
-  let replayed = ref [] in
-  let tap () =
-    match source () with
-    | None -> None
-    | Some item ->
-        (match item.Workload.packet with
-        | Some p -> replayed := p.Netcore.Packet.flow :: !replayed
-        | None -> ());
-        Some item
-  in
-  let nat = Nfs.Nat.create layout ~name:"nat" ~n_flows:64 () in
-  Nfs.Nat.populate nat (Traffic.Flowgen.flows gen);
-  let r = Rtc.run worker (Nfs.Nat.program nat) tap in
-  Alcotest.(check int) "all replayed packets processed" 20 r.Metrics.packets;
-  Alcotest.(check int) "replayed flows match capture" 0
-    (List.compare_lengths (List.rev !replayed) pkts);
-  List.iter2
-    (fun replayed_flow original ->
-      Alcotest.(check bool) "flow identity survives capture+replay" true
-        (Netcore.Flow.equal replayed_flow original.Netcore.Packet.flow))
-    (List.rev !replayed) pkts;
-  Alcotest.(check int) "NAT translated the replayed traffic (no drops)" 0 r.Metrics.drops
-
-let test_pcap_replay_orders_by_timestamp () =
-  let gen = Traffic.Flowgen.create ~seed:32 ~n_flows:4 () in
-  let p1 = Traffic.Flowgen.next gen and p2 = Traffic.Flowgen.next gen in
-  let w = Netcore.Pcap.create_writer () in
-  Netcore.Pcap.add_packet w ~ts_us:500 p1;
-  Netcore.Pcap.add_packet w ~ts_us:100 p2;
-  let records = Netcore.Pcap.parse (Netcore.Pcap.contents w) in
-  let layout = Memsim.Layout.create () in
-  let pool = Netcore.Packet.Pool.create layout ~count:8 in
-  let source = Workload.of_pcap records ~pool in
-  let first = Option.get (source ()) in
-  Alcotest.(check bool) "earliest timestamp first" true
-    (Netcore.Flow.equal
-       (Option.get first.Workload.packet).Netcore.Packet.flow
-       p2.Netcore.Packet.flow)
-
 (* ----- NF-C printing roundtrip ----- *)
 
 let test_nfc_print_parse_roundtrip () =
@@ -375,9 +322,6 @@ let suite =
     Alcotest.test_case "pcap roundtrip" `Quick test_pcap_roundtrip;
     Alcotest.test_case "pcap file io" `Quick test_pcap_file_io;
     Alcotest.test_case "pcap bad input" `Quick test_pcap_bad_input;
-    Alcotest.test_case "pcap replay roundtrip" `Quick test_pcap_replay_roundtrip;
-    Alcotest.test_case "pcap replay timestamp order" `Quick
-      test_pcap_replay_orders_by_timestamp;
     Alcotest.test_case "nfc print/parse roundtrip" `Quick test_nfc_print_parse_roundtrip;
     Helpers.qcheck qcheck_nfc_roundtrip;
   ]

@@ -33,10 +33,11 @@ let test_plan_rate () =
 (* ----- plane unit behaviour ----- *)
 
 let test_poisoning () =
-  let p = Fault.create ~poison_threshold:2 () in
+  let p = Fault.create () in
   Alcotest.(check bool) "fault passes through complete" true
     (Fault.complete p ~flow:7 ~faulted:(Some Fault.Action_raise)
     = Some Fault.Action_raise);
+  ignore (Fault.complete p ~flow:7 ~faulted:(Some Fault.Action_raise));
   Alcotest.(check bool) "not yet degraded" false (Fault.degraded p);
   ignore (Fault.complete p ~flow:7 ~faulted:(Some Fault.Action_raise));
   Alcotest.(check bool) "degraded after threshold" true (Fault.degraded p);
@@ -48,11 +49,12 @@ let test_poisoning () =
     (Fault.complete p ~flow:8 ~faulted:None = None);
   (* A success between faults resets the consecutive counter. *)
   ignore (Fault.complete p ~flow:9 ~faulted:(Some Fault.Parse_error));
+  ignore (Fault.complete p ~flow:9 ~faulted:(Some Fault.Parse_error));
   ignore (Fault.complete p ~flow:9 ~faulted:None);
   ignore (Fault.complete p ~flow:9 ~faulted:(Some Fault.Parse_error));
   Alcotest.(check int) "interleaved success prevents poisoning" 1
     (Fault.poisoned_flows p);
-  Alcotest.(check int) "faulted counts every quarantined completion" 5
+  Alcotest.(check int) "faulted counts every quarantined completion" 7
     (Fault.faulted p)
 
 let test_guard_contains () =
@@ -146,13 +148,7 @@ let test_cuckoo_policies () =
   (* Updating an existing key is never an overflow. *)
   (match Structures.Cuckoo.insert_policy t ~policy:Structures.Cuckoo.Drop_new ~key:!key ~value:7 with
   | Structures.Cuckoo.Updated -> ()
-  | _ -> Alcotest.fail "existing key must update in place");
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "policy name roundtrip" true
-        (Structures.Cuckoo.policy_of_string (Structures.Cuckoo.policy_to_string p)
-        = Some p))
-    [ Structures.Cuckoo.Drop_new; Structures.Cuckoo.Evict_lru; Structures.Cuckoo.Shed_flow ]
+  | _ -> Alcotest.fail "existing key must update in place")
 
 (* ----- NAT learner under match-table pressure ----- *)
 

@@ -84,14 +84,9 @@ let rewrite_cases () =
   let src = hex b ~len:20 in
   Ipv4.rewrite_dst b ~off:0 ~dst:(Ipv4.addr_of_string "255.255.255.255");
   let dst = hex b ~len:20 in
-  let ttl1 = Ipv4.decrement_ttl b ~off:0 in
-  let after1 = hex b ~len:20 in
-  let ttl0 = Ipv4.decrement_ttl b ~off:0 in
-  let after0 = hex b ~len:20 in
   let l4 = Bytes.make 8 '\000' in
-  L4.encode_udp { L4.src_port = 1; dst_port = 2; length = 8 } l4 ~off:0;
+  L4.encode_udp { L4.src_port = 1; dst_port = 0x8001; length = 8 } l4 ~off:0;
   L4.rewrite_src_port l4 ~off:0 ~port:0xFFFF;
-  L4.rewrite_dst_port l4 ~off:0 ~port:0x8001;
   let tcp = Bytes.make 20 '\000' in
   L4.encode_tcp
     {
@@ -105,18 +100,16 @@ let rewrite_cases () =
     tcp ~off:0;
   let g = Bytes.make 8 '\000' in
   Gtpu.encode
-    (Gtpu.make ~msg_type:Gtpu.msg_echo_request ~teid:(-2l) ~length:0xABCD ())
+    (Gtpu.make ~msg_type:0x01 ~teid:(-2l) ~length:0xABCD ())
     g ~off:0;
   let eth = Bytes.make 14 '\000' in
   Ethernet.encode
-    { Ethernet.dst = 0xFFFFFFFFFFFF; src = 0x0123456789AB; ethertype = Ethernet.ethertype_arp }
+    { Ethernet.dst = 0xFFFFFFFFFFFF; src = 0x0123456789AB; ethertype = 0x0806 }
     eth ~off:0;
   [
     ("ipv4", base);
     ("rewrite_src", src);
     ("rewrite_dst", dst);
-    ("ttl 1->0", Printf.sprintf "%b %s" ttl1 after1);
-    ("ttl 0", Printf.sprintf "%b %s" ttl0 after0);
     ("udp ports", hex l4 ~len:8);
     ("tcp", hex tcp ~len:20);
     ("gtpu", hex g ~len:8);
@@ -127,20 +120,16 @@ let rewrite_cases () =
 
 let rng_seeds = [ 0; 1; 42; -1; max_int; min_int ]
 
+(* 4,096 draws of each public accessor, in a fixed order, per seed. *)
 let rng_digest seed =
   let open Memsim in
   let b = Buffer.create (1 lsl 16) in
   let add fmt = Printf.bprintf b fmt in
   let r = Rng.create seed in
-  for _ = 1 to 4096 do add "%Ld," (Rng.next_int64 r) done;
   for _ = 1 to 4096 do add "%d," (Rng.bits r) done;
   for i = 1 to 4096 do add "%d," (Rng.int r i) done;
   for _ = 1 to 4096 do add "%h," (Rng.float r 3.5) done;
   for _ = 1 to 4096 do add "%b," (Rng.bool r) done;
-  let c = Rng.copy r in
-  for _ = 1 to 4096 do add "%d/%d," (Rng.bits r) (Rng.bits c) done;
-  let s = Rng.split r in
-  for _ = 1 to 4096 do add "%Ld/%Ld," (Rng.next_int64 r) (Rng.next_int64 s) done;
   md5 (Buffer.contents b)
 
 let source_digest (src : Gunfu.Workload.source) =
@@ -228,10 +217,6 @@ let pinned =
      "45b805cebeef40000111b707cb0071c8c0a8fffe");
     ("rewrite_dst",
      "45b805cebeef4000011177afcb0071c8ffffffff");
-    ("ttl 1->0",
-     "true 45b805cebeef4000001178afcb0071c8ffffffff");
-    ("ttl 0",
-     "false 45b805cebeef4000001178afcb0071c8ffffffff");
     ("udp ports",
      "ffff800100080000");
     ("tcp",
@@ -241,17 +226,17 @@ let pinned =
     ("ethernet",
      "ffffffffffff0123456789ab0806");
     ("rng 0",
-     "d5784c4d35927131a7e5f0b26e256b1c");
+     "cfede32ebc14a4dce9df099048d8617f");
     ("rng 1",
-     "1708ca648204dc8fbc4ea7ba61e97c2b");
+     "84f06b732c6788ae4913fa79ac48f1ed");
     ("rng 42",
-     "8db2a88c7cf335708ed5bd3f45f986b3");
+     "25050cf9937b3cceaaa92c487ffed2b8");
     ("rng -1",
-     "37c9d220ad7d03aafb825b971163da6f");
+     "ca05cd00ffdf5e45fa413fe52accfc68");
     ("rng 4611686018427387903",
-     "e54d6252cc638147baa514f775679f55");
+     "39c0fd87034ded8b6c00b1b6eab2ddaf");
     ("rng -4611686018427387904",
-     "1716d40d4f49086733668d0ca3c645cc");
+     "58e05802877046c490406ed213007f41");
     ("flowgen uniform",
      "f0f45b577350d7ca66bcd93e1d832f78");
     ("flowgen uniform arena",

@@ -269,23 +269,18 @@ let cold_instance () =
 let cold_nf = { Spec.n_name = "coldnf"; n_modules = [ ("c", "bad_cold") ]; n_transitions = [] }
 
 let test_lint_error_fails_compilation () =
-  let opts = { Compiler.default_opts with Compiler.lint = `Error } in
+  let opts = { Compiler.default_opts with Compiler.lint = true } in
   match Compiler.compile ~opts ~name:"coldnf" [ cold_instance () ] cold_nf with
   | exception Compiler.Compile_error msg ->
       Alcotest.(check bool) "error names the analyzer" true
         (contains ~sub:"nflint" msg)
-  | _ -> Alcotest.fail "lint = `Error must fail compilation on a cold access"
-
-let test_lint_warn_compiles () =
-  let opts = { Compiler.default_opts with Compiler.lint = `Warn } in
-  let p = Compiler.compile ~opts ~name:"coldnf" [ cold_instance () ] cold_nf in
-  Alcotest.(check bool) "program still built" true (Program.n_states p > 0)
+  | _ -> Alcotest.fail "lint must fail compilation on a cold access"
 
 let test_lint_clean_program_compiles_strictly () =
-  let opts = { Compiler.default_opts with Compiler.lint = `Error } in
+  let opts = { Compiler.default_opts with Compiler.lint = true } in
   let p = Compiler.compile ~opts ~name:"toy" [ toy_sd_instance () ] toy_nf in
   (* Info-severity findings (the short-distance note) never fail. *)
-  Alcotest.(check bool) "clean program compiles under `Error" true (Program.n_states p > 0)
+  Alcotest.(check bool) "clean program compiles with lint on" true (Program.n_states p > 0)
 
 let test_match_removal_missing_instance () =
   let nf = { Spec.n_name = "ghostnf"; n_modules = [ ("ghost", "m") ]; n_transitions = [] } in
@@ -355,7 +350,6 @@ let suite =
     Alcotest.test_case "shipped builds clean" `Quick test_shipped_builds_clean;
     Alcotest.test_case "short-distance prefetch flagged" `Quick test_short_distance_flagged;
     Alcotest.test_case "lint=Error fails compile" `Quick test_lint_error_fails_compilation;
-    Alcotest.test_case "lint=Warn still compiles" `Quick test_lint_warn_compiles;
     Alcotest.test_case "clean program compiles strictly" `Quick
       test_lint_clean_program_compiles_strictly;
     Alcotest.test_case "match removal: missing instance" `Quick

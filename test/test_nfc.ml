@@ -48,7 +48,7 @@ let run_action action =
   Nftask.load task ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   Action.execute action (Worker.ctx (Lazy.force worker)) task
 
-let compile ?default_event e src = Nfc.compile ?default_event ~binding:(binding e) src
+let compile e src = Nfc.compile ~binding:(binding e) src
 
 (* ----- parsing ----- *)
 
@@ -152,8 +152,8 @@ let test_emit_event_packet_translation () =
 
 let test_default_event () =
   let e = env () in
-  let a = compile ~default_event:(Event.User "fin") e "NFAction(x) { Packet.a = 1; }" in
-  Alcotest.(check string) "no Emit -> default" "fin" (Event.to_key (run_action a))
+  let a = compile e "NFAction(x) { Packet.a = 1; }" in
+  Alcotest.(check string) "no Emit -> default" "continue" (Event.to_key (run_action a))
 
 let test_emit_stops_execution () =
   let e = env () in

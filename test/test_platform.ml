@@ -113,30 +113,10 @@ let test_director_deploy_and_run () =
   let il = Director.run dep (Exec.il 8) in
   Alcotest.(check int) "rtc packets across cores" 600 rtc.Metrics.packets;
   Alcotest.(check int) "interleaved packets across cores" 600 il.Metrics.packets;
-  Alcotest.(check int) "stats exchanged with director" 4 (List.length (Director.stats dep));
   (match Director.deploy d ~name:"nat-east" ~cores:1 ~config:[]
            ~builder:(nat_builder ~count:1 ~n_flows:16 ()) () with
   | exception Director.Director_error _ -> ()
-  | _ -> Alcotest.fail "duplicate deployment name must fail");
-  (* The report renders. *)
-  let report = Fmt.str "%a" (fun ppf () -> Director.report ppf d) () in
-  Alcotest.(check bool) "report mentions deployment" true
-    (String.length report > 0)
-
-let test_director_dynamic_reconfiguration () =
-  let d = Director.create () in
-  let dep =
-    Director.deploy d ~name:"nat-west" ~cores:1 ~config:[ ("mode", "a") ]
-      ~builder:(nat_builder ~count:50 ~n_flows:256 ())
-      ()
-  in
-  Alcotest.(check (list (pair string string))) "initial config" [ ("mode", "a") ]
-    (Director.current_config dep);
-  Director.update_config dep [ ("mode", "b") ];
-  Alcotest.(check (list (pair string string))) "config updated" [ ("mode", "b") ]
-    (Director.current_config dep);
-  let r = Director.run dep (Exec.il 4) in
-  Alcotest.(check int) "runs with the new config" 50 r.Metrics.packets
+  | _ -> Alcotest.fail "duplicate deployment name must fail")
 
 let suite =
   [
@@ -148,5 +128,4 @@ let suite =
     Alcotest.test_case "director unknown modules" `Quick test_director_nf_requires_known_modules;
     Alcotest.test_case "director config template" `Quick test_director_config_template;
     Alcotest.test_case "director deploy/run" `Quick test_director_deploy_and_run;
-    Alcotest.test_case "director dynamic reconfig" `Quick test_director_dynamic_reconfiguration;
   ]

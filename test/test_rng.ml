@@ -5,23 +5,12 @@ open Memsim
 let test_determinism () =
   let a = Rng.create 7 and b = Rng.create 7 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
+    Alcotest.(check int) "same stream" (Rng.bits a) (Rng.bits b)
   done
 
 let test_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
-  Alcotest.(check bool) "different seeds differ" false
-    (Int64.equal (Rng.next_int64 a) (Rng.next_int64 b))
-
-let test_copy_independence () =
-  let a = Rng.create 9 in
-  ignore (Rng.next_int64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.next_int64 a) (Rng.next_int64 b);
-  ignore (Rng.next_int64 a);
-  (* advancing a does not advance b *)
-  let a2 = Rng.next_int64 a and b2 = Rng.next_int64 b in
-  Alcotest.(check bool) "streams diverge after independent draws" false (Int64.equal a2 b2)
+  Alcotest.(check bool) "different seeds differ" false (Rng.bits a = Rng.bits b)
 
 let test_int_bounds () =
   let r = Rng.create 3 in
@@ -64,12 +53,6 @@ let test_shuffle_changes_order () =
   Rng.shuffle r arr;
   Alcotest.(check bool) "order changed" true (arr <> Array.init 50 (fun i -> i))
 
-let test_split_independent () =
-  let r = Rng.create 8 in
-  let s = Rng.split r in
-  let a = Rng.next_int64 r and b = Rng.next_int64 s in
-  Alcotest.(check bool) "split stream differs" false (Int64.equal a b)
-
 let test_uniformity_coarse () =
   let r = Rng.create 11 in
   let buckets = Array.make 10 0 in
@@ -102,14 +85,12 @@ let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
-    Alcotest.test_case "copy independence" `Quick test_copy_independence;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int invalid bound" `Quick test_int_invalid;
     Alcotest.test_case "int_in_range" `Quick test_int_in_range;
     Alcotest.test_case "float bounds" `Quick test_float_bounds;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "shuffle changes order" `Quick test_shuffle_changes_order;
-    Alcotest.test_case "split independence" `Quick test_split_independent;
     Alcotest.test_case "coarse uniformity" `Quick test_uniformity_coarse;
     Helpers.qcheck qcheck_int_bound;
     Helpers.qcheck qcheck_bits_nonneg;

@@ -270,36 +270,7 @@ let test_alpha_sweep_shared_universe () =
     (Invalid_argument "Flowgen.alpha_sweep: alpha must be non-negative") (fun () ->
       ignore (Traffic.Flowgen.alpha_sweep ~n_flows:16 [ -0.1 ]))
 
-let test_mgw_elephant_knob () =
-  let mgw = Traffic.Mgw.create ~seed:9 ~elephant:0.6 ~n_sessions:1024 ~n_pdrs:4 () in
-  let hits = ref 0 in
-  let n = 4000 in
-  for _ = 1 to n do
-    let si, _, _ = Traffic.Mgw.next_downlink mgw in
-    if si = 0 then incr hits
-  done;
-  let share = float_of_int !hits /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "session 0 carries the elephant mass (%.2f)" share)
-    true
-    (share > 0.55 && share < 0.75);
-  (* elephant = 0 spends no rng draw: streams are byte-identical to a
-     generator built without the knob. *)
-  let plain = Traffic.Mgw.create ~seed:9 ~n_sessions:64 ~n_pdrs:4 () in
-  let zero = Traffic.Mgw.create ~seed:9 ~elephant:0.0 ~n_sessions:64 ~n_pdrs:4 () in
-  for i = 1 to 256 do
-    let a, pa, _ = Traffic.Mgw.next_downlink plain in
-    let b, pb, _ = Traffic.Mgw.next_downlink zero in
-    Alcotest.(check (pair int int))
-      (Printf.sprintf "draw %d identical" i)
-      (a, pa) (b, pb)
-  done;
-  Alcotest.check_raises "elephant >= 1 rejected"
-    (Invalid_argument "Mgw.create: elephant must be in [0, 1)") (fun () ->
-      ignore (Traffic.Mgw.create ~elephant:1.0 ~n_sessions:4 ~n_pdrs:2 ()))
 
-(* A size model no pull could sample is rejected when the generator is
-   created, not at its first pull. *)
 let rejects ~who size_model msg () =
   let make () =
     if who = "create" then ignore (Flowgen.create ~size_model ~n_flows:8 ())
@@ -355,7 +326,6 @@ let suite =
     Helpers.qcheck qcheck_pdr_range_lookup;
     Alcotest.test_case "alpha sweep shares one universe" `Quick
       test_alpha_sweep_shared_universe;
-    Alcotest.test_case "mgw elephant knob" `Quick test_mgw_elephant_knob;
   ]
   @ List.map
       (fun (name, who, model, msg) -> Alcotest.test_case name `Quick (rejects ~who model msg))

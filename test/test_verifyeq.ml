@@ -357,16 +357,11 @@ let test_mutation_key_kind_swap () =
 (* ----- the compiler's verify hook ----- *)
 
 let test_verify_error_fails_compile () =
-  let opts = { Check.Progen.verify_opts with Compiler.verify_passes = `Error } in
+  let opts = { Check.Progen.verify_opts with Compiler.verify_passes = true } in
   match Compiler.compile ~opts ~name:"swapnf" [ swap_instance () ] swap_nf with
   | exception Compiler.Compile_error msg ->
       Alcotest.(check bool) "error names verifyeq" true (contains ~sub:"verifyeq" msg)
-  | _ -> Alcotest.fail "verify_passes = `Error must fail a refuted compile"
-
-let test_verify_warn_compiles () =
-  let opts = { Check.Progen.verify_opts with Compiler.verify_passes = `Warn } in
-  let p = Compiler.compile ~opts ~name:"swapnf" [ swap_instance () ] swap_nf in
-  Alcotest.(check bool) "program still built" true (Program.n_states p > 0)
+  | _ -> Alcotest.fail "verify_passes must fail a refuted compile"
 
 (* ----- Mod-by-zero semantics pinned across compilation modes ----- *)
 
@@ -450,7 +445,6 @@ let suite =
     Alcotest.test_case "mutation: reclassified key kind refuted" `Quick
       test_mutation_key_kind_swap;
     Alcotest.test_case "verify=Error fails compile" `Quick test_verify_error_fails_compile;
-    Alcotest.test_case "verify=Warn still compiles" `Quick test_verify_warn_compiles;
     Alcotest.test_case "mod-by-zero containment parity" `Quick
       test_mod_zero_containment_parity;
   ]
