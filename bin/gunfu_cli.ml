@@ -214,15 +214,48 @@ let compose_cmd nf_file specs_dir model flows packets =
     Fmt.pr "%a@." Gunfu.Metrics.pp_row r;
     `Ok ())
 
-(* ----- check and chaos: the differential execution oracle ----- *)
+(* ----- the oracle axes: case selection and the two loops ----- *)
 
-(* One oracle loop for check and chaos: scan every case, print each
+(* The six case-selection flags every oracle axis shares. *)
+type selection = {
+  programs : int;
+  seed : int;
+  packets : int;
+  profile : string option;
+  spec : string option;
+  specs_dir : string;
+}
+
+let select kind s =
+  Check.Recovery.select kind ~specs_dir:s.specs_dir ~programs:s.programs ~seed:s.seed
+    ~packets:s.packets ?profile:s.profile ?spec:s.spec ()
+
+(* A fault axis whose plans arm nothing over every case tested no fault. *)
+let nothing_injected ~rate_ppm n_cases =
+  `Error
+    ( false,
+      Printf.sprintf "the fault plans at %d ppm inject nothing over the %d case(s): no \
+                      fault was tested" rate_ppm n_cases )
+
+(* One oracle loop for check and chaos: scan every case (under a fault
+   plan from the case's own seed when [rate_ppm] is given), print each
    divergence and invariant violation with its replay line, or [agree]. *)
-let oracle_loop ~name ~scan ~agree ~summary cases =
-  let divergences = ref 0 and violations = ref 0 in
+let oracle_loop ~name ?rate_ppm ?specialize ~minimized ~agree ~summary cases =
+  let divergences = ref 0 and violations = ref 0 and injected = ref 0 in
   List.iter
     (fun (case : Check.Oracle.case) ->
-      let sc = scan case in
+      let plan =
+        Option.map
+          (fun rate_ppm -> Check.Faultgen.create ~rate_ppm ~seed:case.Check.Oracle.c_seed ())
+          rate_ppm
+      in
+      let n_injected =
+        Option.fold ~none:0
+          ~some:(Check.Faultgen.planned ~packets:case.Check.Oracle.c_packets)
+          plan
+      in
+      injected := !injected + n_injected;
+      let sc = Check.Oracle.check_case ~minimized ?specialize ?plan case in
       Option.iter
         (fun d ->
           incr divergences;
@@ -236,19 +269,49 @@ let oracle_loop ~name ~scan ~agree ~summary cases =
             sc.Check.Oracle.sc_repro)
         sc.Check.Oracle.sc_violations;
       if sc.Check.Oracle.sc_divergence = None && sc.Check.Oracle.sc_violations = [] then
-        agree case sc)
+        agree case sc n_injected)
     cases;
-  if !divergences = 0 && !violations = 0 then begin
-    Fmt.pr "%s@." summary;
-    `Ok ()
-  end
-  else
+  if !divergences > 0 || !violations > 0 then
     `Error
       ( false,
         Printf.sprintf "%s found %d divergence(s), %d invariant violation(s)" name
           !divergences !violations )
+  else
+    match rate_ppm with
+    | Some rate_ppm when !injected = 0 -> nothing_injected ~rate_ppm (List.length cases)
+    | _ ->
+        Fmt.pr "%s@." summary;
+        `Ok ()
 
-let check_cmd programs seed packets profile spec specs_dir no_minimize specialize =
+(* One platform-axis loop: each case's fault plan comes from its own seed
+   (so cases do not all replay the same schedule positions); [run] turns
+   it into the case's outcomes, each printed and counted. *)
+let platform_loop ~rate_ppm ~run ~summary ~failure rcases =
+  let failed = ref 0 and injected = ref 0 in
+  List.iter
+    (fun rc ->
+      let plan = Check.Faultgen.create ~rate_ppm ~seed:rc.Check.Recovery.r_seed () in
+      injected := !injected + Check.Faultgen.planned plan ~packets:rc.Check.Recovery.r_packets;
+      List.iter
+        (fun oc ->
+          if not (Check.Recovery.passed oc) then incr failed;
+          Fmt.pr "%a@." Check.Recovery.pp_outcome oc)
+        (run plan rc))
+    rcases;
+  if !failed > 0 then `Error (false, Printf.sprintf "%d %s" !failed failure)
+  else if rate_ppm > 0 && !injected = 0 then
+    nothing_injected ~rate_ppm (List.length rcases)
+  else begin
+    Fmt.pr "%s@." summary;
+    `Ok ()
+  end
+
+(* Rate 0 runs the scr and adapt axes without a plan. *)
+let optional_plan ~rate_ppm plan = if rate_ppm = 0 then None else Some plan
+
+(* ----- check command: the differential execution oracle ----- *)
+
+let check_cmd sel no_minimize specialize =
   guard (fun () ->
     (* Interpreted scan runs all 14 executors (reference included);
        --specialize widens to the 28-way matrix: every executor additionally
@@ -258,14 +321,9 @@ let check_cmd programs seed packets profile spec specs_dir no_minimize specializ
       List.length Check.Oracle.executor_names
       + if specialize then List.length Check.Oracle.executor_names else 0
     in
-    let cases =
-      Check.Recovery.select Check.Recovery.Oracle_cases ~specs_dir ~programs ~seed
-        ~packets ?profile ?spec ()
-    in
-    oracle_loop ~name:"oracle"
-      ~scan:(fun case ->
-        Check.Oracle.check_case ~minimized:(not no_minimize) ~specialize case)
-      ~agree:(fun case _ ->
+    let cases = select Check.Recovery.Oracle_cases sel in
+    oracle_loop ~name:"oracle" ~specialize ~minimized:(not no_minimize)
+      ~agree:(fun case _ _ ->
         Fmt.pr "case %-18s seed %-6d profile %-8s %d packets x %d variants: agree@."
           case.Check.Oracle.c_name case.Check.Oracle.c_seed
           case.Check.Oracle.c_profile case.Check.Oracle.c_packets n_variants)
@@ -274,37 +332,9 @@ let check_cmd programs seed packets profile spec specs_dir no_minimize specializ
            (List.length cases) n_variants)
       cases)
 
-(* ----- the platform axes: chaos --kill-cores, chaos --model scr, scr, adapt ----- *)
-
-(* One platform-axis loop: each case's fault plan comes from its own seed
-   (so cases do not all replay the same schedule positions); [run] turns
-   it into the case's outcomes, each printed and counted. *)
-let platform_loop ~rate_ppm ~run ~summary ~failure rcases =
-  let failed = ref 0 in
-  List.iter
-    (fun rc ->
-      let plan = Check.Faultgen.create ~rate_ppm ~seed:rc.Check.Recovery.r_seed () in
-      List.iter
-        (fun oc ->
-          if not (Check.Recovery.passed oc) then incr failed;
-          Fmt.pr "%a@." Check.Recovery.pp_outcome oc)
-        (run plan rc))
-    rcases;
-  if !failed = 0 then begin
-    Fmt.pr "%s@." summary;
-    `Ok ()
-  end
-  else `Error (false, Printf.sprintf "%d %s" !failed failure)
-
-(* Rate 0 runs the scr and adapt axes without a plan. *)
-let optional_plan ~rate_ppm plan = if rate_ppm = 0 then None else Some plan
-
-let scr_failure = "scr case(s) diverged or violated invariants"
-
 (* ----- chaos command: the oracle under deterministic fault injection ----- *)
 
-let chaos_cmd programs seed packets profile spec specs_dir rate_ppm no_minimize
-    kill_cores model cores epoch =
+let chaos_cmd sel rate_ppm no_minimize kill_cores cores epoch =
   guard (fun () ->
     if kill_cores then begin
       (* The core-failure axis: shard each case across [cores], kill one
@@ -319,10 +349,7 @@ let chaos_cmd programs seed packets profile spec specs_dir rate_ppm no_minimize
           log_capacity = max epoch Gunfu.Platform.Recovery.default_plan.Gunfu.Platform.Recovery.log_capacity;
         }
       in
-      let rcases =
-        Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
-          ~packets ?profile ?spec ()
-      in
+      let rcases = select Check.Recovery.Platform_cases sel in
       platform_loop ~rate_ppm rcases
         ~run:(fun plan rc -> [ Check.Recovery.check_case ~plan ~rplan ~cores rc ])
         ~summary:
@@ -332,44 +359,16 @@ let chaos_cmd programs seed packets profile spec specs_dir rate_ppm no_minimize
              (List.length rcases) cores epoch)
         ~failure:"case(s) failed to recover from a core kill"
     end
-    else if String.equal model "scr" then begin
-      let rcases =
-        Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
-          ~packets ?profile ?spec ()
-      in
-      platform_loop ~rate_ppm rcases
-        ~run:(fun plan rc ->
-          [ Check.Scrcheck.check_rcase ?plan:(optional_plan ~rate_ppm plan) ~cores rc ])
-        ~summary:
-          (Printf.sprintf
-             "chaos --model scr: %d cases on %d cores at %d ppm: replicas converged, \
-              reference equality"
-             (List.length rcases) cores rate_ppm)
-        ~failure:scr_failure
-    end
-    else if not (String.equal model "rss") then
-      `Error (false, Printf.sprintf "unknown model %s (expected rss or scr)" model)
     else
-      let cases =
-        Check.Recovery.select Check.Recovery.Oracle_cases ~specs_dir ~programs ~seed
-          ~packets ?profile ?spec ()
-      in
+      let cases = select Check.Recovery.Oracle_cases sel in
       let n_executors = List.length Check.Oracle.executor_names in
-      (* One plan per case, derived from the case's own seed. *)
-      let plan (case : Check.Oracle.case) =
-        Check.Faultgen.create ~rate_ppm ~seed:case.Check.Oracle.c_seed ()
-      in
-      oracle_loop ~name:"chaos"
-        ~scan:(fun case ->
-          Check.Oracle.check_case ~minimized:(not no_minimize) ~plan:(plan case) case)
-        ~agree:(fun case sc ->
+      oracle_loop ~name:"chaos" ~rate_ppm ~minimized:(not no_minimize)
+        ~agree:(fun case sc injected ->
           let r = sc.Check.Oracle.sc_reference.Check.Oracle.o_run in
           Fmt.pr
             "case %-18s seed %-6d %4d packets, %2d injected, %2d faulted%s x %d executors: agree@."
             case.Check.Oracle.c_name case.Check.Oracle.c_seed
-            case.Check.Oracle.c_packets
-            (Check.Faultgen.planned (plan case) ~packets:case.Check.Oracle.c_packets)
-            r.Gunfu.Metrics.faulted
+            case.Check.Oracle.c_packets injected r.Gunfu.Metrics.faulted
             (if r.Gunfu.Metrics.degraded then " (degraded)" else "")
             n_executors)
         ~summary:
@@ -380,17 +379,13 @@ let chaos_cmd programs seed packets profile spec specs_dir rate_ppm no_minimize
 
 (* ----- scr command: the State-Compute Replication axis ----- *)
 
-let scr_cmd programs seed packets profile spec specs_dir rate_ppm cores_list
-    spray_seed batch =
+let scr_cmd sel rate_ppm cores_list spray_seed batch =
   guard (fun () ->
     if cores_list = [] then invalid_arg "scr: --cores list must be non-empty";
     List.iter
       (fun c -> if c < 1 then invalid_arg "scr: core counts must be positive")
       cores_list;
-    let rcases =
-      Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
-        ~packets ?profile ?spec ()
-    in
+    let rcases = select Check.Recovery.Platform_cases sel in
     let spray =
       match spray_seed with
       | None -> Scaleout.Spray.Round_robin
@@ -415,28 +410,27 @@ let scr_cmd programs seed packets profile spec specs_dir rate_ppm cores_list
            | None -> "round-robin"
            | Some s -> Printf.sprintf "seeded(%d)" s)
            rate_ppm)
-      ~failure:scr_failure)
+      ~failure:"scr case(s) diverged or violated invariants")
 
 (* ----- adapt command: the closed-loop adaptive-runtime axis ----- *)
 
-let adapt_cmd programs seed packets profile spec specs_dir rate_ppm scr epoch
-    initial =
+let adapt_cmd sel rate_ppm scr epoch initial =
   guard (fun () ->
     if rate_ppm > 0 && scr <> None then
       invalid_arg
         "adapt: --rate-ppm and --scr cannot be combined (replica re-cloning \
          would detach armed injections)";
     if epoch < 1 then invalid_arg "adapt: --epoch must be positive";
+    Option.iter
+      (fun c -> if c < 1 then invalid_arg "adapt: --scr core count must be positive")
+      scr;
     let initial =
       match (initial, Gunfu.Exec.of_string initial) with
       | ("default" | "il"), _ -> Adaptive.Config.default
       | _, Ok e -> (e :> Adaptive.Config.t)
       | _, Error msg -> invalid_arg ("adapt: --initial: " ^ msg)
     in
-    let rcases =
-      Check.Recovery.select Check.Recovery.Platform_cases ~specs_dir ~programs ~seed
-        ~packets ?profile ?spec ()
-    in
+    let rcases = select Check.Recovery.Platform_cases sel in
     platform_loop ~rate_ppm rcases
       ~run:(fun plan rc ->
         [
@@ -457,21 +451,15 @@ let adapt_cmd programs seed packets profile spec specs_dir rate_ppm scr epoch
 
 (* ----- storm command: churn-storm chaos scenarios ----- *)
 
-let storm_cmd scenario seed model =
+let storm_cmd scenario seed =
   guard (fun () ->
     let reports =
-      match (model, scenario) with
-      | "scr", _ -> [ Check.Storm.scr_storm ~seed () ]
-      | "rss", None -> Check.Storm.all ~seed ()
-      | "rss", Some "pfcp" -> [ Check.Storm.pfcp_storm ~seed () ]
-      | "rss", Some "nat" -> [ Check.Storm.nat_rebalance_storm ~seed () ]
-      | "rss", Some "overload" -> [ Check.Storm.overload_storm ~seed () ]
-      | "rss", Some other ->
-          invalid_arg
-            (Printf.sprintf "unknown storm %s (expected pfcp, nat or overload)" other)
-      | other, _ ->
-          invalid_arg
-            (Printf.sprintf "unknown model %s (expected rss or scr)" other)
+      match scenario with
+      | None -> Check.Storm.all ~seed ()
+      | Some "pfcp" -> [ Check.Storm.pfcp_storm ~seed () ]
+      | Some "nat" -> [ Check.Storm.nat_rebalance_storm ~seed () ]
+      | Some other ->
+          invalid_arg (Printf.sprintf "unknown storm %s (expected pfcp or nat)" other)
     in
     List.iter (fun r -> Fmt.pr "@[<v>%a@]@." Check.Storm.pp_report r) reports;
     let failed = List.filter (fun r -> not (Check.Storm.passed r)) reports in
@@ -762,6 +750,31 @@ let check_spec_t =
         (const check_spec_cmd
         $ Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")))
 
+(* The case-selection flags, declared once for every oracle axis; the axes
+   differ only in their default program and packet counts. *)
+let selection_t ~programs ~packets =
+  let make programs seed packets profile spec specs_dir =
+    { programs; seed; packets; profile; spec; specs_dir }
+  in
+  Term.(
+    const make
+    $ Arg.(value & opt int programs & info [ "programs" ] ~doc:"Generated programs per profile")
+    $ Arg.(
+        value & opt int 1
+        & info [ "seed" ] ~doc:"Base seed for the generated programs and the fault plans")
+    $ Arg.(value & opt int packets & info [ "packets" ] ~doc:"Packets per case")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "profile" ]
+            ~doc:"Only this traffic profile (uniform, zipf, burst, mix); default all")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "spec" ]
+            ~doc:"Run a specs/ composition (nat, sfc4, upf_downlink or all) instead of generated programs")
+    $ Arg.(value & opt dir "specs" & info [ "specs-dir" ] ~doc:"Module spec directory"))
+
 let check_t =
   Cmd.v
     (Cmd.info "check"
@@ -773,20 +786,7 @@ let check_t =
     Term.(
       ret
         (const check_cmd
-        $ Arg.(value & opt int 5 & info [ "programs" ] ~doc:"Generated programs per profile")
-        $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed; program i uses seed+i")
-        $ Arg.(value & opt int 96 & info [ "packets" ] ~doc:"Packets per case")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "profile" ]
-                ~doc:"Only this traffic profile (uniform, zipf, burst, mix); default all")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "spec" ]
-                ~doc:"Check a specs/ composition (nat, sfc4, upf_downlink or all) instead of generated programs")
-        $ Arg.(value & opt dir "specs" & info [ "specs-dir" ] ~doc:"Module spec directory")
+        $ selection_t ~programs:5 ~packets:96
         $ Arg.(value & flag & info [ "no-minimize" ] ~doc:"Skip divergence minimization")
         $ Arg.(
             value & flag
@@ -815,23 +815,14 @@ let chaos_t =
     Term.(
       ret
         (const chaos_cmd
-        $ Arg.(value & opt int 5 & info [ "programs" ] ~doc:"Generated programs per profile")
-        $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed for programs and the fault plan")
-        $ Arg.(value & opt int 96 & info [ "packets" ] ~doc:"Packets per case")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "profile" ]
-                ~doc:"Only this traffic profile (uniform, zipf, burst, mix); default all")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "spec" ]
-                ~doc:"Run a specs/ composition (nat, sfc4, upf_downlink or all) instead of generated programs")
-        $ Arg.(value & opt dir "specs" & info [ "specs-dir" ] ~doc:"Module spec directory")
+        $ selection_t ~programs:5 ~packets:96
         $ Arg.(
             value & opt int Check.Faultgen.default_rate_ppm
-            & info [ "rate-ppm" ] ~doc:"Injection probability per packet, in parts per million")
+            & info [ "rate-ppm" ]
+                ~doc:
+                  "Injection probability per packet, in parts per million; a \
+                   run whose plans inject nothing fails (except with \
+                   $(b,--kill-cores) at 0)")
         $ Arg.(value & flag & info [ "no-minimize" ] ~doc:"Skip divergence minimization")
         $ Arg.(
             value & flag
@@ -839,17 +830,7 @@ let chaos_t =
                 ~doc:
                   "Core-failure axis: kill one core per case and verify \
                    checkpoint/replay recovery against the failure-free reference")
-        $ Arg.(
-            value & opt string "rss"
-            & info [ "model" ] ~docv:"MODEL"
-                ~doc:
-                  "Scale-out model for the platform axis: rss (default; the \
-                   sharded executors) or scr (State-Compute Replication — run \
-                   each case through sprayed full replicas and require \
-                   reference equality under the fault plan)")
-        $ Arg.(
-            value & opt int 4
-            & info [ "cores" ] ~doc:"Platform cores for --kill-cores / --model scr")
+        $ Arg.(value & opt int 4 & info [ "cores" ] ~doc:"Platform cores for --kill-cores")
         $ Arg.(
             value & opt int Gunfu.Platform.Recovery.default_plan.Gunfu.Platform.Recovery.epoch
             & info [ "epoch" ]
@@ -863,9 +844,10 @@ let storm_t =
           establishment/deletion churn against an undersized UPF over real \
           encoded PFCP, data plane racing teardowns), cuckoo-capacity NAT \
           churn with Migration-layer rebalancing ping-pong (every hop \
-          byte-preserving), and the full oracle matrix under an overload \
-          fault plan. Each scenario is seeded and self-checking; exits \
-          non-zero if any storm breaks an invariant.")
+          byte-preserving). Each scenario is seeded and self-checking; exits \
+          non-zero if any storm breaks an invariant. Overload under the \
+          fault plane is $(b,chaos) or $(b,scr) at a saturating \
+          $(b,--rate-ppm).")
     Term.(
       ret
         (const storm_cmd
@@ -873,14 +855,8 @@ let storm_t =
             value
             & opt (some string) None
             & info [ "scenario" ] ~docv:"NAME"
-                ~doc:"Run one scenario (pfcp, nat or overload); default all")
-        $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scenario seed")
-        $ Arg.(
-            value & opt string "rss"
-            & info [ "model" ] ~docv:"MODEL"
-                ~doc:
-                  "Scale-out model: rss (default; the classic scenarios) or \
-                   scr (the State-Compute Replication update-stream storm)")))
+                ~doc:"Run one scenario (pfcp or nat); default both")
+        $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scenario seed")))
 
 let adapt_t =
   Cmd.v
@@ -900,24 +876,13 @@ let adapt_t =
     Term.(
       ret
         (const adapt_cmd
-        $ Arg.(value & opt int 4 & info [ "programs" ] ~doc:"Generated programs per profile")
-        $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed for programs and the fault plan")
-        $ Arg.(value & opt int 768 & info [ "packets" ] ~doc:"Packets per case")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "profile" ]
-                ~doc:"Only this traffic profile (uniform, zipf, burst, mix); default all")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "spec" ]
-                ~doc:"Run a specs/ composition (nat, sfc4, upf_downlink or all) instead of generated programs")
-        $ Arg.(value & opt dir "specs" & info [ "specs-dir" ] ~doc:"Module spec directory")
+        $ selection_t ~programs:4 ~packets:768
         $ Arg.(
             value & opt int 0
             & info [ "rate-ppm" ]
-                ~doc:"Fault-injection probability per packet in ppm; 0 = no plan")
+                ~doc:
+                  "Fault-injection probability per packet in ppm; 0 = no plan; \
+                   above 0, a run whose plans inject nothing fails")
         $ Arg.(
             value
             & opt (some int) None
@@ -946,24 +911,13 @@ let scr_t =
     Term.(
       ret
         (const scr_cmd
-        $ Arg.(value & opt int 5 & info [ "programs" ] ~doc:"Generated programs per profile")
-        $ Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base seed for programs and the fault plan")
-        $ Arg.(value & opt int 96 & info [ "packets" ] ~doc:"Packets per case")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "profile" ]
-                ~doc:"Only this traffic profile (uniform, zipf, burst, mix); default all")
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "spec" ]
-                ~doc:"Run a specs/ composition (nat, sfc4, upf_downlink or all) instead of generated programs")
-        $ Arg.(value & opt dir "specs" & info [ "specs-dir" ] ~doc:"Module spec directory")
+        $ selection_t ~programs:5 ~packets:96
         $ Arg.(
             value & opt int 0
             & info [ "rate-ppm" ]
-                ~doc:"Fault-injection probability per packet in ppm; 0 = no plan")
+                ~doc:
+                  "Fault-injection probability per packet in ppm; 0 = no plan; \
+                   above 0, a run whose plans inject nothing fails")
         $ Arg.(
             value
             & opt (list int) [ 2; 4 ]

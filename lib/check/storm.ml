@@ -1,7 +1,7 @@
 (* Churn-storm chaos scenarios: sustained control-plane and capacity
    pressure that the steady-state oracle sweeps never generate.
 
-   Three storms, each a deterministic function of its seed:
+   Two storms, each a deterministic function of its seed:
 
    - [pfcp_storm]: a UPF admitted over real encoded PFCP — the SMF drives
      Session Establishment / Deletion exchanges against the UPF's N4 agent
@@ -20,11 +20,6 @@
      twin instance, ping-pong. Every hop must preserve the mapping bytes
      (the re-export must equal the snapshot it was restored from) and the
      table must keep learning afterwards.
-
-   - [overload_storm]: the full differential-oracle executor matrix under
-     an overload fault plan (default 100,000 ppm — one packet in ten
-     corrupted, raised or stalled): every executor must contain every
-     fault identically and the invariant battery must stay green.
 
    A storm never raises: uncontained exceptions are caught and reported
    as failures, which is the point of a chaos scenario. *)
@@ -250,113 +245,5 @@ let nat_rebalance_storm ?(seed = 1) ?(capacity = 64) ?(universe = 192)
     st_failures = List.rev !failures;
   }
 
-(* ----- overload under the fault plane ----- *)
-
-let overload_storm ?(seed = 1) ?(profile = "mix") ?(packets = 96)
-    ?(rate_ppm = 100_000) () =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let metrics = ref [] in
-  (try
-     let case = Progen.case ~seed ~profile ~packets in
-     let plan = Faultgen.create ~rate_ppm ~seed () in
-     let scan = Oracle.check_case ~plan case in
-     (match scan.Oracle.sc_divergence with
-     | Some d -> fail "divergence under overload: %s" d.Oracle.d_detail
-     | None -> ());
-     List.iter
-       (fun (exec, v) ->
-         fail "invariant violation under %s: %s/%s" exec v.Oracle.v_rule v.Oracle.v_detail)
-       scan.Oracle.sc_violations;
-     let r = scan.Oracle.sc_reference.Oracle.o_run in
-     if r.Metrics.faulted = 0 then
-       fail "overload plan at %d ppm injected nothing over %d packets" rate_ppm
-         packets;
-     metrics :=
-       [
-         ("packets", r.Metrics.packets);
-         ("faulted", r.Metrics.faulted);
-         ("drops", r.Metrics.drops);
-         ("planned", Faultgen.planned plan ~packets);
-       ]
-   with e -> fail "uncontained exception: %s" (Printexc.to_string e));
-  {
-    st_name = "overload";
-    st_seed = seed;
-    st_metrics = !metrics;
-    st_failures = List.rev !failures;
-  }
-
-(* ----- SCR update-stream storm ----- *)
-
-(* State-Compute Replication under overload: spray two generated programs
-   (a catalog chain profile and a synthetic one, whichever the seeds
-   draw) across [cores] full replicas with a seeded spray and a
-   saturating fault plan, and require single-core reference equality,
-   replica convergence and update-stream conservation while roughly one
-   packet in ten faults — the update records must carry containment
-   state as faithfully as NF state. *)
-let scr_storm ?(seed = 1) ?(packets = 96) ?(rate_ppm = 100_000) ?(cores = 4) ()
-    =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let metrics = ref [] in
-  (try
-     let rcases =
-       [
-         Recovery.gen_rcase ~seed ~profile:"mix" ~packets;
-         Recovery.gen_rcase ~seed:(seed + 1) ~profile:"zipf" ~packets;
-       ]
-     in
-     let records = ref 0 in
-     let applied = ref 0 in
-     let stale = ref 0 in
-     let faulted = ref 0 in
-     List.iter
-       (fun rc ->
-         let plan = Faultgen.create ~rate_ppm ~seed:rc.Recovery.r_seed () in
-         let oc =
-           Scrcheck.check_rcase ~plan ~spray:(Scaleout.Spray.Seeded seed) ~cores
-             rc
-         in
-         let st = oc.Recovery.oc_extra.Scrcheck.stats in
-         records := !records + st.Scaleout.Scr.st_records;
-         applied := !applied + st.Scaleout.Scr.st_applied;
-         stale := !stale + st.Scaleout.Scr.st_stale;
-         List.iter
-           (fun (_, (o : Oracle.observation)) ->
-             faulted := !faulted + o.Oracle.o_run.Metrics.faulted)
-           oc.Recovery.oc_variant.Recovery.p_obs;
-         (match oc.Recovery.oc_divergence with
-         | Some d -> fail "scr diverged on %s: %s" oc.Recovery.oc_case d
-         | None -> ());
-         List.iter
-           (fun (where, v) ->
-             fail "invariant violation (%s) on %s: %s/%s" where oc.Recovery.oc_case
-               v.Oracle.v_rule v.Oracle.v_detail)
-           oc.Recovery.oc_violations;
-         if not oc.Recovery.oc_extra.Scrcheck.converged then
-           fail "replicas failed to converge on %s" oc.Recovery.oc_case)
-       rcases;
-     if !faulted = 0 then
-       fail "overload plan at %d ppm injected nothing over %d packets" rate_ppm
-         (packets * List.length rcases);
-     metrics :=
-       [
-         ("cases", List.length rcases);
-         ("cores", cores);
-         ("records", !records);
-         ("applied", !applied);
-         ("stale", !stale);
-         ("faulted", !faulted);
-       ]
-   with e -> fail "uncontained exception: %s" (Printexc.to_string e));
-  {
-    st_name = "scr-overload";
-    st_seed = seed;
-    st_metrics = !metrics;
-    st_failures = List.rev !failures;
-  }
-
 let all ?(seed = 1) () =
-  [ pfcp_storm ~seed (); nat_rebalance_storm ~seed (); overload_storm ~seed () ]
+  [ pfcp_storm ~seed (); nat_rebalance_storm ~seed () ]

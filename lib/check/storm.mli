@@ -1,7 +1,9 @@
 (** Churn-storm chaos scenarios: sustained control-plane and capacity
-    pressure, each a deterministic function of its seed and judged by
-    built-in invariants. A storm never raises — uncontained exceptions are
-    caught and reported as failures in the {!report}. *)
+    pressure (a PFCP session storm and NAT rebalancing churn), each a
+    deterministic function of its seed and judged by built-in invariants.
+    A storm never raises — uncontained exceptions are caught and reported
+    as failures in the {!report}. Overload under the fault plane is not a
+    storm: it is [chaos] and [scr] at a saturating [--rate-ppm]. *)
 
 type report = {
   st_name : string;
@@ -36,19 +38,6 @@ val pfcp_storm :
 val nat_rebalance_storm :
   ?seed:int -> ?capacity:int -> ?universe:int -> ?packets:int -> unit -> report
 
-(** Overload: the full differential-oracle executor matrix and invariant
-    battery under a saturating fault plan (default 100,000 ppm). *)
-val overload_storm :
-  ?seed:int -> ?profile:string -> ?packets:int -> ?rate_ppm:int -> unit -> report
-
-(** State-Compute Replication under overload: two generated programs
-    sprayed across [cores] full replicas (seeded spray) with a
-    saturating fault plan; requires single-core reference equality,
-    replica convergence and update-stream conservation
-    ({!Scrcheck.check_rcase}) while the fault plane quarantines roughly
-    one packet in ten. Selected by [gunfu_cli storm --model scr]. *)
-val scr_storm :
-  ?seed:int -> ?packets:int -> ?rate_ppm:int -> ?cores:int -> unit -> report
-
-(** All three storms at one seed. *)
+(** Both storms at one seed: the PFCP session storm, then the NAT
+    rebalance storm. *)
 val all : ?seed:int -> unit -> report list

@@ -1,5 +1,5 @@
 (* Churn-storm plane: the Mgw session-churn source and the Check.Storm
-   chaos scenarios (PFCP storm, NAT rebalance churn, overload). *)
+   chaos scenarios (PFCP storm, NAT rebalance churn). *)
 
 open Traffic
 
@@ -75,11 +75,10 @@ let check_report r =
 
 let test_pfcp_storm () = check_report (Check.Storm.pfcp_storm ~seed:11 ())
 let test_nat_storm () = check_report (Check.Storm.nat_rebalance_storm ~seed:11 ())
-let test_overload_storm () = check_report (Check.Storm.overload_storm ~seed:11 ())
 
 let test_storm_all () =
   let reports = Check.Storm.all ~seed:3 () in
-  Alcotest.(check int) "three scenarios" 3 (List.length reports);
+  Alcotest.(check int) "two scenarios" 2 (List.length reports);
   List.iter check_report reports
 
 let test_storm_deterministic () =
@@ -99,7 +98,6 @@ let suite =
     Alcotest.test_case "churn: bookkeeping matches replay" `Quick test_churn_bookkeeping;
     Alcotest.test_case "pfcp session storm contained" `Quick test_pfcp_storm;
     Alcotest.test_case "nat rebalance storm contained" `Quick test_nat_storm;
-    Alcotest.test_case "overload storm contained" `Quick test_overload_storm;
     Alcotest.test_case "all scenarios pass" `Quick test_storm_all;
     Alcotest.test_case "storm metrics deterministic" `Quick test_storm_deterministic;
   ]
