@@ -366,8 +366,9 @@ let chaos_cmd sel rate_ppm no_minimize kill_cores cores epoch =
         ~agree:(fun case sc injected ->
           let r = sc.Check.Oracle.sc_reference.Check.Oracle.o_run in
           Fmt.pr
-            "case %-18s seed %-6d %4d packets, %2d injected, %2d faulted%s x %d executors: agree@."
-            case.Check.Oracle.c_name case.Check.Oracle.c_seed
+            "case %-18s seed %-6d profile %-8s %4d packets, %2d injected, %2d faulted%s x %d \
+             executors: agree@."
+            case.Check.Oracle.c_name case.Check.Oracle.c_seed case.Check.Oracle.c_profile
             case.Check.Oracle.c_packets injected r.Gunfu.Metrics.faulted
             (if r.Gunfu.Metrics.degraded then " (degraded)" else "")
             n_executors)

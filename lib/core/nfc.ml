@@ -364,21 +364,24 @@ let rec eval binding ctx task = function
       | Le -> bool_int (va <= vb)
       | Ge -> bool_int (va >= vb))
 
-(* Execute statements; the first Emit/Drop decides the resulting event. *)
-let rec exec binding ctx task stmts =
-  match stmts with
-  | [] -> None
+let fall_through = Event.User "continue"
+
+(* Execute statements; the first Emit/Drop decides the resulting event.
+   [fall_through] itself means none did: it is compared physically, and
+   an explicit [Emit(continue)] builds another value. *)
+let rec exec binding ctx task = function
+  | [] -> fall_through
   | Assign (scope, field, e) :: rest ->
       let v = eval binding ctx task e in
       binding.write_field ctx task scope field v;
       exec binding ctx task rest
-  | Emit name :: _ -> Some (event_of_name name)
-  | Drop :: _ -> Some Event.Drop_packet
-  | If (cond, then_, else_) :: rest -> (
-      let branch = if eval binding ctx task cond <> 0 then then_ else else_ in
-      match exec binding ctx task branch with
-      | Some ev -> Some ev
-      | None -> exec binding ctx task rest)
+  | Emit name :: _ -> event_of_name name
+  | Drop :: _ -> Event.Drop_packet
+  | If (cond, then_, else_) :: rest ->
+      let ev =
+        exec binding ctx task (if eval binding ctx task cond <> 0 then then_ else else_)
+      in
+      if ev != fall_through then ev else exec binding ctx task rest
 
 let rec stmt_weight = function
   | Assign (_, _, e) -> 2 + expr_weight e
@@ -393,8 +396,6 @@ and expr_weight = function
   | Ref _ -> 1
   | Bin (_, a, b) -> 1 + expr_weight a + expr_weight b
 
-let fall_through = Event.User "continue"
-
 (* Compile NF-C source into an executable NFAction. Memory charging happens
    inside the binding's read/write field accessors; the static statement
    weight models the compute cost of the generated code. *)
@@ -402,7 +403,4 @@ let compile ?(kind = Action.Data_action) ?(invalidates = []) ~binding src =
   let prog = parse src in
   let weight = List.fold_left (fun acc s -> acc + stmt_weight s) 0 prog.body in
   Action.make ~kind ~base_cycles:(4 + (2 * weight)) ~base_instrs:(3 + (2 * weight))
-    ~invalidates ~name:prog.action_name (fun ctx task ->
-      match exec binding ctx task prog.body with
-      | Some ev -> ev
-      | None -> fall_through)
+    ~invalidates ~name:prog.action_name (fun ctx task -> exec binding ctx task prog.body)

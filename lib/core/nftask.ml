@@ -35,8 +35,10 @@ type t = {
   mutable sub_matched : int;              (* sub-flow index; -1 none *)
   mutable match_addr : int;               (* block the next match action reads; -1 none *)
   mutable match_bytes : int;              (* ... and its size *)
-  mutable pending_blocks : (int * int) list;
-      (* blocks resolved by the last Fetch step; what p_state refers to *)
+  mutable blocks : int array;
+      (* (addr, bytes) pairs at [2i], [2i + 1]: the blocks resolved by the
+         last Fetch step, what p_state refers to, then scratch space *)
+  mutable n_blocks : int;                 (* pairs of [blocks] the Fetch step resolved *)
   mutable p_state : p_state;
   mutable active : bool;                  (* false = free slot awaiting a packet *)
   mutable start_clock : int;              (* cycle the work item was loaded *)
@@ -55,7 +57,8 @@ let create id =
     sub_matched = -1;
     match_addr = -1;
     match_bytes = 0;
-    pending_blocks = [];
+    blocks = Array.make 16 0;
+    n_blocks = 0;
     p_state = P_none;
     active = false;
     start_clock = 0;
@@ -75,7 +78,7 @@ let load t ~cs ~packet ~aux ~flow_hint =
   t.sub_matched <- -1;
   t.match_addr <- -1;
   t.match_bytes <- 0;
-  t.pending_blocks <- [];
+  t.n_blocks <- 0;
   t.p_state <- P_none;
   t.active <- true;
   t.temps.key <- 0L;
@@ -88,6 +91,20 @@ let load t ~cs ~packet ~aux ~flow_hint =
 let set_match t ~addr ~bytes =
   t.match_addr <- addr;
   t.match_bytes <- bytes
+
+(* Write block [i], doubling the array when it is full; a task's array
+   reaches the widest state's size during warm-up and stays there. *)
+let set_block t i ~addr ~bytes =
+  if 2 * i + 1 >= Array.length t.blocks then begin
+    let grown = Array.make (max (2 * Array.length t.blocks) (2 * i + 2)) 0 in
+    Array.blit t.blocks 0 grown 0 (Array.length t.blocks);
+    t.blocks <- grown
+  end;
+  t.blocks.(2 * i) <- addr;
+  t.blocks.(2 * i + 1) <- bytes
+
+let block_addr t i = t.blocks.(2 * i)
+let block_bytes t i = t.blocks.(2 * i + 1)
 
 let retire t =
   t.active <- false;

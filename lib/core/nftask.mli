@@ -32,8 +32,10 @@ type t = {
   mutable match_addr : int;
       (** address of the block the next match action will read; -1 none *)
   mutable match_bytes : int;  (** size of that block *)
-  mutable pending_blocks : (int * int) list;
-      (** blocks resolved by the last Fetch step — what [p_state] refers to *)
+  mutable blocks : int array;
+      (** block [i]'s address at [2i] and size at [2i + 1]; the first
+          [n_blocks] are what [p_state] refers to, the rest scratch space *)
+  mutable n_blocks : int;  (** blocks resolved by the last Fetch step *)
   mutable p_state : p_state;
   mutable active : bool;  (** [false]: free slot awaiting work *)
   mutable start_clock : int;  (** cycle the work item was loaded (latency) *)
@@ -49,6 +51,14 @@ val load :
 
 (** Set the block ([match_addr], [match_bytes]) the next match action reads. *)
 val set_match : t -> addr:int -> bytes:int -> unit
+
+(** Write block [i] of [blocks], growing the array when [i] is past its
+    end. *)
+val set_block : t -> int -> addr:int -> bytes:int -> unit
+
+(** The address and the size of block [i]. *)
+val block_addr : t -> int -> int
+val block_bytes : t -> int -> int
 
 val retire : t -> unit
 

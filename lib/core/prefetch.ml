@@ -39,39 +39,47 @@ let equal_target a b =
   | Fixed s1, Fixed s2 -> s1 = s2
   | _ -> false
 
-let arena_blocks arena idx fields =
-  if idx < 0 then []
+(* The resolver writes blocks into the task's array ([Nftask.blocks]),
+   starting at block [at] and returning the index past the last one, so a
+   Fetch step allocates nothing. *)
+let block (task : Nftask.t) at ~addr ~bytes =
+  Nftask.set_block task at ~addr ~bytes;
+  at + 1
+
+let rec field_blocks task arena idx at = function
+  | [] -> at
+  | (name, bytes) :: rest ->
+      let at = block task at ~addr:(State_arena.field_addr arena idx name) ~bytes in
+      field_blocks task arena idx at rest
+
+let arena_blocks task arena idx fields at =
+  if idx < 0 then at
   else
     match fields with
-    | [] -> [ (State_arena.addr arena idx, State_arena.entry_bytes arena) ]
-    | fields ->
-        List.map
-          (fun (name, bytes) -> (State_arena.field_addr arena idx name, bytes))
-          fields
+    | [] ->
+        block task at ~addr:(State_arena.addr arena idx)
+          ~bytes:(State_arena.entry_bytes arena)
+    | fields -> field_blocks task arena idx at fields
 
-(* Resolve a target against a task. Unresolvable targets (e.g. no match
-   result yet) resolve to [] — the action will simply demand-fetch. *)
-let resolve target (task : Nftask.t) =
-  match target with
+(* Unresolvable targets (e.g. no match result yet) write nothing — the
+   action will simply demand-fetch. *)
+let resolve_target (task : Nftask.t) at = function
   | Packet_header n -> (
       match task.Nftask.packet with
-      | Some p when p.Netcore.Packet.sim_addr >= 0 -> [ (p.Netcore.Packet.sim_addr, n) ]
-      | Some _ | None -> [])
+      | Some p when p.Netcore.Packet.sim_addr >= 0 ->
+          block task at ~addr:p.Netcore.Packet.sim_addr ~bytes:n
+      | Some _ | None -> at)
   | Match_addrs ->
-      if task.Nftask.match_addr < 0 then []
-      else [ (task.Nftask.match_addr, task.Nftask.match_bytes) ]
-  | Per_flow (arena, fields) -> arena_blocks arena task.Nftask.matched fields
-  | Sub_flow (arena, fields) -> arena_blocks arena task.Nftask.sub_matched fields
-  | Fixed s -> [ (s.Sref.addr, s.Sref.bytes) ]
+      if task.Nftask.match_addr < 0 then at
+      else block task at ~addr:task.Nftask.match_addr ~bytes:task.Nftask.match_bytes
+  | Per_flow (arena, fields) -> arena_blocks task arena task.Nftask.matched fields at
+  | Sub_flow (arena, fields) -> arena_blocks task arena task.Nftask.sub_matched fields at
+  | Fixed s -> block task at ~addr:s.Sref.addr ~bytes:s.Sref.bytes
 
-(* The blocks of every target in order. The last target's list is shared,
-   not copied, so the common single-target state allocates only what
-   [resolve] does. *)
-let rec resolve_all targets task =
+let rec resolve targets task ~at =
   match targets with
-  | [] -> []
-  | [ t ] -> resolve t task
-  | t :: rest -> resolve t task @ resolve_all rest task
+  | [] -> at
+  | t :: rest -> resolve rest task ~at:(resolve_target task at t)
 
 let pp_target ppf = function
   | Packet_header n -> Fmt.pf ppf "packet[0..%d]" n

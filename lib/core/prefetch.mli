@@ -21,9 +21,10 @@ val class_of : target -> [ `Packet | `Match_addrs | `Per_flow | `Sub_flow | `Fix
 (** Structural equality (arenas by label). *)
 val equal_target : target -> target -> bool
 
-(** Resolve against a task; unresolvable targets (no match yet, no packet)
-    yield [] — the action will simply demand-fetch. *)
-val resolve : target -> Nftask.t -> (int * int) list
+(** [resolve targets task ~at] writes the blocks of [targets], in order,
+    into [task]'s block array from block [at] on ({!Nftask.set_block}) and
+    returns the index past the last one. Unresolvable targets (no match
+    yet, no packet) write nothing — the action will simply demand-fetch. *)
+val resolve : target list -> Nftask.t -> at:int -> int
 
-val resolve_all : target list -> Nftask.t -> (int * int) list
 val pp_target : Format.formatter -> target -> unit

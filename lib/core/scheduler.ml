@@ -14,32 +14,39 @@
 
 type policy = Round_robin | Ready_first
 
-(* The walks a visit makes, top-level so that no closure is built per
-   visit: readiness of a task's pending blocks, and (re-)issuing them. *)
-let rec all_ready ctx = function
-  | [] -> true
-  | (addr, bytes) :: rest -> Exec_ctx.ready ctx ~addr ~bytes && all_ready ctx rest
+(* The walks a visit makes over a task's Fetch blocks, top-level so that
+   no closure is built per visit: readiness of blocks [i] onwards, and
+   (re-)issuing them all. *)
+let rec all_ready ctx (t : Nftask.t) i =
+  i >= t.Nftask.n_blocks
+  || Exec_ctx.ready ctx ~addr:(Nftask.block_addr t i) ~bytes:(Nftask.block_bytes t i)
+     && all_ready ctx t (i + 1)
 
-let rec issue ctx = function
-  | [] -> ()
-  | (addr, bytes) :: rest ->
-      ignore (Exec_ctx.prefetch ctx ~addr ~bytes : int);
-      issue ctx rest
+let issue ctx (t : Nftask.t) =
+  for i = 0 to t.Nftask.n_blocks - 1 do
+    ignore
+      (Exec_ctx.prefetch ctx ~addr:(Nftask.block_addr t i) ~bytes:(Nftask.block_bytes t i)
+        : int)
+  done
+
+(* Is (addr, bytes) among the task's Fetch blocks [i] onwards? *)
+let rec fetched (t : Nftask.t) ~addr ~bytes i =
+  i < t.Nftask.n_blocks
+  && ((Nftask.block_addr t i = addr && Nftask.block_bytes t i = bytes)
+     || fetched t ~addr ~bytes (i + 1))
 
 (* Per-flow ordering: two packets of one flow must not be in flight in two
    NFTasks at once (their state mutations would race and could complete
-   out of order). [inflight] counts active tasks per flow; items whose
-   flow is already being processed wait in a stash. *)
-let mark_inflight inflight fh =
-  if fh >= 0 then
-    Itbl.replace inflight fh (1 + try Itbl.find inflight fh with Not_found -> 0)
+   out of order). A flow is busy exactly when an active task holds it as
+   its [flow_hint]; items whose flow is busy wait in a stash. An item is
+   loaded only while its flow is idle, so at most one task ever holds a
+   flow and this scan of the slots is the whole per-flow state. Items
+   without a flow ([flow_hint] < 0) are never held back. *)
+let rec held (tasks : Nftask.t array) fh i =
+  i < Array.length tasks
+  && ((tasks.(i).Nftask.active && tasks.(i).Nftask.flow_hint = fh) || held tasks fh (i + 1))
 
-let clear_inflight inflight fh =
-  if fh >= 0 then
-    match Itbl.find inflight fh with
-    | 1 -> Itbl.remove inflight fh
-    | n -> Itbl.replace inflight fh (n - 1)
-    | exception Not_found -> ()
+let flow_busy tasks fh = fh >= 0 && held tasks fh 0
 
 let rec stashed_flow fh = function
   | [] -> false
@@ -48,20 +55,20 @@ let rec stashed_flow fh = function
 (* First stashed item whose flow is idle, removed from [stash]; earlier
    stash entries of the same flow are by construction in front, so taking
    the first match preserves per-flow FIFO order. *)
-let rec take_stashed inflight stash acc = function
+let rec take_stashed tasks stash acc = function
   | [] -> None
   | (item : Workload.item) :: rest ->
-      if Itbl.mem inflight item.Workload.flow_hint then
-        take_stashed inflight stash (item :: acc) rest
+      if flow_busy tasks item.Workload.flow_hint then
+        take_stashed tasks stash (item :: acc) rest
       else begin
         stash := List.rev_append acc rest;
         Some item
       end
 
-let rec any_idle_flow inflight = function
+let rec any_idle_flow tasks = function
   | [] -> false
   | (item : Workload.item) :: rest ->
-      (not (Itbl.mem inflight item.Workload.flow_hint)) || any_idle_flow inflight rest
+      (not (flow_busy tasks item.Workload.flow_hint)) || any_idle_flow tasks rest
 
 (* Ready_first's pick: the first runnable task from slot [k] on, or
    [start] when none is, charging one cycle per skipped slot for the scan.
@@ -71,7 +78,7 @@ let runnable ctx ~refillable (t : Nftask.t) =
   else
     match t.Nftask.p_state with
     | Nftask.P_ready -> true
-    | Nftask.P_none | Nftask.P_issued -> all_ready ctx t.Nftask.pending_blocks
+    | Nftask.P_none | Nftask.P_issued -> all_ready ctx t 0
 
 let rec ready_first ctx tasks ~refillable ~start k skipped =
   let n = Array.length tasks in
@@ -88,7 +95,6 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
     invalid_arg "Scheduler.run: prefetch_distance must be >= 0";
   let ctx = Engine.ctx core and cfg = Engine.cfg core and program = Engine.program core in
   let tasks = Array.init n_tasks Nftask.create in
-  let inflight : int Itbl.t = Itbl.create (4 * n_tasks) in
   let stash : Workload.item list ref = ref [] in
 
   (* Distance >= 2: also issue the resolvable targets of FSM successor
@@ -96,29 +102,28 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
      Fire-and-forget — readiness is still tracked only on the current
      state's blocks; targets that resolve differently once the real
      transition happens are mere cache pollution, and the issue cycles are
-     charged like any other software prefetch. *)
+     charged like any other software prefetch. A successor's blocks are
+     resolved into the task's array past its Fetch blocks, and a state is
+     visited once per call: [seen.(cs)] holds the last call that did. *)
+  let seen = Array.make (Program.n_states program) 0 and calls = ref 0 in
   let speculate (task : Nftask.t) =
-    let seen = Itbl.create 8 in
+    incr calls;
     let frontier = ref (Fsm.successors program.Program.fsm task.Nftask.cs) in
     let depth = ref 1 in
     while !depth < prefetch_distance && !frontier <> [] do
       let next = ref [] in
       List.iter
         (fun cs ->
-          if
-            (not (Itbl.mem seen cs))
-            && (not (Program.is_done program cs))
-            && cs <> task.Nftask.cs
+          if seen.(cs) <> !calls && (not (Program.is_done program cs)) && cs <> task.Nftask.cs
           then begin
-            Itbl.add seen cs ();
-            let blocks =
-              Prefetch.resolve_all (Program.info program cs).Program.prefetch task
-            in
-            List.iter
-              (fun (addr, bytes) ->
-                if not (List.mem (addr, bytes) task.Nftask.pending_blocks) then
-                  ignore (Exec_ctx.prefetch ctx ~addr ~bytes))
-              blocks;
+            seen.(cs) <- !calls;
+            let n = task.Nftask.n_blocks in
+            let stop = Prefetch.resolve (Program.info program cs).Program.prefetch task ~at:n in
+            for k = n to stop - 1 do
+              let addr = Nftask.block_addr task k and bytes = Nftask.block_bytes task k in
+              if not (fetched task ~addr ~bytes 0) then
+                ignore (Exec_ctx.prefetch ctx ~addr ~bytes)
+            done;
             next := List.rev_append (Fsm.successors program.Program.fsm cs) !next
           end)
         !frontier;
@@ -128,24 +133,24 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
   in
 
   (* Fetch (F): resolve the prefetch targets of the (new) current control
-     state and issue their prefetches right away. Distance 0 issues
-     nothing — the action demand-fetches ([P_ready] so the next visit
-     executes immediately); distance 1 is the paper's policy. *)
+     state into the task's block array and issue their prefetches right
+     away. Distance 0 issues nothing — the action demand-fetches
+     ([P_ready] so the next visit executes immediately); distance 1 is the
+     paper's policy. *)
   let fetch (task : Nftask.t) =
     let info = Program.info program task.Nftask.cs in
-    let blocks = Prefetch.resolve_all info.Program.prefetch task in
-    task.Nftask.pending_blocks <- blocks;
+    task.Nftask.n_blocks <- Prefetch.resolve info.Program.prefetch task ~at:0;
     if prefetch_distance = 0 then task.Nftask.p_state <- Nftask.P_ready
     else begin
-      (match blocks with
-      | [] -> task.Nftask.p_state <- Nftask.P_ready
-      | _ :: _ ->
-          issue ctx blocks;
-          (* If everything is already resident (e.g. packed states fetched
-             by an earlier NF of the chain), run on the next visit without
-             waiting. *)
-          task.Nftask.p_state <-
-            (if all_ready ctx blocks then Nftask.P_ready else Nftask.P_issued));
+      if task.Nftask.n_blocks = 0 then task.Nftask.p_state <- Nftask.P_ready
+      else begin
+        issue ctx task;
+        (* If everything is already resident (e.g. packed states fetched
+           by an earlier NF of the chain), run on the next visit without
+           waiting. *)
+        task.Nftask.p_state <-
+          (if all_ready ctx task 0 then Nftask.P_ready else Nftask.P_issued)
+      end;
       if prefetch_distance >= 2 then speculate task
     end
   in
@@ -167,14 +172,14 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
           None
       | Some item as got ->
           let fh = item.Workload.flow_hint in
-          if fh >= 0 && (Itbl.mem inflight fh || stashed_flow fh !stash) then begin
+          if fh >= 0 && (held tasks fh 0 || stashed_flow fh !stash) then begin
             stash := !stash @ [ item ];
             if List.length !stash < 4 * n_tasks then pull () else None
           end
           else got
     in
     let next_item () =
-      match take_stashed inflight stash [] !stash with
+      match take_stashed tasks stash [] !stash with
       | Some _ as got -> got
       | None ->
           if !exhausted || !paused then None
@@ -186,12 +191,10 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
     in
 
     (* Finish one task: completion (poisoning disposition, accounting,
-       oracle tap, retire), per-flow release, and immediate
+       oracle tap, retire, which also releases its flow), and immediate
        re-initialisation with fresh work (Algorithm 1 line 13). *)
     let rec finalize (task : Nftask.t) =
-      let fh = task.Nftask.flow_hint in
       Engine.complete core task;
-      clear_inflight inflight fh;
       load_new task
 
     (* Transition (Δ) + Fetch; returns [false] when the task reached the
@@ -210,7 +213,6 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
       match next_item () with
       | None -> false
       | Some item ->
-          mark_inflight inflight item.Workload.flow_hint;
           Engine.load core task item;
           if Engine.faulted task then
             (* Quarantined at load: finalise without executing anything (the
@@ -234,12 +236,12 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
           match task.Nftask.p_state with
           | Nftask.P_ready -> true
           | Nftask.P_none | Nftask.P_issued ->
-              all_ready ctx task.Nftask.pending_blocks
+              all_ready ctx task 0
               || begin
                    (* Fills dropped (MSHR full) or lines evicted before use:
                       re-issue; resident/pending lines are skipped inside
                       the hierarchy, so this is cheap and idempotent. *)
-                   issue ctx task.Nftask.pending_blocks;
+                   issue ctx task;
                    false
                  end
         in
@@ -265,7 +267,7 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
              over a waiting task whose dropped prefetch (MSHR starvation)
              needs a re-issuing visit — during the drain phase that task
              would never be visited again and the loop would spin forever. *)
-          let refillable = (not (!exhausted || !paused)) || any_idle_flow inflight !stash in
+          let refillable = (not (!exhausted || !paused)) || any_idle_flow tasks !stash in
           let start = (!idx + 1) mod n_tasks in
           idx := ready_first ctx tasks ~refillable ~start start 0
     in

@@ -118,24 +118,37 @@ let test_target_equality () =
   Alcotest.(check bool) "packet header sizes" false
     (Prefetch.equal_target (Prefetch.Packet_header 32) (Prefetch.Packet_header 64))
 
+(* The blocks [targets] resolve to through the array resolver, as
+   (addr, bytes) pairs. It writes from block 1 on, leaving block 0 as it
+   was, the way a speculative fetch resolves past the Fetch blocks. *)
+let resolved targets (t : Nftask.t) =
+  Nftask.set_block t 0 ~addr:0xdead ~bytes:1;
+  let stop = Prefetch.resolve targets t ~at:1 in
+  let block i = (Nftask.block_addr t i, Nftask.block_bytes t i) in
+  Alcotest.(check (pair int int)) "block 0 untouched" (0xdead, 1) (block 0);
+  List.init (stop - 1) (fun i -> block (i + 1))
+
 let test_target_resolution () =
   let a = Lazy.force arena_a in
   let t = Nftask.create 0 in
   Nftask.load t ~cs:0 ~packet:None ~aux:0 ~flow_hint:(-1);
   (* Unresolvable before a match. *)
   Alcotest.(check (list (pair int int))) "per-flow unresolved" []
-    (Prefetch.resolve (Prefetch.Per_flow (a, [])) t);
+    (resolved [ Prefetch.Per_flow (a, []) ] t);
   t.Nftask.matched <- 3;
   Alcotest.(check (list (pair int int))) "per-flow resolves to entry"
     [ (Structures.State_arena.addr a 3, 8) ]
-    (Prefetch.resolve (Prefetch.Per_flow (a, [])) t);
+    (resolved [ Prefetch.Per_flow (a, []) ] t);
   Nftask.set_match t ~addr:0x100 ~bytes:64;
   Alcotest.(check (list (pair int int))) "match addr passes through"
     [ (0x100, 64) ]
-    (Prefetch.resolve Prefetch.Match_addrs t);
+    (resolved [ Prefetch.Match_addrs ] t);
   (* No packet: header target resolves empty rather than crashing. *)
   Alcotest.(check (list (pair int int))) "no packet -> empty" []
-    (Prefetch.resolve (Prefetch.Packet_header 64) t)
+    (resolved [ Prefetch.Packet_header 64 ] t);
+  Alcotest.(check (list (pair int int))) "targets in order, unresolvable skipped"
+    [ (0x100, 64); (Structures.State_arena.addr a 3, 8) ]
+    (resolved [ Prefetch.Match_addrs; Prefetch.Packet_header 64; Prefetch.Per_flow (a, []) ] t)
 
 let test_target_field_resolution () =
   let layout = Memsim.Layout.create () in
@@ -151,7 +164,19 @@ let test_target_field_resolution () =
       (Structures.State_arena.field_addr a 2 "x", 8);
       (Structures.State_arena.field_addr a 2 "y", 16);
     ]
-    (Prefetch.resolve (Prefetch.Per_flow (a, [ ("x", 8); ("y", 16) ])) t)
+    (resolved [ Prefetch.Per_flow (a, [ ("x", 8); ("y", 16) ]) ] t);
+  (* More blocks than the array holds: it grows, keeping the earlier ones. *)
+  let many = List.init 12 (fun _ -> Prefetch.Per_flow (a, [ ("x", 8); ("y", 16) ])) in
+  let blocks = resolved many t in
+  Alcotest.(check int) "24 blocks" 24 (List.length blocks);
+  Alcotest.(check (list (pair int int))) "grown array keeps every block"
+    (List.concat
+       (List.init 12 (fun _ ->
+            [
+              (Structures.State_arena.field_addr a 2 "x", 8);
+              (Structures.State_arena.field_addr a 2 "y", 16);
+            ])))
+    blocks
 
 (* ----- metrics ----- *)
 

@@ -160,6 +160,12 @@ let test_emit_stops_execution () =
   let a = compile e "NFAction(x) { Emit(done); Packet.after = 1; }" in
   ignore (run_action a);
   Alcotest.(check bool) "statements after Emit not executed" false
+    (Hashtbl.mem e.pkt "after");
+  (* An explicit Emit(continue) in a branch decides too: only running off
+     the end of a body falls through. *)
+  let a = compile e "NFAction(x) { if (1) { Emit(continue); } Packet.after = 1; }" in
+  Alcotest.(check string) "explicit continue" "continue" (Event.to_key (run_action a));
+  Alcotest.(check bool) "statements after a branch's Emit not executed" false
     (Hashtbl.mem e.pkt "after")
 
 let test_division_by_zero_modulo () =

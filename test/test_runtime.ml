@@ -215,6 +215,78 @@ let test_state_access_share_drops () =
   Alcotest.(check bool) "state-access share shrinks under interleaving" true
     (share il < share rtc)
 
+(* ----- scheduling pinned to the seeded behaviour ----- *)
+
+let nat_run ~n_flows ~count () =
+  let s = Helpers.nat_setup ~n_flows ~seed:11 () in
+  (s.Helpers.worker, s.Helpers.program, Helpers.nat_source s ~count)
+
+let sfc4_run ~count () =
+  let s = Helpers.sfc_setup ~length:4 () in
+  ( s.Helpers.s_worker,
+    s.Helpers.s_program,
+    Workload.of_flowgen s.Helpers.s_gen ~pool:s.Helpers.s_pool ~count )
+
+(* MD5 of one interleaved run under 16 NFTasks: every completion in order
+   (flow, event, load cycle), then cycles, counts and the prefetch and
+   line counters. *)
+let schedule_digest ?(policy = Scheduler.Round_robin) ~prefetch_distance
+    (worker, program, source) =
+  let b = Buffer.create 4096 in
+  let on_complete (t : Nftask.t) =
+    Printf.bprintf b "%d %s %d;" t.Nftask.flow_hint (Event.to_key t.Nftask.event)
+      t.Nftask.start_clock
+  in
+  let r =
+    Scheduler.run ~policy ~prefetch_distance ~on_complete worker program ~n_tasks:16 source
+  in
+  let m = r.Metrics.mem in
+  Printf.bprintf b "cycles %d packets %d drops %d prefetch %d/%d/%d lines %d l1 %d waits %d/%d"
+    r.Metrics.cycles r.Metrics.packets r.Metrics.drops m.Memsim.Memstats.prefetch_issued
+    m.Memsim.Memstats.prefetch_redundant m.Memsim.Memstats.prefetch_dropped
+    m.Memsim.Memstats.line_accesses m.Memsim.Memstats.l1_hits m.Memsim.Memstats.mshr_waits
+    m.Memsim.Memstats.wait_cycles;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Distances above 1 also issue the targets of FSM successor states. The
+   digests were captured while the Fetch blocks were still lists. A lone
+   NAT's successor targets resolve only to lines already resident or in
+   flight, which the redundant-prefetch counter sees; in the LB -> NAT ->
+   NM -> FW chain they reach other NFs' state and issue new lines. So the
+   digests pin which speculative blocks are issued, and when. The chain at
+   distance 5 reaches some states along two paths, which pins that each
+   is visited once. *)
+let test_speculative_fetch_digest () =
+  let nat () = nat_run ~n_flows:4096 ~count:3000 () and sfc4 () = sfc4_run ~count:3000 () in
+  List.iter
+    (fun (name, setup, d, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s distance %d digest" name d)
+        expected
+        (schedule_digest ~prefetch_distance:d (setup ())))
+    [
+      ("nat", nat, 1, "f988f13c702cac05d021cd145c0d1ed3");
+      ("nat", nat, 2, "ede977f19c2f85ea3c20cea1d9015aaa");
+      ("nat", nat, 3, "f9fc36db54715f001e37572f25a398e7");
+      ("sfc4", sfc4, 1, "fee7188b56286a5cd35eabd694744c7e");
+      ("sfc4", sfc4, 2, "56f009c06c882ca1abb3cbff8a279532");
+      ("sfc4", sfc4, 3, "c3f56fc4f1e1381264f8b93d6f8063a8");
+      ("sfc4", sfc4, 5, "1a2dc150ea045970adb627f654b0d579");
+    ]
+
+(* Eight flows under 16 tasks: most pulls find their flow busy and wait in
+   the stash. The completion order was captured while per-flow ordering
+   still counted active tasks in a table, for both policies. *)
+let test_stash_heavy_order () =
+  List.iter
+    (fun (policy, name, expected) ->
+      Alcotest.(check string) (name ^ " completion order") expected
+        (schedule_digest ~policy ~prefetch_distance:1 (nat_run ~n_flows:8 ~count:2000 ())))
+    [
+      (Scheduler.Round_robin, "round-robin", "60f1c8bb9999d70b2a63cf12fa24a918");
+      (Scheduler.Ready_first, "ready-first", "f14ead615be0992e15596517b1760a01");
+    ]
+
 (* Property: for any traffic seed, every execution model produces the same
    observable per-flow effects (monitor accounting) — the execution model
    changes performance, never semantics. *)
@@ -253,6 +325,8 @@ let suite =
     Alcotest.test_case "more tasks than packets" `Quick test_scheduler_more_tasks_than_packets;
     Alcotest.test_case "empty source" `Quick test_scheduler_empty_source;
     Alcotest.test_case "invalid n_tasks" `Quick test_invalid_n_tasks;
+    Alcotest.test_case "speculative fetch digest" `Quick test_speculative_fetch_digest;
+    Alcotest.test_case "stash-heavy completion order" `Quick test_stash_heavy_order;
     Alcotest.test_case "single task matches rtc order" `Quick
       test_single_task_matches_rtc_order;
     Alcotest.test_case "models equivalent effects" `Quick test_models_equivalent_effects;
