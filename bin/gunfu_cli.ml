@@ -120,29 +120,29 @@ let require_packets packets = if packets < 1 then invalid_arg "--packets must be
 
 let run_cmd nf model flows packets cores packed match_removal no_prefetch specialize =
   let opts =
-    {
-      Gunfu.Compiler.match_removal;
-      prefetch_dedup = true;
-      prefetching = not no_prefetch;
-      lint = false;
-      verify_passes = false;
-      specialize;
-    }
+    { Gunfu.Compiler.match_removal; prefetch_dedup = true; prefetching = not no_prefetch }
+  in
+  let build_nf worker ~flows =
+    let program, source = build nf ~flows ~packed ~opts worker in
+    if specialize then Gunfu.Specialize.install program;
+    (program, source)
   in
   guard (fun () ->
     require_packets packets;
     if cores = 1 then begin
       let worker = Gunfu.Worker.create ~id:0 () in
-      let program, source = build nf ~flows ~packed ~opts worker in
+      let program, source = build_nf worker ~flows in
       let r = Gunfu.Exec.run model worker program (source ~count:packets) in
       Fmt.pr "%a@." Gunfu.Metrics.pp_row r;
       `Ok ()
     end
     else begin
       let platform = Gunfu.Platform.create ~cores () in
-      let setup w _core =
-        let program, source = build nf ~flows:(max 1024 (flows / cores)) ~packed ~opts w in
-        (program, source ~count:(packets / cores))
+      (* The first [packets mod cores] cores take one packet more, so
+         the cores run exactly [packets] between them. *)
+      let setup w core =
+        let program, source = build_nf w ~flows:(max 1024 (flows / cores)) in
+        (program, source ~count:((packets / cores) + if core < packets mod cores then 1 else 0))
       in
       let runs = Gunfu.Platform.run platform ~setup ~execute:(Gunfu.Exec.run model) in
       let merged = Gunfu.Metrics.merge_parallel runs in
@@ -494,7 +494,8 @@ let lint_cmd spec all_specs specs_dir json strict =
       let src = Nfs.Catalog.read_file path in
       if looks_like_nf src then
         let name = Filename.remove_extension (Filename.basename path) in
-        Analysis.Lints.of_build (Check.Progen.spec_lint_input ~specs_dir ~name ())
+        Analysis.Lints.of_build
+          (Check.Progen.spec_view ~opts:Gunfu.Compiler.default_opts ~specs_dir ~name ())
       else Analysis.Lints.of_module (Gunfu.Spec.module_spec_of_string src)
     in
     let findings = Analysis.Report.sort (List.concat_map lint_file targets) in
@@ -531,8 +532,8 @@ let lint_cmd spec all_specs specs_dir json strict =
 (* ----- verifyeq command: translation validation ----- *)
 
 (* One symbolic check over one compiled input; returns (refuted, unknowns). *)
-let verifyeq_one ~json label (vi : Gunfu.Compiler.verify_input) =
-  let r = Analysis.Symcheck.check vi in
+let verifyeq_one ~json label (v : Gunfu.Compiler.view) =
+  let r = Analysis.Symcheck.check v in
   let refuted =
     List.filter
       (fun f -> f.Analysis.Report.severity = Analysis.Report.Error)
@@ -574,11 +575,12 @@ let verifyeq_cmd spec programs seed specs_dir json strict =
         List.map
           (fun name ->
             ( "spec " ^ name,
-              fun () -> Check.Progen.spec_verify_input ~specs_dir ~name () ))
+              fun () ->
+                Check.Progen.spec_view ~opts:Check.Progen.verify_opts ~specs_dir ~name () ))
           spec_targets
         @ List.init programs (fun i ->
               ( Printf.sprintf "gen seed=%d" (seed + i),
-                fun () -> Check.Progen.gen_verify_input ~seed:(seed + i) ))
+                fun () -> Check.Progen.gen_view ~seed:(seed + i) ))
       in
       let findings = ref [] and refuted = ref 0 and unknowns = ref 0 in
       List.iter
@@ -1069,9 +1071,6 @@ let compose_t =
         $ packets_arg))
 
 let () =
-  (* Belt and braces: Check.Progen's initializer installs the hook too,
-     but any compile with opts.lint on must find the analyzer. *)
-  Analysis.Register.install ();
   let doc = "GuNFu: granular, cache-aware NF platform (simulated reproduction)" in
   exit
     (Cmd.eval

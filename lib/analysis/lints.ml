@@ -359,13 +359,21 @@ let of_module (m : Spec.module_spec) : Report.finding list =
 
 (* ----- build level ----- *)
 
-let of_build (li : Compiler.lint_input) : Report.finding list =
-  let fsm = li.Compiler.li_fsm in
-  let info = li.Compiler.li_info in
+(* The program as compiled, but with the declared prefetch policy put
+   back: the rules judge what the spec asks for, not what dedup kept. *)
+let of_build (cv : Compiler.view) : Report.finding list =
+  let program = cv.Compiler.v_program in
+  let fsm = program.Program.fsm in
+  let start = program.Program.start in
+  let info =
+    Array.mapi
+      (fun i ci -> { ci with Program.prefetch = cv.Compiler.v_pre_dedup.(i) })
+      program.Program.info
+  in
   let findings = ref [] in
   let add rule severity qname detail witness =
     findings :=
-      { Report.rule; severity; subject = li.Compiler.li_name; qname; detail; witness }
+      { Report.rule; severity; subject = cv.Compiler.v_name; qname; detail; witness }
       :: !findings
   in
   let name id = info.(id).Program.qname in
@@ -383,7 +391,7 @@ let of_build (li : Compiler.lint_input) : Report.finding list =
                     add "nfc-syntax" Report.Error (name id) msg [];
                     None))
           i.Compiler.i_spec.Spec.m_nfc)
-      li.Compiler.li_instances
+      cv.Compiler.v_instances
   in
   let nfc =
     List.concat_map
@@ -397,13 +405,13 @@ let of_build (li : Compiler.lint_input) : Report.finding list =
                 | prog -> Some (id, prog)
                 | exception Nfc.Nfc_error _ -> None))
           i.Compiler.i_spec.Spec.m_nfc)
-      li.Compiler.li_instances
+      cv.Compiler.v_instances
   in
-  let avail = Compiler.prefetch_availability info fsm ~start:li.Compiler.li_start in
+  let avail = Compiler.prefetch_availability info fsm ~start in
   let classes_of targets =
     List.fold_left (fun acc t -> cls_union acc [ (Prefetch.class_of t :> cls) ]) [] targets
   in
-  let prefetching = li.Compiler.li_opts.Compiler.prefetching in
+  let prefetching = cv.Compiler.v_opts.Compiler.prefetching in
   let temp_qual id f = info.(id).Program.inst ^ "." ^ f in
   let temp_universe =
     List.fold_left
@@ -414,7 +422,7 @@ let of_build (li : Compiler.lint_input) : Report.finding list =
       [] eff
   in
   let temp_must =
-    Dataflow.forward fsm ~entry:li.Compiler.li_start ~entry_out:[] ~init:temp_universe
+    Dataflow.forward fsm ~entry:start ~entry_out:[] ~init:temp_universe
       ~no_pred:[] ~join:str_inter ~equal:str_set_equal
       ~transfer:(fun i f ->
         match List.assoc_opt i eff with
@@ -424,8 +432,8 @@ let of_build (li : Compiler.lint_input) : Report.finding list =
   let view =
     {
       v_fsm = fsm;
-      v_entry = li.Compiler.li_start;
-      v_exit = Some li.Compiler.li_done;
+      v_entry = start;
+      v_exit = Some program.Program.done_cs;
       v_name = name;
       v_eff = eff;
       v_nfc = nfc;
@@ -464,7 +472,7 @@ let of_build (li : Compiler.lint_input) : Report.finding list =
                 let c = (Prefetch.class_of t :> cls) in
                 if not (cls_mem c in_classes) then
                   let hoistable p =
-                    p <> li.Compiler.li_start
+                    p <> start
                     &&
                     match info.(p).Program.action with
                     | None -> false

@@ -5,8 +5,9 @@
       deliberately does NOT require {!Gunfu.Spec.validate_module} to
       pass first — broken fixtures (unreachable states, nondeterministic
       Δ) are reported as findings instead of exceptions.
-    - {!of_build} checks a flattened composition (the compiler's
-      {!Gunfu.Compiler.lint_input}): concrete prefetch targets, action
+    - {!of_build} checks a flattened composition (a
+      {!Gunfu.Compiler.view}, with its declared pre-dedup prefetch
+      policy): concrete prefetch targets, action
       kill sets, and the cross-instance FSM, on the same
       {!Gunfu.Dataflow} fixpoint the optimizer uses.
 
@@ -40,4 +41,4 @@ open Gunfu
 (** Findings are returned in {!Report.sort} order. *)
 val of_module : Spec.module_spec -> Report.finding list
 
-val of_build : Compiler.lint_input -> Report.finding list
+val of_build : Compiler.view -> Report.finding list

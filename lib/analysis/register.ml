@@ -1,6 +1,6 @@
-(* The compiler-side hook. Info findings stay silent here — they are
-   program-shape notes for the lint subcommand, not something every
-   fuzzing compile should print. *)
+(* The analyzer's verdict on one compile. Info findings stay silent here —
+   they are program-shape notes for the lint subcommand, not something
+   every generated case should print. *)
 
 open Gunfu
 
@@ -11,8 +11,8 @@ let print_findings findings =
       then Fmt.epr "nflint: %a@." Report.pp_finding f)
     (Report.sort findings)
 
-(* Print the findings below error severity, and fail the compile on the
-   first error-severity one. *)
+(* Print the findings below error severity, and fail on the first
+   error-severity one. *)
 let fail_on_errors ~name ~tool ~kind findings =
   let errors, rest = List.partition (fun f -> f.Report.severity = Report.Error) findings in
   print_findings rest;
@@ -26,22 +26,11 @@ let fail_on_errors ~name ~tool ~kind findings =
               (if n = 1 then "" else "s")
               Report.pp_finding first))
 
-let hook (li : Compiler.lint_input) =
-  fail_on_errors ~name:li.Compiler.li_name ~tool:"nflint" ~kind:"error finding"
-    (Lints.of_build li)
-
-(* Translation validation. Refutations are Error findings; Unknown
-   verdicts are Warnings and never fail the compile — those programs are
+(* Lint, then translation validation. Refutations are Error findings;
+   Unknown verdicts are Warnings and never fail — those programs are
    exactly the ones the dynamic oracle exists for. *)
-let verify_hook (vi : Compiler.verify_input) =
-  fail_on_errors ~name:vi.Compiler.vi_name ~tool:"verifyeq" ~kind:"refuted pass finding"
-    (Symcheck.check vi).Symcheck.findings
-
-let installed = ref false
-
-let install () =
-  if not !installed then begin
-    installed := true;
-    Compiler.set_lint_hook hook;
-    Compiler.set_verify_hook verify_hook
-  end
+let check (v : Compiler.view) =
+  let name = v.Compiler.v_name in
+  fail_on_errors ~name ~tool:"nflint" ~kind:"error finding" (Lints.of_build v);
+  fail_on_errors ~name ~tool:"verifyeq" ~kind:"refuted pass finding"
+    (Symcheck.check v).Symcheck.findings

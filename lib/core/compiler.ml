@@ -26,23 +26,9 @@ type opts = {
   match_removal : bool;
   prefetch_dedup : bool;
   prefetching : bool;  (* false: compile with empty prefetch policies *)
-  lint : bool;  (* run the static analyzer on every compile *)
-  verify_passes : bool;
-      (* translation validation: symbolically check each optimization pass
-         preserved observations (a refutation fails the compile; Unknown
-         verdicts only warn — the dynamic oracle still covers them) *)
-  specialize : bool;  (* attach the specialized hot path (Specialize.install) *)
 }
 
-let default_opts =
-  {
-    match_removal = false;
-    prefetch_dedup = true;
-    prefetching = true;
-    lint = false;
-    verify_passes = false;
-    specialize = false;
-  }
+let default_opts = { match_removal = false; prefetch_dedup = true; prefetching = true }
 
 (* ----- redundant matching removal ----- *)
 
@@ -303,127 +289,46 @@ let remove_redundant_prefetch (info : Program.cs_info array) fsm ~start =
     avail.Dataflow.ins;
   !removed
 
-(* ----- static-analysis hook ----- *)
-
-(* The analyzer lives in its own library (which depends on this one), so
-   the compiler reaches it through a hook the analysis library installs.
-   Requesting lint without the analyzer linked is a hard error, not a
-   silent no-op. *)
-type lint_input = {
-  li_name : string;
-  li_instances : instance list;  (* post match-removal *)
-  li_nf : Spec.nf_spec;  (* post match-removal *)
-  li_fsm : Fsm.t;
-  li_info : Program.cs_info array;  (* pre prefetch-dedup *)
-  li_start : int;
-  li_done : int;
-  li_opts : opts;
-}
-
-let lint_hook : (lint_input -> unit) option ref = ref None
-let set_lint_hook h = lint_hook := Some h
-
-(* Everything the translation validator needs: the spec-level program
-   before any pass, the post-match-removal form, the declared prefetch
-   policy before dedup stripped it, and the finished program (with the
-   specialized hot path attached when requested). *)
-type verify_input = {
-  vi_name : string;
-  vi_opts : opts;
-  vi_orig_instances : instance list;  (* pre match-removal *)
-  vi_orig_nf : Spec.nf_spec;
-  vi_instances : instance list;  (* post match-removal *)
-  vi_nf : Spec.nf_spec;
-  vi_pre_dedup : Prefetch.target list array;  (* declared policy, pre dedup *)
-  vi_program : Program.t;
-}
-
-let verify_hook : (verify_input -> unit) option ref = ref None
-let set_verify_hook h = verify_hook := Some h
-
 (* ----- top level ----- *)
 
-(* Everything up to (but excluding) prefetch dedup: what the analyzer
-   inspects — the flattened FSM with the full declared prefetch policy. *)
-let lint_view ?(opts = default_opts) ~name instances (nf : Spec.nf_spec) =
-  List.iter (fun i -> Spec.validate_module i.i_spec) instances;
-  Spec.validate_nf nf
-    ~known_modules:(List.map (fun i -> i.i_spec.Spec.m_name) instances);
+(* Everything the analyzer and the translation validator need: the
+   spec-level program before any pass, the post-match-removal form, the
+   declared prefetch policy before dedup stripped it, and the finished
+   program. *)
+type view = {
+  v_name : string;
+  v_opts : opts;
+  v_orig_instances : instance list;  (* pre match-removal *)
+  v_orig_nf : Spec.nf_spec;
+  v_instances : instance list;  (* post match-removal *)
+  v_nf : Spec.nf_spec;
+  v_pre_dedup : Prefetch.target list array;  (* declared policy, pre dedup *)
+  v_program : Program.t;
+}
+
+let view ?(opts = default_opts) ~name orig_instances (orig_nf : Spec.nf_spec) =
+  List.iter (fun i -> Spec.validate_module i.i_spec) orig_instances;
+  Spec.validate_nf orig_nf
+    ~known_modules:(List.map (fun i -> i.i_spec.Spec.m_name) orig_instances);
   let instances, nf =
-    if opts.match_removal then remove_redundant_matching instances nf
-    else (instances, nf)
+    if opts.match_removal then remove_redundant_matching orig_instances orig_nf
+    else (orig_instances, orig_nf)
   in
   let start, done_cs, fsm = flatten instances nf in
   let info = build_info instances fsm ~start ~done_cs ~prefetching:opts.prefetching in
-  {
-    li_name = name;
-    li_instances = instances;
-    li_nf = nf;
-    li_fsm = fsm;
-    li_info = info;
-    li_start = start;
-    li_done = done_cs;
-    li_opts = opts;
-  }
-
-(* The back half of the compile: capture the declared prefetch policy,
-   run prefetch dedup, assemble the program, attach the hot path. Shared
-   between [compile] and [verify_view] so the validator sees exactly the
-   program a compile would ship. *)
-let finish_program ~opts (v : lint_input) =
-  let pre_dedup = Array.map (fun ci -> ci.Program.prefetch) v.li_info in
+  let pre_dedup = Array.map (fun ci -> ci.Program.prefetch) info in
   if opts.prefetch_dedup && opts.prefetching then
-    ignore (remove_redundant_prefetch v.li_info v.li_fsm ~start:v.li_start);
-  let program =
-    {
-      Program.p_name = v.li_name;
-      fsm = v.li_fsm;
-      info = v.li_info;
-      start = v.li_start;
-      done_cs = v.li_done;
-      payload = None;
-    }
-  in
-  if opts.specialize then Specialize.install program;
-  (pre_dedup, program)
-
-let verify_input_of ~opts ~orig_instances ~orig_nf (v : lint_input) ~pre_dedup
-    ~program =
+    ignore (remove_redundant_prefetch info fsm ~start);
   {
-    vi_name = v.li_name;
-    vi_opts = opts;
-    vi_orig_instances = orig_instances;
-    vi_orig_nf = orig_nf;
-    vi_instances = v.li_instances;
-    vi_nf = v.li_nf;
-    vi_pre_dedup = pre_dedup;
-    vi_program = program;
+    v_name = name;
+    v_opts = opts;
+    v_orig_instances = orig_instances;
+    v_orig_nf = orig_nf;
+    v_instances = instances;
+    v_nf = nf;
+    v_pre_dedup = pre_dedup;
+    v_program =
+      { Program.p_name = name; fsm; info; start; done_cs; payload = None };
   }
 
-(* Compile without running the hooks and return the validator's input —
-   for standalone checking (CLI, fuzzing) where the caller interprets the
-   verdicts itself. *)
-let verify_view ?(opts = default_opts) ~name instances (nf : Spec.nf_spec) =
-  let v = lint_view ~opts ~name instances nf in
-  let pre_dedup, program = finish_program ~opts v in
-  verify_input_of ~opts ~orig_instances:instances ~orig_nf:nf v ~pre_dedup ~program
-
-let compile ?(opts = default_opts) ~name instances (nf : Spec.nf_spec) =
-  let v = lint_view ~opts ~name instances nf in
-  if opts.lint then (
-    match !lint_hook with
-    | Some hook -> hook v
-    | None ->
-        fail "nf %s: opts.lint requested but no analyzer is linked (link the analysis library and call Register.install)"
-          name);
-  let pre_dedup, program = finish_program ~opts v in
-  if opts.verify_passes then (
-    match !verify_hook with
-    | Some hook ->
-        hook
-          (verify_input_of ~opts ~orig_instances:instances ~orig_nf:nf v ~pre_dedup
-             ~program)
-    | None ->
-        fail "nf %s: opts.verify_passes requested but no analyzer is linked (link the analysis library and call Register.install)"
-          name);
-  program
+let compile ?opts ~name instances nf = (view ?opts ~name instances nf).v_program

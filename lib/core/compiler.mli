@@ -25,83 +25,33 @@ type opts = {
   match_removal : bool;
   prefetch_dedup : bool;
   prefetching : bool;  (** [false]: compile with empty prefetch policies *)
-  lint : bool;
-      (** run the static analyzer (the [analysis] library, reached
-          through {!set_lint_hook}) on every compile: it prints findings
-          and fails compilation on error-severity ones *)
-  verify_passes : bool;
-      (** translation validation (the [analysis] library's symbolic
-          checker, reached through {!set_verify_hook}): prove each
-          optimization pass preserved observations. A refuted pass fails
-          the compile; [Unknown] verdicts only warn — the dynamic oracle
-          still covers them. *)
-  specialize : bool;
-      (** attach the specialized hot path ({!Specialize.install}) to the
-          compiled program *)
 }
 
-(** prefetching on, dedup on, match removal off, lint off, verification
-    off, specialize off. *)
+(** prefetching on, dedup on, match removal off. *)
 val default_opts : opts
 
-(** What the analyzer sees: the compile pipeline stopped just before
-    prefetch dedup — instances and NF wiring post match-removal, the
-    flattened FSM, and per-state info with the full declared prefetch
-    policy. *)
-type lint_input = {
-  li_name : string;
-  li_instances : instance list;
-  li_nf : Spec.nf_spec;
-  li_fsm : Fsm.t;
-  li_info : Program.cs_info array;
-  li_start : int;
-  li_done : int;
-  li_opts : opts;
+(** One compile, as the static analyzer and the translation validator see
+    it: the spec-level program before any pass ([v_orig_*]), the
+    post-match-removal form, the declared per-state prefetch policy
+    before dedup stripped it, and the finished {!Program.t}. *)
+type view = {
+  v_name : string;
+  v_opts : opts;
+  v_orig_instances : instance list;
+  v_orig_nf : Spec.nf_spec;
+  v_instances : instance list;
+  v_nf : Spec.nf_spec;
+  v_pre_dedup : Prefetch.target list array;
+  v_program : Program.t;
 }
 
-(** Install the analyzer, run on every compile whose [opts.lint] is set.
-    The hook is expected to print warning-severity findings and raise
-    {!Compile_error} on error-severity findings. *)
-val set_lint_hook : (lint_input -> unit) -> unit
+(** Run the compile pipeline (validation, match removal, flattening,
+    prefetch dedup) and return its {!view}.
+    @raise Compile_error (or {!Spec.Spec_error}) on invalid specs, missing
+    action implementations or missing prefetch bindings. *)
+val view : ?opts:opts -> name:string -> instance list -> Spec.nf_spec -> view
 
-(** Build a {!lint_input} without running dedup or the hook (the [lint]
-    subcommand's entry point). @raise Compile_error / {!Spec.Spec_error}
-    like {!compile}. *)
-val lint_view :
-  ?opts:opts -> name:string -> instance list -> Spec.nf_spec -> lint_input
-
-(** What the translation validator sees: the spec-level program before
-    any pass ([vi_orig_*]), the post-match-removal form, the declared
-    per-state prefetch policy before dedup stripped it, and the finished
-    {!Program.t} (with the specialized hot path installed when
-    [vi_opts.specialize]). *)
-type verify_input = {
-  vi_name : string;
-  vi_opts : opts;
-  vi_orig_instances : instance list;
-  vi_orig_nf : Spec.nf_spec;
-  vi_instances : instance list;
-  vi_nf : Spec.nf_spec;
-  vi_pre_dedup : Prefetch.target list array;
-  vi_program : Program.t;
-}
-
-(** Install the translation validator. The hook is expected to print
-    warning-severity findings and raise {!Compile_error} on refutations
-    when [vi_opts.verify_passes] is set. *)
-val set_verify_hook : (verify_input -> unit) -> unit
-
-(** Run the full compile pipeline (validation, match removal, flattening,
-    dedup, specialization) WITHOUT the lint/verify hooks and return the
-    validator's input — for standalone checking (CLI, fuzzing) where the
-    caller interprets the verdicts itself.
-    @raise Compile_error / {!Spec.Spec_error} like {!compile}. *)
-val verify_view :
-  ?opts:opts -> name:string -> instance list -> Spec.nf_spec -> verify_input
-
-(** @raise Compile_error (or {!Spec.Spec_error}) on invalid specs, missing
-    action implementations, missing prefetch bindings, or — with
-    [opts.lint] set — error-severity analyzer findings. *)
+(** The {!view}'s program. @raise Compile_error like {!view}. *)
 val compile : ?opts:opts -> name:string -> instance list -> Spec.nf_spec -> Program.t
 
 (** Exposed for tests: the match-removal rewrite on the instance graph. *)

@@ -93,7 +93,7 @@ let family_of_roles prefix roles =
 
 (* Instantiate the NF objects a composition needs and substitute the
    supplied module specs — everything [build] does short of compiling, so
-   the lint path can stop at a {!Compiler.lint_view}. *)
+   {!view} can compile without the populate and digest closures. *)
 let assemble layout ~(nf : Spec.nf_spec) ~modules ~n_flows =
   (* Group instances by prefix, preserving chain order. *)
   let order = ref [] in
@@ -182,8 +182,11 @@ let build layout ~(nf : Spec.nf_spec) ~modules ~n_flows
     snapshots = snaps;
   }
 
-(* Convenience: read and build from files. *)
+(* Convenience: read and build from files. A directory opens fine on
+   Linux but fails the length query with EOVERFLOW, so name it first. *)
 let read_file path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": is a directory"));
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -197,29 +200,22 @@ let load_modules dir =
          | m -> Some (m.Spec.m_name, m)
          | exception Spec.Spec_error _ -> None (* NF compositions live here too *))
 
-let build_from_files layout ~nf_file ~specs_dir ~n_flows ?opts () =
+let load_composition ~nf_file ~specs_dir =
   let nf = Spec.nf_spec_of_string (read_file nf_file) in
   let modules = load_modules specs_dir in
   Spec.validate_nf nf ~known_modules:(List.map fst modules);
+  (nf, modules)
+
+let build_from_files layout ~nf_file ~specs_dir ~n_flows ?opts () =
+  let nf, modules = load_composition ~nf_file ~specs_dir in
   build layout ~nf ~modules ~n_flows ?opts ()
 
-(* The lint path: same assembly as {!build_from_files}, stopping just
-   before prefetch dedup (what the static analyzer wants to see). *)
-let lint_input_from_files layout ~nf_file ~specs_dir ~n_flows ?opts () =
-  let nf = Spec.nf_spec_of_string (read_file nf_file) in
-  let modules = load_modules specs_dir in
-  Spec.validate_nf nf ~known_modules:(List.map fst modules);
+(* The analyzers' path: same assembly as {!build}, returning the whole
+   compiler view. *)
+let view layout ~(nf : Spec.nf_spec) ~modules ~n_flows ?opts () =
   let instances, _, _, _, _ = assemble layout ~nf ~modules ~n_flows in
-  Compiler.lint_view ?opts ~name:nf.Spec.n_name instances nf
+  Compiler.view ?opts ~name:nf.Spec.n_name instances nf
 
-(* The translation-validation path: same assembly, full compile pipeline,
-   no hooks — the caller hands the result to the symbolic checker. *)
-let verify_view layout ~(nf : Spec.nf_spec) ~modules ~n_flows ?opts () =
-  let instances, _, _, _, _ = assemble layout ~nf ~modules ~n_flows in
-  Compiler.verify_view ?opts ~name:nf.Spec.n_name instances nf
-
-let verify_input_from_files layout ~nf_file ~specs_dir ~n_flows ?opts () =
-  let nf = Spec.nf_spec_of_string (read_file nf_file) in
-  let modules = load_modules specs_dir in
-  Spec.validate_nf nf ~known_modules:(List.map fst modules);
-  verify_view layout ~nf ~modules ~n_flows ?opts ()
+let view_from_files layout ~nf_file ~specs_dir ~n_flows ?opts () =
+  let nf, modules = load_composition ~nf_file ~specs_dir in
+  view layout ~nf ~modules ~n_flows ?opts ()

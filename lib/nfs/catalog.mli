@@ -41,6 +41,7 @@ val build :
   Memsim.Layout.t -> nf:Spec.nf_spec -> modules:(string * Spec.module_spec) list ->
   n_flows:int -> ?opts:Compiler.opts -> unit -> built
 
+(** @raise Sys_error ["<path>: is a directory"] on a directory. *)
 val read_file : string -> string
 
 (** All module specs parseable from [dir]'s [.yaml] files. *)
@@ -51,20 +52,14 @@ val build_from_files :
   Memsim.Layout.t -> nf_file:string -> specs_dir:string -> n_flows:int ->
   ?opts:Compiler.opts -> unit -> built
 
-(** Same assembly as {!build_from_files}, but stop at
-    {!Gunfu.Compiler.lint_view} — the static analyzer's input — instead
-    of compiling. *)
-val lint_input_from_files :
-  Memsim.Layout.t -> nf_file:string -> specs_dir:string -> n_flows:int ->
-  ?opts:Compiler.opts -> unit -> Compiler.lint_input
-
-(** Same assembly as {!build}, run through the full compile pipeline via
-    {!Gunfu.Compiler.verify_view} (no lint/verify hooks) — the
-    translation validator's input. *)
-val verify_view :
+(** Same assembly as {!build}, returning the whole
+    {!Gunfu.Compiler.view} — what the static analyzer and the
+    translation validator read. *)
+val view :
   Memsim.Layout.t -> nf:Spec.nf_spec -> modules:(string * Spec.module_spec) list ->
-  n_flows:int -> ?opts:Compiler.opts -> unit -> Compiler.verify_input
+  n_flows:int -> ?opts:Compiler.opts -> unit -> Compiler.view
 
-val verify_input_from_files :
+(** {!view} over files, parsed and validated as {!build_from_files} does. *)
+val view_from_files :
   Memsim.Layout.t -> nf_file:string -> specs_dir:string -> n_flows:int ->
-  ?opts:Compiler.opts -> unit -> Compiler.verify_input
+  ?opts:Compiler.opts -> unit -> Compiler.view

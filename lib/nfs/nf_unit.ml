@@ -52,13 +52,9 @@ let chain ~name units =
   let nf = { Spec.n_name = name; n_modules = modules; n_transitions = wire units } in
   (nf, instances)
 
-(* Compile a chain directly. *)
-let compile ?(opts = Compiler.default_opts) ~name units =
+(* Compile a chain: its compiler view, and the program alone. *)
+let view ?opts ~name units =
   let nf, instances = chain ~name units in
-  Compiler.compile ~opts ~name instances nf
+  Compiler.view ?opts ~name instances nf
 
-(* Compile a chain through the full pipeline with no hooks, returning the
-   translation validator's input. *)
-let verify_view ?(opts = Compiler.default_opts) ~name units =
-  let nf, instances = chain ~name units in
-  Compiler.verify_view ~opts ~name instances nf
+let compile ?opts ~name units = (view ?opts ~name units).Compiler.v_program

@@ -19,10 +19,8 @@ val classified : classifier:Compiler.instance -> data_instance:Compiler.instance
     the chain. @raise Invalid_argument on an empty list. *)
 val chain : name:string -> t list -> Spec.nf_spec * Compiler.instance list
 
-val compile : ?opts:Compiler.opts -> name:string -> t list -> Program.t
+(** Compile a chain and return its {!Gunfu.Compiler.view}. *)
+val view : ?opts:Compiler.opts -> name:string -> t list -> Compiler.view
 
-(** Compile a chain through the full pipeline WITHOUT the lint/verify
-    hooks and return the translation validator's input
-    ({!Gunfu.Compiler.verify_view}). *)
-val verify_view :
-  ?opts:Compiler.opts -> name:string -> t list -> Compiler.verify_input
+(** The {!view}'s program. *)
+val compile : ?opts:Compiler.opts -> name:string -> t list -> Program.t

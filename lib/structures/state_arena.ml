@@ -45,15 +45,17 @@ let addr t idx =
   if idx < 0 || idx >= t.count then invalid_arg "State_arena.addr: index out of range";
   t.base + (idx * t.stride)
 
+(* [List.assoc] rather than [assoc_opt]: the hit path, taken per
+   field-sliced access, allocates no [Some]. *)
 let field_addr t idx name =
-  match List.assoc_opt name t.field_offsets with
-  | Some off -> addr t idx + off
-  | None -> invalid_arg ("State_arena.field_addr: unknown field " ^ name)
+  match List.assoc name t.field_offsets with
+  | off -> addr t idx + off
+  | exception Not_found -> invalid_arg ("State_arena.field_addr: unknown field " ^ name)
 
 let field_offset t name =
-  match List.assoc_opt name t.field_offsets with
-  | Some off -> off
-  | None -> invalid_arg ("State_arena.field_offset: unknown field " ^ name)
+  match List.assoc name t.field_offsets with
+  | off -> off
+  | exception Not_found -> invalid_arg ("State_arena.field_offset: unknown field " ^ name)
 
 let lines_per_entry t = round_up t.entry_bytes line_bytes / line_bytes
 

@@ -2,15 +2,7 @@
 
 open Gunfu
 
-let no_opt =
-  {
-    Compiler.match_removal = false;
-    prefetch_dedup = false;
-    prefetching = true;
-    lint = false;
-    verify_passes = false;
-    specialize = false;
-  }
+let no_opt = { Compiler.match_removal = false; prefetch_dedup = false; prefetching = true }
 
 let test_flatten_structure () =
   let s = Helpers.nat_setup ~opts:no_opt () in

@@ -1,13 +1,13 @@
 (* The static analyzer (nflint): the shared dataflow fixpoint, NF-C
    effects summaries, the bad-spec fixtures (each must yield exactly its
    intended finding), cleanliness of every shipped spec, a constructed
-   short-distance build, and the compiler's lint hook. *)
+   short-distance build, and the analyzer's verdict on a compile
+   ({!Analysis.Register.check}). *)
 
 open Gunfu
 open Analysis
 
 let specs_dir = "../specs"
-let () = Register.install ()
 
 let significant fs =
   List.filter
@@ -192,8 +192,8 @@ let test_shipped_modules_clean () =
 let test_shipped_builds_clean () =
   List.iter
     (fun name ->
-      let li = Check.Progen.spec_lint_input ~specs_dir ~name () in
-      let fs = Lints.of_build li in
+      let v = Check.Progen.spec_view ~opts:Compiler.default_opts ~specs_dir ~name () in
+      let fs = Lints.of_build v in
       Alcotest.(check string) (name ^ " build lints clean") "" (pp_findings fs))
     Check.Progen.spec_names
 
@@ -243,8 +243,7 @@ let test_short_distance_flagged () =
      state whose action reads it — while "warm" could host it (no kill,
      no competing fetch of the class). The header prefetch on "warm" is
      NOT flagged: its only predecessor is the entry pseudo-state. *)
-  let li = Compiler.lint_view ~name:"toy" [ toy_sd_instance () ] toy_nf in
-  match Lints.of_build li with
+  match Lints.of_build (Compiler.view ~name:"toy" [ toy_sd_instance () ] toy_nf) with
   | [ f ] ->
       Alcotest.(check string) "rule" "short-distance" f.Report.rule;
       Alcotest.(check string) "severity" "info" (Report.severity_label f.Report.severity);
@@ -253,7 +252,7 @@ let test_short_distance_flagged () =
         (contains ~sub:"t.warm" f.Report.detail)
   | fs -> Alcotest.failf "expected exactly the short-distance note:\n%s" (pp_findings fs)
 
-(* ----- the compiler's lint hook ----- *)
+(* ----- the analyzer's verdict on a compile ----- *)
 
 let cold_instance () =
   (* The cold_access fixture as a real instance: the action reads
@@ -269,18 +268,15 @@ let cold_instance () =
 let cold_nf = { Spec.n_name = "coldnf"; n_modules = [ ("c", "bad_cold") ]; n_transitions = [] }
 
 let test_lint_error_fails_compilation () =
-  let opts = { Compiler.default_opts with Compiler.lint = true } in
-  match Compiler.compile ~opts ~name:"coldnf" [ cold_instance () ] cold_nf with
+  match Register.check (Compiler.view ~name:"coldnf" [ cold_instance () ] cold_nf) with
   | exception Compiler.Compile_error msg ->
       Alcotest.(check bool) "error names the analyzer" true
         (contains ~sub:"nflint" msg)
-  | _ -> Alcotest.fail "lint must fail compilation on a cold access"
+  | () -> Alcotest.fail "lint must fail compilation on a cold access"
 
 let test_lint_clean_program_compiles_strictly () =
-  let opts = { Compiler.default_opts with Compiler.lint = true } in
-  let p = Compiler.compile ~opts ~name:"toy" [ toy_sd_instance () ] toy_nf in
   (* Info-severity findings (the short-distance note) never fail. *)
-  Alcotest.(check bool) "clean program compiles with lint on" true (Program.n_states p > 0)
+  Register.check (Compiler.view ~name:"toy" [ toy_sd_instance () ] toy_nf)
 
 let test_match_removal_missing_instance () =
   let nf = { Spec.n_name = "ghostnf"; n_modules = [ ("ghost", "m") ]; n_transitions = [] } in

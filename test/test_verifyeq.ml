@@ -1,7 +1,8 @@
 (* Translation validation (verifyeq): the symbolic engine's simplifier
    and decision procedure, path summaries of NF-C actions, the per-pass
    equivalence checker proving every shipped composition and a generated
-   sweep, the compiler's verify hook, and — the teeth — seeded
+   sweep, the analyzer's verdict on a compile ({!Analysis.Register.check})
+   over shipped and generated programs, and — the teeth — seeded
    miscompiles (a dropped prefetch, a flipped jump-table cell, an emit
    the control logic never wired, a reclassified key kind) each rejected
    with a path witness naming the control state. *)
@@ -10,7 +11,9 @@ open Gunfu
 open Analysis
 
 let specs_dir = "../specs"
-let () = Register.install ()
+
+let spec_view name =
+  Check.Progen.spec_view ~opts:Check.Progen.verify_opts ~specs_dir ~name ()
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -161,8 +164,8 @@ let test_summarize_mod_zero () =
 let test_shipped_specs_prove () =
   List.iter
     (fun name ->
-      let vi = Check.Progen.spec_verify_input ~specs_dir ~name () in
-      let r = Symcheck.check vi in
+      let v = spec_view name in
+      let r = Symcheck.check v in
       Alcotest.(check string) (name ^ ": no findings") "" (pp_findings r.Symcheck.findings);
       Alcotest.(check (list string)) (name ^ ": all three passes proved")
         [ "match_removal"; "prefetch_dedup"; "specialize" ]
@@ -172,7 +175,7 @@ let test_shipped_specs_prove () =
 
 let test_generated_programs_prove () =
   for seed = 300 to 311 do
-    let r = Symcheck.check (Check.Progen.gen_verify_input ~seed) in
+    let r = Symcheck.check (Check.Progen.gen_view ~seed) in
     Alcotest.(check string)
       (Printf.sprintf "gen seed=%d: no findings" seed)
       "" (pp_findings r.Symcheck.findings);
@@ -185,15 +188,15 @@ let test_generated_programs_prove () =
 (* Miscompile 1: the compiler "loses" a prefetch the dedup pass never
    stripped. Some state's fetch must become cold on a witnessed path. *)
 let test_mutation_dropped_prefetch () =
-  let vi = Check.Progen.spec_verify_input ~specs_dir ~name:"sfc4" () in
-  let info = vi.Compiler.vi_program.Program.info in
+  let v = spec_view "sfc4" in
+  let info = v.Compiler.v_program.Program.info in
   let refuted = ref None in
   Array.iteri
     (fun i (ci : Program.cs_info) ->
       if !refuted = None && ci.Program.prefetch <> [] then begin
         let saved = ci.Program.prefetch in
         ci.Program.prefetch <- [];
-        let r = Symcheck.check vi in
+        let r = Symcheck.check v in
         (match
            List.find_opt
              (fun f ->
@@ -217,9 +220,9 @@ let test_mutation_dropped_prefetch () =
 (* Miscompile 2: a corrupted jump table — one live cell re-routed, one
    dead cell brought to life. Both directions must be caught. *)
 let test_mutation_table_flip () =
-  let vi = Check.Progen.spec_verify_input ~specs_dir ~name:"nat" () in
+  let v = spec_view "nat" in
   let sp =
-    match Specialize.get vi.Compiler.vi_program with
+    match Specialize.get v.Compiler.v_program with
     | Some sp -> sp
     | None -> Alcotest.fail "verify_opts compiles with specialization on"
   in
@@ -235,7 +238,7 @@ let test_mutation_table_flip () =
     match !r with Some idx -> idx | None -> Alcotest.fail "no such cell"
   in
   let expect_cell_finding label =
-    let r = Symcheck.check vi in
+    let r = Symcheck.check v in
     match
       List.find_opt (fun f -> contains ~sub:"jump table cell" f.Report.detail)
         (errors r.Symcheck.findings)
@@ -257,7 +260,7 @@ let test_mutation_table_flip () =
   expect_cell_finding "phantom cell";
   table.(dead) <- -1;
   (* Restored table proves again. *)
-  let r = Symcheck.check vi in
+  let r = Symcheck.check v in
   Alcotest.(check string) "restored table is clean" "" (pp_findings r.Symcheck.findings)
 
 (* Miscompile 3: the action emits an event the control logic never
@@ -296,11 +299,11 @@ let swap_nf =
   { Spec.n_name = "swapnf"; n_modules = [ ("b", "swap") ]; n_transitions = [] }
 
 let test_mutation_emit_swap () =
-  let vi =
-    Compiler.verify_view ~opts:Check.Progen.verify_opts ~name:"swapnf"
-      [ swap_instance () ] swap_nf
+  let v =
+    Compiler.view ~opts:Check.Progen.verify_opts ~name:"swapnf" [ swap_instance () ] swap_nf
   in
-  let r = Symcheck.check vi in
+  Specialize.install v.Compiler.v_program;
+  let r = Symcheck.check v in
   match errors r.Symcheck.findings with
   | [ f ] ->
       Alcotest.(check string) "rule" "verifyeq-specialize" f.Report.rule;
@@ -318,30 +321,30 @@ let test_mutation_emit_swap () =
 (* Miscompile 4: a removed classifier whose key kind no survivor
    matches — its verdict was never reusable. *)
 let test_mutation_key_kind_swap () =
-  let vi = Check.Progen.spec_verify_input ~specs_dir ~name:"sfc4" () in
-  let post = List.map fst vi.Compiler.vi_nf.Spec.n_modules in
+  let v = spec_view "sfc4" in
+  let post = List.map fst v.Compiler.v_nf.Spec.n_modules in
   let removed =
     List.filter
       (fun n -> not (List.mem n post))
-      (List.map fst vi.Compiler.vi_orig_nf.Spec.n_modules)
+      (List.map fst v.Compiler.v_orig_nf.Spec.n_modules)
   in
   (match removed with
   | [] -> Alcotest.fail "sfc4 must exercise match removal"
   | _ -> ());
   let victim = List.hd removed in
-  let vi' =
+  let v' =
     {
-      vi with
-      Compiler.vi_orig_instances =
+      v with
+      Compiler.v_orig_instances =
         List.map
           (fun i ->
             if i.Compiler.i_name = victim then
               { i with Compiler.i_key_kind = Some "verifyeq-test-kind" }
             else i)
-          vi.Compiler.vi_orig_instances;
+          v.Compiler.v_orig_instances;
     }
   in
-  let r = Symcheck.check vi' in
+  let r = Symcheck.check v' in
   match
     List.find_opt (fun f -> f.Report.rule = "verifyeq-match-removal")
       (errors r.Symcheck.findings)
@@ -354,14 +357,45 @@ let test_mutation_key_kind_swap () =
       Alcotest.failf "reclassified key kind not refuted:\n%s"
         (pp_findings r.Symcheck.findings)
 
-(* ----- the compiler's verify hook ----- *)
+(* ----- the analyzer's verdict on a compile ----- *)
 
+(* A refuted pass fails the check, naming the validator: the shipped NAT
+   passes, then fails once a live jump-table cell is re-routed (a
+   miscompile nflint cannot see, so the verifier's verdict is the one
+   that fires). *)
 let test_verify_error_fails_compile () =
-  let opts = { Check.Progen.verify_opts with Compiler.verify_passes = true } in
-  match Compiler.compile ~opts ~name:"swapnf" [ swap_instance () ] swap_nf with
+  let v = spec_view "nat" in
+  Register.check v;
+  let sp = Option.get (Specialize.get v.Compiler.v_program) in
+  let table = Specialize.next_table sp in
+  let live = ref (-1) in
+  Array.iteri
+    (fun idx cell ->
+      if !live < 0 && idx mod Specialize.n_classes sp < 5 && cell >= 0 then live := idx)
+    table;
+  table.(!live) <- -1;
+  match Register.check v with
   | exception Compiler.Compile_error msg ->
       Alcotest.(check bool) "error names verifyeq" true (contains ~sub:"verifyeq" msg)
-  | _ -> Alcotest.fail "verify_passes must fail a refuted compile"
+  | () -> Alcotest.fail "a refuted pass must fail the check"
+
+(* Every generated program is lint-clean and passes translation
+   validation under its own random opts — the guarantee {!Check.Progen.case}
+   enforces when a case is drawn. Both shapes must be covered. *)
+let test_generated_programs_check () =
+  let shapes = ref [] in
+  for seed = 0 to 23 do
+    let recipe = Check.Progen.recipe ~seed in
+    let shape =
+      match recipe with Check.Progen.Chain _ -> "chain" | Check.Progen.Synthetic _ -> "syn"
+    in
+    if not (List.mem shape !shapes) then shapes := shape :: !shapes;
+    match Check.Progen.check_recipe ~seed recipe with
+    | () -> ()
+    | exception Compiler.Compile_error msg -> Alcotest.failf "gen seed=%d: %s" seed msg
+  done;
+  Alcotest.(check (list string)) "both shapes drawn" [ "chain"; "syn" ]
+    (List.sort compare !shapes)
 
 (* ----- Mod-by-zero semantics pinned across compilation modes ----- *)
 
@@ -445,6 +479,8 @@ let suite =
     Alcotest.test_case "mutation: reclassified key kind refuted" `Quick
       test_mutation_key_kind_swap;
     Alcotest.test_case "verify=Error fails compile" `Quick test_verify_error_fails_compile;
+    Alcotest.test_case "generated programs pass Register.check" `Quick
+      test_generated_programs_check;
     Alcotest.test_case "mod-by-zero containment parity" `Quick
       test_mod_zero_containment_parity;
   ]
