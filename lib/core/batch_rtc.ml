@@ -159,4 +159,4 @@ let loop ~batch core =
       prefix = prefix_of program;
     }
   in
-  fun source -> Engine.drive core (fun () -> batches s source)
+  fun source -> Engine.drive core batches s source

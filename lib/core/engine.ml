@@ -149,12 +149,14 @@ let complete t (task : Nftask.t) =
   (match t.on_complete with Some f -> f task | None -> ());
   Nftask.retire task
 
-let drive t loop =
+(* [loop] takes its arguments apart so that an untraced feed builds no
+   closure. *)
+let drive t loop s source =
   match t.trace with
-  | None -> loop ()
+  | None -> loop s source
   | Some tr ->
       Exec_ctx.attach_trace t.ctx tr;
-      Fun.protect ~finally:(fun () -> Exec_ctx.detach_trace t.ctx) loop
+      Fun.protect ~finally:(fun () -> Exec_ctx.detach_trace t.ctx) (fun () -> loop s source)
 
 let finish t =
   Worker.finish

@@ -63,10 +63,11 @@ val execute : t -> Nftask.t -> int -> unit
     accounting, the complete span, the [on_complete] tap, then retire. *)
 val complete : t -> Nftask.t -> unit
 
-(** Run one scheduling loop with the trace attached, detached however the
-    loop exits. A session drives several loops over one core in turn;
+(** [drive t loop s x] runs one scheduling loop, [loop s x], with the
+    trace attached, detached however the loop exits; untraced, it builds
+    no closure. A session drives several loops over one core in turn;
     their counts accumulate until {!finish}. *)
-val drive : t -> (unit -> unit) -> unit
+val drive : t -> ('s -> 'x -> unit) -> 's -> 'x -> unit
 
 (** Close the measurement bracket opened by {!create}: everything driven
     since, in one {!Metrics.run}. *)

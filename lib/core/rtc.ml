@@ -49,7 +49,7 @@ let loop core =
       task = Nftask.create 0;
     }
   in
-  fun source -> Engine.drive core (fun () -> drain s source)
+  fun source -> Engine.drive core drain s source
 
 let run ?telemetry ?on_complete worker program source =
   let core = Engine.create ~name:"Rtc" ~kind:"rtc" ?telemetry ?on_complete worker program in

@@ -35,6 +35,15 @@ let rec fetched (t : Nftask.t) ~addr ~bytes i =
   && ((Nftask.block_addr t i = addr && Nftask.block_bytes t i = bytes)
      || fetched t ~addr ~bytes (i + 1))
 
+(* Reverse [a]'s elements [i, j] in place. *)
+let rec reverse (a : int array) i j =
+  if i < j then begin
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x;
+    reverse a (i + 1) (j - 1)
+  end
+
 (* Per-flow ordering: two packets of one flow must not be in flight in two
    NFTasks at once (their state mutations would race and could complete
    out of order). A flow is busy exactly when an active task holds it as
@@ -104,30 +113,46 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
      transition happens are mere cache pollution, and the issue cycles are
      charged like any other software prefetch. A successor's blocks are
      resolved into the task's array past its Fetch blocks, and a state is
-     visited once per call: [seen.(cs)] holds the last call that did. *)
+     visited once per call: [seen.(cs)] holds the last call that did.
+     Each state's successors are an array built here, and the frontier
+     alternates between two buffers: a state expands once per call, so no
+     level holds more than every state's successors. *)
   let seen = Array.make (Program.n_states program) 0 and calls = ref 0 in
+  let succ =
+    Array.init (Program.n_states program) (fun cs ->
+        Array.of_list (Fsm.successors program.Program.fsm cs))
+  in
+  let width = Array.fold_left (fun a s -> a + Array.length s) 0 succ in
+  let levels = [| Array.make width 0; Array.make width 0 |] in
   let speculate (task : Nftask.t) =
     incr calls;
-    let frontier = ref (Fsm.successors program.Program.fsm task.Nftask.cs) in
-    let depth = ref 1 in
-    while !depth < prefetch_distance && !frontier <> [] do
-      let next = ref [] in
-      List.iter
-        (fun cs ->
-          if seen.(cs) <> !calls && (not (Program.is_done program cs)) && cs <> task.Nftask.cs
-          then begin
-            seen.(cs) <- !calls;
-            let n = task.Nftask.n_blocks in
-            let stop = Prefetch.resolve (Program.info program cs).Program.prefetch task ~at:n in
-            for k = n to stop - 1 do
-              let addr = Nftask.block_addr task k and bytes = Nftask.block_bytes task k in
-              if not (fetched task ~addr ~bytes 0) then
-                ignore (Exec_ctx.prefetch ctx ~addr ~bytes)
-            done;
-            next := List.rev_append (Fsm.successors program.Program.fsm cs) !next
-          end)
-        !frontier;
-      frontier := !next;
+    let first = succ.(task.Nftask.cs) in
+    Array.blit first 0 levels.(0) 0 (Array.length first);
+    let n = ref (Array.length first) and depth = ref 1 in
+    while !depth < prefetch_distance && !n > 0 do
+      let frontier = levels.((!depth - 1) land 1) and next = levels.(!depth land 1) in
+      let m = ref 0 in
+      for j = 0 to !n - 1 do
+        let cs = frontier.(j) in
+        if seen.(cs) <> !calls && (not (Program.is_done program cs)) && cs <> task.Nftask.cs
+        then begin
+          seen.(cs) <- !calls;
+          let n = task.Nftask.n_blocks in
+          let stop = Prefetch.resolve (Program.info program cs).Program.prefetch task ~at:n in
+          for k = n to stop - 1 do
+            let addr = Nftask.block_addr task k and bytes = Nftask.block_bytes task k in
+            if not (fetched task ~addr ~bytes 0) then
+              ignore (Exec_ctx.prefetch ctx ~addr ~bytes)
+          done;
+          let s = succ.(cs) in
+          Array.blit s 0 next !m (Array.length s);
+          m := !m + Array.length s
+        end
+      done;
+      (* The next level in reverse: the order that prepending each
+         state's reversed successors built when the frontier was a list. *)
+      reverse next 0 (!m - 1);
+      n := !m;
       incr depth
     done
   in
@@ -271,7 +296,8 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
           let start = (!idx + 1) mod n_tasks in
           idx := ready_first ctx tasks ~refillable ~start start 0
     in
-    Engine.drive core (fun () ->
+    Engine.drive core
+      (fun () () ->
         let continue_run = ref true in
         while !continue_run do
           let visited = tasks.(!idx).Nftask.id in
@@ -297,6 +323,7 @@ let loop ~policy ~prefetch_distance ~n_tasks core =
           if (!exhausted || !paused) && !stash = [] && not (any_active ()) then
             continue_run := false
         done)
+      () ()
 
 let run ?(policy = Round_robin) ?(prefetch_distance = 1) ?telemetry ?on_complete worker
     program ~n_tasks source =

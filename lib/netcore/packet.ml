@@ -80,6 +80,34 @@ module Arena = struct
     let i = a.next in
     a.next <- (i + 1) mod Array.length a.slots;
     i
+
+  (* Make [dst] a copy of [src] as {!clone} would: every field, id
+     included, and a buffer of [src]'s length and bytes. Only a buffer
+     whose length moved (GTP-U encapsulation grew it) is reallocated. *)
+  let copy_into ~(src : packet) (dst : packet) =
+    let n = Bytes.length src.buf in
+    if Bytes.length dst.buf <> n then dst.buf <- Bytes.copy src.buf
+    else Bytes.blit src.buf 0 dst.buf 0 n;
+    dst.id <- src.id;
+    dst.hdr_len <- src.hdr_len;
+    dst.l3_off <- src.l3_off;
+    dst.l4_off <- src.l4_off;
+    dst.wire_len <- src.wire_len;
+    dst.flow <- src.flow;
+    dst.sim_addr <- src.sim_addr
+
+  (* Copy [src] into the ring's next record and return that slot's stored
+     option, so a caller can hand the packet on without allocating. *)
+  let copy a (src : packet) =
+    let slot = take a in
+    match a.slots.(slot) with
+    | Some dst as stored ->
+        copy_into ~src dst;
+        stored
+    | None ->
+        let stored = Some { src with buf = Bytes.copy src.buf } in
+        a.slots.(slot) <- stored;
+        stored
 end
 
 (* A newly allocated packet record and zeroed buffer for [flow]. *)

@@ -17,12 +17,13 @@ type t = {
 val max_header_bytes : int
 
 (** Zero-alloc packet arena: a ring of packet records recycled in place by
-    {!make}. Reuse resets every field to the exact state a fresh
-    construction would produce (same global id counter, zeroed buffer,
-    unassigned address), so arena-fed runs are byte-identical to
-    fresh-allocation runs. Size the ring beyond the maximum number of
-    packets simultaneously in flight. *)
+    {!make} or {!Arena.copy}. Reuse by {!make} resets every field to the
+    exact state a fresh construction would produce (same global id
+    counter, zeroed buffer, unassigned address), so arena-fed runs are
+    byte-identical to fresh-allocation runs. Size the ring beyond the
+    maximum number of packets simultaneously in flight. *)
 module Arena : sig
+  type packet := t
   type t
 
   val default_size : int
@@ -31,6 +32,14 @@ module Arena : sig
   val create : ?size:int -> unit -> t
 
   val size : t -> int
+
+  (** Copy a packet into the ring's next record, as {!clone} would copy
+      it (same id, fields and header bytes; a buffer that GTP-U
+      encapsulation grew is restored to the original's length), and
+      return that slot's stored [Some]. Allocates only on a slot's first
+      use or when its buffer length differs from the original's. The
+      copy stays valid until the ring comes around to its slot again. *)
+  val copy : t -> packet -> packet option
 end
 
 (** Build an Eth/IPv4/UDP-or-TCP packet for [flow], encoding real headers.

@@ -116,6 +116,20 @@ type queue = {
 
 let hintless = { Workload.packet = None; aux = 0; flow_hint = -1 }
 
+(* The window scans, top-level so that no closure is built per window:
+   how many of [q]'s items [j, i) belong to slot [k], and the end of the
+   dependency-ready run of items from [i] on, stopping at [stop]. *)
+let rec same_slot q k j i acc =
+  if j = i then acc else same_slot q k (j + 1) i (acc + Bool.to_int (q.q_slot.(j) = k))
+
+let rec ready_prefix q (latest : Update_log.record array) ~stop i =
+  if i = stop then i
+  else
+    let k = q.q_slot.(i) in
+    if k < 0 || q.q_seq.(i) = latest.(k).Update_log.u_seq + same_slot q k q.q_head i 0 + 1
+    then ready_prefix q latest ~stop (i + 1)
+    else i
+
 let run ?arm ?on_complete ?(digest = true) ~engine
     ~(replicas : replica array) ~(slots : Spray.slot array) ~universe items :
     result =
@@ -201,12 +215,10 @@ let run ?arm ?on_complete ?(digest = true) ~engine
   in
   let records = ref 0 in
   let broadcast c k (r : Update_log.record) =
-    (* Encode-then-decode exercises the wire format on every record the
-       engine ships; a framing bug surfaces as Bad_update, not as silent
-       divergence. *)
-    let frame = Update_log.encode r in
-    let r = Update_log.decode frame in
-    Update_log.append logs.(c) r;
+    (* Shipping encodes every record into the core's reused GUPD1 frame
+       and checks that frame in place against the record, so a framing
+       bug surfaces as Bad_update, not as silent divergence. *)
+    Update_log.ship logs.(c) r;
     (* A peer still holding the flow's previous record (sequence
        u_seq - 1) pending has it superseded by this one. Counted here,
        not derived from the gap an apply bridges: derived from the
@@ -265,20 +277,15 @@ let run ?arm ?on_complete ?(digest = true) ~engine
   let window_length c =
     let q = queues.(c) in
     let stop = min (Array.length q.q_g) (q.q_head + cap) in
-    let rec ahead k i j = if j = i then 0 else ahead k i (j + 1) + Bool.to_int (q.q_slot.(j) = k) in
-    let rec take i =
-      if i = stop then i
-      else
-        let k = q.q_slot.(i) in
-        if k < 0 || q.q_seq.(i) = latest.(k).Update_log.u_seq + ahead k i q.q_head + 1 then
-          take (i + 1)
-        else i
-    in
-    take q.q_head - q.q_head
+    ready_prefix q latest ~stop q.q_head - q.q_head
   in
-  (* Deliver the next [q_left] items of core [c]'s queue as clones,
-     arming the fault plan at each item's GLOBAL index so the injection
-     schedule is spray-independent. *)
+  (* Deliver the next [q_left] items of core [c]'s queue, each packet
+     copied into the next record of the replica's ring, arming the fault
+     plan at each item's GLOBAL index so the injection schedule is
+     spray-independent. A window is at most [cap] items and completes
+     inside its feed, so a ring of [cap] records never overwrites a
+     packet still in flight. *)
+  let rings = Array.init cores (fun _ -> Netcore.Packet.Arena.create ~size:cap ()) in
   let sources =
     Array.init cores (fun c () ->
         let q = queues.(c) in
@@ -288,11 +295,16 @@ let run ?arm ?on_complete ?(digest = true) ~engine
           let item = q.q_item.(i) in
           q.q_head <- i + 1;
           q.q_left <- q.q_left - 1;
-          let pkt = Option.map Netcore.Packet.clone item.Workload.packet in
-          Option.iter (Netcore.Packet.Pool.assign replicas.(c).sc_pool) pkt;
-          (match (arm, pkt) with
-          | Some f, Some p -> f ~plane:planes.(c) ~g:q.q_g.(i) p
-          | _ -> ());
+          let pkt =
+            match item.Workload.packet with
+            | Some p -> Netcore.Packet.Arena.copy rings.(c) p
+            | None -> None
+          in
+          (match pkt with
+          | Some p -> (
+              Netcore.Packet.Pool.assign replicas.(c).sc_pool p;
+              match arm with Some f -> f ~plane:planes.(c) ~g:q.q_g.(i) p | None -> ())
+          | None -> ());
           Some
             {
               Workload.packet = pkt;

@@ -61,6 +61,10 @@ type result = {
     the distinct flows of [items]. [arm] is called at each delivery with the item's global
     index to arm fault injections spray-independently; [on_complete] sees
     every completion with its global index and per-flow sequence. Each
+    delivery is a copy of the item's packet in the replica's ring of one
+    record per window slot (1 under rtc, [b] under batch-[b]), so the
+    packet [arm] and [on_complete] see is overwritten by a later
+    delivery: keep what it says, not the packet. Each
     applied update costs 8 simulated cycles and 6 instructions. [digest] (default [true]) computes the post-barrier
     replica digests and global state digest; pass [false] in benches
     over huge universes, where the O(universe x cores) convergence proof

@@ -27,23 +27,22 @@ type slot = {
 
 let assign policy ~cores (items : Workload.item list) =
   if cores <= 0 then invalid_arg "Spray.assign: cores must be positive";
-  let core_of g =
-    match policy with
-    | Round_robin -> g mod cores
-    | Seeded seed -> mix seed g mod cores
-  in
+  let slots = Array.make (List.length items) { s_core = 0; s_seq = 0 } in
   let seqs = Itbl.create 256 in
-  Array.of_list
-    (List.mapi
-       (fun g (item : Workload.item) ->
-         let f = item.Workload.flow_hint in
-         let seq =
-           if f < 0 then 0
-           else begin
-             let s = 1 + Option.value ~default:0 (Itbl.find_opt seqs f) in
-             Itbl.replace seqs f s;
-             s
-           end
-         in
-         { s_core = core_of g; s_seq = seq })
-       items)
+  List.iteri
+    (fun g (item : Workload.item) ->
+      let f = item.Workload.flow_hint in
+      let seq =
+        if f < 0 then 0
+        else begin
+          let seq = 1 + (match Itbl.find seqs f with n -> n | exception Not_found -> 0) in
+          Itbl.replace seqs f seq;
+          seq
+        end
+      in
+      let core =
+        match policy with Round_robin -> g mod cores | Seeded seed -> mix seed g mod cores
+      in
+      slots.(g) <- { s_core = core; s_seq = seq })
+    items;
+  slots

@@ -38,16 +38,15 @@ let put_u32 b off v =
   put_u16 b off (v land 0xFFFF);
   put_u16 b (off + 2) ((v lsr 16) land 0xFFFF)
 
-let get_u16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
-let get_u32 s off = get_u16 s off lor (get_u16 s (off + 2) lsl 16)
+let get_u16 = Bytes.get_uint16_le
+let get_u32 b off = get_u16 b off lor (get_u16 b (off + 2) lsl 16)
 
-(* FNV-1a over a byte prefix, folded to 32 bits. *)
-let checksum b len =
-  let rec go h i =
-    if i = len then h
-    else go ((h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF) (i + 1)
-  in
-  go 0x811c9dc5 0
+(* FNV-1a over bytes [i, len), folded to 32 bits. *)
+let rec fnv b i len h =
+  if i = len then h
+  else fnv b (i + 1) len ((h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF)
+
+let checksum b len = fnv b 0 len 0x811c9dc5
 
 (* magic(5) u32 flow/seq/consec + poisoned(1) + u16 count, then per blob
    u16 name length + name + u32 blob length + blob, then u32 checksum. *)
@@ -76,72 +75,131 @@ let rec put_payload b off = function
       Bytes.blit_string blob 0 b (off + 6 + nl) bl;
       put_payload b (off + 6 + nl + bl) rest
 
-let encode (r : record) =
+(* The frame length of [r], refusing a field the frame cannot hold. *)
+let frame_len (r : record) =
   if r.u_flow < 0 then invalid_arg "Update_log.encode: negative flow";
   if r.u_seq <= 0 then invalid_arg "Update_log.encode: sequence must be positive";
   check_u32 "flow" r.u_flow;
   check_u32 "sequence" r.u_seq;
   check_u32 "fault count" r.u_consec;
-  let count = List.length r.u_payload in
-  if count > 0xFFFF then invalid_arg "Update_log.encode: too many payload blobs";
-  let b = Bytes.create (payload_len (header_len + 4) r.u_payload) in
+  if List.length r.u_payload > 0xFFFF then
+    invalid_arg "Update_log.encode: too many payload blobs";
+  payload_len (header_len + 4) r.u_payload
+
+(* Write [r]'s frame at the front of [b], which holds [frame_len r]
+   bytes or more. *)
+let write b (r : record) =
   Bytes.blit_string magic 0 b 0 5;
   put_u32 b 5 r.u_flow;
   put_u32 b 9 r.u_seq;
   put_u32 b 13 r.u_consec;
   Bytes.set b 17 (if r.u_poisoned then '\001' else '\000');
-  put_u16 b 18 count;
+  put_u16 b 18 (List.length r.u_payload);
   let off = put_payload b header_len r.u_payload in
-  put_u32 b off (checksum b off);
+  put_u32 b off (checksum b off)
+
+let encode (r : record) =
+  let b = Bytes.create (frame_len r) in
+  write b r;
   Bytes.unsafe_to_string b
 
-(* The [count] blobs from [off] on, which must end exactly at
-   [body_len]. *)
-let rec get_payload s ~body_len off count =
+(* ----- the frame walker, shared by [decode] and the in-place check ----- *)
+
+(* Does [b] hold [s]'s first [len] bytes at [off], from byte [i] on? *)
+let rec same_bytes b off s len i =
+  i = len || (Bytes.get b (off + i) = String.get s i && same_bytes b off s len (i + 1))
+
+(* Walk the [count] blobs of the frame's first [body_len] bytes from
+   [off] on, which must end exactly at [body_len], folding
+   [f acc b ~name_off ~name_len ~blob_off ~blob_len] over them in frame
+   order. *)
+let rec fold_blobs f acc b ~body_len off count =
   if count = 0 then begin
     if off <> body_len then raise (Bad_update "trailing bytes");
-    []
+    acc
   end
   else begin
     if off + 2 > body_len then raise (Bad_update "truncated");
-    let name_len = get_u16 s off in
+    let name_len = get_u16 b off in
     if off + 2 + name_len + 4 > body_len then raise (Bad_update "truncated");
-    let name = String.sub s (off + 2) name_len in
-    let blob_len = get_u32 s (off + 2 + name_len) in
+    let blob_len = get_u32 b (off + 2 + name_len) in
     let blob_off = off + 6 + name_len in
     if blob_off + blob_len > body_len then raise (Bad_update "truncated");
-    let blob = String.sub s blob_off blob_len in
-    (name, blob) :: get_payload s ~body_len (blob_off + blob_len) (count - 1)
+    let acc = f acc b ~name_off:(off + 2) ~name_len ~blob_off ~blob_len in
+    fold_blobs f acc b ~body_len (blob_off + blob_len) (count - 1)
   end
 
-let decode s =
-  let n = String.length s in
+(* Check the framing of [b]'s first [n] bytes — length, magic, checksum,
+   poisoned flag and sequence — then fold [f] over its blobs. *)
+let walk f acc b n =
   if n < header_len + 4 then raise (Bad_update "truncated");
-  if not (String.starts_with ~prefix:magic s) then raise (Bad_update "bad magic");
+  if not (same_bytes b 0 magic 5 0) then raise (Bad_update "bad magic");
   let body_len = n - 4 in
-  if get_u32 s body_len <> checksum (Bytes.unsafe_of_string s) body_len then
-    raise (Bad_update "checksum mismatch");
-  let flow = get_u32 s 5 in
-  let seq = get_u32 s 9 in
-  let consec = get_u32 s 13 in
-  let poisoned =
-    match s.[17] with
-    | '\000' -> false
-    | '\001' -> true
-    | _ -> raise (Bad_update "bad poisoned flag")
-  in
-  let payload = get_payload s ~body_len header_len (get_u16 s 18) in
-  if seq <= 0 then raise (Bad_update "bad sequence number");
-  { u_flow = flow; u_seq = seq; u_payload = payload; u_consec = consec; u_poisoned = poisoned }
+  if get_u32 b body_len <> checksum b body_len then raise (Bad_update "checksum mismatch");
+  if Bytes.get b 17 > '\001' then raise (Bad_update "bad poisoned flag");
+  let acc = fold_blobs f acc b ~body_len header_len (get_u16 b 18) in
+  if get_u32 b 9 <= 0 then raise (Bad_update "bad sequence number");
+  acc
 
-(* ----- per-core emitted-record count ----- *)
+let cons_blob acc b ~name_off ~name_len ~blob_off ~blob_len =
+  (Bytes.sub_string b name_off name_len, Bytes.sub_string b blob_off blob_len) :: acc
 
-(* Only the count is kept: the records themselves are dead once broadcast,
-   and a run of 16,384 items would otherwise hold every decoded record. *)
-type t = { mutable n : int }
+let decode s =
+  let b = Bytes.unsafe_of_string s in
+  let payload = List.rev (walk cons_blob [] b (String.length s)) in
+  {
+    u_flow = get_u32 b 5;
+    u_seq = get_u32 b 9;
+    u_payload = payload;
+    u_consec = get_u32 b 13;
+    u_poisoned = Bytes.get b 17 = '\001';
+  }
 
-let create () = { n = 0 }
-let append t (_ : record) = t.n <- t.n + 1
+let mismatch () = raise (Bad_update "frame differs from its record")
+
+(* The record's blobs still to match, after matching the frame's next
+   blob against the first of them. *)
+let match_blob rest b ~name_off ~name_len ~blob_off ~blob_len =
+  match rest with
+  | [] -> mismatch ()
+  | (name, blob) :: rest ->
+      if
+        String.length name = name_len
+        && same_bytes b name_off name name_len 0
+        && String.length blob = blob_len
+        && same_bytes b blob_off blob blob_len 0
+      then rest
+      else mismatch ()
+
+(* Check [b]'s first [n] bytes as a frame, then as [r]'s frame, field by
+   field and blob by blob, without building the decoded record. *)
+let check_frame b n (r : record) =
+  (match walk match_blob r.u_payload b n with [] -> () | _ :: _ -> mismatch ());
+  if
+    get_u32 b 5 <> r.u_flow
+    || get_u32 b 9 <> r.u_seq
+    || get_u32 b 13 <> r.u_consec
+    || (Bytes.get b 17 = '\001') <> r.u_poisoned
+  then mismatch ()
+
+let verify s r = check_frame (Bytes.unsafe_of_string s) (String.length s) r
+
+(* ----- per-core emitted-record count and reused frame ----- *)
+
+(* Only the count and one frame are kept: the records themselves are
+   dead once broadcast, and a run of 16,384 items would otherwise hold
+   every record. The frame grows to the largest record shipped. *)
+type t = { mutable n : int; mutable frame : Bytes.t }
+
+let create () = { n = 0; frame = Bytes.create 64 }
+
+let ship t r =
+  let n = frame_len r in
+  if Bytes.length t.frame < n then t.frame <- Bytes.create (max n (2 * Bytes.length t.frame));
+  write t.frame r;
+  check_frame t.frame n r;
+  t.n <- t.n + 1
+
 let length t = t.n
 
 (* ----- sequence-monotonic application ----- *)

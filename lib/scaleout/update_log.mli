@@ -30,15 +30,30 @@ val encode : record -> string
     mismatch, or out-of-range fields. *)
 val decode : string -> record
 
-(** {2 Per-core emitted-record count} *)
+(** Check that [frame] is exactly [record]'s GUPD1 frame, walking it in
+    place as {!decode} does but building nothing.
+    @raise Bad_update on anything {!decode} rejects, and on a well-formed
+    frame whose flow, sequence, containment pair, blob count, any NF name
+    or any blob differs from [record]'s. *)
+val verify : string -> record -> unit
+
+(** {2 Per-core emitted records}
+
+    A log counts the records a core ships and owns the one frame they are
+    encoded into, grown to the largest record shipped. *)
 
 type t
 
 val create : unit -> t
 
-(** Count one emitted record; the record itself is not kept. *)
-val append : t -> record -> unit
+(** Encode [record] into the log's frame, check the frame in place
+    against [record] (as {!verify}) and count it; the record itself is
+    not kept. Allocates nothing once the frame has grown to fit.
+    @raise Invalid_argument as {!encode}.
+    @raise Bad_update when the frame does not hold exactly [record]. *)
+val ship : t -> record -> unit
 
+(** Records shipped. *)
 val length : t -> int
 
 (** {2 Sequence-monotonic application}

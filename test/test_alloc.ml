@@ -7,9 +7,11 @@
    subtracted, so only the per-packet path is counted: engine dispatch,
    the fault barrier, Δ, the action bodies and the structure probes. The
    AMF case pins the signalling path's cost per NAS message the same way.
-   The NAT case runs 16 interleaved NFTasks, so it also counts the
-   scheduler's visit: the Fetch step's block array, per-flow ordering and
-   the NF-C mapper body. *)
+   The NAT cases run 16 interleaved NFTasks, so they also count the
+   scheduler's visit: the Fetch step's block array, per-flow ordering,
+   the NF-C mapper body and, at distance 2, speculation. The SCR case
+   counts the replicated data path: spray, delivery ring, update records
+   and their GUPD1 frames, and the window scans. *)
 
 open Gunfu
 
@@ -90,6 +92,79 @@ let nat () =
   let s = Helpers.nat_setup () in
   (s.Helpers.worker, s.Helpers.program, fun ~count -> Helpers.nat_source s ~count)
 
+(* NAT il16 at prefetch distance 2: the Fetch step also speculates one
+   FSM step ahead, over successor arrays built once per loop and two int
+   frontier buffers, so it reads the distance-1 6.22 words. It read
+   154.52 while each speculation walked [Fsm.successors] lists. *)
+let il16_d2 w p src =
+  Exec.run (`Il { Exec.policy = Scheduler.Round_robin; n_tasks = 16; distance = 2 }) w p src
+
+(* A 1,024-flow network monitor replicated on 4 cores and driven through
+   [Scr.run] under rtc, as perfbench's scr-zipf drives 8: interpreted, a
+   single-flow monitor export as each record's payload, Zipf 1.2 traffic.
+   The spray is part of the measured call; the items are built before it,
+   and a zero-packet run is subtracted. *)
+let scr_cores = 4
+let scr_flows = 1024
+
+let scr_words_per_packet () =
+  let plat = Platform.create ~cores:scr_cores () in
+  let gen =
+    Traffic.Flowgen.create ~seed:1 ~popularity:(Traffic.Flowgen.Zipf 1.2)
+      ~size_model:(Traffic.Flowgen.Fixed 64) ~n_flows:scr_flows ()
+  in
+  let flows = Traffic.Flowgen.flows gen in
+  let replicas =
+    Array.map
+      (fun w ->
+        let m = Nfs.Monitor.create (Worker.layout w) ~name:"nm" ~n_flows:scr_flows () in
+        Nfs.Monitor.populate m flows;
+        {
+          Scaleout.Scr.sc_worker = w;
+          sc_program = Nfs.Monitor.program m;
+          sc_pool = Netcore.Packet.Pool.create (Worker.layout w) ~count:1024;
+          sc_export = (fun i -> [ ("nm", Nfs.Migration.export_monitor m [ flows.(i) ]) ]);
+          sc_apply =
+            (fun r ->
+              List.iter
+                (fun (_, snap) -> ignore (Nfs.Migration.apply_monitor m snap : int))
+                r.Scaleout.Update_log.u_payload);
+          sc_counters = (fun () -> []);
+          sc_flow_digest = (fun _ _ -> ());
+        })
+      (Platform.workers plat)
+  in
+  let pool = Netcore.Packet.Pool.create (Worker.layout (Worker.create ~id:99 ())) ~count:1024 in
+  let items count =
+    let src = Workload.of_flowgen gen ~pool ~count in
+    List.init count (fun _ -> Option.get (src ()))
+  in
+  let words items =
+    let before = Gc.minor_words () in
+    let slots = Scaleout.Spray.assign Scaleout.Spray.Round_robin ~cores:scr_cores items in
+    let (_ : Scaleout.Scr.result) =
+      Scaleout.Scr.run ~digest:false ~engine:`Rtc ~replicas ~slots ~universe:scr_flows items
+    in
+    Gc.minor_words () -. before
+  in
+  ignore (words (items 500) : float);
+  let measured = items packets in
+  let empty = words [] in
+  let full = words measured in
+  (full -. empty) /. float_of_int packets
+
+(* SCR rtc: 101.95 words per packet, most of them the interpreted Δ and
+   fault barrier, the work item, the update record and the monitor's
+   export frame and payload list. It read 205.64 while every delivery
+   cloned its packet, every record was encoded to a fresh frame and
+   decoded back, and the window scans built closures. *)
+let scr_budget = 103.0
+
+let test_scr_budget () =
+  let w = scr_words_per_packet () in
+  if w > scr_budget then
+    Alcotest.failf "%.2f minor words per packet, budget %.1f" w scr_budget
+
 let suite =
   [
     Alcotest.test_case "upf rtc words per packet, interpreted" `Quick
@@ -100,4 +175,7 @@ let suite =
       (check_budget ~exec:rtc ~specialize:true ~budget:31.0 amf);
     Alcotest.test_case "nat il16 words per packet, specialized" `Quick
       (check_budget ~exec:il16 ~specialize:true ~budget:6.3 nat);
+    Alcotest.test_case "nat il16 distance 2 words per packet, specialized" `Quick
+      (check_budget ~exec:il16_d2 ~specialize:true ~budget:6.3 nat);
+    Alcotest.test_case "scr rtc words per packet" `Quick test_scr_budget;
   ]

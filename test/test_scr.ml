@@ -1,6 +1,7 @@
-(* State-Compute Replication: the GUPD1 update wire format and applier,
-   packet spraying, the SCR engine against its single-core reference
-   (via the Scrcheck oracle axis), the stream-accounting invariant's
+(* State-Compute Replication: the GUPD1 update wire format, its in-place
+   check and the applier, packet spraying, the SCR engine against its
+   single-core reference (via the Scrcheck oracle axis), the delivery
+   ring's slot reuse, the stream-accounting invariant's
    tamper resistance, the imbalance metric, and the UPF session-install
    atomicity the update-apply surface depends on. *)
 
@@ -109,6 +110,52 @@ let test_bit_flips_rejected () =
   match Update_log.decode (frame ^ "\x00") with
   | _ -> Alcotest.fail "trailing byte accepted"
   | exception Update_log.Bad_update _ -> ()
+
+(* The in-place check behind every shipped record: the frame must be
+   exactly its record's, so a well-formed frame of a different record is
+   refused like a corrupt one, field by field and blob by blob. *)
+let test_verify_rejects_mismatch () =
+  let frame = Update_log.encode sample_record in
+  Update_log.verify frame sample_record;
+  let refused name frame r =
+    match Update_log.verify frame r with
+    | () -> Alcotest.failf "%s accepted" name
+    | exception Update_log.Bad_update _ -> ()
+  in
+  List.iter
+    (fun (name, r) -> refused name frame r)
+    [
+      ("flow", { sample_record with Update_log.u_flow = 12346 });
+      ("sequence", { sample_record with Update_log.u_seq = 41 });
+      ("fault count", { sample_record with Update_log.u_consec = 0 });
+      ("poisoned flag", { sample_record with Update_log.u_poisoned = false });
+      ("NF name", { sample_record with Update_log.u_payload = [ ("nas", "\x00\x01binary\xffblob"); ("nm", "") ] });
+      ("blob byte", { sample_record with Update_log.u_payload = [ ("nat", "\x00\x01binary\xffblob"); ("nm", "!") ] });
+      ("blob order", { sample_record with Update_log.u_payload = [ ("nm", ""); ("nat", "\x00\x01binary\xffblob") ] });
+      ("a blob fewer", { sample_record with Update_log.u_payload = [ ("nat", "\x00\x01binary\xffblob") ] });
+      ("a blob more", { sample_record with Update_log.u_payload = sample_record.Update_log.u_payload @ [ ("nm", "") ] });
+    ];
+  refused "trailing byte" (frame ^ "\x00") sample_record;
+  refused "truncated frame" (String.sub frame 0 (String.length frame - 1)) sample_record;
+  let flipped = Bytes.of_string frame in
+  Bytes.set flipped 30 (Char.chr (Char.code (Bytes.get flipped 30) lxor 1));
+  refused "bit flip" (Bytes.to_string flipped) sample_record
+
+(* One log's frame carries records of every size in turn: it grows to
+   fit and every record still checks against its own frame; a frame is
+   accepted for another record exactly when the two are equal. *)
+let qcheck_ship =
+  let log = Update_log.create () in
+  QCheck.Test.make ~name:"GUPD1 frames check against their records" ~count:500
+    (QCheck.pair qcheck_record qcheck_record)
+    (fun (r, r') ->
+      let before = Update_log.length log in
+      Update_log.ship log r;
+      Update_log.length log = before + 1
+      &&
+      match Update_log.verify (Update_log.encode r) r' with
+      | () -> r = r'
+      | exception Update_log.Bad_update _ -> r <> r')
 
 (* ----- applier semantics ----- *)
 
@@ -362,6 +409,68 @@ let test_behaviour_pinned () =
   Alcotest.(check string) "scr behaviour digest" "c2d7b99724557706b94a5082cdaa0c0e"
     (scr_behaviour_digest ())
 
+(* ----- the delivery ring ----- *)
+
+(* Each replica copies its deliveries into a ring of [cap] packet records
+   that every window reuses: 4 under batch-4. A UPF downlink delivery
+   whose buffer encapsulation grew, or that a Corrupt_packet injection
+   mangled, must leave nothing behind for the next delivery into its
+   slot. The pristine buffers are cut to their headers, as a capture
+   holds them, so encapsulation has to grow the copy. Every emitted
+   packet's core, global index, buffer length and fingerprint are pinned
+   as a digest captured while each delivery was a fresh clone, and the
+   run must match the single-core reference, which still clones. *)
+let test_ring_reuse () =
+  let rc = Check.Recovery.spec_rcase ~specs_dir ~name:"upf_downlink" ~seed:5 ~packets:256 in
+  let items = rc.Check.Recovery.r_trace () in
+  List.iter
+    (fun (it : Workload.item) ->
+      Option.iter
+        (fun (p : Netcore.Packet.t) ->
+          p.Netcore.Packet.buf <- Bytes.sub p.Netcore.Packet.buf 0 p.Netcore.Packet.hdr_len)
+        it.Workload.packet)
+    items;
+  let pristine = Array.of_list items in
+  let cores = 3 and cap = 4 in
+  let engine = `Batch cap in
+  let plan = Check.Faultgen.create ~rate_ppm:100_000 ~seed:11 () in
+  let corrupted = Hashtbl.create 16 in
+  let arm ~plane ~g p =
+    match Check.Faultgen.arm plan ~plane ~index:g p with
+    | Some Fault.Corrupt_packet -> Hashtbl.replace corrupted g ()
+    | Some _ | None -> ()
+  in
+  (* Completions arrive in delivery order, so a core's completion count
+     is its ring position. *)
+  let delivered = Array.make cores 0 in
+  let grown = ref [] and mangled = ref [] in
+  let b = Buffer.create 65536 in
+  let on_complete ~core ~g ~seq:_ (task : Nftask.t) =
+    let d = delivered.(core) in
+    delivered.(core) <- d + 1;
+    match (task.Nftask.packet, pristine.(g).Workload.packet) with
+    | Some p, Some orig ->
+        let len = Bytes.length p.Netcore.Packet.buf in
+        if len > Bytes.length orig.Netcore.Packet.buf then grown := (core, d) :: !grown;
+        if Hashtbl.mem corrupted g then mangled := (core, d) :: !mangled;
+        Buffer.add_string b
+          (Printf.sprintf "%d %d %d %s\n" core g len (Check.Oracle.packet_fingerprint p))
+    | _ -> Alcotest.fail "a downlink item without a packet"
+  in
+  let slots = Spray.assign Spray.Round_robin ~cores items in
+  let (_ : Scr.result) =
+    Scr.run ~arm ~on_complete ~engine ~replicas:(fresh_replicas rc ~cores) ~slots
+      ~universe:rc.Check.Recovery.r_universe items
+  in
+  let reused = List.exists (fun (c, d) -> d + cap < delivered.(c)) in
+  Alcotest.(check bool) "a grown buffer's slot is reused" true (reused !grown);
+  Alcotest.(check bool) "a mangled packet's slot is reused" true (reused !mangled);
+  Alcotest.(check string) "emitted packets as clones emitted them" "bb81b220814fb39a4a9b47d967783048"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  check_passes "ring vs cloning reference"
+    (Check.Scrcheck.check_rcase ~plan ~engine ~cores
+       { rc with Check.Recovery.r_trace = (fun () -> items) })
+
 (* ----- update-stream accounting + tamper resistance ----- *)
 
 let scr_result ~cores =
@@ -514,6 +623,9 @@ let suite =
     Alcotest.test_case "GUPD1: every truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "GUPD1: every single-bit flip rejected" `Quick test_bit_flips_rejected;
     Helpers.qcheck qcheck_roundtrip;
+    Alcotest.test_case "GUPD1: a frame differing from its record is refused" `Quick
+      test_verify_rejects_mismatch;
+    Helpers.qcheck qcheck_ship;
     Alcotest.test_case "applier: sequence-monotone application" `Quick test_applier_monotone;
     Alcotest.test_case "applier: out-of-range flow or sequence rejected" `Quick test_applier_rejects_out_of_range;
     Helpers.qcheck qcheck_order_insensitive;
@@ -524,6 +636,7 @@ let suite =
     Alcotest.test_case "scr: run rejects bad arguments" `Quick test_run_rejects;
     Alcotest.test_case "scr: stats and runs independent of universe" `Quick test_universe_invariance;
     Alcotest.test_case "scr: behaviour digest pinned" `Quick test_behaviour_pinned;
+    Alcotest.test_case "scr: ring slots reused after growth and corruption" `Quick test_ring_reuse;
     Alcotest.test_case "scr: update-stream accounting closes" `Quick test_stream_accounting;
     Alcotest.test_case "scr: invariant catches doctored results" `Quick test_check_scr_catches_tampering;
     Alcotest.test_case "metrics: load imbalance ratios" `Quick test_load_imbalance;
