@@ -82,7 +82,7 @@ let pfcp_storm () =
       | Traffic.Mgw.Churn_setup i ->
           setup i;
           source ()
-      | Traffic.Mgw.Churn_data (si, _pdr, pkt) ->
+      | Traffic.Mgw.Churn_data (si, pkt) ->
           decr remaining;
           Some { Workload.packet = Some pkt; aux = 0; flow_hint = si }
   in

@@ -39,13 +39,15 @@ let build_core ~size ~cores worker core =
     | Caida ->
         (* Same session workload, CAIDA packet-size mix. *)
         Gunfu.Workload.limited packets_per_core (fun () ->
-            let si, _, pkt = Traffic.Mgw.next_downlink mgw in
+            let si = Traffic.Mgw.next_session mgw in
+            let packet = Traffic.Mgw.downlink mgw si in
+            let pkt = Option.get packet in
             let table = Lazy.force caida_table in
             pkt.Netcore.Packet.wire_len <-
               max pkt.Netcore.Packet.wire_len
                 table.(Memsim.Rng.int rng (Array.length table));
             Netcore.Packet.Pool.assign pool pkt;
-            { Gunfu.Workload.packet = Some pkt; aux = 0; flow_hint = si })
+            { Gunfu.Workload.packet; aux = 0; flow_hint = si })
   in
   (Nfs.Upf.program upf, source)
 

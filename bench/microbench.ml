@@ -224,9 +224,13 @@ let packet_path_tests () =
       (Staged.stage (fun () -> ignore (Packet.make ~arena ~flow ~wire_len:128 ())));
     Test.make ~name:"rng.int" (Staged.stage (fun () -> ignore (Memsim.Rng.int rng 1000)));
     Test.make ~name:"flowgen.pull"
-      (Staged.stage (fun () -> ignore (Traffic.Flowgen.next_with_idx ~arena:gen_arena gen)));
+      (Staged.stage (fun () ->
+           let i = Traffic.Flowgen.next_idx gen in
+           ignore (Traffic.Flowgen.packet ~arena:gen_arena gen i)));
     Test.make ~name:"mgw.downlink_pull"
-      (Staged.stage (fun () -> ignore (Traffic.Mgw.next_downlink mgw)));
+      (Staged.stage (fun () ->
+           let si = Traffic.Mgw.next_session mgw in
+           ignore (Traffic.Mgw.downlink mgw si)));
   ]
 
 let run () =

@@ -79,9 +79,11 @@ let () =
   let upf = Nfs.Upf.create layout ~name:"upf" ~sessions:(Traffic.Mgw.sessions mgw) ~n_pdrs:4 () in
   Nfs.Upf.populate upf;
   let program = Nfs.Upf.program upf in
-  let si, _, pkt = Traffic.Mgw.next_downlink mgw in
+  let si = Traffic.Mgw.next_session mgw in
+  let packet = Traffic.Mgw.downlink mgw si in
+  let pkt = Option.get packet in
   Netcore.Packet.Pool.assign pool pkt;
-  let item = { Gunfu.Workload.packet = Some pkt; aux = 0; flow_hint = si } in
+  let item = { Gunfu.Workload.packet; aux = 0; flow_hint = si } in
   let _ = Gunfu.Exec.run `Rtc worker program (Gunfu.Workload.total_items [ item ]) in
   let outer = Netcore.Ipv4.decode pkt.Netcore.Packet.buf ~off:Netcore.Ethernet.header_bytes in
   let gtpu =

@@ -116,7 +116,7 @@ let pfcp_storm ?(seed = 1) ?(capacity = 48) ?(universe = 72) ?(packets = 320)
              setup i;
              guard_capacity ();
              source ()
-         | Traffic.Mgw.Churn_data (si, _pdr, pkt) ->
+         | Traffic.Mgw.Churn_data (si, pkt) ->
              decr remaining;
              if Hashtbl.mem established si then incr data_hits else incr data_miss;
              Some { Workload.packet = Some pkt; aux = 0; flow_hint = si }

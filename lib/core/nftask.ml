@@ -17,7 +17,10 @@ type p_state =
    sources; here they are a fixed record covering the needs of all shipped
    modules plus generic registers for NF-C programs. *)
 type temps = {
-  mutable key : int64;        (* flow key being matched *)
+  key : Bytes.t;
+      (* flow key being matched: 8 little-endian bytes, written by the
+         key extractor and read in place by the table probes, so the key
+         is never boxed *)
   mutable h1 : int;           (* primary cuckoo bucket *)
   mutable h2 : int;           (* alternate cuckoo bucket *)
   mutable cursor : int;       (* MDI tree node index during a walk *)
@@ -62,7 +65,8 @@ let create id =
     p_state = P_none;
     active = false;
     start_clock = 0;
-    temps = { key = 0L; h1 = -1; h2 = -1; cursor = -1; regs = Array.make 8 0 };
+    temps =
+      { key = Bytes.make 8 '\000'; h1 = -1; h2 = -1; cursor = -1; regs = Array.make 8 0 };
   }
 
 (* Load a new unit of work; performed by the scheduler's initialisation and
@@ -81,7 +85,7 @@ let load t ~cs ~packet ~aux ~flow_hint =
   t.n_blocks <- 0;
   t.p_state <- P_none;
   t.active <- true;
-  t.temps.key <- 0L;
+  Bytes.set_int64_le t.temps.key 0 0L;
   t.temps.h1 <- -1;
   t.temps.h2 <- -1;
   t.temps.cursor <- -1;

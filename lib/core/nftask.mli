@@ -13,7 +13,9 @@ type p_state =
 
 (** Temporaries persisting between the NFActions of one packet. *)
 type temps = {
-  mutable key : int64;  (** flow key being matched *)
+  key : Bytes.t;
+      (** flow key being matched, as 8 little-endian bytes: the key
+          extractor writes it and the table probes read it in place *)
   mutable h1 : int;  (** primary cuckoo bucket *)
   mutable h2 : int;  (** alternate cuckoo bucket *)
   mutable cursor : int;  (** MDI tree node during a walk *)

@@ -41,19 +41,26 @@ let total_items (items : item list) : source =
         rest := tl;
         Some x
 
-(* Generic flows (NAT / LB / FW / NM / SFC experiments). *)
+let assign pool = function Some p -> Packet.Pool.assign pool p | None -> ()
+
+(* Generic flows (NAT / LB / FW / NM / SFC experiments). The index is
+   drawn before the packet, and the packet arrives as the item's option
+   (an arena slot's stored [Some]), so a pull allocates only the item and
+   its [Some]. *)
 let of_flowgen ?arena gen ~pool ~count : source =
   limited count (fun () ->
-      let idx, pkt = Traffic.Flowgen.next_with_idx ?arena gen in
-      Packet.Pool.assign pool pkt;
-      { packet = Some pkt; aux = 0; flow_hint = idx })
+      let idx = Traffic.Flowgen.next_idx gen in
+      let packet = Traffic.Flowgen.packet ?arena gen idx in
+      assign pool packet;
+      { packet; aux = 0; flow_hint = idx })
 
 (* UPF downlink (MGW workload): flow_hint is the PFCP session index. *)
 let of_mgw_downlink ?arena mgw ~pool ~count : source =
   limited count (fun () ->
-      let si, _pdr, pkt = Traffic.Mgw.next_downlink ?arena mgw in
-      Packet.Pool.assign pool pkt;
-      { packet = Some pkt; aux = 0; flow_hint = si })
+      let si = Traffic.Mgw.next_session mgw in
+      let packet = Traffic.Mgw.downlink ?arena mgw si in
+      assign pool packet;
+      { packet; aux = 0; flow_hint = si })
 
 (* AMF signalling: aux encodes the message type; small NAS packets. *)
 let amf_msg_code = function

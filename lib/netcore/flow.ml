@@ -19,15 +19,15 @@ let equal a b =
   && a.proto = b.proto
 
 (* 64-bit mix (splitmix finalizer) — the flow-table key hash. Collision-safe lookups compare the full tuple on the OCaml side.
-   Inlined so that [key64]'s intermediates stay unboxed: only its result
-   is boxed. *)
+   Inlined so that the key's intermediates stay unboxed: only [key64]'s
+   result is boxed, and [write_key64] boxes nothing. *)
 let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let key64 t =
+let[@inline] key_bits t =
   let open Int64 in
   let ip_part =
     logor
@@ -36,6 +36,11 @@ let key64 t =
   in
   let port_part = of_int ((t.src_port lsl 24) lxor (t.dst_port lsl 8) lxor t.proto) in
   mix64 (logxor (mix64 ip_part) port_part)
+
+let key64 t = key_bits t
+
+(* The key written where a probe reads it, without boxing it. *)
+let write_key64 t buf off = Bytes.set_int64_le buf off (key_bits t)
 
 let pp ppf t =
   Fmt.pf ppf "%s:%d -> %s:%d/%d"

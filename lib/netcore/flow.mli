@@ -18,4 +18,8 @@ val equal : t -> t -> bool
     harmless. *)
 val key64 : t -> int64
 
+(** [write_key64 t buf off] stores {!key64} as 8 little-endian bytes at
+    [off] of [buf], allocating nothing (the classifier's key slot). *)
+val write_key64 : t -> Bytes.t -> int -> unit
+
 val pp : Format.formatter -> t -> unit

@@ -89,18 +89,19 @@ let decode buf ~off =
 
 let header_valid buf ~off = Checksum.valid buf ~off ~len:header_bytes
 
-(* In-place address rewrite at [pos] with incremental checksum update,
-   one 16-bit half at a time (the NAT fast path). *)
+(* In-place rewrite of the address at [pos] to the low 32 bits of [addr]
+   (an int, so the NAT fast path boxes no [int32]), with the incremental
+   checksum update one 16-bit half at a time. *)
 let rewrite_addr buf ~off ~pos addr =
   let old_hi = Bytes.get_uint16_be buf (off + pos)
   and old_lo = Bytes.get_uint16_be buf (off + pos + 2) in
-  Bytes.set_int32_be buf (off + pos) addr;
-  let new_hi = Bytes.get_uint16_be buf (off + pos)
-  and new_lo = Bytes.get_uint16_be buf (off + pos + 2) in
+  let new_hi = (addr lsr 16) land 0xFFFF and new_lo = addr land 0xFFFF in
+  Bytes.set_uint16_be buf (off + pos) new_hi;
+  Bytes.set_uint16_be buf (off + pos + 2) new_lo;
   let c = Bytes.get_uint16_be buf (off + checksum_offset) in
   let c = Checksum.update ~old_csum:c ~old_field:old_hi ~new_field:new_hi in
   let c = Checksum.update ~old_csum:c ~old_field:old_lo ~new_field:new_lo in
   Bytes.set_uint16_be buf (off + checksum_offset) c
 
 let rewrite_src buf ~off ~src = rewrite_addr buf ~off ~pos:12 src
-let rewrite_dst buf ~off ~dst = rewrite_addr buf ~off ~pos:16 dst
+let rewrite_dst buf ~off ~dst = rewrite_addr buf ~off ~pos:16 (Int32.to_int dst)

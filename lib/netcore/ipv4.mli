@@ -48,7 +48,9 @@ val decode : Bytes.t -> off:int -> t
 val header_valid : Bytes.t -> off:int -> bool
 
 (** In-place source/destination rewrite with RFC 1624 incremental checksum
-    update — the NAT/LB fast path. *)
-val rewrite_src : Bytes.t -> off:int -> src:addr -> unit
+    update — the NAT/LB fast path. The source is the low 32 bits of an
+    [int], so the NAT mapper, whose NF-C values are ints, boxes no
+    [int32]. *)
+val rewrite_src : Bytes.t -> off:int -> src:int -> unit
 
 val rewrite_dst : Bytes.t -> off:int -> dst:addr -> unit

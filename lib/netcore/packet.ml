@@ -56,6 +56,16 @@ let encode_headers ~wire_len p =
   p.hdr_len <- l4_off + l4_len;
   p.wire_len <- max wire_len (l4_off + l4_len)
 
+(* A newly allocated packet record and zeroed buffer for [flow]. *)
+let fresh ~flow ~wire_len =
+  incr next_id;
+  let p =
+    { id = !next_id; buf = Bytes.make max_header_bytes '\000'; hdr_len = 0; l3_off = 0;
+      l4_off = 0; wire_len; flow; sim_addr = -1 }
+  in
+  encode_headers ~wire_len p;
+  p
+
 (* Zero-alloc packet arena: a ring of packet records recycled in place.
    Reuse resets every field to the exact state a fresh [make] would
    produce — same global id counter, zeroed buffer, unassigned
@@ -96,6 +106,29 @@ module Arena = struct
     dst.flow <- src.flow;
     dst.sim_addr <- src.sim_addr
 
+  (* Recycle the ring's next record for [flow] and return that slot's
+     stored option, so a pull can hand the packet on without allocating.
+     This is the one recycle body: {!make} with an arena unwraps it. *)
+  let make a ~flow ~wire_len =
+    let slot = take a in
+    match a.slots.(slot) with
+    | None ->
+        let stored = Some (fresh ~flow ~wire_len) in
+        a.slots.(slot) <- stored;
+        stored
+    | Some p as stored ->
+        (* GTP-U encapsulation can have grown the buffer; restore the
+           canonical geometry before re-encoding. *)
+        if Bytes.length p.buf <> max_header_bytes then
+          p.buf <- Bytes.make max_header_bytes '\000'
+        else Bytes.fill p.buf 0 max_header_bytes '\000';
+        incr next_id;
+        p.id <- !next_id;
+        p.flow <- flow;
+        p.sim_addr <- -1;
+        encode_headers ~wire_len p;
+        stored
+
   (* Copy [src] into the ring's next record and return that slot's stored
      option, so a caller can hand the packet on without allocating. *)
   let copy a (src : packet) =
@@ -110,41 +143,20 @@ module Arena = struct
         stored
 end
 
-(* A newly allocated packet record and zeroed buffer for [flow]. *)
-let fresh ~flow ~wire_len =
-  incr next_id;
-  let p =
-    { id = !next_id; buf = Bytes.make max_header_bytes '\000'; hdr_len = 0; l3_off = 0;
-      l4_off = 0; wire_len; flow; sim_addr = -1 }
-  in
-  encode_headers ~wire_len p;
-  p
-
 (* Build a plain Eth/IPv4/L4 packet for [flow] with the headers actually
    encoded into [buf]. With [arena], recycle the ring's next record in
    place instead of allocating. *)
 let make ?arena ~flow ~wire_len () =
   match arena with
   | None -> fresh ~flow ~wire_len
-  | Some a -> (
-      let slot = Arena.take a in
-      match a.Arena.slots.(slot) with
-      | None ->
-          let p = fresh ~flow ~wire_len in
-          a.Arena.slots.(slot) <- Some p;
-          p
-      | Some p ->
-          (* GTP-U encapsulation can have grown the buffer; restore the
-             canonical geometry before re-encoding. *)
-          if Bytes.length p.buf <> max_header_bytes then
-            p.buf <- Bytes.make max_header_bytes '\000'
-          else Bytes.fill p.buf 0 max_header_bytes '\000';
-          incr next_id;
-          p.id <- !next_id;
-          p.flow <- flow;
-          p.sim_addr <- -1;
-          encode_headers ~wire_len p;
-          p)
+  | Some a -> Option.get (Arena.make a ~flow ~wire_len)
+
+(* [make] as a work item's packet option: with [arena], the slot's stored
+   [Some], so the pull allocates neither the record nor the option. *)
+let make_some ?arena ~flow ~wire_len () =
+  match arena with
+  | None -> Some (fresh ~flow ~wire_len)
+  | Some a -> Arena.make a ~flow ~wire_len
 
 (* Deep copy sharing nothing mutable with the original, keeping the same
    id: a replay-log entry must later be replayed as "the same packet" (the

@@ -17,7 +17,7 @@ type t = {
 val max_header_bytes : int
 
 (** Zero-alloc packet arena: a ring of packet records recycled in place by
-    {!make} or {!Arena.copy}. Reuse by {!make} resets every field to the
+    {!make}, {!make_some} or {!Arena.copy}. Reuse by {!make} resets every field to the
     exact state a fresh construction would produce (same global id
     counter, zeroed buffer, unassigned address), so arena-fed runs are
     byte-identical to fresh-allocation runs. Size the ring beyond the
@@ -45,6 +45,11 @@ end
 (** Build an Eth/IPv4/UDP-or-TCP packet for [flow], encoding real headers.
     With [arena], recycle the ring's next record instead of allocating. *)
 val make : ?arena:Arena.t -> flow:Flow.t -> wire_len:int -> unit -> t
+
+(** {!make} as a work item's packet option. With [arena], the recycled
+    slot's stored [Some], so a pull allocates neither the packet nor the
+    option; without, a fresh packet in a fresh [Some]. *)
+val make_some : ?arena:Arena.t -> flow:Flow.t -> wire_len:int -> unit -> t option
 
 (** Deep copy sharing no mutable state with the original but keeping its
     id — replay-log entries must re-run as "the same packet" (exactly-once

@@ -171,7 +171,9 @@ let resync_phase (msg : Traffic.Mgw.amf_msg) =
 
 (* AMF looks UEs up by their NGAP id; the workload carries it in
    [flow_hint]. *)
-let ue_key (task : Nftask.t) = Int64.of_int (task.Nftask.flow_hint + 1)
+let ue_key (task : Nftask.t) =
+  Bytes.set_int64_le task.Nftask.temps.Nftask.key 0
+    (Int64.of_int (task.Nftask.flow_hint + 1))
 
 let create layout ~name ?(packed = false) ~n_ues () =
   let classifier =

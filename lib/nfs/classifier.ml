@@ -52,21 +52,25 @@ type t = {
   name : string;
   table : Cuckoo.t;
   key_kind : string;
-  key_fn : Nftask.t -> int64;
+  key_fn : Nftask.t -> unit;
   header_bytes : int;
 }
 
-(* Key extractors. The canonical flow identity is used (rewrites earlier in
-   an SFC do not change a flow's identity), which is also what makes
-   redundant-matching removal sound: every classifier with the same
-   [key_kind] computes the same index for a given flow. *)
+(* Key extractors: each writes the key into the task's 8-byte key slot,
+   where the table probes read it, so no key is boxed. The canonical flow
+   identity is used (rewrites earlier in an SFC do not change a flow's
+   identity), which is also what makes redundant-matching removal sound:
+   every classifier with the same [key_kind] computes the same index for a
+   given flow. *)
 let five_tuple_key (task : Nftask.t) =
-  Netcore.Flow.key64 (Nftask.packet_exn task).Netcore.Packet.flow
+  Netcore.Flow.write_key64 (Nftask.packet_exn task).Netcore.Packet.flow
+    task.Nftask.temps.Nftask.key 0
 
 let dst_ip_key (task : Nftask.t) =
-  Int64.logand
-    (Int64.of_int32 (Nftask.packet_exn task).Netcore.Packet.flow.Netcore.Flow.dst_ip)
-    0xFFFFFFFFL
+  Bytes.set_int64_le task.Nftask.temps.Nftask.key 0
+    (Int64.logand
+       (Int64.of_int32 (Nftask.packet_exn task).Netcore.Packet.flow.Netcore.Flow.dst_ip)
+       0xFFFFFFFFL)
 
 let create layout ~name ~key_kind ~key_fn ~capacity () =
   {
@@ -113,7 +117,7 @@ let get_key_action t =
     ~name:(t.name ^ ".get_key")
     (fun ctx task ->
       Nf_common.packet_read ctx task ~bytes:t.header_bytes;
-      task.Nftask.temps.Nftask.key <- t.key_fn task;
+      t.key_fn task;
       Event.User "get_key_done")
 
 let hash_action t ~primary =
@@ -124,7 +128,9 @@ let hash_action t ~primary =
     ~invalidates:[ `Match_addrs ] ~name:(t.name ^ name)
     (fun _ctx task ->
       let key = task.Nftask.temps.Nftask.key in
-      let bucket = if primary then Cuckoo.hash1 t.table key else Cuckoo.hash2 t.table key in
+      let bucket =
+        if primary then Cuckoo.hash1 t.table key 0 else Cuckoo.hash2 t.table key 0
+      in
       if primary then task.Nftask.temps.Nftask.h1 <- bucket
       else task.Nftask.temps.Nftask.h2 <- bucket;
       Nftask.set_match task ~addr:(Cuckoo.bucket_addr t.table bucket) ~bytes:Cuckoo.bucket_bytes;
@@ -141,7 +147,7 @@ let bucket_check_action t ~primary =
       let bucket =
         if primary then task.Nftask.temps.Nftask.h1 else task.Nftask.temps.Nftask.h2
       in
-      if Cuckoo.has_candidate t.table ~bucket ~key:task.Nftask.temps.Nftask.key then begin
+      if Cuckoo.has_candidate t.table ~bucket task.Nftask.temps.Nftask.key 0 then begin
         Nftask.set_match task ~addr:(Cuckoo.key_addr t.table bucket) ~bytes:Cuckoo.bucket_bytes;
         Event.User "bucket_hit"
       end
@@ -158,7 +164,7 @@ let key_check_action t ~primary =
       let bucket =
         if primary then task.Nftask.temps.Nftask.h1 else task.Nftask.temps.Nftask.h2
       in
-      let idx = Cuckoo.find_in_bucket t.table ~bucket ~key:task.Nftask.temps.Nftask.key in
+      let idx = Cuckoo.find_in_bucket t.table ~bucket task.Nftask.temps.Nftask.key 0 in
       if idx >= 0 then begin
         task.Nftask.matched <- idx;
         Event.Match_success

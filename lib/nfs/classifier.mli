@@ -14,19 +14,20 @@ type t = {
   name : string;
   table : Structures.Cuckoo.t;
   key_kind : string;  (** what the key identifies; drives match removal *)
-  key_fn : Nftask.t -> int64;
+  key_fn : Nftask.t -> unit;
+      (** writes the task's key into its 8-byte slot [temps.key] *)
   header_bytes : int;
 }
 
 (** Canonical 5-tuple key (rewrites do not change a flow's identity — what
     makes redundant-matching removal sound). *)
-val five_tuple_key : Nftask.t -> int64
+val five_tuple_key : Nftask.t -> unit
 
 (** Destination-IP key (the UPF downlink session lookup). *)
-val dst_ip_key : Nftask.t -> int64
+val dst_ip_key : Nftask.t -> unit
 
 val create :
-  Memsim.Layout.t -> name:string -> key_kind:string -> key_fn:(Nftask.t -> int64) ->
+  Memsim.Layout.t -> name:string -> key_kind:string -> key_fn:(Nftask.t -> unit) ->
   capacity:int -> unit -> t
 
 val table : t -> Structures.Cuckoo.t

@@ -169,8 +169,10 @@ let install ~upsert c nf frame =
   let e = ref 0 in
   (try
      while !e < count do
-       let key = String.get_int64_le frame (entry c !e) in
-       let prior = Structures.Cuckoo.find table key in
+       (* The key is read where it lies in the frame, so a steady-state
+          apply (every key resident) boxes none. *)
+       let off = entry c !e in
+       let prior = Structures.Cuckoo.find_string table frame off in
        slots.(2 * !e) <- -1;
        slots.((2 * !e) + 1) <- prior;
        if upsert && prior >= 0 then slots.(2 * !e) <- prior
@@ -178,8 +180,8 @@ let install ~upsert c nf frame =
          let slot = take c nf in
          if slot < 0 then raise (full c);
          slots.(2 * !e) <- slot;
-         if not (Structures.Cuckoo.insert table ~key ~value:slot) then
-           raise (table_full c)
+         let key = String.get_int64_le frame off in
+         if not (Structures.Cuckoo.insert table ~key ~value:slot) then raise (table_full c)
        end;
        incr e
      done

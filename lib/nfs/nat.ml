@@ -149,8 +149,7 @@ let mapper_binding t : Nfc.binding =
     match (scope, field) with
     | Nfc.Packet, "src_ip" ->
         let p = Nftask.packet_exn task in
-        Netcore.Ipv4.rewrite_src p.Netcore.Packet.buf ~off:p.Netcore.Packet.l3_off
-          ~src:(Int32.of_int v);
+        Netcore.Ipv4.rewrite_src p.Netcore.Packet.buf ~off:p.Netcore.Packet.l3_off ~src:v;
         Nf_common.packet_write ctx task ~bytes:4
     | Nfc.Packet, "src_port" ->
         let p = Nftask.packet_exn task in
@@ -201,7 +200,8 @@ let learn_action t =
         t.learned <- t.learned + 1;
         t.map_ip.(idx) <- public_ip idx;
         t.map_port.(idx) <- public_port idx;
-        t.keys.(idx) <- task.Nftask.temps.Nftask.key;
+        let key = Bytes.get_int64_le task.Nftask.temps.Nftask.key 0 in
+        t.keys.(idx) <- key;
         t.last_seen.(idx) <- ctx.Exec_ctx.clock;
         Exec_ctx.write ctx ~cls:Sref.Control_state ~addr:t.allocator_sref.Sref.addr
           ~bytes:8;
@@ -210,7 +210,6 @@ let learn_action t =
            NAT's policy: reject the new flow (Drop_new), displace the
            stalest resident and recycle its mapping slot (Evict_lru), or
            quarantine the flow via a contained fault (Shed_flow). *)
-        let key = task.Nftask.temps.Nftask.key in
         let installed =
           match
             Structures.Cuckoo.insert_policy (Classifier.table t.classifier)
@@ -233,10 +232,11 @@ let learn_action t =
         if not installed then Event.Drop_packet
         else begin
           let table = Classifier.table t.classifier in
-          let b1 = Structures.Cuckoo.hash1 table key in
+          let key_bytes = task.Nftask.temps.Nftask.key in
+          let b1 = Structures.Cuckoo.hash1 table key_bytes 0 in
           let bucket =
-            if Structures.Cuckoo.find_in_bucket table ~bucket:b1 ~key >= 0 then b1
-            else Structures.Cuckoo.hash2 table key
+            if Structures.Cuckoo.find_in_bucket table ~bucket:b1 key_bytes 0 >= 0 then b1
+            else Structures.Cuckoo.hash2 table key_bytes 0
           in
           Exec_ctx.write ctx ~cls:Sref.Match_state
             ~addr:(Structures.Cuckoo.bucket_addr table bucket)

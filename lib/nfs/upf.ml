@@ -117,7 +117,8 @@ let teid_key (task : Nftask.t) =
     + Netcore.L4.udp_header_bytes
   in
   let g = Netcore.Gtpu.decode p.Netcore.Packet.buf ~off:gtpu_off in
-  Int64.logand (Int64.of_int32 g.Netcore.Gtpu.teid) 0xFFFFFFFFL
+  Bytes.set_int64_le task.Nftask.temps.Nftask.key 0
+    (Int64.logand (Int64.of_int32 g.Netcore.Gtpu.teid) 0xFFFFFFFFL)
 
 let create layout ~name ~sessions ~n_pdrs () =
   let n_sessions = Array.length sessions in

@@ -75,24 +75,31 @@ let create layout ~label ~capacity () =
 let nbuckets t = t.mask + 1
 let population t = t.population
 
-(* [hash1]/[hash2] are the finalizer of splitmix64 flattened into a single arithmetic chain so
-   the native compiler keeps every Int64 intermediate unboxed — these run on
-   every table probe of every packet. *)
-let hash1 t key =
+(* The two candidate buckets: the finalizer of splitmix64 flattened into
+   a single arithmetic chain and forced inline, so that every Int64
+   intermediate, and the key itself, stays unboxed. *)
+let[@inline] mix t seed key =
   let open Int64 in
-  let z = mul (logxor key t.seed1) 0xFF51AFD7ED558CCDL in
+  let z = mul (logxor key seed) 0xFF51AFD7ED558CCDL in
   let z = logxor z (shift_right_logical z 33) in
   let z = mul z 0xC4CEB9FE1A85EC53L in
   to_int (logxor z (shift_right_logical z 33)) land t.mask
 
+let[@inline] bucket1 t key = mix t t.seed1 key
+
 (* Partial-key style alternate bucket: derived from the key so that it can
    be recomputed from either bucket. *)
-let hash2 t key =
-  let open Int64 in
-  let z = mul (logxor key t.seed2) 0xFF51AFD7ED558CCDL in
-  let z = logxor z (shift_right_logical z 33) in
-  let z = mul z 0xC4CEB9FE1A85EC53L in
-  to_int (logxor z (shift_right_logical z 33)) land t.mask
+let[@inline] bucket2 t key = mix t t.seed2 key
+
+(* The probes the classifier's actions make read the key where it lies:
+   8 little-endian bytes at [off] of a buffer (the NFTask's key slot, or a
+   snapshot frame). An [int64] argument would be boxed at every call from
+   another module, since dune's dev profile compiles with [-opaque] and so
+   nothing is inlined across modules. *)
+let[@inline] key_in b off = Bytes.get_int64_le b off
+
+let hash1 t b off = bucket1 t (key_in b off)
+let hash2 t b off = bucket2 t (key_in b off)
 
 let bucket_addr t bucket = t.base_addr + (bucket * bucket_bytes)
 
@@ -103,7 +110,7 @@ let bucket_addr t bucket = t.base_addr + (bucket * bucket_bytes)
 let key_addr t bucket = t.key_base + (bucket * bucket_bytes)
 
 (* 16-bit fingerprint derived from the key. *)
-let fingerprint key =
+let[@inline] fingerprint key =
   let open Int64 in
   to_int (shift_right_logical (mul key 0x2545F4914F6CDD1DL) 48) land 0xFFFF
 
@@ -134,47 +141,51 @@ let[@inline] fp_at t slot fp =
   let w = word t slot in
   w >= 0 && w land 0xFFFF = fp
 
-(* Slots of [bucket] whose stored fingerprint matches [key]'s — what the
-   bucket_check action can decide from the bucket line alone. *)
-let candidates t ~bucket ~key =
-  let fp = fingerprint key in
-  let b = slot_base bucket in
+(* Slots of [bucket] whose stored fingerprint matches the key's — what
+   the bucket_check action can decide from the bucket line alone. *)
+let candidates t ~bucket b off =
+  let fp = fingerprint (key_in b off) in
+  let base = slot_base bucket in
   let rec go i acc =
-    if i < 0 then acc else go (i - 1) (if fp_at t (b + i) fp then i :: acc else acc)
+    if i < 0 then acc else go (i - 1) (if fp_at t (base + i) fp then i :: acc else acc)
   in
   go (slots_per_bucket - 1) []
 
 (* Whether [candidates] is non-empty, without building it. *)
 let rec fp_in t fp slot last = slot <= last && (fp_at t slot fp || fp_in t fp (slot + 1) last)
 
-let has_candidate t ~bucket ~key =
-  fp_in t (fingerprint key) (slot_base bucket) (last_slot bucket)
+let has_candidate t ~bucket b off =
+  fp_in t (fingerprint (key_in b off)) (slot_base bucket) (last_slot bucket)
 
-(* The occupied slot in [slot .. last] holding [key], or -1. Probes are
-   top-level loops over slot indices, so they allocate nothing. *)
-let rec key_slot t key slot last =
-  if slot > last then -1 else if holds t slot key then slot else key_slot t key (slot + 1) last
+(* The slot of [bucket] holding [key], or -1: the four slots unrolled and
+   forced inline, so that a key read from a buffer is compared unboxed. *)
+let[@inline] bucket_slot t bucket key =
+  let s = slot_base bucket in
+  if holds t s key then s
+  else if holds t (s + 1) key then s + 1
+  else if holds t (s + 2) key then s + 2
+  else if holds t (s + 3) key then s + 3
+  else -1
 
 (* The slot holding [key] in either candidate bucket, primary first. *)
-let find_slot t key =
-  let b1 = hash1 t key in
-  match key_slot t key (slot_base b1) (last_slot b1) with
-  | -1 ->
-      let b2 = hash2 t key in
-      key_slot t key (slot_base b2) (last_slot b2)
+let[@inline] find_slot t key =
+  match bucket_slot t (bucket1 t key) key with
+  | -1 -> bucket_slot t (bucket2 t key) key
   | s -> s
 
 let[@inline] value_at t slot = word t slot lsr 16
 
-(* Search one bucket for [key]: its value, or -1. Pure table logic, no
-   memory charging. *)
-let find_in_bucket t ~bucket ~key =
-  match key_slot t key (slot_base bucket) (last_slot bucket) with
-  | -1 -> -1
-  | s -> value_at t s
+(* Search one bucket for the key at [off] of [b]: its value, or -1. Pure
+   table logic, no memory charging. *)
+let find_in_bucket t ~bucket b off =
+  match bucket_slot t bucket (key_in b off) with -1 -> -1 | s -> value_at t s
 
 let lookup t key = match find_slot t key with -1 -> None | s -> Some (value_at t s)
 let find t key = match find_slot t key with -1 -> -1 | s -> value_at t s
+
+(* [find] of the little-endian key at [off] of a frame, read in place. *)
+let find_string t frame off =
+  match find_slot t (String.get_int64_le frame off) with -1 -> -1 | s -> value_at t s
 
 (* The first empty slot in [slot .. last], or -1. *)
 let rec empty_slot t slot last =
@@ -212,8 +223,8 @@ let walk_place t ~key ~value ~stamp ~bucket =
             undo := (victim, vkey, vval, vstamp) :: !undo;
             set_slot t victim ~key ~value ~stamp;
             let alt =
-              let h1 = hash1 t vkey in
-              if h1 = bucket then hash2 t vkey else h1
+              let h1 = bucket1 t vkey in
+              if h1 = bucket then bucket2 t vkey else h1
             in
             go ~key:vkey ~value:vval ~stamp:vstamp ~bucket:alt (kicks + 1)
           end
@@ -241,10 +252,10 @@ let update t s value =
 let place t ~key ~value =
   check_value value;
   t.tick <- t.tick + 1;
-  let b1 = hash1 t key and b2 = hash2 t key in
-  match key_slot t key (slot_base b1) (last_slot b1) with
+  let b1 = bucket1 t key and b2 = bucket2 t key in
+  match bucket_slot t b1 key with
   | -1 -> (
-      match key_slot t key (slot_base b2) (last_slot b2) with
+      match bucket_slot t b2 key with
       | -1 ->
           if
             try_place t ~key ~value b1
@@ -272,9 +283,9 @@ let stalest_slot t key =
         best := s
     done
   in
-  scan (hash1 t key);
-  (let b2 = hash2 t key in
-   if b2 <> hash1 t key then scan b2);
+  scan (bucket1 t key);
+  (let b2 = bucket2 t key in
+   if b2 <> bucket1 t key then scan b2);
   !best
 
 let insert_policy t ~policy ~key ~value =

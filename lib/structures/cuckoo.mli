@@ -21,10 +21,17 @@ val nbuckets : t -> int
 val population : t -> int
 val load_factor : t -> float
 
-(** Primary / alternate bucket of a key. *)
-val hash1 : t -> int64 -> int
+(** {2 Probes over a key where it lies}
 
-val hash2 : t -> int64 -> int
+    The per-step probes read the key from a buffer: 8 little-endian bytes
+    at [off] (an NFTask's key slot, written by {!Netcore.Flow.write_key64}).
+    An [int64] argument would be boxed at every call from another module
+    when modules are compiled without cross-module inlining. *)
+
+(** Primary / alternate bucket of the key at [off]. *)
+val hash1 : t -> Bytes.t -> int -> int
+
+val hash2 : t -> Bytes.t -> int -> int
 
 (** Simulated address of a bucket's line / of its out-of-line key store. *)
 val bucket_addr : t -> int -> int
@@ -34,22 +41,28 @@ val key_addr : t -> int -> int
 (** 16-bit key fingerprint as stored in bucket lines. *)
 val fingerprint : int64 -> int
 
-(** Slots of [bucket] whose fingerprint matches — decidable from the bucket
-    line alone (the bucket_check action). *)
-val candidates : t -> bucket:int -> key:int64 -> int list
+(** Slots of [bucket] whose fingerprint matches the key at [off] —
+    decidable from the bucket line alone (the bucket_check action). *)
+val candidates : t -> bucket:int -> Bytes.t -> int -> int list
 
 (** Whether {!candidates} is non-empty, decided without allocating. *)
-val has_candidate : t -> bucket:int -> key:int64 -> bool
+val has_candidate : t -> bucket:int -> Bytes.t -> int -> bool
 
 (** Full-key comparison within one bucket (the key_check action): the
-    key's value, or [-1] when the bucket does not hold it. *)
-val find_in_bucket : t -> bucket:int -> key:int64 -> int
+    value of the key at [off], or [-1] when the bucket does not hold it. *)
+val find_in_bucket : t -> bucket:int -> Bytes.t -> int -> int
+
+(** {2 Whole-key lookups} *)
 
 (** Two-bucket lookup (pure table logic; RTC and tests). *)
 val lookup : t -> int64 -> int option
 
 (** {!lookup} without the option: the key's value, or [-1] when absent. *)
 val find : t -> int64 -> int
+
+(** {!find} of the little-endian key at [off] of a snapshot frame, read in
+    place, so the key is not boxed. *)
+val find_string : t -> string -> int -> int
 
 (** Insert or update; random-walk displacement on conflicts. [false] means
     the walk exceeded 500 displacements (no entry is lost).

@@ -93,7 +93,11 @@ let n_flows t = Array.length t.flows
 let flows t = t.flows
 let flow t i = t.flows.(i)
 
-let sample_flow_idx t =
+(* A pull is two draws, in this order: the flow index, then the packet
+   (its wire size). They are separate calls so that a pull builds no
+   (index, packet) pair; callers keep the index to cross-check state
+   lookups. *)
+let next_idx t =
   match t.zipf with
   | None -> Memsim.Rng.int t.rng (Array.length t.flows)
   | Some z -> Zipf.sample z t.rng
@@ -102,14 +106,13 @@ let sample_size t =
   if Array.length t.size_table = 1 then t.size_table.(0)
   else t.size_table.(Memsim.Rng.int t.rng (Array.length t.size_table))
 
-(* Fresh packet for a sampled flow; returns the flow index too so callers
-   can cross-check state lookups. *)
-let next_with_idx ?arena t =
-  let i = sample_flow_idx t in
+(* Flow [i]'s packet as a work item's option; with [arena], the recycled
+   slot's stored [Some]. *)
+let packet ?arena t i =
   let wire_len = sample_size t in
-  (i, Packet.make ?arena ~flow:t.flows.(i) ~wire_len ())
+  Packet.make_some ?arena ~flow:t.flows.(i) ~wire_len ()
 
-let next t = snd (next_with_idx t)
+let next t = Option.get (packet t (next_idx t))
 
 (* Pre-generate a batch (the RX burst the runtime receives). *)
 let batch t n = Array.init n (fun _ -> next t)

@@ -26,9 +26,16 @@ val n_flows : t -> int
 val flows : t -> Netcore.Flow.t array
 val flow : t -> int -> Netcore.Flow.t
 
-(** Fresh packet for a sampled flow, with the flow's universe index. *)
-val next_with_idx : ?arena:Netcore.Packet.Arena.t -> t -> int * Netcore.Packet.t
+(** A pull is two draws, in this order: {!next_idx} samples a flow's
+    universe index, then {!packet} builds that flow's packet (drawing its
+    wire size). No pair is built. *)
+val next_idx : t -> int
 
+(** Flow [i]'s packet as a work item's option: with [arena], the recycled
+    slot's stored [Some] ({!Netcore.Packet.make_some}). *)
+val packet : ?arena:Netcore.Packet.Arena.t -> t -> int -> Netcore.Packet.t option
+
+(** One pull's packet, fresh: {!next_idx} then {!packet}. *)
 val next : t -> Netcore.Packet.t
 
 (** Pre-generate an RX burst. *)

@@ -51,7 +51,10 @@ let create ?(seed = 11) ?(popularity = Flowgen.Uniform) ?(wire_len = 128)
 let sessions t = t.sessions
 let session t i = t.sessions.(i)
 
-let sample_session_idx t =
+(* A downlink pull is two draws, in this order: the session index, then
+   the packet (its PDR and source port). They are separate calls so that
+   a pull builds no tuple. *)
+let next_session t =
   match t.zipf with
   | None -> Memsim.Rng.int t.rng (Array.length t.sessions)
   | Some z -> Zipf.sample z t.rng
@@ -60,9 +63,9 @@ let sample_session_idx t =
    shared box each: session [si] talks to [remotes.(si mod 512)]. *)
 let remotes = Array.init 512 (fun k -> Int32.of_int (0x08080000 lor k))
 
-(* A downlink packet towards a sampled UE, hitting a sampled PDR. *)
-let next_downlink ?arena t =
-  let si = sample_session_idx t in
+(* A downlink packet towards session [si]'s UE, hitting a sampled PDR, as
+   a work item's option; with [arena], the recycled slot's stored [Some]. *)
+let downlink ?arena t si =
   let s = t.sessions.(si) in
   let pdr = Memsim.Rng.int t.rng s.n_pdrs in
   (* [pdr_port_range], without allocating its pair. *)
@@ -73,12 +76,12 @@ let next_downlink ?arena t =
     Flow.make ~src_ip:remotes.(si mod 512) ~dst_ip:s.ue_ip ~src_port
       ~dst_port:(10000 + (si mod 1000)) ~proto:Ipv4.proto_udp
   in
-  (si, pdr, Packet.make ?arena ~flow ~wire_len:t.wire_len ())
+  Packet.make_some ?arena ~flow ~wire_len:t.wire_len ()
 
 (* An uplink packet: UE -> data network, GTP-U encapsulated by the RAN
    towards the UPF's N3 address. *)
 let next_uplink t ~ran_ip ~upf_ip =
-  let si = sample_session_idx t in
+  let si = next_session t in
   let s = t.sessions.(si) in
   let flow =
     Flow.make ~src_ip:s.ue_ip ~dst_ip:remotes.(si mod 512)
@@ -95,13 +98,13 @@ let next_uplink t ~ran_ip ~upf_ip =
 (* A seeded teardown/re-setup storm over the session population. Each step
    rolls an independent churn RNG: with probability [rate_ppm] / 1e6 the
    storm flips one session (live -> torn down, or torn down -> re-setup);
-   otherwise it emits a plain downlink data packet via [next_downlink] —
+   otherwise it emits a plain downlink data packet via [downlink] —
    which may well target a torn-down session, exercising the consumer's
    session-miss path exactly like traffic racing a PFCP deletion. *)
 type churn_event =
   | Churn_teardown of int
   | Churn_setup of int
-  | Churn_data of int * int * Packet.t
+  | Churn_data of int * Packet.t
 
 type churn = {
   c_mgw : t;
@@ -139,8 +142,8 @@ let churn_next ?arena c =
     end
   end
   else
-    let si, pdr, pkt = next_downlink ?arena c.c_mgw in
-    Churn_data (si, pdr, pkt)
+    let si = next_session c.c_mgw in
+    Churn_data (si, Option.get (downlink ?arena c.c_mgw si))
 
 let churn_live c i = not c.c_down.(i)
 let churn_down_count c = c.c_n_down

@@ -22,9 +22,15 @@ val create :
 val sessions : t -> session array
 val session : t -> int -> session
 
-(** Downlink (N6 -> UE) packet hitting a sampled (session, PDR):
-    [(session_idx, pdr_idx, packet)]. *)
-val next_downlink : ?arena:Netcore.Packet.Arena.t -> t -> int * int * Netcore.Packet.t
+(** A downlink pull is two draws, in this order: {!next_session} samples
+    a session index, then {!downlink} builds that session's packet. No
+    tuple is built. *)
+val next_session : t -> int
+
+(** Downlink (N6 -> UE) packet towards session [si], hitting a sampled
+    PDR (its source port lies in {!pdr_port_range}), as a work item's
+    option: with [arena], the recycled slot's stored [Some]. *)
+val downlink : ?arena:Netcore.Packet.Arena.t -> t -> int -> Netcore.Packet.t option
 
 (** Uplink (UE -> N6) packet, GTP-U encapsulated by the RAN towards the
     UPF: [(session_idx, packet)]. *)
@@ -42,8 +48,8 @@ val next_uplink :
 type churn_event =
   | Churn_teardown of int  (** session index going down *)
   | Churn_setup of int  (** torn-down session coming back *)
-  | Churn_data of int * int * Netcore.Packet.t
-      (** [(session_idx, pdr_idx, packet)], session possibly down *)
+  | Churn_data of int * Netcore.Packet.t
+      (** [(session_idx, packet)], session possibly down *)
 
 type churn
 

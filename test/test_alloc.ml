@@ -1,17 +1,19 @@
 (* Per-packet allocation budget of the action path and of the interleaved
    scheduler's step. An NFTask is a fixed, preallocated context that
    actions update in place (§V, Fig 9a), so driving a UPF downlink packet
-   through [Rtc.run] may allocate only what the classifier's boxed int64
-   key costs, plus, when interpreted, what Δ and the fault barrier cost.
-   The source hands out pre-built items, and a zero-packet run is
-   subtracted, so only the per-packet path is counted: engine dispatch,
-   the fault barrier, Δ, the action bodies and the structure probes. The
-   AMF case pins the signalling path's cost per NAS message the same way.
-   The NAT cases run 16 interleaved NFTasks, so they also count the
-   scheduler's visit: the Fetch step's block array, per-flow ordering,
-   the NF-C mapper body and, at distance 2, speculation. The SCR case
+   through [Rtc.run] specialized allocates nothing, and interpreted only
+   what Δ and the fault barrier cost. The source hands out pre-built
+   items, and a zero-packet run is subtracted, so only the per-packet path
+   is counted: engine dispatch, the fault barrier, Δ, the action bodies
+   and the structure probes. The AMF case pins the signalling path's cost
+   per NAS message the same way. The NAT cases run 16 interleaved
+   NFTasks, so they also count the scheduler's visit: the Fetch step's
+   block array, per-flow ordering, the NF-C mapper body and, at distance
+   2, speculation; one of them also counts the traffic pull. The SCR case
    counts the replicated data path: spray, delivery ring, update records
-   and their GUPD1 frames, and the window scans. *)
+   and their GUPD1 frames, and the window scans. Every budget is the
+   reading of the dev profile (no cross-module inlining), the worse of
+   the two profiles, plus under one word. *)
 
 open Gunfu
 
@@ -61,22 +63,22 @@ let amf () =
   let worker, gen, pool, _amf, program = Helpers.amf_setup () in
   (worker, program, fun ~count -> Workload.of_amf gen ~pool ~count)
 
-(* UPF specialized: 3.00 words on a 64-bit host, the int64 that the
-   classifier's key extractor returns. UPF interpreted: 97.06, because
-   [Fsm.step] and [Fault.guard] still allocate per action; making them
-   cheaper would spend the host margin perfbench's self-check requires of
-   the specialized path. AMF specialized: 30.06 words per message, with
+(* UPF specialized: 0.00 words per packet. It read 3.00 while the
+   classifier's key extractor returned a boxed int64; the key is now
+   written into the task's 8-byte slot and the Cuckoo probes read it
+   there. UPF interpreted: 94.06, because [Fsm.step] and [Fault.guard]
+   still allocate per action; making them cheaper would spend the host
+   margin perfbench's self-check requires of the specialized path. AMF
+   specialized: 27.06 words per message (30.06 with the boxed key), with
    the dispatch action handing back one prebuilt event per message type
    (57.28 when it built a fresh event string per message) and the
    field-sliced [State_arena] lookups allocating no option (46.62 when
-   they did). Any
-   closure, option, list or variant built per action lands above these
-   budgets. NAT il16 specialized: 6.22 words per packet, 6 of them
-   boxed numbers: the classifier's int64 key and the [Int32] the mapper
-   hands to the source-address rewrite. The other 0.22: about 640 words per run
-   that grow with the task count (0.16 here; one task reads 6.00), and the
-   stash appends of pulls whose flow is busy (0.06; 262,144 flows read
-   6.16). It read 36.47
+   they did). Any closure, option, list or variant built per action lands
+   above these budgets. NAT il16 specialized: 0.22 words per packet,
+   about 640 words per run that grow with the task count (0.16 here; one
+   task reads 0.00) and the stash appends of pulls whose flow is busy
+   (0.06). It read 6.22 with the boxed key and the [Int32] the mapper
+   handed to the source-address rewrite (now an int rewrite), and 36.47
    while the Fetch step built (addr, bytes) lists, per-flow ordering
    counted flows in a hashtable and the NF-C body returned an option. *)
 let check_budget ~exec ~specialize ~budget setup () =
@@ -94,10 +96,43 @@ let nat () =
 
 (* NAT il16 at prefetch distance 2: the Fetch step also speculates one
    FSM step ahead, over successor arrays built once per loop and two int
-   frontier buffers, so it reads the distance-1 6.22 words. It read
+   frontier buffers, so it reads the distance-1 0.22 words. It read
    154.52 while each speculation walked [Fsm.successors] lists. *)
 let il16_d2 w p src =
   Exec.run (`Il { Exec.policy = Scheduler.Round_robin; n_tasks = 16; distance = 2 }) w p src
+
+(* NAT il16 specialized with its traffic pull inside the measured call:
+   [Workload.of_flowgen] over a packet arena, as perfbench's nat-il16
+   drives it, instead of pre-built items. Each run gets a fresh source
+   built before the bracket; the ring is warmed by a full turn, and a
+   zero-packet run is subtracted. *)
+let pull_words_per_packet () =
+  let s = Helpers.nat_setup () in
+  Specialize.install s.Helpers.program;
+  let arena = Netcore.Packet.Arena.create () in
+  let words count =
+    let src = Workload.of_flowgen ~arena s.Helpers.gen ~pool:s.Helpers.pool ~count in
+    let before = Gc.minor_words () in
+    let (_ : Metrics.run) = il16 s.Helpers.worker s.Helpers.program src in
+    Gc.minor_words () -. before
+  in
+  (* A full turn of the ring first, so every slot holds its packet. *)
+  ignore (words (Netcore.Packet.Arena.size arena) : float);
+  let empty = words 0 in
+  let full = words packets in
+  (full -. empty) /. float_of_int packets
+
+(* 6.21 words per packet: the work item and its [Some] (6 words; the
+   packet arrives as the arena slot's stored option), plus the 0.22 of
+   the scheduler above. It read 17.21 while the pull built an
+   (index, packet) pair and a fresh [Some] around the arena's packet, the
+   classifier boxed its key and the mapper boxed an [Int32]. *)
+let pull_budget = 6.3
+
+let test_pull_budget () =
+  let w = pull_words_per_packet () in
+  if w > pull_budget then
+    Alcotest.failf "%.2f minor words per packet, budget %.1f" w pull_budget
 
 (* A 1,024-flow network monitor replicated on 4 cores and driven through
    [Scr.run] under rtc, as perfbench's scr-zipf drives 8: interpreted, a
@@ -153,12 +188,13 @@ let scr_words_per_packet () =
   let full = words measured in
   (full -. empty) /. float_of_int packets
 
-(* SCR rtc: 101.95 words per packet, most of them the interpreted Δ and
+(* SCR rtc: 95.77 words per packet, most of them the interpreted Δ and
    fault barrier, the work item, the update record and the monitor's
-   export frame and payload list. It read 205.64 while every delivery
-   cloned its packet, every record was encoded to a fresh frame and
-   decoded back, and the window scans built closures. *)
-let scr_budget = 103.0
+   export frame and payload list. It read 101.95 while the classifier and
+   each apply's [Cuckoo.find] boxed their int64 keys, and 205.64 while
+   every delivery cloned its packet, every record was encoded to a fresh
+   frame and decoded back, and the window scans built closures. *)
+let scr_budget = 96.5
 
 let test_scr_budget () =
   let w = scr_words_per_packet () in
@@ -168,14 +204,16 @@ let test_scr_budget () =
 let suite =
   [
     Alcotest.test_case "upf rtc words per packet, interpreted" `Quick
-      (check_budget ~exec:rtc ~specialize:false ~budget:98.0 upf);
+      (check_budget ~exec:rtc ~specialize:false ~budget:95.0 upf);
     Alcotest.test_case "upf rtc words per packet, specialized" `Quick
-      (check_budget ~exec:rtc ~specialize:true ~budget:4.0 upf);
+      (check_budget ~exec:rtc ~specialize:true ~budget:0.5 upf);
     Alcotest.test_case "amf rtc words per message, specialized" `Quick
-      (check_budget ~exec:rtc ~specialize:true ~budget:31.0 amf);
+      (check_budget ~exec:rtc ~specialize:true ~budget:28.0 amf);
     Alcotest.test_case "nat il16 words per packet, specialized" `Quick
-      (check_budget ~exec:il16 ~specialize:true ~budget:6.3 nat);
+      (check_budget ~exec:il16 ~specialize:true ~budget:0.3 nat);
     Alcotest.test_case "nat il16 distance 2 words per packet, specialized" `Quick
-      (check_budget ~exec:il16_d2 ~specialize:true ~budget:6.3 nat);
+      (check_budget ~exec:il16_d2 ~specialize:true ~budget:0.3 nat);
+    Alcotest.test_case "nat il16 words per packet with the pull, specialized" `Quick
+      test_pull_budget;
     Alcotest.test_case "scr rtc words per packet" `Quick test_scr_budget;
   ]

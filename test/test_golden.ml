@@ -80,10 +80,13 @@ let ip_header ~src ~dst =
 let rewrite_cases () =
   let b = ip_header ~src:"10.0.0.1" ~dst:"192.168.255.254" in
   let base = hex b ~len:20 in
-  Ipv4.rewrite_src b ~off:0 ~src:(Ipv4.addr_of_string "203.0.113.200");
+  Ipv4.rewrite_src b ~off:0 ~src:(Int32.to_int (Ipv4.addr_of_string "203.0.113.200"));
   let src = hex b ~len:20 in
   Ipv4.rewrite_dst b ~off:0 ~dst:(Ipv4.addr_of_string "255.255.255.255");
   let dst = hex b ~len:20 in
+  (* The same rewrite from the address as a non-negative int. *)
+  let b_int = ip_header ~src:"10.0.0.1" ~dst:"192.168.255.254" in
+  Ipv4.rewrite_src b_int ~off:0 ~src:0xCB0071C8;
   let l4 = Bytes.make 8 '\000' in
   L4.encode_udp { L4.src_port = 1; dst_port = 0x8001; length = 8 } l4 ~off:0;
   L4.rewrite_src_port l4 ~off:0 ~port:0xFFFF;
@@ -109,6 +112,7 @@ let rewrite_cases () =
   [
     ("ipv4", base);
     ("rewrite_src", src);
+    ("rewrite_src from an int", hex b_int ~len:20);
     ("rewrite_dst", dst);
     ("udp ports", hex l4 ~len:8);
     ("tcp", hex tcp ~len:20);
@@ -214,6 +218,8 @@ let pinned =
     ("ipv4",
      "45b805cebeef40000111e9cf0a000001c0a8fffe");
     ("rewrite_src",
+     "45b805cebeef40000111b707cb0071c8c0a8fffe");
+    ("rewrite_src from an int",
      "45b805cebeef40000111b707cb0071c8c0a8fffe");
     ("rewrite_dst",
      "45b805cebeef4000011177afcb0071c8ffffffff");

@@ -78,14 +78,14 @@ let test_nftask_load_resets () =
   t.Nftask.matched <- 5;
   t.Nftask.sub_matched <- 7;
   Nftask.set_match t ~addr:1 ~bytes:2;
-  t.Nftask.temps.Nftask.key <- 99L;
+  Bytes.set_int64_le t.Nftask.temps.Nftask.key 0 99L;
   t.Nftask.temps.Nftask.regs.(0) <- 42;
   Nftask.load t ~cs:2 ~packet:None ~aux:1 ~flow_hint:12;
   Alcotest.(check int) "cs set" 2 t.Nftask.cs;
   Alcotest.(check int) "matched reset" (-1) t.Nftask.matched;
   Alcotest.(check int) "sub_matched reset" (-1) t.Nftask.sub_matched;
   Alcotest.(check int) "match addr cleared" (-1) t.Nftask.match_addr;
-  Alcotest.(check int64) "key cleared" 0L t.Nftask.temps.Nftask.key;
+  Alcotest.(check int64) "key cleared" 0L (Bytes.get_int64_le t.Nftask.temps.Nftask.key 0);
   Alcotest.(check int) "regs cleared" 0 t.Nftask.temps.Nftask.regs.(0);
   Alcotest.(check int) "aux stored" 1 t.Nftask.aux;
   Alcotest.(check int) "flow hint stored" 12 t.Nftask.flow_hint;

@@ -125,7 +125,7 @@ let test_ipv4_rewrite_src_checksum () =
   in
   let buf = Bytes.make 64 '\000' in
   Ipv4.encode hdr buf ~off:0;
-  Ipv4.rewrite_src buf ~off:0 ~src:(Ipv4.addr_of_string "203.0.113.7");
+  Ipv4.rewrite_src buf ~off:0 ~src:(Int32.to_int (Ipv4.addr_of_string "203.0.113.7"));
   Alcotest.(check string) "src rewritten" "203.0.113.7"
     (Ipv4.addr_to_string (Ipv4.decode buf ~off:0).Ipv4.src);
   Alcotest.(check bool) "checksum still valid" true (Ipv4.header_valid buf ~off:0)

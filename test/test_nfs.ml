@@ -148,7 +148,8 @@ let test_monitor_counts () =
 let test_upf_encapsulates_correct_teid () =
   let worker, mgw, pool, upf, program = Helpers.upf_setup ~n_sessions:256 ~n_pdrs:8 () in
   for _ = 1 to 50 do
-    let si, _pdr, pkt = Traffic.Mgw.next_downlink mgw in
+    let si = Traffic.Mgw.next_session mgw in
+    let pkt = Option.get (Traffic.Mgw.downlink mgw si) in
     Netcore.Packet.Pool.assign pool pkt;
     let before = pkt.Netcore.Packet.wire_len in
     let r = Helpers.run_one worker program ~flow_hint:si pkt in

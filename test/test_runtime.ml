@@ -274,6 +274,95 @@ let test_speculative_fetch_digest () =
       ("sfc4", sfc4, 5, "1a2dc150ea045970adb627f654b0d579");
     ]
 
+(* A fan-out two FSM steps ahead: a -> b -> e, and e branches on the
+   flow's parity to c or d, which read one line each of two per-flow
+   arenas. Action a resolves the per-flow index, so from b on speculation
+   at distance 3 reaches c and d in one frontier level and issues both
+   lines. With two MSHRs they compete for the slots: the order in which a
+   level is walked decides which line is dropped and what c or d later
+   waits for. A scheduler that walks a level in concatenation order
+   instead of reversed fails this digest; every shipped NF passes the
+   other digests either way, because none speculates into a fan-out whose
+   targets it can already resolve. *)
+let fan_spec =
+  Spec.module_spec_of_string
+    "module: fan\n\
+     category: StatefulNF\n\
+     transitions:\n\
+     - Start,packet->a\n\
+     - a,a_done->b\n\
+     - b,b_done->e\n\
+     - e,go_c->c\n\
+     - e,go_d->d\n\
+     - c,c_done->End\n\
+     - d,d_done->End\n\
+     fetching:\n\
+    \  c:\n\
+    \  - left\n\
+    \  d:\n\
+    \  - right\n\
+     states:\n\
+    \  left: per_flow\n\
+    \  right: per_flow\n"
+
+let fan_run ~count =
+  let n_flows = 4096 in
+  let base = Worker.default_cfg in
+  let cfg =
+    {
+      base with
+      Worker.mem_cfg = { base.Worker.mem_cfg with Memsim.Hierarchy.mshr_count = 2 };
+    }
+  in
+  let worker = Worker.create ~cfg ~id:0 () in
+  let layout = Worker.layout worker in
+  let gen =
+    Traffic.Flowgen.create ~seed:3 ~n_flows ~size_model:(Traffic.Flowgen.Fixed 128) ()
+  in
+  let pool = Netcore.Packet.Pool.create layout ~count:256 in
+  let arena label =
+    Structures.State_arena.create layout ~label ~entry_bytes:64 ~count:n_flows ()
+  in
+  let left = arena "left" and right = arena "right" in
+  let act name ?invalidates event f =
+    let event = Event.User event in
+    Action.make ~base_cycles:10 ~base_instrs:10 ?invalidates ~name (fun ctx task ->
+        f ctx task;
+        event)
+  in
+  let read arena ctx task =
+    ignore (Nfs.Nf_common.per_flow_read ctx task arena ~name:"f" : int)
+  in
+  let go_c = Event.User "go_c" and go_d = Event.User "go_d" in
+  let instance =
+    {
+      Compiler.i_name = "f";
+      i_spec = fan_spec;
+      i_actions =
+        [
+          ( "a",
+            act "a" ~invalidates:[ `Per_flow ] "a_done" (fun _ task ->
+                task.Nftask.matched <- task.Nftask.flow_hint) );
+          ("b", act "b" "b_done" (fun _ _ -> ()));
+          ( "e",
+            Action.make ~base_cycles:10 ~base_instrs:10 ~name:"e" (fun _ task ->
+                if task.Nftask.flow_hint land 1 = 0 then go_c else go_d) );
+          ("c", act "c" "c_done" (read left));
+          ("d", act "d" "d_done" (read right));
+        ];
+      i_bindings =
+        [ ("left", Prefetch.Per_flow (left, [])); ("right", Prefetch.Per_flow (right, [])) ];
+      i_key_kind = None;
+    }
+  in
+  let nf = { Spec.n_name = "fan"; n_modules = [ ("f", "fan") ]; n_transitions = [] } in
+  let program = Compiler.compile ~name:"fan" [ instance ] nf in
+  (worker, program, Workload.of_flowgen gen ~pool ~count)
+
+let test_frontier_order_digest () =
+  Alcotest.(check string) "fan distance 3 digest" "a7ff09d240f18a779a4447a391e625e9"
+    (schedule_digest ~prefetch_distance:3 (fan_run ~count:2000))
+
 (* Eight flows under 16 tasks: most pulls find their flow busy and wait in
    the stash. The completion order was captured while per-flow ordering
    still counted active tasks in a table, for both policies. *)
@@ -326,6 +415,7 @@ let suite =
     Alcotest.test_case "empty source" `Quick test_scheduler_empty_source;
     Alcotest.test_case "invalid n_tasks" `Quick test_invalid_n_tasks;
     Alcotest.test_case "speculative fetch digest" `Quick test_speculative_fetch_digest;
+    Alcotest.test_case "speculative frontier order" `Quick test_frontier_order_digest;
     Alcotest.test_case "stash-heavy completion order" `Quick test_stash_heavy_order;
     Alcotest.test_case "single task matches rtc order" `Quick
       test_single_task_matches_rtc_order;

@@ -6,7 +6,8 @@ open Traffic
 let event_tag = function
   | Mgw.Churn_teardown i -> Printf.sprintf "down:%d" i
   | Mgw.Churn_setup i -> Printf.sprintf "up:%d" i
-  | Mgw.Churn_data (si, pdr, _) -> Printf.sprintf "data:%d.%d" si pdr
+  | Mgw.Churn_data (si, p) ->
+      Printf.sprintf "data:%d.%d" si p.Netcore.Packet.flow.Netcore.Flow.src_port
 
 let trace_churn ~seed ~rate_ppm ~steps =
   let mgw = Mgw.create ~seed:7 ~n_sessions:24 ~n_pdrs:4 () in

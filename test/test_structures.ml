@@ -4,6 +4,12 @@ open Structures
 
 let layout () = Memsim.Layout.create ()
 
+(* A key as the Cuckoo probes read it: 8 little-endian bytes. *)
+let kb key =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 key;
+  b
+
 (* ----- cuckoo ----- *)
 
 let test_cuckoo_insert_lookup () =
@@ -62,15 +68,17 @@ let test_cuckoo_candidates_superset () =
   done;
   for i = 0 to 999 do
     let key = Int64.of_int (i + 1) in
-    let b1 = Cuckoo.hash1 t key and b2 = Cuckoo.hash2 t key in
-    let in_b1 = Cuckoo.find_in_bucket t ~bucket:b1 ~key in
-    let in_b2 = Cuckoo.find_in_bucket t ~bucket:b2 ~key in
+    let b1 = Cuckoo.hash1 t (kb key) 0 and b2 = Cuckoo.hash2 t (kb key) 0 in
+    let in_b1 = Cuckoo.find_in_bucket t ~bucket:b1 (kb key) 0 in
+    let in_b2 = Cuckoo.find_in_bucket t ~bucket:b2 (kb key) 0 in
     let bucket = if in_b1 >= 0 then b1 else b2 in
     Alcotest.(check bool) "stored in one of its two buckets" true
       (in_b1 >= 0 || in_b2 >= 0);
     (* The fingerprint scan must flag the bucket holding the key. *)
     Alcotest.(check bool) "candidates include the match" true
-      (Cuckoo.candidates t ~bucket ~key <> [])
+      (Cuckoo.candidates t ~bucket (kb key) 0 <> []);
+    Alcotest.(check int) "find over a frame" i
+      (Cuckoo.find_string t (Bytes.to_string (kb key)) 0)
   done
 
 (* A slot word packs [value lsl 16 lor fingerprint], so a value must lie
@@ -183,8 +191,8 @@ let test_cuckoo_seeded_drive () =
       let placement () =
         List.map
           (fun key ->
-            ( Cuckoo.find_in_bucket t ~bucket:(Cuckoo.hash1 t key) ~key,
-              Cuckoo.find_in_bucket t ~bucket:(Cuckoo.hash2 t key) ~key ))
+            ( Cuckoo.find_in_bucket t ~bucket:(Cuckoo.hash1 t (kb key) 0) (kb key) 0,
+              Cuckoo.find_in_bucket t ~bucket:(Cuckoo.hash2 t (kb key) 0) (kb key) 0 ))
           keys
       in
       let check_unchanged what before =
@@ -249,9 +257,9 @@ let test_cuckoo_seeded_drive () =
       let resident = Hashtbl.create 64 in
       List.iter
         (fun key ->
-          let b1 = Cuckoo.hash1 t key and b2 = Cuckoo.hash2 t key in
-          let v1 = Cuckoo.find_in_bucket t ~bucket:b1 ~key
-          and v2 = Cuckoo.find_in_bucket t ~bucket:b2 ~key in
+          let b1 = Cuckoo.hash1 t (kb key) 0 and b2 = Cuckoo.hash2 t (kb key) 0 in
+          let v1 = Cuckoo.find_in_bucket t ~bucket:b1 (kb key) 0
+          and v2 = Cuckoo.find_in_bucket t ~bucket:b2 (kb key) 0 in
           Alcotest.(check (option int)) (name ^ ": find_in_bucket")
             (Hashtbl.find_opt model key)
             (found (if v1 >= 0 then v1 else v2));
@@ -260,22 +268,23 @@ let test_cuckoo_seeded_drive () =
         keys;
       List.iter
         (fun key ->
-          let b1 = Cuckoo.hash1 t key and b2 = Cuckoo.hash2 t key in
+          let b1 = Cuckoo.hash1 t (kb key) 0 and b2 = Cuckoo.hash2 t (kb key) 0 in
           let fp = Cuckoo.fingerprint key in
           List.iter
             (fun bucket ->
-              let cands = Cuckoo.candidates t ~bucket ~key in
+              let cands = Cuckoo.candidates t ~bucket (kb key) 0 in
               let scan =
                 List.exists (fun k -> Cuckoo.fingerprint k = fp) (Hashtbl.find_all resident bucket)
               in
               Alcotest.(check bool) (name ^ ": has_candidate = fingerprint scan") scan
-                (Cuckoo.has_candidate t ~bucket ~key);
+                (Cuckoo.has_candidate t ~bucket (kb key) 0);
               Alcotest.(check bool) (name ^ ": has_candidate = candidates <> []") (cands <> [])
-                (Cuckoo.has_candidate t ~bucket ~key);
-              add (opt (found (Cuckoo.find_in_bucket t ~bucket ~key))))
+                (Cuckoo.has_candidate t ~bucket (kb key) 0);
+              add (opt (found (Cuckoo.find_in_bucket t ~bucket (kb key) 0))))
             [ b1; b2 ];
-          add (String.concat "," (List.map string_of_int (Cuckoo.candidates t ~bucket:b1 ~key)));
-          add (String.concat "," (List.map string_of_int (Cuckoo.candidates t ~bucket:b2 ~key))))
+          let cands bucket = Cuckoo.candidates t ~bucket (kb key) 0 in
+          add (String.concat "," (List.map string_of_int (cands b1)));
+          add (String.concat "," (List.map string_of_int (cands b2))))
         keys)
     [
       (1, 64, Cuckoo.Drop_new);
